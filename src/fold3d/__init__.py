@@ -84,7 +84,6 @@ from .numerics import (
 )
 from .operations import (
     OperationSpec,
-    SystemInstance3I6,
     enumerate_operations,
     solve_3I6,
     solve_I5_I6,

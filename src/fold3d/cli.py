@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,10 +25,20 @@ from .numerics import grid_oracle
 from .operations import OperationSpec, enumerate_operations, solve_operation
 from .scene import ResultDocument, load_scene
 
-_DEFAULT_TOL = float(os.environ.get("FOLD3D_TOL", "1e-9"))
+
+def _env_tol() -> float:
+    """Default residual tolerance: FOLD3D_TOL, or 1e-9 when it is unset."""
+    text = os.environ.get("FOLD3D_TOL", "1e-9")
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise FoldError(f"FOLD3D_TOL must be a positive number, not {text!r}")
+    return tol
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fold3d",
         description="Fold-plane solver: reflections of 3D space across a plane "
@@ -38,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, scene=True):
         if scene:
             p.add_argument("scene", help="scene JSON file")
-        p.add_argument("--tol", type=float, default=_DEFAULT_TOL,
+        p.add_argument("--tol", type=float, default=default_tol,
                        help="residual tolerance (default from FOLD3D_TOL or 1e-9)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", help="also write the output to this file")
@@ -104,11 +115,15 @@ def _cmd_solve(args) -> int:
     spec = _check_spec(args, scene)
     options = {}
     if args.seed_lattice:
-        parts = [int(v) for v in args.seed_lattice.lower().split("x")]
+        usage = "--seed-lattice wants one or three counts, e.g. 14x28x18"
+        try:
+            parts = [int(v) for v in args.seed_lattice.lower().split("x")]
+        except ValueError:
+            raise FoldError(usage) from None
         if len(parts) == 1:
             parts = parts * 3
         if len(parts) != 3:
-            raise FoldError("--seed-lattice wants one or three counts, e.g. 14x28x18")
+            raise FoldError(usage)
         options["lattice"] = tuple(parts)
     try:
         solution = solve_operation(scene.constraint_list(), tol=args.tol, **options)
@@ -274,9 +289,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser(_env_tol()).parse_args(argv)
         return _COMMANDS[args.command](args)
     except FoldError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -137,10 +137,13 @@ class Plane3:
 
     def __post_init__(self):
         n = _unit(np.asarray(self.normal, dtype=float), "plane normal")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise DegenerateInput("plane offset must be finite")
         s = _canonical_sign(n)
         n = n * s
         object.__setattr__(self, "normal", (float(n[0]), float(n[1]), float(n[2])))
-        object.__setattr__(self, "offset", float(self.offset) * s)
+        object.__setattr__(self, "offset", offset * s)
 
     @classmethod
     def from_point_normal(cls, point, normal) -> Plane3:

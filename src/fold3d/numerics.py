@@ -187,14 +187,14 @@ def newton_multistart(
         ra = r[active]
         na = norms[active]
         ka = xa.shape[0]
-        jac = np.empty((ka, m, d))
+        # all 2*d central-difference probes x +- h_j e_j in one residual batch
+        h = fd_step * (1.0 + np.abs(xa))
+        probes = np.repeat(xa[None, None], 2, axis=0).repeat(d, axis=1)
         for j in range(d):
-            h = fd_step * (1.0 + np.abs(xa[:, j]))
-            xp = xa.copy()
-            xp[:, j] += h
-            xm = xa.copy()
-            xm[:, j] -= h
-            jac[:, :, j] = (rf(xp) - rf(xm)) / (2.0 * h)[:, None]
+            probes[0, j, :, j] += h[:, j]
+            probes[1, j, :, j] -= h[:, j]
+        rp = rf(probes.reshape(-1, d)).reshape(2, d, ka, m)
+        jac = ((rp[0] - rp[1]) / (2.0 * h.T)[:, :, None]).transpose(1, 2, 0)
         bad = ~np.isfinite(jac).all(axis=(1, 2))
         jac[bad] = np.eye(m, d)[None, :, :]
         step = np.einsum("kdm,km->kd", np.linalg.pinv(jac), ra)

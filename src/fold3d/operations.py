@@ -8,10 +8,12 @@ normal and admit either no plane or a continuum): three half-plane swaps
 (3I11), a half-line swap with a half-plane swap (I9+I11), and two half-line
 swaps (2I9).  That leaves 47 valid operations.
 
-Four operations worked out in closed form get dedicated solvers
-(I5+I6, I5+I9, I6+I8+I11) or a deterministic multistart solver (3I6);
-everything else runs through the generic lattice-plus-Gauss-Newton search
-over fold-plane space.
+Four worked operations get dedicated, exhaustive solvers: closed forms for
+I5+I6, I5+I9 and I6+I8+I11, and elimination for 3I6, whose two remaining
+conditions are plane cubics meeting in at most 7 finite points (the
+resultant's degree; two of the 9 Bezout points are the circular points at
+infinity).  Everything else runs through the generic
+lattice-plus-Gauss-Newton search over fold-plane space.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ from .geometry import (
     Line3,
     Plane3,
     Point3,
+    RigidFrame,
     canonical_frame_point_line,
     canonical_frame_point_plane,
     planes_setwise_equal,
     points_equal,
-    reflect_point,
 )
 from .numerics import (
     newton_multistart,
@@ -334,6 +336,73 @@ def solve_I6_I8_I11(
     return FoldSolution.finite(planes)
 
 
+def _landing_poly(
+    a: float, v: np.ndarray, n: np.ndarray, o: float, at_p: bool
+) -> np.ndarray:
+    """Coefficients C[i, j] of s^i t^j, in the canonical frame of (p, pi), of
+    (4s^2 + 4t^2 + 16a^2) times the signed distance from the plane n . x = o
+    of v's image across the fold plane with landing spot (s, t).  This
+    cubic's top-degree part is 4 (s^2 + t^2) (n_x s + n_y t).  For v = p it
+    factors as (s^2 + t^2 + 4a^2) times a line, which is returned instead.
+    Trailing t columns negligible against the whole are trimmed, so the
+    t-degree is the actual one: a plane parallel to pi has no t^3 term, and
+    its t^2 term vanishes too when v is as high above it as p is above pi.
+    """
+    if at_p:
+        out = np.array([[-a * n[2] - o, n[1]], [n[0], 0.0]])
+    else:
+        quad = np.zeros((3, 3))  # N . v - (s^2 + t^2), N = (2s, 2t, -4a)
+        quad[0, 0], quad[1, 0], quad[0, 1] = -4.0 * a * v[2], 2.0 * v[0], 2.0 * v[1]
+        quad[2, 0] = quad[0, 2] = -1.0
+        lin = np.array([[-4.0 * a * n[2], 2.0 * n[1]], [2.0 * n[0], 0.0]])  # n . N
+        out = np.zeros((4, 4))
+        for (i, j), c in np.ndenumerate(quad):
+            out[i : i + 2, j : j + 2] -= 2.0 * c * lin
+        dist = float(n @ v) - o
+        out[0, 0] += 16.0 * a * a * dist
+        out[2, 0] += 4.0 * dist
+        out[0, 2] += 4.0 * dist
+    kept = np.flatnonzero(np.abs(out).max(axis=0) > 1e-9 * np.abs(out).max())
+    return out[:, : kept[-1] + 1 if kept.size else 1]
+
+
+def _t_coeffs(poly: np.ndarray, s) -> np.ndarray:
+    """Coefficients in t, highest power first, of poly at each value of s."""
+    powers = np.asarray(s)[..., None] ** np.arange(poly.shape[0])
+    return (powers @ poly)[..., ::-1]
+
+
+def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Batched Sylvester matrices of polynomials given by coefficient rows."""
+    df, dg = f.shape[-1] - 1, g.shape[-1] - 1
+    out = np.zeros(f.shape[:-1] + (df + dg, df + dg), dtype=np.result_type(f, g))
+    for i in range(dg):
+        out[..., i, i : i + df + 1] = f
+    for i in range(df):
+        out[..., dg + i, i : i + dg + 1] = g
+    return out
+
+
+def _near_real(roots: np.ndarray) -> list[float]:
+    """Real values seeded by polynomial roots: each near-real root z gives
+    Re z +- |Im z|, since a near-double real pair may come out as a complex
+    pair."""
+    near = [z for z in roots if abs(z.imag) <= 1e-3 * max(abs(z.real), 1.0)]
+    return list(dict.fromkeys(z.real + d * abs(z.imag) for z in near for d in (-1, 1)))
+
+
+def _t_axis_turn(n1: np.ndarray, n2: np.ndarray) -> RigidFrame:
+    """Turn about z that puts the t axis on the better bisector of the
+    normals' xy parts, so both cubics' t^3 coefficients 4 n_y are large
+    unless a normal is parallel to z."""
+    dirs = [u / norm if (norm := math.hypot(*u)) > 1e-9 else np.zeros(2)
+            for u in (n1[:2], n2[:2])]
+    axis = max(dirs[0] + dirs[1], dirs[0] - dirs[1], key=np.linalg.norm)
+    turn = math.atan2(axis[0], axis[1]) if axis.any() else 0.0
+    c, s = math.cos(turn), math.sin(turn)
+    return RigidFrame(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
+
+
 def solve_3I6(
     p: Point3,
     q: Point3,
@@ -342,170 +411,120 @@ def solve_3I6(
     tau: Plane3,
     rho: Plane3,
     tol: float = 1e-8,
-    seeds_per_axis: int = 27,
-    seed_half_width: float = 10.0,
     newton_tol: float = 1e-10,
     cluster_tol: float = 1e-6,
 ) -> FoldSolution:
-    """Fold placing p onto pi, q onto tau, and r onto rho.
+    """Fold placing p onto pi, q onto tau, and r onto rho: at most 7 planes.
 
     In the canonical frame of (p, pi) a candidate plane is determined by the
-    landing spot (s, t) of the reflected p, so the remaining two conditions
-    form a 2x2 system, rational in (s, t) with cubic numerators (algebraic
-    solution bound 3 x 3 = 9).  Solved by damped Gauss-Newton from a
-    deterministic seed lattice; results are clustered, re-verified against
-    all three constraints, and hard-capped at the algebraic bound.
+    landing spot (s, t) of the reflected p, and each remaining condition is
+    a cubic in (s, t) (see _landing_poly).  Both cubics' top-degree parts
+    carry the factor s^2 + t^2, so two of their 3 x 3 = 9 Bezout points are
+    the circular points at infinity and the Sylvester resultant in t has
+    degree 7 in s (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 3).
+    It is interpolated from 8 values on a circle whose radius, the scene's,
+    is the unit of length for newton_tol and cluster_tol; newton_tol is
+    lowered, when needed, to stay below tol.  Each real root s, with every
+    real root t of the first cubic at s (of the second, if the first does
+    not involve t), seeds a Gauss-Newton polish, and every plane is
+    re-verified with tol.  The result is exhaustive, so it is not flagged
+    possibly incomplete.
+    Raises IllPosed when two constraints coincide or the two cubics share a
+    curve, since the solutions then form a continuum.
     """
-    pairs = ((p, pi), (q, tau), (r, rho))
-    for (p1, f1), (p2, f2) in combinations(pairs, 2):
+    for (p1, f1), (p2, f2) in combinations(((p, pi), (q, tau), (r, rho)), 2):
         if points_equal(p1, p2, 1e-10) and planes_setwise_equal(f1, f2, 1e-10):
             raise IllPosed(
                 "two of the point-onto-plane constraints coincide; the "
                 "solution set is a continuum, not a finite operation"
             )
     frame, a = canonical_frame_point_plane(p, pi)
+    rot = frame.rotation
+    frame = _t_axis_turn(rot @ tau.normal_vec, rot @ rho.normal_vec).compose(frame)
     inv = frame.inverse()
-    qc = frame.apply_point(q).xyz
-    rc = frame.apply_point(r).xyz
-    tc = frame.apply_plane(tau)
-    oc = frame.apply_plane(rho)
-    nt, ot = tc.normal_vec, tc.offset
-    nr, orr = oc.normal_vec, oc.offset
+    qc, rc = (frame.apply_point(x).xyz for x in (q, r))
+    (nt, ot), (nr, orr) = ((x.normal_vec, x.offset) for x in map(frame.apply_plane, (tau, rho)))
+    # lengths in units of the scene's radius make every tolerance below scale-free
+    scale = max(a, float(np.linalg.norm(qc)), float(np.linalg.norm(rc)), abs(ot), abs(orr))
+    a, qc, rc, ot, orr = a / scale, qc / scale, rc / scale, ot / scale, orr / scale
+    fq = _landing_poly(a, qc, nt, ot, points_equal(p, q, 1e-10))
+    fr = _landing_poly(a, rc, nr, orr, points_equal(p, r, 1e-10))
+    circle = np.exp(2j * np.pi * np.arange(8) / 8)
+    syl = _sylvester(_t_coeffs(fq, circle), _t_coeffs(fr, circle))
+    dets = np.linalg.det(syl)
+    # below this, against Hadamard's bound on |det|, a value is rounding noise
+    noise = 1e-12 * np.max(np.prod(np.linalg.norm(syl, axis=-1), axis=-1))
+    if np.max(np.abs(dets)) <= noise:
+        raise IllPosed(
+            "the two remaining point-onto-plane conditions share a curve of "
+            "fold planes; the solution set is a continuum"
+        )
+    # coefficients of the resultant, lowest power first; np.roots drops the
+    # leading zeros, so a degree below 7 yields no spurious roots
+    coeffs = np.fft.fft(dets).real / 8
+    coeffs[np.abs(coeffs) <= noise] = 0.0
+    # at a root s, the t's come from a condition that still involves t
+    ft = fq if fq.shape[1] > 1 else fr
+    seeds = [
+        (s, t)
+        for s in _near_real(np.roots(coeffs[::-1]))
+        for t in _near_real(np.roots(_t_coeffs(ft, s)))
+    ]
+    if not seeds:
+        return FoldSolution.no_solution()
 
     def comps(st: np.ndarray) -> np.ndarray:
         s, t = st[:, 0], st[:, 1]
         normals = np.stack([2 * s, 2 * t, np.full_like(s, -4 * a)], axis=1)
         e = s * s + t * t
         den = np.einsum("ij,ij->i", normals, normals)
-        wq = (normals @ qc - e) / den
-        q_img = qc[None, :] - 2.0 * wq[:, None] * normals
-        wr = (normals @ rc - e) / den
-        r_img = rc[None, :] - 2.0 * wr[:, None] * normals
-        return np.stack([q_img @ nt - ot, r_img @ nr - orr], axis=1)
+        out = []
+        for v, n, o in ((qc, nt, ot), (rc, nr, orr)):
+            image = v - 2.0 * ((normals @ v - e) / den)[:, None] * normals
+            out.append(image @ n - o)
+        return np.stack(out, axis=1)
 
-    axis = np.linspace(-seed_half_width, seed_half_width, seeds_per_axis)
-    seeds = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    # Newton stops below the verification tolerance, in units of the radius,
+    # or at the rounding floor of residuals of unit size
     roots = newton_multistart(
-        comps, seeds, tol=newton_tol, cluster_tol=cluster_tol, vectorized=True
+        comps, np.reshape(seeds, (-1, 2)),
+        tol=min(newton_tol, max(1e-2 * tol / scale, 1e-15)),
+        cluster_tol=cluster_tol, vectorized=True,
     )
     cons = (Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho))
     planes = []
-    for st in roots:
-        s, t = st
-        cand = inv.apply_plane(
-            Plane3.from_coeffs(2 * s, 2 * t, -4 * a, -(s * s + t * t))
-        )
+    for s, t in roots:
+        unit = Plane3.from_coeffs(2 * s, 2 * t, -4 * a, -(s * s + t * t))
+        cand = inv.apply_plane(Plane3(unit.normal, unit.offset * scale))
         if all(residual(c, cand) < tol for c in cons):
             planes.append(cand)
-    sol = FoldSolution.finite(planes, possibly_incomplete=True)
-    if sol.count > 9:
+    sol = FoldSolution.finite(planes)
+    if sol.count > 7:
         raise IllPosed(
-            f"{sol.count} distinct fold planes exceed the algebraic bound of 9; "
+            f"{sol.count} distinct fold planes exceed the algebraic bound of 7; "
             "the configuration is degenerate"
         )
     return sol
 
 
-@dataclass(frozen=True)
-class SystemInstance3I6:
-    """One solution of the triple point-onto-plane system, in the canonical
-    frame, carrying the image points and the elimination scalars.
-
-    ``residual_vector`` evaluates the defining relations directly: the two
-    midpoint-on-plane identities, image-segment parallelism (scale ell),
-    the normal proportionality (scale k), and the two plane memberships.
-    """
-
-    half_gap: float
-    q: tuple[float, float, float]
-    q_image: tuple[float, float, float]
-    r: tuple[float, float, float]
-    r_image: tuple[float, float, float]
-    s: float
-    t: float
-    k: float
-    ell: float
-    tau_coeffs: tuple[float, float, float, float]
-    rho_coeffs: tuple[float, float, float, float]
-
-    @classmethod
-    def from_plane(
-        cls,
-        p: Point3,
-        q: Point3,
-        r: Point3,
-        pi: Plane3,
-        tau: Plane3,
-        rho: Plane3,
-        plane: Plane3,
-    ) -> "SystemInstance3I6":
-        frame, a = canonical_frame_point_plane(p, pi)
-        pc = frame.apply_plane(plane)
-        # scale the plane equation so the z coefficient is -4a
-        na = pc.normal_vec
-        f = -4.0 * a / na[2]
-        s, t = na[0] * f / 2.0, na[1] * f / 2.0
-        delta = Plane3.from_coeffs(2 * s, 2 * t, -4 * a, -(s * s + t * t))
-        qc = frame.apply_point(q)
-        rc = frame.apply_point(r)
-        q_img = reflect_point(delta, qc)
-        r_img = reflect_point(delta, rc)
-        dq = q_img.xyz - qc.xyz
-        dr = r_img.xyz - rc.xyz
-        i = int(np.argmax(np.abs(dr)))
-        ell = float(dq[i] / dr[i]) if abs(dr[i]) > 1e-300 else math.inf
-        k = float(-2.0 * a / dq[2]) if abs(dq[2]) > 1e-300 else math.inf
-        return cls(
-            a,
-            tuple(qc.xyz),
-            tuple(q_img.xyz),
-            tuple(rc.xyz),
-            tuple(r_img.xyz),
-            s,
-            t,
-            k,
-            ell,
-            frame.apply_plane(tau).coeffs(),
-            frame.apply_plane(rho).coeffs(),
-        )
-
-    def residual_vector(self) -> np.ndarray:
-        a = self.half_gap
-        qv, qi = np.array(self.q), np.array(self.q_image)
-        rv, ri = np.array(self.r), np.array(self.r_image)
-
-        def midpoint_relation(v: np.ndarray, vi: np.ndarray) -> float:
-            d = v - vi
-            return float(
-                2.0 * a * (d[0] ** 2 + d[1] ** 2)
-                + (v[0] ** 2 - vi[0] ** 2) * d[2]
-                + (v[1] ** 2 - vi[1] ** 2) * d[2]
-                + (v[2] ** 2 - vi[2] ** 2) * d[2]
-            )
-
-        prop_ell = (qi - qv) - self.ell * (ri - rv)
-        prop_k = np.array([self.s, self.t, -2.0 * a]) - self.k * (qi - qv)
-        at, bt, ct, dt = self.tau_coeffs
-        ar, br, cr, dr = self.rho_coeffs
-        members = np.array(
-            [
-                at * qi[0] + bt * qi[1] + ct * qi[2] + dt,
-                ar * ri[0] + br * ri[1] + cr * ri[2] + dr,
-            ]
-        )
-        return np.concatenate(
-            [
-                [midpoint_relation(qv, qi), midpoint_relation(rv, ri)],
-                prop_ell,
-                prop_k,
-                members,
-            ]
-        )
-
-
 # ---------------------------------------------------------------------------
 # Generic solver and dispatch
 # ---------------------------------------------------------------------------
+
+
+def _checked_spec(cons: Sequence[Constraint]) -> OperationSpec:
+    """The operation of cons; raises InvalidOperation for the three rejected
+    combinations and for under-constrained multisets."""
+    spec = OperationSpec.from_constraints(cons)
+    reason = spec.rejection_reason()
+    if reason is not None:
+        raise InvalidOperation(f"invalid combination {spec}: {reason}")
+    if spec.total_codimension < 3:
+        raise InvalidOperation(
+            f"{spec} has combined codimension {spec.total_codimension} < 3; "
+            "it leaves free fold-plane parameters"
+        )
+    return spec
 
 
 def solve_generic(
@@ -523,15 +542,7 @@ def solve_generic(
     proves existence, never exhaustiveness.
     """
     cons = tuple(constraints)
-    spec = OperationSpec.from_constraints(cons)
-    reason = spec.rejection_reason()
-    if reason is not None:
-        raise InvalidOperation(f"invalid combination {spec}: {reason}")
-    if spec.total_codimension < 3:
-        raise InvalidOperation(
-            f"{spec} has combined codimension {spec.total_codimension} < 3; "
-            "it leaves free fold-plane parameters"
-        )
+    _checked_spec(cons)
     radius = payload_radius(cons)
     w = window if window is not None else 3.0 * radius
     nth, nph, nd = lattice
@@ -578,16 +589,7 @@ def solve_operation(
     cons = tuple(constraints)
     if not cons:
         raise InvalidOperation("no constraints given")
-    spec = OperationSpec.from_constraints(cons)
-    reason = spec.rejection_reason()
-    if reason is not None:
-        raise InvalidOperation(f"invalid combination {spec}: {reason}")
-    if spec.total_codimension < 3:
-        raise InvalidOperation(
-            f"{spec} has combined codimension {spec.total_codimension} < 3; "
-            "it leaves free fold-plane parameters"
-        )
-    key = spec.key
+    key = _checked_spec(cons).key
     if key == (1,):
         return solve_I1(*cons[0].objects, tol=tol)
     if key == (2,):
@@ -610,9 +612,6 @@ def solve_operation(
         (tau,) = _only(cons, IncidenceKind.I11)[0].objects
         return solve_I6_I8_I11(p, pi, q, tau, tol=tol)
     if key == (6, 6, 6):
-        i6s = _only(cons, IncidenceKind.I6)
-        p, pi = i6s[0].objects
-        q, tau = i6s[1].objects
-        r, rho = i6s[2].objects
+        (p, pi), (q, tau), (r, rho) = (c.objects for c in cons)
         return solve_3I6(p, q, r, pi, tau, rho, tol=max(tol, 1e-8))
     return solve_generic(cons, tol=max(tol, 1e-8), **generic_options)

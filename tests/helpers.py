@@ -7,6 +7,9 @@ configurations are rejected with a separation margin.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from fold3d import (
@@ -16,7 +19,11 @@ from fold3d import (
     Point3,
     RigidFrame,
     canonical_frame_point_line,
+    canonical_frame_point_plane,
+    grid_oracle,
+    reflect_point,
 )
+from fold3d.constraints import payload_radius
 
 MARGIN = 0.3
 
@@ -130,3 +137,112 @@ def coplanar_crossing_lines(rng, scale: float = 2.0) -> tuple[Line3, Line3]:
         if np.linalg.norm(np.cross(d1, d2)) > 0.2:
             break
     return Line3(x, tuple(d1)), Line3(x, tuple(d2))
+
+
+def windowed_counts(cons, solution, resolution=48, n_offsets=64):
+    """Dedicated vs oracle plane counts, both restricted to the oracle's
+    offset window (minus a two-cell boundary margin)."""
+    window = 3.0 * payload_radius(cons)
+    margin = 2.0 * (2.0 * window / n_offsets)
+    w_eff = window - margin
+    oracle = grid_oracle(cons, resolution=resolution, n_offsets=n_offsets, window=window)
+    ded = sum(1 for pl in solution.planes if abs(pl.offset) <= w_eff)
+    orc = sum(1 for pl, _ in oracle.clusters if abs(pl.offset) <= w_eff)
+    return ded, orc
+
+
+@dataclass(frozen=True)
+class SystemInstance3I6:
+    """One solution of the triple point-onto-plane system, in the canonical
+    frame, carrying the image points and the elimination scalars.
+
+    ``residual_vector`` evaluates the defining relations directly: the two
+    midpoint-on-plane identities, image-segment parallelism (scale ell),
+    the normal proportionality (scale k), and the two plane memberships.
+    """
+
+    half_gap: float
+    q: tuple[float, float, float]
+    q_image: tuple[float, float, float]
+    r: tuple[float, float, float]
+    r_image: tuple[float, float, float]
+    s: float
+    t: float
+    k: float
+    ell: float
+    tau_coeffs: tuple[float, float, float, float]
+    rho_coeffs: tuple[float, float, float, float]
+
+    @classmethod
+    def from_plane(
+        cls,
+        p: Point3,
+        q: Point3,
+        r: Point3,
+        pi: Plane3,
+        tau: Plane3,
+        rho: Plane3,
+        plane: Plane3,
+    ) -> "SystemInstance3I6":
+        frame, a = canonical_frame_point_plane(p, pi)
+        pc = frame.apply_plane(plane)
+        # scale the plane equation so the z coefficient is -4a
+        na = pc.normal_vec
+        f = -4.0 * a / na[2]
+        s, t = na[0] * f / 2.0, na[1] * f / 2.0
+        delta = Plane3.from_coeffs(2 * s, 2 * t, -4 * a, -(s * s + t * t))
+        qc = frame.apply_point(q)
+        rc = frame.apply_point(r)
+        q_img = reflect_point(delta, qc)
+        r_img = reflect_point(delta, rc)
+        dq = q_img.xyz - qc.xyz
+        dr = r_img.xyz - rc.xyz
+        i = int(np.argmax(np.abs(dr)))
+        ell = float(dq[i] / dr[i]) if abs(dr[i]) > 1e-300 else math.inf
+        k = float(-2.0 * a / dq[2]) if abs(dq[2]) > 1e-300 else math.inf
+        return cls(
+            a,
+            tuple(qc.xyz),
+            tuple(q_img.xyz),
+            tuple(rc.xyz),
+            tuple(r_img.xyz),
+            s,
+            t,
+            k,
+            ell,
+            frame.apply_plane(tau).coeffs(),
+            frame.apply_plane(rho).coeffs(),
+        )
+
+    def residual_vector(self) -> np.ndarray:
+        a = self.half_gap
+        qv, qi = np.array(self.q), np.array(self.q_image)
+        rv, ri = np.array(self.r), np.array(self.r_image)
+
+        def midpoint_relation(v: np.ndarray, vi: np.ndarray) -> float:
+            d = v - vi
+            return float(
+                2.0 * a * (d[0] ** 2 + d[1] ** 2)
+                + (v[0] ** 2 - vi[0] ** 2) * d[2]
+                + (v[1] ** 2 - vi[1] ** 2) * d[2]
+                + (v[2] ** 2 - vi[2] ** 2) * d[2]
+            )
+
+        prop_ell = (qi - qv) - self.ell * (ri - rv)
+        prop_k = np.array([self.s, self.t, -2.0 * a]) - self.k * (qi - qv)
+        at, bt, ct, dt = self.tau_coeffs
+        ar, br, cr, dr = self.rho_coeffs
+        members = np.array(
+            [
+                at * qi[0] + bt * qi[1] + ct * qi[2] + dt,
+                ar * ri[0] + br * ri[1] + cr * ri[2] + dr,
+            ]
+        )
+        return np.concatenate(
+            [
+                [midpoint_relation(qv, qi), midpoint_relation(rv, ri)],
+                prop_ell,
+                prop_k,
+                members,
+            ]
+        )

@@ -28,7 +28,6 @@ from fold3d import (
     envelope_I5,
     envelope_I6,
     envelope_I7,
-    grid_oracle,
     lines_setwise_equal,
     plane_gap,
     planes_setwise_equal,
@@ -46,7 +45,6 @@ from fold3d import (
     solve_generic,
     verify_envelope_conditions,
 )
-from fold3d.constraints import payload_radius
 from helpers import (
     coplanar_crossing_lines,
     instance_3i6,
@@ -59,6 +57,7 @@ from helpers import (
     random_point,
     random_unit,
     skew_lines,
+    windowed_counts,
 )
 
 
@@ -161,18 +160,6 @@ def test_criterion_3_envelope_tangency():
     )
 
 
-def _windowed_counts(cons, solution, resolution=48, n_offsets=64):
-    """Dedicated vs oracle plane counts, both restricted to the oracle's
-    offset window (minus a two-cell boundary margin)."""
-    window = 3.0 * payload_radius(cons)
-    margin = 2.0 * (2.0 * window / n_offsets)
-    w_eff = window - margin
-    oracle = grid_oracle(cons, resolution=resolution, n_offsets=n_offsets, window=window)
-    ded = sum(1 for pl in solution.planes if abs(pl.offset) <= w_eff)
-    orc = sum(1 for pl, _ in oracle.clusters if abs(pl.offset) <= w_eff)
-    return ded, orc
-
-
 def test_criterion_4_worked_operations_vs_oracle():
     rng = np.random.default_rng(4242)
     t0 = time.monotonic()
@@ -202,7 +189,7 @@ def test_criterion_4_worked_operations_vs_oracle():
             sol = solve(cons)
             if sol.count > bound:
                 bound_ok = False
-            ded, orc = _windowed_counts(cons, sol)
+            ded, orc = windowed_counts(cons, sol)
             total += 1
             if ded == orc:
                 agreed += 1

@@ -46,6 +46,11 @@ class TestPrimitives:
         with pytest.raises(DegenerateInput):
             Point3(0.0, float("nan"), 0.0)
 
+    def test_plane_offset_requires_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DegenerateInput):
+                Plane3((0, 0, 1), bad)
+
     def test_line_canonical_base_and_direction(self):
         m = Line3(Point3(5, 3, 7), (0, 0, -2))
         assert m.dir == (0.0, 0.0, 1.0)

@@ -13,7 +13,6 @@ from fold3d import (
     ParseError,
     Plane3,
     Point3,
-    SystemInstance3I6,
     enumerate_operations,
     plane_gap,
     planes_setwise_equal,
@@ -27,15 +26,19 @@ from fold3d import (
     stacked_residual,
 )
 from helpers import (
+    SystemInstance3I6,
     instance_3i6,
     instance_i5_i6,
     instance_i5_i9,
     instance_i6_i8_i11,
     point_off_line,
     point_off_plane,
+    random_frame,
     random_line,
     random_plane,
     random_point,
+    random_unit,
+    windowed_counts,
 )
 
 P_C = Point3(0, 0, 1)
@@ -247,6 +250,142 @@ class TestSolve3I6:
             for pl in sol.planes:
                 inst = SystemInstance3I6.from_plane(p, q, r, pi, tau, rho, pl)
                 assert np.max(np.abs(inst.residual_vector())) < 1e-6
+
+    def test_finds_plane_multistart_missed(self):
+        # instance 128 of criterion 6's stream: a 27x27 seed lattice found
+        # only 2 of its 3 planes; the third has offset -0.418
+        rng = np.random.default_rng(31415)
+        for _ in range(129):
+            cons = instance_3i6(rng)
+        (p, pi), (q, tau), (r, rho) = (c.objects for c in cons)
+        sol = solve_3I6(p, q, r, pi, tau, rho)
+        assert sol.count == 3
+        assert not sol.possibly_incomplete
+        assert any(abs(abs(pl.offset) - 0.418) < 1e-3 for pl in sol.planes)
+        for pl in sol.planes:
+            assert all(residual(c, pl) < 1e-8 for c in cons)
+
+    def test_windowed_counts_match_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            cons = instance_3i6(rng)
+            (p, pi), (q, tau), (r, rho) = (c.objects for c in cons)
+            ded, orc = windowed_counts(cons, solve_3I6(p, q, r, pi, tau, rho))
+            assert ded == orc
+
+    def test_mirror_symmetric_scenes_match_oracle(self):
+        # the mirror y = 0 pairs the solutions; when the normals' y parts
+        # dominate, the t axis lies across it and each off-mirror pair has
+        # one landing-spot s
+        rng = np.random.default_rng(4)
+        p, pi = Point3(0, 0, 1), Plane3((0, 0, 1), -0.5)
+        paired = 0
+        for _ in range(8):
+            q = Point3(rng.uniform(-1, 1), 0.7, rng.uniform(-1, 1))
+            r = Point3(q.x, -q.y, q.z)
+            nt = random_unit(rng)
+            off = rng.uniform(-1, 1)
+            for n in (nt, nt[[1, 0, 2]]):
+                tau, rho = Plane3(tuple(n), off), Plane3(tuple(n * [1, -1, 1]), off)
+                cons = [Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho)]
+                sol = solve_3I6(p, q, r, pi, tau, rho)
+                ded, orc = windowed_counts(cons, sol)
+                assert ded == orc
+                for pl in sol.planes:
+                    mirrored = Plane3(tuple(pl.normal_vec * [1, -1, 1]), pl.offset)
+                    assert any(plane_gap(mirrored, other) < 1e-7 for other in sol.planes)
+                    paired += abs(n[1]) > abs(n[0]) and abs(pl.normal_vec[1]) > 1e-6
+        assert paired >= 4
+
+    def test_conditions_linear_in_landing_spot(self):
+        # tau and rho parallel to pi with q and r as high above them as p is
+        # above pi: both cubics degenerate to lines, meeting in one plane
+        # whose normal is perpendicular to q - p and r - p; moved, the planes
+        # are parallel only up to rounding
+        points = [Point3(0, 0, 1), Point3(1, 0, 2), Point3(0, 1, 3)]
+        planes = [Plane3((0, 0, 1), 0), Plane3((0, 0, 1), 1), Plane3((0, 0, 1), 2)]
+        frames = [None] + [random_frame(np.random.default_rng(k)) for k in range(10)]
+        for frame in frames:
+            if frame is not None:
+                points = [frame.apply_point(x) for x in points]
+                planes = [frame.apply_plane(x) for x in planes]
+            (p, q, r), (pi, tau, rho) = points, planes
+            sol = solve_3I6(p, q, r, pi, tau, rho)
+            assert sol.count == 1
+            n = np.cross(q.xyz - p.xyz, r.xyz - p.xyz)
+            assert abs(abs(sol.planes[0].normal_vec @ n) - np.linalg.norm(n)) < 1e-9
+            cons = [Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho)]
+            assert all(residual(c, sol.planes[0]) < 1e-8 for c in cons)
+
+    def test_counts_invariant_under_rigid_motion(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            cons = instance_3i6(rng)
+            frame = random_frame(rng)
+            (p, pi), (q, tau), (r, rho) = (c.objects for c in cons)
+            moved = [frame.apply_point(x) for x in (p, q, r)]
+            moved += [frame.apply_plane(x) for x in (pi, tau, rho)]
+            assert solve_3I6(*moved).count == solve_3I6(p, q, r, pi, tau, rho).count
+
+    def test_counts_invariant_under_scaling(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            cons = instance_3i6(rng)
+            (p, pi), (q, tau), (r, rho) = (c.objects for c in cons)
+            count = solve_3I6(p, q, r, pi, tau, rho).count
+            for k in (1e-3, 1e4):
+                points = [Point3(*(k * x.xyz)) for x in (p, q, r)]
+                planes = [Plane3(x.normal, k * x.offset) for x in (pi, tau, rho)]
+                assert solve_3I6(*points, *planes, tol=1e-8 * k).count == count
+                # the default, absolute tolerance too
+                assert solve_3I6(*points, *planes).count == count
+
+    def test_one_point_onto_three_planes(self):
+        # p must land on the common point of the three planes
+        p = Point3(0.3, -0.2, 1.5)
+        pi, tau = Plane3((0, 0, 1), 0), Plane3((1, 0, 0.5), 0.4)
+        rho = Plane3((0, 1, 0.2), -0.3)
+        sol = solve_3I6(p, p, p, pi, tau, rho)
+        assert sol.count == 1
+        corner = np.linalg.solve(
+            np.array([pi.normal, tau.normal, rho.normal]),
+            np.array([pi.offset, tau.offset, rho.offset]),
+        )
+        expected = Plane3.from_point_normal((p.xyz + corner) / 2, p.xyz - corner)
+        assert plane_gap(sol.planes[0], expected) < 1e-9
+
+    def test_shared_curve_rejected(self):
+        # tau and rho cut pi in the same line: p may land anywhere on it
+        p, pi = Point3(0, 0, 1), Plane3((0, 0, 1), 0)
+        with pytest.raises(IllPosed):
+            solve_3I6(p, p, p, pi, Plane3((1, 0, 1), 0), Plane3((1, 0, -1), 0))
+
+    def test_resultant_has_degree_seven(self):
+        sympy = pytest.importorskip("sympy")
+        from fold3d.operations import _landing_poly
+
+        s, t = sympy.symbols("s t")
+        rng = np.random.default_rng(12)
+        a = sympy.Rational(int(rng.integers(1, 9)), 7)
+        normal = sympy.Matrix([2 * s, 2 * t, -4 * a])
+        den = normal.dot(normal)
+        cubics = []
+        for _ in range(2):
+            v = sympy.Matrix([sympy.Rational(int(k), 5) for k in rng.integers(-9, 10, 3)])
+            n = sympy.Matrix([sympy.Rational(int(k), 3) for k in rng.integers(1, 9, 3)])
+            off = sympy.Rational(int(rng.integers(-9, 10)), 4)
+            image = v - 2 * (normal.dot(v) - s**2 - t**2) / den * normal
+            cubic = sympy.expand(sympy.cancel(den * (n.dot(image) - off)))
+            unit = np.array(n / n.norm(), dtype=float).ravel()
+            ours = _landing_poly(
+                float(a), np.array(v, dtype=float).ravel(), unit, float(off / n.norm()), False
+            )
+            poly = sympy.Poly(cubic / n.norm(), s, t)
+            for (i, j), c in np.ndenumerate(ours):
+                assert abs(float(poly.coeff_monomial(s**i * t**j)) - c) < 1e-9
+            cubics.append(cubic)
+        res = sympy.resultant(cubics[0], cubics[1], t)
+        assert sympy.Poly(res, s).degree() == 7
 
 
 class TestSolveGeneric:

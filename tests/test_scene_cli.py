@@ -296,7 +296,6 @@ class TestCli:
         assert "no I7 constraint" in err
 
     def test_env_var_sets_default_tol(self, tmp_path):
-        # the CLI module reads FOLD3D_TOL at import; run a subprocess
         path = _write(tmp_path, "s.json", I1_SCENE)
         proc = subprocess.run(
             [sys.executable, "-m", "fold3d.cli", "verify", path, "--plane",
@@ -306,6 +305,31 @@ class TestCli:
                  "PYTHONPATH": ":".join(sys.path)},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_env_var_not_a_number(self, monkeypatch, capsys):
+        monkeypatch.setenv("FOLD3D_TOL", "abc")
+        code = main(["enumerate"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: FOLD3D_TOL")
+
+    def test_seed_lattice_not_a_number(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", I1_SCENE)
+        code = main(["solve", path, "--seed-lattice", "abc"])
+        assert code == 1
+        assert "--seed-lattice wants" in capsys.readouterr().err
+
+    def test_nan_plane_offset_rejected(self, tmp_path, capsys):
+        scene = """
+        {
+          "points": {"P": [0, 0, 1]},
+          "planes": {"pi": {"normal": [0, 0, 1], "offset": NaN}},
+          "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}}]
+        }
+        """
+        path = _write(tmp_path, "s.json", scene)
+        code = main(["solve", path])
+        assert code == 1
+        assert "offset must be finite" in capsys.readouterr().err
 
     def test_console_entry_subprocess(self, tmp_path):
         path = _write(tmp_path, "s.json", I1_SCENE)
