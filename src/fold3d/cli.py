@@ -26,16 +26,20 @@ from .operations import OperationSpec, enumerate_operations, solve_operation
 from .scene import ResultDocument, load_scene
 
 
-def _env_tol() -> float:
-    """Default residual tolerance: FOLD3D_TOL, or 1e-9 when it is unset."""
-    text = os.environ.get("FOLD3D_TOL", "1e-9")
+def _positive_tol(text: str, name: str) -> float:
+    """A residual tolerance; FoldError unless it is a finite number > 0."""
     try:
         tol = float(text)
     except ValueError:
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
-        raise FoldError(f"FOLD3D_TOL must be a positive number, not {text!r}")
+        raise FoldError(f"{name} must be a positive number, not {text!r}")
     return tol
+
+
+def _env_tol() -> float:
+    """Default residual tolerance: FOLD3D_TOL, or 1e-9 when it is unset."""
+    return _positive_tol(os.environ.get("FOLD3D_TOL", "1e-9"), "FOLD3D_TOL")
 
 
 def _build_parser(default_tol: float) -> argparse.ArgumentParser:
@@ -49,7 +53,8 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     def add_common(p, scene=True):
         if scene:
             p.add_argument("scene", help="scene JSON file")
-        p.add_argument("--tol", type=float, default=default_tol,
+        p.add_argument("--tol", type=lambda text: _positive_tol(text, "--tol"),
+                       default=default_tol,
                        help="residual tolerance (default from FOLD3D_TOL or 1e-9)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", help="also write the output to this file")

@@ -62,81 +62,133 @@ def _sorted_roots(coeffs, pairs) -> RealRoots:
 def real_roots_quadratic(
     c2: float, c1: float, c0: float, rel_tol: float = 1e-12
 ) -> RealRoots:
-    """Real roots of c2 x^2 + c1 x + c0, numerically stable.
+    """Real roots of c2 x^2 + c1 x + c0, numerically stable and free of the
+    scale of x.
 
-    Raises AllRealLine when the polynomial is identically zero and
-    DegenerateInput when it reduces to a nonzero constant.
+    The tests run on the balanced polynomial y^2 + b1 y + b0, x = σ y with
+    σ = max(|c1/c2|, |c0/c2|^(1/2)), whose largest coefficient is 1.  The
+    leading term is therefore never negligible: the degree drops only when
+    c2 is zero (or so small that σ overflows), and a small c2 gives a real
+    root far out.  Raises AllRealLine when the polynomial is identically
+    zero and DegenerateInput when it reduces to a nonzero constant.
     """
-    scale = max(abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        raise AllRealLine("all quadratic coefficients vanish")
-    if abs(c2) <= rel_tol * scale:
-        if abs(c1) <= rel_tol * scale:
-            raise DegenerateInput("constant nonzero equation has no roots")
-        return RealRoots((-c0 / c1,), (1,))
-    disc = c1 * c1 - 4.0 * c2 * c0
-    dscale = max(c1 * c1, abs(4.0 * c2 * c0))
-    if dscale == 0.0:
+    if c2 == 0.0 and c1 == 0.0:
+        if c0 == 0.0:
+            raise AllRealLine("all quadratic coefficients vanish")
+        raise DegenerateInput("constant nonzero equation has no roots")
+    if c1 == 0.0 and c0 == 0.0:
         return RealRoots((0.0,), (2,))
+    sigma = max(abs(c1 / c2), math.sqrt(abs(c0 / c2))) if c2 != 0.0 else math.inf
+    if not math.isfinite(sigma):
+        return RealRoots((-c0 / c1,), (1,))
+    b1, b0 = c1 / c2 / sigma, c0 / c2 / sigma**2
+    disc = b1 * b1 - 4.0 * b0
+    dscale = max(b1 * b1, abs(4.0 * b0))
     if disc < -rel_tol * dscale:
         return RealRoots((), ())
     if disc <= rel_tol * dscale:
         return RealRoots((-c1 / (2.0 * c2),), (2,))
-    sq = math.sqrt(disc)
-    qq = -(c1 + math.copysign(sq, c1)) / 2.0
-    if qq == 0.0:  # c1 == 0
-        r = math.sqrt(-c0 / c2)
-        pairs = [(-r, 1), (r, 1)]
-    else:
-        pairs = [(qq / c2, 1), (c0 / qq, 1)]
+    qq = -(b1 + math.copysign(math.sqrt(disc), b1)) / 2.0
+    pairs = [(sigma * qq, 1), (sigma * (b0 / qq), 1)]
     return _sorted_roots((c2, c1, c0), pairs)
+
+
+def _deflated(far: float, c: float, d: float) -> tuple[float, float]:
+    """(q1, q0) with y^3 + b y^2 + c y + d = (y - far)(y^2 + q1 y + q0),
+    deflated from the constant term: stable when far is the largest root."""
+    q0 = -d / far
+    return (q0 - c) / far, q0
 
 
 def real_roots_cubic(
     c3: float, c2: float, c1: float, c0: float, rel_tol: float = 1e-12
 ) -> RealRoots:
-    """Real roots of c3 x^3 + ... + c0; delegates to the quadratic when the
-    leading coefficient is negligible.  Every root gets one Newton polish."""
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        raise AllRealLine("all cubic coefficients vanish")
-    if abs(c3) <= rel_tol * scale:
+    """Real roots of c3 x^3 + ... + c0, free of the scale of x.
+
+    The tests run on the balanced monic cubic y^3 + b y^2 + c y + d,
+    x = σ y with σ = max_k |c_k/c3|^(1/(3-k)), whose largest coefficient is
+    1; as for the quadratic, the degree drops only when c3 is zero (or σ
+    overflows).  A root far out leaves the other two close together at the
+    scale σ, so they are taken from the quotient by the largest root,
+    solved at their own scale; with three real roots this only sharpens
+    them.  Every root gets one Newton polish.
+    """
+    if c3 == 0.0:
+        if c2 == c1 == c0 == 0.0:
+            raise AllRealLine("all cubic coefficients vanish")
         return real_roots_quadratic(c2, c1, c0, rel_tol)
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    coeffs = (c3, c2, c1, c0)
+    sigma = max(abs(c2 / c3), abs(c1 / c3) ** 0.5, abs(c0 / c3) ** (1.0 / 3.0))
+    if not math.isfinite(sigma):
+        return real_roots_quadratic(c2, c1, c0, rel_tol)
+    if sigma == 0.0:
+        return RealRoots((0.0,), (3,))
+    b, c, d = c2 / c3 / sigma, c1 / c3 / sigma**2, c0 / c3 / sigma**3
     shift = b / 3.0
     big_a = c - b * b / 3.0
     big_b = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
     disc = -4.0 * big_a**3 - 27.0 * big_b * big_b
-    dscale = max(abs(big_a) ** 3, big_b * big_b, 1e-300)
-    thr = rel_tol * dscale
-    coeffs = (c3, c2, c1, c0)
+    thr = rel_tol * max(abs(big_a) ** 3, big_b * big_b, 1e-300)
     if disc > thr:
         mag = 2.0 * math.sqrt(-big_a / 3.0)
         arg = _clamp(3.0 * big_b / (big_a * mag))
         th = math.acos(arg) / 3.0
-        pairs = [
-            (mag * math.cos(th - 2.0 * math.pi * k / 3.0) - shift, 1) for k in range(3)
-        ]
-        return _sorted_roots(coeffs, pairs)
-    if disc < -thr:
+        ys = sorted(
+            (mag * math.cos(th - 2.0 * math.pi * k / 3.0) - shift for k in range(3)),
+            key=abs,
+        )
+        rest = real_roots_quadratic(1.0, *_deflated(ys[2], c, d), rel_tol)
+        if len(rest) == 2:
+            ys[:2] = rest.roots
+        pairs = [(sigma * y, 1) for y in ys]
+    elif disc < -thr:
         half = -big_b / 2.0
         rad = math.sqrt(big_b * big_b / 4.0 + big_a**3 / 27.0)
         u = half + math.copysign(rad, half) if half != 0.0 else rad
         cr = math.copysign(abs(u) ** (1.0 / 3.0), u)
         root = cr - big_a / (3.0 * cr) if cr != 0.0 else 0.0
-        return _sorted_roots(coeffs, [(root - shift, 1)])
-    # multiple-root region
-    u_scale = max(1.0, abs(b), abs(c) ** 0.5, abs(d) ** (1.0 / 3.0))
-    if abs(big_a) <= 1e-10 * u_scale**2 and abs(big_b) <= 1e-10 * u_scale**3:
-        return RealRoots((_polish(coeffs, -shift),), (3,))
-    alpha = -3.0 * big_b / (2.0 * big_a)
-    beta = -2.0 * alpha
-    return _sorted_roots(coeffs, [(alpha - shift, 2), (beta - shift, 1)])
+        pairs = [(sigma * (root - shift), 1)]
+    elif abs(big_a) <= 1e-10 and abs(big_b) <= 1e-10:
+        return RealRoots((_polish(coeffs, -sigma * shift),), (3,))
+    else:
+        # a double root alpha and a simple root beta at the scale sigma; when
+        # beta is the larger, the pair at alpha may be two roots, or none
+        alpha = -3.0 * big_b / (2.0 * big_a) - shift
+        beta = 3.0 * big_b / big_a - shift
+        if abs(beta) <= abs(alpha):
+            pairs = [(sigma * alpha, 2), (sigma * beta, 1)]
+        else:
+            rest = real_roots_quadratic(1.0, *_deflated(beta, c, d), rel_tol)
+            pairs = [(sigma * beta, 1)] + [
+                (sigma * y, k) for y, k in zip(rest.roots, rest.multiplicities)
+            ]
+    return _sorted_roots(coeffs, pairs)
 
 
 # ---------------------------------------------------------------------------
 # Damped Gauss-Newton multistart
 # ---------------------------------------------------------------------------
+
+
+def _least_squares_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Batched Gauss-Newton steps s = argmin |J s - r| for (k, m, d) Jacobians.
+
+    Solves the normal equations JᵀJ s = Jᵀr.  Rows where JᵀJ is nearly
+    singular, det ≤ 1e-10 · ∏ diag(JᵀJ) (free of the column scales, since
+    the determinant never exceeds the diagonal product), or where that test
+    is not finite, take the minimum-norm least-squares step pinv(J) r.
+    """
+    jtj = np.einsum("kmi,kmj->kij", jac, jac)
+    jtr = np.einsum("kmi,km->ki", jac, r)
+    det = np.linalg.det(jtj)
+    thr = 1e-10 * np.prod(np.einsum("kii->ki", jtj), axis=1)
+    solvable = np.isfinite(det) & np.isfinite(thr) & (det > thr)
+    step = np.empty_like(jtr)
+    step[solvable] = np.linalg.solve(jtj[solvable], jtr[solvable][..., None])[..., 0]
+    rest = ~solvable
+    if rest.any():
+        step[rest] = np.einsum("kdm,km->kd", np.linalg.pinv(jac[rest]), r[rest])
+    return step
 
 
 def newton_multistart(
@@ -152,10 +204,24 @@ def newton_multistart(
 
     ``residual`` maps a parameter vector (d,) to a residual vector (m,);
     with ``vectorized=True`` it must accept an (n, d) batch and return
-    (n, m).  The Jacobian is a central finite difference with step
-    fd_step * (1 + |x|).  Deterministic: fixed iteration order, stable
-    clustering (candidates ranked by residual norm, result sorted
-    lexicographically).
+    (n, m).  Every seed runs damped Gauss-Newton until its residual norm is
+    below tol (converged), no step improves it (stalled) or max_iter
+    iterations pass.  One iteration, for all active seeds at once:
+
+    * Jacobian: central differences with step fd_step * (1 + |x|), all 2·d
+      probes in one residual call.
+    * Step: s solves the normal equations JᵀJ s = Jᵀr.  Where JᵀJ is
+      nearly singular (det ≤ 1e-10 · ∏ diag) or the test is not finite,
+      s = pinv(J) r, the minimum-norm least-squares step.
+    * Backtracking: the seed moves to x - α s for the largest α in 1, 1/2,
+      ..., 1/512 with |r(x - α s)| < |r(x)|, and stalls if there is none
+      or s is not finite.  The full step is tried in one call; the
+      halvings only for the seeds it did not improve, at most 2·d step
+      lengths per call.
+
+    Converged seeds are clustered within cluster_tol, best residual first.
+    Deterministic: fixed iteration order, stable clustering, result sorted
+    lexicographically.
     """
     x = np.asarray(seeds, dtype=float)
     if x.ndim == 1:
@@ -172,21 +238,27 @@ def newton_multistart(
             rows = [np.atleast_1d(np.asarray(residual(row), dtype=float)) for row in batch]
             return np.vstack(rows)
 
+    def norms_of(res: np.ndarray) -> np.ndarray:
+        nr = np.linalg.norm(res, axis=-1)
+        return np.where(np.isfinite(nr), nr, np.inf)
+
     r = rf(x)
     m = r.shape[1]
-    norms = np.linalg.norm(r, axis=1)
-    norms = np.where(np.isfinite(norms), norms, np.inf)
+    norms = norms_of(r)
     converged = norms < tol
     stalled = ~np.isfinite(norms)
+    # step lengths 1, 1/2, ..., 1/512: the full step alone, then the halvings
+    # in blocks of at most 2*d, so no batch is larger than the Jacobian's
+    lengths = 0.5 ** np.arange(10)
+    blocks = [lengths[:1]]
+    blocks += [lengths[lo : lo + 2 * d] for lo in range(1, lengths.size, 2 * d)]
 
     for _ in range(max_iter):
-        active = ~(converged | stalled)
-        if not active.any():
+        idx = np.flatnonzero(~(converged | stalled))
+        if idx.size == 0:
             break
-        xa = x[active]
-        ra = r[active]
-        na = norms[active]
-        ka = xa.shape[0]
+        xa, ra, na = x[idx], r[idx], norms[idx]
+        ka = idx.size
         # all 2*d central-difference probes x +- h_j e_j in one residual batch
         h = fd_step * (1.0 + np.abs(xa))
         probes = np.repeat(xa[None, None], 2, axis=0).repeat(d, axis=1)
@@ -197,42 +269,42 @@ def newton_multistart(
         jac = ((rp[0] - rp[1]) / (2.0 * h.T)[:, :, None]).transpose(1, 2, 0)
         bad = ~np.isfinite(jac).all(axis=(1, 2))
         jac[bad] = np.eye(m, d)[None, :, :]
-        step = np.einsum("kdm,km->kd", np.linalg.pinv(jac), ra)
-        step_bad = bad | ~np.isfinite(step).all(axis=1)
-        # backtracking line search, individually per seed
-        alpha = np.ones(ka)
+        step = _least_squares_steps(jac, ra)
         improved = np.zeros(ka, dtype=bool)
-        xn, rn, nn = xa.copy(), ra.copy(), na.copy()
-        for _ in range(10):
-            todo = ~improved & ~step_bad
-            if not todo.any():
+        # each seed keeps the largest step length that improves it
+        todo = np.flatnonzero(~bad & np.isfinite(step).all(axis=1))
+        for alphas in blocks:
+            if todo.size == 0:
                 break
-            trial = xa - alpha[:, None] * step
-            rt = rf(trial)
-            nt = np.linalg.norm(rt, axis=1)
-            nt = np.where(np.isfinite(nt), nt, np.inf)
-            better = todo & (nt < na)
-            xn[better] = trial[better]
-            rn[better] = rt[better]
-            nn[better] = nt[better]
-            improved |= better
-            alpha = np.where(improved, alpha, alpha * 0.5)
-        idx = np.flatnonzero(active)
-        x[idx] = xn
-        r[idx] = rn
-        norms[idx] = nn
+            trial = xa[todo][:, None, :] - alphas[None, :, None] * step[todo][:, None, :]
+            rt = rf(trial.reshape(-1, d)).reshape(todo.size, alphas.size, m)
+            nt = norms_of(rt)
+            better = nt < na[todo][:, None]
+            hit = better.any(axis=1)
+            first = better.argmax(axis=1)[hit]
+            won = todo[hit]
+            xa[won] = trial[hit, first]
+            ra[won] = rt[hit, first]
+            na[won] = nt[hit, first]
+            improved[won] = True
+            todo = todo[~hit]
+        x[idx] = xa
+        r[idx] = ra
+        norms[idx] = na
         newly_stalled = idx[~improved]
         stalled[newly_stalled[norms[newly_stalled] >= tol]] = True
         converged = norms < tol
 
-    candidates = [(norms[i], x[i]) for i in np.flatnonzero(converged)]
-    candidates.sort(key=lambda t: t[0])
-    kept: list[np.ndarray] = []
-    for _, v in candidates:
-        if all(np.linalg.norm(v - w) > cluster_tol for w in kept):
-            kept.append(v)
-    kept.sort(key=lambda v: tuple(v))
-    return kept
+    cand = np.flatnonzero(converged)
+    cand = x[cand[np.argsort(norms[cand], kind="stable")]]
+    kept = np.empty_like(cand)
+    nk = 0
+    for v in cand:
+        if np.all(np.linalg.norm(kept[:nk] - v, axis=1) > cluster_tol):
+            kept[nk] = v
+            nk += 1
+    kept = kept[:nk]
+    return list(kept[np.lexsort(kept.T[::-1])])
 
 
 # ---------------------------------------------------------------------------

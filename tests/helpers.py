@@ -9,19 +9,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 from fold3d import (
     Constraint,
+    IncidenceKind,
     Line3,
+    OperationSpec,
     Plane3,
     Point3,
     RigidFrame,
     canonical_frame_point_line,
     canonical_frame_point_plane,
+    enumerate_operations,
     grid_oracle,
     reflect_point,
+    solve_generic,
 )
 from fold3d.constraints import payload_radius
 
@@ -139,6 +144,68 @@ def coplanar_crossing_lines(rng, scale: float = 2.0) -> tuple[Line3, Line3]:
     return Line3(x, tuple(d1)), Line3(x, tuple(d2))
 
 
+def random_payload(rng, kind: IncidenceKind) -> Constraint:
+    """An admissible random payload of one incidence kind."""
+
+    def distinct_points():
+        while True:
+            p, q = random_point(rng), random_point(rng)
+            if p.distance_to(q) > MARGIN:
+                return p, q
+
+    def crossing_planes():
+        while True:
+            pi, tau = random_plane(rng), random_plane(rng)
+            if np.linalg.norm(np.cross(pi.normal_vec, tau.normal_vec)) > MARGIN:
+                return pi, tau
+
+    def line_crossing_plane():
+        while True:
+            m, pi = random_line(rng), random_plane(rng)
+            if abs(float(m.direction @ pi.normal_vec)) > MARGIN:
+                return m, pi
+
+    make = {
+        IncidenceKind.I1: distinct_points,
+        IncidenceKind.I2: lambda: coplanar_crossing_lines(rng),
+        IncidenceKind.I3: lambda: skew_lines(rng),
+        IncidenceKind.I4: crossing_planes,
+        IncidenceKind.I5: lambda: point_off_line(rng),
+        IncidenceKind.I6: lambda: point_off_plane(rng),
+        IncidenceKind.I7: line_crossing_plane,
+        IncidenceKind.I8: lambda: (random_point(rng),),
+        IncidenceKind.I9: lambda: (random_line(rng),),
+        IncidenceKind.I10: lambda: (random_line(rng),),
+        IncidenceKind.I11: lambda: (random_plane(rng),),
+        IncidenceKind.I12: lambda: (random_plane(rng),),
+    }[kind]
+    return Constraint(kind, tuple(make()))
+
+
+DEDICATED_KEYS = {(1,), (2,), (4,), (12,), (5, 6), (5, 9), (6, 8, 11), (6, 6, 6)}
+
+
+def generic_specs() -> list[OperationSpec]:
+    """The valid operations that solve_operation routes to solve_generic."""
+    valid, _ = enumerate_operations()
+    return [s for s in valid if s.key not in DEDICATED_KEYS]
+
+
+def generic_newton_args(cons) -> tuple[tuple, dict]:
+    """The arguments solve_generic passes to newton_multistart for cons:
+    the residual, its lattice seeds and the options."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return []
+
+    with mock.patch("fold3d.operations.newton_multistart", record):
+        solve_generic(cons)
+    ((args, kwargs),) = calls
+    return args, kwargs
+
+
 def windowed_counts(cons, solution, resolution=48, n_offsets=64):
     """Dedicated vs oracle plane counts, both restricted to the oracle's
     offset window (minus a two-cell boundary margin)."""
@@ -246,3 +313,105 @@ class SystemInstance3I6:
                 members,
             ]
         )
+
+
+def reference_newton_multistart(
+    residual,
+    seeds,
+    tol: float = 1e-10,
+    max_iter: int = 60,
+    cluster_tol: float = 1e-6,
+    fd_step: float = 1e-7,
+    vectorized: bool = False,
+) -> list[np.ndarray]:
+    """The sequential damped Gauss-Newton multistart that
+    ``fold3d.numerics.newton_multistart`` replaced, kept verbatim as the
+    reference its results are checked against: every line-search halving
+    runs over the whole active batch, the step is pinv(J) r, and clustering
+    compares candidates pairwise.
+
+    Roots of a residual vector function from every seed, deduplicated.
+
+    ``residual`` maps a parameter vector (d,) to a residual vector (m,);
+    with ``vectorized=True`` it must accept an (n, d) batch and return
+    (n, m).  The Jacobian is a central finite difference with step
+    fd_step * (1 + |x|).  Deterministic: fixed iteration order, stable
+    clustering (candidates ranked by residual norm, result sorted
+    lexicographically).
+    """
+    x = np.asarray(seeds, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    x = np.array(x, dtype=float)
+    n, d = x.shape
+
+    if vectorized:
+        def rf(batch: np.ndarray) -> np.ndarray:
+            out = np.asarray(residual(batch), dtype=float)
+            return out.reshape(batch.shape[0], -1)
+    else:
+        def rf(batch: np.ndarray) -> np.ndarray:
+            rows = [np.atleast_1d(np.asarray(residual(row), dtype=float)) for row in batch]
+            return np.vstack(rows)
+
+    r = rf(x)
+    m = r.shape[1]
+    norms = np.linalg.norm(r, axis=1)
+    norms = np.where(np.isfinite(norms), norms, np.inf)
+    converged = norms < tol
+    stalled = ~np.isfinite(norms)
+
+    for _ in range(max_iter):
+        active = ~(converged | stalled)
+        if not active.any():
+            break
+        xa = x[active]
+        ra = r[active]
+        na = norms[active]
+        ka = xa.shape[0]
+        # all 2*d central-difference probes x +- h_j e_j in one residual batch
+        h = fd_step * (1.0 + np.abs(xa))
+        probes = np.repeat(xa[None, None], 2, axis=0).repeat(d, axis=1)
+        for j in range(d):
+            probes[0, j, :, j] += h[:, j]
+            probes[1, j, :, j] -= h[:, j]
+        rp = rf(probes.reshape(-1, d)).reshape(2, d, ka, m)
+        jac = ((rp[0] - rp[1]) / (2.0 * h.T)[:, :, None]).transpose(1, 2, 0)
+        bad = ~np.isfinite(jac).all(axis=(1, 2))
+        jac[bad] = np.eye(m, d)[None, :, :]
+        step = np.einsum("kdm,km->kd", np.linalg.pinv(jac), ra)
+        step_bad = bad | ~np.isfinite(step).all(axis=1)
+        # backtracking line search, individually per seed
+        alpha = np.ones(ka)
+        improved = np.zeros(ka, dtype=bool)
+        xn, rn, nn = xa.copy(), ra.copy(), na.copy()
+        for _ in range(10):
+            todo = ~improved & ~step_bad
+            if not todo.any():
+                break
+            trial = xa - alpha[:, None] * step
+            rt = rf(trial)
+            nt = np.linalg.norm(rt, axis=1)
+            nt = np.where(np.isfinite(nt), nt, np.inf)
+            better = todo & (nt < na)
+            xn[better] = trial[better]
+            rn[better] = rt[better]
+            nn[better] = nt[better]
+            improved |= better
+            alpha = np.where(improved, alpha, alpha * 0.5)
+        idx = np.flatnonzero(active)
+        x[idx] = xn
+        r[idx] = rn
+        norms[idx] = nn
+        newly_stalled = idx[~improved]
+        stalled[newly_stalled[norms[newly_stalled] >= tol]] = True
+        converged = norms < tol
+
+    candidates = [(norms[i], x[i]) for i in np.flatnonzero(converged)]
+    candidates.sort(key=lambda t: t[0])
+    kept: list[np.ndarray] = []
+    for _, v in candidates:
+        if all(np.linalg.norm(v - w) > cluster_tol for w in kept):
+            kept.append(v)
+    kept.sort(key=lambda v: tuple(v))
+    return kept

@@ -18,7 +18,15 @@ from fold3d import (
     real_roots_quadratic,
     solve_I1,
 )
-from helpers import instance_i5_i6, random_point
+from fold3d.numerics import _least_squares_steps
+from helpers import (
+    generic_newton_args,
+    generic_specs,
+    instance_i5_i6,
+    random_payload,
+    random_point,
+    reference_newton_multistart,
+)
 
 
 def _check_residuals(coeffs, roots):
@@ -60,6 +68,21 @@ class TestQuadratic:
         # naive formula loses the small root here
         roots = real_roots_quadratic(1, -1e8, 1)
         _check_residuals((1, -1e8, 1), roots)
+
+    def test_tiny_leading_coefficient(self):
+        # a small c2 is a real root far out, not a linear equation
+        roots = real_roots_quadratic(1e-17, 1.0, -3.0)
+        assert roots.roots[0] == pytest.approx(-1e17, rel=1e-12)
+        assert roots.roots[1] == pytest.approx(3.0, rel=1e-14)
+
+    def test_counts_invariant_under_scaling(self):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            c = rng.uniform(-5, 5, 3)
+            want = len(real_roots_quadratic(*c).roots)
+            for s in (1e-6, 1e6):
+                cs = c * s ** (np.arange(3.0) - 2.0)
+                assert len(real_roots_quadratic(*cs).roots) == want
 
     def test_randomized_residuals(self):
         rng = np.random.default_rng(0)
@@ -115,6 +138,51 @@ class TestCubic:
             roots = real_roots_cubic(*c)
             assert len(roots.roots) == 3
             assert np.allclose(roots.roots, r, atol=1e-8)
+
+
+    def test_traced_scale_1e4_case(self):
+        # the I5+I6 cubic of a scene at scale 1e4: an absolute degree-drop
+        # test discarded the leading term and found no real root
+        c = (-1.144, -2.417e4, -4.967e8, -4.327e12)
+        roots = real_roots_cubic(*c)
+        assert len(roots.roots) == 1
+        _check_residuals(c, roots)
+
+    def test_counts_invariant_under_scaling(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            r = np.sort(rng.uniform(-4, 4, 3))
+            if r[1] - r[0] < 1e-2 or r[2] - r[1] < 1e-2:
+                continue
+            c = np.poly(r) * rng.uniform(0.5, 2.0)
+            for s in (1e-6, 1e-3, 1e3, 1e6):
+                # x = s y: the roots in x are s times the roots in y
+                cs = c * s ** (np.arange(4.0) - 3.0)
+                roots = real_roots_cubic(*cs)
+                assert np.allclose(roots.roots, s * r, rtol=1e-8)
+                _check_residuals(cs, roots)
+
+    def test_far_root_keeps_near_roots(self):
+        # x^2 - 3x + 2 plus a tiny cubic term: a real root near -1e14, and
+        # the roots 1 and 2 stay sharp rather than merging into a double root
+        for eps in (1e-14, 1e-17, 1e-30):
+            roots = real_roots_cubic(eps, 1.0, -3.0, 2.0)
+            assert roots.multiplicities == (1, 1, 1)
+            assert roots.roots[0] == pytest.approx(-1.0 / eps, rel=1e-12)
+            assert np.allclose(roots.roots[1:], [1.0, 2.0], rtol=1e-12)
+
+    def test_widely_spread_roots_keep_relative_accuracy(self):
+        for r in ((1e-5, 1.0, 1e5), (-1e-3, 1.0, 1e4), (1e-6, 1e-3, 1e4)):
+            roots = real_roots_cubic(*np.poly(r))
+            assert np.allclose(roots.roots, r, rtol=1e-13, atol=0.0)
+
+    def test_far_root_with_complex_pair(self):
+        # x^2 - 1e-8 x + 1e-16 has no real roots; the large root 1e4 does
+        # not turn them into a double root
+        c = (1.0, -1e4, 1e-4, -1e-12)
+        roots = real_roots_cubic(*c)
+        assert len(roots.roots) == 1
+        _check_residuals(c, roots)
 
 
 class TestNewtonMultistart:
@@ -173,6 +241,106 @@ class TestNewtonMultistart:
         assert all(
             plane_gap(plane_from_params(*r), want) < 1e-8 for r in roots
         ), planes
+
+
+class TestBatchedIteration:
+    """The batched line search and normal-equation step against the
+    sequential reference they replaced."""
+
+    def test_matches_reference_on_generic_specs(self):
+        rng = np.random.default_rng(2024)
+        for spec in generic_specs():
+            args, kwargs = generic_newton_args([random_payload(rng, k) for k in spec.kinds])
+            got = newton_multistart(*args, **kwargs)
+            want = reference_newton_multistart(*args, **kwargs)
+            assert len(got) == len(want), spec
+            for u, v in zip(got, want):
+                diff = u - v
+                # phi is periodic: a seed that wandered a turn further lands
+                # on the same root
+                diff[1] = (diff[1] + np.pi) % (2.0 * np.pi) - np.pi
+                assert np.max(np.abs(diff)) < 1e-9, spec
+
+    def test_line_search_takes_the_reference_steps(self, monkeypatch):
+        # with the reference's pinv step, every seed makes the same trial
+        # points and the same choices, so the roots agree bit for bit
+        import fold3d.numerics
+
+        monkeypatch.setattr(
+            fold3d.numerics,
+            "_least_squares_steps",
+            lambda jac, r: np.einsum("kdm,km->kd", np.linalg.pinv(jac), r),
+        )
+        rng = np.random.default_rng(11)
+        for spec in generic_specs()[::3]:
+            args, kwargs = generic_newton_args([random_payload(rng, k) for k in spec.kinds])
+            got = newton_multistart(*args, **kwargs)
+            want = reference_newton_multistart(*args, **kwargs)
+            assert len(got) == len(want), spec
+            assert all(np.array_equal(u, v) for u, v in zip(got, want)), spec
+
+    def test_rank_deficient_jacobian_takes_pinv(self, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
+
+        def residual(v):
+            x, y = v
+            return np.array([x + y - 2.0, 2.0 * x + 2.0 * y - 4.0])
+
+        seeds = [(0.0, 0.0), (3.0, 1.0), (-1.0, 5.0)]
+        roots = newton_multistart(residual, seeds)
+        assert calls
+        assert len(roots) == 3
+        for r in roots:
+            assert abs(r[0] + r[1] - 2.0) < 1e-9
+        # the minimum-norm step moves each seed straight onto the line
+        for r, (x, y) in zip(roots, sorted(seeds)):
+            assert np.allclose(r, (x - (x + y - 2) / 2, y - (x + y - 2) / 2), atol=1e-9)
+
+    def test_steps_match_least_squares(self):
+        rng = np.random.default_rng(8)
+        jac = rng.normal(size=(50, 7, 3))
+        jac[:5, :, 2] = jac[:5, :, 0]  # rank deficient: the pinv rows
+        r = rng.normal(size=(50, 7))
+        want = np.einsum("kdm,km->kd", np.linalg.pinv(jac), r)
+        assert np.allclose(_least_squares_steps(jac, r), want, atol=1e-9)
+
+    def test_non_vectorized_never_gets_an_empty_batch(self):
+        calls = []
+
+        def linear(v):
+            calls.append(v)
+            return 3.0 * v - 1.0
+
+        # every full step lands on the root: no halving batch is needed
+        roots = newton_multistart(linear, [-2.0, 0.0, 5.0])
+        assert len(roots) == 1 and abs(roots[0][0] - 1.0 / 3.0) < 1e-12
+        assert calls
+
+        def finite_at_seeds(v):
+            # finite at the seeds only: every Jacobian, so every step, is
+            # non-finite and no trial point is evaluated
+            return np.array([1.0 if v[0] in (0.0, 1.0) else np.nan])
+
+        assert newton_multistart(finite_at_seeds, [0.0, 1.0]) == []
+
+    def test_batches_no_larger_than_the_jacobian(self):
+        sizes = []
+
+        def fn(vs):
+            sizes.append(len(vs))
+            # Newton's full step on arctan overshoots beyond |x| ~ 1.39, so
+            # every seed here needs halvings in its first iterations
+            return np.arctan(vs - 0.5)
+
+        rng = np.random.default_rng(9)
+        seeds = rng.uniform(3, 8, (40, 3)) * rng.choice([-1.0, 1.0], (40, 3))
+        roots = newton_multistart(fn, seeds, vectorized=True)
+        want = reference_newton_multistart(fn, seeds, vectorized=True)
+        assert len(roots) == len(want) == 1
+        assert np.allclose(roots[0], 0.5, atol=1e-9)
+        assert max(sizes) <= 2 * 3 * len(seeds)
 
 
 class TestGridOracle:

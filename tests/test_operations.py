@@ -115,6 +115,23 @@ class TestSolveI5I6:
                 assert residual(cons[0], pl) < 1e-9
                 assert residual(cons[1], pl) < 1e-9
 
+    def test_counts_invariant_under_scaling(self):
+        # the cubic's coefficients span ~12 decades at scale 1e4; a
+        # degree-drop test that is not scale-free lost its roots there
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            cons = instance_i5_i6(rng)
+            (p, m), (q, pi) = (c.objects for c in cons)
+            count = solve_I5_I6(p, m, q, pi).count
+            for k in (1e-3, 1e4):
+                scaled = (
+                    Point3(*(k * p.xyz)),
+                    Line3(Point3(*(k * m.base.xyz)), m.dir),
+                    Point3(*(k * q.xyz)),
+                    Plane3(pi.normal, k * pi.offset),
+                )
+                assert solve_I5_I6(*scaled, tol=1e-9 * k).count == count
+
     def test_degenerate_config_infinite(self):
         sol = solve_I5_I6(P_C, M_C, P_C, PI_C)
         assert sol.outcome is Outcome.INFINITE

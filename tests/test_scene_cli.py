@@ -312,6 +312,19 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: FOLD3D_TOL")
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("solve", ["--tol", "nan"]),
+            ("verify", ["--plane", "0,0,1,-1", "--tol=-1"]),
+            ("oracle", ["--tol", "0"]),
+        ],
+    )
+    def test_tol_must_be_positive(self, tmp_path, capsys, command, extra):
+        path = _write(tmp_path, "s.json", I1_SCENE)
+        assert main([command, path, *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: --tol")
+
     def test_seed_lattice_not_a_number(self, tmp_path, capsys):
         path = _write(tmp_path, "s.json", I1_SCENE)
         code = main(["solve", path, "--seed-lattice", "abc"])
