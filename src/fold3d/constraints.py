@@ -1,20 +1,26 @@
 """The twelve incidence constraint kinds between scene objects and their
 reflections in an unknown fold plane.
 
-Each kind knows its codimension (degrees of freedom of the fold plane it
-consumes), a nonnegative residual that is zero exactly on satisfaction, and
-either a direct solver (finite kinds I1/I2/I4/I12) or a parameterized
-solution family (I8..I11).  Residuals come in two forms:
+Each kind is one row of the ``_KINDS`` table: its codimension (degrees of
+freedom of the fold plane it consumes), payload signature, description and
+precondition, a function giving the signed residual components of a batch
+of candidate planes, and the reduction of those components to the kind's
+scalar residual.  Both residual forms are read from the row:
 
-* ``residual`` / ``residual_grid``: the reported scalar measure.  Units are
-  lengths for point incidences (I1, I5, I6, I8), a skew-line gap for I3, a
-  max point-to-plane distance for I7, and an angle (radians) plus offset
-  length with equal weight for the line/plane self- and pair-incidences
-  (I2, I4, I9..I12).
-* ``residual_components_grid``: signed, smooth components with the same zero
-  set, suitable for Newton-type root finding.  (Exception: the I3 component
-  is the coplanarity triple product, which also vanishes for a reflected
-  line parallel to the target; root filters recheck the scalar residual.)
+* ``residual_components_grid``: the signed, smooth components, shape
+  (k, m), which vanish exactly on satisfaction; Newton-type root finding
+  runs on them.
+* ``residual`` / ``residual_grid``: the reported nonnegative scalar.  The
+  reduction is the norm for I1 and I5, |c| for I6 and I8 and max |c| for
+  I7, all lengths; for the line and plane incidences (I2, I4, I9..I12) it
+  is an angle in radians (the arcsine of a cross-product norm or of a dot
+  product) plus an offset length, with equal weight.
+
+I3 is the exception: its one component, the coplanarity triple product,
+also vanishes for a reflected line parallel to the target, so it cannot
+give the skew-line gap, and the row computes that scalar itself.  Root
+filters recheck the scalar.  The finite kinds I1/I2/I4/I12 have direct
+solvers and I8..I11 parameterized solution families.
 """
 
 from __future__ import annotations
@@ -65,61 +71,15 @@ class IncidenceKind(str, Enum):
 
     @property
     def codimension(self) -> int:
-        return _CODIMENSION[self]
+        return _KINDS[self].codimension
 
     @property
     def signature(self) -> tuple[str, ...]:
         """Payload object kinds, in order."""
-        return _SIGNATURES[self]
+        return _KINDS[self].signature
 
     def describe(self) -> str:
-        return _DESCRIPTIONS[self]
-
-
-_CODIMENSION = {
-    IncidenceKind.I1: 3,
-    IncidenceKind.I2: 3,
-    IncidenceKind.I3: 1,
-    IncidenceKind.I4: 3,
-    IncidenceKind.I5: 2,
-    IncidenceKind.I6: 1,
-    IncidenceKind.I7: 2,
-    IncidenceKind.I8: 1,
-    IncidenceKind.I9: 2,
-    IncidenceKind.I10: 2,
-    IncidenceKind.I11: 1,
-    IncidenceKind.I12: 3,
-}
-
-_SIGNATURES = {
-    IncidenceKind.I1: ("point", "point"),
-    IncidenceKind.I2: ("line", "line"),
-    IncidenceKind.I3: ("line", "line"),
-    IncidenceKind.I4: ("plane", "plane"),
-    IncidenceKind.I5: ("point", "line"),
-    IncidenceKind.I6: ("point", "plane"),
-    IncidenceKind.I7: ("line", "plane"),
-    IncidenceKind.I8: ("point",),
-    IncidenceKind.I9: ("line",),
-    IncidenceKind.I10: ("line",),
-    IncidenceKind.I11: ("plane",),
-    IncidenceKind.I12: ("plane",),
-}
-
-_DESCRIPTIONS = {
-    IncidenceKind.I1: "reflected point coincides with the other point",
-    IncidenceKind.I2: "reflected line coincides with the other line",
-    IncidenceKind.I3: "reflected line meets the other (disjoint) line",
-    IncidenceKind.I4: "reflected plane coincides with the other plane",
-    IncidenceKind.I5: "reflected point lands on the line",
-    IncidenceKind.I6: "reflected point lands on the plane",
-    IncidenceKind.I7: "reflected line lands inside the plane",
-    IncidenceKind.I8: "point is fixed by the fold",
-    IncidenceKind.I9: "line maps to itself with its halves swapped",
-    IncidenceKind.I10: "line is fixed pointwise by the fold",
-    IncidenceKind.I11: "plane maps to itself with its halves swapped",
-    IncidenceKind.I12: "plane is fixed pointwise by the fold",
-}
+        return _KINDS[self].description
 
 
 def codimension(c: "Constraint") -> int:
@@ -149,7 +109,7 @@ class Constraint:
                 raise InvalidConstraint(
                     f"{self.kind.value} expects a {want}, got {type(obj).__name__}"
                 )
-        _PRECONDITIONS[self.kind](self.objects)
+        _KINDS[self.kind].precondition(self.objects)
 
     # -- factories ---------------------------------------------------------
 
@@ -266,24 +226,9 @@ def _pre_line_off_plane(objs):
         )
 
 
-_PRECONDITIONS: dict[IncidenceKind, Callable] = {
-    IncidenceKind.I1: _pre_distinct_points,
-    IncidenceKind.I2: _pre_distinct_lines,
-    IncidenceKind.I3: _pre_disjoint_lines,
-    IncidenceKind.I4: _pre_distinct_planes,
-    IncidenceKind.I5: _pre_point_off_line,
-    IncidenceKind.I6: _pre_point_off_plane,
-    IncidenceKind.I7: _pre_line_off_plane,
-    IncidenceKind.I8: lambda objs: None,
-    IncidenceKind.I9: lambda objs: None,
-    IncidenceKind.I10: lambda objs: None,
-    IncidenceKind.I11: lambda objs: None,
-    IncidenceKind.I12: lambda objs: None,
-}
-
-
 # ---------------------------------------------------------------------------
-# Residuals, vectorized over a batch of candidate planes
+# Residual components, vectorized over a batch of candidate planes (unit
+# normals N, offsets O), and their reductions to scalar residuals
 # ---------------------------------------------------------------------------
 
 
@@ -310,137 +255,182 @@ def _closest_to_origin(B: np.ndarray, D: np.ndarray) -> np.ndarray:
     return B - t[:, None] * D
 
 
+def _i1(objs, N, O):
+    p, q = objs
+    return _reflect_pts(N, O, p.xyz) - q.xyz
+
+
+def _i2(objs, N, O):
+    m, n = objs
+    B, D = _reflect_pts(N, O, m.base.xyz), _reflect_dirs(N, m.direction)
+    gap = _closest_to_origin(B, D) - n.base.xyz
+    return np.concatenate([np.cross(D, n.direction), gap], axis=1)
+
+
+def _i3(objs, N, O):
+    m, n = objs
+    B, D = _reflect_pts(N, O, m.base.xyz), _reflect_dirs(N, m.direction)
+    return np.einsum("ij,ij->i", n.base.xyz - B, np.cross(D, n.direction))[:, None]
+
+
+def _i3_gap(objs, N, O):
+    """Skew-line gap, or the distance of parallel lines, between the
+    reflected m and n."""
+    m, n = objs
+    B, D = _reflect_pts(N, O, m.base.xyz), _reflect_dirs(N, m.direction)
+    w = n.base.xyz - B
+    cr = np.cross(D, n.direction)
+    s = _row_norm(cr)
+    skew = np.abs(np.einsum("ij,ij->i", w, cr)) / np.where(s > 1e-12, s, 1.0)
+    para = _row_norm(w - np.einsum("ij,ij->i", w, D)[:, None] * D)
+    return np.where(s > 1e-12, skew, para)
+
+
+def _i4(objs, N, O):
+    pi, tau = objs
+    n2 = _reflect_dirs(N, pi.normal_vec)
+    o2 = np.einsum("ij,ij->i", n2, _reflect_pts(N, O, pi.foot.xyz))
+    gap = o2[:, None] * n2 - tau.offset * tau.normal_vec
+    return np.concatenate([np.cross(n2, tau.normal_vec), gap], axis=1)
+
+
+def _i5(objs, N, O):
+    p, m = objs
+    v = _reflect_pts(N, O, p.xyz) - m.base.xyz
+    d = m.direction
+    return v - (v @ d)[:, None] * d
+
+
+def _i6(objs, N, O):
+    p, pi = objs
+    return (_reflect_pts(N, O, p.xyz) @ pi.normal_vec - pi.offset)[:, None]
+
+
+def _i7(objs, N, O):
+    m, pi = objs
+    a = _reflect_pts(N, O, m.base.xyz)
+    b = _reflect_pts(N, O, m.base.xyz + m.direction)
+    return np.stack([a @ pi.normal_vec - pi.offset, b @ pi.normal_vec - pi.offset], axis=1)
+
+
+def _i8(objs, N, O):
+    (p,) = objs
+    return (N @ p.xyz - O)[:, None]
+
+
+def _i9(objs, N, O):
+    (m,) = objs
+    return np.cross(N, m.direction)
+
+
+def _i10(objs, N, O):
+    (m,) = objs
+    return np.stack([N @ m.direction, N @ m.base.xyz - O], axis=1)
+
+
+def _i11(objs, N, O):
+    (pi,) = objs
+    return (N @ pi.normal_vec)[:, None]
+
+
+def _i12(objs, N, O):
+    (pi,) = objs
+    gap = O[:, None] * N - pi.offset * pi.normal_vec
+    return np.concatenate([np.cross(N, pi.normal_vec), gap], axis=1)
+
+
+def _abs(c: np.ndarray) -> np.ndarray:
+    return np.abs(c[:, 0])
+
+
+def _max_abs(c: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
+
+
+def _turn(c: np.ndarray) -> np.ndarray:
+    """Angle whose sine is the norm of a cross product of unit vectors."""
+    return _asin_clip(_row_norm(c))
+
+
+def _turn_and_gap(c: np.ndarray) -> np.ndarray:
+    """Angle of the cross product in columns 0..2 plus the offset gap in 3..5."""
+    return _turn(c[:, :3]) + _row_norm(c[:, 3:])
+
+
+def _tilt(c: np.ndarray) -> np.ndarray:
+    """Unsigned angle whose sine is the dot product in column 0."""
+    return np.abs(_asin_clip(c[:, 0]))
+
+
+def _tilt_and_gap(c: np.ndarray) -> np.ndarray:
+    return _tilt(c) + np.abs(c[:, 1])
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One row of the incidence-kind table.
+
+    ``components(objects, N, O)`` gives the (k, m) signed components and
+    ``reduce`` maps them to the (k,) scalar residual; a kind whose scalar
+    the components cannot give computes it with ``scalar(objects, N, O)``
+    instead.
+    """
+
+    codimension: int
+    signature: tuple[str, ...]
+    description: str
+    components: Callable[[tuple, np.ndarray, np.ndarray], np.ndarray]
+    reduce: Callable[[np.ndarray], np.ndarray] | None
+    precondition: Callable[[tuple], None] = lambda objs: None
+    scalar: Callable[[tuple, np.ndarray, np.ndarray], np.ndarray] | None = None
+
+
+_KINDS: dict[IncidenceKind, _Kind] = {
+    IncidenceKind.I1: _Kind(
+        3, ("point", "point"), "reflected point coincides with the other point",
+        _i1, _row_norm, _pre_distinct_points),
+    IncidenceKind.I2: _Kind(
+        3, ("line", "line"), "reflected line coincides with the other line",
+        _i2, _turn_and_gap, _pre_distinct_lines),
+    IncidenceKind.I3: _Kind(
+        1, ("line", "line"), "reflected line meets the other (disjoint) line",
+        _i3, None, _pre_disjoint_lines, scalar=_i3_gap),
+    IncidenceKind.I4: _Kind(
+        3, ("plane", "plane"), "reflected plane coincides with the other plane",
+        _i4, _turn_and_gap, _pre_distinct_planes),
+    IncidenceKind.I5: _Kind(
+        2, ("point", "line"), "reflected point lands on the line",
+        _i5, _row_norm, _pre_point_off_line),
+    IncidenceKind.I6: _Kind(
+        1, ("point", "plane"), "reflected point lands on the plane",
+        _i6, _abs, _pre_point_off_plane),
+    IncidenceKind.I7: _Kind(
+        2, ("line", "plane"), "reflected line lands inside the plane",
+        _i7, _max_abs, _pre_line_off_plane),
+    IncidenceKind.I8: _Kind(
+        1, ("point",), "point is fixed by the fold", _i8, _abs),
+    IncidenceKind.I9: _Kind(
+        2, ("line",), "line maps to itself with its halves swapped", _i9, _turn),
+    IncidenceKind.I10: _Kind(
+        2, ("line",), "line is fixed pointwise by the fold", _i10, _tilt_and_gap),
+    IncidenceKind.I11: _Kind(
+        1, ("plane",), "plane maps to itself with its halves swapped", _i11, _tilt),
+    IncidenceKind.I12: _Kind(
+        3, ("plane",), "plane is fixed pointwise by the fold", _i12, _turn_and_gap),
+}
+
+
 def residual_grid(c: Constraint, N: np.ndarray, O: np.ndarray) -> np.ndarray:
     """Scalar residual of each candidate plane (unit normals N, offsets O)."""
-    k = c.kind
-    if k is IncidenceKind.I1:
-        p, q = c.objects
-        return _row_norm(_reflect_pts(N, O, p.xyz) - q.xyz)
-    if k is IncidenceKind.I2:
-        m, n = c.objects
-        B = _reflect_pts(N, O, m.base.xyz)
-        D = _reflect_dirs(N, m.direction)
-        ang = _asin_clip(_row_norm(np.cross(D, n.direction)))
-        gap = _row_norm(_closest_to_origin(B, D) - n.base.xyz)
-        return ang + gap
-    if k is IncidenceKind.I3:
-        m, n = c.objects
-        B = _reflect_pts(N, O, m.base.xyz)
-        D = _reflect_dirs(N, m.direction)
-        w = n.base.xyz - B
-        cr = np.cross(D, np.broadcast_to(n.direction, D.shape))
-        s = _row_norm(cr)
-        skew = np.abs(np.einsum("ij,ij->i", w, cr)) / np.where(s > 1e-12, s, 1.0)
-        para = _row_norm(w - np.einsum("ij,ij->i", w, D)[:, None] * D)
-        return np.where(s > 1e-12, skew, para)
-    if k is IncidenceKind.I4:
-        pi, tau = c.objects
-        n2 = _reflect_dirs(N, pi.normal_vec)
-        f2 = _reflect_pts(N, O, pi.foot.xyz)
-        o2 = np.einsum("ij,ij->i", n2, f2)
-        ang = _asin_clip(_row_norm(np.cross(n2, tau.normal_vec)))
-        gap = _row_norm(o2[:, None] * n2 - tau.offset * tau.normal_vec)
-        return ang + gap
-    if k is IncidenceKind.I5:
-        p, m = c.objects
-        P2 = _reflect_pts(N, O, p.xyz)
-        v = P2 - m.base.xyz
-        d = m.direction
-        return _row_norm(v - (v @ d)[:, None] * d)
-    if k is IncidenceKind.I6:
-        p, pi = c.objects
-        P2 = _reflect_pts(N, O, p.xyz)
-        return np.abs(P2 @ pi.normal_vec - pi.offset)
-    if k is IncidenceKind.I7:
-        m, pi = c.objects
-        a = _reflect_pts(N, O, m.base.xyz)
-        b = _reflect_pts(N, O, m.base.xyz + m.direction)
-        da = np.abs(a @ pi.normal_vec - pi.offset)
-        db = np.abs(b @ pi.normal_vec - pi.offset)
-        return np.maximum(da, db)
-    if k is IncidenceKind.I8:
-        (p,) = c.objects
-        return np.abs(N @ p.xyz - O)
-    if k is IncidenceKind.I9:
-        (m,) = c.objects
-        return _asin_clip(_row_norm(np.cross(N, m.direction)))
-    if k is IncidenceKind.I10:
-        (m,) = c.objects
-        return np.abs(_asin_clip(N @ m.direction)) + np.abs(N @ m.base.xyz - O)
-    if k is IncidenceKind.I11:
-        (pi,) = c.objects
-        return np.abs(_asin_clip(N @ pi.normal_vec))
-    if k is IncidenceKind.I12:
-        (pi,) = c.objects
-        ang = _asin_clip(_row_norm(np.cross(N, pi.normal_vec)))
-        gap = _row_norm(O[:, None] * N - pi.offset * pi.normal_vec)
-        return ang + gap
-    raise InvalidConstraint(f"unknown constraint kind {k}")
+    row = _KINDS[c.kind]
+    if row.scalar is not None:
+        return row.scalar(c.objects, N, O)
+    return row.reduce(row.components(c.objects, N, O))
 
 
 def residual_components_grid(c: Constraint, N: np.ndarray, O: np.ndarray) -> np.ndarray:
     """Signed smooth residual components of each candidate plane, shape (k, m)."""
-    k = c.kind
-    if k is IncidenceKind.I1:
-        p, q = c.objects
-        return _reflect_pts(N, O, p.xyz) - q.xyz
-    if k is IncidenceKind.I2:
-        m, n = c.objects
-        B = _reflect_pts(N, O, m.base.xyz)
-        D = _reflect_dirs(N, m.direction)
-        cr = np.cross(D, np.broadcast_to(n.direction, D.shape))
-        gap = _closest_to_origin(B, D) - n.base.xyz
-        return np.concatenate([cr, gap], axis=1)
-    if k is IncidenceKind.I3:
-        m, n = c.objects
-        B = _reflect_pts(N, O, m.base.xyz)
-        D = _reflect_dirs(N, m.direction)
-        w = n.base.xyz - B
-        cr = np.cross(D, np.broadcast_to(n.direction, D.shape))
-        return np.einsum("ij,ij->i", w, cr)[:, None]
-    if k is IncidenceKind.I4:
-        pi, tau = c.objects
-        n2 = _reflect_dirs(N, pi.normal_vec)
-        f2 = _reflect_pts(N, O, pi.foot.xyz)
-        o2 = np.einsum("ij,ij->i", n2, f2)
-        cr = np.cross(n2, np.broadcast_to(tau.normal_vec, n2.shape))
-        gap = o2[:, None] * n2 - tau.offset * tau.normal_vec
-        return np.concatenate([cr, gap], axis=1)
-    if k is IncidenceKind.I5:
-        p, m = c.objects
-        P2 = _reflect_pts(N, O, p.xyz)
-        v = P2 - m.base.xyz
-        d = m.direction
-        return v - (v @ d)[:, None] * d
-    if k is IncidenceKind.I6:
-        p, pi = c.objects
-        P2 = _reflect_pts(N, O, p.xyz)
-        return (P2 @ pi.normal_vec - pi.offset)[:, None]
-    if k is IncidenceKind.I7:
-        m, pi = c.objects
-        a = _reflect_pts(N, O, m.base.xyz)
-        b = _reflect_pts(N, O, m.base.xyz + m.direction)
-        return np.stack(
-            [a @ pi.normal_vec - pi.offset, b @ pi.normal_vec - pi.offset], axis=1
-        )
-    if k is IncidenceKind.I8:
-        (p,) = c.objects
-        return (N @ p.xyz - O)[:, None]
-    if k is IncidenceKind.I9:
-        (m,) = c.objects
-        return np.cross(N, np.broadcast_to(m.direction, N.shape))
-    if k is IncidenceKind.I10:
-        (m,) = c.objects
-        return np.stack([N @ m.direction, N @ m.base.xyz - O], axis=1)
-    if k is IncidenceKind.I11:
-        (pi,) = c.objects
-        return (N @ pi.normal_vec)[:, None]
-    if k is IncidenceKind.I12:
-        (pi,) = c.objects
-        cr = np.cross(N, np.broadcast_to(pi.normal_vec, N.shape))
-        gap = O[:, None] * N - pi.offset * pi.normal_vec
-        return np.concatenate([cr, gap], axis=1)
-    raise InvalidConstraint(f"unknown constraint kind {k}")
+    return _KINDS[c.kind].components(c.objects, N, O)
 
 
 def residual(c: Constraint, delta: Plane3) -> float:

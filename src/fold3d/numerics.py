@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
-    Constraint,
     payload_radius,
     residual_components_grid,
-    residual_grid,
+    stacked_residual,
     stacked_residual_grid,
 )
 from .errors import AllRealLine, DegenerateInput
@@ -343,6 +342,40 @@ def plane_from_params(theta: float, phi: float, d: float) -> Plane3:
     return Plane3(tuple(n[0]), float(o[0]))
 
 
+# Largest (theta, phi, d) lattice a search builds: resolution 256 at 64
+# offsets.  Its arrays take (3 + 3 + 1 + 1) * 8 = 64 B per plane (parameters,
+# normals, offsets, summed residual), about 268 MB at the cap.
+MAX_LATTICE_PLANES = 2**22
+
+
+def lattice_scan(constraints, counts, window: float):
+    """Summed scalar residual of the constraints over a lattice of planes.
+
+    counts = (n_theta, n_phi, n_d): theta at the cell centres of [0, pi],
+    phi from 0 in steps of 2 pi / n_phi, d evenly spaced over [-window,
+    window].  Returns the three axes, the (n, 3) (theta, phi, d) parameters
+    in C order, and the residuals shaped like the lattice.  Raises
+    DegenerateInput for a count below 1 or a lattice of more than
+    MAX_LATTICE_PLANES planes.
+    """
+    nth, nph, nd = counts
+    shape = f"{nth}x{nph}x{nd}"
+    if min(counts) < 1:
+        raise DegenerateInput(f"lattice counts must be at least 1, not {shape}")
+    if nth * nph * nd > MAX_LATTICE_PLANES:
+        raise DegenerateInput(
+            f"a {shape} lattice exceeds the cap of {MAX_LATTICE_PLANES} planes"
+        )
+    thetas = (np.arange(nth) + 0.5) * math.pi / nth
+    phis = np.arange(nph) * 2.0 * math.pi / nph
+    offs = np.linspace(-window, window, nd)
+    grid = np.stack(np.meshgrid(thetas, phis, offs, indexing="ij"), axis=-1)
+    params = grid.reshape(-1, 3)
+    normals, offsets = params_to_planes(params)
+    vals = stacked_residual_grid(constraints, normals, offsets)
+    return (thetas, phis, offs), params, vals.reshape(nth, nph, nd)
+
+
 def stacked_components_fn(constraints):
     """Batch residual-components function over (theta, phi, d) parameters."""
     cons = tuple(constraints)
@@ -389,6 +422,8 @@ def grid_oracle(
     minimum of the summed residual below a coarse threshold, together with
     its axis neighbors, seeds a Gauss-Newton refinement; converged planes
     below refine_tol are clustered with the fold-plane dedup metric.
+    Raises DegenerateInput for a count below 1 or a lattice above
+    MAX_LATTICE_PLANES (resolution 256 at 64 offsets).
     """
     cons = tuple(constraints)
     if not cons:
@@ -400,14 +435,8 @@ def grid_oracle(
         )
     radius = payload_radius(cons)
     w = window if window is not None else 3.0 * radius
-    thetas = (np.arange(resolution) + 0.5) * math.pi / resolution
-    phis = np.arange(resolution) * 2.0 * math.pi / resolution
-    offs = np.linspace(-w, w, n_offsets)
-    grid = np.stack(np.meshgrid(thetas, phis, offs, indexing="ij"), axis=-1)
-    flat = grid.reshape(-1, 3)
-    normals, offsets = params_to_planes(flat)
-    vals = stacked_residual_grid(cons, normals, offsets).reshape(
-        resolution, resolution, n_offsets
+    (thetas, phis, offs), _, vals = lattice_scan(
+        cons, (resolution, resolution, n_offsets), w
     )
     if coarse_threshold is None:
         coarse_threshold = 3.0 * (
@@ -448,11 +477,7 @@ def grid_oracle(
     found: list[tuple[Plane3, float]] = []
     for root in roots:
         plane = plane_from_params(*root)
-        res = float(
-            stacked_residual_grid(
-                cons, plane.normal_vec[None, :], np.array([plane.offset])
-            )[0]
-        )
+        res = stacked_residual(cons, plane)
         if res < refine_tol:
             found.append((plane, res))
     found.sort(key=lambda pr: pr[1])

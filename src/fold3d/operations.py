@@ -54,18 +54,17 @@ from .geometry import (
     points_equal,
 )
 from .numerics import (
+    lattice_scan,
     newton_multistart,
-    params_to_planes,
     plane_from_params,
     real_roots_cubic,
     real_roots_quadratic,
     stacked_components_fn,
-    stacked_residual_grid,
 )
 
-_CODIM_1 = (IncidenceKind.I3, IncidenceKind.I6, IncidenceKind.I8, IncidenceKind.I11)
-_CODIM_2 = (IncidenceKind.I5, IncidenceKind.I7, IncidenceKind.I9, IncidenceKind.I10)
-_CODIM_3 = (IncidenceKind.I1, IncidenceKind.I2, IncidenceKind.I4, IncidenceKind.I12)
+_CODIM_1, _CODIM_2, _CODIM_3 = (
+    tuple(k for k in IncidenceKind if k.codimension == n) for n in (1, 2, 3)
+)
 
 _REJECTION_REASONS = {
     (9, 9): (
@@ -539,22 +538,14 @@ def solve_generic(
     """Numeric solver for any valid operation: multistart Gauss-Newton over
     the (theta, phi, d) fold-plane parameters, seeded from a deterministic
     lattice.  The result is flagged possibly incomplete: a numeric search
-    proves existence, never exhaustiveness.
+    proves existence, never exhaustiveness.  Raises DegenerateInput for a
+    lattice count below 1 or a lattice above numerics.MAX_LATTICE_PLANES.
     """
     cons = tuple(constraints)
     _checked_spec(cons)
-    radius = payload_radius(cons)
-    w = window if window is not None else 3.0 * radius
-    nth, nph, nd = lattice
-    thetas = (np.arange(nth) + 0.5) * math.pi / nth
-    phis = np.arange(nph) * 2.0 * math.pi / nph
-    offs = np.linspace(-w, w, nd)
-    grid = np.stack(np.meshgrid(thetas, phis, offs, indexing="ij"), axis=-1)
-    flat = grid.reshape(-1, 3)
-    normals, offsets = params_to_planes(flat)
-    vals = stacked_residual_grid(cons, normals, offsets)
-    order = np.argsort(vals, kind="stable")
-    starts = flat[order[: min(refine_count, len(order))]]
+    w = window if window is not None else 3.0 * payload_radius(cons)
+    _, params, vals = lattice_scan(cons, lattice, w)
+    starts = params[np.argsort(vals.ravel(), kind="stable")[:refine_count]]
     roots = newton_multistart(
         stacked_components_fn(cons),
         starts,
@@ -571,8 +562,20 @@ def solve_generic(
     return FoldSolution.finite(planes, possibly_incomplete=True, provenance="generic")
 
 
-def _only(constraints: Sequence[Constraint], kind: IncidenceKind) -> list[Constraint]:
-    return [c for c in constraints if c.kind is kind]
+# Dedicated solvers by operation key, called with the payload objects of the
+# constraints sorted by kind.  Each solver is looked up by name when called,
+# so wrappers set on this module (perfbench/tracing.py) see every dispatch.
+_DEDICATED = {
+    (1,): lambda objs, tol: solve_I1(*objs, tol=tol),
+    (2,): lambda objs, tol: solve_I2(*objs, tol=tol),
+    (4,): lambda objs, tol: solve_I4(*objs, tol=tol),
+    (12,): lambda objs, tol: solve_I12(*objs),
+    (5, 6): lambda objs, tol: solve_I5_I6(*objs, tol=tol),
+    (5, 9): lambda objs, tol: solve_I5_I9(*objs, tol=tol),
+    (6, 8, 11): lambda objs, tol: solve_I6_I8_I11(*objs, tol=tol),
+    # the objects interleave (p, pi, q, tau, r, rho); solve_3I6 takes points first
+    (6, 6, 6): lambda objs, tol: solve_3I6(*objs[::2], *objs[1::2], tol=max(tol, 1e-8)),
+}
 
 
 def solve_operation(
@@ -589,29 +592,8 @@ def solve_operation(
     cons = tuple(constraints)
     if not cons:
         raise InvalidOperation("no constraints given")
-    key = _checked_spec(cons).key
-    if key == (1,):
-        return solve_I1(*cons[0].objects, tol=tol)
-    if key == (2,):
-        return solve_I2(*cons[0].objects, tol=tol)
-    if key == (4,):
-        return solve_I4(*cons[0].objects, tol=tol)
-    if key == (12,):
-        return solve_I12(*cons[0].objects)
-    if key == (5, 6):
-        p, m = _only(cons, IncidenceKind.I5)[0].objects
-        q, pi = _only(cons, IncidenceKind.I6)[0].objects
-        return solve_I5_I6(p, m, q, pi, tol=tol)
-    if key == (5, 9):
-        p, m = _only(cons, IncidenceKind.I5)[0].objects
-        (n,) = _only(cons, IncidenceKind.I9)[0].objects
-        return solve_I5_I9(p, m, n, tol=tol)
-    if key == (6, 8, 11):
-        p, pi = _only(cons, IncidenceKind.I6)[0].objects
-        (q,) = _only(cons, IncidenceKind.I8)[0].objects
-        (tau,) = _only(cons, IncidenceKind.I11)[0].objects
-        return solve_I6_I8_I11(p, pi, q, tau, tol=tol)
-    if key == (6, 6, 6):
-        (p, pi), (q, tau), (r, rho) = (c.objects for c in cons)
-        return solve_3I6(p, q, r, pi, tau, rho, tol=max(tol, 1e-8))
-    return solve_generic(cons, tol=max(tol, 1e-8), **generic_options)
+    solver = _DEDICATED.get(_checked_spec(cons).key)
+    if solver is None:
+        return solve_generic(cons, tol=max(tol, 1e-8), **generic_options)
+    by_kind = sorted(cons, key=lambda c: c.kind.index)
+    return solver(tuple(obj for c in by_kind for obj in c.objects), tol)

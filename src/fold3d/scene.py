@@ -27,20 +27,15 @@ from .constraints import Constraint, IncidenceKind, residual
 from .errors import FoldError, InvalidConstraint, ParseError, ValidationError
 from .geometry import Line3, Plane3, Point3
 
-_ARG_KEYS: dict[IncidenceKind, tuple[tuple[str, str], ...]] = {
-    IncidenceKind.I1: (("point", "points"), ("point2", "points")),
-    IncidenceKind.I2: (("line", "lines"), ("line2", "lines")),
-    IncidenceKind.I3: (("line", "lines"), ("line2", "lines")),
-    IncidenceKind.I4: (("plane", "planes"), ("plane2", "planes")),
-    IncidenceKind.I5: (("point", "points"), ("line", "lines")),
-    IncidenceKind.I6: (("point", "points"), ("plane", "planes")),
-    IncidenceKind.I7: (("line", "lines"), ("plane", "planes")),
-    IncidenceKind.I8: (("point", "points"),),
-    IncidenceKind.I9: (("line", "lines"),),
-    IncidenceKind.I10: (("line", "lines"),),
-    IncidenceKind.I11: (("plane", "planes"),),
-    IncidenceKind.I12: (("plane", "planes"),),
-}
+
+def _arg_keys(kind: IncidenceKind) -> list[tuple[str, str]]:
+    """(argument name, scene section) of each payload object of a kind: the
+    object kind, with a 2 on its repeat (I1 takes point and point2), and
+    the section named by its plural."""
+    sig = kind.signature
+    return [
+        (obj + ("2" if obj in sig[:i] else ""), obj + "s") for i, obj in enumerate(sig)
+    ]
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ def scene_from_dict(data: dict) -> Scene:
             raise ParseError(f"{where}.args: expected an object")
         objects = []
         resolved: dict[str, str] = {}
-        for arg_name, section in _ARG_KEYS[kind]:
+        for arg_name, section in _arg_keys(kind):
             if arg_name not in args:
                 raise ParseError(f"{where}.args: {kind.value} needs '{arg_name}'")
             ref = args[arg_name]

@@ -16,6 +16,7 @@ import numpy as np
 from fold3d import (
     Constraint,
     IncidenceKind,
+    InvalidConstraint,
     Line3,
     OperationSpec,
     Plane3,
@@ -415,3 +416,166 @@ def reference_newton_multistart(
             kept.append(v)
     kept.sort(key=lambda v: tuple(v))
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Reference residuals: the two per-kind if-chains that the kind table in
+# fold3d.constraints replaced, kept verbatim.  The table's residual_grid and
+# residual_components_grid are checked to equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reflect_pts(N: np.ndarray, O: np.ndarray, p: np.ndarray) -> np.ndarray:
+    s = N @ p - O
+    return p[None, :] - 2.0 * s[:, None] * N
+
+
+def _reflect_dirs(N: np.ndarray, d: np.ndarray) -> np.ndarray:
+    s = N @ d
+    return d[None, :] - 2.0 * s[:, None] * N
+
+
+def _asin_clip(x: np.ndarray) -> np.ndarray:
+    return np.arcsin(np.clip(x, -1.0, 1.0))
+
+
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _closest_to_origin(B: np.ndarray, D: np.ndarray) -> np.ndarray:
+    t = np.einsum("ij,ij->i", B, D)
+    return B - t[:, None] * D
+
+
+def reference_residual_grid(c: Constraint, N: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """Scalar residual of each candidate plane (unit normals N, offsets O)."""
+    k = c.kind
+    if k is IncidenceKind.I1:
+        p, q = c.objects
+        return _row_norm(_reflect_pts(N, O, p.xyz) - q.xyz)
+    if k is IncidenceKind.I2:
+        m, n = c.objects
+        B = _reflect_pts(N, O, m.base.xyz)
+        D = _reflect_dirs(N, m.direction)
+        ang = _asin_clip(_row_norm(np.cross(D, n.direction)))
+        gap = _row_norm(_closest_to_origin(B, D) - n.base.xyz)
+        return ang + gap
+    if k is IncidenceKind.I3:
+        m, n = c.objects
+        B = _reflect_pts(N, O, m.base.xyz)
+        D = _reflect_dirs(N, m.direction)
+        w = n.base.xyz - B
+        cr = np.cross(D, np.broadcast_to(n.direction, D.shape))
+        s = _row_norm(cr)
+        skew = np.abs(np.einsum("ij,ij->i", w, cr)) / np.where(s > 1e-12, s, 1.0)
+        para = _row_norm(w - np.einsum("ij,ij->i", w, D)[:, None] * D)
+        return np.where(s > 1e-12, skew, para)
+    if k is IncidenceKind.I4:
+        pi, tau = c.objects
+        n2 = _reflect_dirs(N, pi.normal_vec)
+        f2 = _reflect_pts(N, O, pi.foot.xyz)
+        o2 = np.einsum("ij,ij->i", n2, f2)
+        ang = _asin_clip(_row_norm(np.cross(n2, tau.normal_vec)))
+        gap = _row_norm(o2[:, None] * n2 - tau.offset * tau.normal_vec)
+        return ang + gap
+    if k is IncidenceKind.I5:
+        p, m = c.objects
+        P2 = _reflect_pts(N, O, p.xyz)
+        v = P2 - m.base.xyz
+        d = m.direction
+        return _row_norm(v - (v @ d)[:, None] * d)
+    if k is IncidenceKind.I6:
+        p, pi = c.objects
+        P2 = _reflect_pts(N, O, p.xyz)
+        return np.abs(P2 @ pi.normal_vec - pi.offset)
+    if k is IncidenceKind.I7:
+        m, pi = c.objects
+        a = _reflect_pts(N, O, m.base.xyz)
+        b = _reflect_pts(N, O, m.base.xyz + m.direction)
+        da = np.abs(a @ pi.normal_vec - pi.offset)
+        db = np.abs(b @ pi.normal_vec - pi.offset)
+        return np.maximum(da, db)
+    if k is IncidenceKind.I8:
+        (p,) = c.objects
+        return np.abs(N @ p.xyz - O)
+    if k is IncidenceKind.I9:
+        (m,) = c.objects
+        return _asin_clip(_row_norm(np.cross(N, m.direction)))
+    if k is IncidenceKind.I10:
+        (m,) = c.objects
+        return np.abs(_asin_clip(N @ m.direction)) + np.abs(N @ m.base.xyz - O)
+    if k is IncidenceKind.I11:
+        (pi,) = c.objects
+        return np.abs(_asin_clip(N @ pi.normal_vec))
+    if k is IncidenceKind.I12:
+        (pi,) = c.objects
+        ang = _asin_clip(_row_norm(np.cross(N, pi.normal_vec)))
+        gap = _row_norm(O[:, None] * N - pi.offset * pi.normal_vec)
+        return ang + gap
+    raise InvalidConstraint(f"unknown constraint kind {k}")
+
+
+def reference_residual_components_grid(c: Constraint, N: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """Signed smooth residual components of each candidate plane, shape (k, m)."""
+    k = c.kind
+    if k is IncidenceKind.I1:
+        p, q = c.objects
+        return _reflect_pts(N, O, p.xyz) - q.xyz
+    if k is IncidenceKind.I2:
+        m, n = c.objects
+        B = _reflect_pts(N, O, m.base.xyz)
+        D = _reflect_dirs(N, m.direction)
+        cr = np.cross(D, np.broadcast_to(n.direction, D.shape))
+        gap = _closest_to_origin(B, D) - n.base.xyz
+        return np.concatenate([cr, gap], axis=1)
+    if k is IncidenceKind.I3:
+        m, n = c.objects
+        B = _reflect_pts(N, O, m.base.xyz)
+        D = _reflect_dirs(N, m.direction)
+        w = n.base.xyz - B
+        cr = np.cross(D, np.broadcast_to(n.direction, D.shape))
+        return np.einsum("ij,ij->i", w, cr)[:, None]
+    if k is IncidenceKind.I4:
+        pi, tau = c.objects
+        n2 = _reflect_dirs(N, pi.normal_vec)
+        f2 = _reflect_pts(N, O, pi.foot.xyz)
+        o2 = np.einsum("ij,ij->i", n2, f2)
+        cr = np.cross(n2, np.broadcast_to(tau.normal_vec, n2.shape))
+        gap = o2[:, None] * n2 - tau.offset * tau.normal_vec
+        return np.concatenate([cr, gap], axis=1)
+    if k is IncidenceKind.I5:
+        p, m = c.objects
+        P2 = _reflect_pts(N, O, p.xyz)
+        v = P2 - m.base.xyz
+        d = m.direction
+        return v - (v @ d)[:, None] * d
+    if k is IncidenceKind.I6:
+        p, pi = c.objects
+        P2 = _reflect_pts(N, O, p.xyz)
+        return (P2 @ pi.normal_vec - pi.offset)[:, None]
+    if k is IncidenceKind.I7:
+        m, pi = c.objects
+        a = _reflect_pts(N, O, m.base.xyz)
+        b = _reflect_pts(N, O, m.base.xyz + m.direction)
+        return np.stack(
+            [a @ pi.normal_vec - pi.offset, b @ pi.normal_vec - pi.offset], axis=1
+        )
+    if k is IncidenceKind.I8:
+        (p,) = c.objects
+        return (N @ p.xyz - O)[:, None]
+    if k is IncidenceKind.I9:
+        (m,) = c.objects
+        return np.cross(N, np.broadcast_to(m.direction, N.shape))
+    if k is IncidenceKind.I10:
+        (m,) = c.objects
+        return np.stack([N @ m.direction, N @ m.base.xyz - O], axis=1)
+    if k is IncidenceKind.I11:
+        (pi,) = c.objects
+        return (N @ pi.normal_vec)[:, None]
+    if k is IncidenceKind.I12:
+        (pi,) = c.objects
+        cr = np.cross(N, np.broadcast_to(pi.normal_vec, N.shape))
+        gap = O[:, None] * N - pi.offset * pi.normal_vec
+        return np.concatenate([cr, gap], axis=1)
+    raise InvalidConstraint(f"unknown constraint kind {k}")

@@ -20,20 +20,25 @@ from fold3d import (
     reflect_plane,
     reflect_point,
     residual,
+    residual_grid,
     lines_setwise_equal,
     solve_I1,
     solve_I2,
     solve_I4,
     solve_I12,
 )
+from fold3d.constraints import residual_components_grid
 from helpers import (
     coplanar_crossing_lines,
     parallel_lines,
     point_off_line,
     point_off_plane,
     random_line,
+    random_payload,
     random_plane,
     random_point,
+    reference_residual_components_grid,
+    reference_residual_grid,
     skew_lines,
 )
 
@@ -342,3 +347,44 @@ class TestFamilies:
         for _ in range(100):
             values = [rng.uniform(p.low, p.high) for p in fam.parameters]
             assert residual(c, fam.plane(*values)) < 1e-9
+
+
+def _candidate_normals_offsets(rng, k=300):
+    """Random unit normals, the first two exactly +z and -z, and offsets."""
+    N = rng.normal(size=(k, 3))
+    N /= np.linalg.norm(N, axis=1)[:, None]
+    N[0], N[1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+    return N, rng.uniform(-6.0, 6.0, k)
+
+
+class TestResidualTable:
+    """The kind table's residuals equal the per-kind if-chains it replaced
+    (tests/helpers.py keeps them verbatim) bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(IncidenceKind))
+    def test_matches_reference(self, kind):
+        rng = np.random.default_rng(100 + kind.index)
+        for _ in range(25):
+            c = random_payload(rng, kind)
+            N, O = _candidate_normals_offsets(rng)
+            assert np.array_equal(residual_grid(c, N, O), reference_residual_grid(c, N, O))
+            assert np.array_equal(
+                residual_components_grid(c, N, O),
+                reference_residual_components_grid(c, N, O),
+            )
+
+    def test_i3_parallel_branch(self):
+        # folding across z = 0 maps m onto a line parallel to n, 2 apart
+        m = Line3(Point3(0, 0, 1), (1, 0, 0))
+        n = Line3(Point3(0, 2, -1), (1, 0, 0))
+        c = Constraint.I3(m, n)
+        N, O = _candidate_normals_offsets(np.random.default_rng(3), k=8)
+        N[2:] = (0.0, 0.0, 1.0)
+        O[2] = 0.0
+        got = residual_grid(c, N, O)
+        assert got[2] == 2.0
+        assert np.array_equal(got, reference_residual_grid(c, N, O))
+        assert np.array_equal(
+            residual_components_grid(c, N, O),
+            reference_residual_components_grid(c, N, O),
+        )

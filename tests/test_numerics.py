@@ -17,6 +17,7 @@ from fold3d import (
     real_roots_cubic,
     real_roots_quadratic,
     solve_I1,
+    solve_generic,
 )
 from fold3d.numerics import _least_squares_steps
 from helpers import (
@@ -388,3 +389,31 @@ class TestGridOracle:
     def test_under_constrained_rejected(self):
         with pytest.raises(DegenerateInput):
             grid_oracle([Constraint.I8(Point3(0, 0, 0))], resolution=16)
+
+
+class TestLatticeBounds:
+    I1 = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2))]
+
+    @pytest.mark.parametrize("options", [
+        {"n_offsets": 0},
+        {"resolution": 0},
+        {"resolution": -5},
+        {"resolution": 257},
+    ])
+    def test_oracle_rejects_bad_lattice(self, options):
+        with pytest.raises(DegenerateInput, match="lattice"):
+            grid_oracle(self.I1, **options)
+
+    @pytest.mark.parametrize("lattice", [(0, 0, 0), (3, 0, 4), (162, 162, 162)])
+    def test_generic_rejects_bad_lattice(self, lattice):
+        cons = [Constraint.I5(Point3(0, 0, 1), Line3(Point3(0, 0, -1), (0, 1, 0))),
+                Constraint.I8(Point3(0.5, 0.2, 0.1))]
+        with pytest.raises(DegenerateInput, match="lattice"):
+            solve_generic(cons, lattice=lattice)
+
+    def test_oracle_single_offset(self):
+        # the one offset is -window; the coarse threshold still scales with
+        # the window, so the fold plane z = 1 (offset -1 for normal -z) is found
+        res = grid_oracle(self.I1, resolution=16, n_offsets=1, window=1.0)
+        assert res.count == 1
+        assert plane_gap(res.planes[0], Plane3((0, 0, 1), 1.0)) < 1e-7

@@ -6,6 +6,7 @@ import pytest
 from fold3d import (
     Constraint,
     IllPosed,
+    IncidenceKind,
     InvalidOperation,
     Line3,
     OperationSpec,
@@ -18,6 +19,10 @@ from fold3d import (
     planes_setwise_equal,
     residual,
     solve_3I6,
+    solve_I1,
+    solve_I2,
+    solve_I4,
+    solve_I12,
     solve_I5_I6,
     solve_I5_I9,
     solve_I6_I8_I11,
@@ -35,6 +40,7 @@ from helpers import (
     point_off_plane,
     random_frame,
     random_line,
+    random_payload,
     random_plane,
     random_point,
     random_unit,
@@ -497,3 +503,56 @@ class TestSolveOperation:
         cons = [Constraint.I5(p, m), Constraint.I10(n)]
         sol = solve_operation(cons)
         assert sol.provenance == "generic"
+
+
+def _objects(cons, kind):
+    """The payload objects of the constraint of one kind."""
+    (c,) = [c for c in cons if c.kind is kind]
+    return c.objects
+
+
+# each dedicated key: a random instance, and the direct solver call for a
+# constraint list, which picks every argument out by kind
+_DEDICATED_CASES = {
+    (1,): (lambda rng: [random_payload(rng, IncidenceKind.I1)],
+           lambda cons: solve_I1(*cons[0].objects)),
+    (2,): (lambda rng: [random_payload(rng, IncidenceKind.I2)],
+           lambda cons: solve_I2(*cons[0].objects)),
+    (4,): (lambda rng: [random_payload(rng, IncidenceKind.I4)],
+           lambda cons: solve_I4(*cons[0].objects)),
+    (12,): (lambda rng: [random_payload(rng, IncidenceKind.I12)],
+            lambda cons: solve_I12(*cons[0].objects)),
+    (5, 6): (instance_i5_i6,
+             lambda cons: solve_I5_I6(*_objects(cons, IncidenceKind.I5),
+                                      *_objects(cons, IncidenceKind.I6))),
+    (5, 9): (lambda rng: instance_i5_i9(rng, solvable=True),
+             lambda cons: solve_I5_I9(*_objects(cons, IncidenceKind.I5),
+                                      *_objects(cons, IncidenceKind.I9))),
+    (6, 8, 11): (instance_i6_i8_i11,
+                 lambda cons: solve_I6_I8_I11(*_objects(cons, IncidenceKind.I6),
+                                              *_objects(cons, IncidenceKind.I8),
+                                              *_objects(cons, IncidenceKind.I11))),
+    (6, 6, 6): (instance_3i6,
+                lambda cons: solve_3I6(*(c.objects[0] for c in cons),
+                                       *(c.objects[1] for c in cons))),
+}
+
+
+class TestDispatchTable:
+    @pytest.mark.parametrize("key", list(_DEDICATED_CASES), ids=str)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_direct_solver(self, key, reverse):
+        make, direct = _DEDICATED_CASES[key]
+        found = 0
+        for seed in range(6):
+            cons = make(np.random.default_rng(seed))
+            if reverse:
+                cons = cons[::-1]
+            assert OperationSpec.from_constraints(cons).key == key
+            want = direct(cons)
+            got = solve_operation(cons)
+            assert got.provenance == "dedicated"
+            assert got.outcome == want.outcome
+            assert got.planes == want.planes
+            found += want.count
+        assert found > 0

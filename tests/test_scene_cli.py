@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from fold3d import (
+    IncidenceKind,
+    Line3,
     ParseError,
     Plane3,
     Point3,
     ValidationError,
+    lines_setwise_equal,
     load_scene,
     residual,
     scene_to_dict,
@@ -19,6 +22,7 @@ from fold3d import (
 )
 from fold3d.cli import main
 from fold3d.scene import ResultDocument
+from helpers import random_payload
 
 I1_SCENE = """
 {
@@ -49,6 +53,19 @@ I5_I9_SKEW_SCENE = """
   "constraints": [
     {"type": "I5", "args": {"point": "P", "line": "m"}},
     {"type": "I9", "args": {"line": "n"}}
+  ]
+}
+"""
+
+
+# I5+I8 has no dedicated solver, so it runs the lattice-seeded search
+I5_I8_SCENE = """
+{
+  "points": {"P": [0, 0, 1], "Q": [0.5, 0.2, 0.1]},
+  "lines": {"m": {"point": [0, 0, -1], "dir": [0, 1, 0]}},
+  "constraints": [
+    {"type": "I5", "args": {"point": "P", "line": "m"}},
+    {"type": "I8", "args": {"point": "Q"}}
   ]
 }
 """
@@ -126,6 +143,48 @@ class TestSceneLoading:
         assert again.points["P"] == scene.points["P"]
         assert again.lines["m"] == scene.lines["m"]
         assert again.planes["pi"] == scene.planes["pi"]
+
+
+# scene argument names of each kind, as scene files spell them
+ARG_NAMES = {
+    "I1": ("point", "point2"), "I2": ("line", "line2"), "I3": ("line", "line2"),
+    "I4": ("plane", "plane2"), "I5": ("point", "line"), "I6": ("point", "plane"),
+    "I7": ("line", "plane"), "I8": ("point",), "I9": ("line",), "I10": ("line",),
+    "I11": ("plane",), "I12": ("plane",),
+}
+
+
+class TestSceneAllKinds:
+    def test_round_trip_every_kind(self):
+        rng = np.random.default_rng(12)
+        data = {"points": {}, "lines": {}, "planes": {}, "constraints": []}
+        for kind in IncidenceKind:
+            args = {}
+            for arg, obj in zip(ARG_NAMES[kind.value], random_payload(rng, kind).objects):
+                name = f"{kind.value}_{arg}"
+                if isinstance(obj, Point3):
+                    data["points"][name] = list(obj.xyz)
+                elif isinstance(obj, Line3):
+                    data["lines"][name] = {"point": list(obj.base.xyz), "dir": list(obj.dir)}
+                else:
+                    data["planes"][name] = {"normal": list(obj.normal), "offset": obj.offset}
+                args[arg] = name
+            data["constraints"].append({"type": kind.value, "args": args})
+        scene = load_scene(json.dumps(data))
+        again = load_scene(write_scene(scene))
+        assert [sc.kind for sc in again.constraints] == list(IncidenceKind)
+        for sc, sc2, entry in zip(scene.constraints, again.constraints, data["constraints"]):
+            assert sc.args == sc2.args == entry["args"]
+            objs, objs2 = sc.constraint.objects, sc2.constraint.objects
+            assert len(objs) == len(objs2) == len(ARG_NAMES[sc.kind.value])
+            for obj, obj2 in zip(objs, objs2):
+                assert type(obj2) is type(obj)
+                if isinstance(obj, Line3):
+                    # Line3 re-projects its base point when built, which
+                    # may move the last bits
+                    assert lines_setwise_equal(obj2, obj, 1e-12)
+                else:
+                    assert obj2 == obj
 
 
 class TestResultDocument:
@@ -343,6 +402,23 @@ class TestCli:
         code = main(["solve", path])
         assert code == 1
         assert "offset must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("oracle", ["--resolution", "0"]),
+            ("oracle", ["--resolution", "-5"]),
+            ("solve", ["--seed-lattice", "0"]),
+            ("solve", ["--seed-lattice=3x0x4"]),
+            ("oracle", ["--resolution", "257"]),
+            ("solve", ["--seed-lattice", "162"]),
+        ],
+    )
+    def test_lattice_counts_bounded(self, tmp_path, capsys, command, extra):
+        path = _write(tmp_path, "s.json", I5_I8_SCENE)
+        assert main([command, path, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lattice" in err
 
     def test_console_entry_subprocess(self, tmp_path):
         path = _write(tmp_path, "s.json", I1_SCENE)
