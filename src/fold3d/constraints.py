@@ -250,6 +250,18 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
+def _cross(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise A × b for (k, 3) A and a (3,) b: the products and
+    differences np.cross forms, column by column, without its axis moves."""
+    a0, a1, a2 = A[:, 0], A[:, 1], A[:, 2]
+    b0, b1, b2 = b
+    out = np.empty_like(A)
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _closest_to_origin(B: np.ndarray, D: np.ndarray) -> np.ndarray:
     t = np.einsum("ij,ij->i", B, D)
     return B - t[:, None] * D
@@ -264,13 +276,13 @@ def _i2(objs, N, O):
     m, n = objs
     B, D = _reflect_pts(N, O, m.base.xyz), _reflect_dirs(N, m.direction)
     gap = _closest_to_origin(B, D) - n.base.xyz
-    return np.concatenate([np.cross(D, n.direction), gap], axis=1)
+    return np.concatenate([_cross(D, n.direction), gap], axis=1)
 
 
 def _i3(objs, N, O):
     m, n = objs
     B, D = _reflect_pts(N, O, m.base.xyz), _reflect_dirs(N, m.direction)
-    return np.einsum("ij,ij->i", n.base.xyz - B, np.cross(D, n.direction))[:, None]
+    return np.einsum("ij,ij->i", n.base.xyz - B, _cross(D, n.direction))[:, None]
 
 
 def _i3_gap(objs, N, O):
@@ -279,7 +291,7 @@ def _i3_gap(objs, N, O):
     m, n = objs
     B, D = _reflect_pts(N, O, m.base.xyz), _reflect_dirs(N, m.direction)
     w = n.base.xyz - B
-    cr = np.cross(D, n.direction)
+    cr = _cross(D, n.direction)
     s = _row_norm(cr)
     skew = np.abs(np.einsum("ij,ij->i", w, cr)) / np.where(s > 1e-12, s, 1.0)
     para = _row_norm(w - np.einsum("ij,ij->i", w, D)[:, None] * D)
@@ -291,7 +303,7 @@ def _i4(objs, N, O):
     n2 = _reflect_dirs(N, pi.normal_vec)
     o2 = np.einsum("ij,ij->i", n2, _reflect_pts(N, O, pi.foot.xyz))
     gap = o2[:, None] * n2 - tau.offset * tau.normal_vec
-    return np.concatenate([np.cross(n2, tau.normal_vec), gap], axis=1)
+    return np.concatenate([_cross(n2, tau.normal_vec), gap], axis=1)
 
 
 def _i5(objs, N, O):
@@ -320,7 +332,7 @@ def _i8(objs, N, O):
 
 def _i9(objs, N, O):
     (m,) = objs
-    return np.cross(N, m.direction)
+    return _cross(N, m.direction)
 
 
 def _i10(objs, N, O):
@@ -336,7 +348,7 @@ def _i11(objs, N, O):
 def _i12(objs, N, O):
     (pi,) = objs
     gap = O[:, None] * N - pi.offset * pi.normal_vec
-    return np.concatenate([np.cross(N, pi.normal_vec), gap], axis=1)
+    return np.concatenate([_cross(N, pi.normal_vec), gap], axis=1)
 
 
 def _abs(c: np.ndarray) -> np.ndarray:

@@ -204,8 +204,8 @@ def newton_multistart(
     ``residual`` maps a parameter vector (d,) to a residual vector (m,);
     with ``vectorized=True`` it must accept an (n, d) batch and return
     (n, m).  Every seed runs damped Gauss-Newton until its residual norm is
-    below tol (converged), no step improves it (stalled) or max_iter
-    iterations pass.  One iteration, for all active seeds at once:
+    below tol (converged), it stalls or max_iter iterations pass.  One
+    iteration, for all active seeds at once:
 
     * Jacobian: central differences with step fd_step * (1 + |x|), all 2·d
       probes in one residual call.
@@ -213,10 +213,14 @@ def newton_multistart(
       nearly singular (det ≤ 1e-10 · ∏ diag) or the test is not finite,
       s = pinv(J) r, the minimum-norm least-squares step.
     * Backtracking: the seed moves to x - α s for the largest α in 1, 1/2,
-      ..., 1/512 with |r(x - α s)| < |r(x)|, and stalls if there is none
-      or s is not finite.  The full step is tried in one call; the
-      halvings only for the seeds it did not improve, at most 2·d step
-      lengths per call.
+      ..., 1/512 with |r(x - α s)| < |r(x)|.  It stalls if there is none,
+      if s is not finite, or if |r - J s| ≥ ½ |r|: then even the linear
+      model cannot halve the residual, so r is nearly orthogonal to the
+      range of J and the seed sits near a non-zero stationary point of
+      |r|² (the first-order test of MINPACK's gtol).  A stalled seed skips
+      the line search.  The full step is tried in one call; the halvings
+      only for the seeds it did not improve, at most 2·d step lengths per
+      call.
 
     Converged seeds are clustered within cluster_tol, best residual first.
     Deterministic: fixed iteration order, stable clustering, result sorted
@@ -227,6 +231,8 @@ def newton_multistart(
         x = x[:, None]
     x = np.array(x, dtype=float)
     n, d = x.shape
+    if n == 0:
+        return []
 
     if vectorized:
         def rf(batch: np.ndarray) -> np.ndarray:
@@ -238,7 +244,7 @@ def newton_multistart(
             return np.vstack(rows)
 
     def norms_of(res: np.ndarray) -> np.ndarray:
-        nr = np.linalg.norm(res, axis=-1)
+        nr = np.sqrt(np.add.reduce(res * res, axis=-1))
         return np.where(np.isfinite(nr), nr, np.inf)
 
     r = rf(x)
@@ -270,8 +276,11 @@ def newton_multistart(
         jac[bad] = np.eye(m, d)[None, :, :]
         step = _least_squares_steps(jac, ra)
         improved = np.zeros(ka, dtype=bool)
-        # each seed keeps the largest step length that improves it
         todo = np.flatnonzero(~bad & np.isfinite(step).all(axis=1))
+        # the stall test: skip seeds whose linear model cannot halve |r|
+        model = ra[todo] - np.einsum("kmd,kd->km", jac[todo], step[todo])
+        todo = todo[norms_of(model) < 0.5 * na[todo]]
+        # each seed keeps the largest step length that improves it
         for alphas in blocks:
             if todo.size == 0:
                 break
@@ -333,7 +342,11 @@ def params_to_planes(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.atleast_2d(params)
     th, ph, dd = p[:, 0], p[:, 1], p[:, 2]
     st = np.sin(th)
-    normals = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=1)
+    columns = st * np.cos(ph), st * np.sin(ph), np.cos(th)
+    # allocated after its columns, as np.stack does: allocated first, it
+    # raises the peak memory of a full lattice scan by about 2 MB
+    normals = np.empty((p.shape[0], 3))
+    normals[:, 0], normals[:, 1], normals[:, 2] = columns
     return normals, dd
 
 

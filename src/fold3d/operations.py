@@ -41,7 +41,7 @@ from .constraints import (
     stacked_residual,
 )
 from .envelopes import family_I5
-from .errors import IllPosed, InvalidOperation, ParseError
+from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
 from .geometry import (
     TOL_INCIDENCE,
     Line3,
@@ -539,10 +539,13 @@ def solve_generic(
     the (theta, phi, d) fold-plane parameters, seeded from a deterministic
     lattice.  The result is flagged possibly incomplete: a numeric search
     proves existence, never exhaustiveness.  Raises DegenerateInput for a
-    lattice count below 1 or a lattice above numerics.MAX_LATTICE_PLANES.
+    refine_count or lattice count below 1 or a lattice above
+    numerics.MAX_LATTICE_PLANES.
     """
     cons = tuple(constraints)
     _checked_spec(cons)
+    if refine_count < 1:
+        raise DegenerateInput(f"refine_count must be at least 1, not {refine_count}")
     w = window if window is not None else 3.0 * payload_radius(cons)
     _, params, vals = lattice_scan(cons, lattice, w)
     starts = params[np.argsort(vals.ravel(), kind="stable")[:refine_count]]

@@ -14,7 +14,10 @@ Scene schema::
     }
 
 Numbers are written back with ``repr`` (17 significant digits), so a
-load/write/load round trip is bit-identical.
+load/write/load round trip gives points back bit for bit.  Planes and lines
+are rebuilt on load: ``Plane3`` renormalises its normal, and ``Line3``
+renormalises its direction and re-projects its base point, so their
+coefficients can move by a few units in the last place.
 """
 
 from __future__ import annotations

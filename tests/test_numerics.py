@@ -19,7 +19,8 @@ from fold3d import (
     solve_I1,
     solve_generic,
 )
-from fold3d.numerics import _least_squares_steps
+from fold3d.constraints import _cross
+from fold3d.numerics import _least_squares_steps, params_to_planes
 from helpers import (
     generic_newton_args,
     generic_specs,
@@ -342,6 +343,77 @@ class TestBatchedIteration:
         assert len(roots) == len(want) == 1
         assert np.allclose(roots[0], 0.5, atol=1e-9)
         assert max(sizes) <= 2 * 3 * len(seeds)
+
+
+class TestStallTest:
+    """Seeds at a non-zero stationary point of |r|² stop early."""
+
+    def test_positive_minimum_stalls(self):
+        calls = []
+
+        def residual(v):
+            calls.append(v)
+            x = v[0]
+            return np.array([x, x * x + 1.0])
+
+        # |r|² = x² + (x² + 1)² has its minimum 1 at x = 0; without the stall
+        # test every seed creeps toward it for all 60 iterations (409 calls)
+        assert newton_multistart(residual, [-2.0, 0.3, 5.0]) == []
+        assert len(calls) <= 30
+
+    def test_no_converging_seed_is_cut(self, monkeypatch):
+        # with the reference's pinv step and no clustering (cluster_tol < 0)
+        # the roots are every converged seed, bit for bit: the stall test
+        # must stop none of the seeds the reference converges
+        import fold3d.numerics
+
+        monkeypatch.setattr(
+            fold3d.numerics,
+            "_least_squares_steps",
+            lambda jac, r: np.einsum("kdm,km->kd", np.linalg.pinv(jac), r),
+        )
+        rng = np.random.default_rng(13)
+        for spec in generic_specs()[1::3]:
+            args, kwargs = generic_newton_args([random_payload(rng, k) for k in spec.kinds])
+            kwargs["cluster_tol"] = -1.0
+            got = newton_multistart(*args, **kwargs)
+            want = reference_newton_multistart(*args, **kwargs)
+            assert len(got) == len(want), spec
+            assert all(np.array_equal(u, v) for u, v in zip(got, want)), spec
+
+    def test_no_seeds(self):
+        assert newton_multistart(lambda x: x * x - 4.0, []) == []
+        assert newton_multistart(lambda v: v, np.empty((0, 3)), vectorized=True) == []
+
+    def test_generic_rejects_no_refinement(self):
+        cons = [Constraint.I5(Point3(0, 0, 1), Line3(Point3(0, 0, -1), (0, 1, 0))),
+                Constraint.I8(Point3(0.5, 0.2, 0.1))]
+        for count in (0, -3):
+            with pytest.raises(DegenerateInput, match="refine_count"):
+                solve_generic(cons, refine_count=count)
+
+
+class TestResidualPath:
+    """The residual kernels give the bits of the numpy calls they replace."""
+
+    def test_cross_matches_np_cross(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            A = rng.normal(size=(257, 3)) * rng.choice([1e-3, 1.0, 1e3])
+            A[:4] = [[0, 0, 1], [0, 0, -1], [0, 0, 1], [0, 0, -1]]
+            A[4:8] /= np.linalg.norm(A[4:8], axis=1)[:, None]
+            for b in (rng.normal(size=3), np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
+                assert np.array_equal(_cross(A, b), np.cross(A, b))
+
+    def test_params_to_planes_matches_stack(self):
+        rng = np.random.default_rng(32)
+        params = rng.uniform([0.0, 0.0, -5.0], [np.pi, 2 * np.pi, 5.0], size=(500, 3))
+        params[:2, 0] = [0.0, np.pi]
+        th, ph = params[:, 0], params[:, 1]
+        want = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+        normals, offsets = params_to_planes(params)
+        assert np.array_equal(normals, want)
+        assert np.array_equal(offsets, params[:, 2])
 
 
 class TestGridOracle:
