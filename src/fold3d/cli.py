@@ -84,7 +84,8 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     add_common(p_oracle)
     p_oracle.add_argument("--spec", help="validate the scene against this operation spec")
     p_oracle.add_argument("--resolution", type=int, default=48,
-                          help="grid points per normal angle (offsets scale along)")
+                          help="grid points per normal angle (1..256); each normal's "
+                               "offset is solved for, at any distance")
 
     p_verify = sub.add_parser("verify", help="check a candidate plane against the scene")
     add_common(p_verify)

@@ -26,6 +26,9 @@ TOL_ALGEBRAIC = 1e-12
 
 _SIGN_EPS = 1e-12
 
+# A normal whose norm is this close to 1 is not renormalised.
+_UNIT_SLACK = 4.0 * np.finfo(float).eps
+
 
 def _vec(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
@@ -136,7 +139,11 @@ class Plane3:
     offset: float
 
     def __post_init__(self):
-        n = _unit(np.asarray(self.normal, dtype=float), "plane normal")
+        n = np.asarray(self.normal, dtype=float)
+        # a normal already unit to rounding is kept as given, so a plane
+        # rebuilt from its own normal and offset is the same bit for bit
+        if not abs(float(np.linalg.norm(n)) - 1.0) <= _UNIT_SLACK:
+            n = _unit(n, "plane normal")
         offset = float(self.offset)
         if not math.isfinite(offset):
             raise DegenerateInput("plane offset must be finite")

@@ -1,11 +1,12 @@
 """Root-finding primitives and the brute-force fold-plane oracle.
 
-The oracle scans the full 3-parameter space of candidate fold planes
-(normal direction angles theta/phi plus signed offset d), refines every
-promising grid cell with damped Gauss-Newton on the smooth signed residual
-components, and clusters the converged planes.  It is deliberately
-independent of the closed-form solvers so it can serve as ground truth for
-solution counting.
+The oracle scans a theta/phi grid of candidate fold-plane normals, takes
+for each the offset d that best satisfies the constraints (the residual
+components are affine in d, so it has a closed form), refines every
+promising normal with damped Gauss-Newton on the smooth signed residual
+components in (theta, phi, d), and clusters the converged planes.  It sees
+planes at any offset and is deliberately independent of the closed-form
+solvers, so it can serve as ground truth for solution counting.
 """
 
 from __future__ import annotations
@@ -355,9 +356,9 @@ def plane_from_params(theta: float, phi: float, d: float) -> Plane3:
     return Plane3(tuple(n[0]), float(o[0]))
 
 
-# Largest (theta, phi, d) lattice a search builds: resolution 256 at 64
-# offsets.  Its arrays take (3 + 3 + 1 + 1) * 8 = 64 B per plane (parameters,
-# normals, offsets, summed residual), about 268 MB at the cap.
+# Largest (theta, phi, d) lattice lattice_scan builds, e.g. 256 x 256 x 64.
+# Its arrays take (3 + 3 + 1 + 1) * 8 = 64 B per plane (parameters, normals,
+# offsets, summed residual), about 268 MB at the cap.
 MAX_LATTICE_PLANES = 2**22
 
 
@@ -389,32 +390,24 @@ def lattice_scan(constraints, counts, window: float):
     return (thetas, phis, offs), params, vals.reshape(nth, nph, nd)
 
 
+def _stacked_components(cons, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    return np.concatenate(
+        [residual_components_grid(c, normals, offsets) for c in cons], axis=1
+    )
+
+
 def stacked_components_fn(constraints):
     """Batch residual-components function over (theta, phi, d) parameters."""
     cons = tuple(constraints)
 
     def fn(params: np.ndarray) -> np.ndarray:
-        normals, offsets = params_to_planes(params)
-        return np.concatenate(
-            [residual_components_grid(c, normals, offsets) for c in cons], axis=1
-        )
+        return _stacked_components(cons, *params_to_planes(params))
 
     return fn
 
 
-def _local_minima_mask(vals: np.ndarray) -> np.ndarray:
-    """Cells not larger than their 6 axis neighbors (phi axis wraps)."""
-    big = np.inf
-    mask = np.ones_like(vals, dtype=bool)
-    padded = np.pad(vals, ((1, 1), (0, 0), (0, 0)), constant_values=big)
-    mask &= vals <= padded[:-2]
-    mask &= vals <= padded[2:]
-    mask &= vals <= np.roll(vals, 1, axis=1)
-    mask &= vals <= np.roll(vals, -1, axis=1)
-    padded = np.pad(vals, ((0, 0), (0, 0), (1, 1)), constant_values=big)
-    mask &= vals <= padded[:, :, :-2]
-    mask &= vals <= padded[:, :, 2:]
-    return mask
+# Largest resolution the oracle scans: 256 x 256 normals.
+MAX_ORACLE_RESOLUTION = 256
 
 
 def grid_oracle(
@@ -427,16 +420,29 @@ def grid_oracle(
     coarse_threshold: float | None = None,
     max_iter: int = 80,
 ) -> OracleResult:
-    """Exhaustive scan over candidate fold planes with local refinement.
+    """Exhaustive scan over fold-plane normals with local refinement.
 
-    Candidate planes have normals on a theta/phi grid (resolution points per
-    angle) and offsets on a grid of n_offsets points spanning [-window,
-    window] (default window: three times the payload radius).  Every local
-    minimum of the summed residual below a coarse threshold, together with
-    its axis neighbors, seeds a Gauss-Newton refinement; converged planes
-    below refine_tol are clustered with the fold-plane dedup metric.
-    Raises DegenerateInput for a count below 1 or a lattice above
-    MAX_LATTICE_PLANES (resolution 256 at 64 offsets).
+    Normals lie on a theta/phi grid of resolution x resolution points (theta
+    at the cell centres of [0, pi], phi wrapping).  Every signed residual
+    component is affine in the offset d once the normal n is fixed, so the
+    stacked components are A(n) + d B(n), both read exactly from the
+    components at d = 0 and d = 1, and the best offset of each normal is
+    d*(n) = -A.B / B.B (variable projection): no offset window bounds the
+    search.  Normals with B.B <= 1e-12 max B.B, where the offset is not
+    determined, are skipped.  Each normal scores its summed scalar residual
+    at (n, d*), scaled by (r + 1) / (r + |d*| + 1) with r the payload
+    radius, so that far planes, whose residual changes fast with the
+    angle, are not lost.  Every 2-D local minimum of the score below
+    coarse_threshold (default 3 (r + 1) pi / resolution), with its four
+    grid neighbours, seeds a Gauss-Newton refinement at (theta, phi, d*);
+    converged planes below refine_tol are clustered with the fold-plane
+    dedup metric.
+
+    n_offsets no longer shapes the scan; it is kept for callers and still
+    rejected below 1.  window=None (the default) keeps planes at every
+    offset; a given window keeps only those with |offset| <= window +
+    cluster_tol.  Raises DegenerateInput, with "lattice" in its message,
+    for a resolution outside 1..MAX_ORACLE_RESOLUTION or n_offsets below 1.
     """
     cons = tuple(constraints)
     if not cons:
@@ -446,41 +452,52 @@ def grid_oracle(
             "combined codimension below 3 leaves a continuum of fold planes; "
             "the oracle only counts isolated solutions"
         )
+    if not 1 <= resolution <= MAX_ORACLE_RESOLUTION:
+        raise DegenerateInput(
+            f"oracle lattice resolution must be in 1..{MAX_ORACLE_RESOLUTION}, "
+            f"not {resolution}"
+        )
+    if n_offsets < 1:
+        raise DegenerateInput(f"lattice counts must be at least 1, not n_offsets={n_offsets}")
     radius = payload_radius(cons)
-    w = window if window is not None else 3.0 * radius
-    (thetas, phis, offs), _, vals = lattice_scan(
-        cons, (resolution, resolution, n_offsets), w
+    thetas = (np.arange(resolution) + 0.5) * math.pi / resolution
+    phis = np.arange(resolution) * 2.0 * math.pi / resolution
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    normals, _ = params_to_planes(np.stack([th, ph, np.zeros_like(th)], axis=1))
+    a = _stacked_components(cons, normals, np.zeros_like(th))
+    b = _stacked_components(cons, normals, np.ones_like(th)) - a
+    bb = np.einsum("ij,ij->i", b, b)
+    valid = bb > 1e-12 * bb.max()
+    dstar = np.zeros_like(th)
+    dstar[valid] = -np.einsum("ij,ij->i", a[valid], b[valid]) / bb[valid]
+    score = np.full_like(th, np.inf)
+    score[valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
+        (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
     )
     if coarse_threshold is None:
-        coarse_threshold = 3.0 * (
-            (radius + 1.0) * (math.pi / resolution) + w / n_offsets
-        )
-    minima = _local_minima_mask(vals) & (vals < coarse_threshold)
-    idxs = np.argwhere(minima)
-    starts = []
-    shifts = [
-        (0, 0, 0),
-        (1, 0, 0),
-        (-1, 0, 0),
-        (0, 1, 0),
-        (0, -1, 0),
-        (0, 0, 1),
-        (0, 0, -1),
-    ]
-    seen = set()
-    for i, j, k in idxs:
-        for di, dj, dk in shifts:
-            ii = min(max(i + di, 0), resolution - 1)
-            jj = (j + dj) % resolution
-            kk = min(max(k + dk, 0), n_offsets - 1)
-            if (ii, jj, kk) not in seen:
-                seen.add((ii, jj, kk))
-                starts.append((thetas[ii], phis[jj], offs[kk]))
-    if not starts:
+        coarse_threshold = 3.0 * (radius + 1.0) * math.pi / resolution
+    # 2-D local minima: theta neighbours beyond the poles count as +inf,
+    # phi wraps
+    s = score.reshape(resolution, resolution)
+    padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
+    minima = (
+        (s < coarse_threshold)
+        & (s <= padded[:-2])
+        & (s <= padded[2:])
+        & (s <= np.roll(s, 1, axis=1))
+        & (s <= np.roll(s, -1, axis=1))
+    )
+    i, j = np.nonzero(minima)
+    last = resolution - 1
+    rows = np.concatenate([i, np.minimum(i + 1, last), np.maximum(i - 1, 0), i, i])
+    cols = np.concatenate([j, j, j, (j + 1) % resolution, (j - 1) % resolution])
+    cells = np.unique(rows * resolution + cols)
+    cells = cells[valid[cells]]
+    if cells.size == 0:
         return OracleResult((), resolution, max_iter)
     roots = newton_multistart(
         stacked_components_fn(cons),
-        np.array(starts),
+        np.stack([th[cells], ph[cells], dstar[cells]], axis=1),
         tol=1e-10,
         max_iter=max_iter,
         cluster_tol=cluster_tol,
@@ -497,5 +514,7 @@ def grid_oracle(
     for plane, res in found:
         if all(plane_gap(plane, q) > cluster_tol for q, _ in clusters):
             clusters.append((plane, res))
+    if window is not None:
+        clusters = [pr for pr in clusters if abs(pr[0].offset) <= window + cluster_tol]
     clusters.sort(key=lambda pr: (*pr[0].normal, pr[0].offset))
     return OracleResult(tuple(clusters), resolution, max_iter)

@@ -14,10 +14,10 @@ Scene schema::
     }
 
 Numbers are written back with ``repr`` (17 significant digits), so a
-load/write/load round trip gives points back bit for bit.  Planes and lines
-are rebuilt on load: ``Plane3`` renormalises its normal, and ``Line3``
-renormalises its direction and re-projects its base point, so their
-coefficients can move by a few units in the last place.
+load/write/load round trip gives points and planes back bit for bit
+(``Plane3`` keeps a normal that is already unit).  Lines are rebuilt on
+load: ``Line3`` renormalises its direction and re-projects its base point,
+so their coefficients can move by a few units in the last place.
 """
 
 from __future__ import annotations

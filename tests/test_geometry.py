@@ -72,6 +72,23 @@ class TestPrimitives:
         with pytest.raises(DegenerateInput):
             Line3(Point3(0, 0, 0), (0, 0, 0))
 
+    def test_plane_rebuild_is_bitwise_identical(self):
+        # renormalising a normal that is already unit can move its last
+        # bits; a plane rebuilt from its own normal and offset must not
+        rng = np.random.default_rng(1)
+        first, again = [], []
+        for n, o in zip(rng.normal(size=(50000, 3)), rng.normal(scale=10.0, size=50000)):
+            pl = Plane3(tuple(n), float(o))
+            first.append((*pl.normal, pl.offset))
+            pl2 = Plane3(pl.normal, pl.offset)
+            again.append((*pl2.normal, pl2.offset))
+        assert np.array(first).tobytes() == np.array(again).tobytes()
+
+    def test_plane_normal_off_unit_is_renormalised(self):
+        for scale in (2.0, 1.0 + 1e-9, 1.0 - 1e-12):
+            pl = Plane3((0.0, 0.6 * scale, 0.8 * scale), 1.0)
+            assert abs(np.linalg.norm(pl.normal) - 1.0) <= 4 * np.finfo(float).eps
+
 
 class TestReflectPoint:
     def test_mirror_across_coordinate_plane(self):

@@ -16,15 +16,22 @@ from fold3d import (
     plane_gap,
     real_roots_cubic,
     real_roots_quadratic,
+    solve_3I6,
     solve_I1,
+    solve_I5_I6,
+    solve_I5_I9,
+    solve_I6_I8_I11,
     solve_generic,
 )
-from fold3d.constraints import _cross
+from fold3d.constraints import _cross, payload_radius
 from fold3d.numerics import _least_squares_steps, params_to_planes
 from helpers import (
     generic_newton_args,
     generic_specs,
+    instance_3i6,
     instance_i5_i6,
+    instance_i5_i9,
+    instance_i6_i8_i11,
     random_payload,
     random_point,
     reference_newton_multistart,
@@ -461,6 +468,71 @@ class TestGridOracle:
     def test_under_constrained_rejected(self):
         with pytest.raises(DegenerateInput):
             grid_oracle([Constraint.I8(Point3(0, 0, 0))], resolution=16)
+
+
+# The acceptance criterion-4 generators plus 3I6, each with its dedicated
+# solver taking the constraints' payloads.
+WORKED_KINDS = (
+    ("I5+I6", instance_i5_i6, lambda cs: solve_I5_I6(*cs[0].objects, *cs[1].objects)),
+    (
+        "I5+I9",
+        lambda r: instance_i5_i9(r, solvable=bool(r.integers(0, 2))),
+        lambda cs: solve_I5_I9(*cs[0].objects, *cs[1].objects),
+    ),
+    (
+        "I6+I8+I11",
+        instance_i6_i8_i11,
+        lambda cs: solve_I6_I8_I11(*cs[0].objects, cs[1].objects[0], cs[2].objects[0]),
+    ),
+    (
+        "3I6",
+        instance_3i6,
+        lambda cs: solve_3I6(*(c.objects[0] for c in cs), *(c.objects[1] for c in cs)),
+    ),
+)
+
+
+class TestOracleAllOffsets:
+    def test_far_plane_found(self):
+        # the one fold plane of this I5+I6 scene lies 6.2 payload radii out,
+        # beyond an offset window of three radii
+        p, q = Point3(-1.4, -0.5, -0.2), Point3(-0.7, -0.4, 0.8)
+        m = Line3(Point3(0.7, -1.2, -0.3), (0.5, 0.5, -0.7))
+        pi = Plane3((0.5, -0.9, -0.1), -0.9)
+        cons = [Constraint.I5(p, m), Constraint.I6(q, pi)]
+        (far,) = solve_I5_I6(p, m, q, pi).planes
+        assert abs(far.offset) > 6.0 * payload_radius(cons)
+        res = grid_oracle(cons)
+        assert res.count == 1
+        assert plane_gap(res.planes[0], far) < 1e-7
+
+    @pytest.mark.parametrize("name, make, solve", WORKED_KINDS, ids=[k[0] for k in WORKED_KINDS])
+    def test_counts_match_dedicated_solvers(self, name, make, solve):
+        # over all offsets; the few misses are planes far out, where the
+        # residual changes fastest with the normal
+        rng = np.random.default_rng(4242)
+        agreed = 0
+        for _ in range(100):
+            cons = make(rng)
+            ded = solve(cons).planes
+            res = grid_oracle(cons)
+            agreed += res.count == len(ded)
+            for plane in res.planes:
+                assert min((plane_gap(plane, q) for q in ded), default=np.inf) < 1e-6
+        assert agreed >= 98
+
+    def test_window_filters_the_output(self):
+        rng = np.random.default_rng(4243)
+        scenes = [make(rng) for _, make, _ in WORKED_KINDS for _ in range(5)]
+        kept = dropped = 0
+        for cons in scenes:
+            full = grid_oracle(cons).clusters
+            for w in (0.5, 2.0, 3.0 * payload_radius(cons)):
+                windowed = grid_oracle(cons, window=w).clusters
+                assert windowed == tuple(pr for pr in full if abs(pr[0].offset) <= w + 1e-6)
+                kept += len(windowed)
+                dropped += len(full) - len(windowed)
+        assert kept > 0 and dropped > 0
 
 
 class TestLatticeBounds:
