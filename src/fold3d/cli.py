@@ -63,8 +63,9 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     add_common(p_solve)
     p_solve.add_argument("--spec", help="operation spec like I1, I5+I6, 3I6 "
                          "(default: derived from the scene constraints)")
-    p_solve.add_argument("--seed-lattice", help="multistart lattice, e.g. 14x28x18 "
-                         "(generic solver) or a single count per axis")
+    p_solve.add_argument("--seed-lattice", help="generic solver's normal scan, e.g. "
+                         "14x28x18 (theta x phi x offset counts; the offset count is "
+                         "checked but unused) or a single count per axis")
 
     p_enum = sub.add_parser("enumerate", help="list the valid fold operations")
     p_enum.add_argument("--json", action="store_true")

@@ -26,7 +26,7 @@ TOL_ALGEBRAIC = 1e-12
 
 _SIGN_EPS = 1e-12
 
-# A normal whose norm is this close to 1 is not renormalised.
+# A normal or line direction whose norm is this close to 1 is not renormalised.
 _UNIT_SLACK = 4.0 * np.finfo(float).eps
 
 
@@ -92,10 +92,17 @@ class Line3:
     dir: tuple[float, float, float]
 
     def __post_init__(self):
-        d = _unit(np.asarray(self.dir, dtype=float), "line direction")
+        # a unit direction and a base perpendicular to it are kept as given;
+        # one projection of a base far along d can leave b . d above rounding
+        d = np.asarray(self.dir, dtype=float)
+        if not abs(float(np.linalg.norm(d)) - 1.0) <= _UNIT_SLACK:
+            d = _unit(d, "line direction")
         d = d * _canonical_sign(d)
         b = self.base.xyz if isinstance(self.base, Point3) else _vec(self.base)
-        b = b - (b @ d) * d
+        for _ in range(3):
+            if abs(b @ d) <= _UNIT_SLACK * float(np.linalg.norm(b)):
+                break
+            b = b - (b @ d) * d
         object.__setattr__(self, "base", Point3(*b))
         object.__setattr__(self, "dir", (float(d[0]), float(d[1]), float(d[2])))
 

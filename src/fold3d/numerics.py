@@ -1,12 +1,14 @@
-"""Root-finding primitives and the brute-force fold-plane oracle.
+"""Root-finding primitives, the fold-plane search and the brute-force oracle.
 
-The oracle scans a theta/phi grid of candidate fold-plane normals, takes
-for each the offset d that best satisfies the constraints (the residual
-components are affine in d, so it has a closed form), refines every
-promising normal with damped Gauss-Newton on the smooth signed residual
-components in (theta, phi, d), and clusters the converged planes.  It sees
-planes at any offset and is deliberately independent of the closed-form
-solvers, so it can serve as ground truth for solution counting.
+The search (normal_scan, newton_multistart, verified_planes) scans a
+theta/phi grid of candidate fold-plane normals, takes for each the offset
+d that best satisfies the constraints (the residual components are affine
+in d, so it has a closed form), refines every promising normal with damped
+Gauss-Newton on the smooth signed residual components in (theta, phi, d),
+and clusters the converged planes.  It sees planes at any offset.  The
+generic solver and the oracle both run it; the oracle is deliberately
+independent of the closed-form solvers, so it can serve as ground truth
+for solution counting.
 """
 
 from __future__ import annotations
@@ -344,8 +346,8 @@ def params_to_planes(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     th, ph, dd = p[:, 0], p[:, 1], p[:, 2]
     st = np.sin(th)
     columns = st * np.cos(ph), st * np.sin(ph), np.cos(th)
-    # allocated after its columns, as np.stack does: allocated first, it
-    # raises the peak memory of a full lattice scan by about 2 MB
+    # allocated after its columns, as np.stack does, which keeps the peak
+    # memory of a large batch down
     normals = np.empty((p.shape[0], 3))
     normals[:, 0], normals[:, 1], normals[:, 2] = columns
     return normals, dd
@@ -354,40 +356,6 @@ def params_to_planes(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def plane_from_params(theta: float, phi: float, d: float) -> Plane3:
     n, o = params_to_planes(np.array([[theta, phi, d]]))
     return Plane3(tuple(n[0]), float(o[0]))
-
-
-# Largest (theta, phi, d) lattice lattice_scan builds, e.g. 256 x 256 x 64.
-# Its arrays take (3 + 3 + 1 + 1) * 8 = 64 B per plane (parameters, normals,
-# offsets, summed residual), about 268 MB at the cap.
-MAX_LATTICE_PLANES = 2**22
-
-
-def lattice_scan(constraints, counts, window: float):
-    """Summed scalar residual of the constraints over a lattice of planes.
-
-    counts = (n_theta, n_phi, n_d): theta at the cell centres of [0, pi],
-    phi from 0 in steps of 2 pi / n_phi, d evenly spaced over [-window,
-    window].  Returns the three axes, the (n, 3) (theta, phi, d) parameters
-    in C order, and the residuals shaped like the lattice.  Raises
-    DegenerateInput for a count below 1 or a lattice of more than
-    MAX_LATTICE_PLANES planes.
-    """
-    nth, nph, nd = counts
-    shape = f"{nth}x{nph}x{nd}"
-    if min(counts) < 1:
-        raise DegenerateInput(f"lattice counts must be at least 1, not {shape}")
-    if nth * nph * nd > MAX_LATTICE_PLANES:
-        raise DegenerateInput(
-            f"a {shape} lattice exceeds the cap of {MAX_LATTICE_PLANES} planes"
-        )
-    thetas = (np.arange(nth) + 0.5) * math.pi / nth
-    phis = np.arange(nph) * 2.0 * math.pi / nph
-    offs = np.linspace(-window, window, nd)
-    grid = np.stack(np.meshgrid(thetas, phis, offs, indexing="ij"), axis=-1)
-    params = grid.reshape(-1, 3)
-    normals, offsets = params_to_planes(params)
-    vals = stacked_residual_grid(constraints, normals, offsets)
-    return (thetas, phis, offs), params, vals.reshape(nth, nph, nd)
 
 
 def _stacked_components(cons, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -406,6 +374,82 @@ def stacked_components_fn(constraints):
     return fn
 
 
+def normal_scan(
+    constraints, n_theta: int, n_phi: int, coarse_threshold=None, valley_floors=False
+):
+    """Newton seeds (theta, phi, d*) from an n_theta x n_phi grid of
+    fold-plane normals (theta at the cell centres of [0, pi], phi wrapping),
+    and their scores, in grid order.
+
+    Every signed residual component is affine in the offset d once the
+    normal n is fixed: A(n) + d B(n), read exactly at d = 0 and d = 1.  So
+    each normal's best offset is d*(n) = -A.B / B.B (variable projection)
+    and no window bounds the search; normals with B.B <= 1e-12 max B.B,
+    whose offset is not determined, are skipped.  The score is the summed
+    scalar residual at (n, d*) times (r + 1) / (r + |d*| + 1), r the payload
+    radius, so far planes, whose residual changes fast with the angle, are
+    not lost.  The seeds are the 2-D local minima of the score below
+    coarse_threshold (default 3 (r + 1) pi / n_theta) and their four grid
+    neighbours.  With valley_floors, every cell below coarse_threshold that
+    is a minimum along theta or along phi is a seed too: a plane whose score
+    valley slopes down to another solution has no 2-D minimum next to it.
+    """
+    cons = tuple(constraints)
+    radius = payload_radius(cons)
+    thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    normals, _ = params_to_planes(np.stack([th, ph, np.zeros_like(th)], axis=1))
+    a = _stacked_components(cons, normals, np.zeros_like(th))
+    b = _stacked_components(cons, normals, np.ones_like(th)) - a
+    bb = np.einsum("ij,ij->i", b, b)
+    valid = bb > 1e-12 * bb.max()
+    dstar = np.zeros_like(th)
+    dstar[valid] = -np.einsum("ij,ij->i", a[valid], b[valid]) / bb[valid]
+    score = np.full_like(th, np.inf)
+    score[valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
+        (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
+    )
+    if coarse_threshold is None:
+        coarse_threshold = 3.0 * (radius + 1.0) * math.pi / n_theta
+    # local minima: theta neighbours beyond the poles count as +inf, phi wraps
+    s = score.reshape(n_theta, n_phi)
+    padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
+    low = s < coarse_threshold
+    along_theta = (s <= padded[:-2]) & (s <= padded[2:])
+    along_phi = (s <= np.roll(s, 1, axis=1)) & (s <= np.roll(s, -1, axis=1))
+    i, j = np.nonzero(low & along_theta & along_phi)
+    last = n_theta - 1
+    rows = [i, np.minimum(i + 1, last), np.maximum(i - 1, 0), i, i]
+    cols = [j, j, j, (j + 1) % n_phi, (j - 1) % n_phi]
+    if valley_floors:
+        i, j = np.nonzero(low & (along_theta | along_phi))
+        rows.append(i)
+        cols.append(j)
+    cells = np.unique(np.concatenate(rows) * n_phi + np.concatenate(cols))
+    cells = cells[valid[cells]]
+    return np.stack([th[cells], ph[cells], dstar[cells]], axis=1), score[cells]
+
+
+def verified_planes(
+    constraints, roots, refine_tol: float, cluster_tol: float, window: float | None = None
+) -> list[tuple[Plane3, float]]:
+    """The (plane, summed scalar residual) pairs of (theta, phi, d) roots
+    whose residual is below refine_tol, clustered with the fold-plane dedup
+    metric (plane_gap) within cluster_tol, best residual first.  A given
+    window keeps only planes with |offset| <= window + cluster_tol."""
+    planes = [plane_from_params(*root) for root in roots]
+    found = [(p, stacked_residual(constraints, p)) for p in planes]
+    found = sorted((pr for pr in found if pr[1] < refine_tol), key=lambda pr: pr[1])
+    clusters: list[tuple[Plane3, float]] = []
+    for plane, res in found:
+        if all(plane_gap(plane, q) > cluster_tol for q, _ in clusters):
+            clusters.append((plane, res))
+    if window is not None:
+        clusters = [pr for pr in clusters if abs(pr[0].offset) <= window + cluster_tol]
+    return clusters
+
+
 # Largest resolution the oracle scans: 256 x 256 normals.
 MAX_ORACLE_RESOLUTION = 256
 
@@ -422,27 +466,14 @@ def grid_oracle(
 ) -> OracleResult:
     """Exhaustive scan over fold-plane normals with local refinement.
 
-    Normals lie on a theta/phi grid of resolution x resolution points (theta
-    at the cell centres of [0, pi], phi wrapping).  Every signed residual
-    component is affine in the offset d once the normal n is fixed, so the
-    stacked components are A(n) + d B(n), both read exactly from the
-    components at d = 0 and d = 1, and the best offset of each normal is
-    d*(n) = -A.B / B.B (variable projection): no offset window bounds the
-    search.  Normals with B.B <= 1e-12 max B.B, where the offset is not
-    determined, are skipped.  Each normal scores its summed scalar residual
-    at (n, d*), scaled by (r + 1) / (r + |d*| + 1) with r the payload
-    radius, so that far planes, whose residual changes fast with the
-    angle, are not lost.  Every 2-D local minimum of the score below
-    coarse_threshold (default 3 (r + 1) pi / resolution), with its four
-    grid neighbours, seeds a Gauss-Newton refinement at (theta, phi, d*);
-    converged planes below refine_tol are clustered with the fold-plane
-    dedup metric.
-
-    n_offsets no longer shapes the scan; it is kept for callers and still
-    rejected below 1.  window=None (the default) keeps planes at every
-    offset; a given window keeps only those with |offset| <= window +
-    cluster_tol.  Raises DegenerateInput, with "lattice" in its message,
-    for a resolution outside 1..MAX_ORACLE_RESOLUTION or n_offsets below 1.
+    normal_scan seeds Gauss-Newton from resolution x resolution normals at
+    their best offsets (coarse_threshold bounds the seeding score), and
+    verified_planes keeps the converged planes below refine_tol, clustered
+    within cluster_tol, at every offset or, given a window, those with
+    |offset| <= window + cluster_tol.  n_offsets no longer shapes the scan;
+    it is kept for callers.  Raises DegenerateInput, with "lattice" in its
+    message, for a resolution outside 1..MAX_ORACLE_RESOLUTION or n_offsets
+    below 1.
     """
     cons = tuple(constraints)
     if not cons:
@@ -459,62 +490,15 @@ def grid_oracle(
         )
     if n_offsets < 1:
         raise DegenerateInput(f"lattice counts must be at least 1, not n_offsets={n_offsets}")
-    radius = payload_radius(cons)
-    thetas = (np.arange(resolution) + 0.5) * math.pi / resolution
-    phis = np.arange(resolution) * 2.0 * math.pi / resolution
-    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    normals, _ = params_to_planes(np.stack([th, ph, np.zeros_like(th)], axis=1))
-    a = _stacked_components(cons, normals, np.zeros_like(th))
-    b = _stacked_components(cons, normals, np.ones_like(th)) - a
-    bb = np.einsum("ij,ij->i", b, b)
-    valid = bb > 1e-12 * bb.max()
-    dstar = np.zeros_like(th)
-    dstar[valid] = -np.einsum("ij,ij->i", a[valid], b[valid]) / bb[valid]
-    score = np.full_like(th, np.inf)
-    score[valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
-        (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
-    )
-    if coarse_threshold is None:
-        coarse_threshold = 3.0 * (radius + 1.0) * math.pi / resolution
-    # 2-D local minima: theta neighbours beyond the poles count as +inf,
-    # phi wraps
-    s = score.reshape(resolution, resolution)
-    padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
-    minima = (
-        (s < coarse_threshold)
-        & (s <= padded[:-2])
-        & (s <= padded[2:])
-        & (s <= np.roll(s, 1, axis=1))
-        & (s <= np.roll(s, -1, axis=1))
-    )
-    i, j = np.nonzero(minima)
-    last = resolution - 1
-    rows = np.concatenate([i, np.minimum(i + 1, last), np.maximum(i - 1, 0), i, i])
-    cols = np.concatenate([j, j, j, (j + 1) % resolution, (j - 1) % resolution])
-    cells = np.unique(rows * resolution + cols)
-    cells = cells[valid[cells]]
-    if cells.size == 0:
-        return OracleResult((), resolution, max_iter)
+    seeds, _ = normal_scan(cons, resolution, resolution, coarse_threshold)
     roots = newton_multistart(
         stacked_components_fn(cons),
-        np.stack([th[cells], ph[cells], dstar[cells]], axis=1),
+        seeds,
         tol=1e-10,
         max_iter=max_iter,
         cluster_tol=cluster_tol,
         vectorized=True,
     )
-    clusters: list[tuple[Plane3, float]] = []
-    found: list[tuple[Plane3, float]] = []
-    for root in roots:
-        plane = plane_from_params(*root)
-        res = stacked_residual(cons, plane)
-        if res < refine_tol:
-            found.append((plane, res))
-    found.sort(key=lambda pr: pr[1])
-    for plane, res in found:
-        if all(plane_gap(plane, q) > cluster_tol for q, _ in clusters):
-            clusters.append((plane, res))
-    if window is not None:
-        clusters = [pr for pr in clusters if abs(pr[0].offset) <= window + cluster_tol]
+    clusters = verified_planes(cons, roots, refine_tol, cluster_tol, window)
     clusters.sort(key=lambda pr: (*pr[0].normal, pr[0].offset))
     return OracleResult(tuple(clusters), resolution, max_iter)

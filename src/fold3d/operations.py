@@ -12,8 +12,8 @@ Four worked operations get dedicated, exhaustive solvers: closed forms for
 I5+I6, I5+I9 and I6+I8+I11, and elimination for 3I6, whose two remaining
 conditions are plane cubics meeting in at most 7 finite points (the
 resultant's degree; two of the 9 Bezout points are the circular points at
-infinity).  Everything else runs through the generic
-lattice-plus-Gauss-Newton search over fold-plane space.
+infinity).  Everything else runs through the generic search: a scan of
+fold-plane normals, each at its best offset, seeding Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ from .constraints import (
     FoldSolution,
     IncidenceKind,
     SolutionFamily,
-    payload_radius,
     residual,
     solve_I1,
     solve_I2,
     solve_I4,
     solve_I12,
-    stacked_residual,
 )
 from .envelopes import family_I5
 from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
@@ -54,12 +52,13 @@ from .geometry import (
     points_equal,
 )
 from .numerics import (
-    lattice_scan,
+    MAX_ORACLE_RESOLUTION,
     newton_multistart,
-    plane_from_params,
+    normal_scan,
     real_roots_cubic,
     real_roots_quadratic,
     stacked_components_fn,
+    verified_planes,
 )
 
 _CODIM_1, _CODIM_2, _CODIM_3 = (
@@ -526,6 +525,12 @@ def _checked_spec(cons: Sequence[Constraint]) -> OperationSpec:
     return spec
 
 
+# Caps on solve_generic's lattice counts.  No lattice is built: the first two
+# counts shape its normal scan (about 350 B per normal, 23 MB at the cap).
+MAX_LATTICE_PLANES = 2**22
+MAX_SCAN_NORMALS = MAX_ORACLE_RESOLUTION**2
+
+
 def solve_generic(
     constraints: Sequence[Constraint],
     tol: float = 1e-8,
@@ -536,32 +541,35 @@ def solve_generic(
     max_iter: int = 80,
 ) -> FoldSolution:
     """Numeric solver for any valid operation: multistart Gauss-Newton over
-    the (theta, phi, d) fold-plane parameters, seeded from a deterministic
-    lattice.  The result is flagged possibly incomplete: a numeric search
+    the (theta, phi, d) fold-plane parameters, seeded by numerics.normal_scan
+    over lattice[0] x lattice[1] normals, valley floors included (at most
+    refine_count seeds, lowest score first).  numerics.verified_planes keeps
+    the planes below tol, clustered within 1e-7 best residual first, and only
+    then applies the window, |offset| <= window + 1e-7, so a windowed result
+    is the full one filtered.  Flagged possibly incomplete: a numeric search
     proves existence, never exhaustiveness.  Raises DegenerateInput for a
-    refine_count or lattice count below 1 or a lattice above
-    numerics.MAX_LATTICE_PLANES.
+    refine_count or lattice count below 1 or a lattice over either cap.
     """
     cons = tuple(constraints)
     _checked_spec(cons)
     if refine_count < 1:
         raise DegenerateInput(f"refine_count must be at least 1, not {refine_count}")
-    w = window if window is not None else 3.0 * payload_radius(cons)
-    _, params, vals = lattice_scan(cons, lattice, w)
-    starts = params[np.argsort(vals.ravel(), kind="stable")[:refine_count]]
+    too_big = math.prod(lattice) > MAX_LATTICE_PLANES or lattice[0] * lattice[1] > MAX_SCAN_NORMALS
+    if min(lattice) < 1 or too_big:
+        raise DegenerateInput(
+            f"lattice counts must be at least 1, with a product of at most {MAX_LATTICE_PLANES} "
+            f"and at most {MAX_SCAN_NORMALS} normals, not {'x'.join(map(str, lattice))}"
+        )
+    seeds, scores = normal_scan(cons, lattice[0], lattice[1], valley_floors=True)
     roots = newton_multistart(
         stacked_components_fn(cons),
-        starts,
+        seeds[np.argsort(scores, kind="stable")[:refine_count]],
         tol=newton_tol,
         max_iter=max_iter,
         cluster_tol=1e-7,
         vectorized=True,
     )
-    planes = []
-    for root in roots:
-        plane = plane_from_params(*root)
-        if stacked_residual(cons, plane) < tol:
-            planes.append(plane)
+    planes = [plane for plane, _ in verified_planes(cons, roots, tol, 1e-7, window)]
     return FoldSolution.finite(planes, possibly_incomplete=True, provenance="generic")
 
 

@@ -14,10 +14,9 @@ Scene schema::
     }
 
 Numbers are written back with ``repr`` (17 significant digits), so a
-load/write/load round trip gives points and planes back bit for bit
-(``Plane3`` keeps a normal that is already unit).  Lines are rebuilt on
-load: ``Line3`` renormalises its direction and re-projects its base point,
-so their coefficients can move by a few units in the last place.
+load/write/load round trip gives points, lines and planes back bit for bit
+(``Plane3`` keeps a normal that is already unit, ``Line3`` such a direction
+and a base point already perpendicular to it).
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ def generic_specs() -> list[OperationSpec]:
 
 def generic_newton_args(cons) -> tuple[tuple, dict]:
     """The arguments solve_generic passes to newton_multistart for cons:
-    the residual, its lattice seeds and the options."""
+    the residual, its normal-scan seeds and the options."""
     calls = []
 
     def record(*args, **kwargs):

@@ -84,6 +84,30 @@ class TestPrimitives:
             again.append((*pl2.normal, pl2.offset))
         assert np.array(first).tobytes() == np.array(again).tobytes()
 
+    def test_line_rebuild_is_bitwise_identical(self):
+        # neither renormalising a unit direction nor re-projecting a base
+        # already perpendicular to it may move a rebuilt line's last bits
+        rng = np.random.default_rng(1)
+        first, again = [], []
+        scales = rng.choice([1e-3, 1.0, 1e3], size=50000)
+        for p, d, s in zip(rng.normal(size=(50000, 3)), rng.normal(size=(50000, 3)), scales):
+            ln = Line3(Point3(*(s * p)), tuple(d))
+            first.append((*ln.base.xyz, *ln.dir))
+            ln2 = Line3(ln.base, ln.dir)
+            again.append((*ln2.base.xyz, *ln2.dir))
+        assert np.array(first).tobytes() == np.array(again).tobytes()
+
+    def test_line_base_is_projected_and_direction_normalised(self):
+        ln = Line3(Point3(1.0, 2.0, 3.0), (0.0, 0.0, 2.0))
+        assert ln.dir == (0.0, 0.0, 1.0)
+        assert ln.base == Point3(1.0, 2.0, 0.0)
+        # a base far along the direction leaves, after one projection, a
+        # component at the rounding of the old base; it is projected again
+        d = np.array([0.36, 0.48, 0.8])
+        far = Line3(Point3(*(1e6 * d + np.array([0.8, 0.0, -0.36]))), tuple(d))
+        b = far.base.xyz
+        assert abs(b @ far.direction) <= 4 * np.finfo(float).eps * np.linalg.norm(b)
+
     def test_plane_normal_off_unit_is_renormalised(self):
         for scale in (2.0, 1.0 + 1e-9, 1.0 - 1e-12):
             pl = Plane3((0.0, 0.6 * scale, 0.8 * scale), 1.0)

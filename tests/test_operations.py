@@ -1,10 +1,13 @@
 """Fold operations: enumeration, dedicated solvers, dispatch, generic search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from fold3d import (
     Constraint,
+    DegenerateInput,
     IllPosed,
     IncidenceKind,
     InvalidOperation,
@@ -32,6 +35,8 @@ from fold3d import (
 )
 from helpers import (
     SystemInstance3I6,
+    generic_newton_args,
+    generic_specs,
     instance_3i6,
     instance_i5_i6,
     instance_i5_i9,
@@ -462,6 +467,87 @@ class TestSolveGeneric:
     def test_under_constrained_rejected(self):
         with pytest.raises(InvalidOperation):
             solve_generic([Constraint.I6(P_C, PI_C)])
+
+
+class TestGenericNormalScan:
+    """solve_generic seeds from a scan of normals, each at its best offset."""
+
+    # an I3+2I6 scene whose one fold plane lies about 41 payload radii out,
+    # far beyond the old offset lattice of three radii
+    FAR = [
+        Constraint.I3(Line3(Point3(-1.4, -1.4, 0.5), (1, -1, 0)),
+                      Line3(Point3(0.8, -0.8, -0.6), (1, 1, 0))),
+        Constraint.I6(Point3(-1.6, -1.0, 2.0), Plane3((0.4, -0.1, -0.9), 1.7)),
+        Constraint.I6(Point3(-1.2, -1.8, 1.4), Plane3((0.7, -0.2, -0.7), -0.4)),
+    ]
+
+    def test_far_plane_found(self):
+        from fold3d.constraints import payload_radius
+
+        (far,) = solve_generic(self.FAR).planes
+        assert abs(far.offset) > 30.0 * payload_radius(self.FAR)
+        assert stacked_residual(self.FAR, far) < 1e-8
+
+    # an I3+2I6 scene whose plane at 0.16 radii lies on a score valley that
+    # slopes down to another solution: no 2-D minimum of the 14 x 28 scan is
+    # next to it, but a minimum along one axis is
+    VALLEY = [
+        Constraint.I3(Line3(Point3(0.98, -0.68, 1.26), (0.4, -0.63, -0.66)),
+                      Line3(Point3(-2.01, 1.34, -0.69), (0.52, 0.84, 0.13))),
+        Constraint.I6(Point3(1.33, 0.48, 1.8), Plane3((0.08, -0.4, 0.91), -0.93)),
+        Constraint.I6(Point3(1.05, 1.19, -0.19), Plane3((0.79, -0.6, 0.09), -0.63)),
+    ]
+
+    def test_valley_floor_plane_found(self):
+        from fold3d.constraints import payload_radius
+
+        planes = solve_generic(self.VALLEY).planes
+        assert len(planes) == 3
+        near = min(planes, key=lambda p: abs(p.offset))
+        assert abs(near.offset) < 0.2 * payload_radius(self.VALLEY)
+        assert stacked_residual(self.VALLEY, near) < 1e-8
+
+    @pytest.mark.parametrize("lattice", [(2048, 2048, 1), (257, 256, 1)])
+    def test_normal_count_bounded(self, lattice):
+        with pytest.raises(DegenerateInput, match="lattice"):
+            solve_generic(self.FAR, lattice=lattice)
+
+    def test_no_two_planes_within_cluster_tol(self):
+        rng = np.random.default_rng(707)
+        found = 0
+        for spec in generic_specs():
+            for _ in range(2):
+                planes = solve_generic([random_payload(rng, k) for k in spec.kinds]).planes
+                found += len(planes)
+                for i, p in enumerate(planes):
+                    assert all(plane_gap(p, q) > 1e-7 for q in planes[i + 1:]), spec
+        assert found > 50
+
+    def test_window_filters_the_output(self):
+        rng = np.random.default_rng(708)
+        kept = dropped = 0
+        for spec in generic_specs()[::2]:
+            cons = [random_payload(rng, k) for k in spec.kinds]
+            full = solve_generic(cons).planes
+            for w in (0.5, 2.0):
+                windowed = solve_generic(cons, window=w).planes
+                assert windowed == tuple(p for p in full if abs(p.offset) <= w + 1e-7)
+                kept += len(windowed)
+                dropped += len(full) - len(windowed)
+        assert kept > 0 and dropped > 0
+
+    def test_refine_count_keeps_the_lowest_scores(self):
+        from fold3d.numerics import normal_scan
+
+        seeds, scores = normal_scan(self.FAR, 14, 28, valley_floors=True)
+        (_, all_seeds), _ = generic_newton_args(self.FAR)
+        assert len(all_seeds) == len(seeds) > 4
+        calls = []
+        with mock.patch("fold3d.operations.newton_multistart",
+                        lambda *args, **kwargs: calls.append(args[1]) or []):
+            solve_generic(self.FAR, refine_count=4)
+        kept = [np.flatnonzero((seeds == seed).all(axis=1))[0] for seed in calls[0]]
+        assert np.array_equal(np.sort(scores[kept]), np.sort(scores)[:4])
 
 
 class TestSolveOperation:

@@ -22,7 +22,7 @@ from fold3d import (
 )
 from fold3d.cli import main
 from fold3d.scene import ResultDocument
-from helpers import random_payload
+from helpers import random_line, random_payload
 
 I1_SCENE = """
 {
@@ -219,6 +219,24 @@ class TestSceneAllKinds:
                     assert lines_setwise_equal(obj2, obj, 1e-12)
                 else:
                     assert obj1 == obj and obj2 == obj
+
+    @pytest.mark.parametrize("seed", range(13, 23))
+    def test_lines_round_trip_bit_for_bit(self, seed):
+        # Line3 keeps a unit direction and a base already perpendicular to
+        # it, so lines come back exactly too, through a load and through a
+        # write-and-load
+        rng = np.random.default_rng(seed)
+        lines = [random_line(rng) for _ in range(50)]
+        data = {
+            "lines": {f"m{i}": {"point": list(m.base.xyz), "dir": list(m.dir)}
+                      for i, m in enumerate(lines)},
+            "constraints": [{"type": "I9", "args": {"line": f"m{i}"}} for i in range(50)],
+        }
+        scene = load_scene(json.dumps(data))
+        again = load_scene(write_scene(scene))
+        for m, sc, sc2 in zip(lines, scene.constraints, again.constraints, strict=True):
+            (m1,), (m2,) = sc.constraint.objects, sc2.constraint.objects
+            assert m1 == m and m2 == m
 
 
 class TestResultDocument:
@@ -451,6 +469,12 @@ class TestCli:
     def test_lattice_counts_bounded(self, tmp_path, capsys, command, extra):
         path = _write(tmp_path, "s.json", I5_I8_SCENE)
         assert main([command, path, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lattice" in err
+
+    def test_seed_lattice_normal_count_bounded(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", I5_I8_SCENE)
+        assert main(["solve", path, "--seed-lattice", "2048x2048x1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lattice" in err
 
