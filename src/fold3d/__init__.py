@@ -9,13 +9,10 @@ for independent solution counting.
 
 from .constraints import (
     Constraint,
-    FamilyParam,
     FoldSolution,
     IncidenceKind,
     Outcome,
-    SolutionFamily,
     codimension,
-    family,
     residual,
     residual_grid,
     solve_I1,
@@ -26,12 +23,14 @@ from .constraints import (
 )
 from .envelopes import (
     EnvelopeReport,
+    FamilyParam,
     PlaneFamily,
     Quadric,
     envelope_I3,
     envelope_I5,
     envelope_I6,
     envelope_I7,
+    family,
     family_I3,
     family_I5,
     family_I6,

@@ -20,14 +20,14 @@ I3 is the exception: its one component, the coplanarity triple product,
 also vanishes for a reflected line parallel to the target, so it cannot
 give the skew-line gap, and the row computes that scalar itself.  Root
 filters recheck the scalar.  The finite kinds I1/I2/I4/I12 have direct
-solvers and I8..I11 parameterized solution families.
+solvers; the families of the infinite kinds are in ``envelopes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -41,12 +41,14 @@ from .geometry import (
     LinePlaneRelation,
     line_line_closest,
     lines_setwise_equal,
-    perp_unit,
     perpendicular_bisector_plane,
     plane_gap,
     planes_setwise_equal,
     points_equal,
 )
+
+if TYPE_CHECKING:
+    from .envelopes import PlaneFamily
 
 _DEDUP_TOL = 1e-6
 
@@ -487,31 +489,6 @@ def payload_radius(constraints) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyParam:
-    """A named free parameter with its default sampling range."""
-
-    name: str
-    low: float
-    high: float
-
-
-@dataclass(frozen=True)
-class SolutionFamily:
-    """A continuum of fold planes parameterized by 1 or 2 free parameters."""
-
-    dimension: int
-    parameters: tuple[FamilyParam, ...]
-    build: Callable[..., Plane3] = field(repr=False)
-
-    def plane(self, *values: float) -> Plane3:
-        if len(values) != self.dimension:
-            raise InvalidConstraint(
-                f"family takes {self.dimension} parameters, got {len(values)}"
-            )
-        return self.build(*values)
-
-
 class Outcome(str, Enum):
     FINITE = "finite"
     INFINITE = "infinite"
@@ -528,7 +505,7 @@ class FoldSolution:
 
     outcome: Outcome
     planes: tuple[Plane3, ...] = ()
-    family: SolutionFamily | None = None
+    family: PlaneFamily | None = None
     possibly_incomplete: bool = False
     provenance: str = "dedicated"
 
@@ -551,7 +528,7 @@ class FoldSolution:
 
     @classmethod
     def infinite(
-        cls, family: SolutionFamily, provenance: str = "dedicated"
+        cls, family: PlaneFamily, provenance: str = "dedicated"
     ) -> "FoldSolution":
         return cls(Outcome.INFINITE, (), family, False, provenance)
 
@@ -627,66 +604,3 @@ def solve_I4(pi: Plane3, tau: Plane3, tol: float = TOL_INCIDENCE) -> FoldSolutio
 def solve_I12(pi: Plane3) -> FoldSolution:
     """The fold plane fixing pi pointwise is pi itself."""
     return FoldSolution.finite([pi])
-
-
-# ---------------------------------------------------------------------------
-# Families for the infinite kinds
-# ---------------------------------------------------------------------------
-
-
-def family(c: Constraint) -> SolutionFamily:
-    """Parameterized family of all fold planes satisfying an infinite kind."""
-    k = c.kind
-    if k is IncidenceKind.I8:
-        (p,) = c.objects
-
-        def build_i8(theta: float, phi: float) -> Plane3:
-            n = np.array(
-                [
-                    np.sin(theta) * np.cos(phi),
-                    np.sin(theta) * np.sin(phi),
-                    np.cos(theta),
-                ]
-            )
-            return Plane3.from_point_normal(p, n)
-
-        return SolutionFamily(
-            2,
-            (FamilyParam("theta", 0.0, np.pi), FamilyParam("phi", 0.0, 2 * np.pi)),
-            build_i8,
-        )
-    if k is IncidenceKind.I9:
-        (m,) = c.objects
-
-        def build_i9(s: float) -> Plane3:
-            return Plane3.from_point_normal(m.point_at(s), m.direction)
-
-        return SolutionFamily(1, (FamilyParam("s", -10.0, 10.0),), build_i9)
-    if k is IncidenceKind.I10:
-        (m,) = c.objects
-        u = perp_unit(m.direction)
-        v = np.cross(m.direction, u)
-
-        def build_i10(phi: float) -> Plane3:
-            n = np.cos(phi) * u + np.sin(phi) * v
-            return Plane3.from_point_normal(m.base, n)
-
-        return SolutionFamily(1, (FamilyParam("phi", 0.0, np.pi),), build_i10)
-    if k is IncidenceKind.I11:
-        (pi,) = c.objects
-        u = perp_unit(pi.normal_vec)
-        v = np.cross(pi.normal_vec, u)
-
-        def build_i11(delta: float, offset: float) -> Plane3:
-            n = np.cos(delta) * u + np.sin(delta) * v
-            return Plane3(tuple(n), offset)
-
-        return SolutionFamily(
-            2,
-            (FamilyParam("delta", 0.0, np.pi), FamilyParam("k", -10.0, 10.0)),
-            build_i11,
-        )
-    raise InvalidConstraint(
-        f"{k.value} has no solution family; only I8, I9, I10, I11 are "
-        "infinite single-incidence kinds"
-    )

@@ -1,10 +1,13 @@
-"""Parameterized fold-plane families for the tangency incidences (I3, I5,
-I6, I7) and their envelope quadrics.
+"""Parameterized fold-plane families of the infinite incidence kinds (I3,
+I5, I6, I7 and I8..I11) and the envelope quadrics of the tangency ones.
 
-Each family is written in a canonical frame where the moved object and its
-target sit symmetrically about the origin on the z-axis with half-gap ``a``
-(the crossing line/plane case is anchored at the intersection point
-instead).  The closed forms:
+Each family kind is one row of the ``_FAMILIES`` table: its parameter
+names and ranges, its raw canonical plane equation, and, for the tangency
+kinds, the contact point of a member and the raw envelope coefficients.
+``PlaneFamily`` places a row in the scene through a canonical frame where
+the moved object and its target sit symmetrically about the origin on the
+z-axis with half-gap ``a`` (the crossing line/plane case is anchored at the
+intersection point instead).  The closed forms:
 
 * point onto line      (I5): planes 2ty - 4az = t^2, envelope y^2 = 4az
   (a parabolic cylinder);
@@ -20,6 +23,16 @@ instead).  The closed forms:
   - 2yz sin(th)cos(th) - z^2 cos^2(th) = 0 (an elliptical cone); the
   parallel case gives 2kx - 4az = k^2 with envelope x^2 = 4az.
 
+The single-object kinds have no envelope.  Their frames put the point, or
+the line's base point, at the origin and the line or plane normal along +z
+(an I11 frame only turns, so its offset k is the scene offset):
+
+* fixed point          (I8): the bundle of planes through the origin, with
+  normal (sin(th) cos(ph), sin(th) sin(ph), cos(th));
+* half-line swap       (I9): the parallel planes z = s;
+* fixed line          (I10): the pencil x cos(ph) + y sin(ph) = 0;
+* half-plane swap     (I11): the planes x cos(d) + y sin(d) = k.
+
 Envelopes are built from these closed forms; ``verify_envelope_conditions``
 re-derives contact sets numerically from the family alone (the equation and
 its parameter derivatives) and checks them against the quadric, so the two
@@ -30,10 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .constraints import FamilyParam
+from .constraints import Constraint, IncidenceKind
 from .errors import DegenerateInput, InvalidConstraint, NoEnvelope, VerificationFailed
 from .geometry import (
     Line3,
@@ -49,14 +64,117 @@ from .geometry import (
     classify_line_plane,
     LinePlaneRelation,
     line_line_closest,
+    perp_unit,
 )
 
 _PARAM_RANGE = 10.0
 
 
 @dataclass(frozen=True)
+class FamilyParam:
+    """A named free parameter with its default sampling range."""
+
+    name: str
+    low: float
+    high: float
+
+
+def _free(name: str, low: float = -_PARAM_RANGE, high: float = _PARAM_RANGE) -> FamilyParam:
+    return FamilyParam(name, low, high)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One row of the plane-family table.
+
+    Each function takes the family's half-gap ``a`` and shape angle first
+    (either may be None when the row has no use for it).
+    ``equation(a, angle, *values)`` gives the raw canonical coefficients
+    (A, B, C, D) of a member, ``contact(a, angle, *values)`` the canonical
+    point where it touches the envelope and ``envelope(a, angle)`` the
+    envelope's ten raw quadric coefficients; a row without an envelope has
+    neither.
+    """
+
+    params: tuple[FamilyParam, ...]
+    equation: Callable[..., tuple[float, float, float, float]]
+    contact: Callable[..., tuple[float, float, float]] | None = None
+    envelope: Callable[[float, float], tuple[float, ...]] | None = None
+
+
+def _i3_equation(a, d, t, s):
+    return (s * math.cos(d), s * math.sin(d) - t, -2 * a, (s * s - t * t) / 2.0)
+
+
+def _i3_contact(a, d, t, s):
+    x = (s - t * math.sin(d)) / math.cos(d)
+    z = (
+        x * x * math.cos(d) ** 2
+        + 2 * x * t * math.sin(d) * math.cos(d)
+        - t * t * math.cos(d) ** 2
+    ) / (4 * a)
+    return x, t, z
+
+
+def _i3_envelope(a, d):
+    cd, sd = math.cos(d), math.sin(d)
+    return (cd * cd, -cd * cd, 0, 2 * sd * cd, 0, 0, 0, 0, -4 * a, 0)
+
+
+def _i7_equation(a, th, d):
+    return (math.cos(d), math.sin(d) - math.sin(th), -math.cos(th), 0.0)
+
+
+def _i7_contact(a, th, d):
+    """The cone ruling in the member plane, as its unit point above z = 0."""
+    v = np.cross(_i7_equation(a, th, d)[:3], [-math.sin(d), math.cos(d), 0.0])
+    v = v / np.linalg.norm(v)
+    return v if v[2] >= 0 else -v
+
+
+def _i7_envelope(a, th):
+    ct, st = math.cos(th), math.sin(th)
+    return (1, ct * ct, -ct * ct, 0, -2 * st * ct, 0, 0, 0, 0, 0)
+
+
+_FAMILIES: dict[str, _Family] = {
+    "I3": _Family((_free("t"), _free("s")), _i3_equation, _i3_contact, _i3_envelope),
+    "I3-parallel": _Family(
+        (_free("t"), _free("s")),
+        lambda a, _, t, s: (0.0, t - s, 2 * a, (t * t - s * s) / 2.0)),
+    "I5": _Family(
+        (_free("t"),),
+        lambda a, _, t: (0.0, 2 * t, -4 * a, t * t),
+        lambda a, _, t: (0.0, t, t * t / (4 * a)),
+        lambda a, _: (0, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0)),
+    "I6": _Family(
+        (_free("s"), _free("t")),
+        lambda a, _, s, t: (2 * s, 2 * t, -4 * a, s * s + t * t),
+        lambda a, _, s, t: (s, t, (s * s + t * t) / (4 * a)),
+        lambda a, _: (1, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0)),
+    "I7": _Family((_free("delta", 0.0, 2 * math.pi),), _i7_equation, _i7_contact, _i7_envelope),
+    "I7-parallel": _Family(
+        (_free("k"),),
+        lambda a, _, k: (2 * k, 0.0, -4 * a, k * k),
+        lambda a, _, k: (k, 0.0, k * k / (4 * a)),
+        lambda a, _: (1, 0, 0, 0, 0, 0, 0, 0, -4 * a, 0)),
+    "I8": _Family(
+        (_free("theta", 0.0, math.pi), _free("phi", 0.0, 2 * math.pi)),
+        lambda a, _, th, ph: (
+            math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th), 0.0)),
+    "I9": _Family((_free("s"),), lambda a, _, s: (0.0, 0.0, 1.0, s)),
+    "I10": _Family(
+        (_free("phi", 0.0, math.pi),), lambda a, _, ph: (math.cos(ph), math.sin(ph), 0.0, 0.0)),
+    "I11": _Family(
+        (_free("delta", 0.0, math.pi), _free("k")),
+        lambda a, _, d, k: (math.cos(d), math.sin(d), 0.0, k)),
+}
+
+
+@dataclass(frozen=True)
 class PlaneFamily:
-    """A 1- or 2-parameter family of candidate fold planes.
+    """A 1- or 2-parameter family of candidate fold planes: one row of
+    ``_FAMILIES`` with its shape constants, placed in the scene.
 
     ``frame`` maps scene coordinates to the canonical frame; ``equation``
     returns raw canonical coefficients (A, B, C, D) of A x + B y + C z = D,
@@ -66,47 +184,39 @@ class PlaneFamily:
 
     incidence_kind: str
     frame: RigidFrame
-    free_params: tuple[FamilyParam, ...]
     half_gap: float | None = None
     shape_angle: float | None = None
 
+    def __post_init__(self):
+        if self.incidence_kind not in _FAMILIES:
+            raise InvalidConstraint(f"unknown family kind {self.incidence_kind}")
+
+    @property
+    def _row(self) -> _Family:
+        return _FAMILIES[self.incidence_kind]
+
+    @property
+    def free_params(self) -> tuple[FamilyParam, ...]:
+        return self._row.params
+
+    parameters = free_params  # the name that readers of FoldSolution.family use
+
+    @property
+    def dimension(self) -> int:
+        return len(self.free_params)
+
+    @cached_property
+    def to_scene(self) -> RigidFrame:
+        """The inverse of frame (canonical to scene), computed once."""
+        return self.frame.inverse()
+
     def equation(self, *values: float) -> tuple[float, float, float, float]:
-        if len(values) != len(self.free_params):
+        row = self._row
+        if len(values) != len(row.params):
             raise InvalidConstraint(
-                f"family takes {len(self.free_params)} parameters, got {len(values)}"
+                f"family takes {len(row.params)} parameters, got {len(values)}"
             )
-        a = self.half_gap
-        if self.incidence_kind == "I5":
-            (t,) = values
-            return (0.0, 2 * t, -4 * a, t * t)
-        if self.incidence_kind == "I6":
-            s, t = values
-            return (2 * s, 2 * t, -4 * a, s * s + t * t)
-        if self.incidence_kind == "I3":
-            t, s = values
-            d = self.shape_angle
-            return (
-                s * math.cos(d),
-                s * math.sin(d) - t,
-                -2 * a,
-                (s * s - t * t) / 2.0,
-            )
-        if self.incidence_kind == "I3-parallel":
-            t, s = values
-            return (0.0, t - s, 2 * a, (t * t - s * s) / 2.0)
-        if self.incidence_kind == "I7":
-            (d,) = values
-            th = self.shape_angle
-            return (
-                math.cos(d),
-                math.sin(d) - math.sin(th),
-                -math.cos(th),
-                0.0,
-            )
-        if self.incidence_kind == "I7-parallel":
-            (kk,) = values
-            return (2 * kk, 0.0, -4 * a, kk * kk)
-        raise InvalidConstraint(f"unknown family kind {self.incidence_kind}")
+        return row.equation(self.half_gap, self.shape_angle, *values)
 
     def plane_canonical(self, *values: float) -> Plane3:
         a_, b_, c_, d_ = self.equation(*values)
@@ -114,7 +224,7 @@ class PlaneFamily:
 
     def plane(self, *values: float) -> Plane3:
         """Family member in scene coordinates."""
-        return self.frame.inverse().apply_plane(self.plane_canonical(*values))
+        return self.to_scene.apply_plane(self.plane_canonical(*values))
 
     def contact_point_canonical(self, *values: float) -> Point3:
         """Closed-form contact of the member plane with the envelope.
@@ -122,41 +232,19 @@ class PlaneFamily:
         For the ruled cases (I5, I7 variants) the contact is a line; the
         returned point is a representative on it.
         """
-        a = self.half_gap
-        if self.incidence_kind == "I5":
-            (t,) = values
-            return Point3(0.0, t, t * t / (4 * a))
-        if self.incidence_kind == "I6":
-            s, t = values
-            return Point3(s, t, (s * s + t * t) / (4 * a))
-        if self.incidence_kind == "I3":
-            t, s = values
-            d = self.shape_angle
-            y = t
-            x = (s - t * math.sin(d)) / math.cos(d)
-            z = (
-                x * x * math.cos(d) ** 2
-                + 2 * x * y * math.sin(d) * math.cos(d)
-                - y * y * math.cos(d) ** 2
-            ) / (4 * a)
-            return Point3(x, y, z)
-        if self.incidence_kind == "I7":
-            (d,) = values
-            th = self.shape_angle
-            n1 = np.array([math.cos(d), math.sin(d) - math.sin(th), -math.cos(th)])
-            n2 = np.array([-math.sin(d), math.cos(d), 0.0])
-            v = np.cross(n1, n2)
-            v = v / np.linalg.norm(v)
-            if v[2] < 0:
-                v = -v
-            return Point3(*v)
-        if self.incidence_kind == "I7-parallel":
-            (kk,) = values
-            return Point3(kk, 0.0, kk * kk / (4 * a))
-        raise NoEnvelope(f"{self.incidence_kind} has no envelope")
+        if self._row.contact is None:
+            raise NoEnvelope(f"the {self.incidence_kind} plane family has no envelope")
+        return Point3(*self._row.contact(self.half_gap, self.shape_angle, *values))
 
     def contact_point(self, *values: float) -> Point3:
-        return self.frame.inverse().apply_point(self.contact_point_canonical(*values))
+        return self.to_scene.apply_point(self.contact_point_canonical(*values))
+
+    def envelope(self) -> Quadric:
+        """The envelope quadric of the members; NoEnvelope for a family that
+        has none (parallel lines, and the single-object kinds I8..I11)."""
+        if self._row.envelope is None:
+            raise NoEnvelope(f"the {self.incidence_kind} plane family has no envelope")
+        return Quadric(self._row.envelope(self.half_gap, self.shape_angle), self.frame)
 
 
 @dataclass(frozen=True)
@@ -284,33 +372,21 @@ class Quadric:
 def family_I5(p: Point3, m: Line3) -> PlaneFamily:
     """Planes reflecting point p onto line m (tangents of a parabolic cylinder)."""
     frame, a = canonical_frame_point_line(p, m)
-    return PlaneFamily(
-        "I5", frame, (FamilyParam("t", -_PARAM_RANGE, _PARAM_RANGE),), half_gap=a
-    )
+    return PlaneFamily("I5", frame, half_gap=a)
 
 
 def envelope_I5(p: Point3, m: Line3) -> Quadric:
-    frame, a = canonical_frame_point_line(p, m)
-    return Quadric((0, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0), frame)
+    return family_I5(p, m).envelope()
 
 
 def family_I6(p: Point3, pi: Plane3) -> PlaneFamily:
     """Planes reflecting point p onto plane pi (tangents of a paraboloid)."""
     frame, a = canonical_frame_point_plane(p, pi)
-    return PlaneFamily(
-        "I6",
-        frame,
-        (
-            FamilyParam("s", -_PARAM_RANGE, _PARAM_RANGE),
-            FamilyParam("t", -_PARAM_RANGE, _PARAM_RANGE),
-        ),
-        half_gap=a,
-    )
+    return PlaneFamily("I6", frame, half_gap=a)
 
 
 def envelope_I6(p: Point3, pi: Plane3) -> Quadric:
-    frame, a = canonical_frame_point_plane(p, pi)
-    return Quadric((1, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0), frame)
+    return family_I6(p, pi).envelope()
 
 
 def family_I3(m: Line3, n: Line3) -> PlaneFamily:
@@ -320,32 +396,17 @@ def family_I3(m: Line3, n: Line3) -> PlaneFamily:
         raise InvalidConstraint(
             "the lines intersect; the meeting constraint needs disjoint lines"
         )
-    params = (
-        FamilyParam("t", -_PARAM_RANGE, _PARAM_RANGE),
-        FamilyParam("s", -_PARAM_RANGE, _PARAM_RANGE),
-    )
     if parallel:
         frame, a = canonical_frame_parallel_lines(m, n)
-        return PlaneFamily("I3-parallel", frame, params, half_gap=a)
+        return PlaneFamily("I3-parallel", frame, half_gap=a)
     frame, delta, a = canonical_frame_skew_lines(m, n)
-    return PlaneFamily("I3", frame, params, half_gap=a, shape_angle=delta)
+    return PlaneFamily("I3", frame, half_gap=a, shape_angle=delta)
 
 
 def envelope_I3(m: Line3, n: Line3) -> Quadric:
     """Hyperbolic-paraboloid envelope for skew lines; the parallel case has
     no envelope (the family degenerates to one effective direction)."""
-    _, _, dist, parallel = line_line_closest(m, n)
-    if dist <= 1e-10:
-        raise InvalidConstraint(
-            "the lines intersect; the meeting constraint needs disjoint lines"
-        )
-    if parallel:
-        raise NoEnvelope("parallel disjoint lines give a plane family with no envelope")
-    frame, delta, a = canonical_frame_skew_lines(m, n)
-    cd, sd = math.cos(delta), math.sin(delta)
-    return Quadric(
-        (cd * cd, -cd * cd, 0, 2 * sd * cd, 0, 0, 0, 0, -4 * a, 0), frame
-    )
+    return family_I3(m, n).envelope()
 
 
 def family_I7(m: Line3, pi: Plane3) -> PlaneFamily:
@@ -358,36 +419,45 @@ def family_I7(m: Line3, pi: Plane3) -> PlaneFamily:
         )
     if rel is LinePlaneRelation.PARALLEL_DISJOINT:
         frame, a = canonical_frame_line_plane_parallel(m, pi)
-        return PlaneFamily(
-            "I7-parallel",
-            frame,
-            (FamilyParam("k", -_PARAM_RANGE, _PARAM_RANGE),),
-            half_gap=a,
-        )
+        return PlaneFamily("I7-parallel", frame, half_gap=a)
     frame, theta = canonical_frame_line_plane_crossing(m, pi)
-    return PlaneFamily(
-        "I7",
-        frame,
-        (FamilyParam("delta", 0.0, 2 * math.pi),),
-        shape_angle=theta,
-    )
+    return PlaneFamily("I7", frame, shape_angle=theta)
 
 
 def envelope_I7(m: Line3, pi: Plane3) -> Quadric:
     """Elliptical-cone envelope (crossing case) or parabolic cylinder
     (parallel case)."""
-    rel = classify_line_plane(m, pi)
-    if rel is LinePlaneRelation.CONTAINED:
-        raise DegenerateInput(
-            "line lies in the plane; covered by the fixed-line (I10) and "
-            "half-plane swap (I11) constraints"
+    return family_I7(m, pi).envelope()
+
+
+def _axis_frame(axis, center) -> RigidFrame:
+    """Frame taking center to the origin and the unit axis to +z."""
+    u = perp_unit(axis)
+    return RigidFrame.from_axes(u, np.cross(axis, u), axis, center)
+
+
+_FAMILY_OF = {
+    IncidenceKind.I3: family_I3,
+    IncidenceKind.I5: family_I5,
+    IncidenceKind.I6: family_I6,
+    IncidenceKind.I7: family_I7,
+    IncidenceKind.I8: lambda p: PlaneFamily("I8", _axis_frame((0.0, 0.0, 1.0), p)),
+    IncidenceKind.I9: lambda m: PlaneFamily("I9", _axis_frame(m.direction, m.base)),
+    IncidenceKind.I10: lambda m: PlaneFamily("I10", _axis_frame(m.direction, m.base)),
+    IncidenceKind.I11: lambda pi: PlaneFamily("I11", _axis_frame(pi.normal_vec, np.zeros(3))),
+}
+
+
+def family(c: Constraint) -> PlaneFamily:
+    """Parameterized family of all fold planes satisfying one constraint of
+    an infinite kind (codimension 1 or 2)."""
+    build = _FAMILY_OF.get(c.kind)
+    if build is None:
+        raise InvalidConstraint(
+            f"{c.kind.value} has no solution family; only I3, I5, I6, I7 and "
+            "I8..I11 are infinite single-incidence kinds"
         )
-    if rel is LinePlaneRelation.PARALLEL_DISJOINT:
-        frame, a = canonical_frame_line_plane_parallel(m, pi)
-        return Quadric((1, 0, 0, 0, 0, 0, 0, 0, -4 * a, 0), frame)
-    frame, theta = canonical_frame_line_plane_crossing(m, pi)
-    ct, st = math.cos(theta), math.sin(theta)
-    return Quadric((1, ct * ct, -ct * ct, 0, -2 * st * ct, 0, 0, 0, 0, 0), frame)
+    return build(*c.objects)
 
 
 # ---------------------------------------------------------------------------

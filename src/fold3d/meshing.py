@@ -1,8 +1,9 @@
 """Triangulated meshes of envelope quadrics and Wavefront OBJ export.
 
-Each quadric kind is meshed in its canonical frame (where it is a graph or
-a pair of nappes) and mapped back to scene coordinates, so exported vertices
-satisfy the quadric equation to machine precision.  Tangent fold planes are
+Each envelope is meshed in its family's canonical frame, as the graph of
+z over an (x, y) grid where the quadric is linear in z and as the upper
+nappe of the I7 cone otherwise, and mapped back to scene coordinates, so
+exported vertices satisfy the quadric equation to machine precision.  Tangent fold planes are
 exported as quads centered at their contact with the envelope.
 """
 
@@ -14,17 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .envelopes import PlaneFamily, Quadric
-from .errors import NoEnvelope
+from .errors import DegenerateInput
 from .geometry import perp_unit
 
 
-def _grid_graph(extent: float, resolution: int, zfun) -> tuple[np.ndarray, list]:
-    """Vertices and triangles of z = zfun(x, y) over a square grid."""
+def _grid(extent: float, resolution: int, surface) -> tuple[np.ndarray, list]:
+    """Vertices and triangles of the points surface(x, y) over a square grid."""
     xs = np.linspace(-extent, extent, resolution)
-    ys = np.linspace(-extent, extent, resolution)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    zz = zfun(xx, yy)
-    verts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.stack([np.ravel(c) for c in surface(xx, yy)], axis=1)
     faces = []
     for i in range(resolution - 1):
         for j in range(resolution - 1):
@@ -37,47 +36,34 @@ def _grid_graph(extent: float, resolution: int, zfun) -> tuple[np.ndarray, list]
     return verts, faces
 
 
+def _cone_nappe(theta: float):
+    """Upper nappe of the I7 cone, graphed over (x, u) in the chart turned by
+    theta / 2 about the x axis."""
+    ct, c2, s2 = math.cos(theta), math.cos(theta / 2), math.sin(theta / 2)
+
+    def surface(x, u):
+        v = np.sqrt(u * u + x * x / ct)
+        return x, u * c2 + v * s2, -u * s2 + v * c2
+
+    return surface
+
+
 def quadric_mesh_canonical(
     fam: PlaneFamily, extent: float = 4.0, resolution: int = 33
 ) -> tuple[np.ndarray, list]:
-    """Canonical-frame mesh of the envelope quadric of a plane family."""
-    kind = fam.incidence_kind
-    a = fam.half_gap
-    if kind == "I5":
-        return _grid_graph(extent, resolution, lambda x, y: y * y / (4 * a))
-    if kind == "I6":
-        return _grid_graph(extent, resolution, lambda x, y: (x * x + y * y) / (4 * a))
-    if kind == "I3":
-        d = fam.shape_angle
-        cd, sd = math.cos(d), math.sin(d)
-        return _grid_graph(
-            extent,
-            resolution,
-            lambda x, y: (x * x * cd * cd + 2 * x * y * sd * cd - y * y * cd * cd)
-            / (4 * a),
-        )
-    if kind == "I7-parallel":
-        return _grid_graph(extent, resolution, lambda x, y: x * x / (4 * a))
-    if kind == "I7":
-        # upper nappe of the cone, graphed over (x, u) in the rotated chart
-        th = fam.shape_angle
-        ct = math.cos(th)
-        c2, s2 = math.cos(th / 2), math.sin(th / 2)
-        xs = np.linspace(-extent, extent, resolution)
-        us = np.linspace(-extent, extent, resolution)
-        xx, uu = np.meshgrid(xs, us, indexing="ij")
-        vv = np.sqrt(uu * uu + xx * xx / ct)
-        yy = uu * c2 + vv * s2
-        zz = -uu * s2 + vv * c2
-        verts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-        faces = []
-        for i in range(resolution - 1):
-            for j in range(resolution - 1):
-                p = i * resolution + j
-                faces.append((p, p + resolution, p + 1))
-                faces.append((p + 1, p + resolution, p + resolution + 1))
-        return verts, faces
-    raise NoEnvelope(f"{kind} has no envelope surface to mesh")
+    """Canonical-frame mesh of the envelope quadric of a plane family: its
+    graph over the (x, y) grid where the quadric is linear in z, the upper
+    nappe otherwise (the I7 cone).  Raises NoEnvelope for a family with no
+    envelope."""
+    c = fam.envelope().coeffs
+    if c[2] or c[4] or c[5]:
+        return _grid(extent, resolution, _cone_nappe(fam.shape_angle))
+
+    def graph(x, y):
+        rest = c[0] * x * x + c[1] * y * y + c[3] * x * y + c[6] * x + c[7] * y + c[9]
+        return x, y, -rest / c[8]
+
+    return _grid(extent, resolution, graph)
 
 
 def tangent_plane_quad(
@@ -128,9 +114,16 @@ def export_envelope_obj(
     tangent_count: int = 0,
 ) -> list[str]:
     """Write the envelope patch (triangulated) plus optional tangent-plane
-    quads; returns the OBJ object names."""
+    quads; returns the OBJ object names.  Raises DegenerateInput for a
+    resolution below 2, an extent that is not finite and positive, or a
+    negative tangent_count."""
+    if resolution < 2 or not (math.isfinite(extent) and extent > 0) or tangent_count < 0:
+        raise DegenerateInput(
+            f"an envelope export needs resolution >= 2, a finite extent > 0 and "
+            f"tangent_count >= 0, not {resolution}, {extent} and {tangent_count}"
+        )
     verts_c, faces = quadric_mesh_canonical(fam, extent, resolution)
-    verts = fam.frame.inverse().apply_xyz(verts_c)
+    verts = fam.to_scene.apply_xyz(verts_c)
     objects = [("envelope", verts, faces)]
     if tangent_count > 0:
         n_free = len(fam.free_params)

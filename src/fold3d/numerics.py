@@ -329,7 +329,6 @@ class OracleResult:
 
     clusters: tuple[tuple[Plane3, float], ...]
     resolution: int
-    refinement_iterations: int
 
     @property
     def count(self) -> int:
@@ -374,9 +373,7 @@ def stacked_components_fn(constraints):
     return fn
 
 
-def normal_scan(
-    constraints, n_theta: int, n_phi: int, coarse_threshold=None, valley_floors=False
-):
+def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool = False):
     """Newton seeds (theta, phi, d*) from an n_theta x n_phi grid of
     fold-plane normals (theta at the cell centres of [0, pi], phi wrapping),
     and their scores, in grid order.
@@ -388,9 +385,9 @@ def normal_scan(
     whose offset is not determined, are skipped.  The score is the summed
     scalar residual at (n, d*) times (r + 1) / (r + |d*| + 1), r the payload
     radius, so far planes, whose residual changes fast with the angle, are
-    not lost.  The seeds are the 2-D local minima of the score below
-    coarse_threshold (default 3 (r + 1) pi / n_theta) and their four grid
-    neighbours.  With valley_floors, every cell below coarse_threshold that
+    not lost.  The seeds are the 2-D local minima of the score below the
+    coarse threshold 3 (r + 1) pi / n_theta and their four grid
+    neighbours.  With valley_floors, every cell below that threshold that
     is a minimum along theta or along phi is a seed too: a plane whose score
     valley slopes down to another solution has no 2-D minimum next to it.
     """
@@ -410,12 +407,10 @@ def normal_scan(
     score[valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
         (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
     )
-    if coarse_threshold is None:
-        coarse_threshold = 3.0 * (radius + 1.0) * math.pi / n_theta
     # local minima: theta neighbours beyond the poles count as +inf, phi wraps
     s = score.reshape(n_theta, n_phi)
     padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
-    low = s < coarse_threshold
+    low = s < 3.0 * (radius + 1.0) * math.pi / n_theta
     along_theta = (s <= padded[:-2]) & (s <= padded[2:])
     along_phi = (s <= np.roll(s, 1, axis=1)) & (s <= np.roll(s, -1, axis=1))
     i, j = np.nonzero(low & along_theta & along_phi)
@@ -452,6 +447,13 @@ def verified_planes(
 
 # Largest resolution the oracle scans: 256 x 256 normals.
 MAX_ORACLE_RESOLUTION = 256
+# Newton tolerance and iteration cap of both searches (grid_oracle and
+# operations.solve_generic), and the oracle's verification and clustering
+# tolerances.
+SEARCH_NEWTON_TOL = 1e-10
+SEARCH_MAX_ITER = 80
+ORACLE_REFINE_TOL = 1e-6
+ORACLE_CLUSTER_TOL = 1e-6
 
 
 def grid_oracle(
@@ -459,21 +461,16 @@ def grid_oracle(
     resolution: int = 48,
     n_offsets: int = 64,
     window: float | None = None,
-    refine_tol: float = 1e-6,
-    cluster_tol: float = 1e-6,
-    coarse_threshold: float | None = None,
-    max_iter: int = 80,
 ) -> OracleResult:
     """Exhaustive scan over fold-plane normals with local refinement.
 
     normal_scan seeds Gauss-Newton from resolution x resolution normals at
-    their best offsets (coarse_threshold bounds the seeding score), and
-    verified_planes keeps the converged planes below refine_tol, clustered
-    within cluster_tol, at every offset or, given a window, those with
-    |offset| <= window + cluster_tol.  n_offsets no longer shapes the scan;
-    it is kept for callers.  Raises DegenerateInput, with "lattice" in its
-    message, for a resolution outside 1..MAX_ORACLE_RESOLUTION or n_offsets
-    below 1.
+    their best offsets, and verified_planes keeps the converged planes below
+    ORACLE_REFINE_TOL, clustered within ORACLE_CLUSTER_TOL, at every offset
+    or, given a window, those with |offset| <= window + ORACLE_CLUSTER_TOL.
+    n_offsets no longer shapes the scan; it is kept for callers.  Raises
+    DegenerateInput, with "lattice" in its message, for a resolution outside
+    1..MAX_ORACLE_RESOLUTION or n_offsets below 1.
     """
     cons = tuple(constraints)
     if not cons:
@@ -490,15 +487,15 @@ def grid_oracle(
         )
     if n_offsets < 1:
         raise DegenerateInput(f"lattice counts must be at least 1, not n_offsets={n_offsets}")
-    seeds, _ = normal_scan(cons, resolution, resolution, coarse_threshold)
+    seeds, _ = normal_scan(cons, resolution, resolution)
     roots = newton_multistart(
         stacked_components_fn(cons),
         seeds,
-        tol=1e-10,
-        max_iter=max_iter,
-        cluster_tol=cluster_tol,
+        tol=SEARCH_NEWTON_TOL,
+        max_iter=SEARCH_MAX_ITER,
+        cluster_tol=ORACLE_CLUSTER_TOL,
         vectorized=True,
     )
-    clusters = verified_planes(cons, roots, refine_tol, cluster_tol, window)
+    clusters = verified_planes(cons, roots, ORACLE_REFINE_TOL, ORACLE_CLUSTER_TOL, window)
     clusters.sort(key=lambda pr: (*pr[0].normal, pr[0].offset))
-    return OracleResult(tuple(clusters), resolution, max_iter)
+    return OracleResult(tuple(clusters), resolution)

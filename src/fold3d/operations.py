@@ -28,17 +28,15 @@ import numpy as np
 
 from .constraints import (
     Constraint,
-    FamilyParam,
     FoldSolution,
     IncidenceKind,
-    SolutionFamily,
     residual,
     solve_I1,
     solve_I2,
     solve_I4,
     solve_I12,
 )
-from .envelopes import family_I5
+from .envelopes import family_I5, family_I6
 from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
 from .geometry import (
     TOL_INCIDENCE,
@@ -46,13 +44,14 @@ from .geometry import (
     Plane3,
     Point3,
     RigidFrame,
-    canonical_frame_point_line,
     canonical_frame_point_plane,
     planes_setwise_equal,
     points_equal,
 )
 from .numerics import (
     MAX_ORACLE_RESOLUTION,
+    SEARCH_MAX_ITER,
+    SEARCH_NEWTON_TOL,
     newton_multistart,
     normal_scan,
     real_roots_cubic,
@@ -189,17 +188,6 @@ def _poly_pad(p: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _i5_solution_family(p: Point3, m: Line3) -> SolutionFamily:
-    fam = family_I5(p, m)
-    return SolutionFamily(
-        1, (FamilyParam("t", -10.0, 10.0),), lambda t: fam.plane(t)
-    )
-
-
-def _i5_plane(frame_inv, a: float, t: float) -> Plane3:
-    return frame_inv.apply_plane(Plane3.from_coeffs(0.0, 2 * t, -4 * a, -(t * t)))
-
-
 def solve_I5_I6(
     p: Point3, m: Line3, q: Point3, pi: Plane3, tol: float = TOL_INCIDENCE
 ) -> FoldSolution:
@@ -212,8 +200,8 @@ def solve_I5_I6(
     means the constraints are dependent and the whole family solves the
     operation (returned as an infinite outcome).
     """
-    frame, a = canonical_frame_point_line(p, m)
-    inv = frame.inverse()
+    fam = family_I5(p, m)
+    frame, a = fam.frame, fam.half_gap
     qc = frame.apply_point(q).xyz
     pic = frame.apply_plane(pi)
     ca, cb, cc, cd = pic.coeffs()
@@ -223,7 +211,7 @@ def solve_I5_I6(
         # pi is a constant-x plane in the canonical frame; the family either
         # satisfies the point-onto-plane condition identically or never.
         if abs(e) <= 1e-10 * (1.0 + abs(xq)):
-            return FoldSolution.infinite(_i5_solution_family(p, m))
+            return FoldSolution.infinite(fam)
         return FoldSolution.no_solution()
     if abs(cc) >= abs(cb):
         lam, mu = -cb / cc, -e / cc  # z' = lam y' + mu, cubic variable y'
@@ -248,7 +236,7 @@ def solve_I5_I6(
     if np.max(np.abs(cubic)) <= 1e-10 * coeff_scale:
         # dependent constraints (e.g. q at the moved point and pi carrying m
         # orthogonally to their span): the whole family works
-        return FoldSolution.infinite(_i5_solution_family(p, m))
+        return FoldSolution.infinite(fam)
     roots = real_roots_cubic(*cubic)
     cons = (Constraint.I5(p, m), Constraint.I6(q, pi))
     planes = []
@@ -258,7 +246,7 @@ def solve_I5_I6(
         if abs(dz) <= 1e-12 * (1.0 + abs(zq)):
             continue  # a reflection never keeps z fixed here (q is off pi)
         t = -2.0 * a * (yp - yq) / dz
-        cand = _i5_plane(inv, a, t)
+        cand = fam.plane(t)
         if all(residual(c, cand) < tol for c in cons):
             planes.append(cand)
     return FoldSolution.finite(planes)
@@ -274,12 +262,11 @@ def solve_I5_I9(
     parallel to the plane spanned by p and m but not parallel to m, and then
     the solution is unique.
     """
-    frame, a = canonical_frame_point_line(p, m)
-    dn = frame.rotation @ n.direction
+    fam = family_I5(p, m)
+    dn = fam.frame.rotation @ n.direction
     if abs(dn[0]) > 1e-9 or abs(dn[2]) <= 1e-9:
         return FoldSolution.no_solution()
-    t = -2.0 * a * dn[1] / dn[2]
-    cand = _i5_plane(frame.inverse(), a, t)
+    cand = fam.plane(-2.0 * fam.half_gap * dn[1] / dn[2])
     cons = (Constraint.I5(p, m), Constraint.I9(n))
     if all(residual(c, cand) < tol for c in cons):
         return FoldSolution.finite([cand])
@@ -297,8 +284,8 @@ def solve_I6_I8_I11(
     most two solutions.  A tau parallel to pi leaves the perpendicularity
     unsatisfiable.
     """
-    frame, a = canonical_frame_point_plane(p, pi)
-    inv = frame.inverse()
+    fam = family_I6(p, pi)
+    frame, a = fam.frame, fam.half_gap
     qc = frame.apply_point(q).xyz
     tc = frame.apply_plane(tau)
     at, bt, ct, _ = tc.coeffs()
@@ -325,10 +312,7 @@ def solve_I6_I8_I11(
     cons = (Constraint.I6(p, pi), Constraint.I8(q), Constraint.I11(tau))
     planes = []
     for u in roots.roots:
-        s, t = to_st(u)
-        cand = inv.apply_plane(
-            Plane3.from_coeffs(2.0 * s, 2.0 * t, -4.0 * a, -(s * s + t * t))
-        )
+        cand = fam.plane(*to_st(u))
         if all(residual(c, cand) < tol for c in cons):
             planes.append(cand)
     return FoldSolution.finite(planes)
@@ -537,8 +521,6 @@ def solve_generic(
     lattice: tuple[int, int, int] = (14, 28, 18),
     window: float | None = None,
     refine_count: int = 320,
-    newton_tol: float = 1e-10,
-    max_iter: int = 80,
 ) -> FoldSolution:
     """Numeric solver for any valid operation: multistart Gauss-Newton over
     the (theta, phi, d) fold-plane parameters, seeded by numerics.normal_scan
@@ -564,8 +546,8 @@ def solve_generic(
     roots = newton_multistart(
         stacked_components_fn(cons),
         seeds[np.argsort(scores, kind="stable")[:refine_count]],
-        tol=newton_tol,
-        max_iter=max_iter,
+        tol=SEARCH_NEWTON_TOL,
+        max_iter=SEARCH_MAX_ITER,
         cluster_tol=1e-7,
         vectorized=True,
     )

@@ -135,6 +135,15 @@ def parallel_lines(rng, scale: float = 2.0) -> tuple[Line3, Line3]:
     return m, n
 
 
+def line_parallel_to_plane(rng, scale: float = 2.0) -> tuple[Line3, Plane3]:
+    """A line parallel to a plane and at least MARGIN off it."""
+    while True:
+        m, pi = random_line(rng, scale), random_plane(rng, scale)
+        d = m.direction - (m.direction @ pi.normal_vec) * pi.normal_vec
+        if np.linalg.norm(d) > 0.1 and pi.distance(m.base) > MARGIN:
+            return Line3(m.base, tuple(d)), pi
+
+
 def coplanar_crossing_lines(rng, scale: float = 2.0) -> tuple[Line3, Line3]:
     x = random_point(rng, scale)
     d1 = random_unit(rng)

@@ -8,6 +8,7 @@ import pytest
 from fold3d import (
     Constraint,
     DegenerateInput,
+    IncidenceKind,
     InvalidConstraint,
     Line3,
     NoEnvelope,
@@ -19,6 +20,7 @@ from fold3d import (
     envelope_I5,
     envelope_I6,
     envelope_I7,
+    family,
     family_I3,
     family_I5,
     family_I6,
@@ -27,11 +29,14 @@ from fold3d import (
     residual,
     verify_envelope_conditions,
 )
+from fold3d.meshing import quadric_mesh_canonical
 from helpers import (
+    line_parallel_to_plane,
     parallel_lines,
     point_off_line,
     point_off_plane,
     random_frame,
+    random_payload,
     random_point,
     skew_lines,
 )
@@ -423,3 +428,42 @@ class TestFrameEquivariance:
                     params = self._params_from_canonical_plane(fam2, back)
                     rebuilt = fam2.plane_canonical(*params)
                     assert plane_gap(back, rebuilt) < 1e-10
+
+
+# a random constraint of each family row, from the shared scene generators
+FAMILY_ROWS = {
+    "I3": lambda rng: Constraint.I3(*skew_lines(rng)),
+    "I3-parallel": lambda rng: Constraint.I3(*parallel_lines(rng)),
+    "I5": lambda rng: Constraint.I5(*point_off_line(rng)),
+    "I6": lambda rng: Constraint.I6(*point_off_plane(rng)),
+    "I7": lambda rng: random_payload(rng, IncidenceKind.I7),
+    "I7-parallel": lambda rng: Constraint.I7(*line_parallel_to_plane(rng)),
+    "I8": lambda rng: random_payload(rng, IncidenceKind.I8),
+    "I9": lambda rng: random_payload(rng, IncidenceKind.I9),
+    "I10": lambda rng: random_payload(rng, IncidenceKind.I10),
+    "I11": lambda rng: random_payload(rng, IncidenceKind.I11),
+}
+WITH_ENVELOPE = {"I3", "I5", "I6", "I7", "I7-parallel"}
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("kind", sorted(FAMILY_ROWS))
+    def test_every_row_on_random_scenes(self, kind):
+        rng = np.random.default_rng(16)
+        for _ in range(4):
+            c = FAMILY_ROWS[kind](rng)
+            fam = family(c)
+            assert fam.incidence_kind == kind
+            assert fam.dimension + c.kind.codimension == 3
+            assert fam.parameters == fam.free_params
+            for _ in range(25):
+                values = [rng.uniform(p.low, p.high) for p in fam.parameters]
+                assert residual(c, fam.plane(*values)) < 1e-9
+            if kind in WITH_ENVELOPE:
+                verify_envelope_conditions(fam, fam.envelope(), samples=30)
+            else:
+                for no_envelope in (fam.envelope, lambda: quadric_mesh_canonical(fam),
+                                    lambda: fam.contact_point(*values)):
+                    with pytest.raises(NoEnvelope):
+                        no_envelope()
+

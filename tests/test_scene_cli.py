@@ -392,6 +392,26 @@ class TestCli:
         defect = verts[:, 0] ** 2 + verts[:, 1] ** 2 - 4 * verts[:, 2]
         assert np.max(np.abs(defect)) < 1e-6
 
+    @pytest.mark.parametrize("option", [
+        "--resolution=-1", "--resolution=0", "--resolution=1",
+        "--extent=nan", "--extent=inf", "--extent=0", "--tangent-planes=-1",
+    ])
+    def test_envelope_rejects_malformed_export(self, tmp_path, capsys, option):
+        scene = """
+        {
+          "points": {"P": [0, 0, 1]},
+          "planes": {"pi": {"normal": [0, 0, 1], "offset": -1}},
+          "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}}]
+        }
+        """
+        path = _write(tmp_path, "s.json", scene)
+        out_path = tmp_path / "envelope.obj"
+        code = main(["envelope", path, "--incidence", "I6", "--out", str(out_path), option])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert not out_path.exists()
+
     def test_envelope_contained_line_error(self, tmp_path, capsys):
         scene = """
         {
