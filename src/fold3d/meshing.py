@@ -3,36 +3,37 @@
 Each envelope is meshed in its family's canonical frame, as the graph of
 z over an (x, y) grid where the quadric is linear in z and as the upper
 nappe of the I7 cone otherwise, and mapped back to scene coordinates, so
-exported vertices satisfy the quadric equation to machine precision.  Tangent fold planes are
-exported as quads centered at their contact with the envelope.
+exported vertices satisfy the quadric equation to machine precision.
+Tangent fold planes are exported as quads centered at their contact with
+the envelope.  Faces are NumPy (m, k) arrays of vertex indices.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
-from .envelopes import PlaneFamily, Quadric
+from .envelopes import PlaneFamily
 from .errors import DegenerateInput
 from .geometry import perp_unit
 
+# Grid points per side of an exported envelope patch: 1024² ≈ 1M vertices
+# and 2M triangles, ≈115 MB of OBJ text at ≈60 B per vertex line.
+MAX_MESH_RESOLUTION = 1024
+_ROWS_PER_WRITE = 512  # rows write_obj formats at a time, so its text stays small
 
-def _grid(extent: float, resolution: int, surface) -> tuple[np.ndarray, list]:
-    """Vertices and triangles of the points surface(x, y) over a square grid."""
+
+def _grid(extent: float, resolution: int, surface) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and (m, 3) triangles of the points surface(x, y) over a square
+    grid; cell (i, j) with corner a = i * resolution + j gives the triangles
+    (a, c, b) and (b, c, d), where b = a + 1, c = a + resolution, d = c + 1."""
     xs = np.linspace(-extent, extent, resolution)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.stack([np.ravel(c) for c in surface(xx, yy)], axis=1)
-    faces = []
-    for i in range(resolution - 1):
-        for j in range(resolution - 1):
-            a = i * resolution + j
-            b = a + 1
-            c = a + resolution
-            d = c + 1
-            faces.append((a, c, b))
-            faces.append((b, c, d))
+    a = np.arange(resolution * resolution).reshape(resolution, resolution)[:-1, :-1].ravel()
+    b, c = a + 1, a + resolution
+    faces = np.stack([a, c, b, b, c, c + 1], axis=1).reshape(-1, 3)
     return verts, faces
 
 
@@ -50,7 +51,7 @@ def _cone_nappe(theta: float):
 
 def quadric_mesh_canonical(
     fam: PlaneFamily, extent: float = 4.0, resolution: int = 33
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Canonical-frame mesh of the envelope quadric of a plane family: its
     graph over the (x, y) grid where the quadric is linear in z, the upper
     nappe otherwise (the I7 cone).  Raises NoEnvelope for a family with no
@@ -87,40 +88,42 @@ def tangent_plane_quad(
     )
 
 
-def write_obj(path, objects: list[tuple[str, np.ndarray, list]]) -> None:
+def write_obj(path, objects: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
     """Write named (vertices, faces) groups to a Wavefront OBJ file.
 
-    Faces hold 0-based local indices; OBJ indices are written 1-based and
-    global across objects.
+    Vertices are (n, 3) floats, written with 17 significant digits so they
+    read back exactly.  Faces are (m, k) 0-based local indices, written
+    1-based and global across objects.
     """
-    lines = []
-    offset = 0
-    for name, verts, faces in objects:
-        lines.append(f"o {name}")
-        for v in verts:
-            lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-        for f in faces:
-            lines.append("f " + " ".join(str(i + 1 + offset) for i in f))
-        offset += len(verts)
-    Path(path).write_text("\n".join(lines) + "\n")
+    offset = 1
+    with open(path, "w") as fh:
+        for name, verts, faces in objects:
+            faces = np.asarray(faces, dtype=np.int64) + offset
+            fh.write(f"o {name}\n")
+            for fmt, rows in (("v %.17g %.17g %.17g\n", np.asarray(verts, dtype=float)),
+                              ("f" + " %d" * faces.shape[1] + "\n", faces)):
+                for i in range(0, len(rows), _ROWS_PER_WRITE):
+                    chunk = rows[i:i + _ROWS_PER_WRITE].tolist()
+                    fh.write("".join(map(fmt.__mod__, map(tuple, chunk))))
+            offset += len(verts)
 
 
 def export_envelope_obj(
     path,
     fam: PlaneFamily,
-    quadric: Quadric,
     extent: float = 4.0,
     resolution: int = 33,
     tangent_count: int = 0,
 ) -> list[str]:
     """Write the envelope patch (triangulated) plus optional tangent-plane
     quads; returns the OBJ object names.  Raises DegenerateInput for a
-    resolution below 2, an extent that is not finite and positive, or a
-    negative tangent_count."""
-    if resolution < 2 or not (math.isfinite(extent) and extent > 0) or tangent_count < 0:
+    resolution outside 2..MAX_MESH_RESOLUTION, an extent that is not finite
+    and positive, or a negative tangent_count."""
+    if (not 2 <= resolution <= MAX_MESH_RESOLUTION
+            or not (math.isfinite(extent) and extent > 0) or tangent_count < 0):
         raise DegenerateInput(
-            f"an envelope export needs resolution >= 2, a finite extent > 0 and "
-            f"tangent_count >= 0, not {resolution}, {extent} and {tangent_count}"
+            f"an envelope export needs resolution in 2..{MAX_MESH_RESOLUTION}, a finite "
+            f"extent > 0 and tangent_count >= 0, not {resolution}, {extent} and {tangent_count}"
         )
     verts_c, faces = quadric_mesh_canonical(fam, extent, resolution)
     verts = fam.to_scene.apply_xyz(verts_c)

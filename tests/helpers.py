@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -588,3 +589,35 @@ def reference_residual_components_grid(c: Constraint, N: np.ndarray, O: np.ndarr
         gap = O[:, None] * N - pi.offset * pi.normal_vec
         return np.concatenate([cr, gap], axis=1)
     raise InvalidConstraint(f"unknown constraint kind {k}")
+
+
+# ---------------------------------------------------------------------------
+# Reference mesh faces and OBJ writer: the per-element loops that
+# meshing._grid and meshing.write_obj replace, kept to compare bytes against
+# ---------------------------------------------------------------------------
+
+
+def reference_grid_faces(resolution: int) -> list:
+    faces = []
+    for i in range(resolution - 1):
+        for j in range(resolution - 1):
+            a = i * resolution + j
+            b = a + 1
+            c = a + resolution
+            d = c + 1
+            faces.append((a, c, b))
+            faces.append((b, c, d))
+    return faces
+
+
+def reference_write_obj(path, objects: list[tuple[str, np.ndarray, list]]) -> None:
+    lines = []
+    offset = 0
+    for name, verts, faces in objects:
+        lines.append(f"o {name}")
+        for v in verts:
+            lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
+        for f in faces:
+            lines.append("f " + " ".join(str(i + 1 + offset) for i in f))
+        offset += len(verts)
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,0 +1,80 @@
+"""OBJ export: the mesh faces and file bytes match the per-element reference
+loops in helpers, and the mesh size is bounded."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from fold3d import DegenerateInput, IncidenceKind, meshing
+from fold3d.envelopes import family_I3, family_I5, family_I6, family_I7
+from fold3d.meshing import MAX_MESH_RESOLUTION, export_envelope_obj, write_obj
+from helpers import random_payload, reference_grid_faces, reference_write_obj
+
+FAMILY_BUILDERS = {
+    IncidenceKind.I3: family_I3,
+    IncidenceKind.I5: family_I5,
+    IncidenceKind.I6: family_I6,
+    IncidenceKind.I7: family_I7,
+}
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 7, 33])
+def test_grid_faces_match_reference_order(resolution):
+    surface = lambda x, y: (x, y, x * y)  # noqa: E731
+    verts, faces = meshing._grid(1.5, resolution, surface)
+    assert isinstance(faces, np.ndarray) and faces.shape == (2 * (resolution - 1) ** 2, 3)
+    assert [tuple(f) for f in faces.tolist()] == reference_grid_faces(resolution)
+    assert len(verts) == resolution * resolution
+
+
+@pytest.mark.parametrize("kind", list(FAMILY_BUILDERS), ids=lambda k: k.value)
+@pytest.mark.parametrize("resolution", [2, 7, 33])
+@pytest.mark.parametrize("tangent_count", [0, 3])
+def test_export_bytes_match_reference(tmp_path, kind, resolution, tangent_count):
+    rng = np.random.default_rng(9000 + 10 * resolution + tangent_count)
+    for trial in range(3):
+        fam = FAMILY_BUILDERS[kind](*random_payload(rng, kind).objects)
+        extent = float(rng.uniform(0.5, 6.0))
+        out = tmp_path / f"new-{trial}.obj"
+        with mock.patch.object(meshing, "write_obj", wraps=meshing.write_obj) as spy:
+            names = export_envelope_obj(out, fam, extent=extent, resolution=resolution,
+                                        tangent_count=tangent_count)
+        objects = list(spy.call_args.args[1])
+        name, verts, _ = objects[0]
+        objects[0] = (name, verts, reference_grid_faces(resolution))
+        ref = tmp_path / f"ref-{trial}.obj"
+        reference_write_obj(ref, objects)
+        assert names == [o[0] for o in objects]
+        assert len(names) == 1 + tangent_count
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def test_write_obj_bytes_match_reference_on_edge_values(tmp_path):
+    rng = np.random.default_rng(77)
+    awkward = np.array([
+        [-0.0, 0.0, 5e-324],
+        [1e300, -1e300, 2.2250738585072014e-308],
+        [3.0, -2.0, 1e16],
+        [0.1, 1 / 3, 2.0**53 + 2],
+        [-7.0, 123456789.0, 1e-5],
+    ])
+    wide = rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-300, 300, size=(40, 3))
+    objects = [
+        ("awkward", awkward, np.array([[0, 1, 2], [2, 3, 4]])),
+        ("wide", wide, rng.integers(0, 40, size=(25, 4))),
+        ("quad", awkward[:4], [(0, 1, 2, 3)]),
+    ]
+    new, ref = tmp_path / "new.obj", tmp_path / "ref.obj"
+    write_obj(new, objects)
+    reference_write_obj(ref, [(n, v, [tuple(f) for f in np.asarray(fs).tolist()])
+                              for n, v, fs in objects])
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_export_resolution_capped(tmp_path):
+    fam = family_I6(*random_payload(np.random.default_rng(5), IncidenceKind.I6).objects)
+    out = tmp_path / "envelope.obj"
+    with pytest.raises(DegenerateInput, match="resolution"):
+        export_envelope_obj(out, fam, resolution=MAX_MESH_RESOLUTION + 1)
+    assert not out.exists()

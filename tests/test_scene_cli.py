@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from fold3d import (
     scene_to_dict,
     write_scene,
 )
-from fold3d.cli import main
+import fold3d.envelopes
+from fold3d.cli import _build_parser, main
+from fold3d.meshing import MAX_MESH_RESOLUTION
 from fold3d.scene import ResultDocument
 from helpers import random_line, random_payload
 
@@ -506,3 +509,70 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "outcome:    finite" in proc.stdout
+
+
+I6_SCENE = """
+{
+  "points": {"P": [0, 0, 1]},
+  "planes": {"pi": {"normal": [0, 0, 1], "offset": -1}},
+  "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}}]
+}
+"""
+
+
+class TestCliCallsShareNoState:
+    """main reuses one parser per default tolerance; nothing of one call may
+    reach the next."""
+
+    def test_parser_built_once_per_tolerance(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FOLD3D_TOL", raising=False)
+        path = _write(tmp_path, "s.json", I1_SCENE)
+        _build_parser.cache_clear()
+        for argv in (["solve", path, "--json"], ["verify", path, "--plane", "0,0,1,-1"],
+                     ["enumerate"], ["solve", path, "--tol", "1e-6"], ["enumerate", "--json"]) * 2:
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert _build_parser.cache_info().misses == 1
+
+    def test_env_tol_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        path = _write(tmp_path, "s.json", I1_SCENE)
+        tols = []
+        for tol in ("1e-6", "2.5e-4", "1e-6"):
+            monkeypatch.setenv("FOLD3D_TOL", tol)
+            assert main(["solve", path, "--json"]) == 0
+            tols.append(json.loads(capsys.readouterr().out)["tolerance"])
+        assert tols == [1e-6, 2.5e-4, 1e-6]
+        monkeypatch.setenv("FOLD3D_TOL", "abc")
+        assert main(["solve", path, "--json"]) == 1
+        assert capsys.readouterr().err.startswith("error: FOLD3D_TOL")
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FOLD3D_TOL", raising=False)
+        path = _write(tmp_path, "s.json", I5_I8_SCENE)
+        _build_parser.cache_clear()
+        alone = main(["solve", path]), capsys.readouterr()
+        _build_parser.cache_clear()
+        main(["solve", path, "--seed-lattice", "8", "--tol", "1e-4"])
+        capsys.readouterr()
+        after = main(["solve", path]), capsys.readouterr()
+        assert after == alone
+
+    def test_envelope_resolution_capped(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", I6_SCENE)
+        out_path = tmp_path / "envelope.obj"
+        code = main(["envelope", path, "--incidence", "I6", "--out", str(out_path),
+                     "--resolution", str(MAX_MESH_RESOLUTION + 1)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_path.exists()
+
+    def test_envelope_builds_one_frame(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", I6_SCENE)
+        frame = fold3d.envelopes.canonical_frame_point_plane
+        with mock.patch.object(fold3d.envelopes, "canonical_frame_point_plane",
+                               wraps=frame) as spy:
+            code = main(["envelope", path, "--incidence", "I6", "--tangent-planes", "2",
+                         "--out", str(tmp_path / "envelope.obj")])
+        capsys.readouterr()
+        assert code == 0
+        assert spy.call_count == 1
