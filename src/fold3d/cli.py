@@ -24,7 +24,13 @@ from .errors import FoldError, IllPosed
 from .geometry import Plane3
 from .meshing import export_envelope_obj
 from .numerics import grid_oracle
-from .operations import OperationSpec, enumerate_operations, solve_operation
+from .operations import (
+    SCAN_LATTICE,
+    OperationSpec,
+    checked_lattice,
+    enumerate_operations,
+    solve_operation,
+)
 from .scene import ResultDocument, load_scene
 
 
@@ -37,6 +43,16 @@ def _positive_tol(text: str, name: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise FoldError(f"{name} must be a positive number, not {text!r}")
     return tol
+
+
+def _seed_lattice(text: str) -> tuple[int, int]:
+    """--seed-lattice counts, N for N x N normals or theta x phi such as 14x28;
+    FoldError unless they are integers that operations.checked_lattice takes."""
+    try:
+        counts = [int(v) for v in text.lower().split("x")]
+    except ValueError:
+        raise FoldError(f"--seed-lattice wants counts such as 14x28 or 20, not {text!r}") from None
+    return checked_lattice(counts * 2 if len(counts) == 1 else counts)
 
 
 def _env_tol() -> float:
@@ -67,9 +83,9 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     add_common(p_solve)
     p_solve.add_argument("--spec", help="operation spec like I1, I5+I6, 3I6 "
                          "(default: derived from the scene constraints)")
-    p_solve.add_argument("--seed-lattice", help="generic solver's normal scan, e.g. "
-                         "14x28x18 (theta x phi x offset counts; the offset count is "
-                         "checked but unused) or a single count per axis")
+    p_solve.add_argument("--seed-lattice", type=_seed_lattice, default=SCAN_LATTICE,
+                         help="generic solver's normal scan: theta x phi counts such "
+                         "as 14x28 (the default), or N for N x N")
 
     p_enum = sub.add_parser("enumerate", help="list the valid fold operations")
     p_enum.add_argument("--json", action="store_true")
@@ -124,20 +140,9 @@ def _cmd_solve(args) -> int:
     if not scene.constraints:
         raise FoldError("scene has no constraints to solve")
     spec = _check_spec(args, scene)
-    options = {}
-    if args.seed_lattice:
-        usage = "--seed-lattice wants one or three counts, e.g. 14x28x18"
-        try:
-            parts = [int(v) for v in args.seed_lattice.lower().split("x")]
-        except ValueError:
-            raise FoldError(usage) from None
-        if len(parts) == 1:
-            parts = parts * 3
-        if len(parts) != 3:
-            raise FoldError(usage)
-        options["lattice"] = tuple(parts)
     try:
-        solution = solve_operation(scene.constraint_list(), tol=args.tol, **options)
+        solution = solve_operation(scene.constraint_list(), tol=args.tol,
+                                   lattice=args.seed_lattice)
         doc = ResultDocument.from_solution(spec, scene.constraints, solution, args.tol)
     except IllPosed as exc:
         doc = ResultDocument(

@@ -50,6 +50,7 @@ from .geometry import (
 if TYPE_CHECKING:
     from .envelopes import PlaneFamily
 
+# FoldSolution.finite keeps one plane of any set within this plane_gap.
 _DEDUP_TOL = 1e-6
 
 
@@ -511,15 +512,11 @@ class FoldSolution:
 
     @classmethod
     def finite(
-        cls,
-        planes,
-        possibly_incomplete: bool = False,
-        provenance: str = "dedicated",
-        dedup_tol: float = _DEDUP_TOL,
+        cls, planes, possibly_incomplete: bool = False, provenance: str = "dedicated"
     ) -> "FoldSolution":
         kept: list[Plane3] = []
         for p in planes:
-            if all(plane_gap(p, q) > dedup_tol for q in kept):
+            if all(plane_gap(p, q) > _DEDUP_TOL for q in kept):
                 kept.append(p)
         kept.sort(key=lambda p: (*p.normal, p.offset))
         if not kept:
@@ -527,16 +524,12 @@ class FoldSolution:
         return cls(Outcome.FINITE, tuple(kept), None, possibly_incomplete, provenance)
 
     @classmethod
-    def infinite(
-        cls, family: PlaneFamily, provenance: str = "dedicated"
-    ) -> "FoldSolution":
-        return cls(Outcome.INFINITE, (), family, False, provenance)
+    def infinite(cls, family: PlaneFamily) -> "FoldSolution":
+        return cls(Outcome.INFINITE, (), family)
 
     @classmethod
-    def no_solution(
-        cls, possibly_incomplete: bool = False, provenance: str = "dedicated"
-    ) -> "FoldSolution":
-        return cls(Outcome.NO_SOLUTION, (), None, possibly_incomplete, provenance)
+    def no_solution(cls) -> "FoldSolution":
+        return cls(Outcome.NO_SOLUTION)
 
     @property
     def count(self) -> int:

@@ -68,6 +68,8 @@ from .geometry import (
 )
 
 _PARAM_RANGE = 10.0
+# verify_envelope_conditions: largest |quadric(x)| / (1 + |x|^2) at a contact x.
+ENVELOPE_SURFACE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -502,7 +504,6 @@ def verify_envelope_conditions(
     fam: PlaneFamily,
     quadric: Quadric,
     samples: int = 100,
-    surface_tol: float = 1e-6,
     normal_tol: float = 1e-8,
 ) -> EnvelopeReport:
     """Check that the quadric is the envelope of the family.
@@ -511,7 +512,8 @@ def verify_envelope_conditions(
     member-plane equation together with its parameter derivatives (one
     derivative gives a contact line, two give a contact point).  Every
     contact must lie on the quadric and the quadric gradient there must be
-    parallel to the member plane's normal.
+    parallel to the member plane's normal, to ENVELOPE_SURFACE_TOL and
+    normal_tol.
     """
     n_free = len(fam.free_params)
     worst_surface = 0.0
@@ -563,10 +565,10 @@ def verify_envelope_conditions(
             raise VerificationFailed(
                 f"all contact candidates fell on singular quadric points at {values}"
             )
-    if worst_surface > surface_tol or worst_normal > normal_tol:
+    if worst_surface > ENVELOPE_SURFACE_TOL or worst_normal > normal_tol:
         raise VerificationFailed(
             f"envelope conditions violated at parameters {worst_params}: "
-            f"surface defect {worst_surface:.3e} (tol {surface_tol:.1e}), "
+            f"surface defect {worst_surface:.3e} (tol {ENVELOPE_SURFACE_TOL:.1e}), "
             f"normal defect {worst_normal:.3e} (tol {normal_tol:.1e})"
         )
     return EnvelopeReport(

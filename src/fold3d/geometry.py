@@ -23,6 +23,9 @@ from .errors import DegenerateInput
 # and involution round-trips.
 TOL_INCIDENCE = 1e-9
 TOL_ALGEBRAIC = 1e-12
+# Largest |sin| or |cos| of the angle between unit vectors that counts as
+# parallel or perpendicular in the line/plane relations and frames below.
+TOL_ANGLE = 1e-10
 
 _SIGN_EPS = 1e-12
 
@@ -267,28 +270,29 @@ class LinePlaneRelation(Enum):
 # ---------------------------------------------------------------------------
 
 
-def reflect_point(delta: Plane3, p: Point3, tol: float = TOL_ALGEBRAIC) -> Point3:
-    """Mirror image of p across delta; p itself when p lies on delta."""
+def reflect_point(delta: Plane3, p: Point3) -> Point3:
+    """Mirror image of p across delta; p itself when p lies on delta (within
+    TOL_ALGEBRAIC)."""
     s = delta.signed_distance(p)
-    if abs(s) <= tol:
+    if abs(s) <= TOL_ALGEBRAIC:
         return p
     return Point3(*(p.xyz - 2.0 * s * delta.normal_vec))
 
 
-def reflect_line(delta: Plane3, m: Line3, tol: float = TOL_ALGEBRAIC) -> Line3:
+def reflect_line(delta: Plane3, m: Line3) -> Line3:
     """Setwise mirror image of line m across delta."""
     n = delta.normal_vec
     d = m.direction
     d2 = d - 2.0 * (n @ d) * n
-    return Line3(reflect_point(delta, m.base, tol), tuple(d2))
+    return Line3(reflect_point(delta, m.base), tuple(d2))
 
 
-def reflect_plane(delta: Plane3, pi: Plane3, tol: float = TOL_ALGEBRAIC) -> Plane3:
+def reflect_plane(delta: Plane3, pi: Plane3) -> Plane3:
     """Setwise mirror image of plane pi across delta."""
     n = delta.normal_vec
     npi = pi.normal_vec
     n2 = npi - 2.0 * (n @ npi) * n
-    p2 = reflect_point(delta, pi.foot, tol)
+    p2 = reflect_point(delta, pi.foot)
     return Plane3(tuple(n2), float(n2 @ p2.xyz))
 
 
@@ -305,40 +309,35 @@ def perpendicular_bisector_plane(p: Point3, q: Point3, tol: float = TOL_INCIDENC
     return Plane3(tuple(n), float(n @ mid))
 
 
-def classify_line_plane(
-    m: Line3, pi: Plane3, tol_angle: float = 1e-10, tol: float = TOL_INCIDENCE
-) -> LinePlaneRelation:
-    """Exactly one of contained / parallel-disjoint / perpendicular / oblique."""
+def classify_line_plane(m: Line3, pi: Plane3) -> LinePlaneRelation:
+    """Exactly one of contained / parallel-disjoint / perpendicular / oblique,
+    to TOL_ANGLE and TOL_INCIDENCE."""
     n = pi.normal_vec
     d = m.direction
     s = float(n @ d)
-    if abs(s) <= tol_angle:
-        if pi.distance(m.base) <= tol:
+    if abs(s) <= TOL_ANGLE:
+        if pi.distance(m.base) <= TOL_INCIDENCE:
             return LinePlaneRelation.CONTAINED
         return LinePlaneRelation.PARALLEL_DISJOINT
-    if np.linalg.norm(np.cross(n, d)) <= tol_angle:
+    if np.linalg.norm(np.cross(n, d)) <= TOL_ANGLE:
         return LinePlaneRelation.PERPENDICULAR
     return LinePlaneRelation.OBLIQUE
 
 
-def line_plane_intersection(
-    m: Line3, pi: Plane3, tol_angle: float = 1e-10
-) -> Point3 | None:
+def line_plane_intersection(m: Line3, pi: Plane3) -> Point3 | None:
     """Intersection point, or None when the line is parallel to the plane."""
     denom = float(pi.normal_vec @ m.direction)
-    if abs(denom) <= tol_angle:
+    if abs(denom) <= TOL_ANGLE:
         return None
     t = (pi.offset - float(pi.normal_vec @ m.base.xyz)) / denom
     return m.point_at(t)
 
 
-def line_line_closest(
-    m: Line3, n: Line3, tol_angle: float = 1e-10
-) -> tuple[Point3, Point3, float, bool]:
+def line_line_closest(m: Line3, n: Line3) -> tuple[Point3, Point3, float, bool]:
     """Closest points (one per line), their distance, and a parallel flag."""
     d1, d2 = m.direction, n.direction
     w = n.base.xyz - m.base.xyz
-    if np.linalg.norm(np.cross(d1, d2)) <= tol_angle:
+    if np.linalg.norm(np.cross(d1, d2)) <= TOL_ANGLE:
         perp = w - (w @ d1) * d1
         return m.base, Point3(*(m.base.xyz + perp)), float(np.linalg.norm(perp)), True
     b = float(d1 @ d2)
@@ -396,16 +395,14 @@ def perp_unit(v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def canonical_frame_point_line(
-    p: Point3, m: Line3, tol: float = TOL_INCIDENCE
-) -> tuple[RigidFrame, float]:
+def canonical_frame_point_line(p: Point3, m: Line3) -> tuple[RigidFrame, float]:
     """Frame placing p at (0, 0, a) and m through (0, 0, -a) along +y.
 
     Returns the frame and the half-gap a = dist(p, m) / 2.
     """
     foot = m.closest_point_to(p)
     h = p.distance_to(foot)
-    if h <= tol:
+    if h <= TOL_INCIDENCE:
         raise DegenerateInput(
             "point lies on the line; use the fixed-point (I8) or "
             "line-to-itself (I9) constraints instead"
@@ -417,12 +414,10 @@ def canonical_frame_point_line(
     return RigidFrame.from_axes(e1, e2, e3, center), h / 2.0
 
 
-def canonical_frame_point_plane(
-    p: Point3, pi: Plane3, tol: float = TOL_INCIDENCE
-) -> tuple[RigidFrame, float]:
+def canonical_frame_point_plane(p: Point3, pi: Plane3) -> tuple[RigidFrame, float]:
     """Frame placing p at (0, 0, a) and pi onto the plane z = -a."""
     s = pi.signed_distance(p)
-    if abs(s) <= tol:
+    if abs(s) <= TOL_INCIDENCE:
         raise DegenerateInput(
             "point lies on the plane; use the fixed-point (I8) or "
             "plane-to-itself (I11) constraints instead"
@@ -435,15 +430,13 @@ def canonical_frame_point_plane(
     return RigidFrame.from_axes(e1, e2, e3, center), abs(s) / 2.0
 
 
-def canonical_frame_line_plane_crossing(
-    m: Line3, pi: Plane3, tol_angle: float = 1e-10, tol: float = TOL_INCIDENCE
-) -> tuple[RigidFrame, float]:
+def canonical_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple[RigidFrame, float]:
     """Frame for a line crossing a plane: intersection at the origin, the
     plane onto z = 0, the line into the yz-plane at angle theta from +z.
 
     Returns the frame and theta in [0, pi/2).
     """
-    rel = classify_line_plane(m, pi, tol_angle, tol)
+    rel = classify_line_plane(m, pi)
     if rel is LinePlaneRelation.CONTAINED:
         raise DegenerateInput(
             "line lies in the plane; use the line-to-itself (I10) or "
@@ -451,7 +444,7 @@ def canonical_frame_line_plane_crossing(
         )
     if rel is LinePlaneRelation.PARALLEL_DISJOINT:
         raise DegenerateInput("line is parallel to the plane; no crossing frame")
-    origin = line_plane_intersection(m, pi, tol_angle)
+    origin = line_plane_intersection(m, pi)
     d = m.direction
     n = pi.normal_vec
     c = float(d @ n)
@@ -460,7 +453,7 @@ def canonical_frame_line_plane_crossing(
     e3 = n
     in_plane = dm - cos_t * e3
     sin_t = float(np.linalg.norm(in_plane))
-    if sin_t <= tol_angle:
+    if sin_t <= TOL_ANGLE:
         e2 = perp_unit(e3)
     else:
         e2 = in_plane / sin_t
@@ -469,12 +462,10 @@ def canonical_frame_line_plane_crossing(
     return RigidFrame.from_axes(e1, e2, e3, origin), theta
 
 
-def canonical_frame_line_plane_parallel(
-    m: Line3, pi: Plane3, tol_angle: float = 1e-10, tol: float = TOL_INCIDENCE
-) -> tuple[RigidFrame, float]:
+def canonical_frame_line_plane_parallel(m: Line3, pi: Plane3) -> tuple[RigidFrame, float]:
     """Frame for a line parallel to (and off) a plane: line through (0, 0, a)
     along +y, plane onto z = -a."""
-    rel = classify_line_plane(m, pi, tol_angle, tol)
+    rel = classify_line_plane(m, pi)
     if rel is not LinePlaneRelation.PARALLEL_DISJOINT:
         raise DegenerateInput("line must be strictly parallel to the plane")
     s = pi.signed_distance(m.base)
@@ -486,19 +477,17 @@ def canonical_frame_line_plane_parallel(
     return RigidFrame.from_axes(e1, e2, e3, center), abs(s) / 2.0
 
 
-def canonical_frame_skew_lines(
-    m: Line3, n: Line3, tol_angle: float = 1e-10, tol: float = TOL_INCIDENCE
-) -> tuple[RigidFrame, float, float]:
+def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, float]:
     """Frame for skew lines: common perpendicular on the z-axis, m through
     (0, 0, a) along +y, n through (0, 0, -a) in the z = -a plane at angle
     delta from +x (|delta| < pi/2).
 
     Returns the frame, delta, and the half-gap a.
     """
-    pm, pn, dist, parallel = line_line_closest(m, n, tol_angle)
+    pm, pn, dist, parallel = line_line_closest(m, n)
     if parallel:
         raise DegenerateInput("lines are parallel; no skew frame")
-    if dist <= tol:
+    if dist <= TOL_INCIDENCE:
         raise DegenerateInput("lines intersect; no skew frame")
     e3 = (pm.xyz - pn.xyz) / dist
     e2 = m.direction
@@ -511,15 +500,13 @@ def canonical_frame_skew_lines(
     return RigidFrame.from_axes(e1, e2, e3, center), delta, dist / 2.0
 
 
-def canonical_frame_parallel_lines(
-    m: Line3, n: Line3, tol_angle: float = 1e-10, tol: float = TOL_INCIDENCE
-) -> tuple[RigidFrame, float]:
+def canonical_frame_parallel_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float]:
     """Frame for distinct parallel lines: both along +y in the x = 0 plane,
     m at z = a and n at z = -a."""
-    pm, pn, dist, parallel = line_line_closest(m, n, tol_angle)
+    pm, pn, dist, parallel = line_line_closest(m, n)
     if not parallel:
         raise DegenerateInput("lines are not parallel")
-    if dist <= tol:
+    if dist <= TOL_INCIDENCE:
         raise DegenerateInput("lines coincide; no parallel-pair frame")
     e2 = m.direction
     v = pn.xyz - pm.xyz

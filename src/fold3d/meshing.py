@@ -21,6 +21,8 @@ from .geometry import perp_unit
 # Grid points per side of an exported envelope patch: 1024² ≈ 1M vertices
 # and 2M triangles, ≈115 MB of OBJ text at ≈60 B per vertex line.
 MAX_MESH_RESOLUTION = 1024
+# Tangent fold planes per export: one quad and one OBJ object each.
+MAX_TANGENT_PLANES = 1024
 _ROWS_PER_WRITE = 512  # rows write_obj formats at a time, so its text stays small
 
 
@@ -118,12 +120,14 @@ def export_envelope_obj(
     """Write the envelope patch (triangulated) plus optional tangent-plane
     quads; returns the OBJ object names.  Raises DegenerateInput for a
     resolution outside 2..MAX_MESH_RESOLUTION, an extent that is not finite
-    and positive, or a negative tangent_count."""
+    and positive, or a tangent_count outside 0..MAX_TANGENT_PLANES."""
     if (not 2 <= resolution <= MAX_MESH_RESOLUTION
-            or not (math.isfinite(extent) and extent > 0) or tangent_count < 0):
+            or not (math.isfinite(extent) and extent > 0)
+            or not 0 <= tangent_count <= MAX_TANGENT_PLANES):
         raise DegenerateInput(
             f"an envelope export needs resolution in 2..{MAX_MESH_RESOLUTION}, a finite "
-            f"extent > 0 and tangent_count >= 0, not {resolution}, {extent} and {tangent_count}"
+            f"extent > 0 and tangent_count in 0..{MAX_TANGENT_PLANES}, not {resolution}, "
+            f"{extent} and {tangent_count}"
         )
     verts_c, faces = quadric_mesh_canonical(fam, extent, resolution)
     verts = fam.to_scene.apply_xyz(verts_c)

@@ -32,6 +32,13 @@ def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
     return min(hi, max(lo, x))
 
 
+# A discriminant of the balanced polynomial within this fraction of its
+# terms' scale counts as zero: the roots are double.
+ROOT_REL_TOL = 1e-12
+# Relative step of newton_multistart's central differences, h = FD_STEP (1 + |x|).
+FD_STEP = 1e-7
+
+
 @dataclass(frozen=True)
 class RealRoots:
     """Sorted real roots with multiplicity flags."""
@@ -61,9 +68,7 @@ def _sorted_roots(coeffs, pairs) -> RealRoots:
     )
 
 
-def real_roots_quadratic(
-    c2: float, c1: float, c0: float, rel_tol: float = 1e-12
-) -> RealRoots:
+def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     """Real roots of c2 x^2 + c1 x + c0, numerically stable and free of the
     scale of x.
 
@@ -86,9 +91,9 @@ def real_roots_quadratic(
     b1, b0 = c1 / c2 / sigma, c0 / c2 / sigma**2
     disc = b1 * b1 - 4.0 * b0
     dscale = max(b1 * b1, abs(4.0 * b0))
-    if disc < -rel_tol * dscale:
+    if disc < -ROOT_REL_TOL * dscale:
         return RealRoots((), ())
-    if disc <= rel_tol * dscale:
+    if disc <= ROOT_REL_TOL * dscale:
         return RealRoots((-c1 / (2.0 * c2),), (2,))
     qq = -(b1 + math.copysign(math.sqrt(disc), b1)) / 2.0
     pairs = [(sigma * qq, 1), (sigma * (b0 / qq), 1)]
@@ -102,9 +107,7 @@ def _deflated(far: float, c: float, d: float) -> tuple[float, float]:
     return (q0 - c) / far, q0
 
 
-def real_roots_cubic(
-    c3: float, c2: float, c1: float, c0: float, rel_tol: float = 1e-12
-) -> RealRoots:
+def real_roots_cubic(c3: float, c2: float, c1: float, c0: float) -> RealRoots:
     """Real roots of c3 x^3 + ... + c0, free of the scale of x.
 
     The tests run on the balanced monic cubic y^3 + b y^2 + c y + d,
@@ -118,11 +121,11 @@ def real_roots_cubic(
     if c3 == 0.0:
         if c2 == c1 == c0 == 0.0:
             raise AllRealLine("all cubic coefficients vanish")
-        return real_roots_quadratic(c2, c1, c0, rel_tol)
+        return real_roots_quadratic(c2, c1, c0)
     coeffs = (c3, c2, c1, c0)
     sigma = max(abs(c2 / c3), abs(c1 / c3) ** 0.5, abs(c0 / c3) ** (1.0 / 3.0))
     if not math.isfinite(sigma):
-        return real_roots_quadratic(c2, c1, c0, rel_tol)
+        return real_roots_quadratic(c2, c1, c0)
     if sigma == 0.0:
         return RealRoots((0.0,), (3,))
     b, c, d = c2 / c3 / sigma, c1 / c3 / sigma**2, c0 / c3 / sigma**3
@@ -130,7 +133,7 @@ def real_roots_cubic(
     big_a = c - b * b / 3.0
     big_b = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
     disc = -4.0 * big_a**3 - 27.0 * big_b * big_b
-    thr = rel_tol * max(abs(big_a) ** 3, big_b * big_b, 1e-300)
+    thr = ROOT_REL_TOL * max(abs(big_a) ** 3, big_b * big_b, 1e-300)
     if disc > thr:
         mag = 2.0 * math.sqrt(-big_a / 3.0)
         arg = _clamp(3.0 * big_b / (big_a * mag))
@@ -139,7 +142,7 @@ def real_roots_cubic(
             (mag * math.cos(th - 2.0 * math.pi * k / 3.0) - shift for k in range(3)),
             key=abs,
         )
-        rest = real_roots_quadratic(1.0, *_deflated(ys[2], c, d), rel_tol)
+        rest = real_roots_quadratic(1.0, *_deflated(ys[2], c, d))
         if len(rest) == 2:
             ys[:2] = rest.roots
         pairs = [(sigma * y, 1) for y in ys]
@@ -160,7 +163,7 @@ def real_roots_cubic(
         if abs(beta) <= abs(alpha):
             pairs = [(sigma * alpha, 2), (sigma * beta, 1)]
         else:
-            rest = real_roots_quadratic(1.0, *_deflated(beta, c, d), rel_tol)
+            rest = real_roots_quadratic(1.0, *_deflated(beta, c, d))
             pairs = [(sigma * beta, 1)] + [
                 (sigma * y, k) for y, k in zip(rest.roots, rest.multiplicities)
             ]
@@ -199,7 +202,6 @@ def newton_multistart(
     tol: float = 1e-10,
     max_iter: int = 60,
     cluster_tol: float = 1e-6,
-    fd_step: float = 1e-7,
     vectorized: bool = False,
 ) -> list[np.ndarray]:
     """Roots of a residual vector function from every seed, deduplicated.
@@ -210,7 +212,7 @@ def newton_multistart(
     below tol (converged), it stalls or max_iter iterations pass.  One
     iteration, for all active seeds at once:
 
-    * Jacobian: central differences with step fd_step * (1 + |x|), all 2·d
+    * Jacobian: central differences with step FD_STEP * (1 + |x|), all 2·d
       probes in one residual call.
     * Step: s solves the normal equations JᵀJ s = Jᵀr.  Where JᵀJ is
       nearly singular (det ≤ 1e-10 · ∏ diag) or the test is not finite,
@@ -268,7 +270,7 @@ def newton_multistart(
         xa, ra, na = x[idx], r[idx], norms[idx]
         ka = idx.size
         # all 2*d central-difference probes x +- h_j e_j in one residual batch
-        h = fd_step * (1.0 + np.abs(xa))
+        h = FD_STEP * (1.0 + np.abs(xa))
         probes = np.repeat(xa[None, None], 2, axis=0).repeat(d, axis=1)
         for j in range(d):
             probes[0, j, :, j] += h[:, j]
@@ -468,7 +470,8 @@ def grid_oracle(
     their best offsets, and verified_planes keeps the converged planes below
     ORACLE_REFINE_TOL, clustered within ORACLE_CLUSTER_TOL, at every offset
     or, given a window, those with |offset| <= window + ORACLE_CLUSTER_TOL.
-    n_offsets no longer shapes the scan; it is kept for callers.  Raises
+    n_offsets shapes nothing; it is kept only because the benchmark's tracer
+    (perfbench/tracing.py) reads it from every call.  Raises
     DegenerateInput, with "lattice" in its message, for a resolution outside
     1..MAX_ORACLE_RESOLUTION or n_offsets below 1.
     """

@@ -393,8 +393,6 @@ def solve_3I6(
     tau: Plane3,
     rho: Plane3,
     tol: float = 1e-8,
-    newton_tol: float = 1e-10,
-    cluster_tol: float = 1e-6,
 ) -> FoldSolution:
     """Fold placing p onto pi, q onto tau, and r onto rho: at most 7 planes.
 
@@ -405,12 +403,12 @@ def solve_3I6(
     the circular points at infinity and the Sylvester resultant in t has
     degree 7 in s (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 3).
     It is interpolated from 8 values on a circle whose radius, the scene's,
-    is the unit of length for newton_tol and cluster_tol; newton_tol is
-    lowered, when needed, to stay below tol.  Each real root s, with every
-    real root t of the first cubic at s (of the second, if the first does
-    not involve t), seeds a Gauss-Newton polish, and every plane is
-    re-verified with tol.  The result is exhaustive, so it is not flagged
-    possibly incomplete.
+    is the unit of length for the Newton and clustering tolerances; the
+    Newton tolerance is lowered, when needed, to stay below tol.  Each real
+    root s, with every real root t of the first cubic at s (of the second,
+    if the first does not involve t), seeds a Gauss-Newton polish, and every
+    plane is re-verified with tol.  The result is exhaustive, so it is not
+    flagged possibly incomplete.
     Raises IllPosed when two constraints coincide or the two cubics share a
     curve, since the solutions then form a continuum.
     """
@@ -470,8 +468,8 @@ def solve_3I6(
     # or at the rounding floor of residuals of unit size
     roots = newton_multistart(
         comps, np.reshape(seeds, (-1, 2)),
-        tol=min(newton_tol, max(1e-2 * tol / scale, 1e-15)),
-        cluster_tol=cluster_tol, vectorized=True,
+        tol=min(1e-10, max(1e-2 * tol / scale, 1e-15)),
+        cluster_tol=1e-6, vectorized=True,
     )
     cons = (Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho))
     planes = []
@@ -509,49 +507,53 @@ def _checked_spec(cons: Sequence[Constraint]) -> OperationSpec:
     return spec
 
 
-# Caps on solve_generic's lattice counts.  No lattice is built: the first two
-# counts shape its normal scan (about 350 B per normal, 23 MB at the cap).
-MAX_LATTICE_PLANES = 2**22
+# solve_generic's normal scan: theta x phi counts by default, and the most
+# normals it scans (about 350 B each, 23 MB at the cap).
+SCAN_LATTICE = (14, 28)
 MAX_SCAN_NORMALS = MAX_ORACLE_RESOLUTION**2
+# Most seeds solve_generic refines, lowest score first.
+REFINE_COUNT = 320
+
+
+def checked_lattice(lattice: Sequence[int]) -> tuple[int, int]:
+    """lattice as (n_theta, n_phi); raises DegenerateInput unless it is two
+    counts of at least 1 with at most MAX_SCAN_NORMALS normals."""
+    counts = tuple(lattice)
+    if len(counts) != 2 or min(counts) < 1 or math.prod(counts) > MAX_SCAN_NORMALS:
+        raise DegenerateInput(
+            "lattice wants two counts (theta x phi) of at least 1 and at most "
+            f"{MAX_SCAN_NORMALS} normals, not {'x'.join(map(str, counts))}"
+        )
+    return counts
 
 
 def solve_generic(
     constraints: Sequence[Constraint],
     tol: float = 1e-8,
-    lattice: tuple[int, int, int] = (14, 28, 18),
-    window: float | None = None,
-    refine_count: int = 320,
+    lattice: tuple[int, int] = SCAN_LATTICE,
 ) -> FoldSolution:
     """Numeric solver for any valid operation: multistart Gauss-Newton over
     the (theta, phi, d) fold-plane parameters, seeded by numerics.normal_scan
     over lattice[0] x lattice[1] normals, valley floors included (at most
-    refine_count seeds, lowest score first).  numerics.verified_planes keeps
-    the planes below tol, clustered within 1e-7 best residual first, and only
-    then applies the window, |offset| <= window + 1e-7, so a windowed result
-    is the full one filtered.  Flagged possibly incomplete: a numeric search
-    proves existence, never exhaustiveness.  Raises DegenerateInput for a
-    refine_count or lattice count below 1 or a lattice over either cap.
+    REFINE_COUNT seeds, lowest score first).  numerics.verified_planes keeps
+    the planes below tol, clustered within 1e-7 best residual first.
+    Flagged possibly incomplete: a numeric search proves existence, never
+    exhaustiveness.  Raises DegenerateInput for a lattice that
+    checked_lattice refuses.
     """
     cons = tuple(constraints)
     _checked_spec(cons)
-    if refine_count < 1:
-        raise DegenerateInput(f"refine_count must be at least 1, not {refine_count}")
-    too_big = math.prod(lattice) > MAX_LATTICE_PLANES or lattice[0] * lattice[1] > MAX_SCAN_NORMALS
-    if min(lattice) < 1 or too_big:
-        raise DegenerateInput(
-            f"lattice counts must be at least 1, with a product of at most {MAX_LATTICE_PLANES} "
-            f"and at most {MAX_SCAN_NORMALS} normals, not {'x'.join(map(str, lattice))}"
-        )
-    seeds, scores = normal_scan(cons, lattice[0], lattice[1], valley_floors=True)
+    n_theta, n_phi = checked_lattice(lattice)
+    seeds, scores = normal_scan(cons, n_theta, n_phi, valley_floors=True)
     roots = newton_multistart(
         stacked_components_fn(cons),
-        seeds[np.argsort(scores, kind="stable")[:refine_count]],
+        seeds[np.argsort(scores, kind="stable")[:REFINE_COUNT]],
         tol=SEARCH_NEWTON_TOL,
         max_iter=SEARCH_MAX_ITER,
         cluster_tol=1e-7,
         vectorized=True,
     )
-    planes = [plane for plane, _ in verified_planes(cons, roots, tol, 1e-7, window)]
+    planes = [plane for plane, _ in verified_planes(cons, roots, tol, 1e-7)]
     return FoldSolution.finite(planes, possibly_incomplete=True, provenance="generic")
 
 
@@ -574,19 +576,20 @@ _DEDICATED = {
 def solve_operation(
     constraints: Sequence[Constraint],
     tol: float = TOL_INCIDENCE,
-    **generic_options,
+    lattice: tuple[int, int] = SCAN_LATTICE,
 ) -> FoldSolution:
     """Solve a fold operation given its constraint payloads.
 
     Routes the worked combinations to their dedicated solvers and everything
-    else to the generic numeric search.  Raises InvalidOperation for the
-    three rejected combinations and for under-constrained multisets.
+    else to the generic numeric search, which scans lattice normals.  Raises
+    InvalidOperation for the three rejected combinations and for
+    under-constrained multisets.
     """
     cons = tuple(constraints)
     if not cons:
         raise InvalidOperation("no constraints given")
     solver = _DEDICATED.get(_checked_spec(cons).key)
     if solver is None:
-        return solve_generic(cons, tol=max(tol, 1e-8), **generic_options)
+        return solve_generic(cons, tol=max(tol, 1e-8), lattice=lattice)
     by_kind = sorted(cons, key=lambda c: c.kind.index)
     return solver(tuple(obj for c in by_kind for obj in c.objects), tol)

@@ -22,6 +22,7 @@ and a base point already perpendicular to it).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,25 +63,28 @@ class Scene:
         return [sc.constraint for sc in self.constraints]
 
 
-def _number_triplet(value, where: str) -> tuple[float, float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 3
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ParseError(f"{where}: expected 3 numbers, got {value!r}")
-    return float(value[0]), float(value[1]), float(value[2])
+def _is_number(v) -> bool:
+    """A JSON number a float holds: no boolean, string, null or huge integer."""
+    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+def _numbers(value, count: int, where: str) -> tuple[float, ...]:
+    """A list of count JSON numbers as floats; ParseError otherwise."""
+    if not (isinstance(value, (list, tuple)) and len(value) == count
+            and all(map(_is_number, value))):
+        raise ParseError(f"{where}: expected {count} numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _parse_point(name: str, raw) -> Point3:
-    return Point3(*_number_triplet(raw, f"points.{name}"))
+    return Point3(*_numbers(raw, 3, f"points.{name}"))
 
 
 def _parse_line(name: str, raw) -> Line3:
     if not isinstance(raw, dict) or "point" not in raw or "dir" not in raw:
         raise ParseError(f"lines.{name}: expected an object with 'point' and 'dir'")
-    base = _number_triplet(raw["point"], f"lines.{name}.point")
-    direction = _number_triplet(raw["dir"], f"lines.{name}.dir")
+    base = _numbers(raw["point"], 3, f"lines.{name}.point")
+    direction = _numbers(raw["dir"], 3, f"lines.{name}.dir")
     try:
         return Line3(Point3(*base), direction)
     except FoldError as exc:
@@ -92,14 +96,11 @@ def _parse_plane(name: str, raw) -> Plane3:
         raise ParseError(f"planes.{name}: expected an object")
     try:
         if "coeffs" in raw:
-            coeffs = raw["coeffs"]
-            if not isinstance(coeffs, (list, tuple)) or len(coeffs) != 4:
-                raise ParseError(f"planes.{name}.coeffs: expected 4 numbers")
-            return Plane3.from_coeffs(*(float(v) for v in coeffs))
+            return Plane3.from_coeffs(*_numbers(raw["coeffs"], 4, f"planes.{name}.coeffs"))
         if "normal" in raw and "offset" in raw:
-            normal = _number_triplet(raw["normal"], f"planes.{name}.normal")
-            if not isinstance(raw["offset"], (int, float)):
-                raise ParseError(f"planes.{name}.offset: expected a number")
+            normal = _numbers(raw["normal"], 3, f"planes.{name}.normal")
+            if not _is_number(raw["offset"]):
+                raise ParseError(f"planes.{name}.offset: expected a number, got {raw['offset']!r}")
             return Plane3(normal, float(raw["offset"]))
     except ParseError:
         raise
@@ -148,7 +149,7 @@ def scene_from_dict(data: dict) -> Scene:
                 raise ParseError(f"{where}.args: {kind.value} needs '{arg_name}'")
             ref = args[arg_name]
             pool = getattr(scene, section)
-            if ref not in pool:
+            if not isinstance(ref, str) or ref not in pool:
                 raise ValidationError(
                     f"{where}: no {section[:-1]} named {ref!r} in the scene"
                 )

@@ -507,7 +507,7 @@ class TestGenericNormalScan:
         assert abs(near.offset) < 0.2 * payload_radius(self.VALLEY)
         assert stacked_residual(self.VALLEY, near) < 1e-8
 
-    @pytest.mark.parametrize("lattice", [(2048, 2048, 1), (257, 256, 1)])
+    @pytest.mark.parametrize("lattice", [(2048, 2048), (257, 256)])
     def test_normal_count_bounded(self, lattice):
         with pytest.raises(DegenerateInput, match="lattice"):
             solve_generic(self.FAR, lattice=lattice)
@@ -523,19 +523,6 @@ class TestGenericNormalScan:
                     assert all(plane_gap(p, q) > 1e-7 for q in planes[i + 1:]), spec
         assert found > 50
 
-    def test_window_filters_the_output(self):
-        rng = np.random.default_rng(708)
-        kept = dropped = 0
-        for spec in generic_specs()[::2]:
-            cons = [random_payload(rng, k) for k in spec.kinds]
-            full = solve_generic(cons).planes
-            for w in (0.5, 2.0):
-                windowed = solve_generic(cons, window=w).planes
-                assert windowed == tuple(p for p in full if abs(p.offset) <= w + 1e-7)
-                kept += len(windowed)
-                dropped += len(full) - len(windowed)
-        assert kept > 0 and dropped > 0
-
     def test_refine_count_keeps_the_lowest_scores(self):
         from fold3d.numerics import normal_scan
 
@@ -544,8 +531,9 @@ class TestGenericNormalScan:
         assert len(all_seeds) == len(seeds) > 4
         calls = []
         with mock.patch("fold3d.operations.newton_multistart",
-                        lambda *args, **kwargs: calls.append(args[1]) or []):
-            solve_generic(self.FAR, refine_count=4)
+                        lambda *args, **kwargs: calls.append(args[1]) or []), \
+                mock.patch("fold3d.operations.REFINE_COUNT", 4):
+            solve_generic(self.FAR)
         kept = [np.flatnonzero((seeds == seed).all(axis=1))[0] for seed in calls[0]]
         assert np.array_equal(np.sort(scores[kept]), np.sort(scores)[:4])
 

@@ -19,11 +19,12 @@ from fold3d import (
     load_scene,
     residual,
     scene_to_dict,
+    solve_operation,
     write_scene,
 )
 import fold3d.envelopes
 from fold3d.cli import _build_parser, main
-from fold3d.meshing import MAX_MESH_RESOLUTION
+from fold3d.meshing import MAX_MESH_RESOLUTION, MAX_TANGENT_PLANES
 from fold3d.scene import ResultDocument
 from helpers import random_line, random_payload
 
@@ -88,6 +89,15 @@ class TestSceneLoading:
     def test_malformed_vector(self):
         with pytest.raises(ParseError, match="expected 3 numbers"):
             load_scene('{"points": {"P": [1, 2]}}')
+        for plane, match in [
+            ('{"coeffs": [0, 0, null, 1]}', "coeffs: expected 4 numbers"),
+            ('{"coeffs": ["0", "0", "1", "1"]}', "coeffs: expected 4 numbers"),
+            ('{"normal": [0, 0, 1], "offset": true}', "offset: expected a number"),
+            ('{"normal": [0, 0, 1], "offset": "1"}', "offset: expected a number"),
+            ('{"normal": [0, 0, 1], "offset": 1%s}' % ("0" * 400), "offset: expected a number"),
+        ]:
+            with pytest.raises(ParseError, match=match):
+                load_scene('{"planes": {"pi": %s}}' % plane)
 
     def test_not_json(self):
         with pytest.raises(ParseError, match="not valid JSON"):
@@ -101,6 +111,8 @@ class TestSceneLoading:
         bad = '{"points": {"P": [0,0,0]}, "constraints": [{"type": "I8", "args": {"point": "X"}}]}'
         with pytest.raises(ValidationError, match="no point named 'X'"):
             load_scene(bad)
+        with pytest.raises(ValidationError, match=r"no point named \['P'\]"):
+            load_scene(bad.replace('"X"', '["P"]'))
 
     def test_precondition_violation_names_the_rule(self):
         bad = """
@@ -398,6 +410,7 @@ class TestCli:
     @pytest.mark.parametrize("option", [
         "--resolution=-1", "--resolution=0", "--resolution=1",
         "--extent=nan", "--extent=inf", "--extent=0", "--tangent-planes=-1",
+        f"--tangent-planes={MAX_TANGENT_PLANES + 1}",
     ])
     def test_envelope_rejects_malformed_export(self, tmp_path, capsys, option):
         scene = """
@@ -484,9 +497,9 @@ class TestCli:
             ("oracle", ["--resolution", "0"]),
             ("oracle", ["--resolution", "-5"]),
             ("solve", ["--seed-lattice", "0"]),
-            ("solve", ["--seed-lattice=3x0x4"]),
+            ("solve", ["--seed-lattice=3x0"]),
             ("oracle", ["--resolution", "257"]),
-            ("solve", ["--seed-lattice", "162"]),
+            ("solve", ["--seed-lattice", "257"]),
         ],
     )
     def test_lattice_counts_bounded(self, tmp_path, capsys, command, extra):
@@ -500,6 +513,24 @@ class TestCli:
         assert main(["solve", path, "--seed-lattice", "2048x2048x1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lattice" in err
+
+    @pytest.mark.parametrize("option", ["0", "3x0x4", "14x28x18", "257"])
+    def test_seed_lattice_checked_for_dedicated_solvers(self, tmp_path, capsys, option):
+        path = _write(tmp_path, "s.json", I1_SCENE)
+        assert main(["solve", path, "--seed-lattice", option]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("option, lattice", [("162", (162, 162)), ("14x28", (14, 28))])
+    def test_seed_lattice_counts_normals_only(self, tmp_path, capsys, monkeypatch,
+                                              option, lattice):
+        # only the normal count is capped, and 162 x 162 normals are well below it
+        monkeypatch.delenv("FOLD3D_TOL", raising=False)
+        path = _write(tmp_path, "s.json", I5_I8_SCENE)
+        code = main(["solve", path, "--json", "--seed-lattice", option])
+        scene = load_scene(path)
+        sol = solve_operation(scene.constraint_list(), tol=1e-9, lattice=lattice)
+        doc = ResultDocument.from_solution("I5+I8", scene.constraints, sol, 1e-9)
+        assert (code, capsys.readouterr().out) == (doc.exit_code, doc.to_json() + "\n")
 
     def test_console_entry_subprocess(self, tmp_path):
         path = _write(tmp_path, "s.json", I1_SCENE)
