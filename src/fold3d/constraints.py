@@ -541,11 +541,12 @@ class FoldSolution:
 # ---------------------------------------------------------------------------
 
 
-def solve_I1(p: Point3, q: Point3, tol: float = TOL_INCIDENCE) -> FoldSolution:
-    """The unique fold plane mapping p onto q: their perpendicular bisector."""
+def solve_I1(p: Point3, q: Point3) -> FoldSolution:
+    """The unique fold plane mapping p onto q: their perpendicular bisector.
+    Only points that the I1 precondition refuses (within 1e-10) are refused."""
     if points_equal(p, q, 1e-10):
         raise InvalidConstraint("I1 requires distinct points; P = Q is the I8 case")
-    return FoldSolution.finite([perpendicular_bisector_plane(p, q, tol)])
+    return FoldSolution.finite([perpendicular_bisector_plane(p, q, 1e-10)])
 
 
 def solve_I2(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> FoldSolution:
@@ -574,7 +575,7 @@ def solve_I2(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> FoldSolution:
     return FoldSolution.no_solution()
 
 
-def solve_I4(pi: Plane3, tau: Plane3, tol: float = TOL_INCIDENCE) -> FoldSolution:
+def solve_I4(pi: Plane3, tau: Plane3) -> FoldSolution:
     """Fold planes mapping plane pi onto plane tau: the dihedral bisectors."""
     if planes_setwise_equal(pi, tau, 1e-10):
         raise InvalidConstraint("I4 requires distinct planes; pi = tau is I11 or I12")

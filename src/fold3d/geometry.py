@@ -70,11 +70,6 @@ class Point3:
                 raise DegenerateInput("point coordinates must be finite")
             object.__setattr__(self, name, c)
 
-    @classmethod
-    def of(cls, v) -> Point3:
-        a = _vec(v)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
     @property
     def xyz(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -108,17 +103,6 @@ class Line3:
             b = b - (b @ d) * d
         object.__setattr__(self, "base", Point3(*b))
         object.__setattr__(self, "dir", (float(d[0]), float(d[1]), float(d[2])))
-
-    @classmethod
-    def through(cls, point, direction) -> Line3:
-        return cls(Point3.of(_vec(point)), tuple(_vec(direction)))
-
-    @classmethod
-    def from_points(cls, p, q) -> Line3:
-        p, q = _vec(p if not isinstance(p, Point3) else p.xyz), _vec(
-            q if not isinstance(q, Point3) else q.xyz
-        )
-        return cls(Point3.of(p), tuple(q - p))
 
     @property
     def direction(self) -> np.ndarray:
@@ -220,10 +204,6 @@ class RigidFrame:
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> RigidFrame:
-        return cls(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_axes(cls, e1, e2, e3, center) -> RigidFrame:

@@ -8,12 +8,15 @@ normal and admit either no plane or a continuum): three half-plane swaps
 (3I11), a half-line swap with a half-plane swap (I9+I11), and two half-line
 swaps (2I9).  That leaves 47 valid operations.
 
-Four worked operations get dedicated, exhaustive solvers: closed forms for
-I5+I6, I5+I9 and I6+I8+I11, and elimination for 3I6, whose two remaining
-conditions are plane cubics meeting in at most 7 finite points (the
-resultant's degree; two of the 9 Bezout points are the circular points at
-infinity).  Everything else runs through the generic search: a scan of
-fold-plane normals, each at its best offset, seeding Gauss-Newton.
+Four worked operations get dedicated, exhaustive solvers.  The closed forms
+restrict the fold plane to one constraint's tangent family and put that
+family's parameter into the rest: I5+I6 is a cubic in the I5 parameter t,
+I5+I9 is linear in t, and I6+I8+I11 is a monic quadratic along the line of
+I6 parameters that the I11 condition leaves.  3I6 is solved by elimination:
+its two remaining conditions are plane cubics meeting in at most 7 finite
+points (the resultant's degree; two of the 9 Bezout points are the circular
+points at infinity).  Everything else runs through the generic search: a
+scan of fold-plane normals, each at its best offset, seeding Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -181,11 +184,14 @@ def enumerate_operations() -> tuple[list[OperationSpec], list[tuple[OperationSpe
 # ---------------------------------------------------------------------------
 
 
-def _poly_pad(p: np.ndarray, length: int) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    out = np.zeros(length)
-    out[length - len(p):] = p
-    return out
+def _i5_i6_cubic(a: float, q: np.ndarray, nu: np.ndarray, dist: float) -> np.ndarray:
+    """Coefficients in t, highest first, of |N|^2 / 4 times the signed distance
+    from the plane nu . x = o of q's image across the I5 member N . x = t^2,
+    N = (0, 2t, -4a), all in the canonical frame of (p, m); dist = nu . q - o."""
+    _, y, z = q
+    _, ny, nz = nu
+    return np.array([ny, dist - 2 * a * nz - 2 * y * ny, 4 * a * (y * nz + z * ny),
+                     4 * a * a * (dist - 2 * z * nz)])
 
 
 def solve_I5_I6(
@@ -193,63 +199,24 @@ def solve_I5_I6(
 ) -> FoldSolution:
     """Fold placing p onto line m and q onto plane pi: zero to three planes.
 
-    In the canonical frame of (p, m), candidate planes are the one-parameter
-    tangent family of the parabolic cylinder; those reflections preserve the
-    canonical x coordinate, so the image of q keeps x fixed and the q-onto-pi
-    condition reduces to a linear relation plus a cubic.  A vanishing cubic
-    means the constraints are dependent and the whole family solves the
-    operation (returned as an infinite outcome).
+    The candidates are the I5 family of (p, m), the tangent planes
+    2ty - 4az = t^2 of a parabolic cylinder in its canonical frame, and
+    q-onto-pi is a cubic in t (_i5_i6_cubic) whose real roots give the
+    planes.  A cubic that vanishes at the payload's scale r means the
+    constraints are dependent: the whole family solves the operation (an
+    infinite outcome).
     """
     fam = family_I5(p, m)
-    frame, a = fam.frame, fam.half_gap
-    qc = frame.apply_point(q).xyz
-    pic = frame.apply_plane(pi)
-    ca, cb, cc, cd = pic.coeffs()
-    xq, yq, zq = qc
-    e = ca * xq + cd
-    if max(abs(cb), abs(cc)) <= 1e-12:
-        # pi is a constant-x plane in the canonical frame; the family either
-        # satisfies the point-onto-plane condition identically or never.
-        if abs(e) <= 1e-10 * (1.0 + abs(xq)):
-            return FoldSolution.infinite(fam)
-        return FoldSolution.no_solution()
-    if abs(cc) >= abs(cb):
-        lam, mu = -cb / cc, -e / cc  # z' = lam y' + mu, cubic variable y'
-        p_dy = np.array([1.0, -yq])
-        p_dz = np.array([lam, mu - zq])
-        p_ysq = np.array([1.0, 0.0, -yq * yq])
-        p_zsq = np.polyadd(np.polymul([lam, mu], [lam, mu]), [-zq * zq])
-        to_yz = lambda u: (u, lam * u + mu)
-    else:
-        lam, mu = -cc / cb, -e / cb  # y' = lam z' + mu, cubic variable z'
-        p_dy = np.array([lam, mu - yq])
-        p_dz = np.array([1.0, -zq])
-        p_ysq = np.polyadd(np.polymul([lam, mu], [lam, mu]), [-yq * yq])
-        p_zsq = np.array([1.0, 0.0, -zq * zq])
-        to_yz = lambda u: (lam * u + mu, u)
-    cubic = np.polyadd(
-        2.0 * a * np.polymul(p_dy, p_dy),
-        np.polymul(np.polyadd(p_ysq, p_zsq), p_dz),
-    )
-    cubic = _poly_pad(cubic, 4)
-    coeff_scale = (1.0 + abs(yq) + abs(zq) + a + abs(lam) + abs(mu)) ** 3
-    if np.max(np.abs(cubic)) <= 1e-10 * coeff_scale:
-        # dependent constraints (e.g. q at the moved point and pi carrying m
-        # orthogonally to their span): the whole family works
+    qc, pic = fam.frame.apply_point(q), fam.frame.apply_plane(pi)
+    dist = pic.signed_distance(qc)
+    cubic = _i5_i6_cubic(fam.half_gap, qc.xyz, pic.normal_vec, dist)
+    # each term c_k t^k is a length cubed, so c_k r^k is set against r^3
+    r = fam.half_gap + abs(qc.y) + abs(qc.z) + abs(dist)
+    if np.all(np.abs(cubic) * r ** np.arange(3.0, -1.0, -1.0) <= 1e-10 * r**3):
         return FoldSolution.infinite(fam)
-    roots = real_roots_cubic(*cubic)
     cons = (Constraint.I5(p, m), Constraint.I6(q, pi))
-    planes = []
-    for u in roots.roots:
-        yp, zp = to_yz(u)
-        dz = zp - zq
-        if abs(dz) <= 1e-12 * (1.0 + abs(zq)):
-            continue  # a reflection never keeps z fixed here (q is off pi)
-        t = -2.0 * a * (yp - yq) / dz
-        cand = fam.plane(t)
-        if all(residual(c, cand) < tol for c in cons):
-            planes.append(cand)
-    return FoldSolution.finite(planes)
+    planes = [fam.plane(t) for t in real_roots_cubic(*cubic).roots]
+    return FoldSolution.finite([x for x in planes if all(residual(c, x) < tol for c in cons)])
 
 
 def solve_I5_I9(
@@ -273,49 +240,38 @@ def solve_I5_I9(
     return FoldSolution.no_solution()
 
 
+def _i6_i8_i11_quadratic(a: float, q: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c, d, coefficients): the line (s, t) = c + u d of I6 members
+    2sx + 2ty - 4az = s^2 + t^2 perpendicular to normal nu, and the monic
+    quadratic in u, highest power first, of the member through q; all in
+    the canonical frame of (p, pi), where nu's xy part is not zero."""
+    nxy = math.hypot(nu[0], nu[1])
+    e = nu[:2] / nxy
+    c, d = (2 * a * nu[2] / nxy) * e, np.array([-e[1], e[0]])
+    g = c - q[:2]
+    return c, d, np.array([1.0, 2 * (d @ g), g @ g - q[:2] @ q[:2] + 4 * a * q[2]])
+
+
 def solve_I6_I8_I11(
     p: Point3, pi: Plane3, q: Point3, tau: Plane3, tol: float = TOL_INCIDENCE
 ) -> FoldSolution:
     """Fold through q placing p onto pi and swapping the halves of plane tau.
 
-    In the canonical frame of (p, pi) the candidate planes form the
-    two-parameter tangent family of the paraboloid; perpendicularity to tau
-    is linear in (s, t) and membership of q is quadratic, so there are at
-    most two solutions.  A tau parallel to pi leaves the perpendicularity
-    unsatisfiable.
+    The candidates are the I6 family of (p, pi), the tangent planes of a
+    paraboloid indexed by the landing spot (s, t) of p's image in its
+    canonical frame.  Perpendicularity to tau puts (s, t) on a line, and
+    membership of q is a monic quadratic along it (_i6_i8_i11_quadratic),
+    so there are at most two solutions.  A tau parallel to pi leaves the
+    perpendicularity unsatisfiable.
     """
     fam = family_I6(p, pi)
-    frame, a = fam.frame, fam.half_gap
-    qc = frame.apply_point(q).xyz
-    tc = frame.apply_plane(tau)
-    at, bt, ct, _ = tc.coeffs()
-    xq, yq, zq = qc
-    if max(abs(at), abs(bt)) <= 1e-12:
+    nu = fam.frame.apply_plane(tau).normal_vec
+    if max(abs(nu[0]), abs(nu[1])) <= 1e-12:
         return FoldSolution.no_solution()
-    g = 2.0 * a * ct
-    if abs(at) >= abs(bt):
-        lin = np.array([-bt / at, g / at])  # s as a polynomial in t
-        quad = np.polyadd(
-            np.polyadd(2.0 * xq * lin, np.array([2.0 * yq, 0.0])),
-            np.polyadd(-np.polymul(lin, lin), np.array([-1.0, 0.0, -4.0 * a * zq])),
-        )
-        to_st = lambda u: (float(np.polyval(lin, u)), u)
-    else:
-        lin = np.array([-at / bt, g / bt])  # t as a polynomial in s
-        quad = np.polyadd(
-            np.polyadd(2.0 * yq * lin, np.array([2.0 * xq, 0.0])),
-            np.polyadd(-np.polymul(lin, lin), np.array([-1.0, 0.0, -4.0 * a * zq])),
-        )
-        to_st = lambda u: (u, float(np.polyval(lin, u)))
-    quad = _poly_pad(quad, 3)
-    roots = real_roots_quadratic(*quad)
+    c, d, quad = _i6_i8_i11_quadratic(fam.half_gap, fam.frame.apply_point(q).xyz, nu)
     cons = (Constraint.I6(p, pi), Constraint.I8(q), Constraint.I11(tau))
-    planes = []
-    for u in roots.roots:
-        cand = fam.plane(*to_st(u))
-        if all(residual(c, cand) < tol for c in cons):
-            planes.append(cand)
-    return FoldSolution.finite(planes)
+    planes = [fam.plane(*(c + u * d)) for u in real_roots_quadratic(*quad).roots]
+    return FoldSolution.finite([x for x in planes if all(residual(k, x) < tol for k in cons)])
 
 
 def _landing_poly(
@@ -517,14 +473,14 @@ REFINE_COUNT = 320
 
 def checked_lattice(lattice: Sequence[int]) -> tuple[int, int]:
     """lattice as (n_theta, n_phi); raises DegenerateInput unless it is two
-    counts of at least 1 with at most MAX_SCAN_NORMALS normals."""
-    counts = tuple(lattice)
-    if len(counts) != 2 or min(counts) < 1 or math.prod(counts) > MAX_SCAN_NORMALS:
-        raise DegenerateInput(
-            "lattice wants two counts (theta x phi) of at least 1 and at most "
-            f"{MAX_SCAN_NORMALS} normals, not {'x'.join(map(str, counts))}"
-        )
-    return counts
+    integers of at least 1 with at most MAX_SCAN_NORMALS normals."""
+    counts = tuple(lattice) if isinstance(lattice, (tuple, list, np.ndarray)) else ()
+    whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts)
+    if not (whole and len(counts) == 2 and min(counts) >= 1
+            and math.prod(map(int, counts)) <= MAX_SCAN_NORMALS):
+        raise DegenerateInput(f"lattice wants two integer counts (theta x phi) of at least 1 "
+                              f"and at most {MAX_SCAN_NORMALS} normals, not {lattice!r}")
+    return int(counts[0]), int(counts[1])
 
 
 def solve_generic(
@@ -561,9 +517,9 @@ def solve_generic(
 # constraints sorted by kind.  Each solver is looked up by name when called,
 # so wrappers set on this module (perfbench/tracing.py) see every dispatch.
 _DEDICATED = {
-    (1,): lambda objs, tol: solve_I1(*objs, tol=tol),
+    (1,): lambda objs, tol: solve_I1(*objs),
     (2,): lambda objs, tol: solve_I2(*objs, tol=tol),
-    (4,): lambda objs, tol: solve_I4(*objs, tol=tol),
+    (4,): lambda objs, tol: solve_I4(*objs),
     (12,): lambda objs, tol: solve_I12(*objs),
     (5, 6): lambda objs, tol: solve_I5_I6(*objs, tol=tol),
     (5, 9): lambda objs, tol: solve_I5_I9(*objs, tol=tol),
@@ -583,11 +539,13 @@ def solve_operation(
     Routes the worked combinations to their dedicated solvers and everything
     else to the generic numeric search, which scans lattice normals.  Raises
     InvalidOperation for the three rejected combinations and for
-    under-constrained multisets.
+    under-constrained multisets, and DegenerateInput for a lattice that
+    checked_lattice refuses, whichever solver runs.
     """
     cons = tuple(constraints)
     if not cons:
         raise InvalidOperation("no constraints given")
+    lattice = checked_lattice(lattice)
     solver = _DEDICATED.get(_checked_spec(cons).key)
     if solver is None:
         return solve_generic(cons, tol=max(tol, 1e-8), lattice=lattice)

@@ -630,3 +630,86 @@ class TestDispatchTable:
             assert got.planes == want.planes
             found += want.count
         assert found > 0
+
+
+class TestSolveOperationChecksLattice:
+    """solve_operation checks lattice whichever solver runs, and
+    checked_lattice takes two integers only."""
+
+    I1 = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2))]
+
+    @pytest.mark.parametrize(
+        "lattice", [(0, 0), "garbage", "ab", 5, None, ("3", "4"), (1.5, 2), (True, 2)], ids=repr
+    )
+    def test_bad_lattice_refused_for_dedicated_solver(self, lattice):
+        with pytest.raises(DegenerateInput, match="lattice"):
+            solve_operation(self.I1, lattice=lattice)
+
+    def test_numpy_integers_accepted(self):
+        from fold3d.operations import checked_lattice
+
+        counts = checked_lattice(np.array([3, 4]))
+        assert counts == (3, 4) and all(type(n) is int for n in counts)
+        assert solve_operation(self.I1, lattice=(np.int64(3), 4)).count == 1
+
+
+class TestSolveI1AtCoarseTolerance:
+    def test_close_points_solved(self):
+        # the I1 precondition accepts points 1e-4 apart, so the tolerance of
+        # the residual check must not refuse them as coincident
+        sol = solve_operation([Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 1e-4))], tol=1e-3)
+        assert sol.count == 1
+        assert planes_setwise_equal(sol.planes[0], Plane3((0, 0, 1), 5e-5), 1e-15)
+
+
+class TestExactForms:
+    """The closed-form solvers' polynomials against sympy expansions of the
+    conditions they stand for, on random rational payloads."""
+
+    def test_i5_i6_cubic(self):
+        sympy = pytest.importorskip("sympy")
+        from fold3d.operations import _i5_i6_cubic
+
+        t = sympy.symbols("t")
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            a = sympy.Rational(int(rng.integers(1, 9)), 7)
+            q = sympy.Matrix([sympy.Rational(int(k), 5) for k in rng.integers(-9, 10, 3)])
+            nu = sympy.Matrix([sympy.Rational(int(k), 3) for k in rng.integers(-9, 10, 3)])
+            off = sympy.Rational(int(rng.integers(-9, 10)), 4)
+            normal = sympy.Matrix([0, 2 * t, -4 * a])
+            den = normal.dot(normal)
+            image = q - 2 * (normal.dot(q) - t**2) / den * normal
+            want = sympy.Poly(sympy.cancel(den * (nu.dot(image) - off) / 4), t)
+            ours = _i5_i6_cubic(
+                float(a), np.array(q, dtype=float).ravel(), np.array(nu, dtype=float).ravel(),
+                float(nu.dot(q) - off),
+            )
+            coeffs = [float(want.coeff_monomial(t**k)) for k in (3, 2, 1, 0)]
+            assert np.allclose(ours, coeffs, rtol=1e-12, atol=1e-12)
+
+    def test_i6_i8_i11_quadratic(self):
+        sympy = pytest.importorskip("sympy")
+        from fold3d.operations import _i6_i8_i11_quadratic
+
+        u = sympy.symbols("u")
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            a = sympy.Rational(int(rng.integers(1, 9)), 7)
+            q = sympy.Matrix([sympy.Rational(int(k), 5) for k in rng.integers(-9, 10, 3)])
+            signs = rng.choice([-1, 1], 3)
+            nu = sympy.Matrix(
+                [sympy.Rational(int(k * g), 3) for k, g in zip(rng.integers(1, 9, 3), signs)]
+            )
+            c, d, ours = _i6_i8_i11_quadratic(
+                float(a), np.array(q, dtype=float).ravel(), np.array(nu, dtype=float).ravel()
+            )
+            s, t = (sympy.Rational(float(c[i])) + u * sympy.Rational(float(d[i])) for i in range(2))
+            normal = sympy.Matrix([2 * s, 2 * t, -4 * a])
+            # I11: every member on the line is perpendicular to the plane of normal nu
+            perp = sympy.Poly(normal.dot(nu), u)
+            assert all(abs(float(k)) < 1e-12 for k in perp.all_coeffs())
+            # I8: the member passes through q, as a monic quadratic in u
+            on_q = sympy.Poly(s**2 + t**2 - normal.dot(q), u)
+            assert on_q.degree() == 2
+            assert np.allclose(ours, [float(k) for k in on_q.all_coeffs()], rtol=1e-12, atol=1e-12)

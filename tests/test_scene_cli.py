@@ -607,3 +607,21 @@ class TestCliCallsShareNoState:
         capsys.readouterr()
         assert code == 0
         assert spy.call_count == 1
+
+
+I1_CLOSE_SCENE = """
+{
+  "points": {"P": [0, 0, 0], "Q": [0, 0, 1e-4]},
+  "constraints": [{"type": "I1", "args": {"point": "P", "point2": "Q"}}]
+}
+"""
+
+
+class TestSolveTolerance:
+    def test_close_i1_points_solved_at_coarse_tol(self, tmp_path, capsys):
+        # --tol bounds residuals; it does not decide when two points coincide
+        path = _write(tmp_path, "s.json", I1_CLOSE_SCENE)
+        assert main(["solve", path, "--json", "--tol", "1e-3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["outcome"] == "finite"
+        assert [pl["offset"] for pl in doc["planes"]] == [5e-05]
