@@ -88,6 +88,7 @@ from .operations import (
     solve_I5_I6,
     solve_I5_I9,
     solve_I6_I8_I11,
+    solve_exact,
     solve_generic,
     solve_operation,
 )

@@ -84,8 +84,10 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     p_solve.add_argument("--spec", help="operation spec like I1, I5+I6, 3I6 "
                          "(default: derived from the scene constraints)")
     p_solve.add_argument("--seed-lattice", type=_seed_lattice, default=SCAN_LATTICE,
-                         help="generic solver's normal scan: theta x phi counts such "
-                         "as 14x28 (the default), or N for N x N")
+                         help="normal scan of the generic search, which solves only "
+                         "the operations whose dual linear forms leave more than a "
+                         "line of planes (k >= 2): theta x phi counts such as 14x28 "
+                         "(the default), or N for N x N")
 
     p_enum = sub.add_parser("enumerate", help="list the valid fold operations")
     p_enum.add_argument("--json", action="store_true")

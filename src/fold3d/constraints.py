@@ -2,7 +2,7 @@
 reflections in an unknown fold plane.
 
 Each kind is one row of the ``_KINDS`` table: its codimension (degrees of
-freedom of the fold plane it consumes), payload signature, description and
+freedom of the fold plane it consumes), payload signature, dual locus and
 precondition, a function giving the signed residual components of a batch
 of candidate planes, and the reduction of those components to the kind's
 scalar residual.  Both residual forms are read from the row:
@@ -19,8 +19,29 @@ scalar residual.  Both residual forms are read from the row:
 I3 is the exception: its one component, the coplanarity triple product,
 also vanishes for a reflected line parallel to the target, so it cannot
 give the skew-line gap, and the row computes that scalar itself.  Root
-filters recheck the scalar.  The finite kinds I1/I2/I4/I12 have direct
-solvers; the families of the infinite kinds are in ``envelopes``.
+filters recheck the scalar.
+
+``dual_locus`` reads the fold planes of an infinite kind in dual
+coordinates h = (N, d), the plane N . x = d with N of any length, where
+every kind is a few linear forms and at most one quadric (S = N . N below):
+
+* I8 (q): (q, -1);  I11 (nu, o): (nu, 0);  I9 (b, e): (u, 0) and (v, 0)
+  for u, v perpendicular to e;  I10 (b, e): (e, 0) and (b, -1);
+* I6 (p, pi): the quadric (nu . p - o) S - 2 (N . p - d)(N . nu), which is S
+  times the signed distance from pi of p's image;
+* I5 (p, m): (e x (b - p), 0), keeping N in the plane of p and m, and the I6
+  quadric of p and the plane through m perpendicular to that plane;
+* I7 (m, pi): the fold plane passes through X = m meet pi, (X, -1), and the
+  cone (nu . e) S - 2 (N . e)(N . nu) turns e into pi; for m parallel to pi,
+  (e, 0) and the I6 quadric of (b, pi);
+* I3 (m, n) = ((b, e), (c, f)): S (c - b) . (e x f) - 2 (N . e)(N . (f x
+  (c - b))) + 2 (N . b - d)(N . (e x f)), which is S times the triple
+  product (c - b') . (e' x f) of the reflected m = (b', e') and n, zero when
+  they are coplanar; for parallel lines the one linear form
+  (e x (c - b), 0) keeps the reflected m in their plane.
+
+The finite kinds I1/I2/I4/I12 have no dual locus and direct solvers; the
+families of the infinite kinds are in ``envelopes``.
 """
 
 from __future__ import annotations
@@ -41,6 +62,7 @@ from .geometry import (
     LinePlaneRelation,
     line_line_closest,
     lines_setwise_equal,
+    perp_unit,
     perpendicular_bisector_plane,
     plane_gap,
     planes_setwise_equal,
@@ -81,8 +103,13 @@ class IncidenceKind(str, Enum):
         """Payload object kinds, in order."""
         return _KINDS[self].signature
 
-    def describe(self) -> str:
-        return _KINDS[self].description
+    @property
+    def linear_forms(self) -> int | None:
+        """Linear forms of the dual locus of a payload in general position
+        (parallel I3 lines have one form and no quadric); the rest of the
+        codimension is one quadric.  None for the finite kinds."""
+        dual = _KINDS[self].dual
+        return None if dual is None else dual.linear
 
 
 def codimension(c: "Constraint") -> int:
@@ -381,6 +408,96 @@ def _tilt_and_gap(c: np.ndarray) -> np.ndarray:
     return _tilt(c) + np.abs(c[:, 1])
 
 
+# ---------------------------------------------------------------------------
+# Dual loci: linear forms and a quadric in h = (N, d) of the planes N . x = d
+# ---------------------------------------------------------------------------
+
+# The quadric S = N . N.
+_NORMAL_NORM = np.diag([1.0, 1.0, 1.0, 0.0])
+
+
+def _form(v, w: float = 0.0) -> np.ndarray:
+    """The linear form v . N + w d."""
+    return np.append(np.asarray(v, dtype=float), w)
+
+
+def _product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of the quadric (h . f)(h . g)."""
+    return (np.outer(f, g) + np.outer(g, f)) / 2.0
+
+
+def _landing(v: np.ndarray, w: float, nu: np.ndarray, o: float) -> np.ndarray:
+    """(nu . v - o) S - 2 (N . v + w d)(N . nu): S times the signed distance
+    from the plane nu . x = o of the image of the point v (w = -1) or of the
+    direction v (w = 0, o = 0)."""
+    return float(nu @ v - o) * _NORMAL_NORM - 2.0 * _product(_form(v, w), _form(nu))
+
+
+def _dual_i3(objs):
+    m, n = objs
+    b, e, c, f = m.base.xyz, m.direction, n.base.xyz, n.direction
+    if line_line_closest(m, n)[3]:
+        return [_form(np.cross(e, c - b))], None
+    ef = np.cross(e, f)
+    return [], (float((c - b) @ ef) * _NORMAL_NORM
+                - 2.0 * _product(_form(e), _form(np.cross(f, c - b)))
+                + 2.0 * _product(_form(b, -1.0), _form(ef)))
+
+
+def _dual_i6(objs):
+    p, pi = objs
+    return [], _landing(p.xyz, -1.0, pi.normal_vec, pi.offset)
+
+
+def _dual_i5(objs):
+    p, m = objs
+    b, e = m.base.xyz, m.direction
+    u = p.xyz - b
+    u -= (u @ e) * e
+    u /= np.linalg.norm(u)
+    return [_form(np.cross(e, b - p.xyz))], _landing(p.xyz, -1.0, u, float(u @ b))
+
+
+def _dual_i7(objs):
+    m, pi = objs
+    b, e, nu = m.base.xyz, m.direction, pi.normal_vec
+    if classify_line_plane(m, pi) is LinePlaneRelation.PARALLEL_DISJOINT:
+        return [_form(e)], _landing(b, -1.0, nu, pi.offset)
+    cross = b + (pi.offset - float(nu @ b)) / float(nu @ e) * e
+    return [_form(cross, -1.0)], _landing(e, 0.0, nu, 0.0)
+
+
+def _dual_i8(objs):
+    (q,) = objs
+    return [_form(q.xyz, -1.0)], None
+
+
+def _dual_i9(objs):
+    (m,) = objs
+    u = perp_unit(m.direction)
+    return [_form(u), _form(np.cross(m.direction, u))], None
+
+
+def _dual_i10(objs):
+    (m,) = objs
+    return [_form(m.direction), _form(m.base.xyz, -1.0)], None
+
+
+def _dual_i11(objs):
+    (pi,) = objs
+    return [_form(pi.normal_vec)], None
+
+
+@dataclass(frozen=True)
+class _Dual:
+    """The dual-locus column: ``locus(objects)`` gives the linear forms (rows
+    of 4 numbers) and the symmetric 4 x 4 quadric, or None, of a payload;
+    ``linear`` counts the forms of a payload in general position."""
+
+    linear: int
+    locus: Callable[[tuple], tuple[list[np.ndarray], np.ndarray | None]]
+
+
 @dataclass(frozen=True)
 class _Kind:
     """One row of the incidence-kind table.
@@ -393,7 +510,7 @@ class _Kind:
 
     codimension: int
     signature: tuple[str, ...]
-    description: str
+    dual: _Dual | None
     components: Callable[[tuple, np.ndarray, np.ndarray], np.ndarray]
     reduce: Callable[[np.ndarray], np.ndarray] | None
     precondition: Callable[[tuple], None] = lambda objs: None
@@ -401,38 +518,34 @@ class _Kind:
 
 
 _KINDS: dict[IncidenceKind, _Kind] = {
-    IncidenceKind.I1: _Kind(
-        3, ("point", "point"), "reflected point coincides with the other point",
-        _i1, _row_norm, _pre_distinct_points),
-    IncidenceKind.I2: _Kind(
-        3, ("line", "line"), "reflected line coincides with the other line",
-        _i2, _turn_and_gap, _pre_distinct_lines),
+    IncidenceKind.I1: _Kind(3, ("point", "point"), None, _i1, _row_norm, _pre_distinct_points),
+    IncidenceKind.I2: _Kind(3, ("line", "line"), None, _i2, _turn_and_gap, _pre_distinct_lines),
     IncidenceKind.I3: _Kind(
-        1, ("line", "line"), "reflected line meets the other (disjoint) line",
-        _i3, None, _pre_disjoint_lines, scalar=_i3_gap),
-    IncidenceKind.I4: _Kind(
-        3, ("plane", "plane"), "reflected plane coincides with the other plane",
-        _i4, _turn_and_gap, _pre_distinct_planes),
+        1, ("line", "line"), _Dual(0, _dual_i3), _i3, None, _pre_disjoint_lines,
+        scalar=_i3_gap),
+    IncidenceKind.I4: _Kind(3, ("plane", "plane"), None, _i4, _turn_and_gap, _pre_distinct_planes),
     IncidenceKind.I5: _Kind(
-        2, ("point", "line"), "reflected point lands on the line",
-        _i5, _row_norm, _pre_point_off_line),
+        2, ("point", "line"), _Dual(1, _dual_i5), _i5, _row_norm, _pre_point_off_line),
     IncidenceKind.I6: _Kind(
-        1, ("point", "plane"), "reflected point lands on the plane",
-        _i6, _abs, _pre_point_off_plane),
+        1, ("point", "plane"), _Dual(0, _dual_i6), _i6, _abs, _pre_point_off_plane),
     IncidenceKind.I7: _Kind(
-        2, ("line", "plane"), "reflected line lands inside the plane",
-        _i7, _max_abs, _pre_line_off_plane),
-    IncidenceKind.I8: _Kind(
-        1, ("point",), "point is fixed by the fold", _i8, _abs),
-    IncidenceKind.I9: _Kind(
-        2, ("line",), "line maps to itself with its halves swapped", _i9, _turn),
-    IncidenceKind.I10: _Kind(
-        2, ("line",), "line is fixed pointwise by the fold", _i10, _tilt_and_gap),
-    IncidenceKind.I11: _Kind(
-        1, ("plane",), "plane maps to itself with its halves swapped", _i11, _tilt),
-    IncidenceKind.I12: _Kind(
-        3, ("plane",), "plane is fixed pointwise by the fold", _i12, _turn_and_gap),
+        2, ("line", "plane"), _Dual(1, _dual_i7), _i7, _max_abs, _pre_line_off_plane),
+    IncidenceKind.I8: _Kind(1, ("point",), _Dual(1, _dual_i8), _i8, _abs),
+    IncidenceKind.I9: _Kind(2, ("line",), _Dual(2, _dual_i9), _i9, _turn),
+    IncidenceKind.I10: _Kind(2, ("line",), _Dual(2, _dual_i10), _i10, _tilt_and_gap),
+    IncidenceKind.I11: _Kind(1, ("plane",), _Dual(1, _dual_i11), _i11, _tilt),
+    IncidenceKind.I12: _Kind(3, ("plane",), None, _i12, _turn_and_gap),
 }
+
+
+def dual_locus(c: Constraint) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The linear forms and the quadric (or None) in h = (N, d) that vanish
+    on the fold planes N . x = d satisfying c, a constraint of an infinite
+    kind."""
+    dual = _KINDS[c.kind].dual
+    if dual is None:
+        raise InvalidConstraint(f"{c.kind.value} fixes the fold plane; it has no dual locus")
+    return dual.locus(c.objects)
 
 
 def residual_grid(c: Constraint, N: np.ndarray, O: np.ndarray) -> np.ndarray:

@@ -15,7 +15,14 @@ I5+I9 is linear in t, and I6+I8+I11 is a monic quadratic along the line of
 I6 parameters that the I11 condition leaves.  3I6 is solved by elimination:
 its two remaining conditions are plane cubics meeting in at most 7 finite
 points (the resultant's degree; two of the 9 Bezout points are the circular
-points at infinity).  Everything else runs through the generic search: a
+points at infinity).
+
+Every other operation is read in dual plane coordinates h = (N, d), where
+each constraint is a few linear forms and at most one quadric
+(constraints.dual_locus).  When the linear forms leave at most a line of
+planes (k = 3 minus their number, k <= 1: 27 operations), solve_exact
+takes their null space and the roots of the first quadric on it, which is
+exact.  The 12 operations with k >= 2 run through the generic search: a
 scan of fold-plane normals, each at its best offset, seeding Gauss-Newton.
 """
 
@@ -33,11 +40,14 @@ from .constraints import (
     Constraint,
     FoldSolution,
     IncidenceKind,
+    dual_locus,
+    payload_radius,
     residual,
     solve_I1,
     solve_I2,
     solve_I4,
     solve_I12,
+    stacked_residual,
 )
 from .envelopes import family_I5, family_I6
 from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
@@ -144,6 +154,14 @@ class OperationSpec:
     def total_codimension(self) -> int:
         return sum(k.codimension for k in self.kinds)
 
+    @property
+    def dual_dimension(self) -> int | None:
+        """k = 3 minus the linear forms of the kinds' dual loci in general
+        position: the dimension of the projective space of planes h = (N, d)
+        they leave.  None when a kind fixes the fold plane (I1, I2, I4, I12)."""
+        forms = [k.linear_forms for k in self.kinds]
+        return None if None in forms else 3 - sum(forms)
+
     def codim_signature(self) -> tuple[int, ...]:
         return tuple(sorted((k.codimension for k in self.kinds), reverse=True))
 
@@ -214,8 +232,12 @@ def solve_I5_I6(
     r = fam.half_gap + abs(qc.y) + abs(qc.z) + abs(dist)
     if np.all(np.abs(cubic) * r ** np.arange(3.0, -1.0, -1.0) <= 1e-10 * r**3):
         return FoldSolution.infinite(fam)
+    try:
+        roots = real_roots_cubic(*cubic).roots
+    except DegenerateInput:  # a nonzero constant: the only fold is the limit t -> oo
+        return FoldSolution.no_solution()
     cons = (Constraint.I5(p, m), Constraint.I6(q, pi))
-    planes = [fam.plane(t) for t in real_roots_cubic(*cubic).roots]
+    planes = [fam.plane(t) for t in roots]
     return FoldSolution.finite([x for x in planes if all(residual(c, x) < tol for c in cons)])
 
 
@@ -444,6 +466,107 @@ def solve_3I6(
 
 
 # ---------------------------------------------------------------------------
+# Exact solver for the operations whose linear forms leave at most a line
+# ---------------------------------------------------------------------------
+
+# Singular values of the stacked unit linear forms below this fraction of the
+# largest, and a unit quadric's values on the null line below it, are zero.
+EXACT_REL_TOL = 1e-10
+# A unit candidate h = (N, d / r) with |N| below this is the plane at infinity.
+_AT_INFINITY = 1e-9
+
+
+def _rank(sv: np.ndarray) -> int:
+    """The singular values sv (largest first) above EXACT_REL_TOL times the
+    largest."""
+    return int(np.count_nonzero(sv > EXACT_REL_TOL * sv[0]))
+
+
+def _line_points(line: np.ndarray, quadrics) -> list[np.ndarray]:
+    """The points h = x h1 + y h2 of the null line (rows h1, h2) where the
+    first quadric that does not vanish on it does: a binary quadratic,
+    solved in the chart of its larger end coefficient.  Raises IllPosed
+    when every quadric vanishes on the line, a continuum of planes."""
+    h1, h2 = line
+    for q in quadrics:
+        a, b, c = h1 @ q @ h1, h1 @ q @ h2, h2 @ q @ h2
+        if max(abs(a), abs(b), abs(c)) > EXACT_REL_TOL:
+            break
+    else:
+        raise IllPosed(
+            "a line of fold planes satisfies every constraint; the solution "
+            "set is a continuum, not a finite operation"
+        )
+    if abs(a) < abs(c):
+        (a, c), (h1, h2) = (c, a), (h2, h1)
+    points = [t * h1 + h2 for t in real_roots_quadratic(a, 2.0 * b, c).roots]
+    # a = 0 leaves c = 0 too, and the chart's point at infinity h1 is a root
+    return points + [h1] if a == 0.0 else points
+
+
+def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
+    """Exact solver for the operations of dual dimension k <= 1.
+
+    Each constraint's dual locus (constraints.dual_locus) is a few linear
+    forms and at most one quadric in h = (N, d), with d in units of the
+    payload radius.  The unit linear forms' null space, by SVD with a rank
+    test relative to the largest singular value, is empty (no solution),
+    one point, or a line on which the first quadric is a binary quadratic
+    (real_roots_quadratic, double roots once).  Points with N = 0 (the plane
+    at infinity) are dropped, and every plane is re-verified against tol
+    with the summed residual, so a second quadric is only checked.  The
+    result is exhaustive, so it is not flagged possibly incomplete.
+    Dependent forms that leave a plane of planes with two distinct conics
+    on it, a finite set, go to solve_generic.  Raises IllPosed when the
+    forms are dependent and leave a continuum (a null space of more
+    dimensions than distinct quadrics on it, or a line on which every
+    quadric vanishes), and InvalidOperation for an operation whose forms
+    leave more than a line in general position.
+    """
+    cons = tuple(constraints)
+    spec = _checked_spec(cons)
+    r = payload_radius(cons)
+    scale = np.array([1.0, 1.0, 1.0, r])
+    rows, quadrics = [], []
+    for c in cons:
+        forms, quadric = dual_locus(c)
+        rows += [f * scale / np.linalg.norm(f * scale) for f in forms]
+        if quadric is not None:
+            quadric = quadric * np.outer(scale, scale)
+            quadrics.append(quadric / np.linalg.norm(quadric))
+    null = np.eye(4)
+    if rows:
+        _, sv, vt = np.linalg.svd(np.array(rows))
+        null = vt[_rank(sv):]
+    if len(null) > 2:
+        if len(null) == 4 - len(rows):
+            raise InvalidOperation(
+                f"{spec} leaves a {len(null) - 1}-dimensional set of planes before "
+                "its quadrics; solve_exact takes at most a line"
+            )
+        conics = np.array([(null @ q @ null.T).ravel() for q in quadrics])
+        distinct = _rank(np.linalg.svd(conics, compute_uv=False)) if quadrics else 0
+        if distinct < len(null) - 1:
+            raise IllPosed(
+                "the linear conditions are dependent and leave a continuum of fold "
+                "planes, not a finite operation"
+            )
+        # two distinct conics on a plane of planes (2I5, I5+I7, 2I7): finitely
+        # many planes, which only the search finds
+        return solve_generic(cons, tol=tol)
+    points = list(null) if len(null) < 2 else _line_points(null, quadrics)
+    planes = []
+    for h in points:
+        h = h / np.linalg.norm(h)
+        if np.linalg.norm(h[:3]) <= _AT_INFINITY:
+            continue
+        plane = Plane3.from_coeffs(*h[:3], -h[3] * r)
+        if stacked_residual(cons, plane) < tol:
+            planes.append(plane)
+    return FoldSolution.finite(planes, provenance="exact")
+
+
+# ---------------------------------------------------------------------------
 # Generic solver and dispatch
 # ---------------------------------------------------------------------------
 
@@ -536,18 +659,22 @@ def solve_operation(
 ) -> FoldSolution:
     """Solve a fold operation given its constraint payloads.
 
-    Routes the worked combinations to their dedicated solvers and everything
-    else to the generic numeric search, which scans lattice normals.  Raises
-    InvalidOperation for the three rejected combinations and for
-    under-constrained multisets, and DegenerateInput for a lattice that
-    checked_lattice refuses, whichever solver runs.
+    Routes the worked combinations to their dedicated solvers, the others of
+    dual dimension k <= 1 to solve_exact, and the rest to the generic
+    numeric search, which scans lattice normals.  Raises InvalidOperation
+    for the three rejected combinations and for under-constrained
+    multisets, and DegenerateInput for a lattice that checked_lattice
+    refuses, whichever solver runs.
     """
     cons = tuple(constraints)
     if not cons:
         raise InvalidOperation("no constraints given")
     lattice = checked_lattice(lattice)
-    solver = _DEDICATED.get(_checked_spec(cons).key)
+    spec = _checked_spec(cons)
+    solver = _DEDICATED.get(spec.key)
     if solver is None:
+        if spec.dual_dimension <= 1:
+            return solve_exact(cons, tol=max(tol, 1e-8))
         return solve_generic(cons, tol=max(tol, 1e-8), lattice=lattice)
     by_kind = sorted(cons, key=lambda c: c.kind.index)
     return solver(tuple(obj for c in by_kind for obj in c.objects), tol)

@@ -27,9 +27,10 @@ from fold3d import (
     solve_I4,
     solve_I12,
 )
-from fold3d.constraints import residual_components_grid
+from fold3d.constraints import dual_locus, residual_components_grid
 from helpers import (
     coplanar_crossing_lines,
+    line_parallel_to_plane,
     parallel_lines,
     point_off_line,
     point_off_plane,
@@ -388,3 +389,68 @@ class TestResidualTable:
             residual_components_grid(c, N, O),
             reference_residual_components_grid(c, N, O),
         )
+
+
+def _locus_defect(c, h: np.ndarray) -> float:
+    """Largest relative value of c's dual linear forms and quadric at h."""
+    forms, quadric = dual_locus(c)
+    h = h / np.linalg.norm(h)
+    values = [abs(f @ h) / np.linalg.norm(f) for f in forms]
+    if quadric is not None:
+        values.append(abs(h @ quadric @ h) / np.linalg.norm(quadric))
+    return max(values)
+
+
+# every infinite kind in general position, and the parallel I3 and I7 rows
+_DUAL_CASES = {
+    **{kind.value: (lambda rng, kind=kind: random_payload(rng, kind))
+       for kind in IncidenceKind if kind.linear_forms is not None},
+    "I3-parallel": lambda rng: Constraint.I3(*parallel_lines(rng)),
+    "I7-parallel": lambda rng: Constraint.I7(*line_parallel_to_plane(rng)),
+}
+
+
+class TestDualLocus:
+    """Each kind's linear forms and quadric in h = (N, d) vanish on its
+    fold planes N . x = d and only there."""
+
+    @pytest.mark.parametrize("case", list(_DUAL_CASES))
+    def test_family_members_on_locus(self, case):
+        rng = np.random.default_rng(400 + sum(map(ord, case)))
+        members = 0
+        for _ in range(50):
+            c = _DUAL_CASES[case](rng)
+            fam = family(c)
+            assert fam.incidence_kind == case
+            for _ in range(20):
+                plane = fam.plane(*(rng.uniform(p.low, p.high) for p in fam.parameters))
+                assert _locus_defect(c, np.append(plane.normal_vec, plane.offset)) < 1e-12
+                members += 1
+        assert members >= 1000
+
+    @pytest.mark.parametrize("case", list(_DUAL_CASES))
+    def test_random_planes_off_locus(self, case):
+        rng = np.random.default_rng(500 + sum(map(ord, case)))
+        for _ in range(50):
+            c = _DUAL_CASES[case](rng)
+            N, O = _candidate_normals_offsets(rng, k=20)
+            for n, o in zip(N, O):
+                assert residual(c, Plane3(tuple(n), float(o))) > 1e-6
+                assert _locus_defect(c, np.append(n, o)) > 1e-6
+
+    @pytest.mark.parametrize("case", list(_DUAL_CASES))
+    def test_forms_and_quadric_count_the_codimension(self, case):
+        c = _DUAL_CASES[case](np.random.default_rng(9))
+        forms, quadric = dual_locus(c)
+        assert len(forms) + (quadric is not None) == c.kind.codimension
+        if "parallel" not in case:
+            assert len(forms) == c.kind.linear_forms
+        if quadric is not None:
+            assert np.array_equal(quadric, quadric.T)
+
+    @pytest.mark.parametrize("kind", [IncidenceKind.I1, IncidenceKind.I2,
+                                      IncidenceKind.I4, IncidenceKind.I12])
+    def test_finite_kinds_have_none(self, kind):
+        assert kind.linear_forms is None
+        with pytest.raises(InvalidConstraint, match="no dual locus"):
+            dual_locus(random_payload(np.random.default_rng(1), kind))

@@ -29,6 +29,7 @@ from fold3d import (
     solve_I5_I6,
     solve_I5_I9,
     solve_I6_I8_I11,
+    solve_exact,
     solve_generic,
     solve_operation,
     stacked_residual,
@@ -49,6 +50,7 @@ from helpers import (
     random_plane,
     random_point,
     random_unit,
+    skew_lines,
     windowed_counts,
 )
 
@@ -183,6 +185,13 @@ class TestSolveI5I6:
             P_C, M_C, Point3(0.3, -0.4, 0.2), Plane3((0.25, 0.55, 0.75), -0.35)
         )
         assert sol.count == 3
+
+    def test_constant_cubic_no_solution(self):
+        # q lies in the plane through p perpendicular to m, pi's normal is
+        # perpendicular to m, and the cubic reduces to a nonzero constant:
+        # the only fold is the limit t -> oo
+        sol = solve_I5_I6(P_C, M_C, Point3(0.5, 0, 0.3), Plane3((0, 0, 1), -1.7))
+        assert sol.outcome is Outcome.NO_SOLUTION
 
 
 class TestSolveI5I9:
@@ -572,11 +581,17 @@ class TestSolveOperation:
     def test_routes_unworked_to_generic(self):
         rng = np.random.default_rng(9)
         p, m = point_off_line(rng)
-        q, pi = point_off_plane(rng)
-        n = random_line(rng)
-        cons = [Constraint.I5(p, m), Constraint.I10(n)]
+        cons = [Constraint.I3(*skew_lines(rng)), Constraint.I5(p, m)]
         sol = solve_operation(cons)
         assert sol.provenance == "generic"
+
+    def test_routes_line_classes_to_exact(self):
+        rng = np.random.default_rng(9)
+        p, m = point_off_line(rng)
+        cons = [Constraint.I5(p, m), Constraint.I10(random_line(rng))]
+        sol = solve_operation(cons)
+        assert sol.provenance == "exact" and not sol.possibly_incomplete
+        assert sol == solve_exact(cons)
 
 
 def _objects(cons, kind):
@@ -713,3 +728,167 @@ class TestExactForms:
             on_q = sympy.Poly(s**2 + t**2 - normal.dot(q), u)
             assert on_q.degree() == 2
             assert np.allclose(ours, [float(k) for k in on_q.all_coeffs()], rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _dual_quadric_poly(quadric, sympy, h):
+        """h^T Q h of a float quadric as an exact polynomial in h."""
+        q = sympy.Matrix(4, 4, [sympy.Rational(float(x)) for x in quadric.ravel()])
+        return sympy.Poly(sympy.expand((h.T * q * h)[0]), *h)
+
+    def test_i6_dual_quadric(self):
+        # S = N . N times the signed distance from pi of p's image
+        sympy = pytest.importorskip("sympy")
+        from fold3d.constraints import dual_locus
+
+        h = sympy.Matrix(sympy.symbols("n1 n2 n3 d"))
+        normal, d = h[:3, 0], h[3]
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            c = random_payload(rng, IncidenceKind.I6)
+            p, pi = c.objects
+            ps = sympy.Matrix([sympy.Rational(float(x)) for x in p.xyz])
+            nu = sympy.Matrix([sympy.Rational(float(x)) for x in pi.normal_vec])
+            s = normal.dot(normal)
+            image = ps - 2 * (normal.dot(ps) - d) / s * normal
+            want = sympy.Poly(sympy.cancel(s * (nu.dot(image) - sympy.Rational(pi.offset))), *h)
+            ours = self._dual_quadric_poly(dual_locus(c)[1], sympy, h)
+            for monomial, coeff in (want - ours).terms():
+                assert abs(float(coeff)) < 1e-12, monomial
+
+    def test_i3_dual_quadric(self):
+        # S times the triple product (c - b') . (e' x f) of the reflected
+        # m = (b', e') and n = (c, f): zero when the two are coplanar
+        sympy = pytest.importorskip("sympy")
+        from fold3d.constraints import dual_locus
+
+        h = sympy.Matrix(sympy.symbols("n1 n2 n3 d"))
+        normal, d = h[:3, 0], h[3]
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            c = random_payload(rng, IncidenceKind.I3)
+            b, e, cc, f = (sympy.Matrix([sympy.Rational(float(x)) for x in v]) for v in (
+                c.objects[0].base.xyz, c.objects[0].direction,
+                c.objects[1].base.xyz, c.objects[1].direction))
+            s = normal.dot(normal)
+            b2 = b - 2 * (normal.dot(b) - d) / s * normal
+            e2 = e - 2 * normal.dot(e) / s * normal
+            want = sympy.Poly(sympy.cancel(s * (cc - b2).dot(e2.cross(f))), *h)
+            forms, quadric = dual_locus(c)
+            assert forms == []
+            ours = self._dual_quadric_poly(quadric, sympy, h)
+            for monomial, coeff in (want - ours).terms():
+                assert abs(float(coeff)) < 1e-12, monomial
+
+
+# the operations solve_exact takes (k <= 1) and those left to the search
+EXACT_SPECS = [s for s in generic_specs() if s.dual_dimension <= 1]
+SEARCH_SPECS = [s for s in generic_specs() if s.dual_dimension > 1]
+
+
+class TestSolveExact:
+    """solve_exact: the null space of the dual linear forms and the roots of
+    the first quadric on it."""
+
+    def test_classes(self):
+        assert len(EXACT_SPECS) == 27
+        assert sorted(map(str, SEARCH_SPECS)) == sorted([
+            "I3+I5", "I3+I7", "I6+I7", "2I3+I8", "2I3+I11", "I3+I6+I8",
+            "I3+I6+I11", "2I6+I8", "2I6+I11", "3I3", "2I3+I6", "I3+2I6"])
+        assert {OperationSpec.parse(k).dual_dimension for k in ("I5+I9", "I5+I6", "3I6")} \
+            == {0, 2, 3}
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS, ids=str)
+    def test_matches_generic(self, spec):
+        rng = np.random.default_rng(600 + EXACT_SPECS.index(spec))
+        for _ in range(12):
+            cons = [random_payload(rng, k) for k in spec.kinds]
+            exact = solve_operation(cons)
+            assert exact.provenance == "exact" and not exact.possibly_incomplete
+            generic = solve_generic(cons)
+            assert exact.count == generic.count
+            for plane in generic.planes:
+                assert min(plane_gap(plane, q) for q in exact.planes) < 1e-6
+            for plane in exact.planes:
+                assert stacked_residual(cons, plane) < 1e-8
+
+    def test_counts_invariant_under_scaling(self):
+        rng = np.random.default_rng(61)
+        for spec in EXACT_SPECS:
+            cons = [random_payload(rng, k) for k in spec.kinds]
+            count = solve_exact(cons).count
+            for k in (1e-3, 1e4):
+                scaled = [Constraint(c.kind, tuple(_scaled(o, k) for o in c.objects))
+                          for c in cons]
+                assert solve_exact(scaled, tol=1e-8 * k).count == count, spec
+
+    def test_collinear_fixed_points_ill_posed(self):
+        # three fixed points on a line leave the pencil of planes through it
+        cons = [Constraint.I8(Point3(x, x, x)) for x in (0, 1, 2)]
+        with pytest.raises(IllPosed):
+            solve_operation(cons)
+
+    def test_fixed_points_on_a_normal_ill_posed(self):
+        cons = [Constraint.I8(Point3(0.2, 0.1, 1)), Constraint.I8(Point3(0.2, 0.1, 3)),
+                Constraint.I11(Plane3((0, 0, 1), 0.5))]
+        with pytest.raises(IllPosed):
+            solve_operation(cons)
+
+    def test_double_root_gives_one_plane(self):
+        cons = [Constraint.I6(P_C, PI_C), Constraint.I8(Point3(1, 0, 0)),
+                Constraint.I8(Point3(-1, 0, 0))]
+        sol = solve_operation(cons)
+        assert sol.count == 1
+        assert plane_gap(sol.planes[0], Plane3((0, 0, 1), 0.0)) < 1e-12
+
+    def test_root_only_at_infinity_no_solution(self):
+        # folds perpendicular to x = 0 and z = 0 are the planes y = d, which
+        # keep p's height: the quadratic on that line is a nonzero constant
+        cons = [Constraint.I6(P_C, PI_C), Constraint.I11(Plane3((1, 0, 0), 0.0)),
+                Constraint.I11(Plane3((0, 0, 1), 0.0))]
+        assert solve_operation(cons).outcome is Outcome.NO_SOLUTION
+
+    def test_root_at_both_chart_ends(self):
+        # the planes y = d: the quadratic on that line is 2b xy, with roots
+        # y = 0 and the plane at infinity at the two ends of the chart
+        cons = [Constraint.I6(Point3(0, 1, 0), Plane3((0, 0.6, 0.8), -0.6)),
+                Constraint.I11(Plane3((1, 0, 0), 0.0)), Constraint.I11(Plane3((0, 0, 1), 0.0))]
+        (plane,) = solve_operation(cons).planes
+        assert plane_gap(plane, Plane3((0, 1, 0), 0.0)) < 1e-12
+
+    def test_overdetermined_linear_class(self):
+        # 2I10 fixes two lines pointwise: none for skew lines, their plane
+        # for crossing ones
+        rng = np.random.default_rng(62)
+        assert solve_operation([Constraint.I10(m) for m in skew_lines(rng)]).count == 0
+        m = Line3(Point3(1, 2, 3), (1, 1, 0))
+        n = Line3(Point3(1, 2, 3), (0, 1, 0))
+        (plane,) = solve_operation([Constraint.I10(m), Constraint.I10(n)]).planes
+        assert plane_gap(plane, Plane3((0, 0, 1), 3.0)) < 1e-12
+
+    def test_dependent_forms_ill_posed(self):
+        c = random_payload(np.random.default_rng(63), IncidenceKind.I7)
+        with pytest.raises(IllPosed):
+            solve_operation([c, c])
+
+    def test_dependent_forms_with_two_conics_searched(self):
+        # p and m, and q and n, span the parallel planes x = 0 and x = 1, so
+        # the two I5 forms agree, and the two conics meet in one plane
+        cons = [Constraint.I5(P_C, M_C),
+                Constraint.I5(Point3(1, 0.3, 2), Line3(Point3(1, 1, -1), (0, 0.6, 0.8)))]
+        sol = solve_operation(cons)
+        assert sol.provenance == "generic" and sol.count == 1
+        assert stacked_residual(cons, sol.planes[0]) < 1e-8
+
+    def test_search_classes_refused(self):
+        rng = np.random.default_rng(64)
+        with pytest.raises(InvalidOperation, match="at most a line"):
+            solve_exact([random_payload(rng, k) for k in SEARCH_SPECS[0].kinds])
+
+
+def _scaled(obj, k: float):
+    """A payload object scaled by k about the origin."""
+    if isinstance(obj, Point3):
+        return Point3(*(k * obj.xyz))
+    if isinstance(obj, Line3):
+        return Line3(Point3(*(k * obj.base.xyz)), obj.dir)
+    return Plane3(obj.normal, k * obj.offset)

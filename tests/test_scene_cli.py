@@ -23,6 +23,7 @@ from fold3d import (
     write_scene,
 )
 import fold3d.envelopes
+import fold3d.operations
 from fold3d.cli import _build_parser, main
 from fold3d.meshing import MAX_MESH_RESOLUTION, MAX_TANGENT_PLANES
 from fold3d.scene import ResultDocument
@@ -62,7 +63,8 @@ I5_I9_SKEW_SCENE = """
 """
 
 
-# I5+I8 has no dedicated solver, so it runs the lattice-seeded search
+# I5+I8 has no dedicated solver; its dual linear forms leave a line of planes,
+# so solve_exact takes it and --seed-lattice is only checked
 I5_I8_SCENE = """
 {
   "points": {"P": [0, 0, 1], "Q": [0.5, 0.2, 0.1]},
@@ -70,6 +72,23 @@ I5_I8_SCENE = """
   "constraints": [
     {"type": "I5", "args": {"point": "P", "line": "m"}},
     {"type": "I8", "args": {"point": "Q"}}
+  ]
+}
+"""
+
+# I3+I5 leaves two conics in a plane of dual planes, so it runs the
+# lattice-seeded search
+I3_I5_SCENE = """
+{
+  "points": {"P": [0, 0, 1]},
+  "lines": {
+    "m": {"point": [0, 0, -1], "dir": [0, 1, 0]},
+    "a": {"point": [1, 0, 0], "dir": [0, 0, 1]},
+    "b": {"point": [-1, 0.5, 0], "dir": [1, 1, 0]}
+  },
+  "constraints": [
+    {"type": "I3", "args": {"line": "a", "line2": "b"}},
+    {"type": "I5", "args": {"point": "P", "line": "m"}}
   ]
 }
 """
@@ -530,6 +549,21 @@ class TestCli:
         scene = load_scene(path)
         sol = solve_operation(scene.constraint_list(), tol=1e-9, lattice=lattice)
         doc = ResultDocument.from_solution("I5+I8", scene.constraints, sol, 1e-9)
+        assert (code, capsys.readouterr().out) == (doc.exit_code, doc.to_json() + "\n")
+
+    @pytest.mark.parametrize("option, lattice", [("10x20", (10, 20)), ("6", (6, 6))])
+    def test_seed_lattice_shapes_the_search(self, tmp_path, capsys, monkeypatch,
+                                            option, lattice):
+        monkeypatch.delenv("FOLD3D_TOL", raising=False)
+        path = _write(tmp_path, "s.json", I3_I5_SCENE)
+        scan = fold3d.operations.normal_scan
+        with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
+            code = main(["solve", path, "--json", "--seed-lattice", option])
+        assert spy.call_args.args[1:] == lattice
+        scene = load_scene(path)
+        sol = solve_operation(scene.constraint_list(), tol=1e-9, lattice=lattice)
+        assert sol.provenance == "generic"
+        doc = ResultDocument.from_solution("I3+I5", scene.constraints, sol, 1e-9)
         assert (code, capsys.readouterr().out) == (doc.exit_code, doc.to_json() + "\n")
 
     def test_console_entry_subprocess(self, tmp_path):
