@@ -91,6 +91,7 @@ from .operations import (
     solve_exact,
     solve_generic,
     solve_operation,
+    solver_route,
 )
 from .scene import ResultDocument, Scene, load_scene, scene_to_dict, write_scene
 

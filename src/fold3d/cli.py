@@ -30,6 +30,7 @@ from .operations import (
     checked_lattice,
     enumerate_operations,
     solve_operation,
+    solver_route,
 )
 from .scene import ResultDocument, load_scene
 
@@ -84,9 +85,10 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     p_solve.add_argument("--spec", help="operation spec like I1, I5+I6, 3I6 "
                          "(default: derived from the scene constraints)")
     p_solve.add_argument("--seed-lattice", type=_seed_lattice, default=SCAN_LATTICE,
-                         help="normal scan of the generic search, which solves only "
+                         help="normal scan of the generic search, which solves "
                          "the operations whose dual linear forms leave more than a "
-                         "line of planes (k >= 2): theta x phi counts such as 14x28 "
+                         "line of planes (k >= 2) and the few inputs the exact "
+                         "solver cannot: theta x phi counts such as 14x28 "
                          "(the default), or N for N x N")
 
     p_enum = sub.add_parser("enumerate", help="list the valid fold operations")
@@ -149,7 +151,7 @@ def _cmd_solve(args) -> int:
     except IllPosed as exc:
         doc = ResultDocument(
             operation=str(spec), tolerance=args.tol, outcome="ill_posed",
-            solver="dedicated", possibly_incomplete=False, message=str(exc),
+            solver=solver_route(spec), possibly_incomplete=False, message=str(exc),
         )
     _emit(args, doc.to_json() if args.json else doc.render_text())
     return doc.exit_code

@@ -22,8 +22,10 @@ each constraint is a few linear forms and at most one quadric
 (constraints.dual_locus).  When the linear forms leave at most a line of
 planes (k = 3 minus their number, k <= 1: 27 operations), solve_exact
 takes their null space and the roots of the first quadric on it, which is
-exact.  The 12 operations with k >= 2 run through the generic search: a
-scan of fold-plane normals, each at its best offset, seeding Gauss-Newton.
+exact.  The 12 operations with k >= 2, and over-determined multisets that
+mix a kind fixing the fold plane with others, run through the generic
+search: a scan of fold-plane normals, each at its best offset, seeding
+Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -504,7 +506,9 @@ def _line_points(line: np.ndarray, quadrics) -> list[np.ndarray]:
     return points + [h1] if a == 0.0 else points
 
 
-def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
+def solve_exact(
+    constraints: Sequence[Constraint], tol: float = 1e-8
+) -> FoldSolution | None:
     """Exact solver for the operations of dual dimension k <= 1.
 
     Each constraint's dual locus (constraints.dual_locus) is a few linear
@@ -516,15 +520,22 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
     at infinity) are dropped, and every plane is re-verified against tol
     with the summed residual, so a second quadric is only checked.  The
     result is exhaustive, so it is not flagged possibly incomplete.
-    Dependent forms that leave a plane of planes with two distinct conics
-    on it, a finite set, go to solve_generic.  Raises IllPosed when the
-    forms are dependent and leave a continuum (a null space of more
-    dimensions than distinct quadrics on it, or a line on which every
-    quadric vanishes), and InvalidOperation for an operation whose forms
-    leave more than a line in general position.
+    Returns None when dependent forms leave a plane of planes with two
+    distinct conics on it (2I5, I5+I7, 2I7 in special position): a finite
+    set this solver does not find.  Raises IllPosed when the forms are
+    dependent and leave a continuum (a null space of more dimensions than
+    distinct quadrics on it, or a line on which every quadric vanishes),
+    and InvalidOperation for an operation outside the class, one whose
+    forms leave more than a line in general position or that has a kind
+    fixing the fold plane.
     """
     cons = tuple(constraints)
     spec = _checked_spec(cons)
+    if spec.dual_dimension is None or spec.dual_dimension > 1:
+        raise InvalidOperation(
+            f"{spec} leaves more than a line of planes before its quadrics, or has "
+            "a kind that fixes the fold plane; solve_exact takes at most a line"
+        )
     r = payload_radius(cons)
     scale = np.array([1.0, 1.0, 1.0, r])
     rows, quadrics = [], []
@@ -539,11 +550,6 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
         _, sv, vt = np.linalg.svd(np.array(rows))
         null = vt[_rank(sv):]
     if len(null) > 2:
-        if len(null) == 4 - len(rows):
-            raise InvalidOperation(
-                f"{spec} leaves a {len(null) - 1}-dimensional set of planes before "
-                "its quadrics; solve_exact takes at most a line"
-            )
         conics = np.array([(null @ q @ null.T).ravel() for q in quadrics])
         distinct = _rank(np.linalg.svd(conics, compute_uv=False)) if quadrics else 0
         if distinct < len(null) - 1:
@@ -551,9 +557,7 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
                 "the linear conditions are dependent and leave a continuum of fold "
                 "planes, not a finite operation"
             )
-        # two distinct conics on a plane of planes (2I5, I5+I7, 2I7): finitely
-        # many planes, which only the search finds
-        return solve_generic(cons, tol=tol)
+        return None  # two distinct conics on a plane of planes
     points = list(null) if len(null) < 2 else _line_points(null, quadrics)
     planes = []
     for h in points:
@@ -652,6 +656,17 @@ _DEDICATED = {
 }
 
 
+def solver_route(spec: OperationSpec) -> str:
+    """The solver solve_operation picks for spec: "dedicated" for the worked
+    combinations, "exact" for the others of dual dimension k <= 1, and
+    "generic" for the rest, those with k >= 2 and those mixing a kind that
+    fixes the fold plane with others (k is None)."""
+    if spec.key in _DEDICATED:
+        return "dedicated"
+    k = spec.dual_dimension
+    return "exact" if k is not None and k <= 1 else "generic"
+
+
 def solve_operation(
     constraints: Sequence[Constraint],
     tol: float = TOL_INCIDENCE,
@@ -660,8 +675,9 @@ def solve_operation(
     """Solve a fold operation given its constraint payloads.
 
     Routes the worked combinations to their dedicated solvers, the others of
-    dual dimension k <= 1 to solve_exact, and the rest to the generic
-    numeric search, which scans lattice normals.  Raises InvalidOperation
+    dual dimension k <= 1 to solve_exact, and the rest, with the inputs
+    solve_exact returns None for, to the generic numeric search, which
+    scans lattice normals.  Raises InvalidOperation
     for the three rejected combinations and for under-constrained
     multisets, and DegenerateInput for a lattice that checked_lattice
     refuses, whichever solver runs.
@@ -671,10 +687,12 @@ def solve_operation(
         raise InvalidOperation("no constraints given")
     lattice = checked_lattice(lattice)
     spec = _checked_spec(cons)
-    solver = _DEDICATED.get(spec.key)
-    if solver is None:
-        if spec.dual_dimension <= 1:
-            return solve_exact(cons, tol=max(tol, 1e-8))
-        return solve_generic(cons, tol=max(tol, 1e-8), lattice=lattice)
-    by_kind = sorted(cons, key=lambda c: c.kind.index)
-    return solver(tuple(obj for c in by_kind for obj in c.objects), tol)
+    route = solver_route(spec)
+    if route == "dedicated":
+        by_kind = sorted(cons, key=lambda c: c.kind.index)
+        return _DEDICATED[spec.key](tuple(obj for c in by_kind for obj in c.objects), tol)
+    if route == "exact":
+        sol = solve_exact(cons, tol=max(tol, 1e-8))
+        if sol is not None:
+            return sol
+    return solve_generic(cons, tol=max(tol, 1e-8), lattice=lattice)

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import fold3d.operations
 from fold3d import (
     Constraint,
     DegenerateInput,
@@ -870,19 +871,56 @@ class TestSolveExact:
         with pytest.raises(IllPosed):
             solve_operation([c, c])
 
+    # p and m, and q and n, span the parallel planes x = 0 and x = 1, so the
+    # two I5 forms agree, and the two conics meet in one plane
+    TWO_CONICS = [Constraint.I5(P_C, M_C),
+                  Constraint.I5(Point3(1, 0.3, 2), Line3(Point3(1, 1, -1), (0, 0.6, 0.8)))]
+
     def test_dependent_forms_with_two_conics_searched(self):
-        # p and m, and q and n, span the parallel planes x = 0 and x = 1, so
-        # the two I5 forms agree, and the two conics meet in one plane
-        cons = [Constraint.I5(P_C, M_C),
-                Constraint.I5(Point3(1, 0.3, 2), Line3(Point3(1, 1, -1), (0, 0.6, 0.8)))]
+        cons = self.TWO_CONICS
         sol = solve_operation(cons)
         assert sol.provenance == "generic" and sol.count == 1
         assert stacked_residual(cons, sol.planes[0]) < 1e-8
+
+    def test_two_conics_left_to_the_caller(self):
+        assert solve_exact(self.TWO_CONICS) is None
+
+    @pytest.mark.parametrize("lattice", [(6, 6), (10, 20)])
+    def test_two_conics_search_takes_the_lattice(self, lattice):
+        scan = fold3d.operations.normal_scan
+        with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
+            sol = solve_operation(self.TWO_CONICS, lattice=lattice)
+        assert spy.call_args.args[1:] == lattice
+        assert sol.provenance == "generic"
 
     def test_search_classes_refused(self):
         rng = np.random.default_rng(64)
         with pytest.raises(InvalidOperation, match="at most a line"):
             solve_exact([random_payload(rng, k) for k in SEARCH_SPECS[0].kinds])
+
+    @pytest.mark.parametrize("kinds", ["I5+I6", "3I6"])
+    def test_dedicated_classes_above_a_line_refused(self, kinds):
+        rng = np.random.default_rng(66)
+        cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
+        with pytest.raises(InvalidOperation, match="at most a line"):
+            solve_exact(cons)
+
+    @pytest.mark.parametrize("kinds", ["I1+I8", "I2+I11", "2I1", "I4+I9"])
+    def test_fixing_kind_mixed_with_others_searched(self, kinds):
+        # a kind that fixes the fold plane has no dual locus, so a multiset
+        # mixing it with others goes to the search, as an over-determined one
+        rng = np.random.default_rng(65)
+        cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
+        sol = solve_operation(cons)
+        assert sol.provenance == "generic" and sol.possibly_incomplete
+        with pytest.raises(InvalidOperation, match="at most a line"):
+            solve_exact(cons)
+
+    def test_fixed_plane_through_the_point_found(self):
+        p, q = Point3(0, 0, 0), Point3(0, 0, 2)
+        cons = [Constraint.I1(p, q), Constraint.I8(Point3(3, -1, 1))]
+        (plane,) = solve_operation(cons).planes
+        assert plane_gap(plane, Plane3((0, 0, 1), 1.0)) < 1e-9
 
 
 def _scaled(obj, k: float):

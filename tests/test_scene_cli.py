@@ -360,6 +360,46 @@ class TestCli:
         assert out["outcome"] == "infinite"
         assert out["family"]["dimension"] == 1
 
+    @pytest.mark.parametrize("scene, solver", [
+        # three collinear fixed points: the pencil of planes through their line
+        ("""{"points": {"A": [0, 0, 0], "B": [1, 1, 1], "C": [2, 2, 2]},
+             "constraints": [{"type": "I8", "args": {"point": "A"}},
+                             {"type": "I8", "args": {"point": "B"}},
+                             {"type": "I8", "args": {"point": "C"}}]}""", "exact"),
+        # two equal point-onto-plane constraints
+        ("""{"points": {"P": [0, 0, 1], "Q": [1, 0, 0]},
+             "planes": {"pi": {"normal": [0, 0, 1], "offset": -1},
+                        "tau": {"normal": [1, 0, 0], "offset": 2}},
+             "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}},
+                             {"type": "I6", "args": {"point": "P", "plane": "pi"}},
+                             {"type": "I6", "args": {"point": "Q", "plane": "tau"}}]}""",
+         "dedicated"),
+    ], ids=["3I8", "3I6"])
+    def test_solve_ill_posed_names_its_solver(self, tmp_path, capsys, scene, solver):
+        path = _write(tmp_path, "s.json", scene)
+        code = main(["solve", path, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert (out["outcome"], out["solver"]) == ("ill_posed", solver)
+
+    def test_solve_fixing_kind_with_others(self, tmp_path, capsys):
+        # I1 fixes the plane z = 1, and the I8 point lies on it
+        scene = """
+        {
+          "points": {"P": [0, 0, 0], "Q": [0, 0, 2], "R": [3, -1, 1]},
+          "constraints": [
+            {"type": "I1", "args": {"point": "P", "point2": "Q"}},
+            {"type": "I8", "args": {"point": "R"}}
+          ]
+        }
+        """
+        path = _write(tmp_path, "s.json", scene)
+        code = main(["solve", path, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (out["outcome"], out["solver"]) == ("finite", "generic")
+        assert len(out["planes"]) == 1
+
     def test_enumerate_json(self, capsys):
         code = main(["enumerate", "--json"])
         out = json.loads(capsys.readouterr().out)
