@@ -86,10 +86,9 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
                          "(default: derived from the scene constraints)")
     p_solve.add_argument("--seed-lattice", type=_seed_lattice, default=SCAN_LATTICE,
                          help="normal scan of the generic search, which solves "
-                         "the operations whose dual linear forms leave more than a "
-                         "line of planes (k >= 2) and the few inputs the exact "
-                         "solver cannot: theta x phi counts such as 14x28 "
-                         "(the default), or N for N x N")
+                         "only multisets that mix a kind fixing the fold plane "
+                         "(I1, I2, I4, I12) with others: theta x phi counts such "
+                         "as 14x28 (the default), or N for N x N")
 
     p_enum = sub.add_parser("enumerate", help="list the valid fold operations")
     p_enum.add_argument("--json", action="store_true")

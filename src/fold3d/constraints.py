@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import InvalidConstraint
 from .geometry import (
+    TOL_ANGLE,
     TOL_INCIDENCE,
     Line3,
     Plane3,
@@ -436,9 +437,9 @@ def _landing(v: np.ndarray, w: float, nu: np.ndarray, o: float) -> np.ndarray:
 def _dual_i3(objs):
     m, n = objs
     b, e, c, f = m.base.xyz, m.direction, n.base.xyz, n.direction
-    if line_line_closest(m, n)[3]:
-        return [_form(np.cross(e, c - b))], None
     ef = np.cross(e, f)
+    if np.linalg.norm(ef) <= TOL_ANGLE:  # parallel, as line_line_closest tells
+        return [_form(np.cross(e, c - b))], None
     return [], (float((c - b) @ ef) * _NORMAL_NORM
                 - 2.0 * _product(_form(e), _form(np.cross(f, c - b)))
                 + 2.0 * _product(_form(b, -1.0), _form(ef)))

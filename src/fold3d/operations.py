@@ -19,13 +19,15 @@ points at infinity).
 
 Every other operation is read in dual plane coordinates h = (N, d), where
 each constraint is a few linear forms and at most one quadric
-(constraints.dual_locus).  When the linear forms leave at most a line of
-planes (k = 3 minus their number, k <= 1: 27 operations), solve_exact
-takes their null space and the roots of the first quadric on it, which is
-exact.  The 12 operations with k >= 2, and over-determined multisets that
-mix a kind fixing the fold plane with others, run through the generic
-search: a scan of fold-plane normals, each at its best offset, seeding
-Gauss-Newton.
+(constraints.dual_locus), and solve_exact solves it exactly.  The linear
+forms leave a P^k of planes (k = 3 minus their number).  On a point or a
+line (k <= 1: 27 operations) the first quadric is at most a quadratic; on
+a plane (k = 2: 9 operations) two quadrics are two conics; on all of P^3
+(k = 3: 3 operations) eliminating d from three quadrics leaves two plane
+cubics in N.  Two plane curves are met by a Sylvester resultant, as in
+3I6.  Only multisets that mix a kind fixing the fold plane with others run
+through the generic search: a scan of fold-plane normals, each at its best
+offset, seeding Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
 import numpy as np
@@ -345,6 +347,24 @@ def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """Coefficients, lowest power first, of the resultant in t of two
+    polynomials given by their t-coefficient rows at the n-th roots of unity
+    s, n one more than the resultant's degree: the Sylvester determinants,
+    interpolated by FFT.  Coefficients below the rounding noise, 1e-12 of
+    Hadamard's bound on |det|, are zeroed, so np.roots, which drops leading
+    zeros, sees the actual degree.  None when every determinant is noise:
+    the resultant vanishes identically."""
+    syl = _sylvester(f, g)
+    dets = np.linalg.det(syl)
+    noise = 1e-12 * np.max(np.prod(np.linalg.norm(syl, axis=-1), axis=-1))
+    if np.max(np.abs(dets)) <= noise:
+        return None
+    coeffs = np.fft.fft(dets).real / len(dets)
+    coeffs[np.abs(coeffs) <= noise] = 0.0
+    return coeffs
+
+
 def _near_real(roots: np.ndarray) -> list[float]:
     """Real values seeded by polynomial roots: each near-real root z gives
     Re z +- |Im z|, since a near-double real pair may come out as a complex
@@ -410,19 +430,12 @@ def solve_3I6(
     fq = _landing_poly(a, qc, nt, ot, points_equal(p, q, 1e-10))
     fr = _landing_poly(a, rc, nr, orr, points_equal(p, r, 1e-10))
     circle = np.exp(2j * np.pi * np.arange(8) / 8)
-    syl = _sylvester(_t_coeffs(fq, circle), _t_coeffs(fr, circle))
-    dets = np.linalg.det(syl)
-    # below this, against Hadamard's bound on |det|, a value is rounding noise
-    noise = 1e-12 * np.max(np.prod(np.linalg.norm(syl, axis=-1), axis=-1))
-    if np.max(np.abs(dets)) <= noise:
+    coeffs = _resultant(_t_coeffs(fq, circle), _t_coeffs(fr, circle))
+    if coeffs is None:
         raise IllPosed(
             "the two remaining point-onto-plane conditions share a curve of "
             "fold planes; the solution set is a continuum"
         )
-    # coefficients of the resultant, lowest power first; np.roots drops the
-    # leading zeros, so a degree below 7 yields no spurious roots
-    coeffs = np.fft.fft(dets).real / 8
-    coeffs[np.abs(coeffs) <= noise] = 0.0
     # at a root s, the t's come from a condition that still involves t
     ft = fq if fq.shape[1] > 1 else fr
     seeds = [
@@ -468,7 +481,7 @@ def solve_3I6(
 
 
 # ---------------------------------------------------------------------------
-# Exact solver for the operations whose linear forms leave at most a line
+# Exact solver in dual plane coordinates
 # ---------------------------------------------------------------------------
 
 # Singular values of the stacked unit linear forms below this fraction of the
@@ -476,6 +489,12 @@ def solve_3I6(
 EXACT_REL_TOL = 1e-10
 # A unit candidate h = (N, d / r) with |N| below this is the plane at infinity.
 _AT_INFINITY = 1e-9
+# Charts (s, t, 1) -> U (s, t, 1) of a projective plane for the resultant of
+# two plane curves: fixed generic rotations U, whose middle column is the
+# centre the resultant projects from.
+_CHARTS = np.linalg.qr(np.random.default_rng(2028).normal(size=(6, 3, 3)))[0]
+# Newton steps that polish each common point of two plane curves.
+_POLISH_STEPS = 2
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -506,35 +525,149 @@ def _line_points(line: np.ndarray, quadrics) -> list[np.ndarray]:
     return points + [h1] if a == 0.0 else points
 
 
-def solve_exact(
-    constraints: Sequence[Constraint], tol: float = 1e-8
-) -> FoldSolution | None:
-    """Exact solver for the operations of dual dimension k <= 1.
+def _contract(form: np.ndarray, x: np.ndarray, times: int) -> np.ndarray:
+    """The symmetric tensor form with times of its slots filled by each row
+    of x: form(x, ..., x) when times is its order, and its gradient at x
+    over the order when one less."""
+    if times == 0:
+        return np.broadcast_to(form, x.shape[:-1] + form.shape)
+    out = x @ form.reshape(3, -1)
+    for _ in range(times - 1):
+        out = np.einsum("si,sij->sj", x, out.reshape(len(x), 3, -1))
+    return out.reshape(x.shape[:-1] + form.shape[times:])
+
+
+def _t_rows(form: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients in t, highest power first, of form(a + t b) for each row
+    of a: binomial(m, j) form(b, .., b, a, .., a) with j slots b for t^j."""
+    m, rows = form.ndim, [_contract(form, a, form.ndim)]
+    for j in range(1, m + 1):
+        form = form @ b
+        rows.append(math.comb(m, j) * _contract(form, a, m - j))
+    return np.stack(rows[::-1], axis=-1)
+
+
+def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+    """The real common points, unit 3-vectors, of the plane curves f = 0 and
+    g = 0 given as symmetric tensors of orders m and n.
+
+    In a chart x = U (s, t, 1) whose centre U e2 is farthest from both
+    curves, the resultant in t is interpolated from m n + 1 values on the
+    unit circle (_resultant); the next chart is taken while it has lower
+    degree, a common point on the chart's line at infinity.  Each real root
+    s gives t from the kernel of the Sylvester matrix at s (the
+    hidden-variable method, Cox, Little & O'Shea, *Using Algebraic
+    Geometry*, ch. 3), and every point is polished by Newton steps on the
+    unit sphere.  Raises IllPosed when the resultant vanishes identically:
+    the curves share a component.
+    """
+    f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
+    degree = f.ndim * g.ndim
+    circle = np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
+    centres = _CHARTS[:, :, 1]
+    far = np.minimum(np.abs(_contract(f, centres, f.ndim)), np.abs(_contract(g, centres, g.ndim)))
+    for u in _CHARTS[np.argsort(-far, kind="stable")]:
+        a = circle[:, None] * u[:, 0] + u[:, 2]
+        coeffs = _resultant(_t_rows(f, a, u[:, 1]), _t_rows(g, a, u[:, 1]))
+        if coeffs is None:
+            raise IllPosed(
+                "two of the conditions share a curve of fold planes; the "
+                "solution set is a continuum, not a finite operation"
+            )
+        if coeffs[-1] != 0.0:
+            break  # else the last chart serves
+    s = np.array(_near_real(np.roots(coeffs[::-1])))
+    if not s.size:
+        return []
+    a = s[:, None] * u[:, 0] + u[:, 2]
+    kernel = np.linalg.svd(_sylvester(_t_rows(f, a, u[:, 1]), _t_rows(g, a, u[:, 1])))[2][:, -1]
+    # the kernel is (t^(D-1), ..., t, 1), so its head is t times its tail;
+    # the tail is 0 only at the chart's centre, which is off both curves
+    tail = np.maximum(np.einsum("ij,ij->i", kernel[:, 1:], kernel[:, 1:]), np.finfo(float).tiny)
+    t = np.einsum("ij,ij->i", kernel[:, :-1], kernel[:, 1:]) / tail
+    x = np.stack([s, t, np.ones_like(s)], axis=1) @ u.T
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    for _ in range(_POLISH_STEPS):
+        residuals = np.stack([_contract(c, x, c.ndim) for c in (f, g)], axis=-1)
+        jac = np.stack([c.ndim * _contract(c, x, c.ndim - 1) for c in (f, g)], axis=-2)
+        x = x - (np.linalg.pinv(jac) @ residuals[..., None])[..., 0]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return list(x)
+
+
+def _symmetrized(form: np.ndarray) -> np.ndarray:
+    """The mean of form over every order of its slots."""
+    return sum(form.transpose(p) for p in permutations(range(form.ndim))) / math.factorial(form.ndim)
+
+
+def _distinct(forms: list[np.ndarray], count: int) -> list[np.ndarray]:
+    """The first count of forms that are linearly independent of those kept
+    before them.  Raises IllPosed when there are fewer: the null space then
+    has more dimensions than distinct quadrics on it, a continuum."""
+    kept: list[np.ndarray] = []
+    for form in forms:
+        stack = np.array([x.ravel() for x in kept + [form]])
+        if np.linalg.norm(form) > EXACT_REL_TOL and _rank(
+                np.linalg.svd(stack, compute_uv=False)) > len(kept):
+            kept.append(form)
+    if len(kept) < count:
+        raise IllPosed(
+            "the constraints are dependent and leave a continuum of fold "
+            "planes, not a finite operation"
+        )
+    return kept[:count]
+
+
+def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
+    """The points h = (N, d) of three quadrics N^T A_j N + 2 d b_j . N = 0,
+    which all pass through the plane at infinity (0, 0, 0, 1).  Eliminating
+    d with the first leaves the plane cubics (N^T A_j N)(b_1 . N) -
+    (N^T A_1 N)(b_j . N), j = 2, 3, which also share the two points where
+    b_1 . N = N^T A_1 N = 0; re-verification drops those.  d comes back
+    from the quadric with the largest |b_j . N|, and a point whose d is
+    beyond 1 / _AT_INFINITY is the plane at infinity."""
+    parts = [(q[:3, :3], q[:3, 3]) for q in quadrics]
+    (a1, b1), rest = parts[0], parts[1:]
+    cubics = [_symmetrized(np.multiply.outer(a, b1) - np.multiply.outer(a1, b)) for a, b in rest]
+    points = []
+    for n in _curve_points(*cubics):
+        a, b = max(parts, key=lambda part: abs(part[1] @ n))
+        slope, value = float(b @ n), float(n @ a @ n)
+        if 2.0 * abs(slope) > _AT_INFINITY * abs(value):
+            points.append(np.append(n, -value / (2.0 * slope)))
+    return points
+
+
+def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
+    """Exact solver for every operation whose kinds all have a dual locus.
 
     Each constraint's dual locus (constraints.dual_locus) is a few linear
     forms and at most one quadric in h = (N, d), with d in units of the
     payload radius.  The unit linear forms' null space, by SVD with a rank
-    test relative to the largest singular value, is empty (no solution),
-    one point, or a line on which the first quadric is a binary quadratic
-    (real_roots_quadratic, double roots once).  Points with N = 0 (the plane
-    at infinity) are dropped, and every plane is re-verified against tol
-    with the summed residual, so a second quadric is only checked.  The
-    result is exhaustive, so it is not flagged possibly incomplete.
-    Returns None when dependent forms leave a plane of planes with two
-    distinct conics on it (2I5, I5+I7, 2I7 in special position): a finite
-    set this solver does not find.  Raises IllPosed when the forms are
+    test relative to the largest singular value, decides the class:
+    * empty or one point (k <= 0): no solution, or one candidate;
+    * a line (k = 1): the first quadric that does not vanish on it is a
+      binary quadratic (real_roots_quadratic, double roots once);
+    * a plane of planes (k = 2, also when dependent forms of 2I5, I5+I7 or
+      2I7 leave one): the first two distinct quadrics restricted to it are
+      two conics, met by _curve_points;
+    * all of P^3 (k = 3): three quadrics through the plane at infinity,
+      which _three_quadric_points reduces to two plane cubics in N.
+    Points with N = 0 (the plane at infinity) are dropped, and every plane
+    is re-verified against tol with the summed residual, so a quadric
+    beyond those used is only checked.  The result is exhaustive, so it is
+    not flagged possibly incomplete.  Raises IllPosed when the forms are
     dependent and leave a continuum (a null space of more dimensions than
-    distinct quadrics on it, or a line on which every quadric vanishes),
-    and InvalidOperation for an operation outside the class, one whose
-    forms leave more than a line in general position or that has a kind
-    fixing the fold plane.
+    distinct quadrics on it, a line on which every quadric vanishes, or two
+    curves sharing a component), and InvalidOperation for an operation
+    with a kind that fixes the fold plane.
     """
     cons = tuple(constraints)
     spec = _checked_spec(cons)
-    if spec.dual_dimension is None or spec.dual_dimension > 1:
+    if spec.dual_dimension is None:
         raise InvalidOperation(
-            f"{spec} leaves more than a line of planes before its quadrics, or has "
-            "a kind that fixes the fold plane; solve_exact takes at most a line"
+            f"{spec} has a kind that fixes the fold plane; solve_exact takes only "
+            "kinds with a dual locus"
         )
     r = payload_radius(cons)
     scale = np.array([1.0, 1.0, 1.0, r])
@@ -550,15 +683,13 @@ def solve_exact(
         _, sv, vt = np.linalg.svd(np.array(rows))
         null = vt[_rank(sv):]
     if len(null) > 2:
-        conics = np.array([(null @ q @ null.T).ravel() for q in quadrics])
-        distinct = _rank(np.linalg.svd(conics, compute_uv=False)) if quadrics else 0
-        if distinct < len(null) - 1:
-            raise IllPosed(
-                "the linear conditions are dependent and leave a continuum of fold "
-                "planes, not a finite operation"
-            )
-        return None  # two distinct conics on a plane of planes
-    points = list(null) if len(null) < 2 else _line_points(null, quadrics)
+        forms = _distinct([null @ q @ null.T for q in quadrics], len(null) - 1)
+        if len(null) == 3:
+            points = [x @ null for x in _curve_points(*forms)]
+        else:  # no linear forms: null is the identity
+            points = _three_quadric_points(forms)
+    else:
+        points = list(null) if len(null) < 2 else _line_points(null, quadrics)
     planes = []
     for h in points:
         h = h / np.linalg.norm(h)
@@ -658,13 +789,12 @@ _DEDICATED = {
 
 def solver_route(spec: OperationSpec) -> str:
     """The solver solve_operation picks for spec: "dedicated" for the worked
-    combinations, "exact" for the others of dual dimension k <= 1, and
-    "generic" for the rest, those with k >= 2 and those mixing a kind that
-    fixes the fold plane with others (k is None)."""
+    combinations, "exact" for the others whose kinds all have a dual locus,
+    and "generic" for the multisets that mix a kind fixing the fold plane
+    (I1, I2, I4, I12) with others (dual dimension None)."""
     if spec.key in _DEDICATED:
         return "dedicated"
-    k = spec.dual_dimension
-    return "exact" if k is not None and k <= 1 else "generic"
+    return "generic" if spec.dual_dimension is None else "exact"
 
 
 def solve_operation(
@@ -674,13 +804,13 @@ def solve_operation(
 ) -> FoldSolution:
     """Solve a fold operation given its constraint payloads.
 
-    Routes the worked combinations to their dedicated solvers, the others of
-    dual dimension k <= 1 to solve_exact, and the rest, with the inputs
-    solve_exact returns None for, to the generic numeric search, which
-    scans lattice normals.  Raises InvalidOperation
-    for the three rejected combinations and for under-constrained
-    multisets, and DegenerateInput for a lattice that checked_lattice
-    refuses, whichever solver runs.
+    Routes by solver_route: the worked combinations to their dedicated
+    solvers, the others whose kinds all have a dual locus to solve_exact,
+    and the multisets mixing a kind that fixes the fold plane with others
+    to the generic numeric search, which scans lattice normals.  Raises
+    InvalidOperation for the three rejected combinations and for
+    under-constrained multisets, and DegenerateInput for a lattice that
+    checked_lattice refuses, whichever solver runs.
     """
     cons = tuple(constraints)
     if not cons:
@@ -692,7 +822,5 @@ def solve_operation(
         by_kind = sorted(cons, key=lambda c: c.kind.index)
         return _DEDICATED[spec.key](tuple(obj for c in by_kind for obj in c.objects), tol)
     if route == "exact":
-        sol = solve_exact(cons, tol=max(tol, 1e-8))
-        if sol is not None:
-            return sol
+        return solve_exact(cons, tol=max(tol, 1e-8))
     return solve_generic(cons, tol=max(tol, 1e-8), lattice=lattice)

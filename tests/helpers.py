@@ -197,7 +197,8 @@ DEDICATED_KEYS = {(1,), (2,), (4,), (12,), (5, 6), (5, 9), (6, 8, 11), (6, 6, 6)
 
 
 def generic_specs() -> list[OperationSpec]:
-    """The valid operations that solve_operation routes to solve_generic."""
+    """The 39 valid operations without a dedicated solver, all of which
+    solve_operation routes to solve_exact."""
     valid, _ = enumerate_operations()
     return [s for s in valid if s.key not in DEDICATED_KEYS]
 

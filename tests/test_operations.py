@@ -33,6 +33,7 @@ from fold3d import (
     solve_exact,
     solve_generic,
     solve_operation,
+    solver_route,
     stacked_residual,
 )
 from helpers import (
@@ -43,6 +44,7 @@ from helpers import (
     instance_i5_i6,
     instance_i5_i9,
     instance_i6_i8_i11,
+    parallel_lines,
     point_off_line,
     point_off_plane,
     random_frame,
@@ -580,9 +582,9 @@ class TestSolveOperation:
         assert direct.count == shuffled.count
 
     def test_routes_unworked_to_generic(self):
-        rng = np.random.default_rng(9)
-        p, m = point_off_line(rng)
-        cons = [Constraint.I3(*skew_lines(rng)), Constraint.I5(p, m)]
+        # only a kind that fixes the fold plane mixed with others is searched
+        cons = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2)),
+                Constraint.I8(Point3(3, -1, 1))]
         sol = solve_operation(cons)
         assert sol.provenance == "generic"
 
@@ -781,20 +783,28 @@ class TestExactForms:
                 assert abs(float(coeff)) < 1e-12, monomial
 
 
-# the operations solve_exact takes (k <= 1) and those left to the search
-EXACT_SPECS = [s for s in generic_specs() if s.dual_dimension <= 1]
-SEARCH_SPECS = [s for s in generic_specs() if s.dual_dimension > 1]
+# the operations solve_exact meets on a line of planes or less (k <= 1), then
+# those of two conics (k = 2) and three quadrics (k = 3)
+LINE_SPECS = [s for s in generic_specs() if s.dual_dimension <= 1]
+PLANE_SPECS = [s for s in generic_specs() if s.dual_dimension > 1]
+EXACT_SPECS = LINE_SPECS + PLANE_SPECS
+
+# Bezout's count less the plane at infinity, for the k >= 2 operations
+PLANE_BOUNDS = {
+    "I3+I5": 3, "2I3+I11": 3, "I3+I6+I11": 3, "2I6+I11": 3,
+    "I3+I7": 4, "I6+I7": 4, "2I3+I8": 4, "I3+I6+I8": 4, "2I6+I8": 4,
+    "3I3": 7, "2I3+I6": 7, "I3+2I6": 7,
+}
 
 
 class TestSolveExact:
-    """solve_exact: the null space of the dual linear forms and the roots of
-    the first quadric on it."""
+    """solve_exact: the null space of the dual linear forms and the common
+    points of the quadrics on it."""
 
     def test_classes(self):
-        assert len(EXACT_SPECS) == 27
-        assert sorted(map(str, SEARCH_SPECS)) == sorted([
-            "I3+I5", "I3+I7", "I6+I7", "2I3+I8", "2I3+I11", "I3+I6+I8",
-            "I3+I6+I11", "2I6+I8", "2I6+I11", "3I3", "2I3+I6", "I3+2I6"])
+        assert len(EXACT_SPECS) == 39 and len(LINE_SPECS) == 27
+        assert {solver_route(s) for s in EXACT_SPECS} == {"exact"}
+        assert sorted(map(str, PLANE_SPECS)) == sorted(PLANE_BOUNDS)
         assert {OperationSpec.parse(k).dual_dimension for k in ("I5+I9", "I5+I6", "3I6")} \
             == {0, 2, 3}
 
@@ -806,7 +816,8 @@ class TestSolveExact:
             exact = solve_operation(cons)
             assert exact.provenance == "exact" and not exact.possibly_incomplete
             generic = solve_generic(cons)
-            assert exact.count == generic.count
+            # the search may miss a plane of two conics or three quadrics
+            assert exact.count == generic.count or spec in PLANE_SPECS
             for plane in generic.planes:
                 assert min(plane_gap(plane, q) for q in exact.planes) < 1e-6
             for plane in exact.planes:
@@ -877,33 +888,97 @@ class TestSolveExact:
                   Constraint.I5(Point3(1, 0.3, 2), Line3(Point3(1, 1, -1), (0, 0.6, 0.8)))]
 
     def test_dependent_forms_with_two_conics_searched(self):
+        # the search, run as a cross-check, finds the one exact plane
         cons = self.TWO_CONICS
         sol = solve_operation(cons)
-        assert sol.provenance == "generic" and sol.count == 1
+        assert sol.provenance == "exact" and sol.count == 1
         assert stacked_residual(cons, sol.planes[0]) < 1e-8
+        (plane,) = solve_generic(cons).planes
+        assert plane_gap(plane, sol.planes[0]) < 1e-6
 
-    def test_two_conics_left_to_the_caller(self):
-        assert solve_exact(self.TWO_CONICS) is None
+    def test_two_conics_solved_exactly(self):
+        sol = solve_exact(self.TWO_CONICS)
+        assert sol.count == 1 and not sol.possibly_incomplete
+        assert sol == solve_operation(self.TWO_CONICS)
 
     @pytest.mark.parametrize("lattice", [(6, 6), (10, 20)])
     def test_two_conics_search_takes_the_lattice(self, lattice):
         scan = fold3d.operations.normal_scan
         with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
             sol = solve_operation(self.TWO_CONICS, lattice=lattice)
+            assert not spy.called
+            searched = solve_generic(self.TWO_CONICS, lattice=lattice)
+        assert spy.call_args.args[1:] == lattice
+        assert sol.provenance == "exact" and sol.count == 1
+        assert searched.count == 1 and plane_gap(searched.planes[0], sol.planes[0]) < 1e-6
+
+    @pytest.mark.parametrize("lattice", [(6, 6), (10, 20)])
+    def test_mixed_search_takes_the_lattice(self, lattice):
+        cons = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2)),
+                Constraint.I8(Point3(3, -1, 1))]
+        scan = fold3d.operations.normal_scan
+        with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
+            sol = solve_operation(cons, lattice=lattice)
         assert spy.call_args.args[1:] == lattice
         assert sol.provenance == "generic"
 
     def test_search_classes_refused(self):
+        # the search keeps exactly the multisets mixing a kind that fixes the
+        # fold plane with others, and solve_exact refuses them
         rng = np.random.default_rng(64)
-        with pytest.raises(InvalidOperation, match="at most a line"):
-            solve_exact([random_payload(rng, k) for k in SEARCH_SPECS[0].kinds])
+        fixing = [k for k in IncidenceKind if k.linear_forms is None]
+        for k1 in fixing:
+            for k2 in IncidenceKind:
+                spec = OperationSpec.from_kinds([k1, k2])
+                assert solver_route(spec) == "generic"
+                with pytest.raises(InvalidOperation, match="fixes the fold plane"):
+                    solve_exact([random_payload(rng, k1), random_payload(rng, k2)])
 
     @pytest.mark.parametrize("kinds", ["I5+I6", "3I6"])
-    def test_dedicated_classes_above_a_line_refused(self, kinds):
+    def test_dedicated_classes_match_their_solvers(self, kinds):
+        # k = 2 and k = 3: the planes agree both ways with the dedicated
+        # solver's, which solve_operation still runs
         rng = np.random.default_rng(66)
-        cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
-        with pytest.raises(InvalidOperation, match="at most a line"):
-            solve_exact(cons)
+        for _ in range(20):
+            cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
+            dedicated = solve_operation(cons, tol=1e-8)
+            exact = solve_exact(cons)
+            assert dedicated.provenance == "dedicated" and exact.provenance == "exact"
+            assert exact.count == dedicated.count
+            for ours, theirs in ((exact, dedicated), (dedicated, exact)):
+                for plane in ours.planes:
+                    assert min(plane_gap(plane, q) for q in theirs.planes) < 1e-6
+
+    @pytest.mark.parametrize("spec", PLANE_SPECS, ids=str)
+    def test_count_bounds_and_parity(self, spec):
+        bound = PLANE_BOUNDS[str(spec)]
+        rng = np.random.default_rng(700 + PLANE_SPECS.index(spec))
+        for _ in range(40):
+            count = solve_exact([random_payload(rng, k) for k in spec.kinds]).count
+            assert count <= bound and count % 2 == bound % 2
+
+    @pytest.mark.parametrize("kinds", ["I3+I5", "2I3+I8"])
+    def test_parallel_i3_lines_exact(self, kinds):
+        # parallel I3 lines give one linear form and no quadric, so the
+        # instance has a line of planes (k = 1) though its operation has k = 2
+        rng = np.random.default_rng(67)
+        kinds = OperationSpec.parse(kinds).kinds
+        for _ in range(8):
+            cons = [Constraint.I3(*parallel_lines(rng))]
+            cons += [random_payload(rng, k) for k in kinds[1:]]
+            sol = solve_operation(cons)
+            assert sol.provenance == "exact" and not sol.possibly_incomplete
+            generic = solve_generic(cons)
+            assert sol.count == generic.count
+            for plane in generic.planes:
+                assert min(plane_gap(plane, q) for q in sol.planes) < 1e-6
+
+    def test_curves_sharing_a_component_ill_posed(self):
+        # two conics through a common line, as products of linear forms
+        sym = fold3d.operations._symmetrized
+        line, f, g = np.eye(3)
+        with pytest.raises(IllPosed, match="share a curve"):
+            fold3d.operations._curve_points(sym(np.outer(line, f)), sym(np.outer(line, g)))
 
     @pytest.mark.parametrize("kinds", ["I1+I8", "I2+I11", "2I1", "I4+I9"])
     def test_fixing_kind_mixed_with_others_searched(self, kinds):
@@ -913,7 +988,7 @@ class TestSolveExact:
         cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
         sol = solve_operation(cons)
         assert sol.provenance == "generic" and sol.possibly_incomplete
-        with pytest.raises(InvalidOperation, match="at most a line"):
+        with pytest.raises(InvalidOperation, match="fixes the fold plane"):
             solve_exact(cons)
 
     def test_fixed_plane_through_the_point_found(self):

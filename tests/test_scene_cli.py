@@ -76,8 +76,7 @@ I5_I8_SCENE = """
 }
 """
 
-# I3+I5 leaves two conics in a plane of dual planes, so it runs the
-# lattice-seeded search
+# I3+I5 leaves two conics in a plane of dual planes, which solve_exact meets
 I3_I5_SCENE = """
 {
   "points": {"P": [0, 0, 1]},
@@ -89,6 +88,18 @@ I3_I5_SCENE = """
   "constraints": [
     {"type": "I3", "args": {"line": "a", "line2": "b"}},
     {"type": "I5", "args": {"point": "P", "line": "m"}}
+  ]
+}
+"""
+
+# I1 fixes the plane z = 1, and the I8 point lies on it; a kind that fixes
+# the fold plane mixed with others runs the lattice-seeded search
+I1_I8_SCENE = """
+{
+  "points": {"P": [0, 0, 0], "Q": [0, 0, 2], "R": [3, -1, 1]},
+  "constraints": [
+    {"type": "I1", "args": {"point": "P", "point2": "Q"}},
+    {"type": "I8", "args": {"point": "R"}}
   ]
 }
 """
@@ -383,17 +394,7 @@ class TestCli:
         assert (out["outcome"], out["solver"]) == ("ill_posed", solver)
 
     def test_solve_fixing_kind_with_others(self, tmp_path, capsys):
-        # I1 fixes the plane z = 1, and the I8 point lies on it
-        scene = """
-        {
-          "points": {"P": [0, 0, 0], "Q": [0, 0, 2], "R": [3, -1, 1]},
-          "constraints": [
-            {"type": "I1", "args": {"point": "P", "point2": "Q"}},
-            {"type": "I8", "args": {"point": "R"}}
-          ]
-        }
-        """
-        path = _write(tmp_path, "s.json", scene)
+        path = _write(tmp_path, "s.json", I1_I8_SCENE)
         code = main(["solve", path, "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -595,7 +596,7 @@ class TestCli:
     def test_seed_lattice_shapes_the_search(self, tmp_path, capsys, monkeypatch,
                                             option, lattice):
         monkeypatch.delenv("FOLD3D_TOL", raising=False)
-        path = _write(tmp_path, "s.json", I3_I5_SCENE)
+        path = _write(tmp_path, "s.json", I1_I8_SCENE)
         scan = fold3d.operations.normal_scan
         with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
             code = main(["solve", path, "--json", "--seed-lattice", option])
@@ -603,8 +604,18 @@ class TestCli:
         scene = load_scene(path)
         sol = solve_operation(scene.constraint_list(), tol=1e-9, lattice=lattice)
         assert sol.provenance == "generic"
-        doc = ResultDocument.from_solution("I3+I5", scene.constraints, sol, 1e-9)
+        doc = ResultDocument.from_solution("I1+I8", scene.constraints, sol, 1e-9)
         assert (code, capsys.readouterr().out) == (doc.exit_code, doc.to_json() + "\n")
+
+    def test_solve_two_conics_exact(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", I3_I5_SCENE)
+        code = main(["solve", path, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (out["solver"], out["possibly_incomplete"]) == ("exact", False)
+        scene = load_scene(path)
+        planes = solve_operation(scene.constraint_list()).planes
+        assert len(out["planes"]) == len(planes) > 0
 
     def test_console_entry_subprocess(self, tmp_path):
         path = _write(tmp_path, "s.json", I1_SCENE)
