@@ -24,10 +24,11 @@ forms leave a P^k of planes (k = 3 minus their number).  On a point or a
 line (k <= 1: 27 operations) the first quadric is at most a quadratic; on
 a plane (k = 2: 9 operations) two quadrics are two conics; on all of P^3
 (k = 3: 3 operations) eliminating d from three quadrics leaves two plane
-cubics in N.  Two plane curves are met by a Sylvester resultant, as in
-3I6.  Only multisets that mix a kind fixing the fold plane with others run
-through the generic search: a scan of fold-plane normals, each at its best
-offset, seeding Gauss-Newton.
+cubics in N, or d-free conics where the quadrics' d terms are dependent.
+Two plane curves are met by a Sylvester resultant, as in 3I6.  Only
+multisets that mix a kind fixing the fold plane with others run through
+the generic search: a scan of fold-plane normals, each at its best offset,
+seeding Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -620,19 +621,29 @@ def _distinct(forms: list[np.ndarray], count: int) -> list[np.ndarray]:
 
 def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
     """The points h = (N, d) of three quadrics N^T A_j N + 2 d b_j . N = 0,
-    which all pass through the plane at infinity (0, 0, 0, 1).  Eliminating
-    d with the first leaves the plane cubics (N^T A_j N)(b_1 . N) -
-    (N^T A_1 N)(b_j . N), j = 2, 3, which also share the two points where
-    b_1 . N = N^T A_1 N = 0; re-verification drops those.  d comes back
-    from the quadric with the largest |b_j . N|, and a point whose d is
-    beyond 1 / _AT_INFINITY is the plane at infinity."""
-    parts = [(q[:3, :3], q[:3, 3]) for q in quadrics]
-    (a1, b1), rest = parts[0], parts[1:]
-    cubics = [_symmetrized(np.multiply.outer(a, b1) - np.multiply.outer(a1, b)) for a, b in rest]
+    which all pass through the plane at infinity (0, 0, 0, 1).
+
+    The quadrics are first mixed by the left singular vectors of the rows
+    b_j, which makes the mixed b'_j orthogonal, largest first; those of
+    singular value zero (the rank test of _rank) are the d-free conics
+    N^T A'_j N = 0, two of them when every b_j is vertical (I3 lines in
+    horizontal planes, I6 onto horizontal planes).
+    Eliminating d with the first from each other mixed quadric of b'_j != 0
+    gives the plane cubic (N^T A'_j N)(b'_1 . N) - (N^T A'_1 N)(b'_j . N);
+    two such cubics also share the two points where b'_1 . N = N^T A'_1 N
+    = 0, which re-verification drops.  The first two of the cubics and
+    conics are met by _curve_points.  d comes back from the mixed quadric
+    with the largest |b'_j . N|, and a point whose d is beyond
+    1 / _AT_INFINITY is the plane at infinity."""
+    a, b = np.array([q[:3, :3] for q in quadrics]), np.array([q[:3, 3] for q in quadrics])
+    u, sv, _ = np.linalg.svd(b)
+    a, b, rank = np.tensordot(u.T, a, axes=1), u.T @ b, _rank(sv)
+    cubics = [_symmetrized(np.multiply.outer(a[j], b[0]) - np.multiply.outer(a[0], b[j]))
+              for j in range(1, rank)]
     points = []
-    for n in _curve_points(*cubics):
-        a, b = max(parts, key=lambda part: abs(part[1] @ n))
-        slope, value = float(b @ n), float(n @ a @ n)
+    for n in _curve_points(*(cubics + list(a[rank:]))[:2]):
+        j = int(np.argmax(np.abs(b @ n)))
+        slope, value = float(b[j] @ n), float(n @ a[j] @ n)
         if 2.0 * abs(slope) > _AT_INFINITY * abs(value):
             points.append(np.append(n, -value / (2.0 * slope)))
     return points
@@ -652,7 +663,9 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
       2I7 leave one): the first two distinct quadrics restricted to it are
       two conics, met by _curve_points;
     * all of P^3 (k = 3): three quadrics through the plane at infinity,
-      which _three_quadric_points reduces to two plane cubics in N.
+      which _three_quadric_points reduces to two plane curves in N: cubics
+      after eliminating d, or d-free conics where the quadrics' d terms
+      are dependent.
     Points with N = 0 (the plane at infinity) are dropped, and every plane
     is re-verified against tol with the summed residual, so a quadric
     beyond those used is only checked.  The result is exhaustive, so it is

@@ -903,14 +903,12 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("lattice", [(6, 6), (10, 20)])
     def test_two_conics_search_takes_the_lattice(self, lattice):
+        # the two conics are solved exactly, whatever lattice the caller gives
         scan = fold3d.operations.normal_scan
         with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
             sol = solve_operation(self.TWO_CONICS, lattice=lattice)
-            assert not spy.called
-            searched = solve_generic(self.TWO_CONICS, lattice=lattice)
-        assert spy.call_args.args[1:] == lattice
+        assert not spy.called
         assert sol.provenance == "exact" and sol.count == 1
-        assert searched.count == 1 and plane_gap(searched.planes[0], sol.planes[0]) < 1e-6
 
     @pytest.mark.parametrize("lattice", [(6, 6), (10, 20)])
     def test_mixed_search_takes_the_lattice(self, lattice):
@@ -972,6 +970,49 @@ class TestSolveExact:
             assert sol.count == generic.count
             for plane in generic.planes:
                 assert min(plane_gap(plane, q) for q in sol.planes) < 1e-6
+
+    def test_vertical_d_coefficients_exact(self):
+        # e x f of the I3 lines and both I6 normals are vertical, so the
+        # quadrics' d coefficients b_j are parallel and two d-free conics
+        # meet in the plane of normals
+        cons = [Constraint.I3(Line3(Point3(0, 0, 0), (1, 0, 0)),
+                              Line3(Point3(0, 0, 1), (0, 1, 0))),
+                Constraint.I6(Point3(2, 0, 0), Plane3((0, 0, 1), -1.0)),
+                Constraint.I6(Point3(1, 2, 3), Plane3((0, 0, 1), -2.0))]
+        sol = solve_operation(cons)
+        assert sol.provenance == "exact" and sol.count == 2
+        generic = solve_generic(cons)
+        assert generic.count == 2
+        for plane in generic.planes:
+            assert min(plane_gap(plane, q) for q in sol.planes) < 1e-6
+
+    @pytest.mark.parametrize("tilted", [0, 1], ids=["rank1", "rank2"])
+    @pytest.mark.parametrize("kinds", ["3I3", "2I3+I6", "I3+2I6"])
+    def test_dependent_d_coefficients_exact(self, kinds, tilted):
+        # horizontal I3 lines and horizontal I6 planes give vertical b_j;
+        # a random last payload leaves one d-free conic and one cubic
+        rng = np.random.default_rng(68)
+
+        def horizontal(kind):
+            if kind is IncidenceKind.I6:
+                return Constraint.I6(random_point(rng), Plane3((0, 0, 1), rng.normal()))
+            a, b = rng.uniform(0.0, np.pi, 2)
+            return Constraint.I3(Line3(random_point(rng), (np.cos(a), np.sin(a), 0.0)),
+                                 Line3(random_point(rng), (np.cos(b), np.sin(b), 0.0)))
+
+        found = 0
+        for _ in range(8):
+            kinds_ = OperationSpec.parse(kinds).kinds
+            cons = [horizontal(k) for k in kinds_[: 3 - tilted]]
+            cons += [random_payload(rng, k) for k in kinds_[3 - tilted:]]
+            sol = solve_operation(cons)
+            assert sol.provenance == "exact" and not sol.possibly_incomplete
+            for plane in sol.planes:
+                assert stacked_residual(cons, plane) < 1e-8
+            for plane in solve_generic(cons).planes:
+                assert min(plane_gap(plane, q) for q in sol.planes) < 1e-6
+            found += sol.count
+        assert found > 0
 
     def test_curves_sharing_a_component_ill_posed(self):
         # two conics through a common line, as products of linear forms
