@@ -8,27 +8,23 @@ normal and admit either no plane or a continuum): three half-plane swaps
 (3I11), a half-line swap with a half-plane swap (I9+I11), and two half-line
 swaps (2I9).  That leaves 47 valid operations.
 
-Four worked operations get dedicated, exhaustive solvers.  The closed forms
-restrict the fold plane to one constraint's tangent family and put that
-family's parameter into the rest: I5+I6 is a cubic in the I5 parameter t,
-I5+I9 is linear in t, and I6+I8+I11 is a monic quadratic along the line of
-I6 parameters that the I11 condition leaves.  3I6 is solved by elimination:
-its two remaining conditions are plane cubics meeting in at most 7 finite
-points (the resultant's degree; two of the 9 Bezout points are the circular
-points at infinity).
+Two worked operations get dedicated closed forms, which restrict the fold
+plane to the I5 family of tangent planes and put its parameter t into the
+other condition: I5+I6 is a cubic in t and I5+I9 is linear in t.
 
-Every other operation is read in dual plane coordinates h = (N, d), where
-each constraint is a few linear forms and at most one quadric
-(constraints.dual_locus), and solve_exact solves it exactly.  The linear
-forms leave a P^k of planes (k = 3 minus their number).  On a point or a
-line (k <= 1: 27 operations) the first quadric is at most a quadratic; on
-a plane (k = 2: 9 operations) two quadrics are two conics; on all of P^3
-(k = 3: 3 operations) eliminating d from three quadrics leaves two plane
-cubics in N, or d-free conics where the quadrics' d terms are dependent.
-Two plane curves are met by a Sylvester resultant, as in 3I6.  Only
-multisets that mix a kind fixing the fold plane with others run through
-the generic search: a scan of fold-plane normals, each at its best offset,
-seeding Gauss-Newton.
+Every other operation whose kinds all have a dual locus, the worked
+I6+I8+I11 and 3I6 among them, is read in dual plane coordinates
+h = (N, d), where each constraint is a few linear forms and at most one
+quadric (constraints.dual_locus), and solve_exact solves it exactly.  The
+linear forms leave a P^k of planes (k = 3 minus their number).  On a point
+or a line (k <= 1: 28 operations) the first quadric is at most a
+quadratic; on a plane (k = 2: 9 operations) two quadrics are two conics;
+on all of P^3 (k = 3: 4 operations) eliminating d from three quadrics
+leaves two plane cubics in N, meeting in at most 7 planes, or d-free
+conics where the quadrics' d terms are dependent.  Two plane curves are
+met by a Sylvester resultant.  Only multisets that mix a kind fixing the
+fold plane with others run through the generic search: a scan of
+fold-plane normals, each at its best offset, seeding Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Sequence
 
 import numpy as np
@@ -52,20 +48,11 @@ from .constraints import (
     solve_I2,
     solve_I4,
     solve_I12,
-    stacked_residual,
+    stacked_residual_grid,
 )
-from .envelopes import family_I5, family_I6
+from .envelopes import family_I5
 from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
-from .geometry import (
-    TOL_INCIDENCE,
-    Line3,
-    Plane3,
-    Point3,
-    RigidFrame,
-    canonical_frame_point_plane,
-    planes_setwise_equal,
-    points_equal,
-)
+from .geometry import TOL_INCIDENCE, Line3, Plane3, Point3
 from .numerics import (
     MAX_ORACLE_RESOLUTION,
     SEARCH_MAX_ITER,
@@ -267,74 +254,21 @@ def solve_I5_I9(
     return FoldSolution.no_solution()
 
 
-def _i6_i8_i11_quadratic(a: float, q: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(c, d, coefficients): the line (s, t) = c + u d of I6 members
-    2sx + 2ty - 4az = s^2 + t^2 perpendicular to normal nu, and the monic
-    quadratic in u, highest power first, of the member through q; all in
-    the canonical frame of (p, pi), where nu's xy part is not zero."""
-    nxy = math.hypot(nu[0], nu[1])
-    e = nu[:2] / nxy
-    c, d = (2 * a * nu[2] / nxy) * e, np.array([-e[1], e[0]])
-    g = c - q[:2]
-    return c, d, np.array([1.0, 2 * (d @ g), g @ g - q[:2] @ q[:2] + 4 * a * q[2]])
+# ---------------------------------------------------------------------------
+# Exact solver in dual plane coordinates
+# ---------------------------------------------------------------------------
 
-
-def solve_I6_I8_I11(
-    p: Point3, pi: Plane3, q: Point3, tau: Plane3, tol: float = TOL_INCIDENCE
-) -> FoldSolution:
-    """Fold through q placing p onto pi and swapping the halves of plane tau.
-
-    The candidates are the I6 family of (p, pi), the tangent planes of a
-    paraboloid indexed by the landing spot (s, t) of p's image in its
-    canonical frame.  Perpendicularity to tau puts (s, t) on a line, and
-    membership of q is a monic quadratic along it (_i6_i8_i11_quadratic),
-    so there are at most two solutions.  A tau parallel to pi leaves the
-    perpendicularity unsatisfiable.
-    """
-    fam = family_I6(p, pi)
-    nu = fam.frame.apply_plane(tau).normal_vec
-    if max(abs(nu[0]), abs(nu[1])) <= 1e-12:
-        return FoldSolution.no_solution()
-    c, d, quad = _i6_i8_i11_quadratic(fam.half_gap, fam.frame.apply_point(q).xyz, nu)
-    cons = (Constraint.I6(p, pi), Constraint.I8(q), Constraint.I11(tau))
-    planes = [fam.plane(*(c + u * d)) for u in real_roots_quadratic(*quad).roots]
-    return FoldSolution.finite([x for x in planes if all(residual(k, x) < tol for k in cons)])
-
-
-def _landing_poly(
-    a: float, v: np.ndarray, n: np.ndarray, o: float, at_p: bool
-) -> np.ndarray:
-    """Coefficients C[i, j] of s^i t^j, in the canonical frame of (p, pi), of
-    (4s^2 + 4t^2 + 16a^2) times the signed distance from the plane n . x = o
-    of v's image across the fold plane with landing spot (s, t).  This
-    cubic's top-degree part is 4 (s^2 + t^2) (n_x s + n_y t).  For v = p it
-    factors as (s^2 + t^2 + 4a^2) times a line, which is returned instead.
-    Trailing t columns negligible against the whole are trimmed, so the
-    t-degree is the actual one: a plane parallel to pi has no t^3 term, and
-    its t^2 term vanishes too when v is as high above it as p is above pi.
-    """
-    if at_p:
-        out = np.array([[-a * n[2] - o, n[1]], [n[0], 0.0]])
-    else:
-        quad = np.zeros((3, 3))  # N . v - (s^2 + t^2), N = (2s, 2t, -4a)
-        quad[0, 0], quad[1, 0], quad[0, 1] = -4.0 * a * v[2], 2.0 * v[0], 2.0 * v[1]
-        quad[2, 0] = quad[0, 2] = -1.0
-        lin = np.array([[-4.0 * a * n[2], 2.0 * n[1]], [2.0 * n[0], 0.0]])  # n . N
-        out = np.zeros((4, 4))
-        for (i, j), c in np.ndenumerate(quad):
-            out[i : i + 2, j : j + 2] -= 2.0 * c * lin
-        dist = float(n @ v) - o
-        out[0, 0] += 16.0 * a * a * dist
-        out[2, 0] += 4.0 * dist
-        out[0, 2] += 4.0 * dist
-    kept = np.flatnonzero(np.abs(out).max(axis=0) > 1e-9 * np.abs(out).max())
-    return out[:, : kept[-1] + 1 if kept.size else 1]
-
-
-def _t_coeffs(poly: np.ndarray, s) -> np.ndarray:
-    """Coefficients in t, highest power first, of poly at each value of s."""
-    powers = np.asarray(s)[..., None] ** np.arange(poly.shape[0])
-    return (powers @ poly)[..., ::-1]
+# Singular values of the stacked unit linear forms below this fraction of the
+# largest, and a unit quadric's values on the null line below it, are zero.
+EXACT_REL_TOL = 1e-10
+# A unit candidate h = (N, d / r) with |N| below this is the plane at infinity.
+_AT_INFINITY = 1e-9
+# Charts (s, t, 1) -> U (s, t, 1) of a projective plane for the resultant of
+# two plane curves: fixed generic rotations U, whose middle column is the
+# centre the resultant projects from.
+_CHARTS = np.linalg.qr(np.random.default_rng(2028).normal(size=(6, 3, 3)))[0]
+# Newton steps that polish each common point of two plane curves.
+_POLISH_STEPS = 2
 
 
 def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -372,130 +306,6 @@ def _near_real(roots: np.ndarray) -> list[float]:
     pair."""
     near = [z for z in roots if abs(z.imag) <= 1e-3 * max(abs(z.real), 1.0)]
     return list(dict.fromkeys(z.real + d * abs(z.imag) for z in near for d in (-1, 1)))
-
-
-def _t_axis_turn(n1: np.ndarray, n2: np.ndarray) -> RigidFrame:
-    """Turn about z that puts the t axis on the better bisector of the
-    normals' xy parts, so both cubics' t^3 coefficients 4 n_y are large
-    unless a normal is parallel to z."""
-    dirs = [u / norm if (norm := math.hypot(*u)) > 1e-9 else np.zeros(2)
-            for u in (n1[:2], n2[:2])]
-    axis = max(dirs[0] + dirs[1], dirs[0] - dirs[1], key=np.linalg.norm)
-    turn = math.atan2(axis[0], axis[1]) if axis.any() else 0.0
-    c, s = math.cos(turn), math.sin(turn)
-    return RigidFrame(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
-
-
-def solve_3I6(
-    p: Point3,
-    q: Point3,
-    r: Point3,
-    pi: Plane3,
-    tau: Plane3,
-    rho: Plane3,
-    tol: float = 1e-8,
-) -> FoldSolution:
-    """Fold placing p onto pi, q onto tau, and r onto rho: at most 7 planes.
-
-    In the canonical frame of (p, pi) a candidate plane is determined by the
-    landing spot (s, t) of the reflected p, and each remaining condition is
-    a cubic in (s, t) (see _landing_poly).  Both cubics' top-degree parts
-    carry the factor s^2 + t^2, so two of their 3 x 3 = 9 Bezout points are
-    the circular points at infinity and the Sylvester resultant in t has
-    degree 7 in s (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 3).
-    It is interpolated from 8 values on a circle whose radius, the scene's,
-    is the unit of length for the Newton and clustering tolerances; the
-    Newton tolerance is lowered, when needed, to stay below tol.  Each real
-    root s, with every real root t of the first cubic at s (of the second,
-    if the first does not involve t), seeds a Gauss-Newton polish, and every
-    plane is re-verified with tol.  The result is exhaustive, so it is not
-    flagged possibly incomplete.
-    Raises IllPosed when two constraints coincide or the two cubics share a
-    curve, since the solutions then form a continuum.
-    """
-    for (p1, f1), (p2, f2) in combinations(((p, pi), (q, tau), (r, rho)), 2):
-        if points_equal(p1, p2, 1e-10) and planes_setwise_equal(f1, f2, 1e-10):
-            raise IllPosed(
-                "two of the point-onto-plane constraints coincide; the "
-                "solution set is a continuum, not a finite operation"
-            )
-    frame, a = canonical_frame_point_plane(p, pi)
-    rot = frame.rotation
-    frame = _t_axis_turn(rot @ tau.normal_vec, rot @ rho.normal_vec).compose(frame)
-    inv = frame.inverse()
-    qc, rc = (frame.apply_point(x).xyz for x in (q, r))
-    (nt, ot), (nr, orr) = ((x.normal_vec, x.offset) for x in map(frame.apply_plane, (tau, rho)))
-    # lengths in units of the scene's radius make every tolerance below scale-free
-    scale = max(a, float(np.linalg.norm(qc)), float(np.linalg.norm(rc)), abs(ot), abs(orr))
-    a, qc, rc, ot, orr = a / scale, qc / scale, rc / scale, ot / scale, orr / scale
-    fq = _landing_poly(a, qc, nt, ot, points_equal(p, q, 1e-10))
-    fr = _landing_poly(a, rc, nr, orr, points_equal(p, r, 1e-10))
-    circle = np.exp(2j * np.pi * np.arange(8) / 8)
-    coeffs = _resultant(_t_coeffs(fq, circle), _t_coeffs(fr, circle))
-    if coeffs is None:
-        raise IllPosed(
-            "the two remaining point-onto-plane conditions share a curve of "
-            "fold planes; the solution set is a continuum"
-        )
-    # at a root s, the t's come from a condition that still involves t
-    ft = fq if fq.shape[1] > 1 else fr
-    seeds = [
-        (s, t)
-        for s in _near_real(np.roots(coeffs[::-1]))
-        for t in _near_real(np.roots(_t_coeffs(ft, s)))
-    ]
-    if not seeds:
-        return FoldSolution.no_solution()
-
-    def comps(st: np.ndarray) -> np.ndarray:
-        s, t = st[:, 0], st[:, 1]
-        normals = np.stack([2 * s, 2 * t, np.full_like(s, -4 * a)], axis=1)
-        e = s * s + t * t
-        den = np.einsum("ij,ij->i", normals, normals)
-        out = []
-        for v, n, o in ((qc, nt, ot), (rc, nr, orr)):
-            image = v - 2.0 * ((normals @ v - e) / den)[:, None] * normals
-            out.append(image @ n - o)
-        return np.stack(out, axis=1)
-
-    # Newton stops below the verification tolerance, in units of the radius,
-    # or at the rounding floor of residuals of unit size
-    roots = newton_multistart(
-        comps, np.reshape(seeds, (-1, 2)),
-        tol=min(1e-10, max(1e-2 * tol / scale, 1e-15)),
-        cluster_tol=1e-6, vectorized=True,
-    )
-    cons = (Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho))
-    planes = []
-    for s, t in roots:
-        unit = Plane3.from_coeffs(2 * s, 2 * t, -4 * a, -(s * s + t * t))
-        cand = inv.apply_plane(Plane3(unit.normal, unit.offset * scale))
-        if all(residual(c, cand) < tol for c in cons):
-            planes.append(cand)
-    sol = FoldSolution.finite(planes)
-    if sol.count > 7:
-        raise IllPosed(
-            f"{sol.count} distinct fold planes exceed the algebraic bound of 7; "
-            "the configuration is degenerate"
-        )
-    return sol
-
-
-# ---------------------------------------------------------------------------
-# Exact solver in dual plane coordinates
-# ---------------------------------------------------------------------------
-
-# Singular values of the stacked unit linear forms below this fraction of the
-# largest, and a unit quadric's values on the null line below it, are zero.
-EXACT_REL_TOL = 1e-10
-# A unit candidate h = (N, d / r) with |N| below this is the plane at infinity.
-_AT_INFINITY = 1e-9
-# Charts (s, t, 1) -> U (s, t, 1) of a projective plane for the resultant of
-# two plane curves: fixed generic rotations U, whose middle column is the
-# centre the resultant projects from.
-_CHARTS = np.linalg.qr(np.random.default_rng(2028).normal(size=(6, 3, 3)))[0]
-# Newton steps that polish each common point of two plane curves.
-_POLISH_STEPS = 2
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -589,9 +399,16 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     x = np.stack([s, t, np.ones_like(s)], axis=1) @ u.T
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     for _ in range(_POLISH_STEPS):
-        residuals = np.stack([_contract(c, x, c.ndim) for c in (f, g)], axis=-1)
-        jac = np.stack([c.ndim * _contract(c, x, c.ndim - 1) for c in (f, g)], axis=-2)
-        x = x - (np.linalg.pinv(jac) @ residuals[..., None])[..., 0]
+        # a form of order m is x . grad / m, and the step is the minimum-norm
+        # J^T (J J^T)^-1 r, taken only where the gradients are independent
+        grads = [_contract(c, x, c.ndim - 1) for c in (f, g)]
+        r = [np.einsum("ij,ij->i", x, d) for d in grads]
+        j0, j1 = (c.ndim * d for c, d in zip((f, g), grads))
+        m00, m01, m11 = (np.einsum("ij,ij->i", p, q) for p, q in ((j0, j0), (j0, j1), (j1, j1)))
+        det = m00 * m11 - m01 * m01
+        det = np.where(det > 1e-30 * m00 * m11, det, np.inf)
+        y0, y1 = (m11 * r[0] - m01 * r[1]) / det, (m00 * r[1] - m01 * r[0]) / det
+        x = x - y0[:, None] * j0 - y1[:, None] * j1
         x /= np.linalg.norm(x, axis=1, keepdims=True)
     return list(x)
 
@@ -601,22 +418,55 @@ def _symmetrized(form: np.ndarray) -> np.ndarray:
     return sum(form.transpose(p) for p in permutations(range(form.ndim))) / math.factorial(form.ndim)
 
 
+_DEPENDENT = ("the constraints are dependent and leave a continuum of fold "
+              "planes, not a finite operation")
+
+
 def _distinct(forms: list[np.ndarray], count: int) -> list[np.ndarray]:
-    """The first count of forms that are linearly independent of those kept
-    before them.  Raises IllPosed when there are fewer: the null space then
-    has more dimensions than distinct quadrics on it, a continuum."""
+    """The first count, or fewer, of forms that are linearly independent of
+    those kept before them."""
     kept: list[np.ndarray] = []
     for form in forms:
         stack = np.array([x.ravel() for x in kept + [form]])
         if np.linalg.norm(form) > EXACT_REL_TOL and _rank(
                 np.linalg.svd(stack, compute_uv=False)) > len(kept):
             kept.append(form)
-    if len(kept) < count:
-        raise IllPosed(
-            "the constraints are dependent and leave a continuum of fold "
-            "planes, not a finite operation"
-        )
     return kept[:count]
+
+
+def _plane_points(plane: np.ndarray, quadrics) -> list[np.ndarray]:
+    """The points h = x plane, the rows of plane spanning a plane of P^3,
+    where the quadrics vanish.  The first two distinct quadrics restricted
+    to it are two conics, met by _curve_points.  A lone conic has finitely
+    many real points only when it is semidefinite of rank 2 or more: those
+    of its null space.  Raises IllPosed otherwise, a continuum."""
+    conics = _distinct([plane @ q @ plane.T for q in quadrics], 2)
+    if len(conics) == 2:
+        return [x @ plane for x in _curve_points(*conics)]
+    if conics:
+        w, v = np.linalg.eigh(conics[0])
+        zero = np.abs(w) <= EXACT_REL_TOL * np.abs(w).max()
+        if np.count_nonzero(zero) <= 1 and len(set(np.sign(w[~zero]))) == 1:
+            return list(v[:, zero].T @ plane)
+    raise IllPosed(_DEPENDENT)
+
+
+def _divided(curves: list[np.ndarray], factor: np.ndarray) -> list[np.ndarray] | None:
+    """The symmetric tensors q with curve = factor q (the symmetrized
+    product) for each of curves, or None when factor does not divide them
+    all to within 1e-8 of their norm."""
+    out = []
+    for form in curves:
+        order = form.ndim - factor.ndim
+        if order < 0:
+            return None
+        basis = np.eye(3**order).reshape((-1,) + (3,) * order)
+        image = np.array([_symmetrized(np.multiply.outer(factor, e)).ravel() for e in basis]).T
+        q = np.linalg.lstsq(image, form.ravel(), rcond=None)[0]
+        if np.linalg.norm(image @ q - form.ravel()) > 1e-8 * np.linalg.norm(form):
+            return None
+        out.append(_symmetrized(q.reshape((3,) * order)))
+    return out
 
 
 def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
@@ -634,14 +484,30 @@ def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
     = 0, which re-verification drops.  The first two of the cubics and
     conics are met by _curve_points.  d comes back from the mixed quadric
     with the largest |b'_j . N|, and a point whose d is beyond
-    1 / _AT_INFINITY is the plane at infinity."""
+    1 / _AT_INFINITY is the plane at infinity.
+    Two curves that share a component are divided by the shared factors
+    that carry no continuum, and met again.  One is b'_1 . N, whose plane
+    b'_1 . N = 0 of P^3 is then met on its own (_plane_points): the first
+    mixed quadric is a pair of planes, one of them this, in mirror-symmetric
+    3I6 scenes, and the d-free conics both contain it when the I6 planes
+    are parallel at matching heights.  The other is N . N, which has no
+    real point: it divides both cubics when one point lands on three
+    planes.  Any other shared component raises IllPosed."""
     a, b = np.array([q[:3, :3] for q in quadrics]), np.array([q[:3, 3] for q in quadrics])
     u, sv, _ = np.linalg.svd(b)
     a, b, rank = np.tensordot(u.T, a, axes=1), u.T @ b, _rank(sv)
     cubics = [_symmetrized(np.multiply.outer(a[j], b[0]) - np.multiply.outer(a[0], b[j]))
               for j in range(1, rank)]
+    curves = (cubics + list(a[rank:]))[:2]
     points = []
-    for n in _curve_points(*(cubics + list(a[rank:]))[:2]):
+    try:
+        normals = _curve_points(*curves)
+    except IllPosed:
+        if rank and (quotients := _divided(curves, b[0])):
+            curves = quotients
+            points = _plane_points(np.linalg.svd(np.append(b[0], 0.0)[None])[2][1:], quadrics)
+        normals = _curve_points(*(_divided(curves, np.eye(3)) or curves))
+    for n in normals:
         j = int(np.argmax(np.abs(b @ n)))
         slope, value = float(b[j] @ n), float(n @ a[j] @ n)
         if 2.0 * abs(slope) > _AT_INFINITY * abs(value):
@@ -661,21 +527,23 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
       binary quadratic (real_roots_quadratic, double roots once);
     * a plane of planes (k = 2, also when dependent forms of 2I5, I5+I7 or
       2I7 leave one): the first two distinct quadrics restricted to it are
-      two conics, met by _curve_points;
+      two conics, met by _curve_points (_plane_points);
     * all of P^3 (k = 3): three quadrics through the plane at infinity,
       which _three_quadric_points reduces to two plane curves in N: cubics
-      after eliminating d, or d-free conics where the quadrics' d terms
-      are dependent.
+      after eliminating d, which meet in at most 7 planes, or d-free conics
+      where the quadrics' d terms are dependent.
     Points with N = 0 (the plane at infinity) are dropped, and every plane
     is re-verified against tol with the summed residual, so a quadric
     beyond those used is only checked.  The result is exhaustive, so it is
     not flagged possibly incomplete.  Raises IllPosed when the forms are
     dependent and leave a continuum (a null space of more dimensions than
     distinct quadrics on it, a line on which every quadric vanishes, or two
-    curves sharing a component), and InvalidOperation for an operation
+    curves sharing a component that carries planes) or when more than 7
+    planes of three quadrics verify, and InvalidOperation for an operation
     with a kind that fixes the fold plane.
     """
-    cons = tuple(constraints)
+    # by kind, so the planes do not depend on the order of different kinds
+    cons = tuple(sorted(constraints, key=lambda c: c.kind.index))
     spec = _checked_spec(cons)
     if spec.dual_dimension is None:
         raise InvalidOperation(
@@ -695,23 +563,48 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
     if rows:
         _, sv, vt = np.linalg.svd(np.array(rows))
         null = vt[_rank(sv):]
-    if len(null) > 2:
-        forms = _distinct([null @ q @ null.T for q in quadrics], len(null) - 1)
-        if len(null) == 3:
-            points = [x @ null for x in _curve_points(*forms)]
-        else:  # no linear forms: null is the identity
-            points = _three_quadric_points(forms)
+    if len(null) == 4:  # no linear forms
+        forms = _distinct(quadrics, 3)
+        if len(forms) < 3:
+            raise IllPosed(_DEPENDENT)
+        points = _three_quadric_points(forms)
+    elif len(null) == 3:
+        points = _plane_points(null, quadrics)
     else:
         points = list(null) if len(null) < 2 else _line_points(null, quadrics)
-    planes = []
-    for h in points:
-        h = h / np.linalg.norm(h)
-        if np.linalg.norm(h[:3]) <= _AT_INFINITY:
-            continue
-        plane = Plane3.from_coeffs(*h[:3], -h[3] * r)
-        if stacked_residual(cons, plane) < tol:
-            planes.append(plane)
-    return FoldSolution.finite(planes, provenance="exact")
+    h = np.reshape(points, (-1, 4))
+    h = h / np.linalg.norm(h, axis=1, keepdims=True)
+    size = np.linalg.norm(h[:, :3], axis=1)
+    h, size = h[size > _AT_INFINITY], size[size > _AT_INFINITY]
+    normals, offsets = h[:, :3] / size[:, None], h[:, 3] * r / size
+    verified = stacked_residual_grid(cons, normals, offsets) < tol
+    planes = [Plane3(tuple(n), o) for n, o in zip(normals[verified], offsets[verified])]
+    sol = FoldSolution.finite(planes, provenance="exact")
+    if len(null) == 4 and sol.count > 7:
+        raise IllPosed(
+            f"{sol.count} distinct fold planes exceed the algebraic bound of 7; "
+            "the configuration is degenerate"
+        )
+    return sol
+
+
+def solve_I6_I8_I11(
+    p: Point3, pi: Plane3, q: Point3, tau: Plane3, tol: float = TOL_INCIDENCE
+) -> FoldSolution:
+    """Fold through q placing p onto pi and swapping the halves of plane tau:
+    at most two planes.  The I8 and I11 forms leave a line of planes, on
+    which the I6 quadric is a binary quadratic (solve_exact, k = 1)."""
+    return solve_exact((Constraint.I6(p, pi), Constraint.I8(q), Constraint.I11(tau)), tol=tol)
+
+
+def solve_3I6(p: Point3, q: Point3, r: Point3, pi: Plane3, tau: Plane3, rho: Plane3,
+              tol: float = 1e-8) -> FoldSolution:
+    """Fold placing p onto pi, q onto tau, and r onto rho: at most 7 planes,
+    met as three quadrics in dual plane coordinates (solve_exact, k = 3).
+    Raises IllPosed when two constraints coincide or the solutions
+    otherwise form a continuum."""
+    cons = (Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho))
+    return solve_exact(cons, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -794,15 +687,13 @@ _DEDICATED = {
     (12,): lambda objs, tol: solve_I12(*objs),
     (5, 6): lambda objs, tol: solve_I5_I6(*objs, tol=tol),
     (5, 9): lambda objs, tol: solve_I5_I9(*objs, tol=tol),
-    (6, 8, 11): lambda objs, tol: solve_I6_I8_I11(*objs, tol=tol),
-    # the objects interleave (p, pi, q, tau, r, rho); solve_3I6 takes points first
-    (6, 6, 6): lambda objs, tol: solve_3I6(*objs[::2], *objs[1::2], tol=max(tol, 1e-8)),
 }
 
 
 def solver_route(spec: OperationSpec) -> str:
-    """The solver solve_operation picks for spec: "dedicated" for the worked
-    combinations, "exact" for the others whose kinds all have a dual locus,
+    """The solver solve_operation picks for spec: "dedicated" for the kinds
+    that fix the fold plane alone and for I5+I6 and I5+I9, "exact" for the
+    others whose kinds all have a dual locus,
     and "generic" for the multisets that mix a kind fixing the fold plane
     (I1, I2, I4, I12) with others (dual dimension None)."""
     if spec.key in _DEDICATED:
@@ -817,7 +708,7 @@ def solve_operation(
 ) -> FoldSolution:
     """Solve a fold operation given its constraint payloads.
 
-    Routes by solver_route: the worked combinations to their dedicated
+    Routes by solver_route: the keys of _DEDICATED to their dedicated
     solvers, the others whose kinds all have a dual locus to solve_exact,
     and the multisets mixing a kind that fixes the fold plane with others
     to the generic numeric search, which scans lattice normals.  Raises

@@ -402,7 +402,6 @@ class TestSolve3I6:
 
     def test_resultant_has_degree_seven(self):
         sympy = pytest.importorskip("sympy")
-        from fold3d.operations import _landing_poly
 
         s, t = sympy.symbols("s t")
         rng = np.random.default_rng(12)
@@ -415,15 +414,7 @@ class TestSolve3I6:
             n = sympy.Matrix([sympy.Rational(int(k), 3) for k in rng.integers(1, 9, 3)])
             off = sympy.Rational(int(rng.integers(-9, 10)), 4)
             image = v - 2 * (normal.dot(v) - s**2 - t**2) / den * normal
-            cubic = sympy.expand(sympy.cancel(den * (n.dot(image) - off)))
-            unit = np.array(n / n.norm(), dtype=float).ravel()
-            ours = _landing_poly(
-                float(a), np.array(v, dtype=float).ravel(), unit, float(off / n.norm()), False
-            )
-            poly = sympy.Poly(cubic / n.norm(), s, t)
-            for (i, j), c in np.ndenumerate(ours):
-                assert abs(float(poly.coeff_monomial(s**i * t**j)) - c) < 1e-9
-            cubics.append(cubic)
+            cubics.append(sympy.expand(sympy.cancel(den * (n.dot(image) - off))))
         res = sympy.resultant(cubics[0], cubics[1], t)
         assert sympy.Poly(res, s).degree() == 7
 
@@ -603,8 +594,9 @@ def _objects(cons, kind):
     return c.objects
 
 
-# each dedicated key: a random instance, and the direct solver call for a
-# constraint list, which picks every argument out by kind
+# each worked key: a random instance, and the direct solver call for a
+# constraint list, which picks every argument out by kind; 3I6 and
+# I6+I8+I11 are solved by solve_exact, the others by dedicated solvers
 _DEDICATED_CASES = {
     (1,): (lambda rng: [random_payload(rng, IncidenceKind.I1)],
            lambda cons: solve_I1(*cons[0].objects)),
@@ -643,7 +635,7 @@ class TestDispatchTable:
             assert OperationSpec.from_constraints(cons).key == key
             want = direct(cons)
             got = solve_operation(cons)
-            assert got.provenance == "dedicated"
+            assert got.provenance == ("exact" if key in {(6, 8, 11), (6, 6, 6)} else "dedicated")
             assert got.outcome == want.outcome
             assert got.planes == want.planes
             found += want.count
@@ -706,32 +698,6 @@ class TestExactForms:
             coeffs = [float(want.coeff_monomial(t**k)) for k in (3, 2, 1, 0)]
             assert np.allclose(ours, coeffs, rtol=1e-12, atol=1e-12)
 
-    def test_i6_i8_i11_quadratic(self):
-        sympy = pytest.importorskip("sympy")
-        from fold3d.operations import _i6_i8_i11_quadratic
-
-        u = sympy.symbols("u")
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            a = sympy.Rational(int(rng.integers(1, 9)), 7)
-            q = sympy.Matrix([sympy.Rational(int(k), 5) for k in rng.integers(-9, 10, 3)])
-            signs = rng.choice([-1, 1], 3)
-            nu = sympy.Matrix(
-                [sympy.Rational(int(k * g), 3) for k, g in zip(rng.integers(1, 9, 3), signs)]
-            )
-            c, d, ours = _i6_i8_i11_quadratic(
-                float(a), np.array(q, dtype=float).ravel(), np.array(nu, dtype=float).ravel()
-            )
-            s, t = (sympy.Rational(float(c[i])) + u * sympy.Rational(float(d[i])) for i in range(2))
-            normal = sympy.Matrix([2 * s, 2 * t, -4 * a])
-            # I11: every member on the line is perpendicular to the plane of normal nu
-            perp = sympy.Poly(normal.dot(nu), u)
-            assert all(abs(float(k)) < 1e-12 for k in perp.all_coeffs())
-            # I8: the member passes through q, as a monic quadratic in u
-            on_q = sympy.Poly(s**2 + t**2 - normal.dot(q), u)
-            assert on_q.degree() == 2
-            assert np.allclose(ours, [float(k) for k in on_q.all_coeffs()], rtol=1e-12, atol=1e-12)
-
     @staticmethod
     def _dual_quadric_poly(quadric, sympy, h):
         """h^T Q h of a float quadric as an exact polynomial in h."""
@@ -784,16 +750,17 @@ class TestExactForms:
 
 
 # the operations solve_exact meets on a line of planes or less (k <= 1), then
-# those of two conics (k = 2) and three quadrics (k = 3)
-LINE_SPECS = [s for s in generic_specs() if s.dual_dimension <= 1]
-PLANE_SPECS = [s for s in generic_specs() if s.dual_dimension > 1]
+# those of two conics (k = 2) and three quadrics (k = 3); the worked
+# I6+I8+I11 (k = 1) and 3I6 (k = 3) last
+LINE_SPECS = [s for s in generic_specs() if s.dual_dimension <= 1] + [OperationSpec.parse("I6+I8+I11")]
+PLANE_SPECS = [s for s in generic_specs() if s.dual_dimension > 1] + [OperationSpec.parse("3I6")]
 EXACT_SPECS = LINE_SPECS + PLANE_SPECS
 
 # Bezout's count less the plane at infinity, for the k >= 2 operations
 PLANE_BOUNDS = {
     "I3+I5": 3, "2I3+I11": 3, "I3+I6+I11": 3, "2I6+I11": 3,
     "I3+I7": 4, "I6+I7": 4, "2I3+I8": 4, "I3+I6+I8": 4, "2I6+I8": 4,
-    "3I3": 7, "2I3+I6": 7, "I3+2I6": 7,
+    "3I3": 7, "2I3+I6": 7, "I3+2I6": 7, "3I6": 7,
 }
 
 
@@ -802,7 +769,7 @@ class TestSolveExact:
     points of the quadrics on it."""
 
     def test_classes(self):
-        assert len(EXACT_SPECS) == 39 and len(LINE_SPECS) == 27
+        assert len(EXACT_SPECS) == 41 and len(LINE_SPECS) == 28
         assert {solver_route(s) for s in EXACT_SPECS} == {"exact"}
         assert sorted(map(str, PLANE_SPECS)) == sorted(PLANE_BOUNDS)
         assert {OperationSpec.parse(k).dual_dimension for k in ("I5+I9", "I5+I6", "3I6")} \
@@ -934,18 +901,24 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("kinds", ["I5+I6", "3I6"])
     def test_dedicated_classes_match_their_solvers(self, kinds):
-        # k = 2 and k = 3: the planes agree both ways with the dedicated
-        # solver's, which solve_operation still runs
+        # k = 2: the planes agree both ways with the dedicated I5+I6 solver's,
+        # which solve_operation still runs; k = 3: every plane the search
+        # finds is exact, though it may miss one
         rng = np.random.default_rng(66)
         for _ in range(20):
             cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
-            dedicated = solve_operation(cons, tol=1e-8)
             exact = solve_exact(cons)
-            assert dedicated.provenance == "dedicated" and exact.provenance == "exact"
-            assert exact.count == dedicated.count
-            for ours, theirs in ((exact, dedicated), (dedicated, exact)):
-                for plane in ours.planes:
-                    assert min(plane_gap(plane, q) for q in theirs.planes) < 1e-6
+            assert exact.provenance == "exact"
+            if kinds == "I5+I6":
+                other = solve_operation(cons, tol=1e-8)
+                assert other.provenance == "dedicated" and exact.count == other.count
+                for plane in exact.planes:
+                    assert min(plane_gap(plane, q) for q in other.planes) < 1e-6
+            else:
+                other = solve_generic(cons)
+                assert exact.count >= other.count
+            for plane in other.planes:
+                assert min(plane_gap(plane, q) for q in exact.planes) < 1e-6
 
     @pytest.mark.parametrize("spec", PLANE_SPECS, ids=str)
     def test_count_bounds_and_parity(self, spec):
@@ -1020,6 +993,67 @@ class TestSolveExact:
         line, f, g = np.eye(3)
         with pytest.raises(IllPosed, match="share a curve"):
             fold3d.operations._curve_points(sym(np.outer(line, f)), sym(np.outer(line, g)))
+
+    @pytest.mark.parametrize("q, n, off, count", [
+        ((0.6, 0.7, -0.65), (0.15, -0.98, 0.14), -0.05, 5),
+        ((0.04, 0.7, 0.28), (0.55, -0.83, 0.1), 0.86, 1),
+        ((-0.28, 0.7, -0.66), (-0.57, -0.78, -0.23), -0.24, 7),
+    ])
+    def test_mirror_symmetric_3i6(self, q, n, off, count):
+        # y -> -y swaps the last two conditions, so the mixed quadric of
+        # their difference is odd in N_y: the planes N_y = 0 and one more.
+        # Both cubics then share the line N_y = 0, whose plane of planes,
+        # the mirror-symmetric folds, is met on its own
+        p, pi = Point3(0, 0, 1), Plane3((0, 0, 1), -0.5)
+        q, n = Point3(*q), np.array(n)
+        r = Point3(q.x, -q.y, q.z)
+        tau, rho = Plane3(tuple(n), off), Plane3(tuple(n * [1, -1, 1]), off)
+        cons = [Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho)]
+        sol = solve_exact(cons)
+        assert sol.count == count == solve_generic(cons).count
+        assert any(abs(pl.normal[1]) < 1e-9 for pl in sol.planes)
+        for pl in sol.planes:
+            assert stacked_residual(cons, pl) < 1e-8
+            mirrored = Plane3(tuple(pl.normal_vec * [1, -1, 1]), pl.offset)
+            assert min(plane_gap(mirrored, other) for other in sol.planes) < 1e-7
+
+    def test_one_point_onto_three_planes_exact(self):
+        # both cubics carry the factor N . N, which has no real point
+        p = Point3(0.3, -0.2, 1.5)
+        planes = [Plane3((0, 0, 1), 0), Plane3((1, 0, 0.5), 0.4), Plane3((0, 1, 0.2), -0.3)]
+        corner = np.linalg.solve([x.normal for x in planes], [x.offset for x in planes])
+        (plane,) = solve_exact([Constraint.I6(p, x) for x in planes]).planes
+        expected = Plane3.from_point_normal((p.xyz + corner) / 2, p.xyz - corner)
+        assert plane_gap(plane, expected) < 1e-9
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_parallel_planes_at_matching_heights_exact(self, seed):
+        # each point is one unit above its plane: the two d-free conics are
+        # pairs of lines through b'_1 . N = 0, where no fold keeps a point's
+        # height and moves it onto its plane
+        points = [Point3(0, 0, 1), Point3(1, 0, 2), Point3(0, 1, 3)]
+        planes = [Plane3((0, 0, 1), 0), Plane3((0, 0, 1), 1), Plane3((0, 0, 1), 2)]
+        if seed is not None:
+            frame = random_frame(np.random.default_rng(seed))
+            points = [frame.apply_point(x) for x in points]
+            planes = [frame.apply_plane(x) for x in planes]
+        cons = [Constraint.I6(x, y) for x, y in zip(points, planes)]
+        (plane,) = solve_exact(cons).planes
+        p, q, r = (x.xyz for x in points)
+        n = np.cross(q - p, r - p)
+        assert abs(abs(plane.normal_vec @ n) - np.linalg.norm(n)) < 1e-9
+        assert stacked_residual(cons, plane) < 1e-8
+
+    @pytest.mark.parametrize("kinds", ["3I3", "2I3+I6", "I3+2I6", "3I6"])
+    def test_more_than_seven_planes_ill_posed(self, kinds):
+        # three quadrics meet in at most 7 planes; more that verify mean a
+        # degenerate configuration
+        rng = np.random.default_rng(69)
+        cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
+        eight = list(rng.normal(size=(8, 4)))
+        with mock.patch.object(fold3d.operations, "_three_quadric_points", lambda q: eight):
+            with pytest.raises(IllPosed, match="bound of 7"):
+                solve_exact(cons, tol=1e9)
 
     @pytest.mark.parametrize("kinds", ["I1+I8", "I2+I11", "2I1", "I4+I9"])
     def test_fixing_kind_mixed_with_others_searched(self, kinds):

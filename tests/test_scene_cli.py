@@ -384,7 +384,7 @@ class TestCli:
              "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}},
                              {"type": "I6", "args": {"point": "P", "plane": "pi"}},
                              {"type": "I6", "args": {"point": "Q", "plane": "tau"}}]}""",
-         "dedicated"),
+         "exact"),
     ], ids=["3I8", "3I6"])
     def test_solve_ill_posed_names_its_solver(self, tmp_path, capsys, scene, solver):
         path = _write(tmp_path, "s.json", scene)
