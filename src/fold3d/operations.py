@@ -597,8 +597,15 @@ def solve_I6_I8_I11(
     return solve_exact((Constraint.I6(p, pi), Constraint.I8(q), Constraint.I11(tau)), tol=tol)
 
 
-def solve_3I6(p: Point3, q: Point3, r: Point3, pi: Plane3, tau: Plane3, rho: Plane3,
-              tol: float = 1e-8) -> FoldSolution:
+def solve_3I6(
+    p: Point3,
+    q: Point3,
+    r: Point3,
+    pi: Plane3,
+    tau: Plane3,
+    rho: Plane3,
+    tol: float = 1e-8,
+) -> FoldSolution:
     """Fold placing p onto pi, q onto tau, and r onto rho: at most 7 planes,
     met as three quadrics in dual plane coordinates (solve_exact, k = 3).
     Raises IllPosed when two constraints coincide or the solutions
