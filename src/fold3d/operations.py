@@ -505,7 +505,8 @@ def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
     except IllPosed:
         if rank and (quotients := _divided(curves, b[0])):
             curves = quotients
-            points = _plane_points(np.linalg.svd(np.append(b[0], 0.0)[None])[2][1:], quadrics)
+            plane = np.linalg.svd(np.append(b[0], 0.0)[None])[2][1:]  # b'_1 . N = 0
+            points = _plane_points(plane, quadrics)
         normals = _curve_points(*(_divided(curves, np.eye(3)) or curves))
     for n in normals:
         j = int(np.argmax(np.abs(b @ n)))

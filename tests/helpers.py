@@ -193,7 +193,8 @@ def random_payload(rng, kind: IncidenceKind) -> Constraint:
     return Constraint(kind, tuple(make()))
 
 
-# The paper's worked operations; all but 3I6 and I6+I8+I11 have a dedicated solver.
+# The worked operations: the four kinds that fix the fold plane alone, I5+I6,
+# I5+I9, I6+I8+I11 and 3I6.
 WORKED_KEYS = {(1,), (2,), (4,), (12,), (5, 6), (5, 9), (6, 8, 11), (6, 6, 6)}
 
 

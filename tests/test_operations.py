@@ -752,8 +752,10 @@ class TestExactForms:
 # the operations solve_exact meets on a line of planes or less (k <= 1), then
 # those of two conics (k = 2) and three quadrics (k = 3); the worked
 # I6+I8+I11 (k = 1) and 3I6 (k = 3) last
-LINE_SPECS = [s for s in generic_specs() if s.dual_dimension <= 1] + [OperationSpec.parse("I6+I8+I11")]
-PLANE_SPECS = [s for s in generic_specs() if s.dual_dimension > 1] + [OperationSpec.parse("3I6")]
+LINE_SPECS = [s for s in generic_specs() if s.dual_dimension <= 1]
+LINE_SPECS.append(OperationSpec.parse("I6+I8+I11"))
+PLANE_SPECS = [s for s in generic_specs() if s.dual_dimension > 1]
+PLANE_SPECS.append(OperationSpec.parse("3I6"))
 EXACT_SPECS = LINE_SPECS + PLANE_SPECS
 
 # Bezout's count less the plane at infinity, for the k >= 2 operations
@@ -1001,9 +1003,9 @@ class TestSolveExact:
     ])
     def test_mirror_symmetric_3i6(self, q, n, off, count):
         # y -> -y swaps the last two conditions, so the mixed quadric of
-        # their difference is odd in N_y: the planes N_y = 0 and one more.
-        # Both cubics then share the line N_y = 0, whose plane of planes,
-        # the mirror-symmetric folds, is met on its own
+        # their difference is odd in N_y: a pair of planes, one of them
+        # N_y = 0.  Both cubics then share the line N_y = 0, whose plane of
+        # planes, the mirror-symmetric folds, is met on its own
         p, pi = Point3(0, 0, 1), Plane3((0, 0, 1), -0.5)
         q, n = Point3(*q), np.array(n)
         r = Point3(q.x, -q.y, q.z)
