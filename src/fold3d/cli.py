@@ -24,14 +24,7 @@ from .errors import FoldError, IllPosed
 from .geometry import Plane3
 from .meshing import export_envelope_obj
 from .numerics import grid_oracle
-from .operations import (
-    SCAN_LATTICE,
-    OperationSpec,
-    checked_lattice,
-    enumerate_operations,
-    solve_operation,
-    solver_route,
-)
+from .operations import OperationSpec, enumerate_operations, solve_operation, solver_route
 from .scene import ResultDocument, load_scene
 
 
@@ -44,16 +37,6 @@ def _positive_tol(text: str, name: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise FoldError(f"{name} must be a positive number, not {text!r}")
     return tol
-
-
-def _seed_lattice(text: str) -> tuple[int, int]:
-    """--seed-lattice counts, N for N x N normals or theta x phi such as 14x28;
-    FoldError unless they are integers that operations.checked_lattice takes."""
-    try:
-        counts = [int(v) for v in text.lower().split("x")]
-    except ValueError:
-        raise FoldError(f"--seed-lattice wants counts such as 14x28 or 20, not {text!r}") from None
-    return checked_lattice(counts * 2 if len(counts) == 1 else counts)
 
 
 def _env_tol() -> float:
@@ -84,11 +67,6 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     add_common(p_solve)
     p_solve.add_argument("--spec", help="operation spec like I1, I5+I6, 3I6 "
                          "(default: derived from the scene constraints)")
-    p_solve.add_argument("--seed-lattice", type=_seed_lattice, default=SCAN_LATTICE,
-                         help="normal scan of the generic search, which solves "
-                         "only multisets that mix a kind fixing the fold plane "
-                         "(I1, I2, I4, I12) with others: theta x phi counts such "
-                         "as 14x28 (the default), or N for N x N")
 
     p_enum = sub.add_parser("enumerate", help="list the valid fold operations")
     p_enum.add_argument("--json", action="store_true")
@@ -144,8 +122,7 @@ def _cmd_solve(args) -> int:
         raise FoldError("scene has no constraints to solve")
     spec = _check_spec(args, scene)
     try:
-        solution = solve_operation(scene.constraint_list(), tol=args.tol,
-                                   lattice=args.seed_lattice)
+        solution = solve_operation(scene.constraint_list(), tol=args.tol)
         doc = ResultDocument.from_solution(spec, scene.constraints, solution, args.tol)
     except IllPosed as exc:
         doc = ResultDocument(

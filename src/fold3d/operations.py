@@ -22,9 +22,13 @@ quadratic; on a plane (k = 2: 9 operations) two quadrics are two conics;
 on all of P^3 (k = 3: 4 operations) eliminating d from three quadrics
 leaves two plane cubics in N, meeting in at most 7 planes, or d-free
 conics where the quadrics' d terms are dependent.  Two plane curves are
-met by a Sylvester resultant.  Only multisets that mix a kind fixing the
-fold plane with others run through the generic search: a scan of
-fold-plane normals, each at its best offset, seeding Gauss-Newton.
+met by a Sylvester resultant.
+
+The kinds I1, I2, I4 and I12 each fix the fold plane alone: their dedicated
+solvers give at most two planes, and a multiset that mixes one of them with
+others keeps those planes that satisfy the rest.  The generic search (a
+scan of fold-plane normals, each at its best offset, seeding Gauss-Newton)
+solves no operation; it stays as a cross-check of the exact solvers.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .envelopes import family_I5
 from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
 from .geometry import TOL_INCIDENCE, Line3, Plane3, Point3
 from .numerics import (
-    MAX_ORACLE_RESOLUTION,
     SEARCH_MAX_ITER,
     SEARCH_NEWTON_TOL,
     newton_multistart,
@@ -635,44 +638,24 @@ def _checked_spec(cons: Sequence[Constraint]) -> OperationSpec:
     return spec
 
 
-# solve_generic's normal scan: theta x phi counts by default, and the most
-# normals it scans (about 350 B each, 23 MB at the cap).
+# solve_generic's normal scan (theta x phi counts), and the most seeds it
+# refines, lowest score first.
 SCAN_LATTICE = (14, 28)
-MAX_SCAN_NORMALS = MAX_ORACLE_RESOLUTION**2
-# Most seeds solve_generic refines, lowest score first.
 REFINE_COUNT = 320
 
 
-def checked_lattice(lattice: Sequence[int]) -> tuple[int, int]:
-    """lattice as (n_theta, n_phi); raises DegenerateInput unless it is two
-    integers of at least 1 with at most MAX_SCAN_NORMALS normals."""
-    counts = tuple(lattice) if isinstance(lattice, (tuple, list, np.ndarray)) else ()
-    whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts)
-    if not (whole and len(counts) == 2 and min(counts) >= 1
-            and math.prod(map(int, counts)) <= MAX_SCAN_NORMALS):
-        raise DegenerateInput(f"lattice wants two integer counts (theta x phi) of at least 1 "
-                              f"and at most {MAX_SCAN_NORMALS} normals, not {lattice!r}")
-    return int(counts[0]), int(counts[1])
-
-
-def solve_generic(
-    constraints: Sequence[Constraint],
-    tol: float = 1e-8,
-    lattice: tuple[int, int] = SCAN_LATTICE,
-) -> FoldSolution:
-    """Numeric solver for any valid operation: multistart Gauss-Newton over
-    the (theta, phi, d) fold-plane parameters, seeded by numerics.normal_scan
-    over lattice[0] x lattice[1] normals, valley floors included (at most
-    REFINE_COUNT seeds, lowest score first).  numerics.verified_planes keeps
-    the planes below tol, clustered within 1e-7 best residual first.
-    Flagged possibly incomplete: a numeric search proves existence, never
-    exhaustiveness.  Raises DegenerateInput for a lattice that
-    checked_lattice refuses.
+def solve_generic(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
+    """Numeric solver for any valid operation, kept as a cross-check of the
+    exact and dedicated solvers: multistart Gauss-Newton over the
+    (theta, phi, d) fold-plane parameters, seeded by numerics.normal_scan
+    over SCAN_LATTICE normals, valley floors included (at most REFINE_COUNT
+    seeds, lowest score first).  numerics.verified_planes keeps the planes
+    below tol, clustered within 1e-7 best residual first.  Flagged possibly
+    incomplete: a numeric search proves existence, never exhaustiveness.
     """
     cons = tuple(constraints)
     _checked_spec(cons)
-    n_theta, n_phi = checked_lattice(lattice)
-    seeds, scores = normal_scan(cons, n_theta, n_phi, valley_floors=True)
+    seeds, scores = normal_scan(cons, *SCAN_LATTICE, valley_floors=True)
     roots = newton_multistart(
         stacked_components_fn(cons),
         seeds[np.argsort(scores, kind="stable")[:REFINE_COUNT]],
@@ -686,8 +669,10 @@ def solve_generic(
 
 
 # Dedicated solvers by operation key, called with the payload objects of the
-# constraints sorted by kind.  Each solver is looked up by name when called,
-# so wrappers set on this module (perfbench/tracing.py) see every dispatch.
+# constraints sorted by kind; the rows of the kinds that fix the fold plane
+# also solve the first such constraint of a mixed multiset.  Each solver is
+# looked up by name when called, so wrappers set on this module
+# (perfbench/tracing.py) see every dispatch.
 _DEDICATED = {
     (1,): lambda objs, tol: solve_I1(*objs),
     (2,): lambda objs, tol: solve_I2(*objs, tol=tol),
@@ -699,40 +684,41 @@ _DEDICATED = {
 
 
 def solver_route(spec: OperationSpec) -> str:
-    """The solver solve_operation picks for spec: "dedicated" for the kinds
-    that fix the fold plane alone and for I5+I6 and I5+I9, "exact" for the
-    others whose kinds all have a dual locus,
-    and "generic" for the multisets that mix a kind fixing the fold plane
-    (I1, I2, I4, I12) with others (dual dimension None)."""
-    if spec.key in _DEDICATED:
+    """The solver solve_operation picks for spec: "dedicated" for I5+I6,
+    I5+I9 and every multiset with a kind that fixes the fold plane (I1, I2,
+    I4, I12; dual dimension None), "exact" for the others."""
+    if spec.key in _DEDICATED or spec.dual_dimension is None:
         return "dedicated"
-    return "generic" if spec.dual_dimension is None else "exact"
+    return "exact"
 
 
 def solve_operation(
-    constraints: Sequence[Constraint],
-    tol: float = TOL_INCIDENCE,
-    lattice: tuple[int, int] = SCAN_LATTICE,
+    constraints: Sequence[Constraint], tol: float = TOL_INCIDENCE
 ) -> FoldSolution:
     """Solve a fold operation given its constraint payloads.
 
-    Routes by solver_route: the keys of _DEDICATED to their dedicated
-    solvers, the others whose kinds all have a dual locus to solve_exact,
-    and the multisets mixing a kind that fixes the fold plane with others
-    to the generic numeric search, which scans lattice normals.  Raises
-    InvalidOperation for the three rejected combinations and for
-    under-constrained multisets, and DegenerateInput for a lattice that
-    checked_lattice refuses, whichever solver runs.
+    Routes by solver_route.  I5+I6 and I5+I9 go to their dedicated
+    solvers, and the operations whose kinds all have a dual locus to
+    solve_exact.  A multiset with a kind that fixes the fold plane solves
+    its first such constraint, by kind, with that kind's dedicated solver
+    and keeps the planes whose summed residual over the other constraints
+    is below max(tol, 1e-8); a single I1, I2, I4 or I12 has none to check
+    and returns its solver's solution as it is.  The fixing kind leaves at
+    most two planes, so every result is exhaustive and none is flagged
+    possibly incomplete.  Raises InvalidOperation for the three rejected
+    combinations and for under-constrained multisets.
     """
     cons = tuple(constraints)
     if not cons:
         raise InvalidOperation("no constraints given")
-    lattice = checked_lattice(lattice)
     spec = _checked_spec(cons)
-    route = solver_route(spec)
-    if route == "dedicated":
-        by_kind = sorted(cons, key=lambda c: c.kind.index)
-        return _DEDICATED[spec.key](tuple(obj for c in by_kind for obj in c.objects), tol)
-    if route == "exact":
+    if solver_route(spec) == "exact":
         return solve_exact(cons, tol=max(tol, 1e-8))
-    return solve_generic(cons, tol=max(tol, 1e-8), lattice=lattice)
+    by_kind = sorted(cons, key=lambda c: c.kind.index)
+    if spec.key in _DEDICATED:
+        return _DEDICATED[spec.key](tuple(obj for c in by_kind for obj in c.objects), tol)
+    fixing = next(c for c in by_kind if c.kind.linear_forms is None)
+    others = [c for c in by_kind if c is not fixing]
+    planes = _DEDICATED[(fixing.kind.index,)](fixing.objects, tol).planes
+    return FoldSolution.finite(
+        [x for x in planes if sum(residual(c, x) for c in others) < max(tol, 1e-8)])

@@ -193,6 +193,43 @@ def random_payload(rng, kind: IncidenceKind) -> Constraint:
     return Constraint(kind, tuple(make()))
 
 
+def payload_on_plane(rng, kind: IncidenceKind, plane: Plane3) -> Constraint:
+    """A random payload of kind I1, I5, I6, I8, I9, I10 or I11 that the fold
+    plane satisfies."""
+    n = plane.normal_vec
+
+    def on_plane(x: Point3) -> Point3:
+        return Point3(*(x.xyz - plane.signed_distance(x) * n))
+
+    def along_plane() -> np.ndarray:
+        while True:
+            d = random_unit(rng)
+            d -= (d @ n) * n
+            if np.linalg.norm(d) > MARGIN:
+                return d / np.linalg.norm(d)
+
+    while True:
+        p = random_point(rng)
+        if plane.distance(p) > MARGIN:
+            break
+    image = reflect_point(plane, p)
+    while True:
+        m = Line3(image, tuple(random_unit(rng)))
+        pi = Plane3.from_point_normal(image.xyz, random_unit(rng))
+        if m.distance_to_point(p) > MARGIN and pi.distance(p) > MARGIN:
+            break
+    make = {
+        IncidenceKind.I1: lambda: (p, image),
+        IncidenceKind.I5: lambda: (p, m),
+        IncidenceKind.I6: lambda: (p, pi),
+        IncidenceKind.I8: lambda: (on_plane(random_point(rng)),),
+        IncidenceKind.I9: lambda: (Line3(random_point(rng), tuple(n)),),
+        IncidenceKind.I10: lambda: (Line3(on_plane(random_point(rng)), tuple(along_plane())),),
+        IncidenceKind.I11: lambda: (Plane3(tuple(along_plane()), rng.uniform(-2, 2)),),
+    }[kind]
+    return Constraint(kind, make())
+
+
 # The worked operations: the four kinds that fix the fold plane alone, I5+I6,
 # I5+I9, I6+I8+I11 and 3I6.
 WORKED_KEYS = {(1,), (2,), (4,), (12,), (5, 6), (5, 9), (6, 8, 11), (6, 6, 6)}
@@ -344,7 +381,8 @@ def reference_newton_multistart(
     runs over the whole active batch, the step is pinv(J) r, and clustering
     compares candidates pairwise.
 
-    Roots of a residual vector function from every seed, deduplicated.
+    Roots of a residual vector function from every seed, deduplicated; no
+    seeds give no roots, as in newton_multistart.
 
     ``residual`` maps a parameter vector (d,) to a residual vector (m,);
     with ``vectorized=True`` it must accept an (n, d) batch and return
@@ -358,6 +396,8 @@ def reference_newton_multistart(
         x = x[:, None]
     x = np.array(x, dtype=float)
     n, d = x.shape
+    if n == 0:
+        return []
 
     if vectorized:
         def rf(batch: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ import pytest
 import fold3d.operations
 from fold3d import (
     Constraint,
-    DegenerateInput,
     IllPosed,
     IncidenceKind,
     InvalidOperation,
@@ -45,6 +44,7 @@ from helpers import (
     instance_i5_i9,
     instance_i6_i8_i11,
     parallel_lines,
+    payload_on_plane,
     point_off_line,
     point_off_plane,
     random_frame,
@@ -510,11 +510,6 @@ class TestGenericNormalScan:
         assert abs(near.offset) < 0.2 * payload_radius(self.VALLEY)
         assert stacked_residual(self.VALLEY, near) < 1e-8
 
-    @pytest.mark.parametrize("lattice", [(2048, 2048), (257, 256)])
-    def test_normal_count_bounded(self, lattice):
-        with pytest.raises(DegenerateInput, match="lattice"):
-            solve_generic(self.FAR, lattice=lattice)
-
     def test_no_two_planes_within_cluster_tol(self):
         rng = np.random.default_rng(707)
         found = 0
@@ -573,11 +568,12 @@ class TestSolveOperation:
         assert direct.count == shuffled.count
 
     def test_routes_unworked_to_generic(self):
-        # only a kind that fixes the fold plane mixed with others is searched
+        # a kind that fixes the fold plane mixed with others is not searched:
+        # its dedicated solver's planes are checked against the others
         cons = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2)),
                 Constraint.I8(Point3(3, -1, 1))]
         sol = solve_operation(cons)
-        assert sol.provenance == "generic"
+        assert sol.provenance == "dedicated" and not sol.possibly_incomplete
 
     def test_routes_line_classes_to_exact(self):
         rng = np.random.default_rng(9)
@@ -640,27 +636,6 @@ class TestDispatchTable:
             assert got.planes == want.planes
             found += want.count
         assert found > 0
-
-
-class TestSolveOperationChecksLattice:
-    """solve_operation checks lattice whichever solver runs, and
-    checked_lattice takes two integers only."""
-
-    I1 = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2))]
-
-    @pytest.mark.parametrize(
-        "lattice", [(0, 0), "garbage", "ab", 5, None, ("3", "4"), (1.5, 2), (True, 2)], ids=repr
-    )
-    def test_bad_lattice_refused_for_dedicated_solver(self, lattice):
-        with pytest.raises(DegenerateInput, match="lattice"):
-            solve_operation(self.I1, lattice=lattice)
-
-    def test_numpy_integers_accepted(self):
-        from fold3d.operations import checked_lattice
-
-        counts = checked_lattice(np.array([3, 4]))
-        assert counts == (3, 4) and all(type(n) is int for n in counts)
-        assert solve_operation(self.I1, lattice=(np.int64(3), 4)).count == 1
 
 
 class TestSolveI1AtCoarseTolerance:
@@ -870,34 +845,15 @@ class TestSolveExact:
         assert sol.count == 1 and not sol.possibly_incomplete
         assert sol == solve_operation(self.TWO_CONICS)
 
-    @pytest.mark.parametrize("lattice", [(6, 6), (10, 20)])
-    def test_two_conics_search_takes_the_lattice(self, lattice):
-        # the two conics are solved exactly, whatever lattice the caller gives
-        scan = fold3d.operations.normal_scan
-        with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
-            sol = solve_operation(self.TWO_CONICS, lattice=lattice)
-        assert not spy.called
-        assert sol.provenance == "exact" and sol.count == 1
-
-    @pytest.mark.parametrize("lattice", [(6, 6), (10, 20)])
-    def test_mixed_search_takes_the_lattice(self, lattice):
-        cons = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2)),
-                Constraint.I8(Point3(3, -1, 1))]
-        scan = fold3d.operations.normal_scan
-        with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
-            sol = solve_operation(cons, lattice=lattice)
-        assert spy.call_args.args[1:] == lattice
-        assert sol.provenance == "generic"
-
     def test_search_classes_refused(self):
-        # the search keeps exactly the multisets mixing a kind that fixes the
-        # fold plane with others, and solve_exact refuses them
+        # the multisets mixing a kind that fixes the fold plane with others
+        # take that kind's dedicated solver, and solve_exact refuses them
         rng = np.random.default_rng(64)
         fixing = [k for k in IncidenceKind if k.linear_forms is None]
         for k1 in fixing:
             for k2 in IncidenceKind:
                 spec = OperationSpec.from_kinds([k1, k2])
-                assert solver_route(spec) == "generic"
+                assert solver_route(spec) == "dedicated"
                 with pytest.raises(InvalidOperation, match="fixes the fold plane"):
                     solve_exact([random_payload(rng, k1), random_payload(rng, k2)])
 
@@ -1060,11 +1016,13 @@ class TestSolveExact:
     @pytest.mark.parametrize("kinds", ["I1+I8", "I2+I11", "2I1", "I4+I9"])
     def test_fixing_kind_mixed_with_others_searched(self, kinds):
         # a kind that fixes the fold plane has no dual locus, so a multiset
-        # mixing it with others goes to the search, as an over-determined one
+        # mixing it with others is not searched: it keeps the planes of its
+        # dedicated solver that satisfy the rest, none for random payloads
         rng = np.random.default_rng(65)
         cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
         sol = solve_operation(cons)
-        assert sol.provenance == "generic" and sol.possibly_incomplete
+        assert sol.provenance == "dedicated" and not sol.possibly_incomplete
+        assert sol.outcome is Outcome.NO_SOLUTION
         with pytest.raises(InvalidOperation, match="fixes the fold plane"):
             solve_exact(cons)
 
@@ -1073,6 +1031,51 @@ class TestSolveExact:
         cons = [Constraint.I1(p, q), Constraint.I8(Point3(3, -1, 1))]
         (plane,) = solve_operation(cons).planes
         assert plane_gap(plane, Plane3((0, 0, 1), 1.0)) < 1e-9
+
+
+# the kinds that fix the fold plane alone, and the kinds payload_on_plane
+# builds on one of their planes
+FIXING_KINDS = [k for k in IncidenceKind if k.linear_forms is None]
+ON_PLANE_KINDS = [IncidenceKind(f"I{i}") for i in (1, 5, 6, 8, 9, 10, 11)]
+
+
+class TestFixingKindMixes:
+    """A multiset with a kind that fixes the fold plane keeps the planes of
+    its first such constraint that satisfy the others."""
+
+    def test_never_searches(self):
+        def search(*args, **kwargs):
+            raise AssertionError("solve_operation ran the search")
+
+        rng = np.random.default_rng(72)
+        valid, _ = enumerate_operations()
+        mixes = [OperationSpec.from_kinds([k1, k2]) for k1 in FIXING_KINDS for k2 in IncidenceKind]
+        with mock.patch.object(fold3d.operations, "normal_scan", search), \
+                mock.patch.object(fold3d.operations, "newton_multistart", search):
+            for spec in valid + mixes:
+                sol = solve_operation([random_payload(rng, k) for k in spec.kinds])
+                assert not sol.possibly_incomplete, spec
+            two_conics = solve_operation(TestSolveExact.TWO_CONICS)
+        assert two_conics.provenance == "exact" and two_conics.count == 1
+
+    @pytest.mark.parametrize("other", ON_PLANE_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("fixing", FIXING_KINDS, ids=lambda k: k.value)
+    def test_fixing_planes_that_verify(self, fixing, other):
+        rng = np.random.default_rng(800 + 16 * fixing.index + other.index)
+        for _ in range(2):
+            fix = random_payload(rng, fixing)
+            fixed = _DEDICATED_CASES[(fixing.index,)][1]([fix]).planes
+            cons = [fix, payload_on_plane(rng, other, fixed[rng.integers(len(fixed))])]
+            want = [x for x in fixed if stacked_residual(cons, x) < 1e-8]
+            sol = solve_operation(cons)
+            assert sol.provenance == "dedicated" and not sol.possibly_incomplete
+            assert sol.count == len(want) > 0
+            for plane in sol.planes:
+                assert min(plane_gap(plane, x) for x in want) < 1e-9
+            for plane in solve_generic(cons).planes:
+                assert min(plane_gap(plane, x) for x in sol.planes) < 1e-6
+            inconsistent = solve_operation([fix, random_payload(rng, other)])
+            assert inconsistent.outcome is Outcome.NO_SOLUTION
 
 
 def _scaled(obj, k: float):

@@ -23,7 +23,6 @@ from fold3d import (
     write_scene,
 )
 import fold3d.envelopes
-import fold3d.operations
 from fold3d.cli import _build_parser, main
 from fold3d.meshing import MAX_MESH_RESOLUTION, MAX_TANGENT_PLANES
 from fold3d.scene import ResultDocument
@@ -64,7 +63,7 @@ I5_I9_SKEW_SCENE = """
 
 
 # I5+I8 has no dedicated solver; its dual linear forms leave a line of planes,
-# so solve_exact takes it and --seed-lattice is only checked
+# so solve_exact takes it
 I5_I8_SCENE = """
 {
   "points": {"P": [0, 0, 1], "Q": [0.5, 0.2, 0.1]},
@@ -93,7 +92,8 @@ I3_I5_SCENE = """
 """
 
 # I1 fixes the plane z = 1, and the I8 point lies on it; a kind that fixes
-# the fold plane mixed with others runs the lattice-seeded search
+# the fold plane mixed with others keeps the planes of its dedicated solver
+# that satisfy the rest
 I1_I8_SCENE = """
 {
   "points": {"P": [0, 0, 0], "Q": [0, 0, 2], "R": [3, -1, 1]},
@@ -398,7 +398,8 @@ class TestCli:
         code = main(["solve", path, "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert (out["outcome"], out["solver"]) == ("finite", "generic")
+        assert (out["outcome"], out["solver"]) == ("finite", "dedicated")
+        assert out["possibly_incomplete"] is False
         assert len(out["planes"]) == 1
 
     def test_enumerate_json(self, capsys):
@@ -532,12 +533,6 @@ class TestCli:
         assert main([command, path, *extra]) == 1
         assert capsys.readouterr().err.startswith("error: --tol")
 
-    def test_seed_lattice_not_a_number(self, tmp_path, capsys):
-        path = _write(tmp_path, "s.json", I1_SCENE)
-        code = main(["solve", path, "--seed-lattice", "abc"])
-        assert code == 1
-        assert "--seed-lattice wants" in capsys.readouterr().err
-
     def test_nan_plane_offset_rejected(self, tmp_path, capsys):
         scene = """
         {
@@ -556,10 +551,7 @@ class TestCli:
         [
             ("oracle", ["--resolution", "0"]),
             ("oracle", ["--resolution", "-5"]),
-            ("solve", ["--seed-lattice", "0"]),
-            ("solve", ["--seed-lattice=3x0"]),
             ("oracle", ["--resolution", "257"]),
-            ("solve", ["--seed-lattice", "257"]),
         ],
     )
     def test_lattice_counts_bounded(self, tmp_path, capsys, command, extra):
@@ -567,45 +559,6 @@ class TestCli:
         assert main([command, path, *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lattice" in err
-
-    def test_seed_lattice_normal_count_bounded(self, tmp_path, capsys):
-        path = _write(tmp_path, "s.json", I5_I8_SCENE)
-        assert main(["solve", path, "--seed-lattice", "2048x2048x1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "lattice" in err
-
-    @pytest.mark.parametrize("option", ["0", "3x0x4", "14x28x18", "257"])
-    def test_seed_lattice_checked_for_dedicated_solvers(self, tmp_path, capsys, option):
-        path = _write(tmp_path, "s.json", I1_SCENE)
-        assert main(["solve", path, "--seed-lattice", option]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    @pytest.mark.parametrize("option, lattice", [("162", (162, 162)), ("14x28", (14, 28))])
-    def test_seed_lattice_counts_normals_only(self, tmp_path, capsys, monkeypatch,
-                                              option, lattice):
-        # only the normal count is capped, and 162 x 162 normals are well below it
-        monkeypatch.delenv("FOLD3D_TOL", raising=False)
-        path = _write(tmp_path, "s.json", I5_I8_SCENE)
-        code = main(["solve", path, "--json", "--seed-lattice", option])
-        scene = load_scene(path)
-        sol = solve_operation(scene.constraint_list(), tol=1e-9, lattice=lattice)
-        doc = ResultDocument.from_solution("I5+I8", scene.constraints, sol, 1e-9)
-        assert (code, capsys.readouterr().out) == (doc.exit_code, doc.to_json() + "\n")
-
-    @pytest.mark.parametrize("option, lattice", [("10x20", (10, 20)), ("6", (6, 6))])
-    def test_seed_lattice_shapes_the_search(self, tmp_path, capsys, monkeypatch,
-                                            option, lattice):
-        monkeypatch.delenv("FOLD3D_TOL", raising=False)
-        path = _write(tmp_path, "s.json", I1_I8_SCENE)
-        scan = fold3d.operations.normal_scan
-        with mock.patch.object(fold3d.operations, "normal_scan", wraps=scan) as spy:
-            code = main(["solve", path, "--json", "--seed-lattice", option])
-        assert spy.call_args.args[1:] == lattice
-        scene = load_scene(path)
-        sol = solve_operation(scene.constraint_list(), tol=1e-9, lattice=lattice)
-        assert sol.provenance == "generic"
-        doc = ResultDocument.from_solution("I1+I8", scene.constraints, sol, 1e-9)
-        assert (code, capsys.readouterr().out) == (doc.exit_code, doc.to_json() + "\n")
 
     def test_solve_two_conics_exact(self, tmp_path, capsys):
         path = _write(tmp_path, "s.json", I3_I5_SCENE)
@@ -668,7 +621,7 @@ class TestCliCallsShareNoState:
         _build_parser.cache_clear()
         alone = main(["solve", path]), capsys.readouterr()
         _build_parser.cache_clear()
-        main(["solve", path, "--seed-lattice", "8", "--tol", "1e-4"])
+        main(["solve", path, "--tol", "1e-4"])
         capsys.readouterr()
         after = main(["solve", path]), capsys.readouterr()
         assert after == alone
