@@ -586,16 +586,18 @@ def stacked_residual(constraints, delta: Plane3) -> float:
 
 
 def payload_radius(constraints) -> float:
-    """Radius of a ball around the origin holding the payload anchor points."""
+    """Radius of a ball around the origin holding the payload anchor points;
+    inf, without a warning, where a squared distance overflows."""
     r = 1.0
-    for c in constraints:
-        for obj in c.objects:
-            if isinstance(obj, Point3):
-                r = max(r, float(np.linalg.norm(obj.xyz)))
-            elif isinstance(obj, Line3):
-                r = max(r, float(np.linalg.norm(obj.base.xyz)))
-            elif isinstance(obj, Plane3):
-                r = max(r, abs(obj.offset))
+    with np.errstate(over="ignore"):
+        for c in constraints:
+            for obj in c.objects:
+                if isinstance(obj, Point3):
+                    r = max(r, float(np.linalg.norm(obj.xyz)))
+                elif isinstance(obj, Line3):
+                    r = max(r, float(np.linalg.norm(obj.base.xyz)))
+                elif isinstance(obj, Plane3):
+                    r = max(r, abs(obj.offset))
     return r
 
 

@@ -1,14 +1,16 @@
-"""Root-finding primitives, the fold-plane search and the brute-force oracle.
+"""Root-finding primitives and the fold-plane search behind the generic
+solver and the brute-force oracle.
 
-The search (normal_scan, newton_multistart, verified_planes) scans a
-theta/phi grid of candidate fold-plane normals, takes for each the offset
-d that best satisfies the constraints (the residual components are affine
-in d, so it has a closed form), refines every promising normal with damped
-Gauss-Newton on the smooth signed residual components in (theta, phi, d),
-and clusters the converged planes.  It sees planes at any offset.  The
-generic solver and the oracle both run it; the oracle is deliberately
-independent of the closed-form solvers, so it can serve as ground truth
-for solution counting.
+search scans a theta/phi grid of candidate fold-plane normals, takes for
+each the offset d that best satisfies the constraints (the residual
+components are affine in d, so it has a closed form), refines every
+promising normal with damped Gauss-Newton on the smooth signed residual
+components in (theta, phi, d), and keeps the converged planes that verify,
+clustered.  It sees planes at any offset.  Two presets run it: the generic
+solver (operations.solve_generic) scans its fixed SCAN_LATTICE with valley
+floors, and grid_oracle a resolution x resolution lattice without.  The
+oracle is deliberately independent of the closed-form solvers, so it can
+serve as ground truth for solution counting.
 """
 
 from __future__ import annotations
@@ -375,10 +377,10 @@ def stacked_components_fn(constraints):
     return fn
 
 
-def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool = False):
+def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     """Newton seeds (theta, phi, d*) from an n_theta x n_phi grid of
     fold-plane normals (theta at the cell centres of [0, pi], phi wrapping),
-    and their scores, in grid order.
+    in grid order.
 
     Every signed residual component is affine in the offset d once the
     normal n is fixed: A(n) + d B(n), read exactly at d = 0 and d = 1.  So
@@ -425,55 +427,61 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool = Fal
         cols.append(j)
     cells = np.unique(np.concatenate(rows) * n_phi + np.concatenate(cols))
     cells = cells[valid[cells]]
-    return np.stack([th[cells], ph[cells], dstar[cells]], axis=1), score[cells]
+    return np.stack([th[cells], ph[cells], dstar[cells]], axis=1)
 
 
-def verified_planes(
-    constraints, roots, refine_tol: float, cluster_tol: float, window: float | None = None
+# Newton tolerance and iteration cap of the fold-plane search, and the
+# plane_gap within which its verified planes are one.
+SEARCH_NEWTON_TOL = 1e-10
+SEARCH_MAX_ITER = 80
+SEARCH_CLUSTER_TOL = 1e-6
+
+
+def search(
+    constraints, n_theta: int, n_phi: int, valley_floors: bool, refine_tol: float
 ) -> list[tuple[Plane3, float]]:
-    """The (plane, summed scalar residual) pairs of (theta, phi, d) roots
-    whose residual is below refine_tol, clustered with the fold-plane dedup
-    metric (plane_gap) within cluster_tol, best residual first.  A given
-    window keeps only planes with |offset| <= window + cluster_tol."""
+    """Fold planes of the constraints, with their summed scalar residuals.
+
+    normal_scan seeds Gauss-Newton (newton_multistart) from n_theta x n_phi
+    normals at their best offsets, valley floors included if asked; the
+    converged planes whose summed residual is below refine_tol are kept,
+    clustered with the fold-plane dedup metric (plane_gap) within
+    SEARCH_CLUSTER_TOL, best residual first.
+    """
+    cons = tuple(constraints)
+    roots = newton_multistart(
+        stacked_components_fn(cons),
+        normal_scan(cons, n_theta, n_phi, valley_floors),
+        tol=SEARCH_NEWTON_TOL,
+        max_iter=SEARCH_MAX_ITER,
+        cluster_tol=SEARCH_CLUSTER_TOL,
+        vectorized=True,
+    )
     planes = [plane_from_params(*root) for root in roots]
-    found = [(p, stacked_residual(constraints, p)) for p in planes]
+    found = [(p, stacked_residual(cons, p)) for p in planes]
     found = sorted((pr for pr in found if pr[1] < refine_tol), key=lambda pr: pr[1])
     clusters: list[tuple[Plane3, float]] = []
     for plane, res in found:
-        if all(plane_gap(plane, q) > cluster_tol for q, _ in clusters):
+        if all(plane_gap(plane, q) > SEARCH_CLUSTER_TOL for q, _ in clusters):
             clusters.append((plane, res))
-    if window is not None:
-        clusters = [pr for pr in clusters if abs(pr[0].offset) <= window + cluster_tol]
     return clusters
 
 
 # Largest resolution the oracle scans: 256 x 256 normals.
 MAX_ORACLE_RESOLUTION = 256
-# Newton tolerance and iteration cap of both searches (grid_oracle and
-# operations.solve_generic), and the oracle's verification and clustering
-# tolerances.
-SEARCH_NEWTON_TOL = 1e-10
-SEARCH_MAX_ITER = 80
+# The oracle keeps the planes whose summed residual is below this.
 ORACLE_REFINE_TOL = 1e-6
-ORACLE_CLUSTER_TOL = 1e-6
 
 
-def grid_oracle(
-    constraints,
-    resolution: int = 48,
-    n_offsets: int = 64,
-    window: float | None = None,
-) -> OracleResult:
+def grid_oracle(constraints, resolution: int = 48, n_offsets: int = 64) -> OracleResult:
     """Exhaustive scan over fold-plane normals with local refinement.
 
-    normal_scan seeds Gauss-Newton from resolution x resolution normals at
-    their best offsets, and verified_planes keeps the converged planes below
-    ORACLE_REFINE_TOL, clustered within ORACLE_CLUSTER_TOL, at every offset
-    or, given a window, those with |offset| <= window + ORACLE_CLUSTER_TOL.
-    n_offsets shapes nothing; it is kept only because the benchmark's tracer
-    (perfbench/tracing.py) reads it from every call.  Raises
-    DegenerateInput, with "lattice" in its message, for a resolution outside
-    1..MAX_ORACLE_RESOLUTION or n_offsets below 1.
+    search over resolution x resolution normals, without valley floors,
+    keeping the planes below ORACLE_REFINE_TOL at every offset, sorted by
+    normal and offset.  n_offsets shapes nothing; it is kept only because
+    the benchmark's tracer (perfbench/tracing.py) reads it from every call.
+    Raises DegenerateInput, with "lattice" in its message, for a resolution
+    outside 1..MAX_ORACLE_RESOLUTION or n_offsets below 1.
     """
     cons = tuple(constraints)
     if not cons:
@@ -490,15 +498,6 @@ def grid_oracle(
         )
     if n_offsets < 1:
         raise DegenerateInput(f"lattice counts must be at least 1, not n_offsets={n_offsets}")
-    seeds, _ = normal_scan(cons, resolution, resolution)
-    roots = newton_multistart(
-        stacked_components_fn(cons),
-        seeds,
-        tol=SEARCH_NEWTON_TOL,
-        max_iter=SEARCH_MAX_ITER,
-        cluster_tol=ORACLE_CLUSTER_TOL,
-        vectorized=True,
-    )
-    clusters = verified_planes(cons, roots, ORACLE_REFINE_TOL, ORACLE_CLUSTER_TOL, window)
+    clusters = search(cons, resolution, resolution, False, ORACLE_REFINE_TOL)
     clusters.sort(key=lambda pr: (*pr[0].normal, pr[0].offset))
     return OracleResult(tuple(clusters), resolution)

@@ -57,16 +57,7 @@ from .constraints import (
 from .envelopes import family_I5
 from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
 from .geometry import TOL_INCIDENCE, Line3, Plane3, Point3
-from .numerics import (
-    SEARCH_MAX_ITER,
-    SEARCH_NEWTON_TOL,
-    newton_multistart,
-    normal_scan,
-    real_roots_cubic,
-    real_roots_quadratic,
-    stacked_components_fn,
-    verified_planes,
-)
+from .numerics import real_roots_cubic, real_roots_quadratic, search
 
 _CODIM_1, _CODIM_2, _CODIM_3 = (
     tuple(k for k in IncidenceKind if k.codimension == n) for n in (1, 2, 3)
@@ -196,6 +187,17 @@ def enumerate_operations() -> tuple[list[OperationSpec], list[tuple[OperationSpe
 # Dedicated solvers for the worked operations
 # ---------------------------------------------------------------------------
 
+# Largest payload radius solve_I5_I6 and solve_exact take: below it a length
+# cubed, as in solve_I5_I6's cubic, stays finite.
+MAX_PAYLOAD_RADIUS = 1e100
+
+
+def _check_scale(r: float) -> None:
+    if not r <= MAX_PAYLOAD_RADIUS:
+        raise DegenerateInput(
+            f"payload radius {r:.3g} exceeds {MAX_PAYLOAD_RADIUS:g}; rescale the scene"
+        )
+
 
 def _i5_i6_cubic(a: float, q: np.ndarray, nu: np.ndarray, dist: float) -> np.ndarray:
     """Coefficients in t, highest first, of |N|^2 / 4 times the signed distance
@@ -222,9 +224,10 @@ def solve_I5_I6(
     fam = family_I5(p, m)
     qc, pic = fam.frame.apply_point(q), fam.frame.apply_plane(pi)
     dist = pic.signed_distance(qc)
+    r = fam.half_gap + abs(qc.y) + abs(qc.z) + abs(dist)
+    _check_scale(r)
     cubic = _i5_i6_cubic(fam.half_gap, qc.xyz, pic.normal_vec, dist)
     # each term c_k t^k is a length cubed, so c_k r^k is set against r^3
-    r = fam.half_gap + abs(qc.y) + abs(qc.z) + abs(dist)
     if np.all(np.abs(cubic) * r ** np.arange(3.0, -1.0, -1.0) <= 1e-10 * r**3):
         return FoldSolution.infinite(fam)
     try:
@@ -555,6 +558,7 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
             "kinds with a dual locus"
         )
     r = payload_radius(cons)
+    _check_scale(r)
     scale = np.array([1.0, 1.0, 1.0, r])
     rows, quadrics = [], []
     for c in cons:
@@ -638,33 +642,19 @@ def _checked_spec(cons: Sequence[Constraint]) -> OperationSpec:
     return spec
 
 
-# solve_generic's normal scan (theta x phi counts), and the most seeds it
-# refines, lowest score first.
+# solve_generic's normal scan (theta x phi counts).
 SCAN_LATTICE = (14, 28)
-REFINE_COUNT = 320
 
 
 def solve_generic(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
     """Numeric solver for any valid operation, kept as a cross-check of the
-    exact and dedicated solvers: multistart Gauss-Newton over the
-    (theta, phi, d) fold-plane parameters, seeded by numerics.normal_scan
-    over SCAN_LATTICE normals, valley floors included (at most REFINE_COUNT
-    seeds, lowest score first).  numerics.verified_planes keeps the planes
-    below tol, clustered within 1e-7 best residual first.  Flagged possibly
+    exact and dedicated solvers: numerics.search over SCAN_LATTICE normals,
+    valley floors included, keeping the planes below tol.  Flagged possibly
     incomplete: a numeric search proves existence, never exhaustiveness.
     """
     cons = tuple(constraints)
     _checked_spec(cons)
-    seeds, scores = normal_scan(cons, *SCAN_LATTICE, valley_floors=True)
-    roots = newton_multistart(
-        stacked_components_fn(cons),
-        seeds[np.argsort(scores, kind="stable")[:REFINE_COUNT]],
-        tol=SEARCH_NEWTON_TOL,
-        max_iter=SEARCH_MAX_ITER,
-        cluster_tol=1e-7,
-        vectorized=True,
-    )
-    planes = [plane for plane, _ in verified_planes(cons, roots, tol, 1e-7)]
+    planes = [plane for plane, _ in search(cons, *SCAN_LATTICE, True, tol)]
     return FoldSolution.finite(planes, possibly_incomplete=True, provenance="generic")
 
 

@@ -251,19 +251,20 @@ def generic_newton_args(cons) -> tuple[tuple, dict]:
         calls.append((args, kwargs))
         return []
 
-    with mock.patch("fold3d.operations.newton_multistart", record):
+    with mock.patch("fold3d.numerics.newton_multistart", record):
         solve_generic(cons)
     ((args, kwargs),) = calls
     return args, kwargs
 
 
 def windowed_counts(cons, solution, resolution=48, n_offsets=64):
-    """Dedicated vs oracle plane counts, both restricted to the oracle's
-    offset window (minus a two-cell boundary margin)."""
+    """Dedicated vs oracle plane counts, both restricted to the offset window
+    of acceptance criterion 4: three payload radii, minus a two-cell margin
+    of an n_offsets lattice over it."""
     window = 3.0 * payload_radius(cons)
     margin = 2.0 * (2.0 * window / n_offsets)
     w_eff = window - margin
-    oracle = grid_oracle(cons, resolution=resolution, n_offsets=n_offsets, window=window)
+    oracle = grid_oracle(cons, resolution=resolution, n_offsets=n_offsets)
     ded = sum(1 for pl in solution.planes if abs(pl.offset) <= w_eff)
     orc = sum(1 for pl, _ in oracle.clusters if abs(pl.offset) <= w_eff)
     return ded, orc

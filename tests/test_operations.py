@@ -5,9 +5,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import fold3d.numerics
 import fold3d.operations
 from fold3d import (
     Constraint,
+    DegenerateInput,
     IllPosed,
     IncidenceKind,
     InvalidOperation,
@@ -18,6 +20,7 @@ from fold3d import (
     Plane3,
     Point3,
     enumerate_operations,
+    grid_oracle,
     plane_gap,
     planes_setwise_equal,
     residual,
@@ -35,9 +38,9 @@ from fold3d import (
     solver_route,
     stacked_residual,
 )
+from fold3d.numerics import SEARCH_CLUSTER_TOL, search
 from helpers import (
     SystemInstance3I6,
-    generic_newton_args,
     generic_specs,
     instance_3i6,
     instance_i5_i6,
@@ -510,30 +513,27 @@ class TestGenericNormalScan:
         assert abs(near.offset) < 0.2 * payload_radius(self.VALLEY)
         assert stacked_residual(self.VALLEY, near) < 1e-8
 
-    def test_no_two_planes_within_cluster_tol(self):
+    def test_valley_floors_find_the_third_plane(self):
+        from fold3d.constraints import payload_radius
+
+        without = search(self.VALLEY, 14, 28, False, 1e-8)
+        planes = [p for p, _ in search(self.VALLEY, 14, 28, True, 1e-8)]
+        assert len(without) == 2 and len(planes) == 3
+        (near,) = [p for p in planes
+                   if all(plane_gap(p, q) > SEARCH_CLUSTER_TOL for q, _ in without)]
+        assert abs(near.offset) < 0.2 * payload_radius(self.VALLEY)
+
+    @pytest.mark.parametrize("solve", [solve_generic, grid_oracle], ids=lambda f: f.__name__)
+    def test_no_two_planes_within_cluster_tol(self, solve):
         rng = np.random.default_rng(707)
         found = 0
         for spec in generic_specs():
             for _ in range(2):
-                planes = solve_generic([random_payload(rng, k) for k in spec.kinds]).planes
+                planes = solve([random_payload(rng, k) for k in spec.kinds]).planes
                 found += len(planes)
                 for i, p in enumerate(planes):
-                    assert all(plane_gap(p, q) > 1e-7 for q in planes[i + 1:]), spec
+                    assert all(plane_gap(p, q) > SEARCH_CLUSTER_TOL for q in planes[i + 1:]), spec
         assert found > 50
-
-    def test_refine_count_keeps_the_lowest_scores(self):
-        from fold3d.numerics import normal_scan
-
-        seeds, scores = normal_scan(self.FAR, 14, 28, valley_floors=True)
-        (_, all_seeds), _ = generic_newton_args(self.FAR)
-        assert len(all_seeds) == len(seeds) > 4
-        calls = []
-        with mock.patch("fold3d.operations.newton_multistart",
-                        lambda *args, **kwargs: calls.append(args[1]) or []), \
-                mock.patch("fold3d.operations.REFINE_COUNT", 4):
-            solve_generic(self.FAR)
-        kept = [np.flatnonzero((seeds == seed).all(axis=1))[0] for seed in calls[0]]
-        assert np.array_equal(np.sort(scores[kept]), np.sort(scores)[:4])
 
 
 class TestSolveOperation:
@@ -636,6 +636,20 @@ class TestDispatchTable:
             assert got.planes == want.planes
             found += want.count
         assert found > 0
+
+
+class TestHugeScenes:
+    """Beyond MAX_PAYLOAD_RADIUS a length cubed overflows; the solvers refuse
+    such a scene with a FoldError instead of failing inside numpy."""
+
+    @pytest.mark.parametrize("spec, scale", [("I5+I6", 1e150), ("2I6+I8", 1e160)])
+    def test_refused(self, spec, scale):
+        rng = np.random.default_rng(1600)
+        cons = [random_payload(rng, k) for k in OperationSpec.parse(spec).kinds]
+        assert solve_operation(cons).outcome in (Outcome.FINITE, Outcome.NO_SOLUTION)
+        scaled = [Constraint(c.kind, tuple(_scaled(o, scale) for o in c.objects)) for c in cons]
+        with pytest.raises(DegenerateInput, match="payload radius"):
+            solve_operation(scaled)
 
 
 class TestSolveI1AtCoarseTolerance:
@@ -1044,14 +1058,14 @@ class TestFixingKindMixes:
     its first such constraint that satisfy the others."""
 
     def test_never_searches(self):
-        def search(*args, **kwargs):
+        def searched(*args, **kwargs):
             raise AssertionError("solve_operation ran the search")
 
         rng = np.random.default_rng(72)
         valid, _ = enumerate_operations()
         mixes = [OperationSpec.from_kinds([k1, k2]) for k1 in FIXING_KINDS for k2 in IncidenceKind]
-        with mock.patch.object(fold3d.operations, "normal_scan", search), \
-                mock.patch.object(fold3d.operations, "newton_multistart", search):
+        with mock.patch.object(fold3d.numerics, "normal_scan", searched), \
+                mock.patch.object(fold3d.numerics, "newton_multistart", searched):
             for spec in valid + mixes:
                 sol = solve_operation([random_payload(rng, k) for k in spec.kinds])
                 assert not sol.possibly_incomplete, spec

@@ -352,6 +352,28 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("scene", [
+        # I5+I6 at 1e150: the cube of its scale overflows
+        """{"points": {"P": [0, 0, 1e150], "Q": [3e149, -4e149, 2e149]},
+            "lines": {"m": {"point": [0, 0, -1e150], "dir": [0, 1, 0]}},
+            "planes": {"pi": {"normal": [0.25, 0.55, 0.75], "offset": -3.5e149}},
+            "constraints": [{"type": "I5", "args": {"point": "P", "line": "m"}},
+                            {"type": "I6", "args": {"point": "Q", "plane": "pi"}}]}""",
+        # 2I6+I8 at 1e160: even a squared distance overflows
+        """{"points": {"P": [1e160, 0, 0], "Q": [0, 1e160, 0], "R": [0, 0, 1e160]},
+            "planes": {"pi": {"normal": [0, 0, 1], "offset": -1e160},
+                       "tau": {"normal": [1, 0, 0], "offset": 2e160}},
+            "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}},
+                            {"type": "I6", "args": {"point": "Q", "plane": "tau"}},
+                            {"type": "I8", "args": {"point": "R"}}]}""",
+    ], ids=["I5+I6", "2I6+I8"])
+    def test_solve_huge_scene_refused(self, tmp_path, capsys, scene):
+        path = _write(tmp_path, "s.json", scene)
+        code = main(["solve", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "payload radius" in err
+
     def test_solve_infinite_exit_3(self, tmp_path, capsys):
         scene = """
         {
