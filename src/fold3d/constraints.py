@@ -46,6 +46,7 @@ families of the infinite kinds are in ``envelopes``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
@@ -586,18 +587,18 @@ def stacked_residual(constraints, delta: Plane3) -> float:
 
 
 def payload_radius(constraints) -> float:
-    """Radius of a ball around the origin holding the payload anchor points;
-    inf, without a warning, where a squared distance overflows."""
+    """Radius, at least 1, of a ball around the origin holding the payload
+    anchor points; inf, without a warning, only where that distance
+    overflows."""
     r = 1.0
-    with np.errstate(over="ignore"):
-        for c in constraints:
-            for obj in c.objects:
-                if isinstance(obj, Point3):
-                    r = max(r, float(np.linalg.norm(obj.xyz)))
-                elif isinstance(obj, Line3):
-                    r = max(r, float(np.linalg.norm(obj.base.xyz)))
-                elif isinstance(obj, Plane3):
-                    r = max(r, abs(obj.offset))
+    for c in constraints:
+        for obj in c.objects:
+            if isinstance(obj, Line3):
+                obj = obj.base
+            if isinstance(obj, Point3):
+                r = max(r, math.hypot(obj.x, obj.y, obj.z))
+            elif isinstance(obj, Plane3):
+                r = max(r, abs(obj.offset))
     return r
 
 

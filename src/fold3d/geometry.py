@@ -98,7 +98,7 @@ class Line3:
         d = d * _canonical_sign(d)
         b = self.base.xyz if isinstance(self.base, Point3) else _vec(self.base)
         for _ in range(3):
-            if abs(b @ d) <= _UNIT_SLACK * float(np.linalg.norm(b)):
+            if abs(b @ d) <= _UNIT_SLACK * math.hypot(*b):
                 break
             b = b - (b @ d) * d
         object.__setattr__(self, "base", Point3(*b))
@@ -119,7 +119,7 @@ class Line3:
     def distance_to_point(self, p: Point3) -> float:
         d = self.direction
         v = p.xyz - self.base.xyz
-        return float(np.linalg.norm(v - (v @ d) * d))
+        return math.hypot(*(v - (v @ d) * d))
 
     def contains_point(self, p: Point3, tol: float = TOL_INCIDENCE) -> bool:
         return self.distance_to_point(p) <= tol
@@ -346,10 +346,10 @@ def lines_setwise_equal(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> bool:
 
 def plane_gap(a: Plane3, b: Plane3) -> float:
     """Sign-insensitive metric: normal angle (radians) plus offset difference."""
-    na, nb = a.normal_vec, b.normal_vec
-    s = 1.0 if float(na @ nb) >= 0 else -1.0
-    ang = math.asin(min(1.0, float(np.linalg.norm(np.cross(na, s * nb)))))
-    return ang + abs(a.offset - s * b.offset)
+    (ax, ay, az), (bx, by, bz) = a.normal, b.normal
+    s = 1.0 if ax * bx + ay * by + az * bz >= 0 else -1.0
+    sine = math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    return math.asin(min(1.0, sine)) + abs(a.offset - s * b.offset)
 
 
 def planes_setwise_equal(a: Plane3, b: Plane3, tol: float = TOL_INCIDENCE) -> bool:

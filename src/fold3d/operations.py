@@ -187,8 +187,8 @@ def enumerate_operations() -> tuple[list[OperationSpec], list[tuple[OperationSpe
 # Dedicated solvers for the worked operations
 # ---------------------------------------------------------------------------
 
-# Largest payload radius solve_I5_I6 and solve_exact take: below it a length
-# cubed, as in solve_I5_I6's cubic, stays finite.
+# Largest payload radius solve_operation, solve_I5_I6 and solve_exact take:
+# below it a length cubed, as in solve_I5_I6's cubic, stays finite.
 MAX_PAYLOAD_RADIUS = 1e100
 
 
@@ -342,50 +342,72 @@ def _line_points(line: np.ndarray, quadrics) -> list[np.ndarray]:
     return points + [h1] if a == 0.0 else points
 
 
-def _contract(form: np.ndarray, x: np.ndarray, times: int) -> np.ndarray:
-    """The symmetric tensor form with times of its slots filled by each row
-    of x: form(x, ..., x) when times is its order, and its gradient at x
-    over the order when one less."""
-    if times == 0:
-        return np.broadcast_to(form, x.shape[:-1] + form.shape)
-    out = x @ form.reshape(3, -1)
-    for _ in range(times - 1):
-        out = np.einsum("si,sij->sj", x, out.reshape(len(x), 3, -1))
-    return out.reshape(x.shape[:-1] + form.shape[times:])
+def _chart_maps(order: int) -> np.ndarray:
+    """For each chart U of _CHARTS, the matrix taking a symmetric tensor of
+    the given order (raveled) to the coefficients c[p, q] (raveled, p and q
+    up to the order) of s^p t^q of the form at U (s, t, 1)."""
+    maps = np.ones((len(_CHARTS), 1, 1, 1))  # chart, p, q, raveled slots so far
+    for k in range(1, order + 1):
+        out = np.zeros((len(_CHARTS), k + 1, k + 1, 3 ** (k - 1), 3))
+        slot = maps[..., None]
+        # the new slot holds s U e1 + t U e2 + U e3
+        out[:, 1:, :-1] += slot * _CHARTS[:, None, None, None, :, 0]
+        out[:, :-1, 1:] += slot * _CHARTS[:, None, None, None, :, 1]
+        out[:, :-1, :-1] += slot * _CHARTS[:, None, None, None, :, 2]
+        maps = out.reshape(len(_CHARTS), k + 1, k + 1, 3**k)
+    return maps.reshape(len(_CHARTS), (order + 1) ** 2, 3**order)
 
 
-def _t_rows(form: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients in t, highest power first, of form(a + t b) for each row
-    of a: binomial(m, j) form(b, .., b, a, .., a) with j slots b for t^j."""
-    m, rows = form.ndim, [_contract(form, a, form.ndim)]
-    for j in range(1, m + 1):
-        form = form @ b
-        rows.append(math.comb(m, j) * _contract(form, a, m - j))
-    return np.stack(rows[::-1], axis=-1)
+# _chart_maps of every order _curve_points meets: cubics, conics, and what
+# _divided leaves of them.
+_CHART_MAPS = tuple(_chart_maps(m) for m in range(4))
+
+
+def _chart_coeffs(form: np.ndarray) -> np.ndarray:
+    """c[chart, p, m - q], the coefficient of s^p t^q of form, of order m, at
+    U (s, t, 1) in each chart U of _CHARTS: row p is in t, highest power
+    first."""
+    m = form.ndim
+    return (_CHART_MAPS[m] @ form.ravel()).reshape(-1, m + 1, m + 1)[:, :, ::-1]
+
+
+# einsum subscripts of _grad by the order of the form
+_GRAD_SUBSCRIPTS = {2: "ij,ni->nj", 3: "ijk,ni,nj->nk"}
+
+
+def _grad(form: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """form(x, ..., x, .) at each row of x, the gradient of a form of order
+    m >= 1 over m."""
+    if form.ndim == 1:
+        return np.broadcast_to(form, x.shape)
+    return np.einsum(_GRAD_SUBSCRIPTS[form.ndim], form, *[x] * (form.ndim - 1))
 
 
 def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     """The real common points, unit 3-vectors, of the plane curves f = 0 and
     g = 0 given as symmetric tensors of orders m and n.
 
-    In a chart x = U (s, t, 1) whose centre U e2 is farthest from both
-    curves, the resultant in t is interpolated from m n + 1 values on the
-    unit circle (_resultant); the next chart is taken while it has lower
-    degree, a common point on the chart's line at infinity.  Each real root
-    s gives t from the kernel of the Sylvester matrix at s (the
-    hidden-variable method, Cox, Little & O'Shea, *Using Algebraic
+    One product with _CHART_MAPS gives, in every chart x = U (s, t, 1), the
+    coefficients c[p, q] of s^p t^q of each curve, and so the values
+    c[0, m] at the chart's centre U e2 and the curve's coefficients in t at
+    any s (a Vandermonde product).  In the chart whose centre is farthest
+    from both curves, the resultant in t is interpolated from m n + 1
+    values on the unit circle (_resultant); the next chart is taken while
+    it has lower degree, a common point on the chart's line at infinity.
+    Each real root s gives t from the kernel of the Sylvester matrix at s
+    (the hidden-variable method, Cox, Little & O'Shea, *Using Algebraic
     Geometry*, ch. 3), and every point is polished by Newton steps on the
     unit sphere.  Raises IllPosed when the resultant vanishes identically:
     the curves share a component.
     """
     f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
-    degree = f.ndim * g.ndim
-    circle = np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
-    centres = _CHARTS[:, :, 1]
-    far = np.minimum(np.abs(_contract(f, centres, f.ndim)), np.abs(_contract(g, centres, g.ndim)))
-    for u in _CHARTS[np.argsort(-far, kind="stable")]:
-        a = circle[:, None] * u[:, 0] + u[:, 2]
-        coeffs = _resultant(_t_rows(f, a, u[:, 1]), _t_rows(g, a, u[:, 1]))
+    m, n = f.ndim, g.ndim
+    cf, cg = _chart_coeffs(f), _chart_coeffs(g)
+    powers = np.arange(max(m, n) + 1)
+    circle = np.power.outer(np.exp(2j * np.pi * np.arange(m * n + 1) / (m * n + 1)), powers)
+    far = np.minimum(np.abs(cf[:, 0, 0]), np.abs(cg[:, 0, 0]))
+    for i in np.argsort(-far, kind="stable"):
+        coeffs = _resultant(circle[:, : m + 1] @ cf[i], circle[:, : n + 1] @ cg[i])
         if coeffs is None:
             raise IllPosed(
                 "two of the conditions share a curve of fold planes; the "
@@ -396,20 +418,21 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     s = np.array(_near_real(np.roots(coeffs[::-1])))
     if not s.size:
         return []
-    a = s[:, None] * u[:, 0] + u[:, 2]
-    kernel = np.linalg.svd(_sylvester(_t_rows(f, a, u[:, 1]), _t_rows(g, a, u[:, 1])))[2][:, -1]
+    vander = np.power.outer(s, powers)
+    syl = _sylvester(vander[:, : m + 1] @ cf[i], vander[:, : n + 1] @ cg[i])
+    kernel = np.linalg.svd(syl)[2][:, -1]
     # the kernel is (t^(D-1), ..., t, 1), so its head is t times its tail;
     # the tail is 0 only at the chart's centre, which is off both curves
     tail = np.maximum(np.einsum("ij,ij->i", kernel[:, 1:], kernel[:, 1:]), np.finfo(float).tiny)
     t = np.einsum("ij,ij->i", kernel[:, :-1], kernel[:, 1:]) / tail
-    x = np.stack([s, t, np.ones_like(s)], axis=1) @ u.T
+    x = np.stack([s, t, np.ones_like(s)], axis=1) @ _CHARTS[i].T
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     for _ in range(_POLISH_STEPS):
         # a form of order m is x . grad / m, and the step is the minimum-norm
         # J^T (J J^T)^-1 r, taken only where the gradients are independent
-        grads = [_contract(c, x, c.ndim - 1) for c in (f, g)]
+        grads = [_grad(c, x) for c in (f, g)]
         r = [np.einsum("ij,ij->i", x, d) for d in grads]
-        j0, j1 = (c.ndim * d for c, d in zip((f, g), grads))
+        j0, j1 = m * grads[0], n * grads[1]
         m00, m01, m11 = (np.einsum("ij,ij->i", p, q) for p, q in ((j0, j0), (j0, j1), (j1, j1)))
         det = m00 * m11 - m01 * m01
         det = np.where(det > 1e-30 * m00 * m11, det, np.inf)
@@ -428,9 +451,16 @@ _DEPENDENT = ("the constraints are dependent and leave a continuum of fold "
               "planes, not a finite operation")
 
 
-def _distinct(forms: list[np.ndarray], count: int) -> list[np.ndarray]:
-    """The first count, or fewer, of forms that are linearly independent of
-    those kept before them."""
+def _distinct(forms: np.ndarray, count: int) -> list[np.ndarray]:
+    """The first count, or fewer, of forms (stacked on the first axis) that
+    are linearly independent of those kept before them."""
+    if len(forms) >= count:
+        head = np.reshape(forms[:count], (count, -1))
+        if np.all(np.linalg.norm(head, axis=1) > EXACT_REL_TOL) and _rank(
+                np.linalg.svd(head, compute_uv=False)) == count:
+            # by interlacing, every prefix of the head has full rank too, so
+            # the rule below would keep each of them
+            return list(forms[:count])
     kept: list[np.ndarray] = []
     for form in forms:
         stack = np.array([x.ravel() for x in kept + [form]])
@@ -446,7 +476,7 @@ def _plane_points(plane: np.ndarray, quadrics) -> list[np.ndarray]:
     to it are two conics, met by _curve_points.  A lone conic has finitely
     many real points only when it is semidefinite of rank 2 or more: those
     of its null space.  Raises IllPosed otherwise, a continuum."""
-    conics = _distinct([plane @ q @ plane.T for q in quadrics], 2)
+    conics = _distinct(plane @ quadrics @ plane.T, 2)
     if len(conics) == 2:
         return [x @ plane for x in _curve_points(*conics)]
     if conics:
@@ -475,6 +505,15 @@ def _divided(curves: list[np.ndarray], factor: np.ndarray) -> list[np.ndarray] |
     return out
 
 
+def _cubics(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The symmetrized cubics (N^T A_j N)(b_1 . N) - (N^T A_1 N)(b_j . N)
+    for j > 1, of symmetric A_j stacked in a and b_j in b."""
+    # (A_j b_1 - A_1 b_j)[i, k, l] is symmetric in i and k, so the mean of
+    # its three distinct slot orders is the mean of all six
+    mixed = a[1:, :, :, None] * b[:1, None, None] - a[:1, :, :, None] * b[1:, None, None]
+    return (mixed + mixed.transpose(0, 1, 3, 2) + mixed.transpose(0, 3, 1, 2)) / 3.0
+
+
 def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
     """The points h = (N, d) of three quadrics N^T A_j N + 2 d b_j . N = 0,
     which all pass through the plane at infinity (0, 0, 0, 1).
@@ -499,12 +538,11 @@ def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
     are parallel at matching heights.  The other is N . N, which has no
     real point: it divides both cubics when one point lands on three
     planes.  Any other shared component raises IllPosed."""
-    a, b = np.array([q[:3, :3] for q in quadrics]), np.array([q[:3, 3] for q in quadrics])
+    quadrics = np.array(quadrics)
+    a, b = quadrics[:, :3, :3], quadrics[:, :3, 3]
     u, sv, _ = np.linalg.svd(b)
     a, b, rank = np.tensordot(u.T, a, axes=1), u.T @ b, _rank(sv)
-    cubics = [_symmetrized(np.multiply.outer(a[j], b[0]) - np.multiply.outer(a[0], b[j]))
-              for j in range(1, rank)]
-    curves = (cubics + list(a[rank:]))[:2]
+    curves = (list(_cubics(a[:rank], b[:rank])) + list(a[rank:]))[:2]
     points = []
     try:
         normals = _curve_points(*curves)
@@ -559,17 +597,26 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
         )
     r = payload_radius(cons)
     _check_scale(r)
+    return _solve_exact(cons, r, tol)
+
+
+def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolution:
+    """solve_exact on constraints sorted by kind, of a checked operation whose
+    kinds all have a dual locus, and on their checked payload radius r."""
     scale = np.array([1.0, 1.0, 1.0, r])
     rows, quadrics = [], []
     for c in cons:
         forms, quadric = dual_locus(c)
-        rows += [f * scale / np.linalg.norm(f * scale) for f in forms]
+        rows += forms
         if quadric is not None:
-            quadric = quadric * np.outer(scale, scale)
-            quadrics.append(quadric / np.linalg.norm(quadric))
+            quadrics.append(quadric)
+    rows = np.reshape(rows, (-1, 4)) * scale
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    quadrics = np.reshape(quadrics, (-1, 4, 4)) * np.outer(scale, scale)
+    quadrics /= np.linalg.norm(quadrics, axis=(1, 2), keepdims=True)
     null = np.eye(4)
-    if rows:
-        _, sv, vt = np.linalg.svd(np.array(rows))
+    if len(rows):
+        _, sv, vt = np.linalg.svd(rows)
         null = vt[_rank(sv):]
     if len(null) == 4:  # no linear forms
         forms = _distinct(quadrics, 3)
@@ -696,15 +743,17 @@ def solve_operation(
     and returns its solver's solution as it is.  The fixing kind leaves at
     most two planes, so every result is exhaustive and none is flagged
     possibly incomplete.  Raises InvalidOperation for the three rejected
-    combinations and for under-constrained multisets.
+    combinations and for under-constrained multisets, and DegenerateInput,
+    on every route, for a payload radius beyond MAX_PAYLOAD_RADIUS.
     """
-    cons = tuple(constraints)
-    if not cons:
+    by_kind = tuple(sorted(constraints, key=lambda c: c.kind.index))
+    if not by_kind:
         raise InvalidOperation("no constraints given")
-    spec = _checked_spec(cons)
+    spec = _checked_spec(by_kind)
+    r = payload_radius(by_kind)
+    _check_scale(r)
     if solver_route(spec) == "exact":
-        return solve_exact(cons, tol=max(tol, 1e-8))
-    by_kind = sorted(cons, key=lambda c: c.kind.index)
+        return _solve_exact(by_kind, r, max(tol, 1e-8))
     if spec.key in _DEDICATED:
         return _DEDICATED[spec.key](tuple(obj for c in by_kind for obj in c.objects), tol)
     fixing = next(c for c in by_kind if c.kind.linear_forms is None)

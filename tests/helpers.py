@@ -665,3 +665,51 @@ def reference_write_obj(path, objects: list[tuple[str, np.ndarray, list]]) -> No
             lines.append("f " + " ".join(str(i + 1 + offset) for i in f))
         offset += len(verts)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Reference exact-solver kernels: the per-call loops that operations'
+# chart tables, _distinct's one-SVD test and plane_gap's scalar form
+# replace, kept to compare against
+# ---------------------------------------------------------------------------
+
+
+def reference_contract(form: np.ndarray, x: np.ndarray, times: int) -> np.ndarray:
+    """The symmetric tensor form with times of its slots filled by each row
+    of x: form(x, ..., x) when times is its order, and its gradient at x
+    over the order when one less."""
+    if times == 0:
+        return np.broadcast_to(form, x.shape[:-1] + form.shape)
+    out = x @ form.reshape(3, -1)
+    for _ in range(times - 1):
+        out = np.einsum("si,sij->sj", x, out.reshape(len(x), 3, -1))
+    return out.reshape(x.shape[:-1] + form.shape[times:])
+
+
+def reference_t_rows(form: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients in t, highest power first, of form(a + t b) for each row
+    of a: binomial(m, j) form(b, .., b, a, .., a) with j slots b for t^j."""
+    m, rows = form.ndim, [reference_contract(form, a, form.ndim)]
+    for j in range(1, m + 1):
+        form = form @ b
+        rows.append(math.comb(m, j) * reference_contract(form, a, m - j))
+    return np.stack(rows[::-1], axis=-1)
+
+
+def reference_distinct(forms, count: int, rel_tol: float) -> list[np.ndarray]:
+    """The first count, or fewer, of forms that are linearly independent of
+    those kept before them, one SVD per form."""
+    kept: list[np.ndarray] = []
+    for form in forms:
+        stack = np.array([x.ravel() for x in kept + [form]])
+        sv = np.linalg.svd(stack, compute_uv=False)
+        if np.linalg.norm(form) > rel_tol and np.count_nonzero(sv > rel_tol * sv[0]) > len(kept):
+            kept.append(form)
+    return kept[:count]
+
+
+def reference_plane_gap(a: Plane3, b: Plane3) -> float:
+    na, nb = a.normal_vec, b.normal_vec
+    s = 1.0 if float(na @ nb) >= 0 else -1.0
+    ang = math.asin(min(1.0, float(np.linalg.norm(np.cross(na, s * nb)))))
+    return ang + abs(a.offset - s * b.offset)

@@ -35,6 +35,7 @@ from helpers import (
     random_line,
     random_plane,
     random_point,
+    reference_plane_gap,
     skew_lines,
 )
 
@@ -67,6 +68,22 @@ class TestPrimitives:
         a, b, c, d = pl.coeffs()
         pl2 = Plane3.from_coeffs(a, b, c, d)
         assert plane_gap(pl, pl2) < 1e-15
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_line_far_out_builds_without_a_warning(self):
+        m = Line3(Point3(1e200, 2e200, 0), (0, 0, 1))
+        assert m.base == Point3(1e200, 2e200, 0)
+        assert m.distance_to_point(Point3(0, 0, 5)) == pytest.approx(math.sqrt(5) * 1e200)
+
+    def test_plane_gap_matches_the_numpy_formula(self):
+        # asin's slope 1 / |cos| amplifies a last-bit difference in the sine
+        # of nearly perpendicular normals; elsewhere the two agree to 1e-15
+        rng = np.random.default_rng(1740)
+        for _ in range(10_000):
+            a, b = random_plane(rng), random_plane(rng)
+            cos = abs(float(a.normal_vec @ b.normal_vec))
+            tol = 1e-15 + 2.0 * np.finfo(float).eps / max(cos, 1e-300)
+            assert abs(plane_gap(a, b) - reference_plane_gap(a, b)) <= tol
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DegenerateInput):

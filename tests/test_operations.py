@@ -56,6 +56,9 @@ from helpers import (
     random_plane,
     random_point,
     random_unit,
+    reference_contract,
+    reference_distinct,
+    reference_t_rows,
     skew_lines,
     windowed_counts,
 )
@@ -642,7 +645,11 @@ class TestHugeScenes:
     """Beyond MAX_PAYLOAD_RADIUS a length cubed overflows; the solvers refuse
     such a scene with a FoldError instead of failing inside numpy."""
 
-    @pytest.mark.parametrize("spec, scale", [("I5+I6", 1e150), ("2I6+I8", 1e160)])
+    @pytest.mark.parametrize("spec, scale", [
+        ("I5+I6", 1e150), ("2I6+I8", 1e160),
+        # the plane-fixing and I5+I9 routes take the same limit
+        ("I2", 1e120), ("I1", 1e120), ("I5+I9", 1e120),
+    ])
     def test_refused(self, spec, scale):
         rng = np.random.default_rng(1600)
         cons = [random_payload(rng, k) for k in OperationSpec.parse(spec).kinds]
@@ -650,6 +657,78 @@ class TestHugeScenes:
         scaled = [Constraint(c.kind, tuple(_scaled(o, scale) for o in c.objects)) for c in cons]
         with pytest.raises(DegenerateInput, match="payload radius"):
             solve_operation(scaled)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_line_far_out_refused_without_a_warning(self):
+        m = Line3(Point3(1e200, 2e200, 0), (0, 0, 1))
+        cons = [Constraint.I5(Point3(0, 0, 3e200), m), Constraint.I8(Point3(1e200, 0, 0))]
+        with pytest.raises(DegenerateInput, match="payload radius"):
+            solve_operation(cons)
+
+
+class TestExactKernels:
+    """The chart tables, the three-term cubic symmetrization and _distinct's
+    one-SVD test against the per-call loops they replace (tests/helpers)."""
+
+    @staticmethod
+    def _form(rng, order: int) -> np.ndarray:
+        form = fold3d.operations._symmetrized(np.asarray(rng.normal(size=(3,) * order)))
+        return form / np.linalg.norm(form)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_chart_rows(self, order):
+        ops = fold3d.operations
+        rng = np.random.default_rng(1700 + order)
+        s = np.concatenate([rng.normal(size=5), np.exp(2j * np.pi * np.arange(10) / 10)])
+        for _ in range(5):
+            form = self._form(rng, order)
+            for u, c in zip(ops._CHARTS, ops._chart_coeffs(form), strict=True):
+                rows = np.power.outer(s, np.arange(order + 1)) @ c
+                want = reference_t_rows(form, s[:, None] * u[:, 0] + u[:, 2], u[:, 1])
+                assert np.abs(rows - want).max() <= 1e-13 * np.abs(want).max()
+                centre = reference_contract(form, u[None, :, 1], order)[0]
+                assert abs(c[0, 0] - centre) <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_grad(self, order):
+        rng = np.random.default_rng(1710 + order)
+        x = rng.normal(size=(7, 3))
+        for _ in range(5):
+            form = self._form(rng, order)
+            got = fold3d.operations._grad(form, x)
+            want = reference_contract(form, x, order - 1)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_cubics(self):
+        ops = fold3d.operations
+        rng = np.random.default_rng(1720)
+        for rank in (0, 1, 2, 3) * 10:
+            a = np.array([self._form(rng, 2) for _ in range(rank)]).reshape(rank, 3, 3)
+            b = rng.normal(size=(rank, 3))
+            got = ops._cubics(a, b)
+            assert got.shape == (max(rank - 1, 0), 3, 3, 3)
+            for j in range(1, rank):
+                want = ops._symmetrized(np.multiply.outer(a[j], b[0]) - np.multiply.outer(a[0], b[j]))
+                assert np.abs(got[j - 1] - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("case", ["independent", "dependent", "tiny"])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_distinct(self, case, count):
+        ops = fold3d.operations
+        rng = np.random.default_rng(1730 + count)
+        for trial in range(60):
+            forms = np.array([self._form(rng, 2) for _ in range(4)])
+            i, j = sorted(rng.choice(4, 2, replace=False))
+            if case == "dependent":
+                # a multiple of one before, or within rounding of a combination
+                forms[j] = (-2.0 * forms[i] if trial % 2 else
+                            forms[i] + 3.0 * forms[(i + 1) % 4] + 1e-13 * forms[j])
+            elif case == "tiny":
+                forms[j] *= 1e-11
+            got = ops._distinct(forms, count)
+            want = reference_distinct(forms, count, ops.EXACT_REL_TOL)
+            assert len(got) == len(want)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestSolveI1AtCoarseTolerance:

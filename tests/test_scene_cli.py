@@ -366,7 +366,12 @@ class TestCli:
             "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}},
                             {"type": "I6", "args": {"point": "Q", "plane": "tau"}},
                             {"type": "I8", "args": {"point": "R"}}]}""",
-    ], ids=["I5+I6", "2I6+I8"])
+        # I2 of coplanar crossing lines at 1e120: the plane-fixing routes
+        # take the same limit
+        """{"lines": {"m": {"point": [1e120, 2e120, 0], "dir": [1, 0, 0]},
+                      "n": {"point": [1e120, 2e120, 0], "dir": [0.6, 0.8, 0]}},
+            "constraints": [{"type": "I2", "args": {"line": "m", "line2": "n"}}]}""",
+    ], ids=["I5+I6", "2I6+I8", "I2"])
     def test_solve_huge_scene_refused(self, tmp_path, capsys, scene):
         path = _write(tmp_path, "s.json", scene)
         code = main(["solve", path])
