@@ -191,11 +191,11 @@ def _cmd_envelope(args) -> int:
     objects = match[0].constraint.objects
     (fam_fn,) = _ENVELOPE_BUILDERS[kind.value]
     out = args.out or "envelope.obj"
-    names = export_envelope_obj(
-        out, fam_fn(*objects),
-        extent=args.extent, resolution=args.resolution,
-        tangent_count=args.tangent_planes,
-    )
+    try:
+        names = export_envelope_obj(out, fam_fn(*objects), extent=args.extent,
+                                    resolution=args.resolution, tangent_count=args.tangent_planes)
+    except OSError as exc:
+        raise FoldError(f"cannot write {out}: {exc.strerror}") from None
     print(f"wrote {out}: " + ", ".join(names))
     return 0
 

@@ -61,6 +61,7 @@ from .geometry import (
     Plane3,
     Point3,
     classify_line_plane,
+    cross3,
     LinePlaneRelation,
     line_line_closest,
     lines_setwise_equal,
@@ -438,11 +439,11 @@ def _landing(v: np.ndarray, w: float, nu: np.ndarray, o: float) -> np.ndarray:
 def _dual_i3(objs):
     m, n = objs
     b, e, c, f = m.base.xyz, m.direction, n.base.xyz, n.direction
-    ef = np.cross(e, f)
+    ef = cross3(e, f)
     if np.linalg.norm(ef) <= TOL_ANGLE:  # parallel, as line_line_closest tells
-        return [_form(np.cross(e, c - b))], None
+        return [_form(cross3(e, c - b))], None
     return [], (float((c - b) @ ef) * _NORMAL_NORM
-                - 2.0 * _product(_form(e), _form(np.cross(f, c - b)))
+                - 2.0 * _product(_form(e), _form(cross3(f, c - b)))
                 + 2.0 * _product(_form(b, -1.0), _form(ef)))
 
 
@@ -457,7 +458,7 @@ def _dual_i5(objs):
     u = p.xyz - b
     u -= (u @ e) * e
     u /= np.linalg.norm(u)
-    return [_form(np.cross(e, b - p.xyz))], _landing(p.xyz, -1.0, u, float(u @ b))
+    return [_form(cross3(e, b - p.xyz))], _landing(p.xyz, -1.0, u, float(u @ b))
 
 
 def _dual_i7(objs):
@@ -477,7 +478,7 @@ def _dual_i8(objs):
 def _dual_i9(objs):
     (m,) = objs
     u = perp_unit(m.direction)
-    return [_form(u), _form(np.cross(m.direction, u))], None
+    return [_form(u), _form(cross3(m.direction, u))], None
 
 
 def _dual_i10(objs):
@@ -697,7 +698,7 @@ def solve_I4(pi: Plane3, tau: Plane3) -> FoldSolution:
     if planes_setwise_equal(pi, tau, 1e-10):
         raise InvalidConstraint("I4 requires distinct planes; pi = tau is I11 or I12")
     n1, n2 = pi.normal_vec, tau.normal_vec
-    if np.linalg.norm(np.cross(n1, n2)) <= 1e-10:
+    if np.linalg.norm(cross3(n1, n2)) <= 1e-10:
         if float(n1 @ n2) < 0:  # sign convention may still differ pre-canonically
             n2, o2 = -n2, -tau.offset
         else:

@@ -62,6 +62,7 @@ from .geometry import (
     canonical_frame_point_plane,
     canonical_frame_skew_lines,
     classify_line_plane,
+    cross3,
     LinePlaneRelation,
     line_line_closest,
     perp_unit,
@@ -129,7 +130,7 @@ def _i7_equation(a, th, d):
 
 def _i7_contact(a, th, d):
     """The cone ruling in the member plane, as its unit point above z = 0."""
-    v = np.cross(_i7_equation(a, th, d)[:3], [-math.sin(d), math.cos(d), 0.0])
+    v = cross3(_i7_equation(a, th, d)[:3], [-math.sin(d), math.cos(d), 0.0])
     v = v / np.linalg.norm(v)
     return v if v[2] >= 0 else -v
 
@@ -345,11 +346,11 @@ class Quadric:
         in an orthonormal in-plane chart; scaled to unit max entry."""
         pc = self.frame.apply_plane(plane)
         n = pc.normal_vec
-        u = np.cross(np.array([0.0, 1.0, 0.0]), n)
+        u = cross3((0.0, 1.0, 0.0), n)
         if np.linalg.norm(u) < 1e-6:
-            u = np.cross(np.array([0.0, 0.0, 1.0]), n)
+            u = cross3((0.0, 0.0, 1.0), n)
         u = u / np.linalg.norm(u)
-        v = np.cross(n, u)
+        v = cross3(n, u)
         p0 = pc.offset * n
         s = np.zeros((4, 3))
         s[:3, 0] = u
@@ -435,7 +436,7 @@ def envelope_I7(m: Line3, pi: Plane3) -> Quadric:
 def _axis_frame(axis, center) -> RigidFrame:
     """Frame taking center to the origin and the unit axis to +z."""
     u = perp_unit(axis)
-    return RigidFrame.from_axes(u, np.cross(axis, u), axis, center)
+    return RigidFrame.from_axes(u, cross3(axis, u), axis, center)
 
 
 _FAMILY_OF = {
@@ -530,7 +531,7 @@ def verify_envelope_conditions(
         pts: list[np.ndarray]
         if n_free == 1:
             sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            direction = np.cross(mat[0], mat[1])
+            direction = cross3(mat[0], mat[1])
             dn = np.linalg.norm(direction)
             if dn < 1e-12:
                 raise VerificationFailed(
@@ -555,7 +556,7 @@ def verify_envelope_conditions(
             gn = np.linalg.norm(g)
             if gn < 1e-9 * (1.0 + np.linalg.norm(x)):
                 continue  # singular point of the quadric (e.g. a cone apex)
-            ndef = float(np.linalg.norm(np.cross(g / gn, normal)))
+            ndef = float(np.linalg.norm(cross3(g / gn, normal)))
             checked += 1
             if q > worst_surface:
                 worst_surface, worst_params = q, tuple(values)

@@ -31,6 +31,7 @@ _SIGN_EPS = 1e-12
 
 # A normal or line direction whose norm is this close to 1 is not renormalised.
 _UNIT_SLACK = 4.0 * np.finfo(float).eps
+_EYE3 = np.eye(3)
 
 
 def _vec(v) -> np.ndarray:
@@ -38,6 +39,14 @@ def _vec(v) -> np.ndarray:
     if a.shape != (3,):
         raise DegenerateInput(f"expected a 3-vector, got shape {a.shape}")
     return a
+
+
+def cross3(a, b) -> np.ndarray:
+    """a x b of two 3-vectors with np.cross's products and differences, so
+    the same bits, in Python floats instead of its per-call array handling."""
+    a0, a1, a2 = a.tolist() if isinstance(a, np.ndarray) else a
+    b0, b1, b2 = b.tolist() if isinstance(b, np.ndarray) else b
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
 def _unit(v: np.ndarray, what: str = "vector") -> np.ndarray:
@@ -196,7 +205,7 @@ class RigidFrame:
         t = np.array(self.translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise DegenerateInput("rigid frame needs a 3x3 rotation and a 3-vector")
-        if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-10:
+        if np.abs(r @ r.T - _EYE3).max() > 1e-10:
             raise DegenerateInput("rotation must be orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-10:
             raise DegenerateInput("rotation must have determinant +1")
@@ -299,7 +308,7 @@ def classify_line_plane(m: Line3, pi: Plane3) -> LinePlaneRelation:
         if pi.distance(m.base) <= TOL_INCIDENCE:
             return LinePlaneRelation.CONTAINED
         return LinePlaneRelation.PARALLEL_DISJOINT
-    if np.linalg.norm(np.cross(n, d)) <= TOL_ANGLE:
+    if np.linalg.norm(cross3(n, d)) <= TOL_ANGLE:
         return LinePlaneRelation.PERPENDICULAR
     return LinePlaneRelation.OBLIQUE
 
@@ -317,7 +326,7 @@ def line_line_closest(m: Line3, n: Line3) -> tuple[Point3, Point3, float, bool]:
     """Closest points (one per line), their distance, and a parallel flag."""
     d1, d2 = m.direction, n.direction
     w = n.base.xyz - m.base.xyz
-    if np.linalg.norm(np.cross(d1, d2)) <= TOL_ANGLE:
+    if np.linalg.norm(cross3(d1, d2)) <= TOL_ANGLE:
         perp = w - (w @ d1) * d1
         return m.base, Point3(*(m.base.xyz + perp)), float(np.linalg.norm(perp)), True
     b = float(d1 @ d2)
@@ -339,7 +348,7 @@ def points_equal(p: Point3, q: Point3, tol: float = TOL_INCIDENCE) -> bool:
 
 
 def lines_setwise_equal(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> bool:
-    if np.linalg.norm(np.cross(m.direction, n.direction)) > tol:
+    if np.linalg.norm(cross3(m.direction, n.direction)) > tol:
         return False
     return m.distance_to_point(n.base) <= tol
 
@@ -359,9 +368,9 @@ def planes_setwise_equal(a: Plane3, b: Plane3, tol: float = TOL_INCIDENCE) -> bo
 def perp_unit(v) -> np.ndarray:
     """Deterministic unit vector perpendicular to v."""
     v = _unit(_vec(v))
-    u = np.cross(np.array([0.0, 1.0, 0.0]), v)
+    u = cross3((0.0, 1.0, 0.0), v)
     if np.linalg.norm(u) < 1e-6:
-        u = np.cross(np.array([0.0, 0.0, 1.0]), v)
+        u = cross3((0.0, 0.0, 1.0), v)
     u = _unit(u)
     return u * _canonical_sign(u)
 
@@ -389,7 +398,7 @@ def canonical_frame_point_line(p: Point3, m: Line3) -> tuple[RigidFrame, float]:
         )
     e3 = (p.xyz - foot.xyz) / h
     e2 = m.direction
-    e1 = np.cross(e2, e3)
+    e1 = cross3(e2, e3)
     center = (p.xyz + foot.xyz) / 2.0
     return RigidFrame.from_axes(e1, e2, e3, center), h / 2.0
 
@@ -405,7 +414,7 @@ def canonical_frame_point_plane(p: Point3, pi: Plane3) -> tuple[RigidFrame, floa
     e3 = pi.normal_vec * (1.0 if s > 0 else -1.0)
     foot = p.xyz - s * pi.normal_vec
     e1 = perp_unit(e3)
-    e2 = np.cross(e3, e1)
+    e2 = cross3(e3, e1)
     center = (p.xyz + foot) / 2.0
     return RigidFrame.from_axes(e1, e2, e3, center), abs(s) / 2.0
 
@@ -437,7 +446,7 @@ def canonical_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple[RigidFram
         e2 = perp_unit(e3)
     else:
         e2 = in_plane / sin_t
-    e1 = np.cross(e2, e3)
+    e1 = cross3(e2, e3)
     theta = math.atan2(sin_t, cos_t)
     return RigidFrame.from_axes(e1, e2, e3, origin), theta
 
@@ -451,7 +460,7 @@ def canonical_frame_line_plane_parallel(m: Line3, pi: Plane3) -> tuple[RigidFram
     s = pi.signed_distance(m.base)
     e3 = pi.normal_vec * (1.0 if s > 0 else -1.0)
     e2 = m.direction
-    e1 = np.cross(e2, e3)
+    e1 = cross3(e2, e3)
     foot = m.base.xyz - s * pi.normal_vec
     center = (m.base.xyz + foot) / 2.0
     return RigidFrame.from_axes(e1, e2, e3, center), abs(s) / 2.0
@@ -471,7 +480,7 @@ def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, f
         raise DegenerateInput("lines intersect; no skew frame")
     e3 = (pm.xyz - pn.xyz) / dist
     e2 = m.direction
-    e1 = np.cross(e2, e3)
+    e1 = cross3(e2, e3)
     center = (pm.xyz + pn.xyz) / 2.0
     dn = n.direction
     if float(dn @ e1) < 0:
@@ -491,6 +500,6 @@ def canonical_frame_parallel_lines(m: Line3, n: Line3) -> tuple[RigidFrame, floa
     e2 = m.direction
     v = pn.xyz - pm.xyz
     e3 = -v / dist
-    e1 = np.cross(e2, e3)
+    e1 = cross3(e2, e3)
     center = (pm.xyz + pn.xyz) / 2.0
     return RigidFrame.from_axes(e1, e2, e3, center), dist / 2.0

@@ -16,14 +16,14 @@ import numpy as np
 
 from .envelopes import PlaneFamily
 from .errors import DegenerateInput
-from .geometry import perp_unit
+from .geometry import cross3, perp_unit
 
 # Grid points per side of an exported envelope patch: 1024² ≈ 1M vertices
 # and 2M triangles, ≈115 MB of OBJ text at ≈60 B per vertex line.
 MAX_MESH_RESOLUTION = 1024
 # Tangent fold planes per export: one quad and one OBJ object each.
 MAX_TANGENT_PLANES = 1024
-_ROWS_PER_WRITE = 512  # rows write_obj formats at a time, so its text stays small
+_ROWS_PER_WRITE = 128  # rows write_obj formats at a time, so its text stays small
 
 
 def _grid(extent: float, resolution: int, surface) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +78,7 @@ def tangent_plane_quad(
     center = fam.contact_point(*values).xyz
     n = plane.normal_vec
     u = perp_unit(n)
-    v = np.cross(n, u)
+    v = cross3(n, u)
     h = extent / 2.0
     return np.array(
         [
@@ -105,8 +105,8 @@ def write_obj(path, objects: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
             for fmt, rows in (("v %.17g %.17g %.17g\n", np.asarray(verts, dtype=float)),
                               ("f" + " %d" * faces.shape[1] + "\n", faces)):
                 for i in range(0, len(rows), _ROWS_PER_WRITE):
-                    chunk = rows[i:i + _ROWS_PER_WRITE].tolist()
-                    fh.write("".join(map(fmt.__mod__, map(tuple, chunk))))
+                    chunk = rows[i:i + _ROWS_PER_WRITE]
+                    fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
             offset += len(verts)
 
 

@@ -52,12 +52,20 @@ class RealRoots:
         return len(self.roots)
 
 
+def _horner(coeffs, x: float) -> float:
+    """np.polyval at a scalar x, in its order: y = y x + c from y = 0.0."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return float(y)
+
+
 def _polish(coeffs, x: float) -> float:
-    p = float(np.polyval(coeffs, x))
-    dp = float(np.polyval(np.polyder(np.asarray(coeffs, dtype=float)), x))
+    p = _horner(coeffs, x)
+    dp = _horner([float(c) * k for c, k in zip(coeffs, range(len(coeffs) - 1, 0, -1))], x)
     if abs(dp) > 1e-30:
         y = x - p / dp
-        if abs(np.polyval(coeffs, y)) <= abs(p):
+        if abs(_horner(coeffs, y)) <= abs(p):
             return y
     return x
 

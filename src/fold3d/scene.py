@@ -165,20 +165,24 @@ def scene_from_dict(data: dict) -> Scene:
 
 def load_scene(source) -> Scene:
     """Load a scene from a path or a JSON string."""
-    text = None
+    name, text = "scene", source
     if isinstance(source, Path) or (
         isinstance(source, str) and not source.lstrip().startswith("{")
     ):
         path = Path(source)
         if not path.exists():
             raise ParseError(f"scene file not found: {path}")
-        text = path.read_text()
-    else:
-        text = source
+        name = f"scene file {path}"
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeError) as exc:
+            raise ParseError(f"cannot read {name}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scene is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{name} nests its JSON too deeply") from None
     return scene_from_dict(data)
 
 

@@ -713,3 +713,19 @@ def reference_plane_gap(a: Plane3, b: Plane3) -> float:
     s = 1.0 if float(na @ nb) >= 0 else -1.0
     ang = math.asin(min(1.0, float(np.linalg.norm(np.cross(na, s * nb)))))
     return ang + abs(a.offset - s * b.offset)
+
+
+# ---------------------------------------------------------------------------
+# Reference root polish: the np.polyval form numerics._polish replaces with a
+# scalar Horner loop, kept to compare bits against
+# ---------------------------------------------------------------------------
+
+
+def reference_polish(coeffs, x: float) -> float:
+    p = float(np.polyval(coeffs, x))
+    dp = float(np.polyval(np.polyder(np.asarray(coeffs, dtype=float)), x))
+    if abs(dp) > 1e-30:
+        y = x - p / dp
+        if abs(np.polyval(coeffs, y)) <= abs(p):
+            return y
+    return x

@@ -13,6 +13,7 @@ from fold3d import (
     LinePlaneRelation,
     Plane3,
     Point3,
+    RigidFrame,
     canonical_frame_line_plane_crossing,
     canonical_frame_line_plane_parallel,
     canonical_frame_parallel_lines,
@@ -29,6 +30,7 @@ from fold3d import (
     reflect_plane,
     reflect_point,
 )
+from fold3d.geometry import cross3
 from helpers import (
     point_off_line,
     point_off_plane,
@@ -129,6 +131,68 @@ class TestPrimitives:
         for scale in (2.0, 1.0 + 1e-9, 1.0 - 1e-12):
             pl = Plane3((0.0, 0.6 * scale, 0.8 * scale), 1.0)
             assert abs(np.linalg.norm(pl.normal) - 1.0) <= 4 * np.finfo(float).eps
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCross3:
+    """cross3 gives the bits of np.cross on single 3-vectors."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_random_pairs(self, scale):
+        rng = np.random.default_rng(int(1000 * scale) + 7)
+        a = rng.normal(size=(10_000, 3)) * scale
+        b = rng.normal(size=(10_000, 3)) * scale
+        for x, y in zip(a, b):
+            got, want = cross3(x, y), np.cross(x, y)
+            assert np.array_equal(got, want) and _same_bits(got, want), (x, y)
+
+    def test_special_vectors(self):
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=3)
+        u = v / np.linalg.norm(v)
+        special = [
+            np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]), np.zeros(3),
+            np.array([-0.0, 0.0, -0.0]), v, -v, 3.0 * v, u, -u, 1e-300 * u, 1e150 * u,
+        ]
+        for x in special:
+            for y in special:
+                assert _same_bits(cross3(x, y), np.cross(x, y)), (x, y)
+
+    def test_list_tuple_and_array_inputs(self):
+        a, b = [0.3, -1.7, 2.25], (1e-3, 4.0, -0.5)
+        want = np.cross(np.array(a), np.array(b))
+        for x in (a, tuple(a), np.array(a)):
+            for y in (list(b), b, np.array(b)):
+                got = cross3(x, y)
+                assert _same_bits(got, want) and _same_bits(got, np.cross(x, y))
+
+
+class TestRigidFrameChecks:
+    """RigidFrame accepts rotations to 1e-10 and refuses everything else."""
+
+    def test_accepts_rotations(self):
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        q *= np.sign(np.linalg.det(q))
+        for r in (np.eye(3), q, np.diag([1.0, 1.0, 1.0 + 1e-12])):
+            frame = RigidFrame(r, np.zeros(3))
+            assert np.array_equal(frame.rotation, r)
+
+    @pytest.mark.parametrize("r, match", [
+        (np.diag([1.0, 1.0, 1.0 + 1e-9]), "orthonormal"),
+        (np.array([[1.0, 1e-9, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "orthonormal"),
+        (2.0 * np.eye(3), "orthonormal"),
+        (np.zeros((3, 3)), "orthonormal"),
+        (np.diag([1.0, 1.0, -1.0]), "determinant"),
+        (-np.eye(3), "determinant"),
+        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), "determinant"),
+    ])
+    def test_refuses_non_rotations(self, r, match):
+        with pytest.raises(DegenerateInput, match=match):
+            RigidFrame(r, np.zeros(3))
 
 
 class TestReflectPoint:

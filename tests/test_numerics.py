@@ -23,7 +23,7 @@ from fold3d import (
     solve_I6_I8_I11,
 )
 from fold3d.constraints import _cross, payload_radius
-from fold3d.numerics import _least_squares_steps, params_to_planes
+from fold3d.numerics import _least_squares_steps, _polish, params_to_planes
 from helpers import (
     generic_newton_args,
     generic_specs,
@@ -34,6 +34,7 @@ from helpers import (
     random_payload,
     random_point,
     reference_newton_multistart,
+    reference_polish,
 )
 
 
@@ -191,6 +192,48 @@ class TestCubic:
         roots = real_roots_cubic(*c)
         assert len(roots.roots) == 1
         _check_residuals(c, roots)
+
+
+def _same_float(a, b) -> bool:
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestPolish:
+    """_polish's scalar Horner loop gives the bits, and the types, of its
+    np.polyval form (helpers.reference_polish)."""
+
+    def _check(self, coeffs, x):
+        with np.errstate(all="ignore"):  # the reference warns where x is not finite
+            want = reference_polish(coeffs, x)
+        assert _same_float(_polish(coeffs, x), want), (coeffs, x)
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_random_polynomials(self, degree):
+        rng = np.random.default_rng(40 + degree)
+        for _ in range(3000):
+            coeffs = tuple(float(c) for c in rng.normal(size=degree + 1)
+                           * 10.0 ** rng.uniform(-6, 6, size=degree + 1))
+            roots = np.roots(coeffs)
+            xs = [float(r.real) for r in roots] + [float(rng.normal() * 10.0 ** rng.uniform(-3, 3))]
+            for x in xs:
+                self._check(coeffs, x)
+                self._check(coeffs, x * (1.0 + 1e-9))
+
+    def test_numpy_and_int_coefficients(self):
+        self._check((np.float64(2.0), np.float64(-3.0), np.float64(0.5)), 1.2)
+        self._check((1, 0, -2), 1.4)
+        self._check((1, 0, -2), np.float64(1.4))
+        self._check((1.0, -6.0, 11.0, -6.0), 2.0)
+
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+    def test_non_finite_x(self, x):
+        self._check((1.0, 0.0, -2.0), x)
+        self._check((-1.0, 2.0, 0.0, 5.0), x)
+
+    def test_constant_polynomial(self):
+        for x in (0.0, 3.5, np.inf, np.nan):
+            self._check((5.0,), x)
+            self._check((0.0,), x)
 
 
 class TestNewtonMultistart:

@@ -137,6 +137,24 @@ class TestSceneLoading:
         with pytest.raises(ParseError, match="not found"):
             load_scene(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("content, match", [
+        (None, "cannot read"),
+        (b'\xff\xfe{"points": {}}', "cannot read"),
+        (b"[" * 100_000, "too deeply"),
+    ], ids=["directory", "not-utf8", "deep-nesting"])
+    def test_unreadable_file(self, tmp_path, capsys, content, match):
+        path = tmp_path / "scene.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ParseError, match=match) as info:
+            load_scene(path)
+        assert str(path) in str(info.value)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
     def test_unknown_reference(self):
         bad = '{"points": {"P": [0,0,0]}, "constraints": [{"type": "I8", "args": {"point": "X"}}]}'
         with pytest.raises(ValidationError, match="no point named 'X'"):
@@ -515,6 +533,24 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("target", ["missing/envelope.obj", "a-directory"])
+    def test_envelope_out_not_writable(self, tmp_path, capsys, target):
+        scene = """
+        {
+          "points": {"P": [0, 0, 1]},
+          "planes": {"pi": {"normal": [0, 0, 1], "offset": -1}},
+          "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}}]
+        }
+        """
+        path = _write(tmp_path, "s.json", scene)
+        (tmp_path / "a-directory").mkdir()
+        out_path = tmp_path / target
+        code = main(["envelope", path, "--incidence", "I6", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: cannot write") and str(out_path) in captured.err
+        assert captured.out == ""
 
     def test_envelope_contained_line_error(self, tmp_path, capsys):
         scene = """
