@@ -98,9 +98,16 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
 
 
 def _emit(args, text: str) -> None:
+    """Print text and write it to --out, if given; an --out that cannot be
+    opened is an error before anything is printed."""
+    out = getattr(args, "out", None)
+    try:
+        fh = open(out, "w") if out else None
+    except OSError as exc:
+        raise FoldError(f"cannot write {out}: {exc.strerror}") from None
     print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+    if fh is not None:
+        with fh:
             fh.write(text + "\n")
 
 

@@ -265,13 +265,20 @@ def _pre_line_off_plane(objs):
 # ---------------------------------------------------------------------------
 
 
+def _dot(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise A . v for (k, 3) A and a (3,) v.  Unlike A @ v (BLAS gemv,
+    whose rounding depends on the batch), every row gets the same bits in
+    any batch, so a Newton seed's path does not depend on its batch-mates."""
+    return np.einsum("ij,j->i", A, v)
+
+
 def _reflect_pts(N: np.ndarray, O: np.ndarray, p: np.ndarray) -> np.ndarray:
-    s = N @ p - O
+    s = _dot(N, p) - O
     return p[None, :] - 2.0 * s[:, None] * N
 
 
 def _reflect_dirs(N: np.ndarray, d: np.ndarray) -> np.ndarray:
-    s = N @ d
+    s = _dot(N, d)
     return d[None, :] - 2.0 * s[:, None] * N
 
 
@@ -343,24 +350,25 @@ def _i5(objs, N, O):
     p, m = objs
     v = _reflect_pts(N, O, p.xyz) - m.base.xyz
     d = m.direction
-    return v - (v @ d)[:, None] * d
+    return v - _dot(v, d)[:, None] * d
 
 
 def _i6(objs, N, O):
     p, pi = objs
-    return (_reflect_pts(N, O, p.xyz) @ pi.normal_vec - pi.offset)[:, None]
+    return (_dot(_reflect_pts(N, O, p.xyz), pi.normal_vec) - pi.offset)[:, None]
 
 
 def _i7(objs, N, O):
     m, pi = objs
     a = _reflect_pts(N, O, m.base.xyz)
     b = _reflect_pts(N, O, m.base.xyz + m.direction)
-    return np.stack([a @ pi.normal_vec - pi.offset, b @ pi.normal_vec - pi.offset], axis=1)
+    nu, o = pi.normal_vec, pi.offset
+    return np.stack([_dot(a, nu) - o, _dot(b, nu) - o], axis=1)
 
 
 def _i8(objs, N, O):
     (p,) = objs
-    return (N @ p.xyz - O)[:, None]
+    return (_dot(N, p.xyz) - O)[:, None]
 
 
 def _i9(objs, N, O):
@@ -370,12 +378,12 @@ def _i9(objs, N, O):
 
 def _i10(objs, N, O):
     (m,) = objs
-    return np.stack([N @ m.direction, N @ m.base.xyz - O], axis=1)
+    return np.stack([_dot(N, m.direction), _dot(N, m.base.xyz) - O], axis=1)
 
 
 def _i11(objs, N, O):
     (pi,) = objs
-    return (N @ pi.normal_vec)[:, None]
+    return _dot(N, pi.normal_vec)[:, None]
 
 
 def _i12(objs, N, O):

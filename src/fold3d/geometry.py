@@ -205,6 +205,8 @@ class RigidFrame:
         t = np.array(self.translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise DegenerateInput("rigid frame needs a 3x3 rotation and a 3-vector")
+        if not all(map(math.isfinite, r.ravel().tolist() + t.tolist())):
+            raise DegenerateInput("rigid frame needs finite rotation and translation entries")
         if np.abs(r @ r.T - _EYE3).max() > 1e-10:
             raise DegenerateInput("rotation must be orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-10:

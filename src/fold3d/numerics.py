@@ -6,11 +6,17 @@ each the offset d that best satisfies the constraints (the residual
 components are affine in d, so it has a closed form), refines every
 promising normal with damped Gauss-Newton on the smooth signed residual
 components in (theta, phi, d), and keeps the converged planes that verify,
-clustered.  It sees planes at any offset.  Two presets run it: the generic
-solver (operations.solve_generic) scans its fixed SCAN_LATTICE with valley
-floors, and grid_oracle a resolution x resolution lattice without.  The
-oracle is deliberately independent of the closed-form solvers, so it can
-serve as ground truth for solution counting.
+clustered.  It sees planes at any offset.  (theta, phi, d) and (pi - theta,
+phi + pi, -d) are the same plane, so with an even number of phi columns the
+scan scores the rows down to the equator, mirrors them onto the rest, and
+seeds each fold plane once.  Newton's steps and line search treat every
+seed on its own, and the residual kernels give each row the same bits in
+any batch, so a seed's root does not depend on the seeds that share its
+batches.  Two presets run it: the generic solver (operations.solve_generic)
+scans its fixed SCAN_LATTICE with valley floors, and grid_oracle a
+resolution x resolution lattice without.  The oracle is deliberately
+independent of the closed-form solvers, so it can serve as ground truth for
+solution counting.
 """
 
 from __future__ import annotations
@@ -188,16 +194,20 @@ def real_roots_cubic(c3: float, c2: float, c1: float, c0: float) -> RealRoots:
 def _least_squares_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Batched Gauss-Newton steps s = argmin |J s - r| for (k, m, d) Jacobians.
 
-    Solves the normal equations JᵀJ s = Jᵀr.  Rows where JᵀJ is nearly
-    singular, det ≤ 1e-10 · ∏ diag(JᵀJ) (free of the column scales, since
-    the determinant never exceeds the diagonal product), or where that test
-    is not finite, take the minimum-norm least-squares step pinv(J) r.
+    Solves the normal equations JᵀJ s = Jᵀr, in one batched solve when every
+    row can take it.  Rows where JᵀJ is nearly singular, det ≤ 1e-10 ·
+    ∏ diag(JᵀJ) (free of the column scales, since the determinant never
+    exceeds the diagonal product), or where that test is not finite, take
+    the minimum-norm least-squares step pinv(J) r.
     """
-    jtj = np.einsum("kmi,kmj->kij", jac, jac)
-    jtr = np.einsum("kmi,km->ki", jac, r)
+    jt = jac.transpose(0, 2, 1)
+    jtj = jt @ jac
+    jtr = (jt @ r[:, :, None])[:, :, 0]
     det = np.linalg.det(jtj)
-    thr = 1e-10 * np.prod(np.einsum("kii->ki", jtj), axis=1)
+    thr = 1e-10 * np.prod(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
     solvable = np.isfinite(det) & np.isfinite(thr) & (det > thr)
+    if solvable.all():
+        return np.linalg.solve(jtj, jtr[..., None])[..., 0]
     step = np.empty_like(jtr)
     step[solvable] = np.linalg.solve(jtj[solvable], jtr[solvable][..., None])[..., 0]
     rest = ~solvable
@@ -233,9 +243,14 @@ def newton_multistart(
       model cannot halve the residual, so r is nearly orthogonal to the
       range of J and the seed sits near a non-zero stationary point of
       |r|² (the first-order test of MINPACK's gtol).  A stalled seed skips
-      the line search.  The full step is tried in one call; the halvings
-      only for the seeds it did not improve, at most 2·d step lengths per
-      call.
+      the line search.  The step lengths are tried in blocks of 2·d, one
+      residual call each, from the full step down (for d = 3: 1 ... 1/32,
+      then 1/64 ... 1/512), the later blocks only for the seeds no earlier
+      one improved; so no batch is larger than the Jacobian's.
+
+    A seed's path depends on its own values alone, not on which other seeds
+    share its batches, as long as the residual's rows do (the fold-plane
+    residual kernels give every row the same bits in any batch).
 
     Converged seeds are clustered within cluster_tol, best residual first.
     Deterministic: fixed iteration order, stable clustering, result sorted
@@ -267,11 +282,12 @@ def newton_multistart(
     norms = norms_of(r)
     converged = norms < tol
     stalled = ~np.isfinite(norms)
-    # step lengths 1, 1/2, ..., 1/512: the full step alone, then the halvings
-    # in blocks of at most 2*d, so no batch is larger than the Jacobian's
+    eye = np.eye(m, d)
+    diag = np.arange(d)
+    # step lengths 1, 1/2, ..., 1/512 in blocks of 2*d, so no batch is larger
+    # than the Jacobian's
     lengths = 0.5 ** np.arange(10)
-    blocks = [lengths[:1]]
-    blocks += [lengths[lo : lo + 2 * d] for lo in range(1, lengths.size, 2 * d)]
+    blocks = [lengths[lo : lo + 2 * d] for lo in range(0, lengths.size, 2 * d)]
 
     for _ in range(max_iter):
         idx = np.flatnonzero(~(converged | stalled))
@@ -281,14 +297,14 @@ def newton_multistart(
         ka = idx.size
         # all 2*d central-difference probes x +- h_j e_j in one residual batch
         h = FD_STEP * (1.0 + np.abs(xa))
-        probes = np.repeat(xa[None, None], 2, axis=0).repeat(d, axis=1)
-        for j in range(d):
-            probes[0, j, :, j] += h[:, j]
-            probes[1, j, :, j] -= h[:, j]
+        probes = np.empty((2, d, ka, d))
+        probes[...] = xa
+        probes[0, diag, :, diag] += h.T
+        probes[1, diag, :, diag] -= h.T
         rp = rf(probes.reshape(-1, d)).reshape(2, d, ka, m)
         jac = ((rp[0] - rp[1]) / (2.0 * h.T)[:, :, None]).transpose(1, 2, 0)
         bad = ~np.isfinite(jac).all(axis=(1, 2))
-        jac[bad] = np.eye(m, d)[None, :, :]
+        jac[bad] = eye
         step = _least_squares_steps(jac, ra)
         improved = np.zeros(ka, dtype=bool)
         todo = np.flatnonzero(~bad & np.isfinite(step).all(axis=1))
@@ -402,23 +418,38 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     neighbours.  With valley_floors, every cell below that threshold that
     is a minimum along theta or along phi is a seed too: a plane whose score
     valley slopes down to another solution has no 2-D minimum next to it.
+
+    (theta, phi, d) and (pi - theta, phi + pi, -d) are the same plane.  So
+    with n_phi even, the cell (i, j) has the twin (n_theta - 1 - i, j +
+    n_phi/2), and the first half of the cells in grid order (the rows down
+    to the equator) holds one cell of every twin pair.  Only that half is
+    scored; the other half gets its mirror copy of the score (the twin's d*
+    is -d*, and it is valid when its twin is), so the seed rule sees the
+    whole sphere and seeds twins together.  Of every seeded twin pair only
+    the first-half cell is kept: each fold plane is searched once.  With
+    n_phi odd every cell is scored and kept.
     """
     cons = tuple(constraints)
     radius = payload_radius(cons)
     thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
     phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
     th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    normals, _ = params_to_planes(np.stack([th, ph, np.zeros_like(th)], axis=1))
-    a = _stacked_components(cons, normals, np.zeros_like(th))
-    b = _stacked_components(cons, normals, np.ones_like(th)) - a
+    n = th.size
+    half = n // 2 if n_phi % 2 == 0 else n
+    normals, _ = params_to_planes(np.stack([th[:half], ph[:half], np.zeros(half)], axis=1))
+    a = _stacked_components(cons, normals, np.zeros(half))
+    b = _stacked_components(cons, normals, np.ones(half)) - a
     bb = np.einsum("ij,ij->i", b, b)
     valid = bb > 1e-12 * bb.max()
-    dstar = np.zeros_like(th)
+    dstar = np.zeros(half)
     dstar[valid] = -np.einsum("ij,ij->i", a[valid], b[valid]) / bb[valid]
-    score = np.full_like(th, np.inf)
-    score[valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
+    score = np.full(n, np.inf)
+    score[:half][valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
         (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
     )
+    if half < n:  # the twin (n_theta - 1 - i, j + n_phi/2) of (i, j) gets its score
+        i, j = np.divmod(np.arange(half), n_phi)
+        score[(n_theta - 1 - i) * n_phi + (j + n_phi // 2) % n_phi] = score[:half]
     # local minima: theta neighbours beyond the poles count as +inf, phi wraps
     s = score.reshape(n_theta, n_phi)
     padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
@@ -434,6 +465,7 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
         rows.append(i)
         cols.append(j)
     cells = np.unique(np.concatenate(rows) * n_phi + np.concatenate(cols))
+    cells = cells[cells < half]
     cells = cells[valid[cells]]
     return np.stack([th[cells], ph[cells], dstar[cells]], axis=1)
 

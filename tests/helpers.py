@@ -30,7 +30,8 @@ from fold3d import (
     reflect_point,
     solve_generic,
 )
-from fold3d.constraints import payload_radius
+from fold3d.constraints import payload_radius, stacked_residual_grid
+from fold3d.numerics import _stacked_components, params_to_planes
 
 MARGIN = 0.3
 
@@ -472,20 +473,66 @@ def reference_newton_multistart(
     return kept
 
 
+def reference_normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
+    """The full-sphere normal scan that ``fold3d.numerics.normal_scan``
+    replaced, kept verbatim as the reference its seeds are checked against:
+    it scores every cell, so both seeds of a twin pair (theta, phi, d) and
+    (pi - theta, phi + pi, -d), the same plane, are usually kept."""
+    cons = tuple(constraints)
+    radius = payload_radius(cons)
+    thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    normals, _ = params_to_planes(np.stack([th, ph, np.zeros_like(th)], axis=1))
+    a = _stacked_components(cons, normals, np.zeros_like(th))
+    b = _stacked_components(cons, normals, np.ones_like(th)) - a
+    bb = np.einsum("ij,ij->i", b, b)
+    valid = bb > 1e-12 * bb.max()
+    dstar = np.zeros_like(th)
+    dstar[valid] = -np.einsum("ij,ij->i", a[valid], b[valid]) / bb[valid]
+    score = np.full_like(th, np.inf)
+    score[valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
+        (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
+    )
+    # local minima: theta neighbours beyond the poles count as +inf, phi wraps
+    s = score.reshape(n_theta, n_phi)
+    padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
+    low = s < 3.0 * (radius + 1.0) * math.pi / n_theta
+    along_theta = (s <= padded[:-2]) & (s <= padded[2:])
+    along_phi = (s <= np.roll(s, 1, axis=1)) & (s <= np.roll(s, -1, axis=1))
+    i, j = np.nonzero(low & along_theta & along_phi)
+    last = n_theta - 1
+    rows = [i, np.minimum(i + 1, last), np.maximum(i - 1, 0), i, i]
+    cols = [j, j, j, (j + 1) % n_phi, (j - 1) % n_phi]
+    if valley_floors:
+        i, j = np.nonzero(low & (along_theta | along_phi))
+        rows.append(i)
+        cols.append(j)
+    cells = np.unique(np.concatenate(rows) * n_phi + np.concatenate(cols))
+    cells = cells[valid[cells]]
+    return np.stack([th[cells], ph[cells], dstar[cells]], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Reference residuals: the two per-kind if-chains that the kind table in
-# fold3d.constraints replaced, kept verbatim.  The table's residual_grid and
+# fold3d.constraints replaced, kept verbatim but for one edit: the row-wise
+# contraction _dot replaced A @ v (BLAS gemv, whose rounding depends on the
+# batch), as in the table.  The table's residual_grid and
 # residual_components_grid are checked to equal them bit for bit.
 # ---------------------------------------------------------------------------
 
 
+def _dot(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,j->i", A, v)
+
+
 def _reflect_pts(N: np.ndarray, O: np.ndarray, p: np.ndarray) -> np.ndarray:
-    s = N @ p - O
+    s = _dot(N, p) - O
     return p[None, :] - 2.0 * s[:, None] * N
 
 
 def _reflect_dirs(N: np.ndarray, d: np.ndarray) -> np.ndarray:
-    s = N @ d
+    s = _dot(N, d)
     return d[None, :] - 2.0 * s[:, None] * N
 
 
@@ -538,30 +585,30 @@ def reference_residual_grid(c: Constraint, N: np.ndarray, O: np.ndarray) -> np.n
         P2 = _reflect_pts(N, O, p.xyz)
         v = P2 - m.base.xyz
         d = m.direction
-        return _row_norm(v - (v @ d)[:, None] * d)
+        return _row_norm(v - _dot(v, d)[:, None] * d)
     if k is IncidenceKind.I6:
         p, pi = c.objects
         P2 = _reflect_pts(N, O, p.xyz)
-        return np.abs(P2 @ pi.normal_vec - pi.offset)
+        return np.abs(_dot(P2, pi.normal_vec) - pi.offset)
     if k is IncidenceKind.I7:
         m, pi = c.objects
         a = _reflect_pts(N, O, m.base.xyz)
         b = _reflect_pts(N, O, m.base.xyz + m.direction)
-        da = np.abs(a @ pi.normal_vec - pi.offset)
-        db = np.abs(b @ pi.normal_vec - pi.offset)
+        da = np.abs(_dot(a, pi.normal_vec) - pi.offset)
+        db = np.abs(_dot(b, pi.normal_vec) - pi.offset)
         return np.maximum(da, db)
     if k is IncidenceKind.I8:
         (p,) = c.objects
-        return np.abs(N @ p.xyz - O)
+        return np.abs(_dot(N, p.xyz) - O)
     if k is IncidenceKind.I9:
         (m,) = c.objects
         return _asin_clip(_row_norm(np.cross(N, m.direction)))
     if k is IncidenceKind.I10:
         (m,) = c.objects
-        return np.abs(_asin_clip(N @ m.direction)) + np.abs(N @ m.base.xyz - O)
+        return np.abs(_asin_clip(_dot(N, m.direction))) + np.abs(_dot(N, m.base.xyz) - O)
     if k is IncidenceKind.I11:
         (pi,) = c.objects
-        return np.abs(_asin_clip(N @ pi.normal_vec))
+        return np.abs(_asin_clip(_dot(N, pi.normal_vec)))
     if k is IncidenceKind.I12:
         (pi,) = c.objects
         ang = _asin_clip(_row_norm(np.cross(N, pi.normal_vec)))
@@ -603,30 +650,30 @@ def reference_residual_components_grid(c: Constraint, N: np.ndarray, O: np.ndarr
         P2 = _reflect_pts(N, O, p.xyz)
         v = P2 - m.base.xyz
         d = m.direction
-        return v - (v @ d)[:, None] * d
+        return v - _dot(v, d)[:, None] * d
     if k is IncidenceKind.I6:
         p, pi = c.objects
         P2 = _reflect_pts(N, O, p.xyz)
-        return (P2 @ pi.normal_vec - pi.offset)[:, None]
+        return (_dot(P2, pi.normal_vec) - pi.offset)[:, None]
     if k is IncidenceKind.I7:
         m, pi = c.objects
         a = _reflect_pts(N, O, m.base.xyz)
         b = _reflect_pts(N, O, m.base.xyz + m.direction)
         return np.stack(
-            [a @ pi.normal_vec - pi.offset, b @ pi.normal_vec - pi.offset], axis=1
+            [_dot(a, pi.normal_vec) - pi.offset, _dot(b, pi.normal_vec) - pi.offset], axis=1
         )
     if k is IncidenceKind.I8:
         (p,) = c.objects
-        return (N @ p.xyz - O)[:, None]
+        return (_dot(N, p.xyz) - O)[:, None]
     if k is IncidenceKind.I9:
         (m,) = c.objects
         return np.cross(N, np.broadcast_to(m.direction, N.shape))
     if k is IncidenceKind.I10:
         (m,) = c.objects
-        return np.stack([N @ m.direction, N @ m.base.xyz - O], axis=1)
+        return np.stack([_dot(N, m.direction), _dot(N, m.base.xyz) - O], axis=1)
     if k is IncidenceKind.I11:
         (pi,) = c.objects
-        return (N @ pi.normal_vec)[:, None]
+        return (_dot(N, pi.normal_vec))[:, None]
     if k is IncidenceKind.I12:
         (pi,) = c.objects
         cr = np.cross(N, np.broadcast_to(pi.normal_vec, N.shape))

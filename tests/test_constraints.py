@@ -391,6 +391,20 @@ class TestResidualTable:
         )
 
 
+class TestRowsIndependentOfTheBatch:
+    """Each candidate plane's residual has the same bits in any batch, so a
+    Newton seed's path does not depend on the seeds that share its calls."""
+
+    @pytest.mark.parametrize("kind", list(IncidenceKind))
+    def test_batch_equals_row_by_row(self, kind):
+        rng = np.random.default_rng(300 + kind.index)
+        c = random_payload(rng, kind)
+        N, O = _candidate_normals_offsets(rng, k=500)
+        for fn in (residual_components_grid, residual_grid):
+            rows = np.concatenate([fn(c, N[i : i + 1], O[i : i + 1]) for i in range(len(O))])
+            assert np.array_equal(fn(c, N, O), rows), fn.__name__
+
+
 def _locus_defect(c, h: np.ndarray) -> float:
     """Largest relative value of c's dual linear forms and quadric at h."""
     forms, quadric = dual_locus(c)

@@ -195,6 +195,19 @@ class TestRigidFrameChecks:
             RigidFrame(r, np.zeros(3))
 
 
+    @pytest.mark.parametrize("r, t", [
+        (np.full((3, 3), np.nan), np.zeros(3)),
+        (np.diag([1.0, 1.0, np.inf]), np.zeros(3)),
+        (np.eye(3), np.array([0.0, np.nan, 0.0])),
+        (np.eye(3), np.array([0.0, 0.0, -np.inf])),
+    ])
+    def test_refuses_non_finite_entries(self, r, t):
+        # refused before the checks, which NaN would pass, and without a
+        # RuntimeWarning (the suite turns those into errors)
+        with pytest.raises(DegenerateInput, match="finite"):
+            RigidFrame(r, t)
+
+
 class TestReflectPoint:
     def test_mirror_across_coordinate_plane(self):
         assert reflect_point(Z0, Point3(1, 2, 3)) == Point3(1, 2, -3)

@@ -21,9 +21,16 @@ from fold3d import (
     solve_I5_I6,
     solve_I5_I9,
     solve_I6_I8_I11,
+    solve_generic,
 )
 from fold3d.constraints import _cross, payload_radius
-from fold3d.numerics import _least_squares_steps, _polish, params_to_planes
+from fold3d.numerics import (
+    _least_squares_steps,
+    _polish,
+    normal_scan,
+    params_to_planes,
+    search,
+)
 from helpers import (
     generic_newton_args,
     generic_specs,
@@ -34,6 +41,7 @@ from helpers import (
     random_payload,
     random_point,
     reference_newton_multistart,
+    reference_normal_scan,
     reference_polish,
 )
 
@@ -444,6 +452,25 @@ class TestStallTest:
         assert newton_multistart(lambda v: v, np.empty((0, 3)), vectorized=True) == []
 
 
+class TestBatchMates:
+    """A seed's root does not depend on which other seeds share its batches."""
+
+    def test_half_of_the_seeds_give_the_same_roots(self):
+        # without clustering (cluster_tol < 0) the roots are every converged
+        # seed; each seed of a random half must end on the bits it reaches
+        # among all the seeds
+        rng = np.random.default_rng(19)
+        for spec in generic_specs()[::2]:
+            (residual, seeds), kwargs = generic_newton_args(
+                [random_payload(rng, k) for k in spec.kinds]
+            )
+            kwargs["cluster_tol"] = -1.0
+            everyone = {root.tobytes() for root in newton_multistart(residual, seeds, **kwargs)}
+            half = np.sort(rng.permutation(len(seeds))[: len(seeds) // 2])
+            roots = newton_multistart(residual, seeds[half], **kwargs)
+            assert all(root.tobytes() in everyone for root in roots), spec
+
+
 class TestResidualPath:
     """The residual kernels give the bits of the numpy calls they replace."""
 
@@ -585,3 +612,92 @@ class TestLatticeBounds:
         res = grid_oracle(self.I1, resolution=16, n_offsets=1)
         assert res.count == 1
         assert plane_gap(res.planes[0], Plane3((0, 0, 1), 1.0)) < 1e-7
+
+
+def _cell(seed, n_theta, n_phi):
+    theta, phi = seed[0], seed[1]
+    return round(theta * n_theta / np.pi - 0.5), round(phi * n_phi / (2.0 * np.pi)) % n_phi
+
+
+def _twin(cell, n_theta, n_phi):
+    i, j = cell
+    return n_theta - 1 - i, (j + n_phi // 2) % n_phi
+
+
+class TestTwinSeeds:
+    """With n_phi even, normal_scan seeds each fold plane once: of the twin
+    cells (theta, phi, d) and (pi - theta, phi + pi, -d) at most one."""
+
+    INSTANCES = 12
+
+    def _instances(self, seed):
+        rng = np.random.default_rng(seed)
+        makes = [make for _, make, _ in WORKED_KINDS]
+        makes += [
+            lambda r, spec=spec: [random_payload(r, k) for k in spec.kinds]
+            for spec in generic_specs()[::5]
+        ]
+        return [makes[i % len(makes)](rng) for i in range(self.INSTANCES)]
+
+    def _check(self, seeds, reference, n_theta, n_phi):
+        cells = {_cell(sd, n_theta, n_phi): sd[2] for sd in seeds}
+        assert len(cells) == len(seeds)
+        assert not any(_twin(c, n_theta, n_phi) in cells for c in cells)
+        assert all(c[0] < n_theta // 2 or 2 * c[0] + 1 == n_theta for c in cells)
+        for sd in reference:
+            c = _cell(sd, n_theta, n_phi)
+            if c in cells:
+                assert np.isclose(cells[c], sd[2], rtol=1e-9, atol=1e-12)
+            else:
+                assert _twin(c, n_theta, n_phi) in cells
+                assert np.isclose(cells[_twin(c, n_theta, n_phi)], -sd[2], rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("n_theta, n_phi, valley_floors", [(14, 28, True), (48, 48, False)])
+    def test_normal_scan(self, n_theta, n_phi, valley_floors):
+        seeded = 0
+        for cons in self._instances(n_theta):
+            seeds = normal_scan(cons, n_theta, n_phi, valley_floors)
+            reference = reference_normal_scan(cons, n_theta, n_phi, valley_floors)
+            self._check(seeds, reference, n_theta, n_phi)
+            seeded += len(seeds)
+        assert seeded > 0
+
+    def test_odd_rows_through_search(self, monkeypatch):
+        # an odd n_theta puts a row on the equator, which is its own mirror
+        import fold3d.numerics
+
+        calls = []
+        run = fold3d.numerics.newton_multistart
+        monkeypatch.setattr(
+            fold3d.numerics,
+            "newton_multistart",
+            lambda residual, seeds, **kwargs: calls.append(seeds) or run(residual, seeds, **kwargs),
+        )
+        for cons in self._instances(15):
+            search(cons, 15, 26, True, 1e-8)
+            (seeds,) = calls
+            calls.clear()
+            self._check(seeds, reference_normal_scan(cons, 15, 26, True), 15, 26)
+
+    def test_odd_n_phi_keeps_every_cell(self):
+        for cons in self._instances(9)[:4]:
+            seeds = normal_scan(cons, 12, 25, True)
+            reference = reference_normal_scan(cons, 12, 25, True)
+            assert np.array_equal(seeds[:, :2], reference[:, :2])
+            assert np.allclose(seeds[:, 2], reference[:, 2], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("name, make, solve", WORKED_KINDS, ids=[k[0] for k in WORKED_KINDS])
+    def test_same_planes_as_the_full_sphere_search(self, monkeypatch, name, make, solve):
+        import fold3d.numerics
+
+        rng = np.random.default_rng(1919)
+        for _ in range(20):
+            cons = make(rng)
+            got = grid_oracle(cons).planes, solve_generic(cons).planes
+            with monkeypatch.context() as patch:
+                patch.setattr(fold3d.numerics, "normal_scan", reference_normal_scan)
+                want = grid_oracle(cons).planes, solve_generic(cons).planes
+            for planes, reference in zip(got, want):
+                assert len(planes) == len(reference)
+                for plane in planes:
+                    assert min(plane_gap(plane, q) for q in reference) < 1e-9

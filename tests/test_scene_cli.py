@@ -552,6 +552,24 @@ class TestCli:
         assert captured.err.startswith("error: cannot write") and str(out_path) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("target", ["missing/result.txt", "a-directory"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "{scene}"],
+        ["verify", "{scene}", "--plane", "0,0,1,-1"],
+        ["oracle", "{scene}", "--resolution", "16"],
+        ["enumerate"],
+    ], ids=lambda command: command[0])
+    def test_out_not_writable(self, tmp_path, capsys, command, target):
+        path = _write(tmp_path, "s.json", I1_SCENE)
+        (tmp_path / "a-directory").mkdir()
+        out_path = tmp_path / target
+        argv = [arg.format(scene=path) for arg in command] + ["--out", str(out_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: cannot write") and str(out_path) in captured.err
+        assert captured.out == ""
+
     def test_envelope_contained_line_error(self, tmp_path, capsys):
         scene = """
         {

@@ -7,8 +7,15 @@ scalar Horner loop of ``numerics._polish`` instead (bit for bit the same);
 batches of vectors go through ``constraints._cross``.  These tests read
 ``src/fold3d/*.py`` as text, without importing anything, and fail when
 either call comes back.
+
+A matrix product ``A @ v`` on a batch of candidate planes goes through BLAS,
+whose rounding depends on the batch, so a Newton seed's root would depend on
+its batch-mates.  The residual kernels of ``constraints._KINDS`` contract
+row by row (``constraints._dot``); an ``ast`` check fails when a ``@`` comes
+back into them or into the module functions they call.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -37,3 +44,49 @@ def test_guard_tells_a_call_from_a_mention():
     assert SLOW_CALL.search("p = float(np.polyval(coeffs, x))")
     assert not SLOW_CALL.search('    differences np.cross forms, column by column')
     assert not SLOW_CALL.search("    v = cross3(n, u)")
+
+
+def _kernel_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """The module functions that the residual columns of ``_KINDS``
+    (components, reduce, scalar) name, and those they call, transitively."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "_KINDS"
+    ]
+    todo = []
+    for row in table.values:
+        todo += [arg.id for arg in row.args[3:5] if isinstance(arg, ast.Name)]
+        todo += [kw.value.id for kw in row.keywords if kw.arg in ("components", "reduce", "scalar")]
+    kernels = {}
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in kernels:
+            kernels[name] = functions[name]
+            todo += [node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)]
+    return kernels
+
+
+CONSTRAINTS = next(p for p in SOURCES if p.name == "constraints.py")
+
+
+def _matrix_products(source: str) -> list[str]:
+    return [
+        f"constraints.py:{node.lineno}: {name}"
+        for name, fn in _kernel_functions(ast.parse(source)).items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    ]
+
+
+def test_residual_kernels_have_no_matrix_product():
+    kernels = _kernel_functions(ast.parse(CONSTRAINTS.read_text()))
+    assert {"_i1", "_i6", "_i7", "_i10", "_i3_gap", "_reflect_pts", "_dot", "_turn"} <= set(kernels)
+    products = _matrix_products(CONSTRAINTS.read_text())
+    assert not products, "\n".join(products)
+
+
+def test_matrix_product_guard_finds_a_product():
+    source = CONSTRAINTS.read_text()
+    assert "s = _dot(N, d)" in source
+    assert _matrix_products(source.replace("s = _dot(N, d)", "s = N @ d"))
