@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .constraints import IncidenceKind, residual
+from .constraints import FoldSolution, IncidenceKind, residual
 from .envelopes import family_I3, family_I5, family_I6, family_I7
 from .errors import FoldError, IllPosed
 from .geometry import Plane3
@@ -213,31 +213,11 @@ def _cmd_oracle(args) -> int:
         raise FoldError("scene has no constraints to search for")
     spec = _check_spec(args, scene)
     result = grid_oracle(scene.constraint_list(), resolution=args.resolution)
-    planes = []
-    labels = [sc.label() for sc in scene.constraints]
-    cons = scene.constraint_list()
-    for plane, res in result.clusters:
-        planes.append(
-            {
-                "normal": list(plane.normal),
-                "offset": plane.offset,
-                "coeffs": list(plane.coeffs()),
-                "cluster_residual": res,
-                "residuals": [
-                    {"constraint": lab, "residual": residual(c, plane)}
-                    for lab, c in zip(labels, cons)
-                ],
-            }
-        )
-    doc = ResultDocument(
-        operation=str(spec),
-        tolerance=args.tol,
-        outcome="finite" if planes else "no_solution",
-        solver="oracle",
-        possibly_incomplete=True,
-        planes=planes,
-        message=f"grid resolution {result.resolution}",
-    )
+    solution = FoldSolution.finite(result.planes, possibly_incomplete=True, provenance="oracle")
+    doc = ResultDocument.from_solution(spec, scene.constraints, solution, args.tol)
+    doc.message = f"grid resolution {result.resolution}"
+    for entry, (_, res) in zip(doc.planes, result.clusters, strict=True):
+        entry["cluster_residual"] = res
     _emit(args, doc.to_json() if args.json else doc.render_text())
     return doc.exit_code
 

@@ -57,6 +57,7 @@ from .errors import InvalidConstraint
 from .geometry import (
     TOL_ANGLE,
     TOL_INCIDENCE,
+    TOL_SEPARATION,
     Line3,
     Plane3,
     Point3,
@@ -197,7 +198,7 @@ class Constraint:
 
 def _pre_distinct_points(objs):
     p, q = objs
-    if points_equal(p, q, 1e-10):
+    if points_equal(p, q, TOL_SEPARATION):
         raise InvalidConstraint(
             "I1 requires distinct points (P != Q); a fixed point is I8"
         )
@@ -205,7 +206,7 @@ def _pre_distinct_points(objs):
 
 def _pre_distinct_lines(objs):
     m, n = objs
-    if lines_setwise_equal(m, n, 1e-10):
+    if lines_setwise_equal(m, n, TOL_SEPARATION):
         raise InvalidConstraint(
             "I2 requires distinct lines (m != n); a line fixed by the fold "
             "is I9 or I10"
@@ -215,7 +216,7 @@ def _pre_distinct_lines(objs):
 def _pre_disjoint_lines(objs):
     m, n = objs
     _, _, dist, parallel = line_line_closest(m, n)
-    if dist <= 1e-10:
+    if dist <= TOL_SEPARATION:
         if parallel:
             raise InvalidConstraint("I3 requires disjoint lines; these coincide")
         raise InvalidConstraint(
@@ -225,7 +226,7 @@ def _pre_disjoint_lines(objs):
 
 def _pre_distinct_planes(objs):
     pi, tau = objs
-    if planes_setwise_equal(pi, tau, 1e-10):
+    if planes_setwise_equal(pi, tau, TOL_SEPARATION):
         raise InvalidConstraint(
             "I4 requires distinct planes (pi != tau); a plane fixed by the "
             "fold is I11 or I12"
@@ -234,7 +235,7 @@ def _pre_distinct_planes(objs):
 
 def _pre_point_off_line(objs):
     p, m = objs
-    if m.contains_point(p, 1e-10):
+    if m.contains_point(p, TOL_SEPARATION):
         raise InvalidConstraint(
             "I5 requires the point off the line (P not in m); a point on the "
             "line is covered by I8 and I9"
@@ -243,7 +244,7 @@ def _pre_point_off_line(objs):
 
 def _pre_point_off_plane(objs):
     p, pi = objs
-    if pi.contains_point(p, 1e-10):
+    if pi.contains_point(p, TOL_SEPARATION):
         raise InvalidConstraint(
             "I6 requires the point off the plane (P not in pi); a point on "
             "the plane is covered by I8 and I11"
@@ -669,10 +670,11 @@ class FoldSolution:
 
 def solve_I1(p: Point3, q: Point3) -> FoldSolution:
     """The unique fold plane mapping p onto q: their perpendicular bisector.
-    Only points that the I1 precondition refuses (within 1e-10) are refused."""
-    if points_equal(p, q, 1e-10):
+    Only points that the I1 precondition refuses (within TOL_SEPARATION)
+    are refused."""
+    if points_equal(p, q, TOL_SEPARATION):
         raise InvalidConstraint("I1 requires distinct points; P = Q is the I8 case")
-    return FoldSolution.finite([perpendicular_bisector_plane(p, q, 1e-10)])
+    return FoldSolution.finite([perpendicular_bisector_plane(p, q, TOL_SEPARATION)])
 
 
 def solve_I2(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> FoldSolution:
@@ -682,7 +684,7 @@ def solve_I2(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> FoldSolution:
     lines are coplanar and non-parallel, one mid plane when parallel, and
     no solution when skew.
     """
-    if lines_setwise_equal(m, n, 1e-10):
+    if lines_setwise_equal(m, n, TOL_SEPARATION):
         raise InvalidConstraint("I2 requires distinct lines; m = n is I9 or I10")
     p1, p2, dist, parallel = line_line_closest(m, n)
     if parallel:
@@ -703,7 +705,7 @@ def solve_I2(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> FoldSolution:
 
 def solve_I4(pi: Plane3, tau: Plane3) -> FoldSolution:
     """Fold planes mapping plane pi onto plane tau: the dihedral bisectors."""
-    if planes_setwise_equal(pi, tau, 1e-10):
+    if planes_setwise_equal(pi, tau, TOL_SEPARATION):
         raise InvalidConstraint("I4 requires distinct planes; pi = tau is I11 or I12")
     n1, n2 = pi.normal_vec, tau.normal_vec
     if np.linalg.norm(cross3(n1, n2)) <= 1e-10:

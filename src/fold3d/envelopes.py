@@ -51,10 +51,12 @@ import numpy as np
 from .constraints import Constraint, IncidenceKind
 from .errors import DegenerateInput, InvalidConstraint, NoEnvelope, VerificationFailed
 from .geometry import (
+    TOL_SEPARATION,
     Line3,
     Plane3,
     Point3,
     RigidFrame,
+    _axis_frame,
     canonical_frame_line_plane_crossing,
     canonical_frame_line_plane_parallel,
     canonical_frame_parallel_lines,
@@ -250,6 +252,13 @@ class PlaneFamily:
         return Quadric(self._row.envelope(self.half_gap, self.shape_angle), self.frame)
 
 
+# (row, column) of c1..c10 in the symmetric 4x4 matrix M of a quadric,
+# [x y z 1] M [x y z 1]^T = 0; an off-diagonal c is split between the slot
+# and its mirror.  Only c10 sits in row 3.
+_SLOTS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3)])
+_ROWS, _COLS = _SLOTS.T
+
+
 @dataclass(frozen=True)
 class Quadric:
     """A quadric surface: canonical-frame coefficients of
@@ -268,52 +277,32 @@ class Quadric:
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (10,):
             raise DegenerateInput("a quadric needs 10 coefficients")
-        if np.max(np.abs(c[:9])) < 1e-300:
+        if np.max(np.abs(c[_ROWS < 3])) < 1e-300:
             raise DegenerateInput("quadric must have a nonconstant term")
         c = c / np.max(np.abs(c))
         object.__setattr__(self, "coeffs", tuple(float(v) for v in c))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """Symmetric 4x4 homogeneous matrix in the canonical frame."""
-        c = self.coeffs
-        return np.array(
-            [
-                [c[0], c[3] / 2, c[5] / 2, c[6] / 2],
-                [c[3] / 2, c[1], c[4] / 2, c[7] / 2],
-                [c[5] / 2, c[4] / 2, c[2], c[8] / 2],
-                [c[6] / 2, c[7] / 2, c[8] / 2, c[9]],
-            ]
-        )
+        """Symmetric 4x4 homogeneous matrix in the canonical frame (read-only)."""
+        m = np.zeros((4, 4))
+        m[_ROWS, _COLS] = self.coeffs
+        m = (m + m.T) / 2.0
+        m.setflags(write=False)
+        return m
 
     def evaluate_canonical(self, pts: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        c = self.coeffs
-        return (
-            c[0] * x * x
-            + c[1] * y * y
-            + c[2] * z * z
-            + c[3] * x * y
-            + c[4] * y * z
-            + c[5] * z * x
-            + c[6] * x
-            + c[7] * y
-            + c[8] * z
-            + c[9]
-        )
+        m = self.matrix
+        return ((p @ m[:3, :3] + 2.0 * m[3, :3]) * p).sum(axis=1) + m[3, 3]
 
     def gradient_canonical(self, pts: np.ndarray) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        c = self.coeffs
-        gx = 2 * c[0] * x + c[3] * y + c[5] * z + c[6]
-        gy = 2 * c[1] * y + c[3] * x + c[4] * z + c[7]
-        gz = 2 * c[2] * z + c[4] * y + c[5] * x + c[8]
-        return np.stack([gx, gy, gz], axis=1)
+        m = self.matrix
+        return 2.0 * (p @ m[:3, :3] + m[3, :3])
 
     def evaluate(self, p: Point3) -> float:
-        return float(self.evaluate_canonical(self.frame.apply_xyz(p.xyz[None, :]))[0])
+        return float(self.evaluate_xyz(p.xyz)[0])
 
     def evaluate_xyz(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, 3) array of scene coordinates."""
@@ -321,41 +310,22 @@ class Quadric:
 
     def scene_coeffs(self) -> tuple[float, ...]:
         """The 10 coefficients expressed in scene coordinates."""
-        m = np.eye(4)
-        m[:3, :3] = self.frame.rotation
-        m[:3, 3] = self.frame.translation
-        a = m.T @ self.matrix @ m
-        c = np.array(
-            [
-                a[0, 0],
-                a[1, 1],
-                a[2, 2],
-                2 * a[0, 1],
-                2 * a[1, 2],
-                2 * a[0, 2],
-                2 * a[0, 3],
-                2 * a[1, 3],
-                2 * a[2, 3],
-                a[3, 3],
-            ]
-        )
-        return tuple(float(v) for v in c)
+        h = np.eye(4)
+        h[:3, :3] = self.frame.rotation
+        h[:3, 3] = self.frame.translation
+        a = h.T @ self.matrix @ h
+        return tuple((a[_ROWS, _COLS] * np.where(_ROWS == _COLS, 1.0, 2.0)).tolist())
 
     def restricted_conic(self, plane: Plane3) -> np.ndarray:
         """3x3 symmetric matrix of the conic cut by a scene-coordinate plane,
         in an orthonormal in-plane chart; scaled to unit max entry."""
         pc = self.frame.apply_plane(plane)
         n = pc.normal_vec
-        u = cross3((0.0, 1.0, 0.0), n)
-        if np.linalg.norm(u) < 1e-6:
-            u = cross3((0.0, 0.0, 1.0), n)
-        u = u / np.linalg.norm(u)
-        v = cross3(n, u)
-        p0 = pc.offset * n
+        u = perp_unit(n)
         s = np.zeros((4, 3))
         s[:3, 0] = u
-        s[:3, 1] = v
-        s[:3, 2] = p0
+        s[:3, 1] = cross3(n, u)
+        s[:3, 2] = pc.offset * n
         s[3, 2] = 1.0
         conic = s.T @ self.matrix @ s
         scale = np.max(np.abs(conic))
@@ -395,7 +365,7 @@ def envelope_I6(p: Point3, pi: Plane3) -> Quadric:
 def family_I3(m: Line3, n: Line3) -> PlaneFamily:
     """Planes making the reflection of m meet the disjoint line n."""
     _, _, dist, parallel = line_line_closest(m, n)
-    if dist <= 1e-10:
+    if dist <= TOL_SEPARATION:
         raise InvalidConstraint(
             "the lines intersect; the meeting constraint needs disjoint lines"
         )
@@ -431,12 +401,6 @@ def envelope_I7(m: Line3, pi: Plane3) -> Quadric:
     """Elliptical-cone envelope (crossing case) or parabolic cylinder
     (parallel case)."""
     return family_I7(m, pi).envelope()
-
-
-def _axis_frame(axis, center) -> RigidFrame:
-    """Frame taking center to the origin and the unit axis to +z."""
-    u = perp_unit(axis)
-    return RigidFrame.from_axes(u, cross3(axis, u), axis, center)
 
 
 _FAMILY_OF = {

@@ -26,6 +26,9 @@ TOL_ALGEBRAIC = 1e-12
 # Largest |sin| or |cos| of the angle between unit vectors that counts as
 # parallel or perpendicular in the line/plane relations and frames below.
 TOL_ANGLE = 1e-10
+# Smallest separation of the two objects of a pair: the constraint
+# preconditions and the separated-pair frames below refuse any closer pair.
+TOL_SEPARATION = 1e-10
 
 _SIGN_EPS = 1e-12
 
@@ -241,13 +244,6 @@ class RigidFrame:
         rt = self.rotation.T
         return RigidFrame(rt, -rt @ self.translation)
 
-    def compose(self, other: RigidFrame) -> RigidFrame:
-        """Frame applying `other` first, then `self`."""
-        return RigidFrame(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 class LinePlaneRelation(Enum):
     CONTAINED = "contained"
@@ -386,39 +382,47 @@ def perp_unit(v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _pair_frame(top, bottom, e2, refuse: str) -> tuple[RigidFrame, float]:
+    """Frame placing top at (0, 0, a) and bottom at (0, 0, -a) with the unit
+    e2, perpendicular to top - bottom, along +y; returns it and the half-gap
+    a.  DegenerateInput(refuse) when the points are within TOL_SEPARATION."""
+    gap = top - bottom
+    dist = float(np.linalg.norm(gap))
+    if dist <= TOL_SEPARATION:
+        raise DegenerateInput(refuse)
+    e3 = gap / dist
+    return RigidFrame.from_axes(cross3(e2, e3), e2, e3, (top + bottom) / 2.0), dist / 2.0
+
+
+def _axis_frame(axis, center) -> RigidFrame:
+    """Frame taking center to the origin and the unit axis to +z."""
+    u = perp_unit(axis)
+    return RigidFrame.from_axes(u, cross3(axis, u), axis, center)
+
+
 def canonical_frame_point_line(p: Point3, m: Line3) -> tuple[RigidFrame, float]:
     """Frame placing p at (0, 0, a) and m through (0, 0, -a) along +y.
 
     Returns the frame and the half-gap a = dist(p, m) / 2.
     """
-    foot = m.closest_point_to(p)
-    h = p.distance_to(foot)
-    if h <= TOL_INCIDENCE:
-        raise DegenerateInput(
-            "point lies on the line; use the fixed-point (I8) or "
-            "line-to-itself (I9) constraints instead"
-        )
-    e3 = (p.xyz - foot.xyz) / h
-    e2 = m.direction
-    e1 = cross3(e2, e3)
-    center = (p.xyz + foot.xyz) / 2.0
-    return RigidFrame.from_axes(e1, e2, e3, center), h / 2.0
+    return _pair_frame(
+        p.xyz, m.closest_point_to(p).xyz, m.direction,
+        "point lies on the line; use the fixed-point (I8) or "
+        "line-to-itself (I9) constraints instead",
+    )
 
 
 def canonical_frame_point_plane(p: Point3, pi: Plane3) -> tuple[RigidFrame, float]:
     """Frame placing p at (0, 0, a) and pi onto the plane z = -a."""
     s = pi.signed_distance(p)
-    if abs(s) <= TOL_INCIDENCE:
+    if abs(s) <= TOL_SEPARATION:
         raise DegenerateInput(
             "point lies on the plane; use the fixed-point (I8) or "
             "plane-to-itself (I11) constraints instead"
         )
-    e3 = pi.normal_vec * (1.0 if s > 0 else -1.0)
-    foot = p.xyz - s * pi.normal_vec
-    e1 = perp_unit(e3)
-    e2 = cross3(e3, e1)
-    center = (p.xyz + foot) / 2.0
-    return RigidFrame.from_axes(e1, e2, e3, center), abs(s) / 2.0
+    n = pi.normal_vec
+    foot = p.xyz - s * n
+    return _axis_frame(n * (1.0 if s > 0 else -1.0), (p.xyz + foot) / 2.0), abs(s) / 2.0
 
 
 def canonical_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple[RigidFrame, float]:
@@ -456,16 +460,11 @@ def canonical_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple[RigidFram
 def canonical_frame_line_plane_parallel(m: Line3, pi: Plane3) -> tuple[RigidFrame, float]:
     """Frame for a line parallel to (and off) a plane: line through (0, 0, a)
     along +y, plane onto z = -a."""
-    rel = classify_line_plane(m, pi)
-    if rel is not LinePlaneRelation.PARALLEL_DISJOINT:
-        raise DegenerateInput("line must be strictly parallel to the plane")
-    s = pi.signed_distance(m.base)
-    e3 = pi.normal_vec * (1.0 if s > 0 else -1.0)
-    e2 = m.direction
-    e1 = cross3(e2, e3)
-    foot = m.base.xyz - s * pi.normal_vec
-    center = (m.base.xyz + foot) / 2.0
-    return RigidFrame.from_axes(e1, e2, e3, center), abs(s) / 2.0
+    refuse = "line must be strictly parallel to the plane"
+    if classify_line_plane(m, pi) is not LinePlaneRelation.PARALLEL_DISJOINT:
+        raise DegenerateInput(refuse)
+    foot = m.base.xyz - pi.signed_distance(m.base) * pi.normal_vec
+    return _pair_frame(m.base.xyz, foot, m.direction, refuse)
 
 
 def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, float]:
@@ -475,33 +474,20 @@ def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, f
 
     Returns the frame, delta, and the half-gap a.
     """
-    pm, pn, dist, parallel = line_line_closest(m, n)
+    pm, pn, _, parallel = line_line_closest(m, n)
     if parallel:
         raise DegenerateInput("lines are parallel; no skew frame")
-    if dist <= TOL_INCIDENCE:
-        raise DegenerateInput("lines intersect; no skew frame")
-    e3 = (pm.xyz - pn.xyz) / dist
-    e2 = m.direction
-    e1 = cross3(e2, e3)
-    center = (pm.xyz + pn.xyz) / 2.0
-    dn = n.direction
-    if float(dn @ e1) < 0:
-        dn = -dn
-    delta = math.atan2(float(dn @ e2), float(dn @ e1))
-    return RigidFrame.from_axes(e1, e2, e3, center), delta, dist / 2.0
+    frame, a = _pair_frame(pm.xyz, pn.xyz, m.direction, "lines intersect; no skew frame")
+    dn = n.direction  # taken with x >= 0, so that |delta| <= pi/2
+    x, y = float(dn @ frame.rotation[0]), float(dn @ frame.rotation[1])
+    delta = math.atan2(y, x) if x >= 0 else math.atan2(-y, -x)
+    return frame, delta, a
 
 
 def canonical_frame_parallel_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float]:
     """Frame for distinct parallel lines: both along +y in the x = 0 plane,
     m at z = a and n at z = -a."""
-    pm, pn, dist, parallel = line_line_closest(m, n)
+    pm, pn, _, parallel = line_line_closest(m, n)
     if not parallel:
         raise DegenerateInput("lines are not parallel")
-    if dist <= TOL_INCIDENCE:
-        raise DegenerateInput("lines coincide; no parallel-pair frame")
-    e2 = m.direction
-    v = pn.xyz - pm.xyz
-    e3 = -v / dist
-    e1 = cross3(e2, e3)
-    center = (pm.xyz + pn.xyz) / 2.0
-    return RigidFrame.from_axes(e1, e2, e3, center), dist / 2.0
+    return _pair_frame(pm.xyz, pn.xyz, m.direction, "lines coincide; no parallel-pair frame")

@@ -58,13 +58,14 @@ def quadric_mesh_canonical(
     graph over the (x, y) grid where the quadric is linear in z, the upper
     nappe otherwise (the I7 cone).  Raises NoEnvelope for a family with no
     envelope."""
-    c = fam.envelope().coeffs
-    if c[2] or c[4] or c[5]:
+    quadric = fam.envelope()
+    z_row = quadric.matrix[2]
+    if z_row[:3].any():
         return _grid(extent, resolution, _cone_nappe(fam.shape_angle))
 
     def graph(x, y):
-        rest = c[0] * x * x + c[1] * y * y + c[3] * x * y + c[6] * x + c[7] * y + c[9]
-        return x, y, -rest / c[8]
+        flat = np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1)
+        return x, y, -quadric.evaluate_canonical(flat).reshape(x.shape) / (2.0 * z_row[3])
 
     return _grid(extent, resolution, graph)
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fold3d import (
+    Constraint,
     DegenerateInput,
+    InvalidConstraint,
     Line3,
     LinePlaneRelation,
     Plane3,
@@ -30,7 +32,7 @@ from fold3d import (
     reflect_plane,
     reflect_point,
 )
-from fold3d.geometry import cross3
+from fold3d.geometry import TOL_SEPARATION, cross3
 from helpers import (
     point_off_line,
     point_off_plane,
@@ -457,3 +459,28 @@ class TestCanonicalFrames:
         assert a == pytest.approx(1.0)
         assert frame.apply_line(m).distance_to_point(Point3(0, 0, 1)) < 1e-12
         assert frame.apply_line(n).distance_to_point(Point3(0, 0, -1)) < 1e-12
+
+
+class TestSeparationThreshold:
+    """The separated-pair frames refuse a pair exactly when the constraint
+    preconditions do: within TOL_SEPARATION."""
+
+    @pytest.mark.parametrize("gap", [5e-10, 5e-11])
+    def test_frames_and_preconditions_agree(self, gap):
+        up = Point3(0, 0, gap)
+        m = Line3(Point3(0, 0, 0), (0, 1, 0))
+        cases = [
+            (Constraint.I5, canonical_frame_point_line, (up, m)),
+            (Constraint.I6, canonical_frame_point_plane, (up, Plane3((0, 0, 1), 0.0))),
+            (Constraint.I3, canonical_frame_skew_lines, (m, Line3(up, (1, 0, 0)))),
+            (Constraint.I3, canonical_frame_parallel_lines, (m, Line3(up, (0, 1, 0)))),
+        ]
+        for make, frame_of, objs in cases:
+            if gap > TOL_SEPARATION:
+                make(*objs)
+                assert frame_of(*objs)[-1] == pytest.approx(gap / 2.0, rel=1e-6)
+            else:
+                with pytest.raises(InvalidConstraint):
+                    make(*objs)
+                with pytest.raises(DegenerateInput):
+                    frame_of(*objs)

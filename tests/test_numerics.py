@@ -201,6 +201,26 @@ class TestCubic:
         assert len(roots.roots) == 1
         _check_residuals(c, roots)
 
+    def test_all_coefficients_zero(self):
+        with pytest.raises(AllRealLine):
+            real_roots_cubic(0.0, 0.0, 0.0, 0.0)
+
+    def test_scale_overflow_drops_the_degree(self):
+        # c2 / c3 overflows, so the scale is inf: 1e10 (x - 1)(x - 2) is left
+        roots = real_roots_cubic(1e-300, 1e10, -3e10, 2e10)
+        assert roots.roots == pytest.approx((1.0, 2.0), rel=1e-14)
+        assert roots.multiplicities == (1, 1)
+
+    def test_zero_scale_is_a_triple_root_at_zero(self):
+        roots = real_roots_cubic(2.0, 0.0, 0.0, 0.0)
+        assert roots.roots == (0.0,) and roots.multiplicities == (3,)
+
+    def test_double_root_beyond_the_simple_one(self):
+        # (x - 2)^2 (x - 1): the double root is the larger in magnitude
+        roots = real_roots_cubic(1.0, -5.0, 8.0, -4.0)
+        assert roots.roots == pytest.approx((1.0, 2.0), rel=1e-12)
+        assert roots.multiplicities == (1, 2)
+
 
 def _same_float(a, b) -> bool:
     return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()

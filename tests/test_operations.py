@@ -1178,3 +1178,26 @@ def _scaled(obj, k: float):
     if isinstance(obj, Line3):
         return Line3(Point3(*(k * obj.base.xyz)), obj.dir)
     return Plane3(obj.normal, k * obj.offset)
+
+
+class TestPointJustOffItsLine:
+    """An I5 point 5e-10 off its line, outside the preconditions'
+    TOL_SEPARATION: the constraint builds, so the I5 frame must too, and the
+    dedicated solvers find what solve_exact finds."""
+
+    M = Line3(Point3(0.2, -0.3, -1.0), (0.6, 0.8, 0.0))
+    P = Point3(*(M.base.xyz + (0.0, 0.0, 5e-10)))
+
+    @pytest.mark.parametrize("other, count", [
+        (Constraint.I6(Point3(0.3, -0.4, 0.2), Plane3.from_coeffs(0.25, 0.55, 0.75, 0.35)), 3),
+        (Constraint.I6(Point3(1.1, 0.4, -0.7), Plane3((0.0, 0.0, 1.0), 0.5)), 0),
+        (Constraint.I9(Line3(Point3(1, 1, 1), (0.0, 0.0, 1.0))), 1),
+        (Constraint.I9(Line3(Point3(1, 1, 1), (0.8, -0.6, 0.0))), 0),
+    ], ids=["I6-three", "I6-none", "I9-one", "I9-none"])
+    def test_same_count_as_solve_exact(self, other, count):
+        cons = [Constraint.I5(self.P, self.M), other]
+        sol = solve_operation(cons)
+        assert sol.provenance == "dedicated"
+        assert sol.count == solve_exact(cons).count == count
+        for plane in sol.planes:
+            assert stacked_residual(cons, plane) < 1e-12

@@ -20,11 +20,13 @@ from fold3d import (
     residual,
     scene_to_dict,
     solve_operation,
+    stacked_residual,
     write_scene,
 )
 import fold3d.envelopes
 from fold3d.cli import _build_parser, main
 from fold3d.meshing import MAX_MESH_RESOLUTION, MAX_TANGENT_PLANES
+from fold3d.numerics import grid_oracle
 from fold3d.scene import ResultDocument
 from helpers import random_line, random_payload
 
@@ -744,3 +746,96 @@ class TestSolveTolerance:
         doc = json.loads(capsys.readouterr().out)
         assert doc["outcome"] == "finite"
         assert [pl["offset"] for pl in doc["planes"]] == [5e-05]
+
+
+class TestSceneStructure:
+    """Every structural fault of a scene file is a ParseError, and
+    ``fold3d solve`` on it exits 1 with an error line."""
+
+    @pytest.mark.parametrize("text, match", [
+        ("[]", "scene root must be a JSON object"),
+        ('{"points": []}', "points: expected a name -> object mapping"),
+        ('{"lines": {"m": {"point": [0, 0, 0]}}}', "lines.m: expected an object with 'point' and 'dir'"),
+        ('{"lines": {"m": {"point": [0, 0, 0], "dir": [0, 0, 0]}}}', "lines.m: line direction"),
+        ('{"planes": {"pi": [0, 0, 1, 0]}}', "planes.pi: expected an object"),
+        ('{"planes": {"pi": {"normal": [0, 0, 1]}}}', "planes.pi: expected 'normal' \\+ 'offset'"),
+        ('{"planes": {"pi": {"coeffs": [0, 0, 0, 1]}}}', "planes.pi: plane coefficients"),
+        ('{"constraints": {}}', "constraints: expected an array"),
+        ('{"constraints": [{"args": {}}]}', r"constraints\[0\]: expected an object with a 'type'"),
+        ('{"constraints": [{"type": "I13"}]}', "unknown incidence type 'I13'"),
+        ('{"constraints": [{"type": "I8", "args": []}]}', r"constraints\[0\]\.args: expected an object"),
+        ('{"constraints": [{"type": "I8", "args": {}}]}', "I8 needs 'point'"),
+    ], ids=["root", "section", "line-keys", "line-dir", "plane-type", "plane-keys",
+            "plane-coeffs", "constraints", "entry-type", "unknown-type", "args", "missing-arg"])
+    def test_structural_error(self, tmp_path, capsys, text, match):
+        path = _write(tmp_path, "s.json", text)
+        with pytest.raises(ParseError, match=match):
+            load_scene(path)
+        assert main(["solve", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+
+class TestCliOutput:
+    @pytest.mark.parametrize("command", [
+        ["solve", "{scene}"],
+        ["solve", "{scene}", "--json"],
+        ["verify", "{scene}", "--plane", "0,0,1,-1"],
+        ["oracle", "{scene}", "--resolution", "16", "--json"],
+        ["enumerate"],
+    ], ids=["solve", "solve-json", "verify", "oracle-json", "enumerate"])
+    def test_out_writes_what_is_printed(self, tmp_path, capsys, command):
+        path = _write(tmp_path, "s.json", I1_SCENE)
+        out_path = tmp_path / "result.txt"
+        argv = [arg.format(scene=path) for arg in command] + ["--out", str(out_path)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed and out_path.read_text() == printed
+
+    def test_oracle_cluster_residuals(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", I5_I6_SCENE)
+        assert main(["oracle", path, "--resolution", "24", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        cons = load_scene(path).constraint_list()
+        clusters = grid_oracle(cons, resolution=24).clusters
+        assert doc["solver"] == "oracle" and doc["possibly_incomplete"]
+        assert doc["message"] == "grid resolution 24"
+        assert len(doc["planes"]) == len(clusters) > 0
+        for entry, (plane, res) in zip(doc["planes"], clusters):
+            assert entry["coeffs"] == list(plane.coeffs())
+            assert entry["cluster_residual"] == res == stacked_residual(cons, plane)
+            assert res < 1e-6
+
+
+# An I6 point and skew I3 lines 5e-10 apart: outside the preconditions'
+# TOL_SEPARATION (1e-10), so the scene loads and the envelope exports.
+I6_NEAR_SCENE = """
+{
+  "points": {"P": [0.3, 0.2, 0.5000000005]},
+  "planes": {"pi": {"normal": [0, 0, 1], "offset": 0.5}},
+  "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}}]
+}
+"""
+
+I3_NEAR_SCENE = """
+{
+  "lines": {
+    "m": {"point": [0, 0, 0], "dir": [0, 1, 0]},
+    "n": {"point": [0, 0, 5e-10], "dir": [1, 0, 0]}
+  },
+  "constraints": [{"type": "I3", "args": {"line": "m", "line2": "n"}}]
+}
+"""
+
+
+@pytest.mark.parametrize("kind, scene", [("I3", I3_NEAR_SCENE), ("I6", I6_NEAR_SCENE)], ids=["I3", "I6"])
+def test_envelope_of_a_pair_just_apart(tmp_path, capsys, kind, scene):
+    path = _write(tmp_path, "s.json", scene)
+    out_path = tmp_path / "envelope.obj"
+    code = main(["envelope", path, "--incidence", kind, "--out", str(out_path)])
+    assert code == 0, capsys.readouterr().err
+    verts = np.array([
+        [float(v) for v in line.split()[1:]]
+        for line in out_path.read_text().splitlines() if line.startswith("v ")
+    ])
+    assert verts.shape == (33 * 33, 3) and np.isfinite(verts).all()

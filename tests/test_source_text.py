@@ -13,6 +13,10 @@ whose rounding depends on the batch, so a Newton seed's root would depend on
 its batch-mates.  The residual kernels of ``constraints._KINDS`` contract
 row by row (``constraints._dot``); an ``ast`` check fails when a ``@`` comes
 back into them or into the module functions they call.
+
+A quadric's coefficient layout is stated once, by the slot table of
+``envelopes.Quadric``; meshing reads the quadric's 4x4 matrix, and an
+``ast`` check fails when ``meshing.py`` reads a ``coeffs`` attribute.
 """
 
 import ast
@@ -90,3 +94,33 @@ def test_matrix_product_guard_finds_a_product():
     source = CONSTRAINTS.read_text()
     assert "s = _dot(N, d)" in source
     assert _matrix_products(source.replace("s = _dot(N, d)", "s = N @ d"))
+
+
+MESHING = next(p for p in SOURCES if p.name == "meshing.py")
+
+
+def _coeffs_reads(source: str) -> list[str]:
+    """Lines that read an attribute named ``coeffs`` without calling it
+    (``Plane3.coeffs()`` is a method; a quadric's ``coeffs`` is its tuple)."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [
+        f"meshing.py:{node.lineno}: .coeffs"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs" and id(node) not in called
+    ]
+
+
+def test_meshing_reads_no_quadric_coeffs():
+    reads = _coeffs_reads(MESHING.read_text())
+    assert not reads, "\n".join(reads)
+
+
+def test_coeffs_guard_tells_a_read_from_a_mention():
+    assert _coeffs_reads("c = fam.envelope().coeffs")
+    assert _coeffs_reads("z = -rest / quadric.coeffs[8]")
+    assert not _coeffs_reads('"""Reads the matrix, never quadric.coeffs."""\n# c = q.coeffs\n')
+    assert not _coeffs_reads("a, b, c, d = plane.coeffs()")
+    source = MESHING.read_text()
+    assert "z_row = quadric.matrix[2]" in source
+    assert _coeffs_reads(source.replace("z_row = quadric.matrix[2]", "z_row = quadric.coeffs[2]"))
