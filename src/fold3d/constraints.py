@@ -430,12 +430,16 @@ _NORMAL_NORM = np.diag([1.0, 1.0, 1.0, 0.0])
 
 def _form(v, w: float = 0.0) -> np.ndarray:
     """The linear form v . N + w d."""
-    return np.append(np.asarray(v, dtype=float), w)
+    out = np.empty(4)
+    out[:3] = v
+    out[3] = w
+    return out
 
 
 def _product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Symmetric matrix of the quadric (h . f)(h . g)."""
-    return (np.outer(f, g) + np.outer(g, f)) / 2.0
+    fg = f[:, None] * g
+    return (fg + fg.T) / 2.0
 
 
 def _landing(v: np.ndarray, w: float, nu: np.ndarray, o: float) -> np.ndarray:

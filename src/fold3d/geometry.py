@@ -34,6 +34,10 @@ _SIGN_EPS = 1e-12
 
 # A normal or line direction whose norm is this close to 1 is not renormalised.
 _UNIT_SLACK = 4.0 * np.finfo(float).eps
+# Near 1, a norm from the squares summed in Python floats and one from
+# np.linalg.norm, which fuses multiply-adds (a BLAS dot), are at most
+# 2.25 eps apart.
+_NORM_DRIFT = 2.5 * np.finfo(float).eps
 _EYE3 = np.eye(3)
 
 
@@ -59,7 +63,16 @@ def _unit(v: np.ndarray, what: str = "vector") -> np.ndarray:
     return v / n
 
 
-def _canonical_sign(v: np.ndarray) -> float:
+def _is_unit(x: float, y: float, z: float) -> bool:
+    """abs(np.linalg.norm((x, y, z)) - 1) <= _UNIT_SLACK, decided in Python
+    floats unless the norm is within _NORM_DRIFT of that bound."""
+    gap = abs(math.sqrt(x * x + y * y + z * z) - 1.0)
+    if abs(gap - _UNIT_SLACK) > _NORM_DRIFT:
+        return gap <= _UNIT_SLACK
+    return abs(float(np.linalg.norm((x, y, z))) - 1.0) <= _UNIT_SLACK
+
+
+def _canonical_sign(v) -> float:
     """Sign that makes the first component with |x| > eps positive."""
     for c in v:
         if abs(c) > _SIGN_EPS:
@@ -145,17 +158,16 @@ class Plane3:
     offset: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
         # a normal already unit to rounding is kept as given, so a plane
         # rebuilt from its own normal and offset is the same bit for bit
-        if not abs(float(np.linalg.norm(n)) - 1.0) <= _UNIT_SLACK:
-            n = _unit(n, "plane normal")
+        x, y, z = map(float, self.normal)
+        if not _is_unit(x, y, z):
+            x, y, z = _unit(np.array((x, y, z)), "plane normal").tolist()
         offset = float(self.offset)
         if not math.isfinite(offset):
             raise DegenerateInput("plane offset must be finite")
-        s = _canonical_sign(n)
-        n = n * s
-        object.__setattr__(self, "normal", (float(n[0]), float(n[1]), float(n[2])))
+        s = _canonical_sign((x, y, z))
+        object.__setattr__(self, "normal", (x * s, y * s, z * s))
         object.__setattr__(self, "offset", offset * s)
 
     @classmethod
@@ -204,20 +216,26 @@ class RigidFrame:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=float)
-        t = np.array(self.translation, dtype=float)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise DegenerateInput("rigid frame needs a 3x3 rotation and a 3-vector")
-        if not all(map(math.isfinite, r.ravel().tolist() + t.tolist())):
-            raise DegenerateInput("rigid frame needs finite rotation and translation entries")
+        r = self._store(self.rotation, self.translation)
         if np.abs(r @ r.T - _EYE3).max() > 1e-10:
             raise DegenerateInput("rotation must be orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-10:
             raise DegenerateInput("rotation must have determinant +1")
+
+    def _store(self, rotation, translation) -> np.ndarray:
+        """Set read-only float copies of a 3x3 rotation and a 3-vector
+        translation with finite entries, and return the rotation."""
+        r = np.array(rotation, dtype=float)
+        t = np.array(translation, dtype=float)
+        if r.shape != (3, 3) or t.shape != (3,):
+            raise DegenerateInput("rigid frame needs a 3x3 rotation and a 3-vector")
+        if not all(map(math.isfinite, r.ravel().tolist() + t.tolist())):
+            raise DegenerateInput("rigid frame needs finite rotation and translation entries")
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+        return r
 
     @classmethod
     def from_axes(cls, e1, e2, e3, center) -> RigidFrame:
@@ -241,8 +259,12 @@ class RigidFrame:
         return Plane3(tuple(n), pi.offset + float(n @ self.translation))
 
     def inverse(self) -> RigidFrame:
+        """The inverse frame.  The transpose of a checked rotation is
+        orthonormal with determinant +1, so only finiteness is checked."""
         rt = self.rotation.T
-        return RigidFrame(rt, -rt @ self.translation)
+        inv = object.__new__(RigidFrame)
+        inv._store(rt, -rt @ self.translation)
+        return inv
 
 
 class LinePlaneRelation(Enum):

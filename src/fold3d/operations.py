@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from typing import Sequence
 
@@ -277,6 +278,12 @@ _CHARTS = np.linalg.qr(np.random.default_rng(2028).normal(size=(6, 3, 3)))[0]
 _POLISH_STEPS = 2
 
 
+def _norms(x: np.ndarray, axis=1) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis) of a real array: the same sums, without
+    its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
 def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Batched Sylvester matrices of polynomials given by coefficient rows."""
     df, dg = f.shape[-1] - 1, g.shape[-1] - 1
@@ -298,7 +305,7 @@ def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     the resultant vanishes identically."""
     syl = _sylvester(f, g)
     dets = np.linalg.det(syl)
-    noise = 1e-12 * np.max(np.prod(np.linalg.norm(syl, axis=-1), axis=-1))
+    noise = 1e-12 * np.max(np.prod(_norms(syl, -1), axis=-1))
     if np.max(np.abs(dets)) <= noise:
         return None
     coeffs = np.fft.fft(dets).real / len(dets)
@@ -426,7 +433,7 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     tail = np.maximum(np.einsum("ij,ij->i", kernel[:, 1:], kernel[:, 1:]), np.finfo(float).tiny)
     t = np.einsum("ij,ij->i", kernel[:, :-1], kernel[:, 1:]) / tail
     x = np.stack([s, t, np.ones_like(s)], axis=1) @ _CHARTS[i].T
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x /= _norms(x)[:, None]
     for _ in range(_POLISH_STEPS):
         # a form of order m is x . grad / m, and the step is the minimum-norm
         # J^T (J J^T)^-1 r, taken only where the gradients are independent
@@ -438,7 +445,7 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
         det = np.where(det > 1e-30 * m00 * m11, det, np.inf)
         y0, y1 = (m11 * r[0] - m01 * r[1]) / det, (m00 * r[1] - m01 * r[0]) / det
         x = x - y0[:, None] * j0 - y1[:, None] * j1
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x /= _norms(x)[:, None]
     return list(x)
 
 
@@ -456,7 +463,7 @@ def _distinct(forms: np.ndarray, count: int) -> list[np.ndarray]:
     are linearly independent of those kept before them."""
     if len(forms) >= count:
         head = np.reshape(forms[:count], (count, -1))
-        if np.all(np.linalg.norm(head, axis=1) > EXACT_REL_TOL) and _rank(
+        if np.all(_norms(head) > EXACT_REL_TOL) and _rank(
                 np.linalg.svd(head, compute_uv=False)) == count:
             # by interlacing, every prefix of the head has full rank too, so
             # the rule below would keep each of them
@@ -549,14 +556,14 @@ def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
     except IllPosed:
         if rank and (quotients := _divided(curves, b[0])):
             curves = quotients
-            plane = np.linalg.svd(np.append(b[0], 0.0)[None])[2][1:]  # b'_1 . N = 0
+            plane = np.linalg.svd(np.concatenate((b[0], (0.0,)))[None])[2][1:]  # b'_1 . N = 0
             points = _plane_points(plane, quadrics)
         normals = _curve_points(*(_divided(curves, np.eye(3)) or curves))
     for n in normals:
         j = int(np.argmax(np.abs(b @ n)))
         slope, value = float(b[j] @ n), float(n @ a[j] @ n)
         if 2.0 * abs(slope) > _AT_INFINITY * abs(value):
-            points.append(np.append(n, -value / (2.0 * slope)))
+            points.append(np.concatenate((n, (-value / (2.0 * slope),))))
     return points
 
 
@@ -589,8 +596,8 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
     """
     # by kind, so the planes do not depend on the order of different kinds
     cons = tuple(sorted(constraints, key=lambda c: c.kind.index))
-    spec = _checked_spec(cons)
-    if spec.dual_dimension is None:
+    spec, _, fixing = _checked_facts(tuple(c.kind.index for c in cons))
+    if fixing is not None:
         raise InvalidOperation(
             f"{spec} has a kind that fixes the fold plane; solve_exact takes only "
             "kinds with a dual locus"
@@ -611,9 +618,9 @@ def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolu
         if quadric is not None:
             quadrics.append(quadric)
     rows = np.reshape(rows, (-1, 4)) * scale
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    quadrics = np.reshape(quadrics, (-1, 4, 4)) * np.outer(scale, scale)
-    quadrics /= np.linalg.norm(quadrics, axis=(1, 2), keepdims=True)
+    rows /= _norms(rows)[:, None]
+    quadrics = np.reshape(quadrics, (-1, 4, 4)) * (scale[:, None] * scale)
+    quadrics /= _norms(quadrics, (1, 2))[:, None, None]
     null = np.eye(4)
     if len(rows):
         _, sv, vt = np.linalg.svd(rows)
@@ -628,8 +635,8 @@ def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolu
     else:
         points = list(null) if len(null) < 2 else _line_points(null, quadrics)
     h = np.reshape(points, (-1, 4))
-    h = h / np.linalg.norm(h, axis=1, keepdims=True)
-    size = np.linalg.norm(h[:, :3], axis=1)
+    h = h / _norms(h)[:, None]
+    size = _norms(h[:, :3])
     h, size = h[size > _AT_INFINITY], size[size > _AT_INFINITY]
     normals, offsets = h[:, :3] / size[:, None], h[:, 3] * r / size
     verified = stacked_residual_grid(cons, normals, offsets) < tol
@@ -674,19 +681,32 @@ def solve_3I6(
 # ---------------------------------------------------------------------------
 
 
-def _checked_spec(cons: Sequence[Constraint]) -> OperationSpec:
-    """The operation of cons; raises InvalidOperation for the three rejected
-    combinations and for under-constrained multisets."""
-    spec = OperationSpec.from_constraints(cons)
+@lru_cache(maxsize=256)
+def _operation_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str | None, str, int | None]:
+    """For a sorted tuple of kind indices: the operation, the message
+    InvalidOperation gives when it is refused (else None), its
+    solver_route, and its first kind that fixes the fold plane (else None).
+    Worked out once per key; a call may pass any number of constraints, so
+    only the most recent keys are kept."""
+    spec = OperationSpec.from_kinds(key)
     reason = spec.rejection_reason()
     if reason is not None:
-        raise InvalidOperation(f"invalid combination {spec}: {reason}")
+        return spec, f"invalid combination {spec}: {reason}", "", None
     if spec.total_codimension < 3:
-        raise InvalidOperation(
-            f"{spec} has combined codimension {spec.total_codimension} < 3; "
-            "it leaves free fold-plane parameters"
-        )
-    return spec
+        return spec, (f"{spec} has combined codimension {spec.total_codimension} < 3; "
+                      "it leaves free fold-plane parameters"), "", None
+    fixing = next((k.index for k in spec.kinds if k.linear_forms is None), None)
+    return spec, None, solver_route(spec), fixing
+
+
+def _checked_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str, int | None]:
+    """_operation_facts of key less the refusal, which raises
+    InvalidOperation: the three rejected combinations and under-constrained
+    multisets."""
+    spec, refusal, route, fixing = _operation_facts(key)
+    if refusal is not None:
+        raise InvalidOperation(refusal)
+    return spec, route, fixing
 
 
 # solve_generic's normal scan (theta x phi counts).
@@ -700,7 +720,7 @@ def solve_generic(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldS
     incomplete: a numeric search proves existence, never exhaustiveness.
     """
     cons = tuple(constraints)
-    _checked_spec(cons)
+    _checked_facts(tuple(sorted(c.kind.index for c in cons)))
     planes = [plane for plane, _ in search(cons, *SCAN_LATTICE, True, tol)]
     return FoldSolution.finite(planes, possibly_incomplete=True, provenance="generic")
 
@@ -749,15 +769,16 @@ def solve_operation(
     by_kind = tuple(sorted(constraints, key=lambda c: c.kind.index))
     if not by_kind:
         raise InvalidOperation("no constraints given")
-    spec = _checked_spec(by_kind)
+    key = tuple(c.kind.index for c in by_kind)
+    _, route, fixing = _checked_facts(key)
     r = payload_radius(by_kind)
     _check_scale(r)
-    if solver_route(spec) == "exact":
+    if route == "exact":
         return _solve_exact(by_kind, r, max(tol, 1e-8))
-    if spec.key in _DEDICATED:
-        return _DEDICATED[spec.key](tuple(obj for c in by_kind for obj in c.objects), tol)
-    fixing = next(c for c in by_kind if c.kind.linear_forms is None)
-    others = [c for c in by_kind if c is not fixing]
-    planes = _DEDICATED[(fixing.kind.index,)](fixing.objects, tol).planes
+    if key in _DEDICATED:
+        return _DEDICATED[key](tuple(obj for c in by_kind for obj in c.objects), tol)
+    fixer = next(c for c in by_kind if c.kind.index == fixing)
+    others = [c for c in by_kind if c is not fixer]
+    planes = _DEDICATED[(fixing,)](fixer.objects, tol).planes
     return FoldSolution.finite(
         [x for x in planes if sum(residual(c, x) for c in others) < max(tol, 1e-8)])

@@ -32,9 +32,10 @@ from fold3d import (
     reflect_plane,
     reflect_point,
 )
-from fold3d.geometry import TOL_SEPARATION, cross3
+from fold3d.geometry import _UNIT_SLACK, TOL_SEPARATION, _is_unit, cross3
 from helpers import (
     point_off_line,
+    random_frame,
     point_off_plane,
     random_line,
     random_plane,
@@ -208,6 +209,91 @@ class TestRigidFrameChecks:
         # RuntimeWarning (the suite turns those into errors)
         with pytest.raises(DegenerateInput, match="finite"):
             RigidFrame(r, t)
+
+    def test_inverse_is_the_checked_transpose(self):
+        rng = np.random.default_rng(2104)
+        for _ in range(200):
+            frame = random_frame(rng)
+            rt = frame.rotation.T
+            inv, want = frame.inverse(), RigidFrame(rt, -rt @ frame.translation)
+            for got, ref in ((inv.rotation, want.rotation), (inv.translation, want.translation)):
+                assert _same_bits(got, ref) and got.strides == ref.strides
+                assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                inv.rotation[0, 0] = 2.0
+
+    def test_inverse_refuses_a_translation_that_overflows(self):
+        c = math.sqrt(0.5)
+        turn = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+        frame = RigidFrame(turn, np.array([1.7e308, -1.7e308, 0.0]))
+        with np.errstate(over="ignore"), pytest.raises(DegenerateInput, match="finite"):
+            frame.inverse()
+
+
+def _numpy_plane(normal, offset) -> tuple:
+    """Plane3's normal and offset as np.linalg.norm's unit check and an
+    array's sign canonicalisation give them."""
+    n = np.asarray(normal, dtype=float)
+    if not abs(float(np.linalg.norm(n)) - 1.0) <= _UNIT_SLACK:
+        n = n / np.linalg.norm(n)
+    s = next((1.0 if c > 0 else -1.0 for c in n if abs(c) > 1e-12), 1.0)
+    n = n * s
+    return (float(n[0]), float(n[1]), float(n[2])), float(offset) * s
+
+
+def _at_the_slack(rng, count: int) -> np.ndarray:
+    """Normals whose np.linalg.norm is 1 + _UNIT_SLACK or 1 - _UNIT_SLACK
+    exactly."""
+    eps = np.finfo(float).eps
+    found = []
+    while len(found) < count:
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        for sign in (1.0, -1.0):
+            for k in range(-8, 9):
+                v = u * (1.0 + sign * _UNIT_SLACK + k * eps / 4)
+                if abs(float(np.linalg.norm(v)) - 1.0) == _UNIT_SLACK:
+                    found.append(v)
+                    break
+    return np.array(found)
+
+
+class TestUnitCheck:
+    """Plane3 decides in Python floats whether a normal is already unit, as
+    np.linalg.norm would, and keeps the normal's bits exactly then."""
+
+    def _normals(self):
+        rng = np.random.default_rng(2102)
+        eps = np.finfo(float).eps
+        random = rng.normal(size=(20_000, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(20_000, 1))
+        unit = random / np.linalg.norm(random, axis=1, keepdims=True)
+        near = unit * (1.0 + rng.integers(-24, 25, size=(20_000, 1)) * eps / 2)
+        return {"random": random, "near-unit": near, "at-slack": _at_the_slack(rng, 400)}
+
+    def test_same_decision_as_np_linalg_norm(self):
+        for name, normals in self._normals().items():
+            for n in normals:
+                want = abs(float(np.linalg.norm(n)) - 1.0) <= _UNIT_SLACK
+                assert _is_unit(*n.tolist()) == want, (name, n)
+
+    def test_at_slack_set_has_both_sides(self):
+        gaps = {float(np.linalg.norm(n)) - 1.0 for n in _at_the_slack(np.random.default_rng(5), 200)}
+        assert gaps == {_UNIT_SLACK, -_UNIT_SLACK}
+
+    def test_plane_bits_match_the_numpy_rule(self):
+        rng = np.random.default_rng(2103)
+        for name, normals in self._normals().items():
+            offsets = rng.normal(scale=10.0, size=len(normals))
+            for n, o in zip(normals, offsets):
+                pl = Plane3(tuple(n), o)
+                assert ((*pl.normal, pl.offset)
+                        == (*_numpy_plane(n, o)[0], _numpy_plane(n, o)[1])), (name, n)
+
+    @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0),
+                                        (1e-200, 0.0, 0.0)])
+    def test_refuses_what_cannot_be_normalised(self, normal):
+        with pytest.raises(DegenerateInput, match="plane normal"):
+            Plane3(normal, 0.0)
 
 
 class TestReflectPoint:

@@ -1,5 +1,6 @@
 """Fold operations: enumeration, dedicated solvers, dispatch, generic search."""
 
+from itertools import combinations_with_replacement
 from unittest import mock
 
 import numpy as np
@@ -585,6 +586,77 @@ class TestSolveOperation:
         sol = solve_operation(cons)
         assert sol.provenance == "exact" and not sol.possibly_incomplete
         assert sol == solve_exact(cons)
+
+
+def _fresh_facts(key):
+    """The operation of a sorted tuple of kind indices, its route and its
+    first fixing kind, derived on every call without a memo; raises the
+    InvalidOperation that solve_operation gives for a refused multiset."""
+    spec = OperationSpec.from_kinds(key)
+    reason = spec.rejection_reason()
+    if reason is not None:
+        raise InvalidOperation(f"invalid combination {spec}: {reason}")
+    if spec.total_codimension < 3:
+        raise InvalidOperation(
+            f"{spec} has combined codimension {spec.total_codimension} < 3; "
+            "it leaves free fold-plane parameters")
+    fixing = [k.index for k in spec.kinds if k.linear_forms is None]
+    route = "dedicated" if spec.key in {(5, 6), (5, 9)} or fixing else "exact"
+    return spec, route, (fixing or [None])[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidOperation as exc:
+        return exc
+
+
+# every multiset of one to three kinds, and an over-constrained one of four
+_FACT_KEYS = [key for n in (1, 2, 3) for key in combinations_with_replacement(range(1, 13), n)]
+_FACT_KEYS.append((6, 6, 6, 8))
+
+
+class TestOperationFacts:
+    """solve_operation, solve_exact and solve_generic read an operation's
+    spec, refusal, route and fixing kind from a bounded memo keyed by the
+    sorted kind indices."""
+
+    def test_memo_matches_a_fresh_derivation(self):
+        for key in _FACT_KEYS:
+            want = _outcome(_fresh_facts, key)
+            got = [_outcome(fold3d.operations._checked_facts, key) for _ in range(2)]
+            for g in got:
+                if isinstance(want, InvalidOperation):
+                    assert type(g) is InvalidOperation and str(g) == str(want), key
+                else:
+                    assert g == want, key
+                    assert g[1] == solver_route(g[0]), key
+            if isinstance(want, InvalidOperation):
+                assert got[0] is not got[1]  # a fresh exception on each call
+
+    def test_refusals_through_solve_operation(self):
+        rng = np.random.default_rng(2101)
+        refused = 0
+        for key in _FACT_KEYS:
+            want = _outcome(_fresh_facts, key)
+            if not isinstance(want, InvalidOperation):
+                continue
+            cons = [random_payload(rng, IncidenceKind(f"I{k}")) for k in key][::-1]
+            with pytest.raises(InvalidOperation) as info:
+                solve_operation(cons)
+            assert str(info.value) == str(want)
+            refused += 1
+        assert refused == 8 + 10 + 3  # codimension 1 or 2, two of 1, and the three rejected
+
+    def test_memo_stays_at_its_bound(self):
+        memo = fold3d.operations._operation_facts
+        bound = memo.cache_info().maxsize
+        assert bound == 256
+        keys = list(combinations_with_replacement(range(1, 13), 4))[: 3 * bound]
+        for key in keys:
+            fold3d.operations._checked_facts(key)
+        assert memo.cache_info().currsize == bound
 
 
 def _objects(cons, kind):

@@ -4,9 +4,11 @@
 array handling, several times the arithmetic of one 3-vector or one scalar
 polynomial.  The package computes those with ``geometry.cross3`` and the
 scalar Horner loop of ``numerics._polish`` instead (bit for bit the same);
-batches of vectors go through ``constraints._cross``.  These tests read
+batches of vectors go through ``constraints._cross``.  ``np.append`` and
+``np.outer`` likewise cost several times the copy or broadcast product
+they make (``constraints._form`` and ``_product``).  These tests read
 ``src/fold3d/*.py`` as text, without importing anything, and fail when
-either call comes back.
+any of these calls comes back.
 
 A matrix product ``A @ v`` on a batch of candidate planes goes through BLAS,
 whose rounding depends on the batch, so a Newton seed's root would depend on
@@ -26,7 +28,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fold3d").glob("*.py"))
-SLOW_CALL = re.compile(r"\bnp\s*\.\s*(cross|polyval)\s*\(")
+SLOW_CALL = re.compile(r"\bnp\s*\.\s*(cross|polyval|append|outer)\s*\(")
 
 
 def test_sources_found():
@@ -34,7 +36,7 @@ def test_sources_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_np_cross_or_polyval_call(path):
+def test_no_slow_numpy_call(path):
     calls = [
         f"{path.name}:{number}: {line.strip()}"
         for number, line in enumerate(path.read_text().splitlines(), 1)
@@ -46,8 +48,12 @@ def test_no_np_cross_or_polyval_call(path):
 def test_guard_tells_a_call_from_a_mention():
     assert SLOW_CALL.search("    v = np.cross(n, u)")
     assert SLOW_CALL.search("p = float(np.polyval(coeffs, x))")
+    assert SLOW_CALL.search("    return np.append(np.asarray(v, dtype=float), w)")
+    assert SLOW_CALL.search("    q = (np.outer(f, g) + np.outer (g, f)) / 2.0")
     assert not SLOW_CALL.search('    differences np.cross forms, column by column')
     assert not SLOW_CALL.search("    v = cross3(n, u)")
+    assert not SLOW_CALL.search("    out = np.power.outer(s, powers)")
+    assert not SLOW_CALL.search("    np.appendix, np.outer product")
 
 
 def _kernel_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
