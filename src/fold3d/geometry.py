@@ -409,6 +409,9 @@ def _pair_frame(top, bottom, e2, refuse: str) -> tuple[RigidFrame, float]:
     e2, perpendicular to top - bottom, along +y; returns it and the half-gap
     a.  DegenerateInput(refuse) when the points are within TOL_SEPARATION."""
     gap = top - bottom
+    # the rounding of top - bottom leaves a part along e2 of about 1e-16 |top|,
+    # which tilts e3 off e2 by more than RigidFrame allows when the pair is close
+    gap = gap - (gap @ e2) * e2
     dist = float(np.linalg.norm(gap))
     if dist <= TOL_SEPARATION:
         raise DegenerateInput(refuse)

@@ -156,6 +156,28 @@ def coplanar_crossing_lines(rng, scale: float = 2.0) -> tuple[Line3, Line3]:
     return Line3(x, tuple(d1)), Line3(x, tuple(d2))
 
 
+CLOSE_PAIRS = ("I5", "I3-skew", "I3-parallel", "I7-parallel")
+
+
+def close_pair(rng, pair: str, h: float) -> tuple:
+    """The payload objects of a separated pair of CLOSE_PAIRS whose second
+    object is h from a random line m: an I5 point off m, a skew or parallel
+    line (the common perpendicular along u) and a plane parallel to m."""
+    m = random_line(rng)
+    d = m.direction
+    u = np.cross(d, random_unit(rng))
+    u /= np.linalg.norm(u)
+    x = m.point_at(rng.uniform(-1.0, 1.0)).xyz + h * u
+    if pair == "I5":
+        return Point3(*x), m
+    if pair == "I3-skew":
+        turn = rng.uniform(0.3, 1.3)
+        return m, Line3(Point3(*x), tuple(math.cos(turn) * d + math.sin(turn) * np.cross(d, u)))
+    if pair == "I3-parallel":
+        return m, Line3(Point3(*x), tuple(d))
+    return m, Plane3.from_point_normal(x, u)
+
+
 def random_payload(rng, kind: IncidenceKind) -> Constraint:
     """An admissible random payload of one incidence kind."""
 

@@ -31,6 +31,8 @@ from fold3d import (
 )
 from fold3d.meshing import quadric_mesh_canonical
 from helpers import (
+    CLOSE_PAIRS,
+    close_pair,
     line_parallel_to_plane,
     parallel_lines,
     point_off_line,
@@ -467,3 +469,19 @@ class TestFamilyTable:
                     with pytest.raises(NoEnvelope):
                         no_envelope()
 
+
+@pytest.mark.parametrize("h", [1e-6, 1e-7, 1e-8, 1e-9])
+@pytest.mark.parametrize("pair", CLOSE_PAIRS)
+def test_close_pair_family_builds(pair, h):
+    # a payload the constraint accepts is never refused by its frame
+    rng = np.random.default_rng(2106)
+    built = 0
+    for _ in range(25):
+        objs = close_pair(rng, pair, h)
+        try:
+            c = Constraint(IncidenceKind(pair[:2]), objs)
+        except InvalidConstraint:  # a line within TOL_INCIDENCE of a plane lies in it
+            continue
+        assert family(c).half_gap == pytest.approx(h / 2.0, rel=1e-5)
+        built += 1
+    assert built >= 5

@@ -42,6 +42,7 @@ from fold3d import (
 from fold3d.numerics import SEARCH_CLUSTER_TOL, search
 from helpers import (
     SystemInstance3I6,
+    close_pair,
     generic_specs,
     instance_3i6,
     instance_i5_i6,
@@ -1273,3 +1274,18 @@ class TestPointJustOffItsLine:
         assert sol.count == solve_exact(cons).count == count
         for plane in sol.planes:
             assert stacked_residual(cons, plane) < 1e-12
+
+
+class TestCloseSeparatedPairs:
+    """An I5 point h off its line, h down to 1e-9: the dedicated routes solve
+    every payload the constraint accepts, and the pair's frame refuses none."""
+
+    @pytest.mark.parametrize("h", [1e-6, 1e-7, 1e-8, 1e-9])
+    @pytest.mark.parametrize("other", [IncidenceKind.I6, IncidenceKind.I9], ids=["I6", "I9"])
+    def test_not_refused_by_the_frame(self, other, h):
+        rng = np.random.default_rng(2105)
+        for _ in range(25):
+            cons = [Constraint.I5(*close_pair(rng, "I5", h)), random_payload(rng, other)]
+            sol = solve_operation(cons)
+            assert sol.provenance == "dedicated"
+            assert sol.outcome in (Outcome.FINITE, Outcome.NO_SOLUTION)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from fold3d import (
+    Constraint,
     IncidenceKind,
+    InvalidConstraint,
     Line3,
     ParseError,
     Plane3,
@@ -28,7 +30,7 @@ from fold3d.cli import _build_parser, main
 from fold3d.meshing import MAX_MESH_RESOLUTION, MAX_TANGENT_PLANES
 from fold3d.numerics import grid_oracle
 from fold3d.scene import ResultDocument
-from helpers import random_line, random_payload
+from helpers import CLOSE_PAIRS, close_pair, random_line, random_payload
 
 I1_SCENE = """
 {
@@ -839,3 +841,41 @@ def test_envelope_of_a_pair_just_apart(tmp_path, capsys, kind, scene):
         for line in out_path.read_text().splitlines() if line.startswith("v ")
     ])
     assert verts.shape == (33 * 33, 3) and np.isfinite(verts).all()
+
+
+_PAIR_ARGS = {"I5": ("point", "line"), "I3": ("line", "line2"), "I7": ("line", "plane")}
+
+
+def _pair_scene(kind: str, objs) -> str:
+    """Scene JSON of one constraint of kind on the payload objects."""
+    doc = {"points": {}, "lines": {}, "planes": {}, "constraints": []}
+    for name, obj in zip(_PAIR_ARGS[kind], objs):
+        if isinstance(obj, Point3):
+            doc["points"][name] = [obj.x, obj.y, obj.z]
+        elif isinstance(obj, Line3):
+            doc["lines"][name] = {"point": [obj.base.x, obj.base.y, obj.base.z], "dir": list(obj.dir)}
+        else:
+            doc["planes"][name] = {"normal": list(obj.normal), "offset": obj.offset}
+    doc["constraints"].append({"type": kind, "args": {name: name for name in _PAIR_ARGS[kind]}})
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-7, 1e-8, 1e-9])
+@pytest.mark.parametrize("pair", CLOSE_PAIRS)
+def test_envelope_of_a_close_pair(tmp_path, capsys, pair, h):
+    rng = np.random.default_rng(2107)
+    kind = pair[:2]
+    while True:  # an I7 line within TOL_INCIDENCE of its plane lies in it
+        objs = close_pair(rng, pair, h)
+        try:
+            Constraint(IncidenceKind(kind), objs)
+            break
+        except InvalidConstraint:
+            continue
+    path = _write(tmp_path, "s.json", _pair_scene(kind, objs))
+    out_path = tmp_path / "envelope.obj"
+    code = main(["envelope", path, "--incidence", kind, "--out", str(out_path)])
+    if pair == "I3-parallel":  # the family builds, and has no envelope
+        assert code == 1 and "has no envelope" in capsys.readouterr().err
+    else:
+        assert code == 0, capsys.readouterr().err
