@@ -430,10 +430,7 @@ _NORMAL_NORM = np.diag([1.0, 1.0, 1.0, 0.0])
 
 def _form(v, w: float = 0.0) -> np.ndarray:
     """The linear form v . N + w d."""
-    out = np.empty(4)
-    out[:3] = v
-    out[3] = w
-    return out
+    return np.concatenate((v, (w,)))
 
 
 def _product(f: np.ndarray, g: np.ndarray) -> np.ndarray:

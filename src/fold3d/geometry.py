@@ -34,9 +34,8 @@ _SIGN_EPS = 1e-12
 
 # A normal or line direction whose norm is this close to 1 is not renormalised.
 _UNIT_SLACK = 4.0 * np.finfo(float).eps
-# Near 1, a norm from the squares summed in Python floats and one from
-# np.linalg.norm, which fuses multiply-adds (a BLAS dot), are at most
-# 2.25 eps apart.
+# Near 1, norms from squares summed in Python floats and by np.linalg.norm
+# (a BLAS dot, which fuses multiply-adds) are at most 2.25 eps apart.
 _NORM_DRIFT = 2.5 * np.finfo(float).eps
 _EYE3 = np.eye(3)
 
@@ -223,8 +222,7 @@ class RigidFrame:
             raise DegenerateInput("rotation must have determinant +1")
 
     def _store(self, rotation, translation) -> np.ndarray:
-        """Set read-only float copies of a 3x3 rotation and a 3-vector
-        translation with finite entries, and return the rotation."""
+        """Keep read-only copies of a finite rotation and translation."""
         r = np.array(rotation, dtype=float)
         t = np.array(translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):

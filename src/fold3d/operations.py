@@ -683,11 +683,9 @@ def solve_3I6(
 
 @lru_cache(maxsize=256)
 def _operation_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str | None, str, int | None]:
-    """For a sorted tuple of kind indices: the operation, the message
-    InvalidOperation gives when it is refused (else None), its
-    solver_route, and its first kind that fixes the fold plane (else None).
-    Worked out once per key; a call may pass any number of constraints, so
-    only the most recent keys are kept."""
+    """For a sorted tuple of kind indices: the operation, the message of
+    its refusal (else None), its solver_route, and its first kind that fixes
+    the fold plane (else None).  Keys are unbounded, so only recent ones stay."""
     spec = OperationSpec.from_kinds(key)
     reason = spec.rejection_reason()
     if reason is not None:
@@ -700,9 +698,8 @@ def _operation_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str | None, s
 
 
 def _checked_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str, int | None]:
-    """_operation_facts of key less the refusal, which raises
-    InvalidOperation: the three rejected combinations and under-constrained
-    multisets."""
+    """_operation_facts of key; a refusal (the three rejected combinations,
+    under-constrained multisets) raises InvalidOperation."""
     spec, refusal, route, fixing = _operation_facts(key)
     if refusal is not None:
         raise InvalidOperation(refusal)
