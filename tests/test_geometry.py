@@ -35,8 +35,8 @@ from fold3d import (
 from fold3d.geometry import _UNIT_SLACK, TOL_SEPARATION, _is_unit, cross3
 from helpers import (
     point_off_line,
-    random_frame,
     point_off_plane,
+    random_frame,
     random_line,
     random_plane,
     random_point,
@@ -231,14 +231,14 @@ class TestRigidFrameChecks:
 
 
 def _numpy_plane(normal, offset) -> tuple:
-    """Plane3's normal and offset as np.linalg.norm's unit check and an
-    array's sign canonicalisation give them."""
+    """Plane3's normal and offset, flat, as np.linalg.norm's unit check and
+    an array's sign canonicalisation give them."""
     n = np.asarray(normal, dtype=float)
     if not abs(float(np.linalg.norm(n)) - 1.0) <= _UNIT_SLACK:
         n = n / np.linalg.norm(n)
     s = next((1.0 if c > 0 else -1.0 for c in n if abs(c) > 1e-12), 1.0)
     n = n * s
-    return (float(n[0]), float(n[1]), float(n[2])), float(offset) * s
+    return float(n[0]), float(n[1]), float(n[2]), float(offset) * s
 
 
 def _at_the_slack(rng, count: int) -> np.ndarray:
@@ -286,8 +286,7 @@ class TestUnitCheck:
             offsets = rng.normal(scale=10.0, size=len(normals))
             for n, o in zip(normals, offsets):
                 pl = Plane3(tuple(n), o)
-                assert ((*pl.normal, pl.offset)
-                        == (*_numpy_plane(n, o)[0], _numpy_plane(n, o)[1])), (name, n)
+                assert (*pl.normal, pl.offset) == _numpy_plane(n, o), (name, n)
 
     @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0),
                                         (1e-200, 0.0, 0.0)])
