@@ -21,7 +21,7 @@ also vanishes for a reflected line parallel to the target, so it cannot
 give the skew-line gap, and the row computes that scalar itself.  Root
 filters recheck the scalar.
 
-``dual_locus`` reads the fold planes of an infinite kind in dual
+``dual_locus`` reads the fold planes of each kind in dual
 coordinates h = (N, d), the plane N . x = d with N of any length, where
 every kind is a few linear forms and at most one quadric (S = N . N below):
 
@@ -38,10 +38,13 @@ every kind is a few linear forms and at most one quadric (S = N . N below):
   (c - b))) + 2 (N . b - d)(N . (e x f)), which is S times the triple
   product (c - b') . (e' x f) of the reflected m = (b', e') and n, zero when
   they are coplanar; for parallel lines the one linear form
-  (e x (c - b), 0) keeps the reflected m in their plane.
+  (e x (c - b), 0) keeps the reflected m in their plane;
+* I1, I2, I4 and I12 (the kinds that fix the fold plane): the forms that
+  vanish on the one or two planes of their direct solvers, and for two
+  planes with normals a and b the quadric (N . (b - c a))(N . (a - c b)),
+  c = a . b; skew I2 lines give their two candidate planes.
 
-The finite kinds I1/I2/I4/I12 have no dual locus and direct solvers; the
-families of the infinite kinds are in ``envelopes``.
+The families of the infinite kinds are in ``envelopes``.
 """
 
 from __future__ import annotations
@@ -108,12 +111,11 @@ class IncidenceKind(str, Enum):
         return _KINDS[self].signature
 
     @property
-    def linear_forms(self) -> int | None:
+    def linear_forms(self) -> int:
         """Linear forms of the dual locus of a payload in general position
         (parallel I3 lines have one form and no quadric); the rest of the
-        codimension is one quadric.  None for the finite kinds."""
-        dual = _KINDS[self].dual
-        return None if dual is None else dual.linear
+        codimension is one quadric."""
+        return _KINDS[self].dual.linear
 
 
 def codimension(c: "Constraint") -> int:
@@ -501,6 +503,20 @@ def _dual_i11(objs):
     return [_form(pi.normal_vec)], None
 
 
+def _dual_planes(sol: "FoldSolution"):
+    """The dual locus of a kind that fixes the fold plane, from the planes
+    of its direct solver: the forms that vanish on their span, by SVD with
+    the offsets in units of the largest, and for two planes with normals a
+    and b the quadric (N . (b - c a))(N . (a - c b)), c = a . b."""
+    unit = max(1.0, *(abs(p.offset) for p in sol.planes))
+    h = np.array([(*p.normal, p.offset / unit) for p in sol.planes])
+    forms = list(np.linalg.svd(h)[2][len(h):] * (1.0, 1.0, 1.0, 1.0 / unit))
+    if len(h) == 1:
+        return forms, None
+    (a, b), c = h[:, :3], float(h[0, :3] @ h[1, :3])
+    return forms, _product(_form(b - c * a), _form(a - c * b))
+
+
 @dataclass(frozen=True)
 class _Dual:
     """The dual-locus column: ``locus(objects)`` gives the linear forms (rows
@@ -523,7 +539,7 @@ class _Kind:
 
     codimension: int
     signature: tuple[str, ...]
-    dual: _Dual | None
+    dual: _Dual
     components: Callable[[tuple, np.ndarray, np.ndarray], np.ndarray]
     reduce: Callable[[np.ndarray], np.ndarray] | None
     precondition: Callable[[tuple], None] = lambda objs: None
@@ -531,12 +547,19 @@ class _Kind:
 
 
 _KINDS: dict[IncidenceKind, _Kind] = {
-    IncidenceKind.I1: _Kind(3, ("point", "point"), None, _i1, _row_norm, _pre_distinct_points),
-    IncidenceKind.I2: _Kind(3, ("line", "line"), None, _i2, _turn_and_gap, _pre_distinct_lines),
+    # the direct solvers of the plane-fixing rows are defined below
+    IncidenceKind.I1: _Kind(
+        3, ("point", "point"), _Dual(3, lambda o: _dual_planes(solve_I1(*o))), _i1, _row_norm,
+        _pre_distinct_points),
+    IncidenceKind.I2: _Kind(
+        3, ("line", "line"), _Dual(2, lambda o: _dual_planes(solve_I2(*o, tol=math.inf))), _i2,
+        _turn_and_gap, _pre_distinct_lines),
     IncidenceKind.I3: _Kind(
         1, ("line", "line"), _Dual(0, _dual_i3), _i3, None, _pre_disjoint_lines,
         scalar=_i3_gap),
-    IncidenceKind.I4: _Kind(3, ("plane", "plane"), None, _i4, _turn_and_gap, _pre_distinct_planes),
+    IncidenceKind.I4: _Kind(
+        3, ("plane", "plane"), _Dual(2, lambda o: _dual_planes(solve_I4(*o))), _i4,
+        _turn_and_gap, _pre_distinct_planes),
     IncidenceKind.I5: _Kind(
         2, ("point", "line"), _Dual(1, _dual_i5), _i5, _row_norm, _pre_point_off_line),
     IncidenceKind.I6: _Kind(
@@ -547,18 +570,15 @@ _KINDS: dict[IncidenceKind, _Kind] = {
     IncidenceKind.I9: _Kind(2, ("line",), _Dual(2, _dual_i9), _i9, _turn),
     IncidenceKind.I10: _Kind(2, ("line",), _Dual(2, _dual_i10), _i10, _tilt_and_gap),
     IncidenceKind.I11: _Kind(1, ("plane",), _Dual(1, _dual_i11), _i11, _tilt),
-    IncidenceKind.I12: _Kind(3, ("plane",), None, _i12, _turn_and_gap),
+    IncidenceKind.I12: _Kind(
+        3, ("plane",), _Dual(3, lambda o: _dual_planes(solve_I12(*o))), _i12, _turn_and_gap),
 }
 
 
 def dual_locus(c: Constraint) -> tuple[list[np.ndarray], np.ndarray | None]:
     """The linear forms and the quadric (or None) in h = (N, d) that vanish
-    on the fold planes N . x = d satisfying c, a constraint of an infinite
-    kind."""
-    dual = _KINDS[c.kind].dual
-    if dual is None:
-        raise InvalidConstraint(f"{c.kind.value} fixes the fold plane; it has no dual locus")
-    return dual.locus(c.objects)
+    on the fold planes N . x = d satisfying c."""
+    return _KINDS[c.kind].dual.locus(c.objects)
 
 
 def residual_grid(c: Constraint, N: np.ndarray, O: np.ndarray) -> np.ndarray:
@@ -665,7 +685,7 @@ class FoldSolution:
 
 
 # ---------------------------------------------------------------------------
-# Direct solvers for the finite kinds
+# Direct solvers for the kinds that fix the fold plane
 # ---------------------------------------------------------------------------
 
 

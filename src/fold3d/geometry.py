@@ -55,8 +55,17 @@ def cross3(a, b) -> np.ndarray:
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
+def _norm3(v: np.ndarray) -> float:
+    """np.linalg.norm of a 3-vector, or math.hypot where a component beyond
+    1e150 would overflow np.linalg.norm's squares."""
+    x, y, z = v.tolist()
+    if max(abs(x), abs(y), abs(z)) <= 1e150:
+        return float(np.linalg.norm(v))
+    return math.hypot(x, y, z)
+
+
 def _unit(v: np.ndarray, what: str = "vector") -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    n = _norm3(v)
     if not math.isfinite(n) or n < 1e-300:
         raise DegenerateInput(f"{what} must be nonzero and finite")
     return v / n
@@ -117,7 +126,7 @@ class Line3:
         # a unit direction and a base perpendicular to it are kept as given;
         # one projection of a base far along d can leave b . d above rounding
         d = np.asarray(self.dir, dtype=float)
-        if not abs(float(np.linalg.norm(d)) - 1.0) <= _UNIT_SLACK:
+        if not abs(_norm3(d) - 1.0) <= _UNIT_SLACK:
             d = _unit(d, "line direction")
         d = d * _canonical_sign(d)
         b = self.base.xyz if isinstance(self.base, Point3) else _vec(self.base)
@@ -179,7 +188,7 @@ class Plane3:
     def from_coeffs(cls, a: float, b: float, c: float, d: float) -> Plane3:
         """Plane of the equation a x + b y + c z + d = 0."""
         n = _vec((a, b, c))
-        norm = float(np.linalg.norm(n))
+        norm = _norm3(n)
         if norm < 1e-300:
             raise DegenerateInput("plane coefficients (a, b, c) must not all vanish")
         return cls(tuple(n / norm), -d / norm)
@@ -318,12 +327,12 @@ def perpendicular_bisector_plane(p: Point3, q: Point3, tol: float = TOL_INCIDENC
 
 def classify_line_plane(m: Line3, pi: Plane3) -> LinePlaneRelation:
     """Exactly one of contained / parallel-disjoint / perpendicular / oblique,
-    to TOL_ANGLE and TOL_INCIDENCE."""
+    to TOL_ANGLE, and contained only within TOL_SEPARATION of the plane."""
     n = pi.normal_vec
     d = m.direction
     s = float(n @ d)
     if abs(s) <= TOL_ANGLE:
-        if pi.distance(m.base) <= TOL_INCIDENCE:
+        if pi.distance(m.base) <= TOL_SEPARATION:
             return LinePlaneRelation.CONTAINED
         return LinePlaneRelation.PARALLEL_DISJOINT
     if np.linalg.norm(cross3(n, d)) <= TOL_ANGLE:

@@ -8,27 +8,23 @@ normal and admit either no plane or a continuum): three half-plane swaps
 (3I11), a half-line swap with a half-plane swap (I9+I11), and two half-line
 swaps (2I9).  That leaves 47 valid operations.
 
-Two worked operations get dedicated closed forms, which restrict the fold
-plane to the I5 family of tangent planes and put its parameter t into the
-other condition: I5+I6 is a cubic in t and I5+I9 is linear in t.
-
-Every other operation whose kinds all have a dual locus, the worked
-I6+I8+I11 and 3I6 among them, is read in dual plane coordinates
-h = (N, d), where each constraint is a few linear forms and at most one
-quadric (constraints.dual_locus), and solve_exact solves it exactly.  The
+One exact solver, solve_exact, solves every valid multiset.  It reads the
+operation in dual plane coordinates h = (N, d), where each constraint is a
+few linear forms and at most one quadric (constraints.dual_locus).  The
 linear forms leave a P^k of planes (k = 3 minus their number).  On a point
-or a line (k <= 1: 28 operations) the first quadric is at most a
-quadratic; on a plane (k = 2: 9 operations) two quadrics are two conics;
-on all of P^3 (k = 3: 4 operations) eliminating d from three quadrics
-leaves two plane cubics in N, meeting in at most 7 planes, or d-free
-conics where the quadrics' d terms are dependent.  Two plane curves are
-met by a Sylvester resultant.
+or a line (k <= 1: 33 of the 47 operations, and every multiset with I1,
+I2, I4 or I12) the first quadric is at most a quadratic; on a plane (k = 2:
+10 operations) two quadrics are two conics; on all of P^3 (k = 3: 4
+operations) eliminating d from three quadrics leaves two plane cubics in
+N, meeting in at most 7 planes, or d-free conics where the quadrics' d
+terms are dependent.  Two plane curves are met by a Sylvester resultant.
 
-The kinds I1, I2, I4 and I12 each fix the fold plane alone: their dedicated
-solvers give at most two planes, and a multiset that mixes one of them with
-others keeps those planes that satisfy the rest.  The generic search (a
-scan of fold-plane normals, each at its best offset, seeding Gauss-Newton)
-solves no operation; it stays as a cross-check of the exact solvers.
+_DEDICATED is a speed table of six closed forms, faster than solve_exact
+and with the same planes: the direct solvers of I1, I2, I4 and I12, and
+I5+I6 and I5+I9, which put the parameter t of the I5 family of tangent
+planes into the other condition (a cubic in t, and linear in t).  The
+generic search (a scan of fold-plane normals, each at its best offset,
+seeding Gauss-Newton) solves no operation; it cross-checks the others.
 """
 
 from __future__ import annotations
@@ -142,12 +138,11 @@ class OperationSpec:
         return sum(k.codimension for k in self.kinds)
 
     @property
-    def dual_dimension(self) -> int | None:
+    def dual_dimension(self) -> int:
         """k = 3 minus the linear forms of the kinds' dual loci in general
         position: the dimension of the projective space of planes h = (N, d)
-        they leave.  None when a kind fixes the fold plane (I1, I2, I4, I12)."""
-        forms = [k.linear_forms for k in self.kinds]
-        return None if None in forms else 3 - sum(forms)
+        they leave, below 0 when the forms over-determine it."""
+        return 3 - sum(k.linear_forms for k in self.kinds)
 
     def codim_signature(self) -> tuple[int, ...]:
         return tuple(sorted((k.codimension for k in self.kinds), reverse=True))
@@ -568,13 +563,14 @@ def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
-    """Exact solver for every operation whose kinds all have a dual locus.
+    """Exact solver for every valid operation.
 
     Each constraint's dual locus (constraints.dual_locus) is a few linear
     forms and at most one quadric in h = (N, d), with d in units of the
     payload radius.  The unit linear forms' null space, by SVD with a rank
     test relative to the largest singular value, decides the class:
-    * empty or one point (k <= 0): no solution, or one candidate;
+    * one point (k <= 0), the least-squares one when the forms have full
+      rank: one candidate;
     * a line (k = 1): the first quadric that does not vanish on it is a
       binary quadratic (real_roots_quadratic, double roots once);
     * a plane of planes (k = 2, also when dependent forms of 2I5, I5+I7 or
@@ -586,30 +582,25 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSol
       where the quadrics' d terms are dependent.
     Points with N = 0 (the plane at infinity) are dropped, and every plane
     is re-verified against tol with the summed residual, so a quadric
-    beyond those used is only checked.  The result is exhaustive, so it is
-    not flagged possibly incomplete.  Raises IllPosed when the forms are
+    beyond those used is only checked.  The result is exhaustive, never
+    flagged possibly incomplete.  Raises IllPosed when the forms are
     dependent and leave a continuum (a null space of more dimensions than
     distinct quadrics on it, a line on which every quadric vanishes, or two
     curves sharing a component that carries planes) or when more than 7
-    planes of three quadrics verify, and InvalidOperation for an operation
-    with a kind that fixes the fold plane.
+    planes of three quadrics verify, and InvalidOperation as
+    solve_operation does.
     """
     # by kind, so the planes do not depend on the order of different kinds
     cons = tuple(sorted(constraints, key=lambda c: c.kind.index))
-    spec, _, fixing = _checked_facts(tuple(c.kind.index for c in cons))
-    if fixing is not None:
-        raise InvalidOperation(
-            f"{spec} has a kind that fixes the fold plane; solve_exact takes only "
-            "kinds with a dual locus"
-        )
+    _checked_facts(tuple(c.kind.index for c in cons))
     r = payload_radius(cons)
     _check_scale(r)
     return _solve_exact(cons, r, tol)
 
 
 def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolution:
-    """solve_exact on constraints sorted by kind, of a checked operation whose
-    kinds all have a dual locus, and on their checked payload radius r."""
+    """solve_exact on constraints sorted by kind, of a checked operation, and
+    on their checked payload radius r."""
     scale = np.array([1.0, 1.0, 1.0, r])
     rows, quadrics = [], []
     for c in cons:
@@ -624,7 +615,8 @@ def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolu
     null = np.eye(4)
     if len(rows):
         _, sv, vt = np.linalg.svd(rows)
-        null = vt[_rank(sv):]
+        # forms of full rank keep their least-squares plane, so tol decides
+        null = vt[min(_rank(sv), 3):]
     if len(null) == 4:  # no linear forms
         forms = _distinct(quadrics, 3)
         if len(forms) < 3:
@@ -656,24 +648,18 @@ def solve_I6_I8_I11(
     """Fold through q placing p onto pi and swapping the halves of plane tau:
     at most two planes.  The I8 and I11 forms leave a line of planes, on
     which the I6 quadric is a binary quadratic (solve_exact, k = 1)."""
-    return solve_exact((Constraint.I6(p, pi), Constraint.I8(q), Constraint.I11(tau)), tol=tol)
+    return solve_operation((Constraint.I6(p, pi), Constraint.I8(q), Constraint.I11(tau)), tol=tol)
 
 
 def solve_3I6(
-    p: Point3,
-    q: Point3,
-    r: Point3,
-    pi: Plane3,
-    tau: Plane3,
-    rho: Plane3,
-    tol: float = 1e-8,
+    p: Point3, q: Point3, r: Point3, pi: Plane3, tau: Plane3, rho: Plane3, tol: float = 1e-8
 ) -> FoldSolution:
     """Fold placing p onto pi, q onto tau, and r onto rho: at most 7 planes,
     met as three quadrics in dual plane coordinates (solve_exact, k = 3).
     Raises IllPosed when two constraints coincide or the solutions
     otherwise form a continuum."""
-    cons = (Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho))
-    return solve_exact(cons, tol=tol)
+    return solve_operation((Constraint.I6(p, pi), Constraint.I6(q, tau), Constraint.I6(r, rho)),
+                           tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -682,28 +668,26 @@ def solve_3I6(
 
 
 @lru_cache(maxsize=256)
-def _operation_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str | None, str, int | None]:
-    """For a sorted tuple of kind indices: the operation, the message of
-    its refusal (else None), its solver_route, and its first kind that fixes
-    the fold plane (else None).  Keys are unbounded, so only recent ones stay."""
+def _operation_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str | None]:
+    """For a sorted tuple of kind indices: the operation and the message of
+    its refusal (else None).  Keys are unbounded, so only recent ones stay."""
     spec = OperationSpec.from_kinds(key)
     reason = spec.rejection_reason()
     if reason is not None:
-        return spec, f"invalid combination {spec}: {reason}", "", None
+        return spec, f"invalid combination {spec}: {reason}"
     if spec.total_codimension < 3:
         return spec, (f"{spec} has combined codimension {spec.total_codimension} < 3; "
-                      "it leaves free fold-plane parameters"), "", None
-    fixing = next((k.index for k in spec.kinds if k.linear_forms is None), None)
-    return spec, None, solver_route(spec), fixing
+                      "it leaves free fold-plane parameters")
+    return spec, None
 
 
-def _checked_facts(key: tuple[int, ...]) -> tuple[OperationSpec, str, int | None]:
-    """_operation_facts of key; a refusal (the three rejected combinations,
-    under-constrained multisets) raises InvalidOperation."""
-    spec, refusal, route, fixing = _operation_facts(key)
+def _checked_facts(key: tuple[int, ...]) -> OperationSpec:
+    """The operation of key from _operation_facts; its refusal (a rejected
+    combination, an under-constrained multiset) raises InvalidOperation."""
+    spec, refusal = _operation_facts(key)
     if refusal is not None:
         raise InvalidOperation(refusal)
-    return spec, route, fixing
+    return spec
 
 
 # solve_generic's normal scan (theta x phi counts).
@@ -722,10 +706,9 @@ def solve_generic(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldS
     return FoldSolution.finite(planes, possibly_incomplete=True, provenance="generic")
 
 
-# Dedicated solvers by operation key, called with the payload objects of the
-# constraints sorted by kind; the rows of the kinds that fix the fold plane
-# also solve the first such constraint of a mixed multiset.  Each solver is
-# looked up by name when called, so wrappers set on this module
+# The speed table: closed forms faster than solve_exact, by operation key,
+# called with the payload objects of the constraints sorted by kind.  Each
+# solver is looked up by name when called, so wrappers set on this module
 # (perfbench/tracing.py) see every dispatch.
 _DEDICATED = {
     (1,): lambda objs, tol: solve_I1(*objs),
@@ -738,12 +721,10 @@ _DEDICATED = {
 
 
 def solver_route(spec: OperationSpec) -> str:
-    """The solver solve_operation picks for spec: "dedicated" for I5+I6,
-    I5+I9 and every multiset with a kind that fixes the fold plane (I1, I2,
-    I4, I12; dual dimension None), "exact" for the others."""
-    if spec.key in _DEDICATED or spec.dual_dimension is None:
-        return "dedicated"
-    return "exact"
+    """The solver solve_operation picks for spec: "dedicated" for the keys of
+    the speed table _DEDICATED (I1, I2, I4, I12, I5+I6 and I5+I9), "exact"
+    for the others."""
+    return "dedicated" if spec.key in _DEDICATED else "exact"
 
 
 def solve_operation(
@@ -751,31 +732,20 @@ def solve_operation(
 ) -> FoldSolution:
     """Solve a fold operation given its constraint payloads.
 
-    Routes by solver_route.  I5+I6 and I5+I9 go to their dedicated
-    solvers, and the operations whose kinds all have a dual locus to
-    solve_exact.  A multiset with a kind that fixes the fold plane solves
-    its first such constraint, by kind, with that kind's dedicated solver
-    and keeps the planes whose summed residual over the other constraints
-    is below max(tol, 1e-8); a single I1, I2, I4 or I12 has none to check
-    and returns its solver's solution as it is.  The fixing kind leaves at
-    most two planes, so every result is exhaustive and none is flagged
+    Routes by solver_route: the six keys of the speed table _DEDICATED go
+    to their closed forms with tol, every other operation to solve_exact
+    with max(tol, 1e-8).  Both are exhaustive, so no result is flagged
     possibly incomplete.  Raises InvalidOperation for the three rejected
     combinations and for under-constrained multisets, and DegenerateInput,
-    on every route, for a payload radius beyond MAX_PAYLOAD_RADIUS.
+    on both routes, for a payload radius beyond MAX_PAYLOAD_RADIUS.
     """
     by_kind = tuple(sorted(constraints, key=lambda c: c.kind.index))
     if not by_kind:
         raise InvalidOperation("no constraints given")
     key = tuple(c.kind.index for c in by_kind)
-    _, route, fixing = _checked_facts(key)
+    _checked_facts(key)
     r = payload_radius(by_kind)
     _check_scale(r)
-    if route == "exact":
-        return _solve_exact(by_kind, r, max(tol, 1e-8))
     if key in _DEDICATED:
         return _DEDICATED[key](tuple(obj for c in by_kind for obj in c.objects), tol)
-    fixer = next(c for c in by_kind if c.kind.index == fixing)
-    others = [c for c in by_kind if c is not fixer]
-    planes = _DEDICATED[(fixing,)](fixer.objects, tol).planes
-    return FoldSolution.finite(
-        [x for x in planes if sum(residual(c, x) for c in others) < max(tol, 1e-8)])
+    return _solve_exact(by_kind, r, max(tol, 1e-8))

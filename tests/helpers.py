@@ -216,6 +216,19 @@ def random_payload(rng, kind: IncidenceKind) -> Constraint:
     return Constraint(kind, tuple(make()))
 
 
+def scaled_constraint(c: Constraint, k: float) -> Constraint:
+    """c with its payload scaled by k about the origin."""
+
+    def scaled(obj):
+        if isinstance(obj, Point3):
+            return Point3(*(k * obj.xyz))
+        if isinstance(obj, Line3):
+            return Line3(Point3(*(k * obj.base.xyz)), obj.dir)
+        return Plane3(obj.normal, k * obj.offset)
+
+    return Constraint(c.kind, tuple(scaled(obj) for obj in c.objects))
+
+
 def payload_on_plane(rng, kind: IncidenceKind, plane: Plane3) -> Constraint:
     """A random payload of kind I1, I5, I6, I8, I9, I10 or I11 that the fold
     plane satisfies."""

@@ -40,6 +40,7 @@ from helpers import (
     random_point,
     reference_residual_components_grid,
     reference_residual_grid,
+    scaled_constraint,
     skew_lines,
 )
 
@@ -417,8 +418,8 @@ def _locus_defect(c, h: np.ndarray) -> float:
 
 # every infinite kind in general position, and the parallel I3 and I7 rows
 _DUAL_CASES = {
-    **{kind.value: (lambda rng, kind=kind: random_payload(rng, kind))
-       for kind in IncidenceKind if kind.linear_forms is not None},
+    **{f"I{i}": (lambda rng, i=i: random_payload(rng, IncidenceKind(f"I{i}")))
+       for i in (3, 5, 6, 7, 8, 9, 10, 11)},
     "I3-parallel": lambda rng: Constraint.I3(*parallel_lines(rng)),
     "I7-parallel": lambda rng: Constraint.I7(*line_parallel_to_plane(rng)),
 }
@@ -465,6 +466,58 @@ class TestDualLocus:
     @pytest.mark.parametrize("kind", [IncidenceKind.I1, IncidenceKind.I2,
                                       IncidenceKind.I4, IncidenceKind.I12])
     def test_finite_kinds_have_none(self, kind):
-        assert kind.linear_forms is None
-        with pytest.raises(InvalidConstraint, match="no dual locus"):
-            dual_locus(random_payload(np.random.default_rng(1), kind))
+        # no family, but a dual locus of general-position payloads that
+        # leaves a point (three forms) or a line with one quadric (two)
+        c = random_payload(np.random.default_rng(1), kind)
+        with pytest.raises(InvalidConstraint):
+            family(c)
+        forms, quadric = dual_locus(c)
+        assert len(forms) == kind.linear_forms == (2 if quadric is not None else 3)
+
+
+# the kinds that fix the fold plane, I2 and I4 also with parallel payloads
+# and I2 with skew lines, whose two candidate planes the locus keeps
+_FINITE_CASES = {
+    **{f"I{i}": (lambda rng, i=i: random_payload(rng, IncidenceKind(f"I{i}")))
+       for i in (1, 2, 4, 12)},
+    "I2-parallel": lambda rng: Constraint.I2(*parallel_lines(rng)),
+    "I2-skew": lambda rng: Constraint.I2(*skew_lines(rng)),
+    "I4-parallel": lambda rng: Constraint.I4(
+        pi := random_plane(rng), Plane3(pi.normal, pi.offset + rng.uniform(0.3, 2.0))),
+}
+
+
+class TestFiniteDualLocus:
+    """The dual locus of a kind that fixes the fold plane vanishes on the
+    planes of its direct solver and nowhere else."""
+
+    @staticmethod
+    def _planes(c):
+        if c.kind is IncidenceKind.I2:
+            return solve_I2(*c.objects, tol=np.inf).planes
+        return {IncidenceKind.I1: solve_I1, IncidenceKind.I4: solve_I4,
+                IncidenceKind.I12: solve_I12}[c.kind](*c.objects).planes
+
+    @pytest.mark.parametrize("case", list(_FINITE_CASES))
+    def test_direct_planes_on_locus(self, case):
+        rng = np.random.default_rng(2210 + sum(map(ord, case)))
+        for scale in (1.0, 1e-3, 1e4):
+            for _ in range(30):
+                c = scaled_constraint(_FINITE_CASES[case](rng), scale)
+                planes = self._planes(c)
+                forms, quadric = dual_locus(c)
+                assert len(forms) + (quadric is not None) == 3
+                assert len(planes) == (2 if quadric is not None else 1)
+                if quadric is not None:
+                    assert np.array_equal(quadric, quadric.T)
+                for plane in planes:
+                    assert _locus_defect(c, np.append(plane.normal_vec, plane.offset)) < 1e-12
+
+    @pytest.mark.parametrize("case", list(_FINITE_CASES))
+    def test_random_planes_off_locus(self, case):
+        rng = np.random.default_rng(2220 + sum(map(ord, case)))
+        for _ in range(30):
+            c = _FINITE_CASES[case](rng)
+            N, O = _candidate_normals_offsets(rng, k=20)
+            for n, o in zip(N, O):
+                assert _locus_defect(c, np.append(n, o)) > 1e-6

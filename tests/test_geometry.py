@@ -288,6 +288,14 @@ class TestUnitCheck:
                 pl = Plane3(tuple(n), o)
                 assert (*pl.normal, pl.offset) == _numpy_plane(n, o), (name, n)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_components_without_a_warning(self):
+        # beyond about 1.3e154 a component's square overflows np.linalg.norm
+        assert Plane3((1e200, 0.0, 0.0), 0.0).normal == (1.0, 0.0, 0.0)
+        assert Plane3.from_coeffs(1e200, 0.0, 0.0, 1.0) == Plane3((1.0, 0.0, 0.0), -1e-200)
+        half = math.sqrt(0.5)
+        assert Line3(Point3(0, 0, 0), (0.0, 1e300, 1e300)).dir == pytest.approx((0.0, half, half))
+
     @pytest.mark.parametrize("normal", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0),
                                         (1e-200, 0.0, 0.0)])
     def test_refuses_what_cannot_be_normalised(self, normal):
@@ -448,6 +456,12 @@ class TestClassify:
         m = Line3(Point3(0, 0, 2), (1, 0, 0))
         assert classify_line_plane(m, Z0) is LinePlaneRelation.PARALLEL_DISJOINT
 
+    @pytest.mark.parametrize("h, relation", [
+        (1e-9, LinePlaneRelation.PARALLEL_DISJOINT), (5e-11, LinePlaneRelation.CONTAINED)])
+    def test_contained_only_within_the_separation(self, h, relation):
+        m = Line3(Point3(0, 0, h), (1, 0, 0))
+        assert classify_line_plane(m, Z0) is relation
+
 
 def _assert_isometry(frame, pts):
     mapped = [frame.apply_point(p) for p in pts]
@@ -559,6 +573,8 @@ class TestSeparationThreshold:
             (Constraint.I6, canonical_frame_point_plane, (up, Plane3((0, 0, 1), 0.0))),
             (Constraint.I3, canonical_frame_skew_lines, (m, Line3(up, (1, 0, 0)))),
             (Constraint.I3, canonical_frame_parallel_lines, (m, Line3(up, (0, 1, 0)))),
+            (Constraint.I7, canonical_frame_line_plane_parallel,
+             (Line3(up, (0, 1, 0)), Plane3((0, 0, 1), 0.0))),
         ]
         for make, frame_of, objs in cases:
             if gap > TOL_SEPARATION:

@@ -21,6 +21,7 @@ from fold3d import (
     Plane3,
     Point3,
     enumerate_operations,
+    family,
     grid_oracle,
     plane_gap,
     planes_setwise_equal,
@@ -61,6 +62,7 @@ from helpers import (
     reference_contract,
     reference_distinct,
     reference_t_rows,
+    scaled_constraint,
     skew_lines,
     windowed_counts,
 )
@@ -574,11 +576,12 @@ class TestSolveOperation:
 
     def test_routes_unworked_to_generic(self):
         # a kind that fixes the fold plane mixed with others is not searched:
-        # its dedicated solver's planes are checked against the others
+        # its dual locus goes into solve_exact with the others'
         cons = [Constraint.I1(Point3(0, 0, 0), Point3(0, 0, 2)),
                 Constraint.I8(Point3(3, -1, 1))]
         sol = solve_operation(cons)
-        assert sol.provenance == "dedicated" and not sol.possibly_incomplete
+        assert sol.provenance == "exact" and not sol.possibly_incomplete
+        assert sol == solve_exact(cons)
 
     def test_routes_line_classes_to_exact(self):
         rng = np.random.default_rng(9)
@@ -590,9 +593,9 @@ class TestSolveOperation:
 
 
 def _fresh_facts(key):
-    """The operation of a sorted tuple of kind indices, its route and its
-    first fixing kind, derived on every call without a memo; raises the
-    InvalidOperation that solve_operation gives for a refused multiset."""
+    """The operation of a sorted tuple of kind indices, derived on every
+    call without a memo; raises the InvalidOperation that solve_operation
+    gives for a refused multiset."""
     spec = OperationSpec.from_kinds(key)
     reason = spec.rejection_reason()
     if reason is not None:
@@ -601,9 +604,7 @@ def _fresh_facts(key):
         raise InvalidOperation(
             f"{spec} has combined codimension {spec.total_codimension} < 3; "
             "it leaves free fold-plane parameters")
-    fixing = [k.index for k in spec.kinds if k.linear_forms is None]
-    route = "dedicated" if spec.key in {(5, 6), (5, 9)} or fixing else "exact"
-    return spec, route, (fixing or [None])[0]
+    return spec
 
 
 def _outcome(fn, *args):
@@ -620,8 +621,7 @@ _FACT_KEYS.append((6, 6, 6, 8))
 
 class TestOperationFacts:
     """solve_operation, solve_exact and solve_generic read an operation's
-    spec, refusal, route and fixing kind from a bounded memo keyed by the
-    sorted kind indices."""
+    spec and refusal from a bounded memo keyed by the sorted kind indices."""
 
     def test_memo_matches_a_fresh_derivation(self):
         for key in _FACT_KEYS:
@@ -632,7 +632,6 @@ class TestOperationFacts:
                     assert type(g) is InvalidOperation and str(g) == str(want), key
                 else:
                     assert g == want, key
-                    assert g[1] == solver_route(g[0]), key
             if isinstance(want, InvalidOperation):
                 assert got[0] is not got[1]  # a fresh exception on each call
 
@@ -713,6 +712,67 @@ class TestDispatchTable:
             found += want.count
         assert found > 0
 
+    def test_worked_wrappers_are_solve_operation(self):
+        # at scale 1e6 the planes' residuals lie near the tolerance, so a
+        # wrapper that passed its default 1e-9 to solve_exact instead of
+        # solve_operation's max(tol, 1e-8) gave other counts
+        make, direct = _DEDICATED_CASES[(6, 8, 11)]
+        rng = np.random.default_rng(2202)
+        for _ in range(40):
+            cons = [scaled_constraint(c, 1e6) for c in make(rng)]
+            assert direct(cons) == solve_operation(cons)
+
+
+def _parallel_planes(rng):
+    pi = random_plane(rng)
+    return [Constraint.I4(pi, Plane3(pi.normal, pi.offset + rng.uniform(0.3, 2.0)))]
+
+
+# every row of the speed table, I2 with crossing, parallel and skew lines and
+# I4 with crossing and parallel planes
+_SPEED_TABLE_CASES = {
+    "I1": _DEDICATED_CASES[(1,)][0],
+    "I2-crossing": _DEDICATED_CASES[(2,)][0],
+    "I2-parallel": lambda rng: [Constraint.I2(*parallel_lines(rng))],
+    "I2-skew": lambda rng: [Constraint.I2(*skew_lines(rng))],
+    "I4-crossing": _DEDICATED_CASES[(4,)][0],
+    "I4-parallel": _parallel_planes,
+    "I12": _DEDICATED_CASES[(12,)][0],
+    "I5+I6": _DEDICATED_CASES[(5, 6)][0],
+    "I5+I9": _DEDICATED_CASES[(5, 9)][0],
+}
+
+
+class TestSpeedTable:
+    """solve_exact gives the planes of every row of the speed table
+    _DEDICATED at any scale, so the rows only save time."""
+
+    def test_cases_cover_the_table(self):
+        rng = np.random.default_rng(0)
+        keys = {OperationSpec.from_constraints(make(rng)).key
+                for make in _SPEED_TABLE_CASES.values()}
+        assert keys == set(fold3d.operations._DEDICATED)
+        assert {solver_route(OperationSpec.from_kinds(key)) for key in keys} == {"dedicated"}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e4])
+    @pytest.mark.parametrize("case", list(_SPEED_TABLE_CASES))
+    def test_solve_exact_matches(self, case, scale):
+        rng = np.random.default_rng(2203 + list(_SPEED_TABLE_CASES).index(case))
+        found = 0
+        for _ in range(20):
+            cons = [scaled_constraint(c, scale) for c in _SPEED_TABLE_CASES[case](rng)]
+            want = solve_operation(cons, tol=1e-8 * scale)
+            got = solve_exact(cons, tol=1e-8 * scale)
+            assert (want.provenance, got.provenance) == ("dedicated", "exact")
+            assert got.outcome == want.outcome and got.count == want.count
+            # the gap of the planes in the unscaled scene
+            unscaled = [Plane3(q.normal, q.offset / scale) for q in want.planes]
+            for plane in got.planes:
+                plane = Plane3(plane.normal, plane.offset / scale)
+                assert min(plane_gap(plane, q) for q in unscaled) < 1e-9
+            found += got.count
+        assert (found == 0) == (case == "I2-skew")
+
 
 class TestHugeScenes:
     """Beyond MAX_PAYLOAD_RADIUS a length cubed overflows; the solvers refuse
@@ -720,14 +780,14 @@ class TestHugeScenes:
 
     @pytest.mark.parametrize("spec, scale", [
         ("I5+I6", 1e150), ("2I6+I8", 1e160),
-        # the plane-fixing and I5+I9 routes take the same limit
+        # the rows of the speed table take the same limit
         ("I2", 1e120), ("I1", 1e120), ("I5+I9", 1e120),
     ])
     def test_refused(self, spec, scale):
         rng = np.random.default_rng(1600)
         cons = [random_payload(rng, k) for k in OperationSpec.parse(spec).kinds]
         assert solve_operation(cons).outcome in (Outcome.FINITE, Outcome.NO_SOLUTION)
-        scaled = [Constraint(c.kind, tuple(_scaled(o, scale) for o in c.objects)) for c in cons]
+        scaled = [scaled_constraint(c, scale) for c in cons]
         with pytest.raises(DegenerateInput, match="payload radius"):
             solve_operation(scaled)
 
@@ -939,8 +999,7 @@ class TestSolveExact:
             cons = [random_payload(rng, k) for k in spec.kinds]
             count = solve_exact(cons).count
             for k in (1e-3, 1e4):
-                scaled = [Constraint(c.kind, tuple(_scaled(o, k) for o in c.objects))
-                          for c in cons]
+                scaled = [scaled_constraint(c, k) for c in cons]
                 assert solve_exact(scaled, tol=1e-8 * k).count == count, spec
 
     def test_collinear_fixed_points_ill_posed(self):
@@ -1011,17 +1070,17 @@ class TestSolveExact:
         assert sol.count == 1 and not sol.possibly_incomplete
         assert sol == solve_operation(self.TWO_CONICS)
 
-    def test_search_classes_refused(self):
+    def test_fixing_kind_mixes_solved_exactly(self):
         # the multisets mixing a kind that fixes the fold plane with others
-        # take that kind's dedicated solver, and solve_exact refuses them
+        # take solve_exact, which meets every kind's dual locus
         rng = np.random.default_rng(64)
-        fixing = [k for k in IncidenceKind if k.linear_forms is None]
-        for k1 in fixing:
+        for k1 in FIXING_KINDS:
             for k2 in IncidenceKind:
                 spec = OperationSpec.from_kinds([k1, k2])
-                assert solver_route(spec) == "dedicated"
-                with pytest.raises(InvalidOperation, match="fixes the fold plane"):
-                    solve_exact([random_payload(rng, k1), random_payload(rng, k2)])
+                assert solver_route(spec) == "exact" and spec.dual_dimension <= 1
+                cons = [random_payload(rng, k1), random_payload(rng, k2)]
+                sol = solve_exact(cons)
+                assert sol.provenance == "exact" and sol == solve_operation(cons)
 
     @pytest.mark.parametrize("kinds", ["I5+I6", "3I6"])
     def test_dedicated_classes_match_their_solvers(self, kinds):
@@ -1181,16 +1240,15 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("kinds", ["I1+I8", "I2+I11", "2I1", "I4+I9"])
     def test_fixing_kind_mixed_with_others_searched(self, kinds):
-        # a kind that fixes the fold plane has no dual locus, so a multiset
-        # mixing it with others is not searched: it keeps the planes of its
-        # dedicated solver that satisfy the rest, none for random payloads
+        # a multiset mixing a kind that fixes the fold plane with others is
+        # not searched: solve_exact meets the dual loci, which leave no
+        # plane for random payloads
         rng = np.random.default_rng(65)
         cons = [random_payload(rng, k) for k in OperationSpec.parse(kinds).kinds]
         sol = solve_operation(cons)
-        assert sol.provenance == "dedicated" and not sol.possibly_incomplete
+        assert sol.provenance == "exact" and not sol.possibly_incomplete
         assert sol.outcome is Outcome.NO_SOLUTION
-        with pytest.raises(InvalidOperation, match="fixes the fold plane"):
-            solve_exact(cons)
+        assert sol == solve_exact(cons)
 
     def test_fixed_plane_through_the_point_found(self):
         p, q = Point3(0, 0, 0), Point3(0, 0, 2)
@@ -1201,13 +1259,13 @@ class TestSolveExact:
 
 # the kinds that fix the fold plane alone, and the kinds payload_on_plane
 # builds on one of their planes
-FIXING_KINDS = [k for k in IncidenceKind if k.linear_forms is None]
+FIXING_KINDS = [IncidenceKind(f"I{i}") for i in (1, 2, 4, 12)]
 ON_PLANE_KINDS = [IncidenceKind(f"I{i}") for i in (1, 5, 6, 8, 9, 10, 11)]
 
 
 class TestFixingKindMixes:
-    """A multiset with a kind that fixes the fold plane keeps the planes of
-    its first such constraint that satisfy the others."""
+    """A multiset with a kind that fixes the fold plane gives the planes of
+    each such constraint's direct solver that satisfy the others."""
 
     def test_never_searches(self):
         def searched(*args, **kwargs):
@@ -1234,7 +1292,7 @@ class TestFixingKindMixes:
             cons = [fix, payload_on_plane(rng, other, fixed[rng.integers(len(fixed))])]
             want = [x for x in fixed if stacked_residual(cons, x) < 1e-8]
             sol = solve_operation(cons)
-            assert sol.provenance == "dedicated" and not sol.possibly_incomplete
+            assert sol.provenance == "exact" and not sol.possibly_incomplete
             assert sol.count == len(want) > 0
             for plane in sol.planes:
                 assert min(plane_gap(plane, x) for x in want) < 1e-9
@@ -1243,14 +1301,13 @@ class TestFixingKindMixes:
             inconsistent = solve_operation([fix, random_payload(rng, other)])
             assert inconsistent.outcome is Outcome.NO_SOLUTION
 
-
-def _scaled(obj, k: float):
-    """A payload object scaled by k about the origin."""
-    if isinstance(obj, Point3):
-        return Point3(*(k * obj.xyz))
-    if isinstance(obj, Line3):
-        return Line3(Point3(*(k * obj.base.xyz)), obj.dir)
-    return Plane3(obj.normal, k * obj.offset)
+    @pytest.mark.parametrize("off, count", [(1e-9, 1), (1e-7, 0)])
+    def test_tolerance_decides_an_overdetermined_mix(self, off, count):
+        # I1+I8 has four forms; with the point just off the bisector they
+        # have full rank, and their least-squares plane verifies within tol
+        p, q = Point3(0, 0, 0), Point3(0, 0, 2)
+        cons = [Constraint.I1(p, q), Constraint.I8(Point3(3, -1, 1 + off))]
+        assert solve_operation(cons).count == solve_exact(cons).count == count
 
 
 class TestPointJustOffItsLine:
@@ -1277,8 +1334,9 @@ class TestPointJustOffItsLine:
 
 
 class TestCloseSeparatedPairs:
-    """An I5 point h off its line, h down to 1e-9: the dedicated routes solve
-    every payload the constraint accepts, and the pair's frame refuses none."""
+    """An I5 point h off its line, or an I7 line h off a parallel plane, h
+    down to 1e-9: the solvers take every payload the constraint accepts,
+    and the pair's frame refuses none."""
 
     @pytest.mark.parametrize("h", [1e-6, 1e-7, 1e-8, 1e-9])
     @pytest.mark.parametrize("other", [IncidenceKind.I6, IncidenceKind.I9], ids=["I6", "I9"])
@@ -1289,3 +1347,18 @@ class TestCloseSeparatedPairs:
             sol = solve_operation(cons)
             assert sol.provenance == "dedicated"
             assert sol.outcome in (Outcome.FINITE, Outcome.NO_SOLUTION)
+
+    def test_line_just_off_its_plane(self):
+        # an I7 line 1e-9 off a parallel plane builds, and with I8 of a
+        # point on one of its family's planes that plane is found
+        rng = np.random.default_rng(2108)
+        for _ in range(25):
+            c = Constraint.I7(*close_pair(rng, "I7-parallel", 1e-9))
+            fam = family(c)
+            plane = fam.plane(*(rng.uniform(p.low, p.high) for p in fam.parameters))
+            cons = [c, payload_on_plane(rng, IncidenceKind.I8, plane)]
+            sol = solve_operation(cons)
+            assert sol.provenance == "exact"
+            assert min(plane_gap(plane, q) for q in sol.planes) < 1e-6
+            for q in sol.planes:
+                assert stacked_residual(cons, q) < 1e-8
