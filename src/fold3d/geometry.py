@@ -411,17 +411,20 @@ def perp_unit(v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pair_frame(top, bottom, e2, refuse: str) -> tuple[RigidFrame, float]:
+def _pair_frame(top, bottom, e2) -> tuple[RigidFrame, float]:
     """Frame placing top at (0, 0, a) and bottom at (0, 0, -a) with the unit
     e2, perpendicular to top - bottom, along +y; returns it and the half-gap
-    a.  DegenerateInput(refuse) when the points are within TOL_SEPARATION."""
+    a.  Each caller refuses a pair within TOL_SEPARATION by its constraint's
+    own distance test, so a pair the constraint accepts gets its frame,
+    unless top - bottom rounds to zero (a pair a few 1e-9 apart at 1e8
+    from the origin): then DegenerateInput."""
     gap = top - bottom
     # the rounding of top - bottom leaves a part along e2 of about 1e-16 |top|,
     # which tilts e3 off e2 by more than RigidFrame allows when the pair is close
     gap = gap - (gap @ e2) * e2
     dist = float(np.linalg.norm(gap))
-    if dist <= TOL_SEPARATION:
-        raise DegenerateInput(refuse)
+    if dist == 0.0:
+        raise DegenerateInput("the pair's gap rounds to zero this far from the origin")
     e3 = gap / dist
     return RigidFrame.from_axes(cross3(e2, e3), e2, e3, (top + bottom) / 2.0), dist / 2.0
 
@@ -437,11 +440,17 @@ def canonical_frame_point_line(p: Point3, m: Line3) -> tuple[RigidFrame, float]:
 
     Returns the frame and the half-gap a = dist(p, m) / 2.
     """
-    return _pair_frame(
-        p.xyz, m.closest_point_to(p).xyz, m.direction,
-        "point lies on the line; use the fixed-point (I8) or "
-        "line-to-itself (I9) constraints instead",
-    )
+    # the I5 precondition's test, with the arithmetic of Line3.distance_to_point
+    # and closest_point_to
+    d, top, base = m.direction, p.xyz, m.base.xyz
+    v = top - base
+    t = v @ d
+    if math.hypot(*(v - t * d)) <= TOL_SEPARATION:
+        raise DegenerateInput(
+            "point lies on the line; use the fixed-point (I8) or "
+            "line-to-itself (I9) constraints instead"
+        )
+    return _pair_frame(top, base + t * d, d)
 
 
 def canonical_frame_point_plane(p: Point3, pi: Plane3) -> tuple[RigidFrame, float]:
@@ -492,11 +501,11 @@ def canonical_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple[RigidFram
 def canonical_frame_line_plane_parallel(m: Line3, pi: Plane3) -> tuple[RigidFrame, float]:
     """Frame for a line parallel to (and off) a plane: line through (0, 0, a)
     along +y, plane onto z = -a."""
-    refuse = "line must be strictly parallel to the plane"
+    # a contained line is refused here, as by the I7 precondition
     if classify_line_plane(m, pi) is not LinePlaneRelation.PARALLEL_DISJOINT:
-        raise DegenerateInput(refuse)
+        raise DegenerateInput("line must be strictly parallel to the plane")
     foot = m.base.xyz - pi.signed_distance(m.base) * pi.normal_vec
-    return _pair_frame(m.base.xyz, foot, m.direction, refuse)
+    return _pair_frame(m.base.xyz, foot, m.direction)
 
 
 def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, float]:
@@ -506,10 +515,12 @@ def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, f
 
     Returns the frame, delta, and the half-gap a.
     """
-    pm, pn, _, parallel = line_line_closest(m, n)
+    pm, pn, dist, parallel = line_line_closest(m, n)
     if parallel:
         raise DegenerateInput("lines are parallel; no skew frame")
-    frame, a = _pair_frame(pm.xyz, pn.xyz, m.direction, "lines intersect; no skew frame")
+    if dist <= TOL_SEPARATION:  # the I3 precondition
+        raise DegenerateInput("lines intersect; no skew frame")
+    frame, a = _pair_frame(pm.xyz, pn.xyz, m.direction)
     dn = n.direction  # taken with x >= 0, so that |delta| <= pi/2
     x, y = float(dn @ frame.rotation[0]), float(dn @ frame.rotation[1])
     delta = math.atan2(y, x) if x >= 0 else math.atan2(-y, -x)
@@ -519,7 +530,9 @@ def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, f
 def canonical_frame_parallel_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float]:
     """Frame for distinct parallel lines: both along +y in the x = 0 plane,
     m at z = a and n at z = -a."""
-    pm, pn, _, parallel = line_line_closest(m, n)
+    pm, pn, dist, parallel = line_line_closest(m, n)
     if not parallel:
         raise DegenerateInput("lines are not parallel")
-    return _pair_frame(pm.xyz, pn.xyz, m.direction, "lines coincide; no parallel-pair frame")
+    if dist <= TOL_SEPARATION:  # the I3 precondition
+        raise DegenerateInput("lines coincide; no parallel-pair frame")
+    return _pair_frame(pm.xyz, pn.xyz, m.direction)

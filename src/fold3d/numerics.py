@@ -21,6 +21,7 @@ solution counting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ import numpy as np
 from .constraints import (
     payload_radius,
     residual_components_grid,
-    stacked_residual,
     stacked_residual_grid,
 )
 from .errors import AllRealLine, DegenerateInput
@@ -233,7 +233,7 @@ def newton_multistart(
     iteration, for all active seeds at once:
 
     * Jacobian: central differences with step FD_STEP * (1 + |x|), all 2·d
-      probes in one residual call.
+      probes built in one broadcast and evaluated in one residual call.
     * Step: s solves the normal equations JᵀJ s = Jᵀr.  Where JᵀJ is
       nearly singular (det ≤ 1e-10 · ∏ diag) or the test is not finite,
       s = pinv(J) r, the minimum-norm least-squares step.
@@ -243,18 +243,25 @@ def newton_multistart(
       model cannot halve the residual, so r is nearly orthogonal to the
       range of J and the seed sits near a non-zero stationary point of
       |r|² (the first-order test of MINPACK's gtol).  A stalled seed skips
-      the line search.  The step lengths are tried in blocks of 2·d, one
-      residual call each, from the full step down (for d = 3: 1 ... 1/32,
-      then 1/64 ... 1/512), the later blocks only for the seeds no earlier
-      one improved; so no batch is larger than the Jacobian's.
+      the line search.  The step lengths are tried in blocks, one residual
+      call each, from the full step down, the later blocks only for the
+      seeds no earlier one improved.  A batch residual's block holds as
+      many lengths as fit in the rows of the first Jacobian call (2·d·n for
+      n seeds), at least 2·d: once at most 2·d·n / 10 seeds are searching,
+      all ten lengths go in one call, and no batch is larger than the first
+      Jacobian's.  A per-row residual, where every row is its own call
+      anyway, takes blocks of 2·d (for d = 3: 1 ... 1/32, then 1/64 ...
+      1/512).
 
     A seed's path depends on its own values alone, not on which other seeds
-    share its batches, as long as the residual's rows do (the fold-plane
-    residual kernels give every row the same bits in any batch).
+    share its batches or how many lengths a block tries, as long as the
+    residual's rows do (the fold-plane residual kernels give every row the
+    same bits in any batch).
 
-    Converged seeds are clustered within cluster_tol, best residual first.
-    Deterministic: fixed iteration order, stable clustering, result sorted
-    lexicographically.
+    Converged seeds are clustered greedily within cluster_tol, best residual
+    first: each kept root drops the remaining candidates within cluster_tol
+    of it, one norm call per kept root.  Deterministic: fixed iteration
+    order, stable clustering, result sorted lexicographically.
     """
     x = np.asarray(seeds, dtype=float)
     if x.ndim == 1:
@@ -283,11 +290,13 @@ def newton_multistart(
     converged = norms < tol
     stalled = ~np.isfinite(norms)
     eye = np.eye(m, d)
-    diag = np.arange(d)
-    # step lengths 1, 1/2, ..., 1/512 in blocks of 2*d, so no batch is larger
-    # than the Jacobian's
+    # the probe offsets +e_j and -e_j, with -0.0 off the diagonal: x + -0.0 h
+    # is x bit for bit, even for x = -0.0
+    on = np.eye(d, dtype=bool)
+    signs = np.stack([np.where(on, 1.0, -0.0), np.where(on, -1.0, -0.0)])[:, :, None, :]
     lengths = 0.5 ** np.arange(10)
-    blocks = [lengths[lo : lo + 2 * d] for lo in range(0, lengths.size, 2 * d)]
+    # the rows of the first Jacobian call: no line-search batch is larger
+    rows = 2 * d * np.count_nonzero(~(converged | stalled))
 
     for _ in range(max_iter):
         idx = np.flatnonzero(~(converged | stalled))
@@ -297,11 +306,7 @@ def newton_multistart(
         ka = idx.size
         # all 2*d central-difference probes x +- h_j e_j in one residual batch
         h = FD_STEP * (1.0 + np.abs(xa))
-        probes = np.empty((2, d, ka, d))
-        probes[...] = xa
-        probes[0, diag, :, diag] += h.T
-        probes[1, diag, :, diag] -= h.T
-        rp = rf(probes.reshape(-1, d)).reshape(2, d, ka, m)
+        rp = rf((xa + signs * h).reshape(-1, d)).reshape(2, d, ka, m)
         jac = ((rp[0] - rp[1]) / (2.0 * h.T)[:, :, None]).transpose(1, 2, 0)
         bad = ~np.isfinite(jac).all(axis=(1, 2))
         jac[bad] = eye
@@ -312,9 +317,11 @@ def newton_multistart(
         model = ra[todo] - np.einsum("kmd,kd->km", jac[todo], step[todo])
         todo = todo[norms_of(model) < 0.5 * na[todo]]
         # each seed keeps the largest step length that improves it
-        for alphas in blocks:
-            if todo.size == 0:
-                break
+        lo = 0
+        while todo.size and lo < lengths.size:
+            per_call = max(2 * d, rows // todo.size) if vectorized else 2 * d
+            alphas = lengths[lo : lo + per_call]
+            lo += alphas.size
             trial = xa[todo][:, None, :] - alphas[None, :, None] * step[todo][:, None, :]
             rt = rf(trial.reshape(-1, d)).reshape(todo.size, alphas.size, m)
             nt = norms_of(rt)
@@ -335,15 +342,20 @@ def newton_multistart(
         converged = norms < tol
 
     cand = np.flatnonzero(converged)
-    cand = x[cand[np.argsort(norms[cand], kind="stable")]]
-    kept = np.empty_like(cand)
-    nk = 0
-    for v in cand:
-        if np.all(np.linalg.norm(kept[:nk] - v, axis=1) > cluster_tol):
-            kept[nk] = v
-            nk += 1
-    kept = kept[:nk]
+    kept = _cluster(x[cand[np.argsort(norms[cand], kind="stable")]], cluster_tol)
     return list(kept[np.lexsort(kept.T[::-1])])
+
+
+def _cluster(cand: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """The greedy clustering of (k, d) candidates in their order: a candidate
+    is kept when it is more than cluster_tol from every kept one.  Each kept
+    candidate drops the remaining ones within cluster_tol of it, so there is
+    one norm call per kept root and no k x k matrix."""
+    kept = []
+    while cand.shape[0]:
+        kept.append(cand[0])
+        cand = cand[1:][np.linalg.norm(cand[1:] - cand[0], axis=1) > cluster_tol]
+    return np.reshape(kept, (-1, cand.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +413,28 @@ def stacked_components_fn(constraints):
     return fn
 
 
+@functools.lru_cache(maxsize=4)
+def _scan_lattice(n_theta: int, n_phi: int):
+    """normal_scan's lattice, as read-only arrays built once per shape: theta
+    and phi of every cell in grid order, the normals of the scored cells
+    (the first half when n_phi is even, else all), and the twin (n_theta - 1
+    - i, j + n_phi/2) of each scored cell (i, j), None when n_phi is odd."""
+    thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    half = th.size // 2 if n_phi % 2 == 0 else th.size
+    normals, _ = params_to_planes(np.stack([th[:half], ph[:half], np.zeros(half)], axis=1))
+    arrays = [th, ph, normals]
+    twins = None
+    if half < th.size:
+        i, j = np.divmod(np.arange(half), n_phi)
+        twins = (n_theta - 1 - i) * n_phi + (j + n_phi // 2) % n_phi
+        arrays.append(twins)
+    for a in arrays:
+        a.setflags(write=False)
+    return th, ph, normals, twins
+
+
 def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     """Newton seeds (theta, phi, d*) from an n_theta x n_phi grid of
     fold-plane normals (theta at the cell centres of [0, pi], phi wrapping),
@@ -427,16 +461,14 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     is -d*, and it is valid when its twin is), so the seed rule sees the
     whole sphere and seeds twins together.  Of every seeded twin pair only
     the first-half cell is kept: each fold plane is searched once.  With
-    n_phi odd every cell is scored and kept.
+    n_phi odd every cell is scored and kept.  The lattice, its scored normals
+    and the twin map are built once per (n_theta, n_phi) and cached
+    read-only (_scan_lattice, a few shapes at most).
     """
     cons = tuple(constraints)
     radius = payload_radius(cons)
-    thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    n = th.size
-    half = n // 2 if n_phi % 2 == 0 else n
-    normals, _ = params_to_planes(np.stack([th[:half], ph[:half], np.zeros(half)], axis=1))
+    th, ph, normals, twins = _scan_lattice(n_theta, n_phi)
+    n, half = th.size, normals.shape[0]
     a = _stacked_components(cons, normals, np.zeros(half))
     b = _stacked_components(cons, normals, np.ones(half)) - a
     bb = np.einsum("ij,ij->i", b, b)
@@ -447,9 +479,8 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     score[:half][valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
         (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
     )
-    if half < n:  # the twin (n_theta - 1 - i, j + n_phi/2) of (i, j) gets its score
-        i, j = np.divmod(np.arange(half), n_phi)
-        score[(n_theta - 1 - i) * n_phi + (j + n_phi // 2) % n_phi] = score[:half]
+    if twins is not None:
+        score[twins] = score[:half]
     # local minima: theta neighbours beyond the poles count as +inf, phi wraps
     s = score.reshape(n_theta, n_phi)
     padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
@@ -486,7 +517,10 @@ def search(
     normals at their best offsets, valley floors included if asked; the
     converged planes whose summed residual is below refine_tol are kept,
     clustered with the fold-plane dedup metric (plane_gap) within
-    SEARCH_CLUSTER_TOL, best residual first.
+    SEARCH_CLUSTER_TOL, best residual first.  The roots are mapped to planes
+    by one params_to_planes call and verified by one stacked_residual_grid
+    call on the planes' own normals and offsets, which gives each plane the
+    bits of stacked_residual.
     """
     cons = tuple(constraints)
     roots = newton_multistart(
@@ -497,9 +531,16 @@ def search(
         cluster_tol=SEARCH_CLUSTER_TOL,
         vectorized=True,
     )
-    planes = [plane_from_params(*root) for root in roots]
-    found = [(p, stacked_residual(cons, p)) for p in planes]
-    found = sorted((pr for pr in found if pr[1] < refine_tol), key=lambda pr: pr[1])
+    if not roots:
+        return []
+    normals, offsets = params_to_planes(np.array(roots))
+    planes = [Plane3(nm, o) for nm, o in zip(normals.tolist(), offsets.tolist())]
+    residuals = stacked_residual_grid(
+        cons, np.array([p.normal for p in planes]), np.array([p.offset for p in planes])
+    )
+    found = sorted(
+        (pr for pr in zip(planes, residuals.tolist()) if pr[1] < refine_tol), key=lambda pr: pr[1]
+    )
     clusters: list[tuple[Plane3, float]] = []
     for plane, res in found:
         if all(plane_gap(plane, q) > SEARCH_CLUSTER_TOL for q, _ in clusters):

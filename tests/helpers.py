@@ -508,6 +508,19 @@ def reference_newton_multistart(
     return kept
 
 
+def reference_cluster(cand: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """The greedy clustering loop that ``fold3d.numerics._cluster``
+    replaced, kept verbatim: each candidate in turn is kept when it is more
+    than cluster_tol from every kept one, one norm call per candidate."""
+    kept = np.empty_like(cand)
+    nk = 0
+    for v in cand:
+        if np.all(np.linalg.norm(kept[:nk] - v, axis=1) > cluster_tol):
+            kept[nk] = v
+            nk += 1
+    return kept[:nk]
+
+
 def reference_normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     """The full-sphere normal scan that ``fold3d.numerics.normal_scan``
     replaced, kept verbatim as the reference its seeds are checked against:

@@ -478,3 +478,19 @@ def test_close_pair_family_builds(pair, h):
     for _ in range(25):
         c = Constraint(IncidenceKind(pair[:2]), close_pair(rng, pair, h))
         assert family(c).half_gap == pytest.approx(h / 2.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("pair", CLOSE_PAIRS)
+def test_pair_within_rounding_of_the_threshold_builds(pair):
+    # 1.0000001e-10 is within rounding of TOL_SEPARATION: whatever pairs the
+    # constraint accepts, by its own distance test, also get their frame
+    rng = np.random.default_rng(2301)
+    accepted = 0
+    for _ in range(100):
+        try:
+            c = Constraint(IncidenceKind(pair[:2]), close_pair(rng, pair, 1.0000001e-10))
+        except InvalidConstraint:
+            continue
+        accepted += 1
+        assert family(c).half_gap == pytest.approx(0.5e-10, rel=1e-5)
+    assert accepted >= 30

@@ -585,3 +585,12 @@ class TestSeparationThreshold:
                     make(*objs)
                 with pytest.raises(DegenerateInput):
                     frame_of(*objs)
+
+    def test_gap_rounding_to_zero_is_refused(self):
+        # I3 accepts these parallel lines 3.6e-9 apart, but 1e8 from the
+        # origin their closest points round to the same point
+        d = (-2.0, 0.3, -1.1)
+        m, n = Line3(Point3(0, 0, 1e8), d), Line3(Point3(0, 0, 1e8 - 2e-8), d)
+        Constraint.I3(m, n)
+        with pytest.raises(DegenerateInput, match="rounds to zero"):
+            canonical_frame_parallel_lines(m, n)

@@ -23,12 +23,15 @@ from fold3d import (
     solve_I6_I8_I11,
     solve_generic,
 )
-from fold3d.constraints import _cross, payload_radius
+from fold3d.constraints import _cross, payload_radius, stacked_residual
 from fold3d.numerics import (
+    _cluster,
     _least_squares_steps,
     _polish,
+    _scan_lattice,
     normal_scan,
     params_to_planes,
+    plane_from_params,
     search,
 )
 from helpers import (
@@ -40,6 +43,7 @@ from helpers import (
     instance_i6_i8_i11,
     random_payload,
     random_point,
+    reference_cluster,
     reference_newton_multistart,
     reference_normal_scan,
     reference_polish,
@@ -489,6 +493,140 @@ class TestBatchMates:
             half = np.sort(rng.permutation(len(seeds))[: len(seeds) // 2])
             roots = newton_multistart(residual, seeds[half], **kwargs)
             assert all(root.tobytes() in everyone for root in roots), spec
+
+
+class TestLineSearchBlocks:
+    """A batch residual's line search tries as many step lengths per call as
+    the first Jacobian call has rows."""
+
+    def test_one_call_once_ten_lengths_fit(self, monkeypatch):
+        import fold3d.numerics
+
+        events = []
+        steps = fold3d.numerics._least_squares_steps
+        monkeypatch.setattr(
+            fold3d.numerics,
+            "_least_squares_steps",
+            lambda jac, r: events.append(("step", len(jac))) or steps(jac, r),
+        )
+
+        def fn(vs):
+            # linear within 1 of the root, sign(y) |y|^0.01 beyond: there
+            # Newton's step is 100 y, and the first length that improves is
+            # 1/64, beyond a block of 2·d = 6 lengths
+            events.append(("call", len(vs)))
+            y = vs - 0.5
+            a = np.abs(y)
+            return np.where(a > 1.0, np.sign(y) * a**0.01, y)
+
+        # the 30 near seeds converge in one step; the 3 far ones keep
+        # searching, and as 10 · 3 <= 2·d·33 each line search is one call
+        rng = np.random.default_rng(23)
+        near = 0.5 + rng.uniform(-0.3, 0.3, (30, 3))
+        far = rng.uniform(60.0, 150.0, (3, 3)) * rng.choice([-1.0, 1.0], (3, 3))
+        seeds = np.vstack([near, far])
+        n, d = seeds.shape
+        roots = newton_multistart(fn, seeds, vectorized=True)
+        trace = events[:]
+        want = reference_newton_multistart(fn, seeds, vectorized=True)
+        assert len(roots) == len(want) == 1
+        assert np.allclose(roots[0], want[0], atol=1e-12)
+
+        # each iteration: its Jacobian call, its step, its line-search calls
+        marks = [i for i, (what, _) in enumerate(trace) if what == "step"]
+        ends = [i - 1 for i in marks[1:]] + [len(trace)]
+        searches = [
+            (trace[i][1], [size for _, size in trace[i + 1 : end]]) for i, end in zip(marks, ends)
+        ]
+        assert all(what == "call" for i, end in zip(marks, ends) for what, _ in trace[i + 1 : end])
+        assert max(size for _, size in trace) <= 2 * d * n
+        few = [calls for ka, calls in searches if 10 * ka <= 2 * d * n]
+        assert all(len(calls) <= 1 for calls in few)
+        # a single call tried more than 2·d lengths for some seed
+        assert any(calls and calls[0] > 2 * d * len(far) for calls in few)
+
+
+class TestClusterSweep:
+    """numerics._cluster against the greedy loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 9, 300])
+    def test_matches_the_greedy_loop(self, k):
+        rng = np.random.default_rng(1000 + k)
+        # a lattice of spacing 0.25 puts many pairs exactly 0.5 apart, and a
+        # nudge of 1e-7 others just beyond
+        cand = rng.integers(-3, 4, (k, 3)) * 0.25 + rng.choice([0.0, 1e-7], (k, 3))
+        for tol in (0.5, 1e-6, 0.0, -1.0):
+            got, want = _cluster(cand, tol), reference_cluster(cand, tol)
+            assert got.shape == want.shape and got.shape[1:] == (3,)
+            assert got.tobytes() == want.tobytes()
+        if k == 300:
+            gaps = np.linalg.norm(cand[:, None] - cand[None], axis=2)
+            assert (gaps == 0.5).any()
+
+    def test_exactly_cluster_tol_apart_is_one_root(self):
+        cand = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.5, 0.0]])
+        assert _cluster(cand, 0.5).tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        assert _cluster(cand, np.nextafter(0.5, 0.0)).tolist() == cand.tolist()
+
+
+class TestScanLattice:
+    """normal_scan's lattice is built once per shape, read-only, in a small
+    cache."""
+
+    @pytest.mark.parametrize("n_theta, n_phi", [(14, 28), (15, 26), (12, 25), (7, 9)])
+    def test_cached_lattice_gives_the_fresh_seeds(self, monkeypatch, n_theta, n_phi):
+        import fold3d.numerics
+
+        rng = np.random.default_rng(n_theta * 100 + n_phi)
+        for spec in generic_specs()[::6]:
+            cons = [random_payload(rng, k) for k in spec.kinds]
+            cached = [normal_scan(cons, n_theta, n_phi, True) for _ in range(2)]
+            with monkeypatch.context() as patch:
+                patch.setattr(fold3d.numerics, "_scan_lattice", _scan_lattice.__wrapped__)
+                fresh = normal_scan(cons, n_theta, n_phi, True)
+            assert all(seeds.tobytes() == fresh.tobytes() for seeds in cached), spec
+
+    def test_read_only_and_bounded(self):
+        for n_theta, n_phi in [(3, 4), (3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10)]:
+            th, ph, normals, twins = _scan_lattice(n_theta, n_phi)
+            assert th.shape == ph.shape == (n_theta * n_phi,)
+            assert (twins is None) == (n_phi % 2 == 1)
+            for a in (th, ph, normals) + (() if twins is None else (twins,)):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+        info = _scan_lattice.cache_info()
+        assert info.currsize <= info.maxsize <= 8
+
+
+class TestSearchVerification:
+    """search verifies its roots in one batch, with the bits of
+    stacked_residual on each plane."""
+
+    def test_batched_residuals_equal_stacked_residual(self, monkeypatch):
+        import fold3d.numerics
+
+        runs = []
+        run = fold3d.numerics.newton_multistart
+        monkeypatch.setattr(
+            fold3d.numerics,
+            "newton_multistart",
+            lambda residual, seeds, **kwargs: runs.append(run(residual, seeds, **kwargs)) or runs[-1],
+        )
+        rng = np.random.default_rng(41)
+        makes = [make for _, make, _ in WORKED_KINDS] + [
+            lambda r, spec=spec: [random_payload(r, k) for k in spec.kinds]
+            for spec in generic_specs()[::4]
+        ]
+        checked = 0
+        for make in makes:
+            cons = make(rng)
+            # refine_tol inf keeps every converged plane
+            for plane, res in search(cons, 14, 28, True, np.inf):
+                assert plane in {plane_from_params(*root) for root in runs[-1]}
+                assert res.hex() == stacked_residual(cons, plane).hex()
+                checked += 1
+        assert checked >= 20
 
 
 class TestResidualPath:

@@ -14,7 +14,11 @@ A matrix product ``A @ v`` on a batch of candidate planes goes through BLAS,
 whose rounding depends on the batch, so a Newton seed's root would depend on
 its batch-mates.  The residual kernels of ``constraints._KINDS`` contract
 row by row (``constraints._dot``); an ``ast`` check fails when a ``@`` comes
-back into them or into the module functions they call.
+back into them or into the module functions they call.  The same check
+covers the fold-plane search's residual path in ``numerics``
+(``params_to_planes``, ``_stacked_components`` and
+``stacked_components_fn``): its line search puts a varying number of step
+lengths in a batch, and each row must keep its bits in any batch.
 
 A quadric's coefficient layout is stated once, by the slot table of
 ``envelopes.Quadric``; meshing reads the quadric's 4x4 matrix, and an
@@ -100,6 +104,38 @@ def test_matrix_product_guard_finds_a_product():
     source = CONSTRAINTS.read_text()
     assert "s = _dot(N, d)" in source
     assert _matrix_products(source.replace("s = _dot(N, d)", "s = N @ d"))
+
+
+NUMERICS = next(p for p in SOURCES if p.name == "numerics.py")
+SEARCH_RESIDUAL_PATH = ("params_to_planes", "_stacked_components", "stacked_components_fn")
+
+
+def _search_path_products(source: str) -> list[str]:
+    functions = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+    return [
+        f"numerics.py:{node.lineno}: {name}"
+        for name in SEARCH_RESIDUAL_PATH
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+    ]
+
+
+def test_search_residual_path_has_no_matrix_product():
+    products = _search_path_products(NUMERICS.read_text())
+    assert not products, "\n".join(products)
+
+
+def test_search_path_guard_finds_a_product():
+    source = NUMERICS.read_text()
+    line = "columns = st * np.cos(ph), st * np.sin(ph), np.cos(th)"
+    assert line in source
+    assert _search_path_products(source.replace(line, line.replace("st * np.cos", "st @ np.cos")))
+    # and one in the batch function that stacked_components_fn returns
+    call = "return _stacked_components(cons, *params_to_planes(params))"
+    assert call in source
+    assert _search_path_products(source.replace(call, call.replace("(params)", "(params @ p)")))
 
 
 MESHING = next(p for p in SOURCES if p.name == "meshing.py")
