@@ -444,8 +444,9 @@ def _product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _landing(v: np.ndarray, w: float, nu: np.ndarray, o: float) -> np.ndarray:
     """(nu . v - o) S - 2 (N . v + w d)(N . nu): S times the signed distance
     from the plane nu . x = o of the image of the point v (w = -1) or of the
-    direction v (w = 0, o = 0)."""
-    return float(nu @ v - o) * _NORMAL_NORM - 2.0 * _product(_form(v, w), _form(nu))
+    direction v (w = 0, o = 0).  2 _product(f, g) is fg + fg^T bit for bit."""
+    fg = _form(v, w)[:, None] * _form(nu)
+    return float(nu @ v - o) * _NORMAL_NORM - (fg + fg.T)
 
 
 def _dual_i3(objs):

@@ -280,14 +280,14 @@ def _norms(x: np.ndarray, axis=1) -> np.ndarray:
 
 
 def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Batched Sylvester matrices of polynomials given by coefficient rows."""
-    df, dg = f.shape[-1] - 1, g.shape[-1] - 1
-    out = np.zeros(f.shape[:-1] + (df + dg, df + dg), dtype=np.result_type(f, g))
-    for i in range(dg):
-        out[..., i, i : i + df + 1] = f
-    for i in range(df):
-        out[..., dg + i, i : i + dg + 1] = g
-    return out
+    """Batched Sylvester matrices of polynomials given by coefficient rows,
+    scattered by the table of their degrees (_CURVE_TABLES)."""
+    m, n = f.shape[-1] - 1, g.shape[-1] - 1
+    slots, entries = _CURVE_TABLES[m, n][:2]
+    rows = np.concatenate((f, g), axis=-1)
+    out = np.zeros(f.shape[:-1] + ((m + n) ** 2,), dtype=rows.dtype)
+    out[..., slots] = rows[..., entries]
+    return out.reshape(f.shape[:-1] + (m + n, m + n))
 
 
 def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -295,25 +295,44 @@ def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     polynomials given by their t-coefficient rows at the n-th roots of unity
     s, n one more than the resultant's degree: the Sylvester determinants,
     interpolated by FFT.  Coefficients below the rounding noise, 1e-12 of
-    Hadamard's bound on |det|, are zeroed, so np.roots, which drops leading
-    zeros, sees the actual degree.  None when every determinant is noise:
-    the resultant vanishes identically."""
-    syl = _sylvester(f, g)
-    dets = np.linalg.det(syl)
-    noise = 1e-12 * np.max(np.prod(_norms(syl, -1), axis=-1))
-    if np.max(np.abs(dets)) <= noise:
+    Hadamard's bound |f|^dg |g|^df on |det| (the Sylvester rows are dg
+    copies of f and df of g, for degrees df and dg), are zeroed, so _roots,
+    which drops leading zeros, sees the actual degree.  None when every
+    determinant is noise: the resultant vanishes identically."""
+    dets = np.linalg.det(_sylvester(f, g))
+    bound = _norms(np.abs(f), -1) ** (g.shape[-1] - 1) * _norms(np.abs(g), -1) ** (f.shape[-1] - 1)
+    noise = 1e-12 * np.maximum.reduce(bound)
+    if np.maximum.reduce(np.abs(dets)) <= noise:
         return None
     coeffs = np.fft.fft(dets).real / len(dets)
     coeffs[np.abs(coeffs) <= noise] = 0.0
     return coeffs
 
 
+def _roots(p: np.ndarray) -> np.ndarray:
+    """The roots of a float array p, highest power first, that np.roots
+    gives, bit for bit, without its argument checks: the eigenvalues of the
+    companion matrix of p without its leading and trailing zeros, then a 0
+    for each trailing zero."""
+    nonzero = np.flatnonzero(p)
+    if not nonzero.size:
+        return np.array([])
+    first, last = nonzero[0], nonzero[-1]
+    roots = np.array([])
+    if last > first:
+        companion = np.eye(last - first, k=-1)
+        companion[0] = -p[first + 1 : last + 1] / p[first]
+        roots = np.linalg.eigvals(companion)
+    return np.concatenate((roots, np.zeros(len(p) - 1 - last, roots.dtype)))
+
+
 def _near_real(roots: np.ndarray) -> list[float]:
     """Real values seeded by polynomial roots: each near-real root z gives
-    Re z +- |Im z|, since a near-double real pair may come out as a complex
-    pair."""
-    near = [z for z in roots if abs(z.imag) <= 1e-3 * max(abs(z.real), 1.0)]
-    return list(dict.fromkeys(z.real + d * abs(z.imag) for z in near for d in (-1, 1)))
+    Re z -+ |Im z|, in that order, since a near-double real pair may come out
+    as a complex pair."""
+    near = roots[np.abs(roots.imag) <= 1e-3 * np.maximum(np.abs(roots.real), 1.0)]
+    spread = np.abs(near.imag)[:, None] * (-1.0, 1.0)
+    return list(dict.fromkeys((near.real[:, None] + spread).ravel().tolist()))
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -373,16 +392,49 @@ def _chart_coeffs(form: np.ndarray) -> np.ndarray:
     return (_CHART_MAPS[m] @ form.ravel()).reshape(-1, m + 1, m + 1)[:, :, ::-1]
 
 
-# einsum subscripts of _grad by the order of the form
-_GRAD_SUBSCRIPTS = {2: "ij,ni->nj", 3: "ijk,ni,nj->nk"}
+def _curve_table(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """For orders (m, n): the raveled slots of the Sylvester matrix that hold
+    coefficients, their indices in the concatenated rows (f, g), the powers
+    s^p (p <= m, and p <= n) at the (m n + 1)-th roots of unity s, and the
+    exponents 0, ..., max(m, n)."""
+    # n shifted rows of f's m + 1 coefficients, then m shifted rows of g's
+    rows = [(i, i + j, j) for i in range(n) for j in range(m + 1)]
+    rows += [(n + i, i + j, m + 1 + j) for i in range(m) for j in range(n + 1)]
+    row, col, entry = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    powers = np.arange(max(m, n) + 1)
+    circle = np.power.outer(np.exp(2j * np.pi * np.arange(m * n + 1) / (m * n + 1)), powers)
+    return row * (m + n) + col, entry, circle[:, : m + 1].copy(), circle[:, : n + 1].copy(), powers
+
+
+# _curve_table of every pair of orders _curve_points meets (those of
+# _CHART_MAPS), and of every pair of degrees _sylvester meets.
+_CURVE_TABLES = {(m, n): _curve_table(m, n) for m in range(4) for n in range(4)}
+
+
+def _outer_power(x: np.ndarray, order: int) -> np.ndarray:
+    """The raveled outer power of the given order of each row of x."""
+    if not order:
+        return np.ones((len(x), 1))
+    out = x
+    for _ in range(order - 1):
+        out = (out[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+    return out
 
 
 def _grad(form: np.ndarray, x: np.ndarray) -> np.ndarray:
     """form(x, ..., x, .) at each row of x, the gradient of a form of order
-    m >= 1 over m."""
-    if form.ndim == 1:
-        return np.broadcast_to(form, x.shape)
-    return np.einsum(_GRAD_SUBSCRIPTS[form.ndim], form, *[x] * (form.ndim - 1))
+    m >= 1 over m: the outer power of x of order m - 1 times the form as a
+    3^(m - 1) x 3 matrix."""
+    return _outer_power(x, form.ndim - 1) @ form.reshape(-1, 3)
+
+
+def _grads(f: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_grad of f and of g at each row of x, stacked on the second axis; one
+    product when their orders agree."""
+    if f.ndim != g.ndim:
+        return np.stack((_grad(f, x), _grad(g, x)), axis=1)
+    forms = np.concatenate((f.reshape(-1, 3), g.reshape(-1, 3)), axis=1)
+    return (_outer_power(x, f.ndim - 1) @ forms).reshape(len(x), 2, 3)
 
 
 def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
@@ -394,22 +446,24 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     c[0, m] at the chart's centre U e2 and the curve's coefficients in t at
     any s (a Vandermonde product).  In the chart whose centre is farthest
     from both curves, the resultant in t is interpolated from m n + 1
-    values on the unit circle (_resultant); the next chart is taken while
-    it has lower degree, a common point on the chart's line at infinity.
-    Each real root s gives t from the kernel of the Sylvester matrix at s
-    (the hidden-variable method, Cox, Little & O'Shea, *Using Algebraic
-    Geometry*, ch. 3), and every point is polished by Newton steps on the
-    unit sphere.  Raises IllPosed when the resultant vanishes identically:
-    the curves share a component.
+    values on the unit circle (_resultant, with the powers of the circle
+    from _CURVE_TABLES); the next chart is taken while it has lower degree,
+    a common point on the chart's line at infinity.  Its real roots s
+    (_roots, the companion eigenvalues of np.roots) each give t from the
+    kernel of the Sylvester matrix at s (the hidden-variable method, Cox,
+    Little & O'Shea, *Using Algebraic Geometry*, ch. 3), and every point is
+    polished by Newton steps on the unit sphere, with both gradients and
+    their 2 x 2 Gram matrices each from one batched product.  Raises
+    IllPosed when the resultant vanishes identically: the curves share a
+    component.
     """
-    f, g = f / np.linalg.norm(f), g / np.linalg.norm(g)
+    f, g = f / math.sqrt(np.vdot(f, f)), g / math.sqrt(np.vdot(g, g))
     m, n = f.ndim, g.ndim
+    circle_f, circle_g, powers = _CURVE_TABLES[m, n][2:]
     cf, cg = _chart_coeffs(f), _chart_coeffs(g)
-    powers = np.arange(max(m, n) + 1)
-    circle = np.power.outer(np.exp(2j * np.pi * np.arange(m * n + 1) / (m * n + 1)), powers)
     far = np.minimum(np.abs(cf[:, 0, 0]), np.abs(cg[:, 0, 0]))
     for i in np.argsort(-far, kind="stable"):
-        coeffs = _resultant(circle[:, : m + 1] @ cf[i], circle[:, : n + 1] @ cg[i])
+        coeffs = _resultant(circle_f @ cf[i], circle_g @ cg[i])
         if coeffs is None:
             raise IllPosed(
                 "two of the conditions share a curve of fold planes; the "
@@ -417,7 +471,7 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
             )
         if coeffs[-1] != 0.0:
             break  # else the last chart serves
-    s = np.array(_near_real(np.roots(coeffs[::-1])))
+    s = np.array(_near_real(_roots(coeffs[::-1])))
     if not s.size:
         return []
     vander = np.power.outer(s, powers)
@@ -426,20 +480,24 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     # the kernel is (t^(D-1), ..., t, 1), so its head is t times its tail;
     # the tail is 0 only at the chart's centre, which is off both curves
     tail = np.maximum(np.einsum("ij,ij->i", kernel[:, 1:], kernel[:, 1:]), np.finfo(float).tiny)
-    t = np.einsum("ij,ij->i", kernel[:, :-1], kernel[:, 1:]) / tail
-    x = np.stack([s, t, np.ones_like(s)], axis=1) @ _CHARTS[i].T
+    x = np.ones((len(s), 3))
+    x[:, 0] = s
+    x[:, 1] = np.einsum("ij,ij->i", kernel[:, :-1], kernel[:, 1:]) / tail
+    x = x @ _CHARTS[i].T
     x /= _norms(x)[:, None]
+    orders = np.array([[m], [n]])
     for _ in range(_POLISH_STEPS):
         # a form of order m is x . grad / m, and the step is the minimum-norm
         # J^T (J J^T)^-1 r, taken only where the gradients are independent
-        grads = [_grad(c, x) for c in (f, g)]
-        r = [np.einsum("ij,ij->i", x, d) for d in grads]
-        j0, j1 = m * grads[0], n * grads[1]
-        m00, m01, m11 = (np.einsum("ij,ij->i", p, q) for p, q in ((j0, j0), (j0, j1), (j1, j1)))
+        grads = _grads(f, g, x)
+        r = (grads @ x[:, :, None])[:, :, 0]
+        jac = grads * orders
+        gram = jac @ jac.transpose(0, 2, 1)
+        m00, m01, m11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
         det = m00 * m11 - m01 * m01
         det = np.where(det > 1e-30 * m00 * m11, det, np.inf)
-        y0, y1 = (m11 * r[0] - m01 * r[1]) / det, (m00 * r[1] - m01 * r[0]) / det
-        x = x - y0[:, None] * j0 - y1[:, None] * j1
+        y0, y1 = (m11 * r[:, 0] - m01 * r[:, 1]) / det, (m00 * r[:, 1] - m01 * r[:, 0]) / det
+        x = x - y0[:, None] * jac[:, 0] - y1[:, None] * jac[:, 1]
         x /= _norms(x)[:, None]
     return list(x)
 
@@ -516,22 +574,26 @@ def _cubics(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (mixed + mixed.transpose(0, 1, 3, 2) + mixed.transpose(0, 3, 1, 2)) / 3.0
 
 
-def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
-    """The points h = (N, d) of three quadrics N^T A_j N + 2 d b_j . N = 0,
-    which all pass through the plane at infinity (0, 0, 0, 1).
+def _three_quadric_points(quadrics: np.ndarray) -> list[np.ndarray]:
+    """The points h = (N, d) of the first three independent quadrics
+    N^T A_j N + 2 d b_j . N = 0, stacked on the first axis, which all pass
+    through the plane at infinity (0, 0, 0, 1).  Raises IllPosed when fewer
+    than three are independent.
 
-    The quadrics are first mixed by the left singular vectors of the rows
-    b_j, which makes the mixed b'_j orthogonal, largest first; those of
-    singular value zero (the rank test of _rank) are the d-free conics
-    N^T A'_j N = 0, two of them when every b_j is vertical (I3 lines in
-    horizontal planes, I6 onto horizontal planes).
+    The quadrics are first mixed, by one product, by the left singular
+    vectors of the rows b_j, which makes the mixed b'_j orthogonal, largest
+    first; those of singular value zero (the rank test of _rank) are the
+    d-free conics N^T A'_j N = 0, two of them when every b_j is vertical (I3
+    lines in horizontal planes, I6 onto horizontal planes).  When the first
+    three b_j have rank 3, those three quadrics are independent, as their d
+    terms are; else _distinct picks the three, and b's SVD is taken again.
     Eliminating d with the first from each other mixed quadric of b'_j != 0
     gives the plane cubic (N^T A'_j N)(b'_1 . N) - (N^T A'_1 N)(b'_j . N);
     two such cubics also share the two points where b'_1 . N = N^T A'_1 N
     = 0, which re-verification drops.  The first two of the cubics and
-    conics are met by _curve_points.  d comes back from the mixed quadric
-    with the largest |b'_j . N|, and a point whose d is beyond
-    1 / _AT_INFINITY is the plane at infinity.
+    conics are met by _curve_points.  d comes back, for all the normals in
+    one batch, from the mixed quadric with the largest |b'_j . N|, and a
+    point whose d is beyond 1 / _AT_INFINITY is the plane at infinity.
     Two curves that share a component are divided by the shared factors
     that carry no continuum, and met again.  One is b'_1 . N, whose plane
     b'_1 . N = 0 of P^3 is then met on its own (_plane_points): the first
@@ -540,10 +602,17 @@ def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
     are parallel at matching heights.  The other is N . N, which has no
     real point: it divides both cubics when one point lands on three
     planes.  Any other shared component raises IllPosed."""
-    quadrics = np.array(quadrics)
-    a, b = quadrics[:, :3, :3], quadrics[:, :3, 3]
-    u, sv, _ = np.linalg.svd(b)
-    a, b, rank = np.tensordot(u.T, a, axes=1), u.T @ b, _rank(sv)
+    head = quadrics[:3]
+    u, sv, _ = np.linalg.svd(head[:, :3, 3])
+    rank = _rank(sv)
+    if rank < 3:
+        head = np.array(_distinct(quadrics, 3))
+        if len(head) < 3:
+            raise IllPosed(_DEPENDENT)
+        u, sv, _ = np.linalg.svd(head[:, :3, 3])
+        rank = _rank(sv)
+    mixed = (u.T @ head.reshape(3, 16)).reshape(3, 4, 4)
+    a, b = mixed[:, :3, :3], mixed[:, :3, 3]
     curves = (list(_cubics(a[:rank], b[:rank])) + list(a[rank:]))[:2]
     points = []
     try:
@@ -552,14 +621,24 @@ def _three_quadric_points(quadrics: list[np.ndarray]) -> list[np.ndarray]:
         if rank and (quotients := _divided(curves, b[0])):
             curves = quotients
             plane = np.linalg.svd(np.concatenate((b[0], (0.0,)))[None])[2][1:]  # b'_1 . N = 0
-            points = _plane_points(plane, quadrics)
+            points = _plane_points(plane, head)
         normals = _curve_points(*(_divided(curves, np.eye(3)) or curves))
-    for n in normals:
-        j = int(np.argmax(np.abs(b @ n)))
-        slope, value = float(b[j] @ n), float(n @ a[j] @ n)
-        if 2.0 * abs(slope) > _AT_INFINITY * abs(value):
-            points.append(np.concatenate((n, (-value / (2.0 * slope),))))
-    return points
+    if not normals:
+        return points
+    return points + list(_lifted(np.array(normals), a, b))
+
+
+def _lifted(normals: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The points (N, d) of the mixed quadrics (a, b) over the rows N of
+    normals: d from the quadric with the largest |b_j . N|, and no point
+    where that d is beyond 1 / _AT_INFINITY."""
+    slopes = normals @ b.T
+    j = np.argmax(np.abs(slopes), axis=1)
+    rows = np.arange(len(normals))
+    slope = slopes[rows, j]
+    value = np.add.reduce((normals @ a)[j, rows] * normals, axis=1)
+    keep = 2.0 * np.abs(slope) > _AT_INFINITY * np.abs(value)
+    return np.concatenate((normals[keep], (-value[keep] / (2.0 * slope[keep]))[:, None]), axis=1)
 
 
 def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
@@ -608,33 +687,31 @@ def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolu
         rows += forms
         if quadric is not None:
             quadrics.append(quadric)
-    rows = np.reshape(rows, (-1, 4)) * scale
-    rows /= _norms(rows)[:, None]
     quadrics = np.reshape(quadrics, (-1, 4, 4)) * (scale[:, None] * scale)
     quadrics /= _norms(quadrics, (1, 2))[:, None, None]
-    null = np.eye(4)
-    if len(rows):
+    spatial = not rows  # no linear forms: all of P^3
+    if spatial:
+        points = _three_quadric_points(quadrics)
+    else:
+        rows = np.reshape(rows, (-1, 4)) * scale
+        rows /= _norms(rows)[:, None]
         _, sv, vt = np.linalg.svd(rows)
         # forms of full rank keep their least-squares plane, so tol decides
         null = vt[min(_rank(sv), 3):]
-    if len(null) == 4:  # no linear forms
-        forms = _distinct(quadrics, 3)
-        if len(forms) < 3:
-            raise IllPosed(_DEPENDENT)
-        points = _three_quadric_points(forms)
-    elif len(null) == 3:
-        points = _plane_points(null, quadrics)
-    else:
-        points = list(null) if len(null) < 2 else _line_points(null, quadrics)
+        if len(null) == 3:
+            points = _plane_points(null, quadrics)
+        else:
+            points = list(null) if len(null) < 2 else _line_points(null, quadrics)
     h = np.reshape(points, (-1, 4))
     h = h / _norms(h)[:, None]
     size = _norms(h[:, :3])
     h, size = h[size > _AT_INFINITY], size[size > _AT_INFINITY]
     normals, offsets = h[:, :3] / size[:, None], h[:, 3] * r / size
     verified = stacked_residual_grid(cons, normals, offsets) < tol
-    planes = [Plane3(tuple(n), o) for n, o in zip(normals[verified], offsets[verified])]
+    planes = [Plane3(tuple(n), o)
+              for n, o in zip(normals[verified].tolist(), offsets[verified].tolist())]
     sol = FoldSolution.finite(planes, provenance="exact")
-    if len(null) == 4 and sol.count > 7:
+    if spatial and sol.count > 7:
         raise IllPosed(
             f"{sol.count} distinct fold planes exceed the algebraic bound of 7; "
             "the configuration is degenerate"

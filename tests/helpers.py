@@ -764,8 +764,8 @@ def reference_write_obj(path, objects: list[tuple[str, np.ndarray, list]]) -> No
 
 # ---------------------------------------------------------------------------
 # Reference exact-solver kernels: the per-call loops that operations'
-# chart tables, _distinct's one-SVD test and plane_gap's scalar form
-# replace, kept to compare against
+# chart and curve tables, _distinct's one-SVD test, _roots, _near_real,
+# _lifted and plane_gap's scalar form replace, kept to compare against
 # ---------------------------------------------------------------------------
 
 
@@ -801,6 +801,38 @@ def reference_distinct(forms, count: int, rel_tol: float) -> list[np.ndarray]:
         if np.linalg.norm(form) > rel_tol and np.count_nonzero(sv > rel_tol * sv[0]) > len(kept):
             kept.append(form)
     return kept[:count]
+
+
+def reference_sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Batched Sylvester matrices of coefficient rows, one slice per row."""
+    df, dg = f.shape[-1] - 1, g.shape[-1] - 1
+    out = np.zeros(f.shape[:-1] + (df + dg, df + dg), dtype=np.result_type(f, g))
+    for i in range(dg):
+        out[..., i, i : i + df + 1] = f
+    for i in range(df):
+        out[..., dg + i, i : i + dg + 1] = g
+    return out
+
+
+def reference_roots(p) -> np.ndarray:
+    return np.roots(p)
+
+
+def reference_near_real(roots) -> list:
+    """Re z -+ |Im z| of each near-real root z, one root at a time."""
+    near = [z for z in roots if abs(z.imag) <= 1e-3 * max(abs(z.real), 1.0)]
+    return list(dict.fromkeys(z.real + d * abs(z.imag) for z in near for d in (-1, 1)))
+
+
+def reference_lifted(normals, a: np.ndarray, b: np.ndarray, at_infinity: float) -> np.ndarray:
+    """The points (N, d) of the quadrics (a, b), one normal at a time."""
+    points = []
+    for n in normals:
+        j = int(np.argmax(np.abs(b @ n)))
+        slope, value = float(b[j] @ n), float(n @ a[j] @ n)
+        if 2.0 * abs(slope) > at_infinity * abs(value):
+            points.append(np.concatenate((n, (-value / (2.0 * slope),))))
+    return np.reshape(points, (-1, 4))
 
 
 def reference_plane_gap(a: Plane3, b: Plane3) -> float:

@@ -61,6 +61,10 @@ from helpers import (
     random_unit,
     reference_contract,
     reference_distinct,
+    reference_lifted,
+    reference_near_real,
+    reference_roots,
+    reference_sylvester,
     reference_t_rows,
     scaled_constraint,
     skew_lines,
@@ -862,6 +866,97 @@ class TestExactKernels:
             want = reference_distinct(forms, count, ops.EXACT_REL_TOL)
             assert len(got) == len(want)
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+class TestCurveKernels:
+    """The curve tables' Sylvester scatter, the companion roots, the
+    vectorised _near_real, the batched d recovery and the stacked polish
+    gradients against the per-call forms they replace (tests/helpers)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sylvester_scatter(self, m, n):
+        rng = np.random.default_rng(2400 + 4 * m + n)
+        for shape in ((), (7,), (2, 3)):
+            f = rng.normal(size=shape + (m + 1,))
+            g = rng.normal(size=shape + (n + 1,)) + 1j * rng.normal(size=shape + (n + 1,))
+            for x, y in ((f, g), (f, f[..., : n + 1]), (g[..., : m + 1], g)):
+                got, want = fold3d.operations._sylvester(x, y), reference_sylvester(x, y)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [
+        [1.0, -6.0, 11.0, -6.0],
+        [0.0, 0.0, 2.0, -3.0, 1.0],  # leading zeros: the degree drops
+        [1.0, -1.0, 0.0, 0.0],  # trailing zeros: roots at 0
+        [0.0, 3.0, 1.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 1.0],  # a complex pair
+        [0.0, 0.0, 5.0],  # a constant
+        [0.0, 5.0, 0.0],  # a constant times s
+        [0.0, 0.0, 0.0],  # all zero: no roots
+        [],
+    ])
+    def test_roots(self, p):
+        p = np.array(p)
+        got, want = fold3d.operations._roots(p), reference_roots(p)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_roots_random(self):
+        rng = np.random.default_rng(2410)
+        for _ in range(200):
+            p = rng.normal(size=rng.integers(1, 9))
+            p[rng.random(len(p)) < 0.3] = 0.0
+            got, want = fold3d.operations._roots(p), reference_roots(p)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_near_real(self):
+        rng = np.random.default_rng(2420)
+        for trial in range(200):
+            z = rng.normal(size=8) * 10.0 ** rng.integers(-3, 4)
+            z = z + 1j * rng.normal(size=8) * 10.0 ** rng.integers(-8, 1, size=8)
+            z[rng.random(8) < 0.3] = 0.5  # repeated values keep their first place
+            if trial % 3 == 0:
+                z = z.real  # the roots of a real companion matrix
+            got = fold3d.operations._near_real(z)
+            want = reference_near_real(z)
+            assert len(got) == len(want) and all(x == y for x, y in zip(got, want, strict=True))
+
+    def test_lifted(self):
+        ops = fold3d.operations
+        rng = np.random.default_rng(2430)
+        for trial in range(200):
+            normals = np.array([random_unit(rng) for _ in range(rng.integers(1, 8))])
+            mixed = rng.normal(size=(3, 4, 4))
+            mixed += mixed.transpose(0, 2, 1)
+            a, b = mixed[:, :3, :3], mixed[:, :3, 3]
+            if trial % 4 == 0:  # a plane at infinity: no slope at the first normal
+                b -= np.multiply.outer(b @ normals[0], normals[0])
+            got = ops._lifted(normals, a, b)
+            want = reference_lifted(normals, a, b, ops._AT_INFINITY)
+            assert got.shape == want.shape
+            scale = max(1.0, np.abs(want).max(initial=0.0))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grads(self, m, n):
+        ops = fold3d.operations
+        rng = np.random.default_rng(2440 + 4 * m + n)
+        x = rng.normal(size=(7, 3))
+        for _ in range(5):
+            f, g = (ops._symmetrized(rng.normal(size=(3,) * k)) for k in (m, n))
+            got = ops._grads(f, g, x)
+            assert got.shape == (7, 2, 3)
+            for c, form in enumerate((f, g)):
+                want = ops._grad(form, x)
+                assert np.abs(got[:, c] - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_resultant_noise_is_hadamards_bound(self):
+        # complex rows: |f|^2 sums |f_i|^2, where the sum of f_i^2 of the row
+        # (1, i) is 0 and set no noise floor under the leading -4.9e-15
+        f = np.array([[1, 1j], [1, 1j]])
+        g = np.array([[1j, 1], [1j, 1 + 1e-14]])
+        coeffs = fold3d.operations._resultant(f, g)
+        assert abs(coeffs[0] - 2.0) < 1e-13 and coeffs[-1] == 0.0
 
 
 class TestSolveI1AtCoarseTolerance:

@@ -6,9 +6,12 @@ polynomial.  The package computes those with ``geometry.cross3`` and the
 scalar Horner loop of ``numerics._polish`` instead (bit for bit the same);
 batches of vectors go through ``constraints._cross``.  ``np.append`` and
 ``np.outer`` likewise cost several times the copy or broadcast product
-they make (``constraints._form`` and ``_product``).  These tests read
-``src/fold3d/*.py`` as text, without importing anything, and fail when
-any of these calls comes back.
+they make (``constraints._form`` and ``_product``).  ``np.roots`` re-checks
+and re-strips its argument before the companion eigenvalues that
+``operations._roots`` takes directly, and ``np.tensordot`` reshapes and
+transposes around the one matrix product that mixes the quadrics.  These
+tests read ``src/fold3d/*.py`` as text, without importing anything, and
+fail when any of these calls comes back.
 
 A matrix product ``A @ v`` on a batch of candidate planes goes through BLAS,
 whose rounding depends on the batch, so a Newton seed's root would depend on
@@ -23,16 +26,22 @@ lengths in a batch, and each row must keep its bits in any batch.
 A quadric's coefficient layout is stated once, by the slot table of
 ``envelopes.Quadric``; meshing reads the quadric's 4x4 matrix, and an
 ``ast`` check fails when ``meshing.py`` reads a ``coeffs`` attribute.
+
+The last tests import the package: they count the LAPACK calls
+(``np.linalg.svd``, ``det`` and ``eigvals``) of one exact solve each, so a
+redundant rank test or decomposition cannot come back unseen.
 """
 
 import ast
 import re
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fold3d").glob("*.py"))
-SLOW_CALL = re.compile(r"\bnp\s*\.\s*(cross|polyval|append|outer)\s*\(")
+SLOW_CALL = re.compile(r"\bnp\s*\.\s*(cross|polyval|append|outer|roots|tensordot)\s*\(")
 
 
 def test_sources_found():
@@ -40,7 +49,7 @@ def test_sources_found():
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_np_cross_or_polyval_call(path):  # also np.append and np.outer
+def test_no_np_cross_or_polyval_call(path):  # and the other calls of SLOW_CALL
     calls = [
         f"{path.name}:{number}: {line.strip()}"
         for number, line in enumerate(path.read_text().splitlines(), 1)
@@ -54,10 +63,15 @@ def test_guard_tells_a_call_from_a_mention():
     assert SLOW_CALL.search("p = float(np.polyval(coeffs, x))")
     assert SLOW_CALL.search("    return np.append(np.asarray(v, dtype=float), w)")
     assert SLOW_CALL.search("    q = (np.outer(f, g) + np.outer (g, f)) / 2.0")
+    assert SLOW_CALL.search("    s = np.array(_near_real(np.roots(coeffs[::-1])))")
+    assert SLOW_CALL.search("    a = np.tensordot(u.T, a, axes=1)")
     assert not SLOW_CALL.search('    differences np.cross forms, column by column')
     assert not SLOW_CALL.search("    v = cross3(n, u)")
     assert not SLOW_CALL.search("    out = np.power.outer(s, powers)")
     assert not SLOW_CALL.search("    np.appendix, np.outer product")
+    assert not SLOW_CALL.search("    (_roots, the companion eigenvalues of np.roots) each give")
+    assert not SLOW_CALL.search("    roots = np.linalg.eigvals(companion)")
+    assert not SLOW_CALL.search("    mixed by one product instead of np.tensordot")
 
 
 def _kernel_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
@@ -166,3 +180,24 @@ def test_coeffs_guard_tells_a_read_from_a_mention():
     source = MESHING.read_text()
     assert "z_row = quadric.matrix[2]" in source
     assert _coeffs_reads(source.replace("z_row = quadric.matrix[2]", "z_row = quadric.coeffs[2]"))
+
+
+# LAPACK calls per exact solve, (svd, det, eigvals): 3I6 takes b's SVD and
+# the kernel's; I3+I7 takes the linear forms', _distinct's and the kernel's
+CALL_BUDGET = {"3I6": (2, 1, 1), "I3+I7": (3, 1, 1)}
+
+
+@pytest.mark.parametrize("text", sorted(CALL_BUDGET))
+def test_exact_solve_call_budget(text):
+    from fold3d import OperationSpec, solve_operation
+    from helpers import random_payload
+
+    rng = np.random.default_rng(2450)
+    cons = [random_payload(rng, k) for k in OperationSpec.parse(text).kinds]
+    counted = [mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
+               for name in ("svd", "det", "eigvals")]
+    with counted[0] as svd, counted[1] as det, counted[2] as eigvals:
+        sol = solve_operation(cons)
+    assert sol.count > 0  # so the kernel's SVD ran
+    calls = (svd.call_count, det.call_count, eigvals.call_count)
+    assert all(x <= y for x, y in zip(calls, CALL_BUDGET[text])), calls
