@@ -3,8 +3,9 @@
 Subcommands: solve, enumerate, envelope, oracle, verify.  Exit codes for
 solve/oracle: 0 finite solutions, 2 no solution, 3 infinite family or
 ill-posed instance, 1 any other error.  The FOLD3D_TOL environment variable
-sets the default residual tolerance; it is read on every call, and the
-argument parser is built once per default tolerance and then reused.
+sets the default of solve's and verify's residual tolerance --tol; it is
+read on every call, and the argument parser is built once per default
+tolerance and then reused.  oracle reports numerics.ORACLE_REFINE_TOL.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .envelopes import family_I3, family_I5, family_I6, family_I7
 from .errors import FoldError, IllPosed
 from .geometry import Plane3
 from .meshing import export_envelope_obj
-from .numerics import grid_oracle
+from .numerics import ORACLE_REFINE_TOL, grid_oracle
 from .operations import OperationSpec, enumerate_operations, solve_operation, solver_route
 from .scene import ResultDocument, load_scene
 
@@ -54,12 +55,12 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scene=True):
-        if scene:
-            p.add_argument("scene", help="scene JSON file")
-        p.add_argument("--tol", type=lambda text: _positive_tol(text, "--tol"),
-                       default=default_tol,
-                       help="residual tolerance (default from FOLD3D_TOL or 1e-9)")
+    def add_common(p, tol=True):
+        p.add_argument("scene", help="scene JSON file")
+        if tol:
+            p.add_argument("--tol", type=lambda text: _positive_tol(text, "--tol"),
+                           default=default_tol,
+                           help="residual tolerance (default from FOLD3D_TOL or 1e-9)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", help="also write the output to this file")
 
@@ -73,7 +74,8 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     p_enum.add_argument("--out", help="also write the output to this file")
 
     p_env = sub.add_parser("envelope", help="export an envelope quadric as OBJ")
-    add_common(p_env)
+    p_env.add_argument("scene", help="scene JSON file")
+    p_env.add_argument("--out", help="OBJ file to write (default envelope.obj)")
     p_env.add_argument("--incidence", required=True,
                        choices=["I3", "I5", "I6", "I7"],
                        help="which constraint of the scene to take the envelope of")
@@ -83,7 +85,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
                        help="also export this many sampled tangent fold planes")
 
     p_oracle = sub.add_parser("oracle", help="brute-force grid search for fold planes")
-    add_common(p_oracle)
+    add_common(p_oracle, tol=False)
     p_oracle.add_argument("--spec", help="validate the scene against this operation spec")
     p_oracle.add_argument("--resolution", type=int, default=48,
                           help="grid points per normal angle (1..256); each normal's "
@@ -213,9 +215,9 @@ def _cmd_oracle(args) -> int:
         raise FoldError("scene has no constraints to search for")
     spec = _check_spec(args, scene)
     result = grid_oracle(scene.constraint_list(), resolution=args.resolution)
-    solution = FoldSolution.finite(result.planes, possibly_incomplete=True, provenance="oracle")
-    doc = ResultDocument.from_solution(spec, scene.constraints, solution, args.tol)
-    doc.message = f"grid resolution {result.resolution}"
+    solution = FoldSolution.finite(result.planes, provenance="oracle")
+    doc = ResultDocument.from_solution(spec, scene.constraints, solution, ORACLE_REFINE_TOL)
+    doc.message = f"grid resolution {args.resolution}"
     for entry, (_, res) in zip(doc.planes, result.clusters, strict=True):
         entry["cluster_residual"] = res
     _emit(args, doc.to_json() if args.json else doc.render_text())

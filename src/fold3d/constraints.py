@@ -60,6 +60,7 @@ from .errors import InvalidConstraint
 from .geometry import (
     TOL_ANGLE,
     TOL_INCIDENCE,
+    TOL_PLANE_IDENTITY,
     TOL_SEPARATION,
     Line3,
     Plane3,
@@ -78,10 +79,6 @@ from .geometry import (
 
 if TYPE_CHECKING:
     from .envelopes import PlaneFamily
-
-# FoldSolution.finite keeps one plane of any set within this plane_gap.
-_DEDUP_TOL = 1e-6
-
 
 class IncidenceKind(str, Enum):
     I1 = "I1"
@@ -656,21 +653,18 @@ class FoldSolution:
     outcome: Outcome
     planes: tuple[Plane3, ...] = ()
     family: PlaneFamily | None = None
-    possibly_incomplete: bool = False
     provenance: str = "dedicated"
 
     @classmethod
-    def finite(
-        cls, planes, possibly_incomplete: bool = False, provenance: str = "dedicated"
-    ) -> "FoldSolution":
+    def finite(cls, planes, provenance: str = "dedicated") -> "FoldSolution":
         kept: list[Plane3] = []
         for p in planes:
-            if all(plane_gap(p, q) > _DEDUP_TOL for q in kept):
+            if all(plane_gap(p, q) > TOL_PLANE_IDENTITY for q in kept):
                 kept.append(p)
         kept.sort(key=lambda p: (*p.normal, p.offset))
         if not kept:
-            return cls(Outcome.NO_SOLUTION, (), None, possibly_incomplete, provenance)
-        return cls(Outcome.FINITE, tuple(kept), None, possibly_incomplete, provenance)
+            return cls(Outcome.NO_SOLUTION, (), None, provenance)
+        return cls(Outcome.FINITE, tuple(kept), None, provenance)
 
     @classmethod
     def infinite(cls, family: PlaneFamily) -> "FoldSolution":
@@ -684,6 +678,11 @@ class FoldSolution:
     def count(self) -> int:
         return len(self.planes)
 
+    @property
+    def possibly_incomplete(self) -> bool:
+        """A numeric search's result: it proves existence, not exhaustiveness."""
+        return self.provenance in ("generic", "oracle")
+
 
 # ---------------------------------------------------------------------------
 # Direct solvers for the kinds that fix the fold plane
@@ -693,9 +692,8 @@ class FoldSolution:
 def solve_I1(p: Point3, q: Point3) -> FoldSolution:
     """The unique fold plane mapping p onto q: their perpendicular bisector.
     Only points that the I1 precondition refuses (within TOL_SEPARATION)
-    are refused."""
-    if points_equal(p, q, TOL_SEPARATION):
-        raise InvalidConstraint("I1 requires distinct points; P = Q is the I8 case")
+    are refused, by that precondition."""
+    _pre_distinct_points((p, q))
     return FoldSolution.finite([perpendicular_bisector_plane(p, q, TOL_SEPARATION)])
 
 
@@ -706,8 +704,7 @@ def solve_I2(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> FoldSolution:
     lines are coplanar and non-parallel, one mid plane when parallel, and
     no solution when skew.
     """
-    if lines_setwise_equal(m, n, TOL_SEPARATION):
-        raise InvalidConstraint("I2 requires distinct lines; m = n is I9 or I10")
+    _pre_distinct_lines((m, n))
     p1, p2, dist, parallel = line_line_closest(m, n)
     if parallel:
         normal = (p2.xyz - p1.xyz) / dist
@@ -727,10 +724,9 @@ def solve_I2(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> FoldSolution:
 
 def solve_I4(pi: Plane3, tau: Plane3) -> FoldSolution:
     """Fold planes mapping plane pi onto plane tau: the dihedral bisectors."""
-    if planes_setwise_equal(pi, tau, TOL_SEPARATION):
-        raise InvalidConstraint("I4 requires distinct planes; pi = tau is I11 or I12")
+    _pre_distinct_planes((pi, tau))
     n1, n2 = pi.normal_vec, tau.normal_vec
-    if np.linalg.norm(cross3(n1, n2)) <= 1e-10:
+    if np.linalg.norm(cross3(n1, n2)) <= TOL_ANGLE:
         if float(n1 @ n2) < 0:  # sign convention may still differ pre-canonically
             n2, o2 = -n2, -tau.offset
         else:

@@ -126,7 +126,7 @@ class Line3:
         # a unit direction and a base perpendicular to it are kept as given;
         # one projection of a base far along d can leave b . d above rounding
         d = np.asarray(self.dir, dtype=float)
-        if not abs(_norm3(d) - 1.0) <= _UNIT_SLACK:
+        if not _is_unit(*d.tolist()):
             d = _unit(d, "line direction")
         d = d * _canonical_sign(d)
         b = self.base.xyz if isinstance(self.base, Point3) else _vec(self.base)
@@ -378,6 +378,10 @@ def lines_setwise_equal(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> bool:
     if np.linalg.norm(cross3(m.direction, n.direction)) > tol:
         return False
     return m.distance_to_point(n.base) <= tol
+
+
+# Planes within this plane_gap are one plane, in a solution and in a search.
+TOL_PLANE_IDENTITY = 1e-6
 
 
 def plane_gap(a: Plane3, b: Plane3) -> float:

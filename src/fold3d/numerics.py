@@ -33,7 +33,7 @@ from .constraints import (
     stacked_residual_grid,
 )
 from .errors import AllRealLine, DegenerateInput
-from .geometry import Plane3, plane_gap
+from .geometry import TOL_PLANE_IDENTITY, Plane3, plane_gap
 
 
 def _clamp(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
@@ -221,7 +221,7 @@ def newton_multistart(
     seeds,
     tol: float = 1e-10,
     max_iter: int = 60,
-    cluster_tol: float = 1e-6,
+    cluster_tol: float = TOL_PLANE_IDENTITY,
     vectorized: bool = False,
 ) -> list[np.ndarray]:
     """Roots of a residual vector function from every seed, deduplicated.
@@ -368,7 +368,6 @@ class OracleResult:
     """Clusters of fold planes found by exhaustive search plus refinement."""
 
     clusters: tuple[tuple[Plane3, float], ...]
-    resolution: int
 
     @property
     def count(self) -> int:
@@ -501,11 +500,9 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     return np.stack([th[cells], ph[cells], dstar[cells]], axis=1)
 
 
-# Newton tolerance and iteration cap of the fold-plane search, and the
-# plane_gap within which its verified planes are one.
+# Newton tolerance and iteration cap of the fold-plane search.
 SEARCH_NEWTON_TOL = 1e-10
 SEARCH_MAX_ITER = 80
-SEARCH_CLUSTER_TOL = 1e-6
 
 
 def search(
@@ -517,7 +514,7 @@ def search(
     normals at their best offsets, valley floors included if asked; the
     converged planes whose summed residual is below refine_tol are kept,
     clustered with the fold-plane dedup metric (plane_gap) within
-    SEARCH_CLUSTER_TOL, best residual first.  The roots are mapped to planes
+    TOL_PLANE_IDENTITY, best residual first.  The roots are mapped to planes
     by one params_to_planes call and verified by one stacked_residual_grid
     call on the planes' own normals and offsets, which gives each plane the
     bits of stacked_residual.
@@ -528,7 +525,6 @@ def search(
         normal_scan(cons, n_theta, n_phi, valley_floors),
         tol=SEARCH_NEWTON_TOL,
         max_iter=SEARCH_MAX_ITER,
-        cluster_tol=SEARCH_CLUSTER_TOL,
         vectorized=True,
     )
     if not roots:
@@ -543,7 +539,7 @@ def search(
     )
     clusters: list[tuple[Plane3, float]] = []
     for plane, res in found:
-        if all(plane_gap(plane, q) > SEARCH_CLUSTER_TOL for q, _ in clusters):
+        if all(plane_gap(plane, q) > TOL_PLANE_IDENTITY for q, _ in clusters):
             clusters.append((plane, res))
     return clusters
 
@@ -581,4 +577,4 @@ def grid_oracle(constraints, resolution: int = 48, n_offsets: int = 64) -> Oracl
         raise DegenerateInput(f"lattice counts must be at least 1, not n_offsets={n_offsets}")
     clusters = search(cons, resolution, resolution, False, ORACLE_REFINE_TOL)
     clusters.sort(key=lambda pr: (*pr[0].normal, pr[0].offset))
-    return OracleResult(tuple(clusters), resolution)
+    return OracleResult(tuple(clusters))

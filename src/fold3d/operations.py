@@ -263,6 +263,9 @@ def solve_I5_I9(
 # Singular values of the stacked unit linear forms below this fraction of the
 # largest, and a unit quadric's values on the null line below it, are zero.
 EXACT_REL_TOL = 1e-10
+# The least residual tolerance of the exact route (solve_operation raises a
+# smaller tol to it), and the default of solve_exact, solve_3I6 and solve_generic.
+EXACT_TOL_FLOOR = 1e-8
 # A unit candidate h = (N, d / r) with |N| below this is the plane at infinity.
 _AT_INFINITY = 1e-9
 # Charts (s, t, 1) -> U (s, t, 1) of a projective plane for the resultant of
@@ -641,7 +644,7 @@ def _lifted(normals: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate((normals[keep], (-value[keep] / (2.0 * slope[keep]))[:, None]), axis=1)
 
 
-def solve_exact(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
+def solve_exact(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR) -> FoldSolution:
     """Exact solver for every valid operation.
 
     Each constraint's dual locus (constraints.dual_locus) is a few linear
@@ -729,7 +732,8 @@ def solve_I6_I8_I11(
 
 
 def solve_3I6(
-    p: Point3, q: Point3, r: Point3, pi: Plane3, tau: Plane3, rho: Plane3, tol: float = 1e-8
+    p: Point3, q: Point3, r: Point3, pi: Plane3, tau: Plane3, rho: Plane3,
+    tol: float = EXACT_TOL_FLOOR,
 ) -> FoldSolution:
     """Fold placing p onto pi, q onto tau, and r onto rho: at most 7 planes,
     met as three quadrics in dual plane coordinates (solve_exact, k = 3).
@@ -771,7 +775,7 @@ def _checked_facts(key: tuple[int, ...]) -> OperationSpec:
 SCAN_LATTICE = (14, 28)
 
 
-def solve_generic(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldSolution:
+def solve_generic(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR) -> FoldSolution:
     """Numeric solver for any valid operation, kept as a cross-check of the
     exact and dedicated solvers: numerics.search over SCAN_LATTICE normals,
     valley floors included, keeping the planes below tol.  Flagged possibly
@@ -780,7 +784,7 @@ def solve_generic(constraints: Sequence[Constraint], tol: float = 1e-8) -> FoldS
     cons = tuple(constraints)
     _checked_facts(tuple(sorted(c.kind.index for c in cons)))
     planes = [plane for plane, _ in search(cons, *SCAN_LATTICE, True, tol)]
-    return FoldSolution.finite(planes, possibly_incomplete=True, provenance="generic")
+    return FoldSolution.finite(planes, provenance="generic")
 
 
 # The speed table: closed forms faster than solve_exact, by operation key,
@@ -811,7 +815,7 @@ def solve_operation(
 
     Routes by solver_route: the six keys of the speed table _DEDICATED go
     to their closed forms with tol, every other operation to solve_exact
-    with max(tol, 1e-8).  Both are exhaustive, so no result is flagged
+    with max(tol, EXACT_TOL_FLOOR).  Both are exhaustive, so no result is flagged
     possibly incomplete.  Raises InvalidOperation for the three rejected
     combinations and for under-constrained multisets, and DegenerateInput,
     on both routes, for a payload radius beyond MAX_PAYLOAD_RADIUS.
@@ -825,4 +829,4 @@ def solve_operation(
     _check_scale(r)
     if key in _DEDICATED:
         return _DEDICATED[key](tuple(obj for c in by_kind for obj in c.objects), tol)
-    return _solve_exact(by_kind, r, max(tol, 1e-8))
+    return _solve_exact(by_kind, r, max(tol, EXACT_TOL_FLOOR))

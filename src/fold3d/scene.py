@@ -231,13 +231,8 @@ class ResultDocument:
     message: str = ""
 
     @classmethod
-    def from_solution(cls, operation, constraints, solution, tol) -> "ResultDocument":
-        labels = [
-            c.label() if hasattr(c, "label") else c.kind.value for c in constraints
-        ]
-        cons = [
-            c.constraint if hasattr(c, "constraint") else c for c in constraints
-        ]
+    def from_solution(cls, operation, constraints: list[SceneConstraint], solution,
+                      tol) -> "ResultDocument":
         planes = []
         for plane in solution.planes:
             planes.append(
@@ -246,8 +241,8 @@ class ResultDocument:
                     "offset": plane.offset,
                     "coeffs": list(plane.coeffs()),
                     "residuals": [
-                        {"constraint": label, "residual": residual(c, plane)}
-                        for label, c in zip(labels, cons)
+                        {"constraint": sc.label(), "residual": residual(sc.constraint, plane)}
+                        for sc in constraints
                     ],
                 }
             )

@@ -111,6 +111,19 @@ class TestPreconditions:
         with pytest.raises(InvalidConstraint):
             Constraint(IncidenceKind.I5, (P0, P0))
 
+    @pytest.mark.parametrize("solve, kind, objs", [
+        (solve_I1, IncidenceKind.I1, (Point3(1, 1, 1), Point3(1, 1, 1))),
+        (solve_I2, IncidenceKind.I2,
+         (Line3(P0, (1, 0, 0)), Line3(Point3(5, 0, 0), (-1, 0, 0)))),
+        (solve_I4, IncidenceKind.I4, (Z0, Plane3((0, 0, -1), 0.0))),
+    ], ids=["I1", "I2", "I4"])
+    def test_direct_solver_refuses_with_its_rows_message(self, solve, kind, objs):
+        with pytest.raises(InvalidConstraint) as row:
+            Constraint(kind, objs)
+        with pytest.raises(InvalidConstraint) as direct:
+            solve(*objs)
+        assert str(direct.value) == str(row.value)
+
 
 class TestResiduals:
     def test_i1_satisfied(self):

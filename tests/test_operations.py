@@ -1,5 +1,6 @@
 """Fold operations: enumeration, dedicated solvers, dispatch, generic search."""
 
+import inspect
 from itertools import combinations_with_replacement
 from unittest import mock
 
@@ -11,6 +12,7 @@ import fold3d.operations
 from fold3d import (
     Constraint,
     DegenerateInput,
+    FoldSolution,
     IllPosed,
     IncidenceKind,
     InvalidOperation,
@@ -40,7 +42,8 @@ from fold3d import (
     solver_route,
     stacked_residual,
 )
-from fold3d.numerics import SEARCH_CLUSTER_TOL, search
+from fold3d.geometry import TOL_PLANE_IDENTITY
+from fold3d.numerics import search
 from helpers import (
     SystemInstance3I6,
     close_pair,
@@ -481,6 +484,17 @@ class TestSolveGeneric:
         cons = [Constraint.I1(Point3(0, 0, 0), Point3(1, 0, 0))]
         assert solve_generic(cons).possibly_incomplete
 
+    def test_only_the_searches_are_possibly_incomplete(self):
+        # the flag follows the provenance; FoldSolution.finite takes no flag
+        cons = [Constraint.I1(Point3(0, 0, 0), Point3(1, 0, 0))]
+        solved = [solve_operation(cons), solve_exact(cons), solve_generic(cons)]
+        assert [s.possibly_incomplete for s in solved] == [False, False, True]
+        for provenance in ("dedicated", "exact", "generic", "oracle"):
+            sol = FoldSolution.finite(solved[0].planes, provenance=provenance)
+            assert sol.possibly_incomplete is (provenance in ("generic", "oracle"))
+        assert not FoldSolution.no_solution().possibly_incomplete
+        assert "possibly_incomplete" not in inspect.signature(FoldSolution.finite).parameters
+
     def test_under_constrained_rejected(self):
         with pytest.raises(InvalidOperation):
             solve_generic([Constraint.I6(P_C, PI_C)])
@@ -531,7 +545,7 @@ class TestGenericNormalScan:
         planes = [p for p, _ in search(self.VALLEY, 14, 28, True, 1e-8)]
         assert len(without) == 2 and len(planes) == 3
         (near,) = [p for p in planes
-                   if all(plane_gap(p, q) > SEARCH_CLUSTER_TOL for q, _ in without)]
+                   if all(plane_gap(p, q) > TOL_PLANE_IDENTITY for q, _ in without)]
         assert abs(near.offset) < 0.2 * payload_radius(self.VALLEY)
 
     @pytest.mark.parametrize("solve", [solve_generic, grid_oracle], ids=lambda f: f.__name__)
@@ -543,7 +557,7 @@ class TestGenericNormalScan:
                 planes = solve([random_payload(rng, k) for k in spec.kinds]).planes
                 found += len(planes)
                 for i, p in enumerate(planes):
-                    assert all(plane_gap(p, q) > SEARCH_CLUSTER_TOL for q in planes[i + 1:]), spec
+                    assert all(plane_gap(p, q) > TOL_PLANE_IDENTITY for q in planes[i + 1:]), spec
         assert found > 50
 
 

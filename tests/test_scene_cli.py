@@ -26,7 +26,7 @@ from fold3d import (
 import fold3d.envelopes
 from fold3d.cli import _build_parser, main
 from fold3d.meshing import MAX_MESH_RESOLUTION, MAX_TANGENT_PLANES
-from fold3d.numerics import grid_oracle
+from fold3d.numerics import ORACLE_REFINE_TOL, grid_oracle
 from fold3d.scene import ResultDocument
 from helpers import CLOSE_PAIRS, close_pair, random_line, random_payload
 
@@ -608,13 +608,24 @@ class TestCli:
         [
             ("solve", ["--tol", "nan"]),
             ("verify", ["--plane", "0,0,1,-1", "--tol=-1"]),
-            ("oracle", ["--tol", "0"]),
         ],
     )
     def test_tol_must_be_positive(self, tmp_path, capsys, command, extra):
         path = _write(tmp_path, "s.json", I1_SCENE)
         assert main([command, path, *extra]) == 1
         assert capsys.readouterr().err.startswith("error: --tol")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("envelope", ["--incidence", "I6"]),
+        ("oracle", ["--resolution", "16"]),
+    ])
+    def test_tol_is_a_usage_error(self, tmp_path, capsys, command, extra):
+        # only solve and verify read a residual tolerance
+        path = _write(tmp_path, "s.json", I6_SCENE)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *extra, "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_nan_plane_offset_rejected(self, tmp_path, capsys):
         scene = """
@@ -791,6 +802,13 @@ class TestCliOutput:
         assert main(argv) == 0
         printed = capsys.readouterr().out
         assert printed and out_path.read_text() == printed
+
+    def test_oracle_reports_its_refine_tolerance(self, tmp_path, capsys, monkeypatch):
+        # the oracle keeps the planes below ORACLE_REFINE_TOL, whatever FOLD3D_TOL says
+        monkeypatch.setenv("FOLD3D_TOL", "1e-4")
+        path = _write(tmp_path, "s.json", I5_I6_SCENE)
+        assert main(["oracle", path, "--resolution", "16", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == ORACLE_REFINE_TOL == 1e-6
 
     def test_oracle_cluster_residuals(self, tmp_path, capsys):
         path = _write(tmp_path, "s.json", I5_I6_SCENE)

@@ -27,9 +27,16 @@ A quadric's coefficient layout is stated once, by the slot table of
 ``envelopes.Quadric``; meshing reads the quadric's 4x4 matrix, and an
 ``ast`` check fails when ``meshing.py`` reads a ``coeffs`` attribute.
 
-The last tests import the package: they count the LAPACK calls
-(``np.linalg.svd``, ``det`` and ``eigvals``) of one exact solve each, so a
-redundant rank test or decomposition cannot come back unseen.
+The direct solvers of I1, I2 and I4 refuse a payload through their rows'
+preconditions, so each refusal and its message are stated once; an ``ast``
+check fails when one of them raises on its own.
+
+The last tests import the package.  Each option of a ``fold3d`` subcommand
+must be read by its handler, directly or through the helpers it passes
+``args`` to (``_emit``, ``_check_spec``), so an option that shapes nothing
+cannot come back.  The others count the LAPACK calls (``np.linalg.svd``,
+``det`` and ``eigvals``) of one exact solve each, so a redundant rank test
+or decomposition cannot come back unseen.
 """
 
 import ast
@@ -180,6 +187,92 @@ def test_coeffs_guard_tells_a_read_from_a_mention():
     source = MESHING.read_text()
     assert "z_row = quadric.matrix[2]" in source
     assert _coeffs_reads(source.replace("z_row = quadric.matrix[2]", "z_row = quadric.coeffs[2]"))
+
+
+DIRECT_SOLVERS = ("solve_I1", "solve_I2", "solve_I4")
+
+
+def _own_raises(source: str) -> list[str]:
+    functions = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+    return [
+        f"constraints.py:{node.lineno}: {name}"
+        for name in DIRECT_SOLVERS
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Raise)
+    ]
+
+
+def test_direct_solvers_refuse_through_their_rows():
+    raises = _own_raises(CONSTRAINTS.read_text())
+    assert not raises, "\n".join(raises)
+
+
+def test_raise_guard_finds_a_raise():
+    source = CONSTRAINTS.read_text()
+    line = "    _pre_distinct_lines((m, n))\n"
+    assert line in source
+    assert _own_raises(source.replace(line, line + "    raise InvalidConstraint('m = n')\n"))
+
+
+CLI = next(p for p in SOURCES if p.name == "cli.py")
+
+
+def _args_reads(source: str) -> dict[str, set[str]]:
+    """The attributes of ``args`` each module function of cli reads, as
+    ``args.name`` or ``getattr(args, "name", ...)``, also through the module
+    functions it passes ``args`` to."""
+    functions = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+
+    def reads(name: str, seen: set[str]) -> set[str]:
+        seen.add(name)
+        found = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                found.add(node.attr)
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                continue
+            passed = [a for a in node.args if isinstance(a, ast.Name) and a.id == "args"]
+            if node.func.id == "getattr" and passed:
+                found.add(node.args[1].value)
+            elif passed and node.func.id in functions and node.func.id not in seen:
+                found |= reads(node.func.id, seen)
+        return found
+
+    return {name: reads(name, set()) for name in functions}
+
+
+def _unread_options(source: str) -> list[str]:
+    from fold3d.cli import _COMMANDS, _build_parser
+
+    (commands,) = [a for a in _build_parser(1e-9)._actions if a.dest == "command"]
+    reads = _args_reads(source)
+    return [
+        f"fold3d {command} {action.option_strings or [action.dest]}"
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.dest != "help" and action.dest not in reads[_COMMANDS[command].__name__]
+    ]
+
+
+def test_every_option_is_read():
+    unread = _unread_options(CLI.read_text())
+    assert not unread, "\n".join(unread)
+
+
+def test_option_guard_finds_an_unread_option():
+    source = CLI.read_text()
+    assert "extent=args.extent" in source and "doc.to_json() if args.json" in source
+    assert _unread_options(source.replace("extent=args.extent", "extent=4.0")) == [
+        "fold3d envelope ['--extent']"
+    ]
+    # the text replaced is solve's and oracle's one read of --json
+    unread = _unread_options(source.replace("doc.to_json() if args.json", "doc.to_json() if 0"))
+    assert unread == ["fold3d solve ['--json']", "fold3d oracle ['--json']"]
 
 
 # LAPACK calls per exact solve, (svd, det, eigvals): 3I6 takes b's SVD and
