@@ -37,6 +37,7 @@ _UNIT_SLACK = 4.0 * np.finfo(float).eps
 # Near 1, norms from squares summed in Python floats and by np.linalg.norm
 # (a BLAS dot, which fuses multiply-adds) are at most 2.25 eps apart.
 _NORM_DRIFT = 2.5 * np.finfo(float).eps
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # about 1.49e-8
 _EYE3 = np.eye(3)
 
 
@@ -108,7 +109,9 @@ class Point3:
         return np.array([self.x, self.y, self.z])
 
     def distance_to(self, other: Point3) -> float:
-        return float(np.linalg.norm(self.xyz - other.xyz))
+        """|self - other|, the difference taken in Python floats so a far pair
+        gives a large or infinite distance without a NumPy overflow warning."""
+        return _norm3(np.array((self.x - other.x, self.y - other.y, self.z - other.z)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,11 +356,17 @@ def line_line_closest(m: Line3, n: Line3) -> tuple[Point3, Point3, float, bool]:
     """Closest points (one per line), their distance, and a parallel flag."""
     d1, d2 = m.direction, n.direction
     w = n.base.xyz - m.base.xyz
-    if np.linalg.norm(cross3(d1, d2)) <= TOL_ANGLE:
+    cr = cross3(d1, d2)
+    if np.linalg.norm(cr) <= TOL_ANGLE:
         perp = w - (w @ d1) * d1
         return m.base, Point3(*(m.base.xyz + perp)), float(np.linalg.norm(perp)), True
     b = float(d1 @ d2)
     denom = 1.0 - b * b
+    if denom < _SQRT_EPS:
+        # 1 - b^2 has kept less than half its digits (none, 0, for lines less
+        # than about 1.5e-8 apart in direction); |d1 x d2|^2 is the same
+        # number without that cancellation
+        denom = float(cr @ cr)
     t2 = (b * float(w @ d1) - float(w @ d2)) / denom
     t1 = float(w @ d1) + b * t2
     p1 = m.point_at(t1)

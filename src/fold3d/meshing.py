@@ -6,10 +6,19 @@ nappe of the I7 cone otherwise, and mapped back to scene coordinates, so
 exported vertices satisfy the quadric equation to machine precision.
 Tangent fold planes are exported as quads centered at their contact with
 the envelope.  Faces are NumPy (m, k) arrays of vertex indices.
+
+A grid's triangles depend only on its resolution, and an export always writes
+the envelope first, at OBJ index offset 1.  So the face array and its OBJ text
+are built once per resolution and memoised, least recently used out first,
+within _FACE_MEMO_BYTES (1 MiB) of arrays and text: a 33 x 33 grid takes
+about 78 kB, and a grid above 105 per side, which could not fit, is built and
+formatted anew on each export.  The memo lives in one process, so a fresh
+``fold3d`` process gains nothing from it, only from the per-call trims.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -23,20 +32,47 @@ from .geometry import cross3, perp_unit
 MAX_MESH_RESOLUTION = 1024
 # Tangent fold planes per export: one quad and one OBJ object each.
 MAX_TANGENT_PLANES = 1024
-_ROWS_PER_WRITE = 128  # rows write_obj formats at a time, so its text stays small
+_ROWS_PER_WRITE = 128  # rows formatted into one string, so the text in hand stays small
+_FACE_MEMO_BYTES = 1 << 20  # bound on the memoised grid face arrays and their text
+# resolution -> (read-only faces, their OBJ text at offset 1), oldest first
+_face_memo: dict[int, tuple[np.ndarray, str]] = {}
+
+
+def _grid_faces(resolution: int) -> np.ndarray:
+    """Read-only (m, 3) triangles of a resolution x resolution grid: cell (i, j)
+    with corner a = i * resolution + j gives the triangles (a, c, b) and
+    (b, c, d), where b = a + 1, c = a + resolution, d = c + 1.  Memoised with
+    their OBJ text while both fit _FACE_MEMO_BYTES."""
+    entry = _face_memo.pop(resolution, None)
+    if entry is None:
+        a = np.arange(resolution * resolution).reshape(resolution, resolution)[:-1, :-1].ravel()
+        b, c = a + 1, a + resolution
+        faces = np.stack([a, c, b, b, c, c + 1], axis=1).reshape(-1, 3)
+        faces.setflags(write=False)
+        # the text is shorter than the array (at most 20 B a line against 24 B
+        # while indices have 5 digits), so an array over half the bound
+        # cannot fit with its text and is not formatted here
+        if 2 * faces.nbytes > _FACE_MEMO_BYTES:
+            return faces
+        entry = faces, "".join(_row_text("f %d %d %d\n", faces + 1))
+        size = faces.nbytes + len(entry[1])
+        while _face_memo and _memo_bytes() + size > _FACE_MEMO_BYTES:
+            del _face_memo[next(iter(_face_memo))]
+    _face_memo[resolution] = entry
+    return entry[0]
+
+
+def _memo_bytes() -> int:
+    return sum(faces.nbytes + len(text) for faces, text in _face_memo.values())
 
 
 def _grid(extent: float, resolution: int, surface) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices and (m, 3) triangles of the points surface(x, y) over a square
-    grid; cell (i, j) with corner a = i * resolution + j gives the triangles
-    (a, c, b) and (b, c, d), where b = a + 1, c = a + resolution, d = c + 1."""
+    """Vertices and (m, 3) triangles (_grid_faces) of the points surface(x, y)
+    over a square grid."""
     xs = np.linspace(-extent, extent, resolution)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     verts = np.stack([np.ravel(c) for c in surface(xx, yy)], axis=1)
-    a = np.arange(resolution * resolution).reshape(resolution, resolution)[:-1, :-1].ravel()
-    b, c = a + 1, a + resolution
-    faces = np.stack([a, c, b, b, c, c + 1], axis=1).reshape(-1, 3)
-    return verts, faces
+    return verts, _grid_faces(resolution)
 
 
 def _cone_nappe(theta: float):
@@ -91,23 +127,31 @@ def tangent_plane_quad(
     )
 
 
+def _row_text(fmt: str, rows: np.ndarray):
+    """The text of fmt % row for every row, _ROWS_PER_WRITE rows a string."""
+    for i in range(0, len(rows), _ROWS_PER_WRITE):
+        chunk = rows[i:i + _ROWS_PER_WRITE]
+        yield fmt * len(chunk) % tuple(chunk.ravel().tolist())
+
+
 def write_obj(path, objects: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
     """Write named (vertices, faces) groups to a Wavefront OBJ file.
 
     Vertices are (n, 3) floats, written with 17 significant digits so they
     read back exactly.  Faces are (m, k) 0-based local indices, written
-    1-based and global across objects.
+    1-based and global across objects; the memoised faces of a grid
+    (_grid_faces) at offset 1 are written from their memoised text.
     """
     offset = 1
     with open(path, "w") as fh:
         for name, verts, faces in objects:
-            faces = np.asarray(faces, dtype=np.int64) + offset
-            fh.write(f"o {name}\n")
-            for fmt, rows in (("v %.17g %.17g %.17g\n", np.asarray(verts, dtype=float)),
-                              ("f" + " %d" * faces.shape[1] + "\n", faces)):
-                for i in range(0, len(rows), _ROWS_PER_WRITE):
-                    chunk = rows[i:i + _ROWS_PER_WRITE]
-                    fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+            verts = np.asarray(verts, dtype=float)
+            face_text = [t for f, t in _face_memo.values() if f is faces] if offset == 1 else []
+            if not face_text:
+                faces = np.asarray(faces, dtype=np.int64) + offset
+                face_text = _row_text("f" + " %d" * faces.shape[1] + "\n", faces)
+            fh.writelines(itertools.chain(
+                (f"o {name}\n",), _row_text("v %.17g %.17g %.17g\n", verts), face_text))
             offset += len(verts)
 
 

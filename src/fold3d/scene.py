@@ -26,7 +26,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .constraints import Constraint, IncidenceKind, residual
+import numpy as np
+
+from .constraints import Constraint, IncidenceKind, residual_grid
 from .errors import FoldError, InvalidConstraint, ParseError, ValidationError
 from .geometry import Line3, Plane3, Point3
 
@@ -234,15 +236,21 @@ class ResultDocument:
     def from_solution(cls, operation, constraints: list[SceneConstraint], solution,
                       tol) -> "ResultDocument":
         planes = []
-        for plane in solution.planes:
+        if solution.planes:
+            # one residual_grid call per constraint over every plane; each row
+            # has the bits a one-plane call would give
+            N = np.array([p.normal for p in solution.planes])
+            O = np.array([p.offset for p in solution.planes])
+            by_constraint = [residual_grid(sc.constraint, N, O).tolist() for sc in constraints]
+        for i, plane in enumerate(solution.planes):
             planes.append(
                 {
                     "normal": list(plane.normal),
                     "offset": plane.offset,
                     "coeffs": list(plane.coeffs()),
                     "residuals": [
-                        {"constraint": sc.label(), "residual": residual(sc.constraint, plane)}
-                        for sc in constraints
+                        {"constraint": sc.label(), "residual": r[i]}
+                        for sc, r in zip(constraints, by_constraint)
                     ],
                 }
             )

@@ -32,7 +32,15 @@ from fold3d import (
     reflect_plane,
     reflect_point,
 )
-from fold3d.geometry import _UNIT_SLACK, TOL_SEPARATION, _is_unit, cross3
+from fold3d.constraints import solve_I2
+from fold3d.geometry import (
+    _UNIT_SLACK,
+    TOL_ANGLE,
+    TOL_SEPARATION,
+    _is_unit,
+    cross3,
+    line_line_closest,
+)
 from helpers import (
     point_off_line,
     point_off_plane,
@@ -594,3 +602,32 @@ class TestSeparationThreshold:
         Constraint.I3(m, n)
         with pytest.raises(DegenerateInput, match="rounds to zero"):
             canonical_frame_parallel_lines(m, n)
+
+
+class TestNearlyParallelLines:
+    """Lines between TOL_ANGLE and about 1.5e-8 apart in direction, where
+    1 - b^2 of the unit directions rounds to 0: (0,0,0)+t(1,0,0) and
+    (0,0,1)+t(1,angle,0) are 1 apart, closest at t = 0."""
+
+    @pytest.mark.parametrize("angle", [1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6])
+    def test_closest_points_i3_and_i2(self, angle):
+        m = Line3(Point3(0, 0, 0), (1, 0, 0))
+        n = Line3(Point3(0, 0, 1), (1, angle, 0))
+        p1, p2, dist, parallel = line_line_closest(m, n)
+        assert parallel == (angle <= TOL_ANGLE)
+        assert dist == 1.0 and p1 == Point3(0, 0, 0) and p2 == Point3(0, 0, 1)
+        Constraint.I3(m, n)  # disjoint lines
+        assert solve_I2(m, n).count == (1 if parallel else 0)
+
+
+class TestFarPointDistance:
+    def test_far_points_give_no_overflow_warning(self):
+        p, q = Point3(1e200, -1e200, 3e199), Point3(-1e200, 1e200, 0.0)
+        assert p.distance_to(q) == pytest.approx(math.sqrt(8.09) * 1e200, rel=1e-15)
+        assert Point3(1.7e308, 0, 0).distance_to(Point3(-1.7e308, 0, 0)) == math.inf
+
+    def test_ordinary_distances_keep_their_bits(self):
+        rng = np.random.default_rng(31)
+        for xyz in rng.normal(size=(500, 2, 3)) * 10.0 ** rng.uniform(-8, 8, size=(500, 1, 1)):
+            p, q = Point3(*xyz[0]), Point3(*xyz[1])
+            assert p.distance_to(q) == float(np.linalg.norm(p.xyz - q.xyz))

@@ -78,3 +78,62 @@ def test_export_resolution_capped(tmp_path):
     with pytest.raises(DegenerateInput, match="resolution"):
         export_envelope_obj(out, fam, resolution=MAX_MESH_RESOLUTION + 1)
     assert not out.exists()
+
+
+# The largest grid whose faces and their text fit the memo's bound (see
+# meshing._grid_faces: a face array over half the bound is not memoised).
+LARGEST_MEMOISED = 105
+
+
+def _export_matches_reference(tmp_path, fam, resolution, tangent_count):
+    out, ref = tmp_path / "new.obj", tmp_path / "ref.obj"
+    with mock.patch.object(meshing, "write_obj", wraps=meshing.write_obj) as spy:
+        export_envelope_obj(out, fam, resolution=resolution, tangent_count=tangent_count)
+    objects = list(spy.call_args.args[1])
+    name, verts, _ = objects[0]
+    objects[0] = (name, verts, reference_grid_faces(resolution))
+    reference_write_obj(ref, objects)
+    return out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("tangent_count", [0, 3])
+def test_interleaved_resolutions_match_reference(tmp_path, monkeypatch, tangent_count):
+    monkeypatch.setattr(meshing, "_face_memo", {})
+    fam = family_I6(*random_payload(np.random.default_rng(26), IncidenceKind.I6).objects)
+    above = LARGEST_MEMOISED + 1
+    for resolution in (33, 7, 33, 2, 33, above):
+        assert _export_matches_reference(tmp_path, fam, resolution, tangent_count)
+    assert list(meshing._face_memo) == [7, 2, 33]
+
+
+def test_memo_holds_grids_up_to_its_bound(monkeypatch):
+    monkeypatch.setattr(meshing, "_face_memo", {})
+    faces = meshing._grid_faces(LARGEST_MEMOISED)
+    assert LARGEST_MEMOISED in meshing._face_memo and not faces.flags.writeable
+    meshing._grid_faces(LARGEST_MEMOISED + 1)
+    assert LARGEST_MEMOISED + 1 not in meshing._face_memo
+
+
+def test_memo_stays_within_its_bound_after_large_exports(tmp_path, monkeypatch):
+    monkeypatch.setattr(meshing, "_face_memo", {})
+    fam = family_I5(*random_payload(np.random.default_rng(27), IncidenceKind.I5).objects)
+    # the largest grid is meshed but not written: its OBJ text is about 115 MB
+    with mock.patch.object(meshing, "write_obj"):
+        for resolution in (*range(2, 120, 3), MAX_MESH_RESOLUTION):
+            export_envelope_obj(tmp_path / "e.obj", fam, resolution=resolution)
+            assert meshing._memo_bytes() <= meshing._FACE_MEMO_BYTES == 1 << 20
+    assert MAX_MESH_RESOLUTION not in meshing._face_memo
+
+
+def test_memoised_faces_elsewhere_than_first_are_written_by_value(tmp_path):
+    # write_obj's memoised text holds offset 1; the same faces further on
+    # are numbered from their own offset
+    faces = meshing._grid_faces(7)
+    rng = np.random.default_rng(28)
+    verts = rng.normal(size=(49, 3))
+    objects = [("grid", verts, faces), ("again", verts, faces), ("quad", verts[:4], [(0, 1, 2, 3)])]
+    new, ref = tmp_path / "new.obj", tmp_path / "ref.obj"
+    write_obj(new, objects)
+    reference_write_obj(ref, [(n, v, [tuple(f) for f in np.asarray(fs).tolist()])
+                              for n, v, fs in objects])
+    assert new.read_bytes() == ref.read_bytes()

@@ -899,3 +899,27 @@ def test_envelope_of_lines_just_off_their_planes(tmp_path, capsys):
         code = main(["envelope", _write(tmp_path, f"s{i}.json", scene), "--incidence", "I7",
                      "--out", str(out_path)])
         assert code == 0, capsys.readouterr().err
+
+
+# Angles from TOL_ANGLE up, where 1 - b^2 of the unit directions rounds to 0
+# (up to about 1.5e-8) or has lost most of its digits.
+NEARLY_PARALLEL_ANGLES = [1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6]
+
+
+def _nearly_parallel_scene(kind: str, angle: float) -> str:
+    return json.dumps({
+        "lines": {"m": {"point": [0, 0, 0], "dir": [1, 0, 0]},
+                  "n": {"point": [0, 0, 1], "dir": [1, angle, 0]}},
+        "constraints": [{"type": kind, "args": {"line": "m", "line2": "n"}}],
+    })
+
+
+@pytest.mark.parametrize("angle", NEARLY_PARALLEL_ANGLES)
+def test_solve_of_nearly_parallel_lines_exits_cleanly(tmp_path, capsys, angle):
+    # I2 of lines 1 apart: one mid plane while parallel within TOL_ANGLE,
+    # else skew with no solution; I3 alone leaves free parameters
+    for kind, code, err in [("I2", 0 if angle <= 1e-10 else 2, ""),
+                            ("I3", 1, "error: I3 has combined codimension")]:
+        path = _write(tmp_path, f"{kind}.json", _nearly_parallel_scene(kind, angle))
+        assert main(["solve", path]) == code
+        assert capsys.readouterr().err.startswith(err)
