@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import InvalidConstraint
+from .errors import DegenerateInput, InvalidConstraint
 from .geometry import (
     TOL_ANGLE,
     TOL_INCIDENCE,
@@ -628,6 +628,20 @@ def payload_radius(constraints) -> float:
                 r = max(r, math.hypot(obj.x, obj.y, obj.z))
             elif isinstance(obj, Plane3):
                 r = max(r, abs(obj.offset))
+    return r
+
+
+# Largest payload radius the solvers and the fold-plane search take: below
+# it a length cubed, as in solve_I5_I6's cubic, stays finite.
+MAX_PAYLOAD_RADIUS = 1e100
+
+
+def check_payload_radius(r: float) -> float:
+    """r, a payload radius; DegenerateInput beyond MAX_PAYLOAD_RADIUS."""
+    if not r <= MAX_PAYLOAD_RADIUS:
+        raise DegenerateInput(
+            f"payload radius {r:.3g} exceeds {MAX_PAYLOAD_RADIUS:g}; rescale the scene"
+        )
     return r
 
 

@@ -140,19 +140,29 @@ def write_obj(path, objects: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
     Vertices are (n, 3) floats, written with 17 significant digits so they
     read back exactly.  Faces are (m, k) 0-based local indices, written
     1-based and global across objects; the memoised faces of a grid
-    (_grid_faces) at offset 1 are written from their memoised text.
+    (_grid_faces) at offset 1 are written from their memoised text.  An
+    object with no faces is written as its vertices only.  Every object is
+    checked before the file is opened: DegenerateInput for vertices that
+    are not (n, 3) or faces that are not (m, k), and the file is untouched.
     """
-    offset = 1
+    offset, blocks = 1, []
+    for name, verts, faces in objects:
+        verts = np.asarray(verts, dtype=float)
+        face_text = [t for f, t in _face_memo.values() if f is faces] if offset == 1 else []
+        if not face_text:
+            faces = np.asarray(faces, dtype=np.int64)
+        if (verts.size and verts.shape[1:] != (3,)) or (faces.size and faces.ndim != 2):
+            raise DegenerateInput(
+                f"object {name} needs (n, 3) vertices and (m, k) faces, not arrays of "
+                f"shape {verts.shape} and {np.shape(faces)}"
+            )
+        if not face_text and faces.size:
+            face_text = _row_text("f" + " %d" * faces.shape[1] + "\n", faces + offset)
+        blocks.append(((f"o {name}\n",), _row_text("v %.17g %.17g %.17g\n", verts), face_text))
+        offset += len(verts)
     with open(path, "w") as fh:
-        for name, verts, faces in objects:
-            verts = np.asarray(verts, dtype=float)
-            face_text = [t for f, t in _face_memo.values() if f is faces] if offset == 1 else []
-            if not face_text:
-                faces = np.asarray(faces, dtype=np.int64) + offset
-                face_text = _row_text("f" + " %d" * faces.shape[1] + "\n", faces)
-            fh.writelines(itertools.chain(
-                (f"o {name}\n",), _row_text("v %.17g %.17g %.17g\n", verts), face_text))
-            offset += len(verts)
+        for block in blocks:
+            fh.writelines(itertools.chain(*block))
 
 
 def export_envelope_obj(

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
+    check_payload_radius,
     payload_radius,
     residual_components_grid,
     stacked_residual_grid,
@@ -202,18 +203,40 @@ def _least_squares_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     jt = jac.transpose(0, 2, 1)
     jtj = jt @ jac
-    jtr = (jt @ r[:, :, None])[:, :, 0]
+    jtr = jt @ r[:, :, None]  # (k, d, 1): columns, as solve takes them
     det = np.linalg.det(jtj)
-    thr = 1e-10 * np.prod(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
+    thr = 1e-10 * np.multiply.reduce(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
     solvable = np.isfinite(det) & np.isfinite(thr) & (det > thr)
     if solvable.all():
-        return np.linalg.solve(jtj, jtr[..., None])[..., 0]
-    step = np.empty_like(jtr)
-    step[solvable] = np.linalg.solve(jtj[solvable], jtr[solvable][..., None])[..., 0]
+        return np.linalg.solve(jtj, jtr)[..., 0]
+    step = np.empty(jtr.shape[:2])
+    step[solvable] = np.linalg.solve(jtj[solvable], jtr[solvable])[..., 0]
     rest = ~solvable
     if rest.any():
         step[rest] = np.einsum("kdm,km->kd", np.linalg.pinv(jac[rest]), r[rest])
     return step
+
+
+@functools.lru_cache(maxsize=8)
+def _newton_tables(d: int, m: int):
+    """newton_multistart's read-only tables for d parameters and m residual
+    components, built once per (d, m): the (2, d, 1, d) probe offsets +e_j
+    and -e_j, with -0.0 off the diagonal (x + -0.0 h is x bit for bit, even
+    for x = -0.0), the ten step lengths 1, 1/2, ..., 1/512, and the (m, d)
+    identity that stands in for a Jacobian that is not finite."""
+    on = np.eye(d, dtype=bool)
+    signs = np.stack([np.where(on, 1.0, -0.0), np.where(on, -1.0, -0.0)])[:, :, None, :]
+    lengths = 0.5 ** np.arange(10)
+    eye = np.eye(m, d)
+    for a in (signs, lengths, eye):
+        a.setflags(write=False)
+    return signs, lengths, eye
+
+
+def _norms(res: np.ndarray) -> np.ndarray:
+    """|r| of each row of res (last axis).  A norm that is not finite, inf
+    or NaN, passes no < test, so NaN needs no mapping to inf."""
+    return np.sqrt(np.add.reduce(res * res, axis=-1))
 
 
 def newton_multistart(
@@ -253,6 +276,13 @@ def newton_multistart(
       anyway, takes blocks of 2·d (for d = 3: 1 ... 1/32, then 1/64 ...
       1/512).
 
+    The active seeds' indices, parameters, residuals and norms are kept in
+    compact arrays, and a seed leaves them once, when it converges or
+    stalls.  The probe offsets, step lengths and identity fill are built
+    once per (d, m) and cached read-only (_newton_tables).  Finiteness is
+    one whole-array test per iteration; per-row masks are built only when
+    it fails.
+
     A seed's path depends on its own values alone, not on which other seeds
     share its batches or how many lengths a block tries, as long as the
     residual's rows do (the fold-plane residual kernels give every row the
@@ -280,52 +310,54 @@ def newton_multistart(
             rows = [np.atleast_1d(np.asarray(residual(row), dtype=float)) for row in batch]
             return np.vstack(rows)
 
-    def norms_of(res: np.ndarray) -> np.ndarray:
-        nr = np.sqrt(np.add.reduce(res * res, axis=-1))
-        return np.where(np.isfinite(nr), nr, np.inf)
-
     r = rf(x)
     m = r.shape[1]
-    norms = norms_of(r)
+    norms = _norms(r)
     converged = norms < tol
-    stalled = ~np.isfinite(norms)
-    eye = np.eye(m, d)
-    # the probe offsets +e_j and -e_j, with -0.0 off the diagonal: x + -0.0 h
-    # is x bit for bit, even for x = -0.0
-    on = np.eye(d, dtype=bool)
-    signs = np.stack([np.where(on, 1.0, -0.0), np.where(on, -1.0, -0.0)])[:, :, None, :]
-    lengths = 0.5 ** np.arange(10)
+    signs, lengths, eye = _newton_tables(d, m)
+    # the active seeds: neither converged nor with a residual that is not finite
+    idx = np.flatnonzero(~converged & np.isfinite(norms))
+    xa, ra, na = x[idx], r[idx], norms[idx]
     # the rows of the first Jacobian call: no line-search batch is larger
-    rows = 2 * d * np.count_nonzero(~(converged | stalled))
+    rows = 2 * d * idx.size
 
     for _ in range(max_iter):
-        idx = np.flatnonzero(~(converged | stalled))
-        if idx.size == 0:
-            break
-        xa, ra, na = x[idx], r[idx], norms[idx]
         ka = idx.size
+        if ka == 0:
+            break
         # all 2*d central-difference probes x +- h_j e_j in one residual batch
         h = FD_STEP * (1.0 + np.abs(xa))
         rp = rf((xa + signs * h).reshape(-1, d)).reshape(2, d, ka, m)
         jac = ((rp[0] - rp[1]) / (2.0 * h.T)[:, :, None]).transpose(1, 2, 0)
-        bad = ~np.isfinite(jac).all(axis=(1, 2))
-        jac[bad] = eye
+        jac_finite = np.isfinite(jac).all()
+        if not jac_finite:
+            bad = ~np.isfinite(jac).all(axis=(1, 2))
+            jac[bad] = eye
         step = _least_squares_steps(jac, ra)
-        improved = np.zeros(ka, dtype=bool)
-        todo = np.flatnonzero(~bad & np.isfinite(step).all(axis=1))
         # the stall test: skip seeds whose linear model cannot halve |r|
-        model = ra[todo] - np.einsum("kmd,kd->km", jac[todo], step[todo])
-        todo = todo[norms_of(model) < 0.5 * na[todo]]
+        if jac_finite and np.isfinite(step).all():
+            model = ra - np.einsum("kmd,kd->km", jac, step)
+            todo = np.flatnonzero(_norms(model) < 0.5 * na)
+        else:
+            finite = np.isfinite(step).all(axis=1)
+            todo = np.flatnonzero(finite if jac_finite else finite & ~bad)
+            model = ra[todo] - np.einsum("kmd,kd->km", jac[todo], step[todo])
+            todo = todo[_norms(model) < 0.5 * na[todo]]
+        improved = np.zeros(ka, dtype=bool)
         # each seed keeps the largest step length that improves it
         lo = 0
         while todo.size and lo < lengths.size:
             per_call = max(2 * d, rows // todo.size) if vectorized else 2 * d
             alphas = lengths[lo : lo + per_call]
             lo += alphas.size
-            trial = xa[todo][:, None, :] - alphas[None, :, None] * step[todo][:, None, :]
+            if todo.size == ka:
+                xt, st, nb = xa, step, na
+            else:
+                xt, st, nb = xa[todo], step[todo], na[todo]
+            trial = xt[:, None, :] - alphas[None, :, None] * st[:, None, :]
             rt = rf(trial.reshape(-1, d)).reshape(todo.size, alphas.size, m)
-            nt = norms_of(rt)
-            better = nt < na[todo][:, None]
+            nt = _norms(rt)
+            better = nt < nb[:, None]
             hit = better.any(axis=1)
             first = better.argmax(axis=1)[hit]
             won = todo[hit]
@@ -334,12 +366,15 @@ def newton_multistart(
             na[won] = nt[hit, first]
             improved[won] = True
             todo = todo[~hit]
-        x[idx] = xa
-        r[idx] = ra
-        norms[idx] = na
-        newly_stalled = idx[~improved]
-        stalled[newly_stalled[norms[newly_stalled] >= tol]] = True
-        converged = norms < tol
+        # a seed leaves when it converges or, not improved, stalls
+        done = na < tol
+        stay = improved & ~done
+        if not stay.all():
+            conv = idx[done]
+            x[conv] = xa[done]
+            norms[conv] = na[done]
+            converged[conv] = True
+            idx, xa, ra, na = idx[stay], xa[stay], ra[stay], na[stay]
 
     cand = np.flatnonzero(converged)
     kept = _cluster(x[cand[np.argsort(norms[cand], kind="stable")]], cluster_tol)
@@ -416,14 +451,17 @@ def stacked_components_fn(constraints):
 def _scan_lattice(n_theta: int, n_phi: int):
     """normal_scan's lattice, as read-only arrays built once per shape: theta
     and phi of every cell in grid order, the normals of the scored cells
-    (the first half when n_phi is even, else all), and the twin (n_theta - 1
-    - i, j + n_phi/2) of each scored cell (i, j), None when n_phi is odd."""
+    (the first half when n_phi is even, else all), the twin (n_theta - 1
+    - i, j + n_phi/2) of each scored cell (i, j), None when n_phi is odd,
+    and the doubled lattice the scan evaluates in one call: the scored
+    normals twice, at the offsets 0 and then 1."""
     thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
     phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
     th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
     half = th.size // 2 if n_phi % 2 == 0 else th.size
     normals, _ = params_to_planes(np.stack([th[:half], ph[:half], np.zeros(half)], axis=1))
-    arrays = [th, ph, normals]
+    doubled = np.concatenate([normals, normals]), np.repeat([0.0, 1.0], half)
+    arrays = [th, ph, normals, *doubled]
     twins = None
     if half < th.size:
         i, j = np.divmod(np.arange(half), n_phi)
@@ -431,7 +469,7 @@ def _scan_lattice(n_theta: int, n_phi: int):
         arrays.append(twins)
     for a in arrays:
         a.setflags(write=False)
-    return th, ph, normals, twins
+    return th, ph, normals, twins, doubled
 
 
 def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
@@ -440,17 +478,19 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     in grid order.
 
     Every signed residual component is affine in the offset d once the
-    normal n is fixed: A(n) + d B(n), read exactly at d = 0 and d = 1.  So
-    each normal's best offset is d*(n) = -A.B / B.B (variable projection)
-    and no window bounds the search; normals with B.B <= 1e-12 max B.B,
-    whose offset is not determined, are skipped.  The score is the summed
-    scalar residual at (n, d*) times (r + 1) / (r + |d*| + 1), r the payload
-    radius, so far planes, whose residual changes fast with the angle, are
-    not lost.  The seeds are the 2-D local minima of the score below the
-    coarse threshold 3 (r + 1) pi / n_theta and their four grid
-    neighbours.  With valley_floors, every cell below that threshold that
-    is a minimum along theta or along phi is a seed too: a plane whose score
-    valley slopes down to another solution has no 2-D minimum next to it.
+    normal n is fixed: A(n) + d B(n), read exactly at d = 0 and d = 1, both
+    in one residual_components_grid call per constraint on the doubled
+    lattice.  So each normal's best offset is d*(n) = -A.B / B.B (variable
+    projection) and no window bounds the search; normals with B.B <= 1e-12
+    max B.B, whose offset is not determined, are skipped (d* = 0).  The
+    score is the summed scalar residual at (n, d*) times (r + 1) / (r +
+    |d*| + 1), r the payload radius, so far planes, whose residual changes
+    fast with the angle, are not lost.  The seeds are the 2-D local minima
+    of the score below the coarse threshold 3 (r + 1) pi / n_theta and
+    their four grid neighbours, the neighbours compared by slicing.  With
+    valley_floors, every cell below that threshold that is a minimum along
+    theta or along phi is a seed too: a plane whose score valley slopes
+    down to another solution has no 2-D minimum next to it.
 
     (theta, phi, d) and (pi - theta, phi + pi, -d) are the same plane.  So
     with n_phi even, the cell (i, j) has the twin (n_theta - 1 - i, j +
@@ -460,32 +500,39 @@ def normal_scan(constraints, n_theta: int, n_phi: int, valley_floors: bool):
     is -d*, and it is valid when its twin is), so the seed rule sees the
     whole sphere and seeds twins together.  Of every seeded twin pair only
     the first-half cell is kept: each fold plane is searched once.  With
-    n_phi odd every cell is scored and kept.  The lattice, its scored normals
-    and the twin map are built once per (n_theta, n_phi) and cached
-    read-only (_scan_lattice, a few shapes at most).
+    n_phi odd every cell is scored and kept.  The lattice, its scored normals,
+    the doubled lattice and the twin map are built once per (n_theta,
+    n_phi) and cached read-only (_scan_lattice, a few shapes at most).
     """
     cons = tuple(constraints)
     radius = payload_radius(cons)
-    th, ph, normals, twins = _scan_lattice(n_theta, n_phi)
+    th, ph, normals, twins, doubled = _scan_lattice(n_theta, n_phi)
     n, half = th.size, normals.shape[0]
-    a = _stacked_components(cons, normals, np.zeros(half))
-    b = _stacked_components(cons, normals, np.ones(half)) - a
+    ab = _stacked_components(cons, *doubled)
+    a = ab[:half]
+    b = ab[half:] - a
     bb = np.einsum("ij,ij->i", b, b)
     valid = bb > 1e-12 * bb.max()
-    dstar = np.zeros(half)
-    dstar[valid] = -np.einsum("ij,ij->i", a[valid], b[valid]) / bb[valid]
+    # the rows that are not valid divide by a B.B near 0 and are dropped
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dstar = np.where(valid, -np.einsum("ij,ij->i", a, b) / bb, 0.0)
     score = np.full(n, np.inf)
     score[:half][valid] = stacked_residual_grid(cons, normals[valid], dstar[valid]) * (
         (radius + 1.0) / (radius + np.abs(dstar[valid]) + 1.0)
     )
     if twins is not None:
         score[twins] = score[:half]
-    # local minima: theta neighbours beyond the poles count as +inf, phi wraps
     s = score.reshape(n_theta, n_phi)
-    padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)
     low = s < 3.0 * (radius + 1.0) * math.pi / n_theta
-    along_theta = (s <= padded[:-2]) & (s <= padded[2:])
-    along_phi = (s <= np.roll(s, 1, axis=1)) & (s <= np.roll(s, -1, axis=1))
+    # local minima: no theta neighbour beyond the poles, phi wraps
+    along_theta = np.ones(s.shape, dtype=bool)
+    along_theta[1:] = s[1:] <= s[:-1]
+    along_theta[:-1] &= s[:-1] <= s[1:]
+    along_phi = np.empty(s.shape, dtype=bool)
+    along_phi[:, :-1] = s[:, :-1] <= s[:, 1:]
+    along_phi[:, -1] = s[:, -1] <= s[:, 0]
+    along_phi[:, 1:] &= s[:, 1:] <= s[:, :-1]
+    along_phi[:, 0] &= s[:, 0] <= s[:, -1]
     i, j = np.nonzero(low & along_theta & along_phi)
     last = n_theta - 1
     rows = [i, np.minimum(i + 1, last), np.maximum(i - 1, 0), i, i]
@@ -517,9 +564,11 @@ def search(
     TOL_PLANE_IDENTITY, best residual first.  The roots are mapped to planes
     by one params_to_planes call and verified by one stacked_residual_grid
     call on the planes' own normals and offsets, which gives each plane the
-    bits of stacked_residual.
+    bits of stacked_residual.  Raises DegenerateInput, as the solvers do,
+    for a payload radius beyond constraints.MAX_PAYLOAD_RADIUS.
     """
     cons = tuple(constraints)
+    check_payload_radius(payload_radius(cons))
     roots = newton_multistart(
         stacked_components_fn(cons),
         normal_scan(cons, n_theta, n_phi, valley_floors),
@@ -558,7 +607,8 @@ def grid_oracle(constraints, resolution: int = 48, n_offsets: int = 64) -> Oracl
     normal and offset.  n_offsets shapes nothing; it is kept only because
     the benchmark's tracer (perfbench/tracing.py) reads it from every call.
     Raises DegenerateInput, with "lattice" in its message, for a resolution
-    outside 1..MAX_ORACLE_RESOLUTION or n_offsets below 1.
+    outside 1..MAX_ORACLE_RESOLUTION or n_offsets below 1, and, as search
+    does, for a payload radius beyond constraints.MAX_PAYLOAD_RADIUS.
     """
     cons = tuple(constraints)
     if not cons:

@@ -38,10 +38,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import (
+from .constraints import (  # MAX_PAYLOAD_RADIUS re-exported
+    MAX_PAYLOAD_RADIUS,
     Constraint,
     FoldSolution,
     IncidenceKind,
+    check_payload_radius,
     dual_locus,
     payload_radius,
     residual,
@@ -183,18 +185,6 @@ def enumerate_operations() -> tuple[list[OperationSpec], list[tuple[OperationSpe
 # Dedicated solvers for the worked operations
 # ---------------------------------------------------------------------------
 
-# Largest payload radius solve_operation, solve_I5_I6 and solve_exact take:
-# below it a length cubed, as in solve_I5_I6's cubic, stays finite.
-MAX_PAYLOAD_RADIUS = 1e100
-
-
-def _check_scale(r: float) -> None:
-    if not r <= MAX_PAYLOAD_RADIUS:
-        raise DegenerateInput(
-            f"payload radius {r:.3g} exceeds {MAX_PAYLOAD_RADIUS:g}; rescale the scene"
-        )
-
-
 def _i5_i6_cubic(a: float, q: np.ndarray, nu: np.ndarray, dist: float) -> np.ndarray:
     """Coefficients in t, highest first, of |N|^2 / 4 times the signed distance
     from the plane nu . x = o of q's image across the I5 member N . x = t^2,
@@ -221,7 +211,7 @@ def solve_I5_I6(
     qc, pic = fam.frame.apply_point(q), fam.frame.apply_plane(pi)
     dist = pic.signed_distance(qc)
     r = fam.half_gap + abs(qc.y) + abs(qc.z) + abs(dist)
-    _check_scale(r)
+    check_payload_radius(r)
     cubic = _i5_i6_cubic(fam.half_gap, qc.xyz, pic.normal_vec, dist)
     # each term c_k t^k is a length cubed, so c_k r^k is set against r^3
     if np.all(np.abs(cubic) * r ** np.arange(3.0, -1.0, -1.0) <= 1e-10 * r**3):
@@ -675,8 +665,7 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR)
     # by kind, so the planes do not depend on the order of different kinds
     cons = tuple(sorted(constraints, key=lambda c: c.kind.index))
     _checked_facts(tuple(c.kind.index for c in cons))
-    r = payload_radius(cons)
-    _check_scale(r)
+    r = check_payload_radius(payload_radius(cons))
     return _solve_exact(cons, r, tol)
 
 
@@ -780,6 +769,8 @@ def solve_generic(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOO
     exact and dedicated solvers: numerics.search over SCAN_LATTICE normals,
     valley floors included, keeping the planes below tol.  Flagged possibly
     incomplete: a numeric search proves existence, never exhaustiveness.
+    Raises DegenerateInput, as search does, for a payload radius beyond
+    MAX_PAYLOAD_RADIUS.
     """
     cons = tuple(constraints)
     _checked_facts(tuple(sorted(c.kind.index for c in cons)))
@@ -825,8 +816,7 @@ def solve_operation(
         raise InvalidOperation("no constraints given")
     key = tuple(c.kind.index for c in by_kind)
     _checked_facts(key)
-    r = payload_radius(by_kind)
-    _check_scale(r)
+    r = check_payload_radius(payload_radius(by_kind))
     if key in _DEDICATED:
         return _DEDICATED[key](tuple(obj for c in by_kind for obj in c.objects), tol)
     return _solve_exact(by_kind, r, max(tol, EXACT_TOL_FLOOR))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fold3d import (
     AllRealLine,
@@ -10,6 +12,7 @@ from fold3d import (
     Line3,
     Plane3,
     Point3,
+    enumerate_operations,
     grid_oracle,
     newton_multistart,
     perpendicular_bisector_plane,
@@ -33,6 +36,7 @@ from fold3d.numerics import (
     params_to_planes,
     plane_from_params,
     search,
+    stacked_components_fn,
 )
 from helpers import (
     generic_newton_args,
@@ -495,6 +499,38 @@ class TestBatchMates:
             assert all(root.tobytes() in everyone for root in roots), spec
 
 
+ALL_SPECS = enumerate_operations()[0]
+
+
+class TestAloneOrInBatch:
+    """newton_multistart keeps each seed's path in compact active arrays; a
+    seed's root has the same bits whether it runs alone or among others."""
+
+    @given(
+        spec=st.sampled_from(ALL_SPECS),
+        payload_seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 6),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_root_alone_equals_root_in_batch(self, spec, payload_seed, extra):
+        rng = np.random.default_rng(payload_seed)
+        cons = [random_payload(rng, k) for k in spec.kinds]
+        fn = stacked_components_fn(cons)
+        # scan seeds, most of which converge, and random ones, most of
+        # which stall or run out of iterations
+        scan = normal_scan(cons, 6, 12, True)
+        far = np.column_stack([
+            rng.uniform(0.0, np.pi, extra), rng.uniform(0.0, 2.0 * np.pi, extra),
+            rng.uniform(-4.0, 4.0, extra),
+        ])
+        seeds = rng.permutation(np.vstack([scan, far]))
+        kwargs = dict(tol=1e-10, max_iter=40, cluster_tol=-1.0, vectorized=True)
+        batch = newton_multistart(fn, seeds, **kwargs)
+        alone = [root for sd in seeds for root in newton_multistart(fn, sd[None], **kwargs)]
+        alone = [alone[i] for i in np.lexsort(np.reshape(alone, (-1, 3)).T[::-1])]
+        assert [r.tobytes() for r in batch] == [r.tobytes() for r in alone]
+
+
 class TestLineSearchBlocks:
     """A batch residual's line search tries as many step lengths per call as
     the first Jacobian call has rows."""
@@ -588,10 +624,13 @@ class TestScanLattice:
 
     def test_read_only_and_bounded(self):
         for n_theta, n_phi in [(3, 4), (3, 5), (4, 6), (5, 7), (6, 8), (7, 9), (8, 10)]:
-            th, ph, normals, twins = _scan_lattice(n_theta, n_phi)
+            th, ph, normals, twins, doubled = _scan_lattice(n_theta, n_phi)
             assert th.shape == ph.shape == (n_theta * n_phi,)
             assert (twins is None) == (n_phi % 2 == 1)
-            for a in (th, ph, normals) + (() if twins is None else (twins,)):
+            half = normals.shape[0]
+            assert np.array_equal(doubled[0], np.concatenate([normals, normals]))
+            assert doubled[1].tolist() == [0.0] * half + [1.0] * half
+            for a in (th, ph, normals, *doubled) + (() if twins is None else (twins,)):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0

@@ -72,6 +72,29 @@ def test_write_obj_bytes_match_reference_on_edge_values(tmp_path):
     assert new.read_bytes() == ref.read_bytes()
 
 
+def test_write_obj_object_without_faces(tmp_path):
+    pts = np.array([[0.0, 1.0, 2.0], [-0.5, 3.0, 1e-9]])
+    objects = [("pts", pts, []), ("tri", pts[[0, 0, 1]], [(0, 1, 2)]),
+               ("none", np.zeros((1, 3)), np.empty((0, 3), dtype=int))]
+    new, ref = tmp_path / "new.obj", tmp_path / "ref.obj"
+    write_obj(new, objects)
+    reference_write_obj(ref, objects)
+    assert new.read_bytes() == ref.read_bytes()
+    assert new.read_text().startswith("o pts\nv 0 1 2\nv -0.5 3 1.0000000000000001e-09\no tri\n")
+
+
+@pytest.mark.parametrize("verts, faces", [
+    (np.zeros((3, 3)), [0, 1, 2]), (np.zeros((3, 2)), [(0, 1, 2)]), (np.zeros(3), []),
+])
+def test_write_obj_checks_before_opening(tmp_path, verts, faces):
+    out = tmp_path / "kept.obj"
+    out.write_text("o kept\n")
+    good = ("good", np.zeros((3, 3)), [(0, 1, 2)])
+    with pytest.raises(DegenerateInput, match="faces"):
+        write_obj(out, [good, ("bad", verts, faces)])
+    assert out.read_text() == "o kept\n"
+
+
 def test_export_resolution_capped(tmp_path):
     fam = family_I6(*random_payload(np.random.default_rng(5), IncidenceKind.I6).objects)
     out = tmp_path / "envelope.obj"

@@ -809,6 +809,25 @@ class TestHugeScenes:
         with pytest.raises(DegenerateInput, match="payload radius"):
             solve_operation(scaled)
 
+    @pytest.mark.parametrize("spec", ["I5+I6", "2I6+I8", "I1"])
+    def test_search_refused(self, spec):
+        # the oracle and the generic solver take the same limit, and
+        # refuse before the scan instead of warning inside it
+        rng = np.random.default_rng(2700)
+        cons = [random_payload(rng, k) for k in OperationSpec.parse(spec).kinds]
+        scaled = [scaled_constraint(c, 1e120) for c in cons]
+        for search in (grid_oracle, solve_generic):
+            with pytest.raises(DegenerateInput, match="payload radius"):
+                search(scaled)
+
+    def test_bound_stated_once(self):
+        import fold3d.constraints
+
+        assert fold3d.operations.MAX_PAYLOAD_RADIUS is fold3d.constraints.MAX_PAYLOAD_RADIUS
+        assert fold3d.constraints.check_payload_radius(1e100) == 1e100
+        with pytest.raises(DegenerateInput, match="payload radius"):
+            fold3d.constraints.check_payload_radius(float("inf"))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_line_far_out_refused_without_a_warning(self):
         m = Line3(Point3(1e200, 2e200, 0), (0, 0, 1))

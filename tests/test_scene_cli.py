@@ -399,6 +399,21 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and "payload radius" in err
 
+    def test_oracle_huge_scene_refused(self, tmp_path, capsys):
+        # I5+I6 at 1e120: the oracle refuses it as solve does, instead of
+        # reporting no solution
+        scene = """{"points": {"P": [0, 0, 1e120], "Q": [3e119, -4e119, 2e119]},
+            "lines": {"m": {"point": [0, 0, -1e120], "dir": [0, 1, 0]}},
+            "planes": {"pi": {"normal": [0.25, 0.55, 0.75], "offset": -3.5e119}},
+            "constraints": [{"type": "I5", "args": {"point": "P", "line": "m"}},
+                            {"type": "I6", "args": {"point": "Q", "plane": "pi"}}]}"""
+        path = _write(tmp_path, "s.json", scene)
+        for command in ("solve", "oracle"):
+            code = main([command, path])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert err.startswith("error:") and "payload radius" in err
+
     def test_solve_infinite_exit_3(self, tmp_path, capsys):
         scene = """
         {

@@ -9,7 +9,9 @@ batches of vectors go through ``constraints._cross``.  ``np.append`` and
 they make (``constraints._form`` and ``_product``).  ``np.roots`` re-checks
 and re-strips its argument before the companion eigenvalues that
 ``operations._roots`` takes directly, and ``np.tensordot`` reshapes and
-transposes around the one matrix product that mixes the quadrics.  These
+transposes around the one matrix product that mixes the quadrics.
+``np.pad`` and ``np.roll`` copy the whole score grid where the normal
+scan compares neighbours by slicing (``numerics.normal_scan``).  These
 tests read ``src/fold3d/*.py`` as text, without importing anything, and
 fail when any of these calls comes back.
 
@@ -36,7 +38,9 @@ must be read by its handler, directly or through the helpers it passes
 ``args`` to (``_emit``, ``_check_spec``), so an option that shapes nothing
 cannot come back.  The others count the LAPACK calls (``np.linalg.svd``,
 ``det`` and ``eigvals``) of one exact solve each, so a redundant rank test
-or decomposition cannot come back unseen.
+or decomposition cannot come back unseen, and the
+``residual_components_grid`` calls of one normal scan: one per constraint,
+for the offsets 0 and 1 together.
 """
 
 import ast
@@ -48,7 +52,9 @@ import numpy as np
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fold3d").glob("*.py"))
-SLOW_CALL = re.compile(r"\bnp\s*\.\s*(cross|polyval|append|outer|roots|tensordot)\s*\(")
+SLOW_CALL = re.compile(
+    r"\bnp\s*\.\s*(cross|polyval|append|outer|roots|tensordot|pad|roll)\s*\("
+)
 
 
 def test_sources_found():
@@ -72,6 +78,8 @@ def test_guard_tells_a_call_from_a_mention():
     assert SLOW_CALL.search("    q = (np.outer(f, g) + np.outer (g, f)) / 2.0")
     assert SLOW_CALL.search("    s = np.array(_near_real(np.roots(coeffs[::-1])))")
     assert SLOW_CALL.search("    a = np.tensordot(u.T, a, axes=1)")
+    assert SLOW_CALL.search("    padded = np.pad(s, ((1, 1), (0, 0)), constant_values=np.inf)")
+    assert SLOW_CALL.search("    left = np.roll(s, 1, axis=1)")
     assert not SLOW_CALL.search('    differences np.cross forms, column by column')
     assert not SLOW_CALL.search("    v = cross3(n, u)")
     assert not SLOW_CALL.search("    out = np.power.outer(s, powers)")
@@ -79,6 +87,8 @@ def test_guard_tells_a_call_from_a_mention():
     assert not SLOW_CALL.search("    (_roots, the companion eigenvalues of np.roots) each give")
     assert not SLOW_CALL.search("    roots = np.linalg.eigvals(companion)")
     assert not SLOW_CALL.search("    mixed by one product instead of np.tensordot")
+    assert not SLOW_CALL.search("    np.pad and np.roll copy the grid")
+    assert not SLOW_CALL.search("    s = np.padding(x)")
 
 
 def _kernel_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
@@ -294,3 +304,17 @@ def test_exact_solve_call_budget(text):
     assert sol.count > 0  # so the kernel's SVD ran
     calls = (svd.call_count, det.call_count, eigvals.call_count)
     assert all(x <= y for x, y in zip(calls, CALL_BUDGET[text])), calls
+
+
+@pytest.mark.parametrize("text", ["I1", "I5+I6", "3I6", "I3+I6+I8"])
+def test_normal_scan_one_components_call_per_constraint(text):
+    import fold3d.numerics
+    from fold3d import OperationSpec
+    from helpers import random_payload
+
+    rng = np.random.default_rng(2700)
+    cons = [random_payload(rng, k) for k in OperationSpec.parse(text).kinds]
+    kernel = fold3d.numerics.residual_components_grid
+    with mock.patch.object(fold3d.numerics, "residual_components_grid", wraps=kernel) as spy:
+        fold3d.numerics.normal_scan(cons, 14, 28, True)
+    assert spy.call_count == len(cons)
