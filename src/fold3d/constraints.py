@@ -65,6 +65,7 @@ from .geometry import (
     Line3,
     Plane3,
     Point3,
+    _norm3,
     classify_line_plane,
     cross3,
     LinePlaneRelation,
@@ -96,7 +97,7 @@ class IncidenceKind(str, Enum):
 
     @property
     def index(self) -> int:
-        return int(self.value[1:])
+        return _KIND_INDEX[self]
 
     @property
     def codimension(self) -> int:
@@ -113,6 +114,9 @@ class IncidenceKind(str, Enum):
         (parallel I3 lines have one form and no quadric); the rest of the
         codimension is one quadric."""
         return _KINDS[self].dual.linear
+
+
+_KIND_INDEX = {k: int(k.value[1:]) for k in IncidenceKind}
 
 
 def codimension(c: "Constraint") -> int:
@@ -740,14 +744,14 @@ def solve_I4(pi: Plane3, tau: Plane3) -> FoldSolution:
     """Fold planes mapping plane pi onto plane tau: the dihedral bisectors."""
     _pre_distinct_planes((pi, tau))
     n1, n2 = pi.normal_vec, tau.normal_vec
-    if np.linalg.norm(cross3(n1, n2)) <= TOL_ANGLE:
+    if _norm3(cross3(n1, n2)) <= TOL_ANGLE:
         if float(n1 @ n2) < 0:  # sign convention may still differ pre-canonically
             n2, o2 = -n2, -tau.offset
         else:
             o2 = tau.offset
         return FoldSolution.finite([Plane3(tuple(n1), (pi.offset + o2) / 2.0)])
     # a point on the intersection line of the two planes
-    a = np.vstack([n1, n2])
+    a = np.array((n1, n2))
     b = np.array([pi.offset, tau.offset])
     x = np.linalg.lstsq(a, b, rcond=None)[0]
     return FoldSolution.finite(

@@ -6,6 +6,15 @@ Everything is an immutable value.  Lines and planes are stored canonically
 closest to the origin) so that set-equal objects produced by different code
 paths compare equal up to floating-point noise.  Reflected lines and planes
 are compared setwise, never by parametrization.
+
+Single 3-vectors follow one rule, in the canonical frames, RigidFrame's
+checks and maps, Plane3's constructors and the line relations: a dot
+product, matrix-vector product or norm whose value is returned or stored is
+one NumPy call (a @ b, r @ v, or math.sqrt(v.dot(v)), which is what
+np.linalg.norm computes for a 1-D vector), because BLAS rounds it
+differently from a Python sum; everything else (differences, halves,
+scalings, cross products, the rotation checks) is done in Python floats,
+with no array round trip, to save NumPy's per-call cost.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ _UNIT_SLACK = 4.0 * np.finfo(float).eps
 # (a BLAS dot, which fuses multiply-adds) are at most 2.25 eps apart.
 _NORM_DRIFT = 2.5 * np.finfo(float).eps
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # about 1.49e-8
-_EYE3 = np.eye(3)
 
 
 def _vec(v) -> np.ndarray:
@@ -57,11 +65,12 @@ def cross3(a, b) -> np.ndarray:
 
 
 def _norm3(v: np.ndarray) -> float:
-    """np.linalg.norm of a 3-vector, or math.hypot where a component beyond
-    1e150 would overflow np.linalg.norm's squares."""
+    """np.linalg.norm of a 3-vector array, math.sqrt(v.dot(v)) as it computes
+    it, or math.hypot where a component beyond 1e150 would overflow the
+    squares."""
     x, y, z = v.tolist()
     if max(abs(x), abs(y), abs(z)) <= 1e150:
-        return float(np.linalg.norm(v))
+        return math.sqrt(v.dot(v))
     return math.hypot(x, y, z)
 
 
@@ -69,7 +78,7 @@ def _unit(v: np.ndarray, what: str = "vector") -> np.ndarray:
     n = _norm3(v)
     if not math.isfinite(n) or n < 1e-300:
         raise DegenerateInput(f"{what} must be nonzero and finite")
-    return v / n
+    return np.array([x / n for x in v.tolist()])
 
 
 def _is_unit(x: float, y: float, z: float) -> bool:
@@ -78,7 +87,7 @@ def _is_unit(x: float, y: float, z: float) -> bool:
     gap = abs(math.sqrt(x * x + y * y + z * z) - 1.0)
     if abs(gap - _UNIT_SLACK) > _NORM_DRIFT:
         return gap <= _UNIT_SLACK
-    return abs(float(np.linalg.norm((x, y, z))) - 1.0) <= _UNIT_SLACK
+    return abs(_norm3(np.array((x, y, z))) - 1.0) <= _UNIT_SLACK
 
 
 def _canonical_sign(v) -> float:
@@ -107,6 +116,10 @@ class Point3:
     @property
     def xyz(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
+
+    @property
+    def coords(self) -> tuple[float, float, float]:
+        return (self.x, self.y, self.z)
 
     def distance_to(self, other: Point3) -> float:
         """|self - other|, the difference taken in Python floats so a far pair
@@ -145,17 +158,22 @@ class Line3:
         return np.array(self.dir)
 
     def point_at(self, t: float) -> Point3:
-        return Point3(*(self.base.xyz + t * self.direction))
+        (bx, by, bz), (dx, dy, dz) = self.base.coords, self.dir
+        return Point3(bx + t * dx, by + t * dy, bz + t * dz)
+
+    def _along(self, p: Point3) -> tuple[float, tuple[float, float, float]]:
+        """(t, v): v = p - base and its part t = v . d along the line."""
+        (px, py, pz), (bx, by, bz) = p.coords, self.base.coords
+        v = (px - bx, py - by, pz - bz)
+        return float(np.array(v) @ self.direction), v
 
     def closest_point_to(self, p: Point3) -> Point3:
-        d = self.direction
-        v = p.xyz - self.base.xyz
-        return Point3(*(self.base.xyz + (v @ d) * d))
+        return self.point_at(self._along(p)[0])
 
     def distance_to_point(self, p: Point3) -> float:
-        d = self.direction
-        v = p.xyz - self.base.xyz
-        return math.hypot(*(v - (v @ d) * d))
+        t, (vx, vy, vz) = self._along(p)
+        dx, dy, dz = self.dir
+        return math.hypot(vx - t * dx, vy - t * dy, vz - t * dz)
 
     def contains_point(self, p: Point3, tol: float = TOL_INCIDENCE) -> bool:
         return self.distance_to_point(p) <= tol
@@ -185,7 +203,7 @@ class Plane3:
     def from_point_normal(cls, point, normal) -> Plane3:
         n = _unit(_vec(normal), "plane normal")
         p = point.xyz if isinstance(point, Point3) else _vec(point)
-        return cls(tuple(n), float(n @ p))
+        return cls(n.tolist(), float(n @ p))
 
     @classmethod
     def from_coeffs(cls, a: float, b: float, c: float, d: float) -> Plane3:
@@ -194,7 +212,7 @@ class Plane3:
         norm = _norm3(n)
         if norm < 1e-300:
             raise DegenerateInput("plane coefficients (a, b, c) must not all vanish")
-        return cls(tuple(n / norm), -d / norm)
+        return cls([x / norm for x in n.tolist()], -d / norm)
 
     def coeffs(self) -> tuple[float, float, float, float]:
         """Coefficients (a, b, c, d) with a x + b y + c z + d = 0."""
@@ -207,10 +225,11 @@ class Plane3:
     @property
     def foot(self) -> Point3:
         """Point of the plane closest to the origin."""
-        return Point3(*(self.offset * self.normal_vec))
+        o, (x, y, z) = self.offset, self.normal
+        return Point3(o * x, o * y, o * z)
 
     def signed_distance(self, p: Point3) -> float:
-        return float(self.normal_vec @ p.xyz - self.offset)
+        return float(self.normal_vec @ p.xyz) - self.offset
 
     def distance(self, p: Point3) -> float:
         return abs(self.signed_distance(p))
@@ -227,30 +246,36 @@ class RigidFrame:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = self._store(self.rotation, self.translation)
-        if np.abs(r @ r.T - _EYE3).max() > 1e-10:
+        (a, b, c), (d, e, f), (g, h, i) = self._store(self.rotation, self.translation)
+        # r r^T - I and det r - 1, in Python floats
+        if max(abs(a * a + b * b + c * c - 1.0), abs(d * d + e * e + f * f - 1.0),
+               abs(g * g + h * h + i * i - 1.0), abs(a * d + b * e + c * f),
+               abs(a * g + b * h + c * i), abs(d * g + e * h + f * i)) > 1e-10:
             raise DegenerateInput("rotation must be orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-10:
+        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) > 1e-10:
             raise DegenerateInput("rotation must have determinant +1")
 
-    def _store(self, rotation, translation) -> np.ndarray:
-        """Keep read-only copies of a finite rotation and translation."""
+    def _store(self, rotation, translation) -> list[list[float]]:
+        """Keep read-only copies of a finite rotation and translation (and its
+        floats); return the rotation's rows."""
         r = np.array(rotation, dtype=float)
         t = np.array(translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise DegenerateInput("rigid frame needs a 3x3 rotation and a 3-vector")
-        if not all(map(math.isfinite, r.ravel().tolist() + t.tolist())):
+        rows, shift = r.tolist(), t.tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + shift)):
             raise DegenerateInput("rigid frame needs finite rotation and translation entries")
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        return r
+        object.__setattr__(self, "_shift", shift)
+        return rows
 
     @classmethod
     def from_axes(cls, e1, e2, e3, center) -> RigidFrame:
         """Frame mapping `center` to the origin and e1/e2/e3 to x/y/z."""
-        r = np.vstack([_vec(e1), _vec(e2), _vec(e3)])
+        r = np.array((_vec(e1), _vec(e2), _vec(e3)))
         c = center.xyz if isinstance(center, Point3) else _vec(center)
         return cls(r, -r @ c)
 
@@ -259,14 +284,15 @@ class RigidFrame:
         return pts @ self.rotation.T + self.translation
 
     def apply_point(self, p: Point3) -> Point3:
-        return Point3(*(self.rotation @ p.xyz + self.translation))
+        (x, y, z), (tx, ty, tz) = (self.rotation @ p.xyz).tolist(), self._shift
+        return Point3(x + tx, y + ty, z + tz)
 
     def apply_line(self, m: Line3) -> Line3:
-        return Line3(self.apply_point(m.base), tuple(self.rotation @ m.direction))
+        return Line3(self.apply_point(m.base), (self.rotation @ m.direction).tolist())
 
     def apply_plane(self, pi: Plane3) -> Plane3:
         n = self.rotation @ pi.normal_vec
-        return Plane3(tuple(n), pi.offset + float(n @ self.translation))
+        return Plane3(n.tolist(), pi.offset + float(n @ self.translation))
 
     def inverse(self) -> RigidFrame:
         """The inverse frame.  The transpose of a checked rotation is
@@ -317,15 +343,16 @@ def reflect_plane(delta: Plane3, pi: Plane3) -> Plane3:
 
 def perpendicular_bisector_plane(p: Point3, q: Point3, tol: float = TOL_INCIDENCE) -> Plane3:
     """The unique plane reflecting p onto q (and q onto p)."""
-    d = q.xyz - p.xyz
-    if np.linalg.norm(d) <= tol:
+    (px, py, pz), (qx, qy, qz) = p.coords, q.coords
+    d = np.array((qx - px, qy - py, qz - pz))
+    if _norm3(d) <= tol:
         raise DegenerateInput(
             "coincident points have no perpendicular bisector plane; "
             "a point fixed by the fold is an I8 constraint"
         )
     n = _unit(d)
-    mid = (p.xyz + q.xyz) / 2.0
-    return Plane3(tuple(n), float(n @ mid))
+    mid = np.array(((px + qx) / 2.0, (py + qy) / 2.0, (pz + qz) / 2.0))
+    return Plane3(n.tolist(), float(n @ mid))
 
 
 def classify_line_plane(m: Line3, pi: Plane3) -> LinePlaneRelation:
@@ -338,7 +365,7 @@ def classify_line_plane(m: Line3, pi: Plane3) -> LinePlaneRelation:
         if pi.distance(m.base) <= TOL_SEPARATION:
             return LinePlaneRelation.CONTAINED
         return LinePlaneRelation.PARALLEL_DISJOINT
-    if np.linalg.norm(cross3(n, d)) <= TOL_ANGLE:
+    if _norm3(cross3(n, d)) <= TOL_ANGLE:
         return LinePlaneRelation.PERPENDICULAR
     return LinePlaneRelation.OBLIQUE
 
@@ -355,11 +382,14 @@ def line_plane_intersection(m: Line3, pi: Plane3) -> Point3 | None:
 def line_line_closest(m: Line3, n: Line3) -> tuple[Point3, Point3, float, bool]:
     """Closest points (one per line), their distance, and a parallel flag."""
     d1, d2 = m.direction, n.direction
-    w = n.base.xyz - m.base.xyz
+    (ax, ay, az), (bx, by, bz) = m.base.coords, n.base.coords
+    w = np.array((bx - ax, by - ay, bz - az))
     cr = cross3(d1, d2)
-    if np.linalg.norm(cr) <= TOL_ANGLE:
-        perp = w - (w @ d1) * d1
-        return m.base, Point3(*(m.base.xyz + perp)), float(np.linalg.norm(perp)), True
+    if _norm3(cr) <= TOL_ANGLE:
+        s = float(w @ d1)
+        perp = np.array([x - s * d for x, d in zip(w.tolist(), m.dir)])
+        px, py, pz = perp.tolist()
+        return m.base, Point3(ax + px, ay + py, az + pz), _norm3(perp), True
     b = float(d1 @ d2)
     denom = 1.0 - b * b
     if denom < _SQRT_EPS:
@@ -384,7 +414,7 @@ def points_equal(p: Point3, q: Point3, tol: float = TOL_INCIDENCE) -> bool:
 
 
 def lines_setwise_equal(m: Line3, n: Line3, tol: float = TOL_INCIDENCE) -> bool:
-    if np.linalg.norm(cross3(m.direction, n.direction)) > tol:
+    if _norm3(cross3(m.direction, n.direction)) > tol:
         return False
     return m.distance_to_point(n.base) <= tol
 
@@ -407,12 +437,13 @@ def planes_setwise_equal(a: Plane3, b: Plane3, tol: float = TOL_INCIDENCE) -> bo
 
 def perp_unit(v) -> np.ndarray:
     """Deterministic unit vector perpendicular to v."""
-    v = _unit(_vec(v))
+    v = _unit(_vec(v)).tolist()
     u = cross3((0.0, 1.0, 0.0), v)
-    if np.linalg.norm(u) < 1e-6:
+    if _norm3(u) < 1e-6:
         u = cross3((0.0, 0.0, 1.0), v)
-    u = _unit(u)
-    return u * _canonical_sign(u)
+    x, y, z = _unit(u).tolist()
+    s = _canonical_sign((x, y, z))
+    return np.array((x * s, y * s, z * s))
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +456,24 @@ def perp_unit(v) -> np.ndarray:
 
 
 def _pair_frame(top, bottom, e2) -> tuple[RigidFrame, float]:
-    """Frame placing top at (0, 0, a) and bottom at (0, 0, -a) with the unit
-    e2, perpendicular to top - bottom, along +y; returns it and the half-gap
-    a.  Each caller refuses a pair within TOL_SEPARATION by its constraint's
-    own distance test, so a pair the constraint accepts gets its frame,
-    unless top - bottom rounds to zero (a pair a few 1e-9 apart at 1e8
-    from the origin): then DegenerateInput."""
-    gap = top - bottom
+    """Frame placing top at (0, 0, a) and bottom at (0, 0, -a) (float
+    3-tuples) with the unit array e2, perpendicular to top - bottom, along
+    +y; returns it and the half-gap a.  Each caller refuses a pair within
+    TOL_SEPARATION by its constraint's own distance test, so a pair the
+    constraint accepts gets its frame, unless top - bottom rounds to zero (a
+    pair a few 1e-9 apart at 1e8 from the origin): then DegenerateInput."""
+    (tx, ty, tz), (bx, by, bz), (ex, ey, ez) = top, bottom, e2.tolist()
+    gx, gy, gz = tx - bx, ty - by, tz - bz
     # the rounding of top - bottom leaves a part along e2 of about 1e-16 |top|,
     # which tilts e3 off e2 by more than RigidFrame allows when the pair is close
-    gap = gap - (gap @ e2) * e2
-    dist = float(np.linalg.norm(gap))
+    s = float(np.array((gx, gy, gz)) @ e2)
+    gap = np.array((gx - s * ex, gy - s * ey, gz - s * ez))
+    dist = math.sqrt(gap.dot(gap))
     if dist == 0.0:
         raise DegenerateInput("the pair's gap rounds to zero this far from the origin")
-    e3 = gap / dist
-    return RigidFrame.from_axes(cross3(e2, e3), e2, e3, (top + bottom) / 2.0), dist / 2.0
+    e3 = [x / dist for x in gap.tolist()]
+    center = ((tx + bx) / 2.0, (ty + by) / 2.0, (tz + bz) / 2.0)
+    return RigidFrame.from_axes(cross3(e2, e3), e2, e3, center), dist / 2.0
 
 
 def _axis_frame(axis, center) -> RigidFrame:
@@ -453,17 +487,15 @@ def canonical_frame_point_line(p: Point3, m: Line3) -> tuple[RigidFrame, float]:
 
     Returns the frame and the half-gap a = dist(p, m) / 2.
     """
-    # the I5 precondition's test, with the arithmetic of Line3.distance_to_point
-    # and closest_point_to
-    d, top, base = m.direction, p.xyz, m.base.xyz
-    v = top - base
-    t = v @ d
-    if math.hypot(*(v - t * d)) <= TOL_SEPARATION:
+    # the I5 precondition's test, as Line3.distance_to_point takes it
+    t, (vx, vy, vz) = m._along(p)
+    (bx, by, bz), (dx, dy, dz) = m.base.coords, m.dir
+    if math.hypot(vx - t * dx, vy - t * dy, vz - t * dz) <= TOL_SEPARATION:
         raise DegenerateInput(
             "point lies on the line; use the fixed-point (I8) or "
             "line-to-itself (I9) constraints instead"
         )
-    return _pair_frame(top, base + t * d, d)
+    return _pair_frame(p.coords, (bx + t * dx, by + t * dy, bz + t * dz), m.direction)
 
 
 def canonical_frame_point_plane(p: Point3, pi: Plane3) -> tuple[RigidFrame, float]:
@@ -474,9 +506,9 @@ def canonical_frame_point_plane(p: Point3, pi: Plane3) -> tuple[RigidFrame, floa
             "point lies on the plane; use the fixed-point (I8) or "
             "plane-to-itself (I11) constraints instead"
         )
-    n = pi.normal_vec
-    foot = p.xyz - s * n
-    return _axis_frame(n * (1.0 if s > 0 else -1.0), (p.xyz + foot) / 2.0), abs(s) / 2.0
+    n, k = pi.normal, 1.0 if s > 0 else -1.0
+    center = [(x + (x - s * u)) / 2.0 for x, u in zip(p.coords, n)]  # p and its foot
+    return _axis_frame(np.array([u * k for u in n]), center), abs(s) / 2.0
 
 
 def canonical_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple[RigidFrame, float]:
@@ -494,21 +526,15 @@ def canonical_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple[RigidFram
     if rel is LinePlaneRelation.PARALLEL_DISJOINT:
         raise DegenerateInput("line is parallel to the plane; no crossing frame")
     origin = line_plane_intersection(m, pi)
-    d = m.direction
-    n = pi.normal_vec
-    c = float(d @ n)
-    dm = d if c >= 0 else -d
+    e3 = pi.normal
+    c = float(m.direction @ pi.normal_vec)
+    k = 1.0 if c >= 0 else -1.0  # the line's direction taken towards +e3
     cos_t = abs(c)
-    e3 = n
-    in_plane = dm - cos_t * e3
-    sin_t = float(np.linalg.norm(in_plane))
-    if sin_t <= TOL_ANGLE:
-        e2 = perp_unit(e3)
-    else:
-        e2 = in_plane / sin_t
-    e1 = cross3(e2, e3)
+    in_plane = np.array([k * d - cos_t * n for d, n in zip(m.dir, e3)])
+    sin_t = _norm3(in_plane)
+    e2 = perp_unit(e3) if sin_t <= TOL_ANGLE else [x / sin_t for x in in_plane.tolist()]
     theta = math.atan2(sin_t, cos_t)
-    return RigidFrame.from_axes(e1, e2, e3, origin), theta
+    return RigidFrame.from_axes(cross3(e2, e3), e2, e3, origin), theta
 
 
 def canonical_frame_line_plane_parallel(m: Line3, pi: Plane3) -> tuple[RigidFrame, float]:
@@ -517,8 +543,8 @@ def canonical_frame_line_plane_parallel(m: Line3, pi: Plane3) -> tuple[RigidFram
     # a contained line is refused here, as by the I7 precondition
     if classify_line_plane(m, pi) is not LinePlaneRelation.PARALLEL_DISJOINT:
         raise DegenerateInput("line must be strictly parallel to the plane")
-    foot = m.base.xyz - pi.signed_distance(m.base) * pi.normal_vec
-    return _pair_frame(m.base.xyz, foot, m.direction)
+    s, (bx, by, bz), (nx, ny, nz) = pi.signed_distance(m.base), m.base.coords, pi.normal
+    return _pair_frame(m.base.coords, (bx - s * nx, by - s * ny, bz - s * nz), m.direction)
 
 
 def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, float]:
@@ -533,7 +559,7 @@ def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, f
         raise DegenerateInput("lines are parallel; no skew frame")
     if dist <= TOL_SEPARATION:  # the I3 precondition
         raise DegenerateInput("lines intersect; no skew frame")
-    frame, a = _pair_frame(pm.xyz, pn.xyz, m.direction)
+    frame, a = _pair_frame(pm.coords, pn.coords, m.direction)
     dn = n.direction  # taken with x >= 0, so that |delta| <= pi/2
     x, y = float(dn @ frame.rotation[0]), float(dn @ frame.rotation[1])
     delta = math.atan2(y, x) if x >= 0 else math.atan2(-y, -x)
@@ -548,4 +574,4 @@ def canonical_frame_parallel_lines(m: Line3, n: Line3) -> tuple[RigidFrame, floa
         raise DegenerateInput("lines are not parallel")
     if dist <= TOL_SEPARATION:  # the I3 precondition
         raise DegenerateInput("lines coincide; no parallel-pair frame")
-    return _pair_frame(pm.xyz, pn.xyz, m.direction)
+    return _pair_frame(pm.coords, pn.coords, m.direction)

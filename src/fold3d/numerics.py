@@ -85,6 +85,14 @@ def _sorted_roots(coeffs, pairs) -> RealRoots:
     )
 
 
+def _power(sigma: float, k: int) -> float:
+    """sigma**k, or 0.0 where it over- or underflows, without an error."""
+    try:
+        return math.pow(sigma, k)
+    except OverflowError:
+        return 0.0
+
+
 def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     """Real roots of c2 x^2 + c1 x + c0, numerically stable and free of the
     scale of x.
@@ -93,8 +101,9 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     σ = max(|c1/c2|, |c0/c2|^(1/2)), whose largest coefficient is 1.  The
     leading term is therefore never negligible: the degree drops only when
     c2 is zero (or so small that σ overflows), and a small c2 gives a real
-    root far out.  Raises AllRealLine when the polynomial is identically
-    zero and DegenerateInput when it reduces to a nonzero constant.
+    root far out.  Where σ² overflows (σ = |c1/c2| beyond 1.3e154), the
+    smaller root is c0/c2 over the larger.  Raises AllRealLine when the polynomial is identically zero and
+    DegenerateInput when it reduces to a nonzero constant.
     """
     if c2 == 0.0 and c1 == 0.0:
         if c0 == 0.0:
@@ -105,7 +114,10 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     sigma = max(abs(c1 / c2), math.sqrt(abs(c0 / c2))) if c2 != 0.0 else math.inf
     if not math.isfinite(sigma):
         return RealRoots((-c0 / c1,), (1,))
-    b1, b0 = c1 / c2 / sigma, c0 / c2 / sigma**2
+    if sigma == 0.0:  # c1/c2 and c0/c2 underflow: both roots round to 0
+        return RealRoots((0.0,), (2,))
+    s2 = _power(sigma, 2)
+    b1, b0 = c1 / c2 / sigma, c0 / c2 / s2 if s2 else c0 / c2 / sigma / sigma
     disc = b1 * b1 - 4.0 * b0
     dscale = max(b1 * b1, abs(4.0 * b0))
     if disc < -ROOT_REL_TOL * dscale:
@@ -113,7 +125,7 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     if disc <= ROOT_REL_TOL * dscale:
         return RealRoots((-c1 / (2.0 * c2),), (2,))
     qq = -(b1 + math.copysign(math.sqrt(disc), b1)) / 2.0
-    pairs = [(sigma * qq, 1), (sigma * (b0 / qq), 1)]
+    pairs = [(sigma * qq, 1), (sigma * (b0 / qq) if s2 else c0 / c2 / (sigma * qq), 1)]
     return _sorted_roots((c2, c1, c0), pairs)
 
 
@@ -133,7 +145,9 @@ def real_roots_cubic(c3: float, c2: float, c1: float, c0: float) -> RealRoots:
     overflows).  A root far out leaves the other two close together at the
     scale σ, so they are taken from the quotient by the largest root,
     solved at their own scale; with three real roots this only sharpens
-    them.  Every root gets one Newton polish.
+    them.  Where σ³ overflows (σ beyond 5.6e102), d may underflow, so a
+    root below the scale σ is taken in x: from that quotient, or from the
+    product of the roots, -c0/c3.  Every root gets one Newton polish.
     """
     if c3 == 0.0:
         if c2 == c1 == c0 == 0.0:
@@ -145,7 +159,20 @@ def real_roots_cubic(c3: float, c2: float, c1: float, c0: float) -> RealRoots:
         return real_roots_quadratic(c2, c1, c0)
     if sigma == 0.0:
         return RealRoots((0.0,), (3,))
-    b, c, d = c2 / c3 / sigma, c1 / c3 / sigma**2, c0 / c3 / sigma**3
+    s2, s3 = _power(sigma, 2), _power(sigma, 3)
+    b = c2 / c3 / sigma
+    c = c1 / c3 / s2 if s2 else c1 / c3 / sigma / sigma
+    d = c0 / c3 / s3 if s3 else c0 / c3 / sigma / sigma / sigma
+
+    def quotient(far: float) -> list[tuple[float, int]]:
+        """The other roots in x, with multiplicities, from the quotient by
+        the root sigma far, solved at their own scale."""
+        if s3:
+            rest = real_roots_quadratic(1.0, *_deflated(far, c, d))
+            return [(sigma * y, k) for y, k in zip(rest.roots, rest.multiplicities)]
+        rest = real_roots_quadratic(1.0, *_deflated(sigma * far, c1 / c3, c0 / c3))
+        return list(zip(rest.roots, rest.multiplicities))
+
     shift = b / 3.0
     big_a = c - b * b / 3.0
     big_b = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
@@ -159,17 +186,21 @@ def real_roots_cubic(c3: float, c2: float, c1: float, c0: float) -> RealRoots:
             (mag * math.cos(th - 2.0 * math.pi * k / 3.0) - shift for k in range(3)),
             key=abs,
         )
-        rest = real_roots_quadratic(1.0, *_deflated(ys[2], c, d))
-        if len(rest) == 2:
-            ys[:2] = rest.roots
         pairs = [(sigma * y, 1) for y in ys]
+        rest = quotient(ys[2])
+        if len(rest) == 2 or not s3:
+            pairs[:2] = rest
     elif disc < -thr:
         half = -big_b / 2.0
         rad = math.sqrt(big_b * big_b / 4.0 + big_a**3 / 27.0)
         u = half + math.copysign(rad, half) if half != 0.0 else rad
         cr = math.copysign(abs(u) ** (1.0 / 3.0), u)
         root = cr - big_a / (3.0 * cr) if cr != 0.0 else 0.0
-        pairs = [(sigma * (root - shift), 1)]
+        y = root - shift
+        if s3 or y * y >= c + (b + y) * y:
+            pairs = [(sigma * y, 1)]
+        else:  # the complex pair, whose product is c + (b + y) y, is the larger
+            pairs = [(-(c0 / c3 / sigma / sigma) / (c + (b + y) * y), 1)]
     elif abs(big_a) <= 1e-10 and abs(big_b) <= 1e-10:
         return RealRoots((_polish(coeffs, -sigma * shift),), (3,))
     else:
@@ -178,12 +209,10 @@ def real_roots_cubic(c3: float, c2: float, c1: float, c0: float) -> RealRoots:
         alpha = -3.0 * big_b / (2.0 * big_a) - shift
         beta = 3.0 * big_b / big_a - shift
         if abs(beta) <= abs(alpha):
-            pairs = [(sigma * alpha, 2), (sigma * beta, 1)]
+            near = sigma * beta if s3 else -(c0 / c3 / sigma / sigma) / (alpha * alpha)
+            pairs = [(sigma * alpha, 2), (near, 1)]
         else:
-            rest = real_roots_quadratic(1.0, *_deflated(beta, c, d))
-            pairs = [(sigma * beta, 1)] + [
-                (sigma * y, k) for y, k in zip(rest.roots, rest.multiplicities)
-            ]
+            pairs = [(sigma * beta, 1)] + quotient(beta)
     return _sorted_roots(coeffs, pairs)
 
 

@@ -185,14 +185,14 @@ def enumerate_operations() -> tuple[list[OperationSpec], list[tuple[OperationSpe
 # Dedicated solvers for the worked operations
 # ---------------------------------------------------------------------------
 
-def _i5_i6_cubic(a: float, q: np.ndarray, nu: np.ndarray, dist: float) -> np.ndarray:
+def _i5_i6_cubic(a: float, q, nu, dist: float) -> tuple[float, float, float, float]:
     """Coefficients in t, highest first, of |N|^2 / 4 times the signed distance
     from the plane nu . x = o of q's image across the I5 member N . x = t^2,
     N = (0, 2t, -4a), all in the canonical frame of (p, m); dist = nu . q - o."""
     _, y, z = q
     _, ny, nz = nu
-    return np.array([ny, dist - 2 * a * nz - 2 * y * ny, 4 * a * (y * nz + z * ny),
-                     4 * a * a * (dist - 2 * z * nz)])
+    return (ny, dist - 2 * a * nz - 2 * y * ny, 4 * a * (y * nz + z * ny),
+            4 * a * a * (dist - 2 * z * nz))
 
 
 def solve_I5_I6(
@@ -212,9 +212,9 @@ def solve_I5_I6(
     dist = pic.signed_distance(qc)
     r = fam.half_gap + abs(qc.y) + abs(qc.z) + abs(dist)
     check_payload_radius(r)
-    cubic = _i5_i6_cubic(fam.half_gap, qc.xyz, pic.normal_vec, dist)
+    cubic = _i5_i6_cubic(fam.half_gap, qc.coords, pic.normal, dist)
     # each term c_k t^k is a length cubed, so c_k r^k is set against r^3
-    if np.all(np.abs(cubic) * r ** np.arange(3.0, -1.0, -1.0) <= 1e-10 * r**3):
+    if all(abs(c) * r**k <= 1e-10 * r**3 for c, k in zip(cubic, (3.0, 2.0, 1.0, 0.0))):
         return FoldSolution.infinite(fam)
     try:
         roots = real_roots_cubic(*cubic).roots
@@ -236,10 +236,10 @@ def solve_I5_I9(
     the solution is unique.
     """
     fam = family_I5(p, m)
-    dn = fam.frame.rotation @ n.direction
-    if abs(dn[0]) > 1e-9 or abs(dn[2]) <= 1e-9:
+    dx, dy, dz = (fam.frame.rotation @ n.direction).tolist()
+    if abs(dx) > 1e-9 or abs(dz) <= 1e-9:
         return FoldSolution.no_solution()
-    cand = fam.plane(-2.0 * fam.half_gap * dn[1] / dn[2])
+    cand = fam.plane(-2.0 * fam.half_gap * dy / dz)
     cons = (Constraint.I5(p, m), Constraint.I9(n))
     if all(residual(c, cand) < tol for c in cons):
         return FoldSolution.finite([cand])

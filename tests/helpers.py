@@ -16,6 +16,7 @@ import numpy as np
 
 from fold3d import (
     Constraint,
+    DegenerateInput,
     IncidenceKind,
     InvalidConstraint,
     Line3,
@@ -31,6 +32,7 @@ from fold3d import (
     solve_generic,
 )
 from fold3d.constraints import payload_radius, stacked_residual_grid
+from fold3d.geometry import TOL_ANGLE, TOL_SEPARATION, _canonical_sign
 from fold3d.numerics import _stacked_components, params_to_planes
 
 MARGIN = 0.3
@@ -856,3 +858,179 @@ def reference_polish(coeffs, x: float) -> float:
         if abs(np.polyval(coeffs, y)) <= abs(p):
             return y
     return x
+
+
+# ---------------------------------------------------------------------------
+# Reference frames: the NumPy-per-vector forms of geometry's canonical frames,
+# frame maps, _norm3 and Plane3.from_coeffs that the package now computes in
+# Python floats around each dot, matrix-vector product and norm, kept to
+# compare bits against.  A frame is returned as (rotation, translation, *its
+# numbers), with RigidFrame's checks.
+# ---------------------------------------------------------------------------
+
+
+def reference_norm3(v: np.ndarray) -> float:
+    x, y, z = v.tolist()
+    if max(abs(x), abs(y), abs(z)) <= 1e150:
+        return float(np.linalg.norm(v))
+    return math.hypot(x, y, z)
+
+
+def _reference_unit(v: np.ndarray) -> np.ndarray:
+    n = reference_norm3(v)
+    if not math.isfinite(n) or n < 1e-300:
+        raise DegenerateInput("vector must be nonzero and finite")
+    return v / n
+
+
+def reference_from_coeffs(a: float, b: float, c: float, d: float) -> Plane3:
+    n = np.asarray((a, b, c), dtype=float)
+    norm = reference_norm3(n)
+    if norm < 1e-300:
+        raise DegenerateInput("plane coefficients (a, b, c) must not all vanish")
+    return Plane3(tuple(n / norm), -d / norm)
+
+
+def reference_from_axes(e1, e2, e3, center) -> tuple[np.ndarray, np.ndarray]:
+    r = np.vstack([np.asarray(e, dtype=float) for e in (e1, e2, e3)])
+    if np.abs(r @ r.T - np.eye(3)).max() > 1e-10:
+        raise DegenerateInput("rotation must be orthonormal")
+    if abs(np.linalg.det(r) - 1.0) > 1e-10:
+        raise DegenerateInput("rotation must have determinant +1")
+    return r, -r @ np.asarray(center, dtype=float)
+
+
+def reference_apply_point(r: np.ndarray, t: np.ndarray, p: Point3) -> Point3:
+    return Point3(*(r @ p.xyz + t))
+
+
+def reference_apply_plane(r: np.ndarray, t: np.ndarray, pi: Plane3) -> Plane3:
+    n = r @ pi.normal_vec
+    return Plane3(tuple(n), pi.offset + float(n @ t))
+
+
+def _reference_point_at(m: Line3, t: float) -> Point3:
+    return Point3(*(m.base.xyz + t * m.direction))
+
+
+def _reference_perp_unit(v) -> np.ndarray:
+    v = _reference_unit(np.asarray(v, dtype=float))
+    u = np.cross((0.0, 1.0, 0.0), v)
+    if np.linalg.norm(u) < 1e-6:
+        u = np.cross((0.0, 0.0, 1.0), v)
+    u = _reference_unit(u)
+    return u * _canonical_sign(u)
+
+
+def _reference_pair_frame(top, bottom, e2) -> tuple:
+    gap = top - bottom
+    gap = gap - (gap @ e2) * e2
+    dist = float(np.linalg.norm(gap))
+    if dist == 0.0:
+        raise DegenerateInput("the pair's gap rounds to zero this far from the origin")
+    e3 = gap / dist
+    return (*reference_from_axes(np.cross(e2, e3), e2, e3, (top + bottom) / 2.0), dist / 2.0)
+
+
+def _reference_axis_frame(axis, center) -> tuple[np.ndarray, np.ndarray]:
+    u = _reference_perp_unit(axis)
+    return reference_from_axes(u, np.cross(axis, u), axis, center)
+
+
+def reference_line_line_closest(m: Line3, n: Line3) -> tuple:
+    d1, d2 = m.direction, n.direction
+    w = n.base.xyz - m.base.xyz
+    cr = np.cross(d1, d2)
+    if np.linalg.norm(cr) <= TOL_ANGLE:
+        perp = w - (w @ d1) * d1
+        return m.base, Point3(*(m.base.xyz + perp)), float(np.linalg.norm(perp)), True
+    b = float(d1 @ d2)
+    denom = 1.0 - b * b
+    if denom < math.sqrt(np.finfo(float).eps):
+        denom = float(cr @ cr)
+    t2 = (b * float(w @ d1) - float(w @ d2)) / denom
+    t1 = float(w @ d1) + b * t2
+    p1, p2 = _reference_point_at(m, t1), _reference_point_at(n, t2)
+    d = p1.xyz - p2.xyz
+    return p1, p2, reference_norm3(d), False
+
+
+def _reference_relation(m: Line3, pi: Plane3) -> str:
+    n, d = pi.normal_vec, m.direction
+    if abs(float(n @ d)) <= TOL_ANGLE:
+        off = abs(float(n @ m.base.xyz - pi.offset)) > TOL_SEPARATION
+        return "parallel-disjoint" if off else "contained"
+    return "perpendicular" if np.linalg.norm(np.cross(n, d)) <= TOL_ANGLE else "oblique"
+
+
+def reference_frame_point_line(p: Point3, m: Line3) -> tuple:
+    d, top, base = m.direction, p.xyz, m.base.xyz
+    v = top - base
+    t = v @ d
+    if math.hypot(*(v - t * d)) <= TOL_SEPARATION:
+        raise DegenerateInput(
+            "point lies on the line; use the fixed-point (I8) or "
+            "line-to-itself (I9) constraints instead"
+        )
+    return _reference_pair_frame(top, base + t * d, d)
+
+
+def reference_frame_point_plane(p: Point3, pi: Plane3) -> tuple:
+    s = float(pi.normal_vec @ p.xyz - pi.offset)
+    if abs(s) <= TOL_SEPARATION:
+        raise DegenerateInput(
+            "point lies on the plane; use the fixed-point (I8) or "
+            "plane-to-itself (I11) constraints instead"
+        )
+    n = pi.normal_vec
+    foot = p.xyz - s * n
+    return (*_reference_axis_frame(n * (1.0 if s > 0 else -1.0), (p.xyz + foot) / 2.0),
+            abs(s) / 2.0)
+
+
+def reference_frame_line_plane_crossing(m: Line3, pi: Plane3) -> tuple:
+    rel = _reference_relation(m, pi)
+    if rel == "contained":
+        raise DegenerateInput(
+            "line lies in the plane; use the line-to-itself (I10) or "
+            "plane-to-itself (I11) constraints instead"
+        )
+    if rel == "parallel-disjoint":
+        raise DegenerateInput("line is parallel to the plane; no crossing frame")
+    d, n = m.direction, pi.normal_vec
+    origin = _reference_point_at(m, (pi.offset - float(n @ m.base.xyz)) / float(n @ d))
+    c = float(d @ n)
+    dm = d if c >= 0 else -d
+    cos_t = abs(c)
+    in_plane = dm - cos_t * n
+    sin_t = float(np.linalg.norm(in_plane))
+    e2 = _reference_perp_unit(n) if sin_t <= TOL_ANGLE else in_plane / sin_t
+    return (*reference_from_axes(np.cross(e2, n), e2, n, origin.xyz), math.atan2(sin_t, cos_t))
+
+
+def reference_frame_line_plane_parallel(m: Line3, pi: Plane3) -> tuple:
+    if _reference_relation(m, pi) != "parallel-disjoint":
+        raise DegenerateInput("line must be strictly parallel to the plane")
+    foot = m.base.xyz - float(pi.normal_vec @ m.base.xyz - pi.offset) * pi.normal_vec
+    return _reference_pair_frame(m.base.xyz, foot, m.direction)
+
+
+def reference_frame_skew_lines(m: Line3, n: Line3) -> tuple:
+    pm, pn, dist, parallel = reference_line_line_closest(m, n)
+    if parallel:
+        raise DegenerateInput("lines are parallel; no skew frame")
+    if dist <= TOL_SEPARATION:
+        raise DegenerateInput("lines intersect; no skew frame")
+    r, t, a = _reference_pair_frame(pm.xyz, pn.xyz, m.direction)
+    dn = n.direction
+    x, y = float(dn @ r[0]), float(dn @ r[1])
+    return r, t, math.atan2(y, x) if x >= 0 else math.atan2(-y, -x), a
+
+
+def reference_frame_parallel_lines(m: Line3, n: Line3) -> tuple:
+    pm, pn, dist, parallel = reference_line_line_closest(m, n)
+    if not parallel:
+        raise DegenerateInput("lines are not parallel")
+    if dist <= TOL_SEPARATION:
+        raise DegenerateInput("lines coincide; no parallel-pair frame")
+    return _reference_pair_frame(pm.xyz, pn.xyz, m.direction)

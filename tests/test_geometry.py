@@ -33,11 +33,13 @@ from fold3d import (
     reflect_point,
 )
 from fold3d.constraints import solve_I2
+from fold3d.envelopes import family_I5
 from fold3d.geometry import (
     _UNIT_SLACK,
     TOL_ANGLE,
     TOL_SEPARATION,
     _is_unit,
+    _norm3,
     cross3,
     line_line_closest,
 )
@@ -48,6 +50,18 @@ from helpers import (
     random_line,
     random_plane,
     random_point,
+    reference_apply_plane,
+    reference_apply_point,
+    reference_frame_line_plane_crossing,
+    reference_frame_line_plane_parallel,
+    reference_frame_parallel_lines,
+    reference_frame_point_line,
+    reference_frame_point_plane,
+    reference_frame_skew_lines,
+    reference_from_axes,
+    reference_from_coeffs,
+    reference_line_line_closest,
+    reference_norm3,
     reference_plane_gap,
     skew_lines,
 )
@@ -631,3 +645,173 @@ class TestFarPointDistance:
         for xyz in rng.normal(size=(500, 2, 3)) * 10.0 ** rng.uniform(-8, 8, size=(500, 1, 1)):
             p, q = Point3(*xyz[0]), Point3(*xyz[1])
             assert p.distance_to(q) == float(np.linalg.norm(p.xyz - q.xyz))
+
+
+class TestFarParallelLines:
+    def test_far_parallel_lines_give_no_overflow_warning(self):
+        # the parallel branch took np.linalg.norm of the gap, which overflows
+        # its squares beyond 1e154
+        m = Line3(Point3(0, 0, 0), (1, 0, 0))
+        for gap in (1e160, 1e200):
+            _, p2, dist, parallel = line_line_closest(m, Line3(Point3(0, gap, 0), (1, 0, 0)))
+            assert parallel and dist == gap and p2 == Point3(0, gap, 0)
+
+    def test_ordinary_gaps_keep_their_bits(self):
+        rng = np.random.default_rng(2801)
+        for _ in range(300):
+            m, n = parallel_lines_at(rng, 10.0 ** rng.uniform(-8, 8))
+            got, want = line_line_closest(m, n), reference_line_line_closest(m, n)
+            assert got[3] and got == want and got[2] == want[2]
+
+
+def parallel_lines_at(rng, gap: float) -> tuple[Line3, Line3]:
+    d = rng.normal(size=3)
+    u = np.cross(d, rng.normal(size=3))
+    m = Line3(Point3(*rng.normal(size=3)), tuple(d))
+    return m, Line3(Point3(*(m.base.xyz + gap * u / np.linalg.norm(u))), m.dir)
+
+
+def _frame_bits(out) -> tuple:
+    """A frame result (frame or its rotation and translation, then numbers)
+    as bytes and hex strings, or a refusal's message."""
+    if isinstance(out, DegenerateInput):
+        return ("refused", str(out))
+    if isinstance(out[0], RigidFrame):
+        out = (out[0].rotation, out[0].translation, *out[1:])
+    r, t, *numbers = out
+    return (r.tobytes(), t.tobytes(), *(float(x).hex() for x in numbers))
+
+
+def _run(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateInput as exc:
+        return exc
+
+
+def _plane_bits(pl: Plane3) -> tuple:
+    return tuple(float(x).hex() for x in (*pl.normal, pl.offset))
+
+
+def _dir(v) -> np.ndarray:
+    return np.asarray(v) / np.linalg.norm(v)
+
+
+_coord = st.floats(-1.0, 1.0)
+_direction = st.tuples(_coord, _coord, _coord).filter(lambda v: math.hypot(*v) > 0.1).map(_dir)
+
+
+class TestFramesMatchReference:
+    """The frames, frame maps, _norm3 and Plane3.from_coeffs take their dots,
+    matrix-vector products and norms in NumPy and the rest in Python floats:
+    the bits of the NumPy-per-vector forms kept in helpers, refusals
+    included, for pairs down to 1e-8 apart and up to 1e8 out."""
+
+    @given(_direction, _direction, _direction, st.sampled_from([0.0, 1.0, 1e4, 1e8]),
+           st.sampled_from([0.0, 1e-11, 1e-8, 1e-6, 1e-3, 1.0, 10.0]),
+           st.floats(0.5, 2.0), st.floats(-3.0, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_frames_and_maps(self, u, v, w, far, h, scale, t):
+        side = np.cross(u, v)
+        if np.linalg.norm(side) < 0.1:
+            return
+        side = side / np.linalg.norm(side)
+        b = far * w + np.array([0.3, -0.2, 0.1])
+        m = Line3(Point3(*b), tuple(u))
+        pi = Plane3.from_point_normal(b, u)
+        gap = h * scale
+        cases = [
+            (canonical_frame_point_line, reference_frame_point_line,
+             (Point3(*(b + t * u + gap * side)), m)),
+            (canonical_frame_point_plane, reference_frame_point_plane,
+             (Point3(*(b + gap * u + t * side)), pi)),
+            (canonical_frame_line_plane_crossing, reference_frame_line_plane_crossing,
+             (Line3(Point3(*(b + t * side)), tuple(v)), pi)),
+            (canonical_frame_line_plane_parallel, reference_frame_line_plane_parallel,
+             (Line3(Point3(*(b + gap * u)), tuple(side)), pi)),
+            (canonical_frame_skew_lines, reference_frame_skew_lines,
+             (m, Line3(Point3(*(b + gap * side)), tuple(v)))),
+            (canonical_frame_parallel_lines, reference_frame_parallel_lines,
+             (m, Line3(Point3(*(b + gap * side)), tuple(u)))),
+        ]
+        q = Point3(*(b + np.array([t, 2.0, -1.0])))
+        plane = Plane3(tuple(w), float(w @ b) + t)
+        for frame_fn, reference_fn, args in cases:
+            got, want = _run(frame_fn, *args), _run(reference_fn, *args)
+            assert _frame_bits(got) == _frame_bits(want), frame_fn.__name__
+            if isinstance(got, DegenerateInput):
+                continue
+            frame, (r, tr) = got[0], want[:2]
+            assert reference_apply_point(r, tr, q) == frame.apply_point(q)
+            assert _plane_bits(frame.apply_plane(plane)) == _plane_bits(
+                reference_apply_plane(r, tr, plane))
+            inv = frame.inverse()
+            assert _plane_bits(inv.apply_plane(plane)) == _plane_bits(
+                reference_apply_plane(r.T, -r.T @ tr, plane))
+
+    @given(_direction, _direction, st.sampled_from([0.0, 1.0, 1e4, 1e8]),
+           st.sampled_from([1e-8, 1e-6, 1e-3, 1.0, 10.0]), st.floats(-5.0, 5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_i5_family_planes(self, u, v, far, h, t):
+        side = np.cross(u, v)
+        if np.linalg.norm(side) < 0.1:
+            return
+        b = far * v
+        m = Line3(Point3(*b), tuple(u))
+        p = Point3(*(b + h * side / np.linalg.norm(side)))
+        try:
+            r, tr, a = reference_frame_point_line(p, m)
+        except DegenerateInput:  # on the line, or its gap rounds to zero
+            with pytest.raises(DegenerateInput):
+                family_I5(p, m)
+            return
+        want = reference_apply_plane(r.T, -r.T @ tr, reference_from_coeffs(0.0, 2 * t, -4 * a, -t * t))
+        assert _plane_bits(family_I5(p, m).plane(t)) == _plane_bits(want)
+
+    def test_from_axes_and_its_refusals(self):
+        rng = np.random.default_rng(2802)
+        for _ in range(200):
+            frame = random_frame(rng)
+            axes, c = frame.rotation, rng.normal(size=3) * 10.0 ** rng.uniform(-8, 8)
+            got = RigidFrame.from_axes(*axes, c)
+            assert _frame_bits((got,)) == _frame_bits(reference_from_axes(*axes, c))
+        for axes in (np.diag([1.0, 1.0, 1.0 + 1e-9]), np.diag([1.0, 1.0, -1.0])):
+            with pytest.raises(DegenerateInput) as got:
+                RigidFrame.from_axes(*axes, np.zeros(3))
+            with pytest.raises(DegenerateInput) as want:
+                reference_from_axes(*axes, np.zeros(3))
+            assert str(got.value) == str(want.value)
+
+    @given(st.tuples(*[st.floats(-1e300, 1e300) | st.floats(-1e-3, 1e-3)] * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_norm3_and_from_coeffs(self, coeffs):
+        v = np.array(coeffs[:3])
+        assert reference_norm3(v) == _norm3(v)
+        got, want = _run(Plane3.from_coeffs, *coeffs), _run(reference_from_coeffs, *coeffs)
+        if isinstance(want, DegenerateInput):
+            assert isinstance(got, DegenerateInput) and str(got) == str(want)
+        else:
+            assert _plane_bits(got) == _plane_bits(want)
+
+    @pytest.mark.parametrize("far", [0.0, 1e4, 1e8])
+    def test_refusals_are_unchanged(self, far):
+        # a point on the line or plane is refused by the precondition's test
+        # or, far out, by the gap that rounds to zero; at 1e8 a point 1e-12
+        # off may keep a gap and get a frame: the same outcome either way
+        m = Line3(Point3(0.0, 0.0, far), (0.6, 0.0, 0.8))
+        pi = Plane3((0.0, 0.6, 0.8), far)
+        for h in (0.0, 1e-12, 1e-11):
+            p = m.point_at(3.0)
+            p = Point3(p.x, p.y + h, p.z)
+            q = Point3(*(pi.foot.xyz + h * pi.normal_vec))
+            for frame_fn, reference_fn, args in [
+                (canonical_frame_point_line, reference_frame_point_line, (p, m)),
+                (canonical_frame_point_plane, reference_frame_point_plane, (q, pi)),
+            ]:
+                got, want = _run(frame_fn, *args), _run(reference_fn, *args)
+                assert _frame_bits(got) == _frame_bits(want)
+                assert isinstance(got, DegenerateInput) or far == 1e8
+        d = (-2.0, 0.3, -1.1)
+        m, n = Line3(Point3(0, 0, 1e8), d), Line3(Point3(0, 0, 1e8 - 2e-8), d)
+        with pytest.raises(DegenerateInput, match="rounds to zero"):
+            reference_frame_parallel_lines(m, n)

@@ -230,6 +230,53 @@ class TestCubic:
         assert roots.multiplicities == (1, 2)
 
 
+class TestScaleBeyondTheFloatRange:
+    """σ² of a quadratic or σ³ of a cubic overflows: the real roots, each at
+    its own scale, without an OverflowError (Python floats) or an overflow
+    warning (NumPy scalars; the suite turns warnings into errors)."""
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_quadratic(self, cast):
+        roots = real_roots_quadratic(*map(cast, (1.0, 1e200, 1.0)))
+        assert roots.roots == pytest.approx((-1e200, -1e-200), rel=1e-15)
+        assert roots.multiplicities == (1, 1)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_quadratic_scale_below_the_float_range(self, cast):
+        # c1/c2 and c0/c2 underflow to 0, so σ is 0: both roots round to 0
+        roots = real_roots_quadratic(*map(cast, (1e300, 1e-300, 1e-320)))
+        assert roots.roots == (0.0,) and roots.multiplicities == (2,)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_cubic(self, cast):
+        # the other two roots, near -5e-121 +- 1e-60 i, are not real
+        roots = real_roots_cubic(*map(cast, (1.0, 1e120, 1.0, 1.0)))
+        assert roots.roots == pytest.approx((-1e120,), rel=1e-15)
+        assert roots.multiplicities == (1,)
+
+    @pytest.mark.parametrize("coeffs, want, mult", [
+        ((1.0, 1e120, -1.0, -1.0), (-1e120, -1e-60, 1e-60), (1, 1, 1)),  # by the quotient
+        ((1.0, 0.0, 1e220, 1.0), (-1e-220,), (1,)),  # by the product: a larger complex pair
+        ((1.0, 2e120 - 1.0, 1e240 - 2e120, -1e240), (-1e120, 1.0), (2, 1)),  # (x + 1e120)^2 (x - 1)
+    ])
+    def test_cubic_roots_below_the_scale(self, coeffs, want, mult):
+        roots = real_roots_cubic(*coeffs)
+        assert roots.roots == pytest.approx(want, rel=1e-12)
+        assert roots.multiplicities == mult
+
+    @given(st.tuples(*[st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30) | st.just(0.0)] * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_python_floats_and_numpy_scalars_give_the_same_bits(self, coeffs):
+        # the I5+I6 cubic passes Python floats, the exact route NumPy scalars
+        try:
+            got = real_roots_cubic(*coeffs)
+        except (AllRealLine, DegenerateInput):
+            return
+        want = real_roots_cubic(*map(np.float64, coeffs))
+        assert got.multiplicities == want.multiplicities
+        assert [float(x).hex() for x in got.roots] == [float(x).hex() for x in want.roots]
+
+
 def _same_float(a, b) -> bool:
     return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
 

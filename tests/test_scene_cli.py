@@ -929,6 +929,19 @@ def _nearly_parallel_scene(kind: str, angle: float) -> str:
     })
 
 
+def test_solve_of_far_parallel_lines_exits_cleanly(tmp_path, capsys):
+    # the I3 precondition measures the gap of these parallel lines, 1e200
+    # apart, without an overflow warning; the payload radius is refused
+    scene = """{"points": {"P": [0, 1, 0]},
+        "lines": {"m": {"point": [0, 0, 1e200], "dir": [1, 0, 0]},
+                  "n": {"point": [0, 1e200, 1e200], "dir": [1, 0, 0]}},
+        "constraints": [{"type": "I3", "args": {"line": "m", "line2": "n"}},
+                        {"type": "I5", "args": {"point": "P", "line": "m"}}]}"""
+    path = _write(tmp_path, "s.json", scene)
+    assert main(["solve", path]) == 1
+    assert capsys.readouterr().err.startswith("error: payload radius 1.41e+200")
+
+
 @pytest.mark.parametrize("angle", NEARLY_PARALLEL_ANGLES)
 def test_solve_of_nearly_parallel_lines_exits_cleanly(tmp_path, capsys, angle):
     # I2 of lines 1 apart: one mid plane while parallel within TOL_ANGLE,

@@ -36,10 +36,14 @@ check fails when one of them raises on its own.
 The last tests import the package.  Each option of a ``fold3d`` subcommand
 must be read by its handler, directly or through the helpers it passes
 ``args`` to (``_emit``, ``_check_spec``), so an option that shapes nothing
-cannot come back.  The others count the LAPACK calls (``np.linalg.svd``,
-``det`` and ``eigvals``) of one exact solve each, so a redundant rank test
-or decomposition cannot come back unseen, and the
-``residual_components_grid`` calls of one normal scan: one per constraint,
+cannot come back.  The others count calls.  One exact solve each makes a
+budget of LAPACK calls (``np.linalg.svd``, ``det`` and ``eigvals``), so a
+redundant rank test or decomposition cannot come back unseen.  One
+``solve_operation`` of I5+I6 or I5+I9 makes no ``np.linalg.det``,
+``np.linalg.norm`` or ``np.vstack`` call: the frames, frame maps and family
+planes keep one NumPy call per dot, matrix-vector product or norm and do the
+rest in Python floats, so their per-call overhead cannot come back unseen.
+One normal scan makes one ``residual_components_grid`` call per constraint,
 for the offsets 0 and 1 together.
 """
 
@@ -304,6 +308,22 @@ def test_exact_solve_call_budget(text):
     assert sol.count > 0  # so the kernel's SVD ran
     calls = (svd.call_count, det.call_count, eigvals.call_count)
     assert all(x <= y for x, y in zip(calls, CALL_BUDGET[text])), calls
+
+
+@pytest.mark.parametrize("text, solvable", [("I5+I6", True), ("I5+I9", True), ("I5+I9", False)])
+def test_i5_closed_form_call_budget(text, solvable):
+    from fold3d import solve_operation
+    from helpers import instance_i5_i6, instance_i5_i9
+
+    rng = np.random.default_rng(2800)
+    cons = instance_i5_i6(rng) if text == "I5+I6" else instance_i5_i9(rng, solvable)
+    counted = [mock.patch.object(np.linalg, "det", wraps=np.linalg.det),
+               mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm),
+               mock.patch.object(np, "vstack", wraps=np.vstack)]
+    with counted[0] as det, counted[1] as norm, counted[2] as vstack:
+        sol = solve_operation(cons)
+    assert (sol.count > 0) == solvable  # so the family's planes were built
+    assert (det.call_count, norm.call_count, vstack.call_count) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("text", ["I1", "I5+I6", "3I6", "I3+I6+I8"])
