@@ -6,6 +6,8 @@ ill-posed instance, 1 any other error.  The FOLD3D_TOL environment variable
 sets the default of solve's and verify's residual tolerance --tol; it is
 read on every call, and the argument parser is built once per default
 tolerance and then reused.  oracle reports numerics.ORACLE_REFINE_TOL.
+solve, oracle and verify refuse a scene beyond MAX_PAYLOAD_RADIUS, verify
+also a plane.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import sys
 
 import numpy as np
 
-from .constraints import FoldSolution, IncidenceKind, residual
+from .constraints import (MAX_PAYLOAD_RADIUS, FoldSolution, IncidenceKind, check_payload_radius,
+                          payload_radius, residual)
 from .envelopes import family_I3, family_I5, family_I6, family_I7
-from .errors import FoldError, IllPosed
+from .errors import DegenerateInput, FoldError, IllPosed
 from .geometry import Plane3
 from .meshing import export_envelope_obj
 from .numerics import ORACLE_REFINE_TOL, grid_oracle
@@ -235,7 +238,10 @@ def _cmd_verify(args) -> int:
         raise FoldError("--plane wants four comma-separated numbers a,b,c,d") from None
     if len(coeffs) != 4:
         raise FoldError("--plane wants four comma-separated numbers a,b,c,d")
+    check_payload_radius(payload_radius(scene.constraint_list()))
     plane = Plane3.from_coeffs(*coeffs)
+    if not abs(plane.offset) <= MAX_PAYLOAD_RADIUS:  # its reflections would overflow
+        raise DegenerateInput(f"plane offset beyond ±{MAX_PAYLOAD_RADIUS:g}: {plane.offset:.3g}")
     rows = []
     all_ok = True
     for sc in scene.constraints:

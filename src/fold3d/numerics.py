@@ -68,9 +68,10 @@ def _horner(coeffs, x: float) -> float:
 
 
 def _polish(coeffs, x: float) -> float:
+    """One Newton step from x, kept where p and p' are finite and |p| does not rise."""
     p = _horner(coeffs, x)
     dp = _horner([float(c) * k for c, k in zip(coeffs, range(len(coeffs) - 1, 0, -1))], x)
-    if abs(dp) > 1e-30:
+    if abs(dp) > 1e-30 and math.isfinite(p) and math.isfinite(dp):
         y = x - p / dp
         if abs(_horner(coeffs, y)) <= abs(p):
             return y
@@ -100,11 +101,14 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     The tests run on the balanced polynomial y^2 + b1 y + b0, x = σ y with
     σ = max(|c1/c2|, |c0/c2|^(1/2)), whose largest coefficient is 1.  The
     leading term is therefore never negligible: the degree drops only when
-    c2 is zero (or so small that σ overflows), and a small c2 gives a real
-    root far out.  Where σ² overflows (σ = |c1/c2| beyond 1.3e154), the
-    smaller root is c0/c2 over the larger.  Raises AllRealLine when the polynomial is identically zero and
-    DegenerateInput when it reduces to a nonzero constant.
+    c2 is zero (or so small that σ overflows, when c1 = 0 leaving the roots
+    ±√|c0| / √|c2| where -c0/c2 > 0 and they are finite), and a small c2
+    gives a real root far out.  Where σ² overflows (σ = |c1/c2| beyond
+    1.3e154), the smaller root is c0/c2 over the larger.  Raises AllRealLine
+    when the polynomial is identically zero and DegenerateInput when it
+    reduces to a nonzero constant.
     """
+    c2, c1, c0 = float(c2), float(c1), float(c0)  # Python floats: no NumPy warning
     if c2 == 0.0 and c1 == 0.0:
         if c0 == 0.0:
             raise AllRealLine("all quadratic coefficients vanish")
@@ -113,7 +117,11 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
         return RealRoots((0.0,), (2,))
     sigma = max(abs(c1 / c2), math.sqrt(abs(c0 / c2))) if c2 != 0.0 else math.inf
     if not math.isfinite(sigma):
-        return RealRoots((-c0 / c1,), (1,))
+        if c1 != 0.0:
+            return RealRoots((-c0 / c1,), (1,))
+        x = math.sqrt(abs(c0)) / math.sqrt(abs(c2))
+        real = (c0 < 0.0) != (c2 < 0.0) and math.isfinite(x)
+        return RealRoots((-x, x), (1, 1)) if real else RealRoots((), ())
     if sigma == 0.0:  # c1/c2 and c0/c2 underflow: both roots round to 0
         return RealRoots((0.0,), (2,))
     s2 = _power(sigma, 2)
@@ -149,6 +157,7 @@ def real_roots_cubic(c3: float, c2: float, c1: float, c0: float) -> RealRoots:
     root below the scale σ is taken in x: from that quotient, or from the
     product of the roots, -c0/c3.  Every root gets one Newton polish.
     """
+    c3, c2, c1, c0 = float(c3), float(c2), float(c1), float(c0)  # as in the quadratic
     if c3 == 0.0:
         if c2 == c1 == c0 == 0.0:
             raise AllRealLine("all cubic coefficients vanish")

@@ -323,9 +323,9 @@ def _near_real(roots: np.ndarray) -> list[float]:
     """Real values seeded by polynomial roots: each near-real root z gives
     Re z -+ |Im z|, in that order, since a near-double real pair may come out
     as a complex pair."""
-    near = roots[np.abs(roots.imag) <= 1e-3 * np.maximum(np.abs(roots.real), 1.0)]
-    spread = np.abs(near.imag)[:, None] * (-1.0, 1.0)
-    return list(dict.fromkeys((near.real[:, None] + spread).ravel().tolist()))
+    pairs = [(z.real, abs(z.imag)) for z in roots.tolist()]
+    return list(dict.fromkeys(x + s * e for x, e in pairs
+                              if e <= 1e-3 * max(abs(x), 1.0) for s in (-1.0, 1.0)))
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -334,14 +334,15 @@ def _rank(sv: np.ndarray) -> int:
     return int(np.count_nonzero(sv > EXACT_REL_TOL * sv[0]))
 
 
-def _line_points(line: np.ndarray, quadrics) -> list[np.ndarray]:
+def _line_points(line: np.ndarray, quadrics) -> list[list[float]]:
     """The points h = x h1 + y h2 of the null line (rows h1, h2) where the
     first quadric that does not vanish on it does: a binary quadratic,
     solved in the chart of its larger end coefficient.  Raises IllPosed
     when every quadric vanishes on the line, a continuum of planes."""
     h1, h2 = line
     for q in quadrics:
-        a, b, c = h1 @ q @ h1, h1 @ q @ h2, h2 @ q @ h2
+        h1q = h1 @ q
+        a, b, c = float(h1q @ h1), float(h1q @ h2), float(h2 @ q @ h2)
         if max(abs(a), abs(b), abs(c)) > EXACT_REL_TOL:
             break
     else:
@@ -349,9 +350,11 @@ def _line_points(line: np.ndarray, quadrics) -> list[np.ndarray]:
             "a line of fold planes satisfies every constraint; the solution "
             "set is a continuum, not a finite operation"
         )
+    h1, h2 = line.tolist()
     if abs(a) < abs(c):
         (a, c), (h1, h2) = (c, a), (h2, h1)
-    points = [t * h1 + h2 for t in real_roots_quadratic(a, 2.0 * b, c).roots]
+    points = [[t * x + y for x, y in zip(h1, h2)]
+              for t in real_roots_quadratic(a, 2.0 * b, c).roots]
     # a = 0 leaves c = 0 too, and the chart's point at infinity h1 is a root
     return points + [h1] if a == 0.0 else points
 
@@ -669,9 +672,28 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR)
     return _solve_exact(cons, r, tol)
 
 
+def _unit4(h: list[float]) -> list[float]:
+    """h over its norm, the squares summed left to right as np.add.reduce does."""
+    a, b, c, d = h
+    n = math.sqrt(a * a + b * b + c * c + d * d)
+    return [a / n, b / n, c / n, d / n]
+
+
+def _fold_planes(points: list[list[float]], r: float) -> tuple[list[tuple], list[float]]:
+    """The unit normals and offsets of the points h = (N, d / r), none at infinity."""
+    normals, offsets = [], []
+    for x, y, z, d in map(_unit4, points):
+        size = math.sqrt(x * x + y * y + z * z)
+        if size > _AT_INFINITY:
+            normals.append((x / size, y / size, z / size))
+            offsets.append(d * r / size)
+    return normals, offsets
+
+
 def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolution:
     """solve_exact on constraints sorted by kind, of a checked operation, and
-    on their checked payload radius r."""
+    on their checked payload radius r.  Its glue around the LAPACK calls
+    keeps geometry's rule for single vectors, except the quadrics' norms."""
     scale = np.array([1.0, 1.0, 1.0, r])
     rows, quadrics = [], []
     for c in cons:
@@ -679,29 +701,22 @@ def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolu
         rows += forms
         if quadric is not None:
             quadrics.append(quadric)
-    quadrics = np.reshape(quadrics, (-1, 4, 4)) * (scale[:, None] * scale)
+    quadrics = np.array(quadrics).reshape(-1, 4, 4) * (scale[:, None] * scale)
     quadrics /= _norms(quadrics, (1, 2))[:, None, None]
     spatial = not rows  # no linear forms: all of P^3
     if spatial:
         points = _three_quadric_points(quadrics)
     else:
-        rows = np.reshape(rows, (-1, 4)) * scale
-        rows /= _norms(rows)[:, None]
-        _, sv, vt = np.linalg.svd(rows)
+        _, sv, vt = np.linalg.svd([_unit4(form) for form in (np.array(rows) * scale).tolist()])
         # forms of full rank keep their least-squares plane, so tol decides
         null = vt[min(_rank(sv), 3):]
         if len(null) == 3:
             points = _plane_points(null, quadrics)
         else:
-            points = list(null) if len(null) < 2 else _line_points(null, quadrics)
-    h = np.reshape(points, (-1, 4))
-    h = h / _norms(h)[:, None]
-    size = _norms(h[:, :3])
-    h, size = h[size > _AT_INFINITY], size[size > _AT_INFINITY]
-    normals, offsets = h[:, :3] / size[:, None], h[:, 3] * r / size
-    verified = stacked_residual_grid(cons, normals, offsets) < tol
-    planes = [Plane3(tuple(n), o)
-              for n, o in zip(normals[verified].tolist(), offsets[verified].tolist())]
+            points = null if len(null) < 2 else _line_points(null, quadrics)
+    normals, offsets = _fold_planes(np.array(points).reshape(-1, 4).tolist(), r)
+    keep = stacked_residual_grid(cons, np.array(normals).reshape(-1, 3), np.array(offsets)) < tol
+    planes = [Plane3(n, o) for n, o, k in zip(normals, offsets, keep.tolist()) if k]
     sol = FoldSolution.finite(planes, provenance="exact")
     if spatial and sol.count > 7:
         raise IllPosed(

@@ -1034,3 +1034,49 @@ def reference_frame_parallel_lines(m: Line3, n: Line3) -> tuple:
     if dist <= TOL_SEPARATION:
         raise DegenerateInput("lines coincide; no parallel-pair frame")
     return _reference_pair_frame(pm.xyz, pn.xyz, m.direction)
+
+
+# ---------------------------------------------------------------------------
+# Reference exact-route glue: the NumPy forms that operations._solve_exact
+# now computes in Python floats, kept to compare bits against
+# ---------------------------------------------------------------------------
+
+
+def _reference_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+def reference_unit_forms(rows, r: float) -> np.ndarray:
+    """The linear forms (rows of 4), d scaled by r, each over its norm."""
+    rows = np.reshape(rows, (-1, 4)) * np.array([1.0, 1.0, 1.0, r])
+    rows /= _reference_norms(rows)[:, None]
+    return rows
+
+
+def reference_fold_planes(points, r: float, at_infinity: float) -> tuple[np.ndarray, np.ndarray]:
+    """The unit normals and offsets of the points h = (N, d / r), without
+    those whose unit h has |N| <= at_infinity."""
+    h = np.reshape(points, (-1, 4))
+    h = h / _reference_norms(h)[:, None]
+    size = _reference_norms(h[:, :3])
+    h, size = h[size > at_infinity], size[size > at_infinity]
+    return h[:, :3] / size[:, None], h[:, 3] * r / size
+
+
+def reference_line_points(line: np.ndarray, quadrics, rel_tol: float) -> list[np.ndarray]:
+    """The points of the null line (rows h1, h2) on its first quadric that
+    does not vanish there, with NumPy scalars and arrays throughout."""
+    from fold3d.errors import IllPosed
+    from fold3d.numerics import real_roots_quadratic
+
+    h1, h2 = line
+    for q in quadrics:
+        a, b, c = h1 @ q @ h1, h1 @ q @ h2, h2 @ q @ h2
+        if max(abs(a), abs(b), abs(c)) > rel_tol:
+            break
+    else:
+        raise IllPosed("a line of fold planes satisfies every constraint")
+    if abs(a) < abs(c):
+        (a, c), (h1, h2) = (c, a), (h2, h1)
+    points = [t * h1 + h2 for t in real_roots_quadratic(a, 2.0 * b, c).roots]
+    return points + [h1] if a == 0.0 else points

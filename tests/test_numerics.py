@@ -276,6 +276,26 @@ class TestScaleBeyondTheFloatRange:
         assert got.multiplicities == want.multiplicities
         assert [float(x).hex() for x in got.roots] == [float(x).hex() for x in want.roots]
 
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_quadratic_without_linear_term_beyond_the_float_range(self, cast):
+        # c0/c2 overflows, so σ does, and c1 = 0: x^2 = -c0/c2, with no
+        # division by c1 and, with NumPy scalars, no overflow warning
+        assert real_roots_quadratic(cast(1e-300), 0.0, cast(1e100)).roots == ()
+        roots = real_roots_quadratic(cast(1e-300), 0.0, cast(-1e100))
+        assert roots.roots == pytest.approx((-1e200, 1e200), rel=1e-15)
+        assert roots.multiplicities == (1, 1)
+        assert real_roots_quadratic(cast(-1e-300), 0.0, cast(1e100)).roots == roots.roots
+        # roots beyond the float range are none
+        assert real_roots_quadratic(cast(1e-320), 0.0, cast(-1e300)).roots == ()
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_cubic_whose_polish_leaves_the_float_range(self, cast):
+        # at the root -1e120 the term c3 x^3 is 1e360: no Newton step there,
+        # and no overflow warning
+        roots = real_roots_cubic(*map(cast, np.poly([-1e120, 1e100, 3.0]).tolist()))
+        assert roots.roots == pytest.approx((-1e120, 3.0, 1e100), rel=1e-12)
+        assert roots.multiplicities == (1, 1, 1)
+
 
 def _same_float(a, b) -> bool:
     return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
@@ -312,6 +332,17 @@ class TestPolish:
     def test_non_finite_x(self, x):
         self._check((1.0, 0.0, -2.0), x)
         self._check((-1.0, 2.0, 0.0, 5.0), x)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_in_range_polish_keeps_its_bits(self, coeffs, x):
+        try:
+            with np.errstate(all="raise"):
+                reference_polish(coeffs, x)
+        except FloatingPointError:  # a term leaves the float range
+            return
+        self._check(tuple(coeffs), x)
 
     def test_constant_polynomial(self):
         for x in (0.0, 3.5, np.inf, np.nan):

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fold3d.numerics
 import fold3d.operations
@@ -64,11 +66,14 @@ from helpers import (
     random_unit,
     reference_contract,
     reference_distinct,
+    reference_fold_planes,
     reference_lifted,
+    reference_line_points,
     reference_near_real,
     reference_roots,
     reference_sylvester,
     reference_t_rows,
+    reference_unit_forms,
     scaled_constraint,
     skew_lines,
     windowed_counts,
@@ -790,6 +795,82 @@ class TestSpeedTable:
                 assert min(plane_gap(plane, q) for q in unscaled) < 1e-9
             found += got.count
         assert (found == 0) == (case == "I2-skew")
+
+
+# Scales of the payloads and forms drawn below: 1e-6 to 1e6, and radii near
+# MAX_PAYLOAD_RADIUS (1e100).
+SCALES = st.floats(-6.0, 6.0) | st.floats(97.0, 98.0)
+
+
+def _hex(a) -> list[str]:
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+class TestExactGlueBitForBit:
+    """_solve_exact's glue in Python floats gives the bits of its NumPy form
+    (tests/helpers): the forms' normalisation, the points' conversion to
+    planes and a null line's binary quadratic."""
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4), exponent=SCALES,
+           radius=st.floats(0.0, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_forms(self, seed, count, exponent, radius):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(count, 4)) * 10.0 ** rng.uniform(-6, 6, size=(count, 4))
+        rows *= 10.0 ** min(exponent, 6.0)
+        r = 10.0**radius
+        scaled = (rows * np.array([1.0, 1.0, 1.0, r])).tolist()  # as _solve_exact scales them
+        got = [fold3d.operations._unit4(row) for row in scaled]
+        assert _hex(got) == _hex(reference_unit_forms(list(rows), r))
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 8), exponent=SCALES,
+           radius=st.floats(0.0, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_planes(self, seed, count, exponent, radius):
+        ops = fold3d.operations
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(count, 4)) * 10.0 ** min(exponent, 6.0)
+        # points at infinity: |N| at, around and below _AT_INFINITY |h|, and 0
+        far = rng.random(count) < 0.4
+        points[far, :3] *= 10.0 ** rng.uniform(-12, -6, size=(far.sum(), 1))
+        points[rng.random(count) < 0.1, :3] = 0.0
+        r = 10.0**radius
+        normals, offsets = ops._fold_planes(points.tolist(), r)
+        want_normals, want_offsets = reference_fold_planes(list(points), r, ops._AT_INFINITY)
+        assert _hex(normals) == _hex(want_normals)
+        assert _hex(offsets) == _hex(want_offsets)
+
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-6.0, 6.0),
+           kind=st.sampled_from(["generic", "a = 0", "second quadric", "vanishing"]))
+    @settings(max_examples=200, deadline=None)
+    def test_line_points(self, seed, exponent, kind):
+        rng = np.random.default_rng(seed)
+        quadrics = rng.normal(size=(2, 4, 4)) * 10.0**exponent
+        quadrics += quadrics.transpose(0, 2, 1)
+        if kind == "a = 0":
+            # a k = 1 line of basis vectors on which the quadric's end
+            # coefficients vanish exactly: one root, and the point h1
+            i, j = rng.permutation(4)[:2]
+            line = np.zeros((2, 4))
+            line[0, i], line[1, j] = rng.choice([-1.0, 1.0], size=2)
+            quadrics[0, i, i] = quadrics[0, j, j] = 0.0
+        else:
+            line = np.linalg.qr(rng.normal(size=(4, 2)))[0].T.copy()
+        if kind in ("second quadric", "vanishing"):
+            quadrics[0] = 0.0
+        if kind == "vanishing":
+            quadrics[1] = 0.0
+        quadrics /= np.maximum(np.sqrt(np.add.reduce(quadrics * quadrics, axis=(1, 2))),
+                               1e-300)[:, None, None]
+        try:
+            want = reference_line_points(line, quadrics, fold3d.operations.EXACT_REL_TOL)
+        except IllPosed:
+            with pytest.raises(IllPosed):
+                fold3d.operations._line_points(line, quadrics)
+            return
+        got = fold3d.operations._line_points(line, quadrics)
+        assert len(got) == len(want)
+        assert _hex(got) == _hex(want)
 
 
 class TestHugeScenes:

@@ -1,6 +1,7 @@
 """Scene files, result documents, OBJ export, and the command line."""
 
 import json
+import math
 import subprocess
 import sys
 from unittest import mock
@@ -951,3 +952,37 @@ def test_solve_of_nearly_parallel_lines_exits_cleanly(tmp_path, capsys, angle):
         path = _write(tmp_path, f"{kind}.json", _nearly_parallel_scene(kind, angle))
         assert main(["solve", path]) == code
         assert capsys.readouterr().err.startswith(err)
+
+
+FAR_PLANE_SCENES = {
+    "I6": """{"points": {"P": [0, 0, 1]},
+        "planes": {"pi": {"normal": [0, 0, 1], "offset": -1}},
+        "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}}]}""",
+    "I7": """{"lines": {"m": {"point": [0, 0, 1], "dir": [1, 0, 1]}},
+        "planes": {"pi": {"normal": [0, 0, 1], "offset": -1}},
+        "constraints": [{"type": "I7", "args": {"line": "m", "plane": "pi"}}]}""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAR_PLANE_SCENES))
+def test_verify_refuses_a_far_candidate_plane(tmp_path, capsys, kind):
+    # reflections across a plane 1e308 out overflow; verify refuses the
+    # plane as solve refuses a huge scene, instead of warning and printing
+    # a NaN residual that strict JSON parsers reject
+    path = _write(tmp_path, "s.json", FAR_PLANE_SCENES[kind])
+    assert main(["verify", path, "--plane", "0,0.6,0.8,-1e308", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: plane offset beyond ±1e+100: 1e+308")
+    # a plane within the bound is checked as before
+    assert main(["verify", path, "--plane", "0,0.6,0.8,-1e99", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert not checks[0]["pass"] and math.isfinite(checks[0]["residual"])
+
+
+def test_verify_refuses_a_huge_scene(tmp_path, capsys):
+    scene = """{"points": {"P": [0, 0, 1e150]},
+        "planes": {"pi": {"normal": [0, 0, 1], "offset": -1}},
+        "constraints": [{"type": "I6", "args": {"point": "P", "plane": "pi"}}]}"""
+    path = _write(tmp_path, "s.json", scene)
+    assert main(["verify", path, "--plane", "0,0,1,-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: payload radius 1e+150")

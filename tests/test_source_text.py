@@ -290,8 +290,9 @@ def test_option_guard_finds_an_unread_option():
 
 
 # LAPACK calls per exact solve, (svd, det, eigvals): 3I6 takes b's SVD and
-# the kernel's; I3+I7 takes the linear forms', _distinct's and the kernel's
-CALL_BUDGET = {"3I6": (2, 1, 1), "I3+I7": (3, 1, 1)}
+# the kernel's; I3+I7 takes the linear forms', _distinct's and the kernel's;
+# I6+I8+I11 takes the linear forms' SVD, and its binary quadratic none
+CALL_BUDGET = {"3I6": (2, 1, 1), "I3+I7": (3, 1, 1), "I6+I8+I11": (1, 0, 0)}
 
 
 @pytest.mark.parametrize("text", sorted(CALL_BUDGET))
