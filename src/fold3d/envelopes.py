@@ -2,26 +2,33 @@
 I5, I6, I7 and I8..I11) and the envelope quadrics of the tangency ones.
 
 Each family kind is one row of the ``_FAMILIES`` table: its parameter
-names and ranges, its raw canonical plane equation, and, for the tangency
-kinds, the contact point of a member and the raw envelope coefficients.
-``PlaneFamily`` places a row in the scene through a canonical frame where
-the moved object and its target sit symmetrically about the origin on the
-z-axis with half-gap ``a`` (the crossing line/plane case is anchored at the
-intersection point instead).  The closed forms:
+names and ranges, its raw canonical plane equation A x + B y + C z = D and,
+for a tangency kind, its pair of objects in the canonical frame, where they
+sit symmetrically about the origin on the z-axis with half-gap ``a`` (a
+line crossing a plane is anchored at the crossing point instead).  A member
+h = (A, B, C, D) lies on that pair's dual locus in ``constraints._KINDS``,
+and projective duality (Richter-Gebert, *Perspectives on Projective
+Geometry*, ch. 9-11) gives the envelope: with D = diag(1, 1, 1, -1), a dual
+quadric Q' of full rank envelops D adj(Q') D, and a conic (Q' on the null
+space, with basis B, of a linear form) the cone or cylinder
+D B adj(B^T Q' B) B^T D; a member u touches it at the pole P Q' P u, P the
+projector onto that null space.  Scaled negative at p, or at b + e on m:
 
-* point onto line      (I5): planes 2ty - 4az = t^2, envelope y^2 = 4az
-  (a parabolic cylinder);
-* point onto plane     (I6): planes 2sx + 2ty - 4az = s^2 + t^2, envelope
-  x^2 + y^2 = 4az (a paraboloid of revolution);
-* line meets skew line (I3): planes sx cos(d) + y(s sin(d) - t) - 2az =
-  (s^2 - t^2)/2, envelope x^2 cos^2(d) + 2xy sin(d)cos(d) - y^2 cos^2(d)
-  = 4az (a hyperbolic paraboloid); the parallel-lines case is the
-  one-degenerate-direction family y(t - s) + 2az = (t^2 - s^2)/2 with no
-  envelope;
-* line onto plane      (I7): planes x cos(d) + y(sin(d) - sin(th)) -
-  z cos(th) = 0 through the crossing point, envelope x^2 + y^2 cos^2(th)
-  - 2yz sin(th)cos(th) - z^2 cos^2(th) = 0 (an elliptical cone); the
-  parallel case gives 2kx - 4az = k^2 with envelope x^2 = 4az.
+* I5, p = (0, 0, a), m through (0, 0, -a) along +y: planes 2ty - 4az = t^2,
+  envelope the parabolic cylinder y^2 = 4az;
+* I6, p = (0, 0, a), pi: z = -a: planes 2sx + 2ty - 4az = s^2 + t^2,
+  envelope the paraboloid of revolution x^2 + y^2 = 4az;
+* I3, m through (0, 0, a) along +y, n through (0, 0, -a) along (cos(d),
+  sin(d), 0): planes sx cos(d) + y(s sin(d) - t) - 2az = (s^2 - t^2)/2,
+  envelope the hyperbolic paraboloid x^2 cos^2(d) + 2xy sin(d)cos(d) -
+  y^2 cos^2(d) = 4az; parallel lines give y(t - s) + 2az = (t^2 - s^2)/2,
+  with one degenerate direction and no envelope;
+* I7, pi: z = 0, m through 0 along (0, sin(th), cos(th)): planes x cos(d) +
+  y(sin(d) - sin(th)) - z cos(th) = 0, envelope the elliptical cone x^2 +
+  y^2 cos^2(th) - 2yz sin(th)cos(th) - z^2 cos^2(th) = 0, whose poles are at
+  infinity (a contact is the unit ruling direction with z >= 0); m through
+  (0, 0, a) along +y, parallel to pi: z = -a, gives 2kx - 4az = k^2 and
+  the parabolic cylinder x^2 = 4az.
 
 The single-object kinds have no envelope.  Their frames put the point, or
 the line's base point, at the origin and the line or plane normal along +z
@@ -33,10 +40,9 @@ the line's base point, at the origin and the line or plane normal along +z
 * fixed line          (I10): the pencil x cos(ph) + y sin(ph) = 0;
 * half-plane swap     (I11): the planes x cos(d) + y sin(d) = k.
 
-Envelopes are built from these closed forms; ``verify_envelope_conditions``
-re-derives contact sets numerically from the family alone (the equation and
-its parameter derivatives) and checks them against the quadric, so the two
-routes stay independent.
+``verify_envelope_conditions`` re-derives contact sets numerically from the
+family equation alone (and its parameter derivatives) and checks them
+against the quadric, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import Constraint, IncidenceKind
+from .constraints import _KINDS, Constraint, IncidenceKind
 from .errors import DegenerateInput, InvalidConstraint, NoEnvelope, VerificationFailed
 from .geometry import (
     TOL_SEPARATION,
@@ -95,74 +101,42 @@ class _Family:
     Each function takes the family's half-gap ``a`` and shape angle first
     (either may be None when the row has no use for it).
     ``equation(a, angle, *values)`` gives the raw canonical coefficients
-    (A, B, C, D) of a member, ``contact(a, angle, *values)`` the canonical
-    point where it touches the envelope and ``envelope(a, angle)`` the
-    envelope's ten raw quadric coefficients; a row without an envelope has
-    neither.
+    (A, B, C, D) of a member and ``payload(a, angle)`` a tangency row's pair
+    of objects placed in the canonical frame, whose dual locus gives the
+    envelope and the contact points; a row without an envelope has none.
     """
 
     params: tuple[FamilyParam, ...]
     equation: Callable[..., tuple[float, float, float, float]]
-    contact: Callable[..., tuple[float, float, float]] | None = None
-    envelope: Callable[[float, float], tuple[float, ...]] | None = None
-
-
-def _i3_equation(a, d, t, s):
-    return (s * math.cos(d), s * math.sin(d) - t, -2 * a, (s * s - t * t) / 2.0)
-
-
-def _i3_contact(a, d, t, s):
-    x = (s - t * math.sin(d)) / math.cos(d)
-    z = (
-        x * x * math.cos(d) ** 2
-        + 2 * x * t * math.sin(d) * math.cos(d)
-        - t * t * math.cos(d) ** 2
-    ) / (4 * a)
-    return x, t, z
-
-
-def _i3_envelope(a, d):
-    cd, sd = math.cos(d), math.sin(d)
-    return (cd * cd, -cd * cd, 0, 2 * sd * cd, 0, 0, 0, 0, -4 * a, 0)
-
-
-def _i7_equation(a, th, d):
-    return (math.cos(d), math.sin(d) - math.sin(th), -math.cos(th), 0.0)
-
-
-def _i7_contact(a, th, d):
-    """The cone ruling in the member plane, as its unit point above z = 0."""
-    v = cross3(_i7_equation(a, th, d)[:3], [-math.sin(d), math.cos(d), 0.0])
-    v = v / np.linalg.norm(v)
-    return v if v[2] >= 0 else -v
-
-
-def _i7_envelope(a, th):
-    ct, st = math.cos(th), math.sin(th)
-    return (1, ct * ct, -ct * ct, 0, -2 * st * ct, 0, 0, 0, 0, 0)
+    payload: Callable[[float, float], tuple] | None = None
 
 
 _FAMILIES: dict[str, _Family] = {
-    "I3": _Family((_free("t"), _free("s")), _i3_equation, _i3_contact, _i3_envelope),
+    "I3": _Family(
+        (_free("t"), _free("s")),
+        lambda a, d, t, s: (s * math.cos(d), s * math.sin(d) - t, -2 * a, (s * s - t * t) / 2.0),
+        lambda a, d: (Line3(Point3(0, 0, a), (0, 1, 0)),
+                      Line3(Point3(0, 0, -a), (math.cos(d), math.sin(d), 0)))),
     "I3-parallel": _Family(
         (_free("t"), _free("s")),
         lambda a, _, t, s: (0.0, t - s, 2 * a, (t * t - s * s) / 2.0)),
     "I5": _Family(
         (_free("t"),),
         lambda a, _, t: (0.0, 2 * t, -4 * a, t * t),
-        lambda a, _, t: (0.0, t, t * t / (4 * a)),
-        lambda a, _: (0, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0)),
+        lambda a, _: (Point3(0, 0, a), Line3(Point3(0, 0, -a), (0, 1, 0)))),
     "I6": _Family(
         (_free("s"), _free("t")),
         lambda a, _, s, t: (2 * s, 2 * t, -4 * a, s * s + t * t),
-        lambda a, _, s, t: (s, t, (s * s + t * t) / (4 * a)),
-        lambda a, _: (1, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0)),
-    "I7": _Family((_free("delta", 0.0, 2 * math.pi),), _i7_equation, _i7_contact, _i7_envelope),
+        lambda a, _: (Point3(0, 0, a), Plane3((0, 0, 1), -a))),
+    "I7": _Family(
+        (_free("delta", 0.0, 2 * math.pi),),
+        lambda a, th, d: (math.cos(d), math.sin(d) - math.sin(th), -math.cos(th), 0.0),
+        lambda a, th: (Line3(Point3(0, 0, 0), (0, math.sin(th), math.cos(th))),
+                       Plane3((0, 0, 1), 0))),
     "I7-parallel": _Family(
         (_free("k"),),
         lambda a, _, k: (2 * k, 0.0, -4 * a, k * k),
-        lambda a, _, k: (k, 0.0, k * k / (4 * a)),
-        lambda a, _: (1, 0, 0, 0, 0, 0, 0, 0, -4 * a, 0)),
+        lambda a, _: (Line3(Point3(0, 0, a), (0, 1, 0)), Plane3((0, 0, 1), -a))),
     "I8": _Family(
         (_free("theta", 0.0, math.pi), _free("phi", 0.0, 2 * math.pi)),
         lambda a, _, th, ph: (
@@ -231,25 +205,39 @@ class PlaneFamily:
         """Family member in scene coordinates."""
         return self.to_scene.apply_plane(self.plane_canonical(*values))
 
-    def contact_point_canonical(self, *values: float) -> Point3:
-        """Closed-form contact of the member plane with the envelope.
-
-        For the ruled cases (I5, I7 variants) the contact is a line; the
-        returned point is a representative on it.
-        """
-        if self._row.contact is None:
+    @cached_property
+    def _dual(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The canonical payload, the projector P onto the null space of its
+        dual locus's linear form (I5, I7) or I, and P Q' P."""
+        if self._row.payload is None:
             raise NoEnvelope(f"the {self.incidence_kind} plane family has no envelope")
-        return Point3(*self._row.contact(self.half_gap, self.shape_angle, *values))
+        objs = self._row.payload(self.half_gap, self.shape_angle)
+        forms, q = _KINDS[IncidenceKind(self.incidence_kind.split("-")[0])].dual.locus(objs)
+        p = _I4
+        for f in forms:  # at most one
+            p = p - f[:, None] * f / (f @ f)
+        return objs, p, p @ q @ p
+
+    def contact_point_canonical(self, *values: float) -> Point3:
+        """The pole P Q' P u of the member u = (A, B, C, D), on its contact line
+        for the ruled I5 and I7 envelopes; for the I7 cone, whose poles are at
+        infinity, the unit ruling direction with z >= 0."""
+        x, y, z, w = (self._dual[2] @ self.equation(*values)).tolist()
+        s = -w if w else math.copysign(math.hypot(x, y, z), z)
+        return Point3(x / s, y / s, z / s)
 
     def contact_point(self, *values: float) -> Point3:
         return self.to_scene.apply_point(self.contact_point_canonical(*values))
 
     def envelope(self) -> Quadric:
-        """The envelope quadric of the members; NoEnvelope for a family that
-        has none (parallel lines, and the single-object kinds I8..I11)."""
-        if self._row.envelope is None:
-            raise NoEnvelope(f"the {self.incidence_kind} plane family has no envelope")
-        return Quadric(self._row.envelope(self.half_gap, self.shape_angle), self.frame)
+        """The envelope D P (P Q' P + I - P)^-1 P D, the adjugate up to scale
+        (D adj(Q') D for I3 and I6), negative at the payload's p or at b + e
+        on its m; NoEnvelope where there is none (parallel lines, I8..I11)."""
+        (first, _), p, pqp = self._dual
+        m = p @ np.linalg.inv(pqp + (_I4 - p)) @ p * _FLIP
+        x = first.xyz if isinstance(first, Point3) else first.base.xyz + first.direction
+        m = -m if (x @ m[:3, :3] + 2.0 * m[3, :3]) @ x + m[3, 3] > 0 else m  # the value at x
+        return Quadric(tuple((m[_ROWS, _COLS] * _OFF_DIAGONAL_2).tolist()), self.frame)
 
 
 # (row, column) of c1..c10 in the symmetric 4x4 matrix M of a quadric,
@@ -257,6 +245,10 @@ class PlaneFamily:
 # and its mirror.  Only c10 sits in row 3.
 _SLOTS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3)])
 _ROWS, _COLS = _SLOTS.T
+_OFF_DIAGONAL_2 = np.where(_ROWS == _COLS, 1.0, 2.0)
+# D M D with D = diag(1, 1, 1, -1): x lies on the plane h = (N, d) where h . D (x, 1) = 0
+_FLIP = np.array([1.0, 1.0, 1.0, -1.0])[:, None] * (1.0, 1.0, 1.0, -1.0)
+_I4 = np.broadcast_to(np.eye(4), (4, 4))  # a read-only identity
 
 
 @dataclass(frozen=True)
@@ -314,7 +306,7 @@ class Quadric:
         h[:3, :3] = self.frame.rotation
         h[:3, 3] = self.frame.translation
         a = h.T @ self.matrix @ h
-        return tuple((a[_ROWS, _COLS] * np.where(_ROWS == _COLS, 1.0, 2.0)).tolist())
+        return tuple((a[_ROWS, _COLS] * _OFF_DIAGONAL_2).tolist())
 
     def restricted_conic(self, plane: Plane3) -> np.ndarray:
         """3x3 symmetric matrix of the conic cut by a scene-coordinate plane,

@@ -104,9 +104,10 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     c2 is zero (or so small that σ overflows, when c1 = 0 leaving the roots
     ±√|c0| / √|c2| where -c0/c2 > 0 and they are finite), and a small c2
     gives a real root far out.  Where σ² overflows (σ = |c1/c2| beyond
-    1.3e154), the smaller root is c0/c2 over the larger.  Raises AllRealLine
-    when the polynomial is identically zero and DegenerateInput when it
-    reduces to a nonzero constant.
+    1.3e154), the smaller root is c0/c2 over the larger; where c0/c2 itself
+    overflows, σ is √|c0| / √|c2| or |c1/c2|, and roots beyond the float
+    range are dropped.  Raises AllRealLine when the polynomial is identically
+    zero and DegenerateInput when it reduces to a nonzero constant.
     """
     c2, c1, c0 = float(c2), float(c1), float(c0)  # Python floats: no NumPy warning
     if c2 == 0.0 and c1 == 0.0:
@@ -116,16 +117,21 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     if c1 == 0.0 and c0 == 0.0:
         return RealRoots((0.0,), (2,))
     sigma = max(abs(c1 / c2), math.sqrt(abs(c0 / c2))) if c2 != 0.0 else math.inf
+    # c0/c2 alone overflows: σ, b0 and the smaller root are taken without it
+    wide = not math.isfinite(sigma) and c1 != 0.0 and c2 != 0.0 and math.isfinite(c1 / c2)
+    sigma = max(abs(c1 / c2), math.sqrt(abs(c0)) / math.sqrt(abs(c2))) if wide else sigma
     if not math.isfinite(sigma):
         if c1 != 0.0:
-            return RealRoots((-c0 / c1,), (1,))
+            x = -c0 / c1
+            return RealRoots((x,), (1,)) if math.isfinite(x) else RealRoots((), ())
         x = math.sqrt(abs(c0)) / math.sqrt(abs(c2))
         real = (c0 < 0.0) != (c2 < 0.0) and math.isfinite(x)
         return RealRoots((-x, x), (1, 1)) if real else RealRoots((), ())
     if sigma == 0.0:  # c1/c2 and c0/c2 underflow: both roots round to 0
         return RealRoots((0.0,), (2,))
     s2 = _power(sigma, 2)
-    b1, b0 = c1 / c2 / sigma, c0 / c2 / s2 if s2 else c0 / c2 / sigma / sigma
+    b1 = c1 / c2 / sigma
+    b0 = c0 / sigma / (c2 * sigma) if wide else c0 / c2 / s2 if s2 else c0 / c2 / sigma / sigma
     disc = b1 * b1 - 4.0 * b0
     dscale = max(b1 * b1, abs(4.0 * b0))
     if disc < -ROOT_REL_TOL * dscale:
@@ -133,7 +139,8 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     if disc <= ROOT_REL_TOL * dscale:
         return RealRoots((-c1 / (2.0 * c2),), (2,))
     qq = -(b1 + math.copysign(math.sqrt(disc), b1)) / 2.0
-    pairs = [(sigma * qq, 1), (sigma * (b0 / qq) if s2 else c0 / c2 / (sigma * qq), 1)]
+    small = c0 / (c2 * sigma * qq) if wide else sigma * (b0 / qq) if s2 else c0 / c2 / (sigma * qq)
+    pairs = [(x, 1) for x in (sigma * qq, small) if math.isfinite(x)]
     return _sorted_roots((c2, c1, c0), pairs)
 
 

@@ -1080,3 +1080,48 @@ def reference_line_points(line: np.ndarray, quadrics, rel_tol: float) -> list[np
         (a, c), (h1, h2) = (c, a), (h2, h1)
     points = [t * h1 + h2 for t in real_roots_quadratic(a, 2.0 * b, c).roots]
     return points + [h1] if a == 0.0 else points
+
+
+# ---------------------------------------------------------------------------
+# Reference envelopes and contacts: the closed forms of what envelopes
+# derives from the dual loci, kept to compare against, in each family row's
+# canonical frame, with the half-gap a and shape angle first as in _FAMILIES
+# ---------------------------------------------------------------------------
+
+
+def _reference_i3_contact(a, d, t, s):
+    x = (s - t * math.sin(d)) / math.cos(d)
+    z = (
+        x * x * math.cos(d) ** 2
+        + 2 * x * t * math.sin(d) * math.cos(d)
+        - t * t * math.cos(d) ** 2
+    ) / (4 * a)
+    return x, t, z
+
+
+def _reference_i7_contact(a, th, d):
+    """The cone ruling in the member plane, as its unit point above z = 0."""
+    normal = (math.cos(d), math.sin(d) - math.sin(th), -math.cos(th))
+    v = np.cross(normal, [-math.sin(d), math.cos(d), 0.0])
+    v = v / np.linalg.norm(v)
+    return tuple(v if v[2] >= 0 else -v)
+
+
+# family row -> raw coefficients c1..c10, negative at p or at b + e on m
+REFERENCE_ENVELOPES = {
+    "I3": lambda a, d: (math.cos(d) ** 2, -math.cos(d) ** 2, 0, 2 * math.sin(d) * math.cos(d),
+                        0, 0, 0, 0, -4 * a, 0),
+    "I5": lambda a, _: (0, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0),
+    "I6": lambda a, _: (1, 1, 0, 0, 0, 0, 0, 0, -4 * a, 0),
+    "I7": lambda a, th: (1, math.cos(th) ** 2, -math.cos(th) ** 2, 0,
+                         -2 * math.sin(th) * math.cos(th), 0, 0, 0, 0, 0),
+    "I7-parallel": lambda a, _: (1, 0, 0, 0, 0, 0, 0, 0, -4 * a, 0),
+}
+# family row -> the canonical contact point of the member at the values
+REFERENCE_CONTACTS = {
+    "I3": _reference_i3_contact,
+    "I5": lambda a, _, t: (0.0, t, t * t / (4 * a)),
+    "I6": lambda a, _, s, t: (s, t, (s * s + t * t) / (4 * a)),
+    "I7": _reference_i7_contact,
+    "I7-parallel": lambda a, _, k: (k, 0.0, k * k / (4 * a)),
+}

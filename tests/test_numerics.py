@@ -289,6 +289,19 @@ class TestScaleBeyondTheFloatRange:
         assert real_roots_quadratic(cast(1e-320), 0.0, cast(-1e300)).roots == ()
 
     @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_quadratic_whose_constant_ratio_overflows(self, cast):
+        # c0/c2 overflows where c1/c2 does not: both roots, about -c1/c2 =
+        # -1e300 and -c0/c1 = -1e100, are in the float range
+        roots = real_roots_quadratic(cast(1e-300), cast(1.0), cast(1e100))
+        assert roots.roots == pytest.approx((-1e300, -1e100), rel=1e-15)
+        assert roots.multiplicities == (1, 1)
+        roots = real_roots_quadratic(cast(-1e-300), cast(1e-10), cast(1e100))
+        assert roots.roots == pytest.approx((-1e110, 1e290), rel=1e-15)
+        # c1/c2 overflows too, and both roots, near 6e309 and -1.6e310, are
+        # beyond the float range: none, not an infinite one
+        assert real_roots_quadratic(cast(1e-320), cast(1e-10), cast(-1e300)).roots == ()
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
     def test_cubic_whose_polish_leaves_the_float_range(self, cast):
         # at the root -1e120 the term c3 x^3 is 1e360: no Newton step there,
         # and no overflow warning

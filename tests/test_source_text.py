@@ -29,6 +29,12 @@ A quadric's coefficient layout is stated once, by the slot table of
 ``envelopes.Quadric``; meshing reads the quadric's 4x4 matrix, and an
 ``ast`` check fails when ``meshing.py`` reads a ``coeffs`` attribute.
 
+A tangency kind's geometry is stated once, by its dual locus in
+``constraints._KINDS``; ``envelopes`` derives each envelope and contact
+point from it, so an ``ast`` check fails when ``envelopes._Family`` gets a
+field beyond ``params``, ``equation`` and ``payload`` (a closed-form
+envelope or contact column).
+
 The direct solvers of I1, I2 and I4 refuse a payload through their rows'
 preconditions, so each refusal and its message are stated once; an ``ast``
 check fails when one of them raises on its own.
@@ -201,6 +207,30 @@ def test_coeffs_guard_tells_a_read_from_a_mention():
     source = MESHING.read_text()
     assert "z_row = quadric.matrix[2]" in source
     assert _coeffs_reads(source.replace("z_row = quadric.matrix[2]", "z_row = quadric.coeffs[2]"))
+
+
+ENVELOPES = next(p for p in SOURCES if p.name == "envelopes.py")
+
+
+def _family_fields(source: str) -> list[str]:
+    """The fields of ``envelopes._Family``, in order."""
+    (row,) = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "_Family"
+    ]
+    return [node.target.id for node in row.body if isinstance(node, ast.AnnAssign)]
+
+
+def test_family_rows_have_no_closed_form_columns():
+    assert _family_fields(ENVELOPES.read_text()) == ["params", "equation", "payload"]
+
+
+def test_family_fields_guard_finds_a_column():
+    source = ENVELOPES.read_text()
+    line = "    payload: Callable[[float, float], tuple] | None = None\n"
+    assert line in source
+    column = "    envelope: Callable[[float, float], tuple[float, ...]] | None = None\n"
+    assert _family_fields(source.replace(line, line + column))[-1] == "envelope"
 
 
 DIRECT_SOLVERS = ("solve_I1", "solve_I2", "solve_I4")
