@@ -63,12 +63,11 @@ from .geometry import (
     Point3,
     RigidFrame,
     _axis_frame,
+    _line_pair_frame,
     canonical_frame_line_plane_crossing,
     canonical_frame_line_plane_parallel,
-    canonical_frame_parallel_lines,
     canonical_frame_point_line,
     canonical_frame_point_plane,
-    canonical_frame_skew_lines,
     classify_line_plane,
     cross3,
     LinePlaneRelation,
@@ -356,15 +355,14 @@ def envelope_I6(p: Point3, pi: Plane3) -> Quadric:
 
 def family_I3(m: Line3, n: Line3) -> PlaneFamily:
     """Planes making the reflection of m meet the disjoint line n."""
-    _, _, dist, parallel = line_line_closest(m, n)
-    if dist <= TOL_SEPARATION:
+    closest = line_line_closest(m, n)
+    if closest[2] <= TOL_SEPARATION:
         raise InvalidConstraint(
             "the lines intersect; the meeting constraint needs disjoint lines"
         )
-    if parallel:
-        frame, a = canonical_frame_parallel_lines(m, n)
+    frame, delta, a = _line_pair_frame(m, n, closest)
+    if delta is None:
         return PlaneFamily("I3-parallel", frame, half_gap=a)
-    frame, delta, a = canonical_frame_skew_lines(m, n)
     return PlaneFamily("I3", frame, half_gap=a, shape_angle=delta)
 
 

@@ -554,24 +554,32 @@ def canonical_frame_skew_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float, f
 
     Returns the frame, delta, and the half-gap a.
     """
-    pm, pn, dist, parallel = line_line_closest(m, n)
-    if parallel:
+    closest = line_line_closest(m, n)
+    if closest[3]:
         raise DegenerateInput("lines are parallel; no skew frame")
-    if dist <= TOL_SEPARATION:  # the I3 precondition
-        raise DegenerateInput("lines intersect; no skew frame")
-    frame, a = _pair_frame(pm.coords, pn.coords, m.direction)
-    dn = n.direction  # taken with x >= 0, so that |delta| <= pi/2
-    x, y = float(dn @ frame.rotation[0]), float(dn @ frame.rotation[1])
-    delta = math.atan2(y, x) if x >= 0 else math.atan2(-y, -x)
-    return frame, delta, a
+    return _line_pair_frame(m, n, closest)
 
 
 def canonical_frame_parallel_lines(m: Line3, n: Line3) -> tuple[RigidFrame, float]:
     """Frame for distinct parallel lines: both along +y in the x = 0 plane,
     m at z = a and n at z = -a."""
-    pm, pn, dist, parallel = line_line_closest(m, n)
-    if not parallel:
+    closest = line_line_closest(m, n)
+    if not closest[3]:
         raise DegenerateInput("lines are not parallel")
+    return _line_pair_frame(m, n, closest)[::2]  # the frame and a, without delta
+
+
+def _line_pair_frame(m: Line3, n: Line3, closest: tuple) -> tuple[RigidFrame, float | None, float]:
+    """canonical_frame_skew_lines of m and n, or for parallel lines
+    canonical_frame_parallel_lines with delta None, from line_line_closest."""
+    pm, pn, dist, parallel = closest
     if dist <= TOL_SEPARATION:  # the I3 precondition
-        raise DegenerateInput("lines coincide; no parallel-pair frame")
-    return _pair_frame(pm.coords, pn.coords, m.direction)
+        raise DegenerateInput("lines coincide; no parallel-pair frame" if parallel
+                              else "lines intersect; no skew frame")
+    frame, a = _pair_frame(pm.coords, pn.coords, m.direction)
+    if parallel:
+        return frame, None, a
+    dn = n.direction  # taken with x >= 0, so that |delta| <= pi/2
+    x, y = float(dn @ frame.rotation[0]), float(dn @ frame.rotation[1])
+    delta = math.atan2(y, x) if x >= 0 else math.atan2(-y, -x)
+    return frame, delta, a

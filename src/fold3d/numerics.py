@@ -106,8 +106,9 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     gives a real root far out.  Where σ² overflows (σ = |c1/c2| beyond
     1.3e154), the smaller root is c0/c2 over the larger; where c0/c2 itself
     overflows, σ is √|c0| / √|c2| or |c1/c2|, and roots beyond the float
-    range are dropped.  Raises AllRealLine when the polynomial is identically
-    zero and DegenerateInput when it reduces to a nonzero constant.
+    range are dropped; where c1/c2 overflows, -c0/c1 is kept when the pair
+    is real.  Raises AllRealLine when the polynomial is identically zero
+    and DegenerateInput when it reduces to a nonzero constant.
     """
     c2, c1, c0 = float(c2), float(c1), float(c0)  # Python floats: no NumPy warning
     if c2 == 0.0 and c1 == 0.0:
@@ -122,8 +123,10 @@ def real_roots_quadratic(c2: float, c1: float, c0: float) -> RealRoots:
     sigma = max(abs(c1 / c2), math.sqrt(abs(c0)) / math.sqrt(abs(c2))) if wide else sigma
     if not math.isfinite(sigma):
         if c1 != 0.0:
+            pair = (c2 != 0.0 and (c0 < 0.0) == (c2 < 0.0)
+                    and abs(c1) / math.sqrt(abs(c2)) < 2.0 * math.sqrt(abs(c0)))
             x = -c0 / c1
-            return RealRoots((x,), (1,)) if math.isfinite(x) else RealRoots((), ())
+            return RealRoots((x,), (1,)) if math.isfinite(x) and not pair else RealRoots((), ())
         x = math.sqrt(abs(c0)) / math.sqrt(abs(c2))
         real = (c0 < 0.0) != (c2 < 0.0) and math.isfinite(x)
         return RealRoots((-x, x), (1, 1)) if real else RealRoots((), ())
@@ -469,11 +472,6 @@ def params_to_planes(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     normals = np.empty((p.shape[0], 3))
     normals[:, 0], normals[:, 1], normals[:, 2] = columns
     return normals, dd
-
-
-def plane_from_params(theta: float, phi: float, d: float) -> Plane3:
-    n, o = params_to_planes(np.array([[theta, phi, d]]))
-    return Plane3(tuple(n[0]), float(o[0]))
 
 
 def _stacked_components(cons, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -433,9 +434,9 @@ def _grads(f: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (_outer_power(x, f.ndim - 1) @ forms).reshape(len(x), 2, 3)
 
 
-def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
-    """The real common points, unit 3-vectors, of the plane curves f = 0 and
-    g = 0 given as symmetric tensors of orders m and n.
+def _curve_points(f: np.ndarray, g: np.ndarray) -> list[list[float]]:
+    """The real common points, unit 3-vectors as lists, of the plane curves
+    f = 0 and g = 0 given as symmetric tensors of orders m and n.
 
     One product with _CHART_MAPS gives, in every chart x = U (s, t, 1), the
     coefficients c[p, q] of s^p t^q of each curve, and so the values
@@ -448,17 +449,20 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     (_roots, the companion eigenvalues of np.roots) each give t from the
     kernel of the Sylvester matrix at s (the hidden-variable method, Cox,
     Little & O'Shea, *Using Algebraic Geometry*, ch. 3), and every point is
-    polished by Newton steps on the unit sphere, with both gradients and
-    their 2 x 2 Gram matrices each from one batched product.  Raises
-    IllPosed when the resultant vanishes identically: the curves share a
-    component.
+    polished by Newton steps on the unit sphere.  Raises IllPosed when the
+    resultant vanishes identically: the curves share a component.
+
+    After the kernels' SVD the one to nine real seeds are lifted and
+    polished one at a time in Python floats, where NumPy's per-call cost
+    would outweigh the arithmetic; a polish step makes one product for
+    both gradients at all the points (_grads).
     """
     f, g = f / math.sqrt(np.vdot(f, f)), g / math.sqrt(np.vdot(g, g))
     m, n = f.ndim, g.ndim
     circle_f, circle_g, powers = _CURVE_TABLES[m, n][2:]
     cf, cg = _chart_coeffs(f), _chart_coeffs(g)
-    far = np.minimum(np.abs(cf[:, 0, 0]), np.abs(cg[:, 0, 0]))
-    for i in np.argsort(-far, kind="stable"):
+    far = np.minimum(np.abs(cf[:, 0, 0]), np.abs(cg[:, 0, 0])).tolist()
+    for i in sorted(range(len(far)), key=far.__getitem__, reverse=True):
         coeffs = _resultant(circle_f @ cf[i], circle_g @ cg[i])
         if coeffs is None:
             raise IllPosed(
@@ -467,35 +471,36 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
             )
         if coeffs[-1] != 0.0:
             break  # else the last chart serves
-    s = np.array(_near_real(_roots(coeffs[::-1])))
-    if not s.size:
+    s = _near_real(_roots(coeffs[::-1]))
+    if not s:
         return []
     vander = np.power.outer(s, powers)
     syl = _sylvester(vander[:, : m + 1] @ cf[i], vander[:, : n + 1] @ cg[i])
-    kernel = np.linalg.svd(syl)[2][:, -1]
-    # the kernel is (t^(D-1), ..., t, 1), so its head is t times its tail;
-    # the tail is 0 only at the chart's centre, which is off both curves
-    tail = np.maximum(np.einsum("ij,ij->i", kernel[:, 1:], kernel[:, 1:]), np.finfo(float).tiny)
-    x = np.ones((len(s), 3))
-    x[:, 0] = s
-    x[:, 1] = np.einsum("ij,ij->i", kernel[:, :-1], kernel[:, 1:]) / tail
-    x = x @ _CHARTS[i].T
-    x /= _norms(x)[:, None]
-    orders = np.array([[m], [n]])
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = _CHARTS[i].tolist()
+    points = []
+    for x, kernel in zip(s, np.linalg.svd(syl)[2][:, -1].tolist()):
+        # the kernel is (t^(D-1), ..., t, 1), so its head is t times its tail;
+        # the tail is 0 only at the chart's centre, which is off both curves
+        tail = kernel[1:]
+        t = sum(a * b for a, b in zip(kernel, tail))
+        t /= max(sum(b * b for b in tail), sys.float_info.min)
+        points.append(_unit3(u0 * x + u1 * t + u2, v0 * x + v1 * t + v2, w0 * x + w1 * t + w2))
     for _ in range(_POLISH_STEPS):
         # a form of order m is x . grad / m, and the step is the minimum-norm
         # J^T (J J^T)^-1 r, taken only where the gradients are independent
-        grads = _grads(f, g, x)
-        r = (grads @ x[:, :, None])[:, :, 0]
-        jac = grads * orders
-        gram = jac @ jac.transpose(0, 2, 1)
-        m00, m01, m11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-        det = m00 * m11 - m01 * m01
-        det = np.where(det > 1e-30 * m00 * m11, det, np.inf)
-        y0, y1 = (m11 * r[:, 0] - m01 * r[:, 1]) / det, (m00 * r[:, 1] - m01 * r[:, 0]) / det
-        x = x - y0[:, None] * jac[:, 0] - y1[:, None] * jac[:, 1]
-        x /= _norms(x)[:, None]
-    return list(x)
+        polished = []
+        for (x, y, z), (a, b) in zip(points, _grads(f, g, np.array(points)).tolist()):
+            ax, ay, az = m * a[0], m * a[1], m * a[2]
+            bx, by, bz = n * b[0], n * b[1], n * b[2]
+            r0, r1 = a[0] * x + a[1] * y + a[2] * z, b[0] * x + b[1] * y + b[2] * z
+            m00, m11 = ax * ax + ay * ay + az * az, bx * bx + by * by + bz * bz
+            m01 = ax * bx + ay * by + az * bz
+            if (det := m00 * m11 - m01 * m01) > 1e-30 * m00 * m11:
+                y0, y1 = (m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det
+                x, y, z = x - y0 * ax - y1 * bx, y - y0 * ay - y1 * by, z - y0 * az - y1 * bz
+            polished.append(_unit3(x, y, z))
+        points = polished
+    return points
 
 
 def _symmetrized(form: np.ndarray) -> np.ndarray:
@@ -526,7 +531,7 @@ def _distinct(forms: np.ndarray, count: int) -> list[np.ndarray]:
     return kept[:count]
 
 
-def _plane_points(plane: np.ndarray, quadrics) -> list[np.ndarray]:
+def _plane_points(plane: np.ndarray, quadrics) -> list[list[float]]:
     """The points h = x plane, the rows of plane spanning a plane of P^3,
     where the quadrics vanish.  The first two distinct quadrics restricted
     to it are two conics, met by _curve_points.  A lone conic has finitely
@@ -534,12 +539,12 @@ def _plane_points(plane: np.ndarray, quadrics) -> list[np.ndarray]:
     of its null space.  Raises IllPosed otherwise, a continuum."""
     conics = _distinct(plane @ quadrics @ plane.T, 2)
     if len(conics) == 2:
-        return [x @ plane for x in _curve_points(*conics)]
+        return (np.reshape(_curve_points(*conics), (-1, 3)) @ plane).tolist()
     if conics:
         w, v = np.linalg.eigh(conics[0])
         zero = np.abs(w) <= EXACT_REL_TOL * np.abs(w).max()
         if np.count_nonzero(zero) <= 1 and len(set(np.sign(w[~zero]))) == 1:
-            return list(v[:, zero].T @ plane)
+            return (v[:, zero].T @ plane).tolist()
     raise IllPosed(_DEPENDENT)
 
 
@@ -570,7 +575,7 @@ def _cubics(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (mixed + mixed.transpose(0, 1, 3, 2) + mixed.transpose(0, 3, 1, 2)) / 3.0
 
 
-def _three_quadric_points(quadrics: np.ndarray) -> list[np.ndarray]:
+def _three_quadric_points(quadrics: np.ndarray) -> list[list[float]]:
     """The points h = (N, d) of the first three independent quadrics
     N^T A_j N + 2 d b_j . N = 0, stacked on the first axis, which all pass
     through the plane at infinity (0, 0, 0, 1).  Raises IllPosed when fewer
@@ -619,22 +624,22 @@ def _three_quadric_points(quadrics: np.ndarray) -> list[np.ndarray]:
             plane = np.linalg.svd(np.concatenate((b[0], (0.0,)))[None])[2][1:]  # b'_1 . N = 0
             points = _plane_points(plane, head)
         normals = _curve_points(*(_divided(curves, np.eye(3)) or curves))
-    if not normals:
-        return points
-    return points + list(_lifted(np.array(normals), a, b))
+    return points + _lifted(normals, a, b)
 
 
-def _lifted(normals: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The points (N, d) of the mixed quadrics (a, b) over the rows N of
-    normals: d from the quadric with the largest |b_j . N|, and no point
-    where that d is beyond 1 / _AT_INFINITY."""
-    slopes = normals @ b.T
-    j = np.argmax(np.abs(slopes), axis=1)
-    rows = np.arange(len(normals))
-    slope = slopes[rows, j]
-    value = np.add.reduce((normals @ a)[j, rows] * normals, axis=1)
-    keep = 2.0 * np.abs(slope) > _AT_INFINITY * np.abs(value)
-    return np.concatenate((normals[keep], (-value[keep] / (2.0 * slope[keep]))[:, None]), axis=1)
+def _lifted(normals: list[list[float]], a: np.ndarray, b: np.ndarray) -> list[list[float]]:
+    """The points (N, d) of the mixed quadrics (a, b) over the normals N:
+    d from the quadric with the largest |b_j . N|, and no point where that d
+    is beyond 1 / _AT_INFINITY."""
+    a, b = a.tolist(), b.tolist()
+    points = []
+    for x, y, z in normals:
+        slopes = [bx * x + by * y + bz * z for bx, by, bz in b]
+        j = max(range(len(slopes)), key=lambda k: abs(slopes[k]))
+        value = sum((ax * x + ay * y + az * z) * c for (ax, ay, az), c in zip(a[j], (x, y, z)))
+        if 2.0 * abs(slopes[j]) > _AT_INFINITY * abs(value):
+            points.append([x, y, z, -value / (2.0 * slopes[j])])
+    return points
 
 
 def solve_exact(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR) -> FoldSolution:
@@ -670,6 +675,12 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR)
     _checked_facts(tuple(c.kind.index for c in cons))
     r = check_payload_radius(payload_radius(cons))
     return _solve_exact(cons, r, tol)
+
+
+def _unit3(x: float, y: float, z: float) -> list[float]:
+    """(x, y, z) over its norm."""
+    size = math.sqrt(x * x + y * y + z * z)
+    return [x / size, y / size, z / size]
 
 
 def _unit4(h: list[float]) -> list[float]:

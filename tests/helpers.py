@@ -17,6 +17,7 @@ import numpy as np
 from fold3d import (
     Constraint,
     DegenerateInput,
+    IllPosed,
     IncidenceKind,
     InvalidConstraint,
     Line3,
@@ -293,6 +294,12 @@ def generic_newton_args(cons) -> tuple[tuple, dict]:
         solve_generic(cons)
     ((args, kwargs),) = calls
     return args, kwargs
+
+
+def plane_from_params(theta: float, phi: float, d: float) -> Plane3:
+    """The plane of Newton's parameters (theta, phi, d)."""
+    n, o = params_to_planes(np.array([[theta, phi, d]]))
+    return Plane3(tuple(n[0]), float(o[0]))
 
 
 def windowed_counts(cons, solution, resolution=48, n_offsets=64):
@@ -767,7 +774,8 @@ def reference_write_obj(path, objects: list[tuple[str, np.ndarray, list]]) -> No
 # ---------------------------------------------------------------------------
 # Reference exact-solver kernels: the per-call loops that operations'
 # chart and curve tables, _distinct's one-SVD test, _roots, _near_real,
-# _lifted and plane_gap's scalar form replace, kept to compare against
+# _lifted and plane_gap's scalar form replace, and the NumPy-batched lift
+# and polish of _curve_points, kept to compare against
 # ---------------------------------------------------------------------------
 
 
@@ -835,6 +843,53 @@ def reference_lifted(normals, a: np.ndarray, b: np.ndarray, at_infinity: float) 
         if 2.0 * abs(slope) > at_infinity * abs(value):
             points.append(np.concatenate((n, (-value / (2.0 * slope),))))
     return np.reshape(points, (-1, 4))
+
+
+def reference_curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+    """operations._curve_points with the lift and the polish batched over
+    the real seeds in NumPy, as the package had it before they moved to
+    Python floats: the same seeds, kernels and Newton steps."""
+    from fold3d.operations import (
+        _CHARTS, _CURVE_TABLES, _POLISH_STEPS, _chart_coeffs, _grads, _near_real, _norms,
+        _resultant, _roots, _sylvester,
+    )
+
+    f, g = f / math.sqrt(np.vdot(f, f)), g / math.sqrt(np.vdot(g, g))
+    m, n = f.ndim, g.ndim
+    circle_f, circle_g, powers = _CURVE_TABLES[m, n][2:]
+    cf, cg = _chart_coeffs(f), _chart_coeffs(g)
+    far = np.minimum(np.abs(cf[:, 0, 0]), np.abs(cg[:, 0, 0]))
+    for i in np.argsort(-far, kind="stable"):
+        coeffs = _resultant(circle_f @ cf[i], circle_g @ cg[i])
+        if coeffs is None:
+            raise IllPosed("the curves share a component")
+        if coeffs[-1] != 0.0:
+            break
+    s = np.array(_near_real(_roots(coeffs[::-1])))
+    if not s.size:
+        return []
+    vander = np.power.outer(s, powers)
+    syl = _sylvester(vander[:, : m + 1] @ cf[i], vander[:, : n + 1] @ cg[i])
+    kernel = np.linalg.svd(syl)[2][:, -1]
+    tail = np.maximum(np.einsum("ij,ij->i", kernel[:, 1:], kernel[:, 1:]), np.finfo(float).tiny)
+    x = np.ones((len(s), 3))
+    x[:, 0] = s
+    x[:, 1] = np.einsum("ij,ij->i", kernel[:, :-1], kernel[:, 1:]) / tail
+    x = x @ _CHARTS[i].T
+    x /= _norms(x)[:, None]
+    orders = np.array([[m], [n]])
+    for _ in range(_POLISH_STEPS):
+        grads = _grads(f, g, x)
+        r = (grads @ x[:, :, None])[:, :, 0]
+        jac = grads * orders
+        gram = jac @ jac.transpose(0, 2, 1)
+        m00, m01, m11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+        det = m00 * m11 - m01 * m01
+        det = np.where(det > 1e-30 * m00 * m11, det, np.inf)
+        y0, y1 = (m11 * r[:, 0] - m01 * r[:, 1]) / det, (m00 * r[:, 1] - m01 * r[:, 0]) / det
+        x = x - y0[:, None] * jac[:, 0] - y1[:, None] * jac[:, 1]
+        x /= _norms(x)[:, None]
+    return list(x)
 
 
 def reference_plane_gap(a: Plane3, b: Plane3) -> float:

@@ -1,6 +1,7 @@
 """Plane families, envelope quadrics, and the numeric tangency verifier."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestFamilyI3:
         n = Line3(Point3(0, 0, 0), (0, 1, 0))
         with pytest.raises(InvalidConstraint):
             family_I3(m, n)
+
+    @pytest.mark.parametrize("pair", [skew_lines, parallel_lines])
+    def test_closest_points_taken_once(self, pair):
+        import fold3d.envelopes
+        import fold3d.geometry
+
+        m, n = pair(np.random.default_rng(5))
+        closest = fold3d.geometry.line_line_closest
+        with mock.patch.object(fold3d.envelopes, "line_line_closest", wraps=closest) as outer, \
+                mock.patch.object(fold3d.geometry, "line_line_closest", wraps=closest) as inner:
+            fam = family_I3(m, n)
+        assert outer.call_count + inner.call_count == 1
+        assert fam.incidence_kind == ("I3" if pair is skew_lines else "I3-parallel")
 
 
 class TestFamilyI7:

@@ -34,7 +34,6 @@ from fold3d.numerics import (
     _scan_lattice,
     normal_scan,
     params_to_planes,
-    plane_from_params,
     search,
     stacked_components_fn,
 )
@@ -45,6 +44,7 @@ from helpers import (
     instance_i5_i6,
     instance_i5_i9,
     instance_i6_i8_i11,
+    plane_from_params,
     random_payload,
     random_point,
     reference_cluster,
@@ -302,6 +302,18 @@ class TestScaleBeyondTheFloatRange:
         assert real_roots_quadratic(cast(1e-320), cast(1e-10), cast(-1e300)).roots == ()
 
     @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_quadratic_whose_linear_ratio_overflows(self, cast):
+        # c1/c2 overflows; c1^2 - 4 c0 c2 = 9e-24 - 1.6e-23 < 0 is a complex
+        # pair, so -c0/c1 = -1.33e308 is no root
+        assert real_roots_quadratic(cast(1e-320), cast(3e-12), cast(4e296)).roots == ()
+        assert real_roots_quadratic(cast(-1e-320), cast(-3e-12), cast(-4e296)).roots == ()
+        # c0 c2 < 0, or c1^2 = 2.5e-23 > 1.6e-23: the pair is real, and its
+        # smaller root -c0/c1 is kept
+        for c2, c1, c0 in ((-1e-320, 3e-12, 4e296), (1e-320, 5e-12, 4e296)):
+            roots = real_roots_quadratic(cast(c2), cast(c1), cast(c0))
+            assert roots.roots == (-c0 / c1,) and roots.multiplicities == (1,)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
     def test_cubic_whose_polish_leaves_the_float_range(self, cast):
         # at the root -1e120 the term c3 x^3 is 1e360: no Newton step there,
         # and no overflow warning
@@ -401,7 +413,7 @@ class TestNewtonMultistart:
             assert np.allclose(u, v, atol=1e-8)
 
     def test_recovers_bisector_plane_parameters(self):
-        from fold3d.numerics import plane_from_params, stacked_components_fn
+        from fold3d.numerics import stacked_components_fn
 
         p, q = Point3(0.4, -0.2, 0.1), Point3(-0.5, 0.8, 1.0)
         c = Constraint.I1(p, q)

@@ -65,6 +65,7 @@ from helpers import (
     random_point,
     random_unit,
     reference_contract,
+    reference_curve_points,
     reference_distinct,
     reference_fold_planes,
     reference_lifted,
@@ -1044,7 +1045,7 @@ class TestCurveKernels:
             a, b = mixed[:, :3, :3], mixed[:, :3, 3]
             if trial % 4 == 0:  # a plane at infinity: no slope at the first normal
                 b -= np.multiply.outer(b @ normals[0], normals[0])
-            got = ops._lifted(normals, a, b)
+            got = np.reshape(ops._lifted(normals.tolist(), a, b), (-1, 4))
             want = reference_lifted(normals, a, b, ops._AT_INFINITY)
             assert got.shape == want.shape
             scale = max(1.0, np.abs(want).max(initial=0.0))
@@ -1071,6 +1072,108 @@ class TestCurveKernels:
         g = np.array([[1j, 1], [1j, 1 + 1e-14]])
         coeffs = fold3d.operations._resultant(f, g)
         assert abs(coeffs[0] - 2.0) < 1e-13 and coeffs[-1] == 0.0
+
+
+def _spied_curves(cons) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The curve pairs that solve_operation(cons) meets."""
+    ops = fold3d.operations
+    with mock.patch.object(ops, "_curve_points", wraps=ops._curve_points) as spy:
+        solve_operation(cons)
+    return [call.args for call in spy.call_args_list]
+
+
+def _near_tangent_circles(rng, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The unit circle and a circle of radius r centred 1 + r - gap away, in
+    the chart z = 1 of a random rotation: two meetings that close in as gap
+    falls, and a tangency at gap = 0."""
+    r = rng.uniform(0.3, 3.0)
+    c = 1.0 + r - gap
+    f = np.diag([1.0, 1.0, -1.0])
+    g = np.array([[1.0, 0.0, -c], [0.0, 1.0, 0.0], [-c, 0.0, c * c - r * r]])
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return q.T @ f @ q, q.T @ g @ q
+
+
+def _horizontal_3i6(rng) -> list[Constraint]:
+    # I6 onto horizontal planes: every b_j is vertical, so two d-free conics
+    return [Constraint.I6(random_point(rng), Plane3((0, 0, 1), rng.normal())) for _ in range(3)]
+
+
+def _defect_e_scene() -> list[Constraint]:
+    # the 2I6+I11 scene whose plane z = 0 is a tangential meeting
+    s = 1.0 / np.sqrt(6.0)
+    return [Constraint.I6(Point3(-1, -1, 1), Plane3((s, -2.0 * s, s), 0.0)),
+            Constraint.I6(Point3(0, 0, 1), Plane3((0, 0, 1), -1.0)),
+            Constraint.I11(Plane3((0, 1, 0), 0.0))]
+
+
+class TestCurveMeeting:
+    """_curve_points, whose lift and polish run in Python floats, against
+    its NumPy-batched form (helpers.reference_curve_points): the same
+    number of points, and every point that the reference meets to within
+    1e-14 within 1e-10 of it.  At a tangency a point is only fixed to about
+    sqrt(eps), since its residual grows quadratically, so there the
+    distance allowed is 1e-7."""
+
+    @staticmethod
+    def _agree(pairs, tol: float = 1e-10) -> int:
+        checked = 0
+        for f, g in pairs:
+            got, want = fold3d.operations._curve_points(f, g), reference_curve_points(f, g)
+            assert len(got) == len(want)
+            if not want:
+                continue
+            x = np.array(want)
+            residual = np.maximum(*(np.abs(reference_contract(h / np.linalg.norm(h), x, h.ndim))
+                                    for h in (f, g)))
+            for p, q, r in zip(got, want, residual.tolist()):
+                assert len(p) == 3 and all(type(v) is float for v in p)
+                if r < 1e-14:
+                    assert np.linalg.norm(np.array(p) - q) < tol
+                    checked += 1
+        return checked
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_random_curves(self, order):
+        sym = fold3d.operations._symmetrized
+        rng = np.random.default_rng(3100 + order)
+        pairs = [tuple(sym(rng.normal(size=(3,) * order)) for _ in range(2)) for _ in range(100)]
+        assert self._agree(pairs) > 100
+
+    def test_three_i6_cubics(self):
+        rng = np.random.default_rng(3110)
+        pairs = [p for _ in range(60) for p in _spied_curves(instance_3i6(rng))]
+        assert all(f.ndim == g.ndim == 3 for f, g in pairs)
+        assert self._agree(pairs) > 60
+
+    def test_three_i6_d_free_conics(self):
+        rng = np.random.default_rng(3120)
+        pairs = [p for _ in range(60) for p in _spied_curves(_horizontal_3i6(rng))]
+        assert pairs and all(f.ndim == g.ndim == 2 for f, g in pairs)
+        assert self._agree(pairs) > 60
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7, 0.0])
+    def test_near_tangent_conics(self, gap):
+        rng = np.random.default_rng(3130)
+        pairs = [_near_tangent_circles(rng, gap) for _ in range(50)]
+        assert self._agree(pairs, 1e-10 if gap else 1e-7) > 50
+
+    def test_defect_e_scene(self):
+        pairs = _spied_curves(_defect_e_scene())
+        assert len(pairs) == 1 and self._agree(pairs, 1e-7)
+        plane = min(solve_operation(_defect_e_scene()).planes,
+                    key=lambda p: abs(p.normal[0]) + abs(p.offset))
+        # the tangential plane z = 0, about sqrt(eps) off in its normal
+        assert abs(plane.normal[0]) < 1e-7 and abs(plane.offset) < 1e-12
+
+    def test_one_gradient_product_per_polish_step(self):
+        ops = fold3d.operations
+        rng = np.random.default_rng(3140)
+        cons = instance_3i6(rng)
+        with mock.patch.object(ops, "_grads", wraps=ops._grads) as grads:
+            sol = solve_operation(cons)
+        assert sol.count > 0
+        assert grads.call_count == ops._POLISH_STEPS
 
 
 class TestSolveI1AtCoarseTolerance:
