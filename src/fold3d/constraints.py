@@ -424,85 +424,85 @@ def _tilt_and_gap(c: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dual loci: linear forms and a quadric in h = (N, d) of the planes N . x = d
+# Dual loci in h = (N, d) of the planes N . x = d, by geometry's rule for single vectors
 # ---------------------------------------------------------------------------
-
-# The quadric S = N . N.
-_NORMAL_NORM = np.diag([1.0, 1.0, 1.0, 0.0])
 
 
 def _form(v, w: float = 0.0) -> np.ndarray:
-    """The linear form v . N + w d."""
-    return np.concatenate((v, (w,)))
+    """The linear form v . N + w d of a float 3-sequence v."""
+    return np.array((*v, w))
 
 
-def _product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of the quadric (h . f)(h . g)."""
-    fg = f[:, None] * g
-    return (fg + fg.T) / 2.0
+def _quadric(c: float, f, g) -> list[list[float]]:
+    """c S - (f g^T + g f^T) of float 4-sequences, S = N . N, each entry as
+    c * diag(1, 1, 1, 0) - (fg + fg.T) forms it, signed zeros too; c = -0.0
+    gives -(f g^T + g f^T) exactly."""
+    (f0, f1, f2, f3), (g0, g1, g2, g3), z = f, g, c * 0.0
+    a, b, d = z - (f0 * g1 + f1 * g0), z - (f0 * g2 + f2 * g0), z - (f0 * g3 + f3 * g0)
+    e, h, k = z - (f1 * g2 + f2 * g1), z - (f1 * g3 + f3 * g1), z - (f2 * g3 + f3 * g2)
+    return [[c - (f0 * g0 + f0 * g0), a, b, d], [a, c - (f1 * g1 + f1 * g1), e, h],
+            [b, e, c - (f2 * g2 + f2 * g2), k], [d, h, k, z - (f3 * g3 + f3 * g3)]]
 
 
 def _landing(v: np.ndarray, w: float, nu: np.ndarray, o: float) -> np.ndarray:
     """(nu . v - o) S - 2 (N . v + w d)(N . nu): S times the signed distance
     from the plane nu . x = o of the image of the point v (w = -1) or of the
-    direction v (w = 0, o = 0).  2 _product(f, g) is fg + fg^T bit for bit."""
-    fg = _form(v, w)[:, None] * _form(nu)
-    return float(nu @ v - o) * _NORMAL_NORM - (fg + fg.T)
+    direction v (w = 0, o = 0)."""
+    return np.array(_quadric(float(nu @ v - o), (*v.tolist(), w), (*nu.tolist(), 0.0)))
 
 
 def _dual_i3(objs):
     m, n = objs
-    b, e, c, f = m.base.xyz, m.direction, n.base.xyz, n.direction
+    b, e, f = m.base.xyz, m.dir, n.dir
+    cb = n.base.xyz - b
     ef = cross3(e, f)
-    if np.linalg.norm(ef) <= TOL_ANGLE:  # parallel, as line_line_closest tells
-        return [_form(cross3(e, c - b))], None
-    return [], (float((c - b) @ ef) * _NORMAL_NORM
-                - 2.0 * _product(_form(e), _form(cross3(f, c - b)))
-                + 2.0 * _product(_form(b, -1.0), _form(ef)))
+    if math.sqrt(ef.dot(ef)) <= TOL_ANGLE:  # parallel, as line_line_closest tells
+        return [_form(cross3(e, cb).tolist())], None
+    q = _quadric(float(cb @ ef), (*e, 0.0), (*cross3(f, cb).tolist(), 0.0))
+    r = _quadric(-0.0, (*b.tolist(), -1.0), (*ef.tolist(), 0.0))
+    return [], np.array([[x - y for x, y in zip(s, t)] for s, t in zip(q, r)])
 
 
 def _dual_i6(objs):
-    p, pi = objs
-    return [], _landing(p.xyz, -1.0, pi.normal_vec, pi.offset)
+    return [], _landing(objs[0].xyz, -1.0, objs[1].normal_vec, objs[1].offset)
 
 
 def _dual_i5(objs):
     p, m = objs
-    b, e = m.base.xyz, m.direction
-    u = p.xyz - b
-    u -= (u @ e) * e
-    u /= np.linalg.norm(u)
-    return [_form(cross3(e, b - p.xyz))], _landing(p.xyz, -1.0, u, float(u @ b))
+    b, e, x = m.base.xyz, m.dir, p.xyz
+    u = x - b
+    k = float(u @ m.direction)
+    u = np.array([v - k * w for v, w in zip(u.tolist(), e)])
+    u /= math.sqrt(u.dot(u))
+    return [_form(cross3(e, b - x).tolist())], _landing(x, -1.0, u, float(u @ b))
 
 
 def _dual_i7(objs):
     m, pi = objs
     b, e, nu = m.base.xyz, m.direction, pi.normal_vec
     if classify_line_plane(m, pi) is LinePlaneRelation.PARALLEL_DISJOINT:
-        return [_form(e)], _landing(b, -1.0, nu, pi.offset)
-    cross = b + (pi.offset - float(nu @ b)) / float(nu @ e) * e
+        return [_form(m.dir)], _landing(b, -1.0, nu, pi.offset)
+    k = (pi.offset - float(nu @ b)) / float(nu @ e)
+    cross = [x + k * y for x, y in zip(m.base.coords, m.dir)]
     return [_form(cross, -1.0)], _landing(e, 0.0, nu, 0.0)
 
 
 def _dual_i8(objs):
-    (q,) = objs
-    return [_form(q.xyz, -1.0)], None
+    return [_form(objs[0].coords, -1.0)], None
 
 
 def _dual_i9(objs):
     (m,) = objs
-    u = perp_unit(m.direction)
-    return [_form(u), _form(cross3(m.direction, u))], None
+    u = perp_unit(m.dir)
+    return [_form(u.tolist()), _form(cross3(m.dir, u).tolist())], None
 
 
 def _dual_i10(objs):
-    (m,) = objs
-    return [_form(m.direction), _form(m.base.xyz, -1.0)], None
+    return [_form(objs[0].dir), _form(objs[0].base.coords, -1.0)], None
 
 
 def _dual_i11(objs):
-    (pi,) = objs
-    return [_form(pi.normal_vec)], None
+    return [_form(objs[0].normal)], None
 
 
 def _dual_planes(sol: "FoldSolution"):
@@ -515,15 +515,16 @@ def _dual_planes(sol: "FoldSolution"):
     forms = list(np.linalg.svd(h)[2][len(h):] * (1.0, 1.0, 1.0, 1.0 / unit))
     if len(h) == 1:
         return forms, None
-    (a, b), c = h[:, :3], float(h[0, :3] @ h[1, :3])
-    return forms, _product(_form(b - c * a), _form(a - c * b))
+    (a, b), c = h[:, :3].tolist(), float(h[0, :3] @ h[1, :3])
+    f, g = ([y - c * x for x, y in zip(a, b)] + [0.0], [x - c * y for x, y in zip(a, b)] + [0.0])
+    return forms, np.array([[x / -2.0 for x in row] for row in _quadric(-0.0, f, g)])
 
 
 @dataclass(frozen=True)
 class _Dual:
-    """The dual-locus column: ``locus(objects)`` gives the linear forms (rows
-    of 4 numbers) and the symmetric 4 x 4 quadric, or None, of a payload;
-    ``linear`` counts the forms of a payload in general position."""
+    """The dual-locus column: ``locus(objects)`` gives a payload's linear
+    forms (an array of 4 numbers each) and symmetric 4 x 4 quadric array, or
+    None; ``linear`` counts the forms of a payload in general position."""
 
     linear: int
     locus: Callable[[tuple], tuple[list[np.ndarray], np.ndarray | None]]

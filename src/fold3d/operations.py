@@ -259,10 +259,26 @@ EXACT_REL_TOL = 1e-10
 EXACT_TOL_FLOOR = 1e-8
 # A unit candidate h = (N, d / r) with |N| below this is the plane at infinity.
 _AT_INFINITY = 1e-9
-# Charts (s, t, 1) -> U (s, t, 1) of a projective plane for the resultant of
-# two plane curves: fixed generic rotations U, whose middle column is the
-# centre the resultant projects from.
-_CHARTS = np.linalg.qr(np.random.default_rng(2028).normal(size=(6, 3, 3)))[0]
+# Charts (s, t, 1) -> U (s, t, 1) of a projective plane for two plane curves'
+# resultant: fixed generic rotations U, whose middle column is the centre it
+# projects from, np.linalg.qr(np.random.default_rng(2028).normal(size=(6, 3,
+# 3)))[0] row by row, written out so that importing skips numpy.random.
+_CHARTS = np.array((
+    -0.12706919775709302, 0.616020959930992, -0.7774134009052501, -0.9444712016922943,
+    -0.3145902824818805, -0.094905760319823, -0.3030306389711802, 0.7221849701383084,
+    0.621788791110815, -0.5334402532546241, 0.2497323561229757, -0.8081307112793755,
+    -0.3064992763446045, -0.9475587963971003, -0.0905014970633756, -0.7883525162057111,
+    0.1994143366855694, 0.5820087907552413, -0.40596157466656435, 0.48250649051231836,
+    -0.7761331628707341, -0.913566651737368, -0.19166498196360418, 0.3586927759549474,
+    0.024314043835168674, 0.8546648590543413, 0.5186104568652703, -0.7150316610836436,
+    -0.5288167786225122, 0.4572554409684749, 0.693357646467582, -0.6200409750635517,
+    0.36715713710504866, 0.08935825497905159, 0.579570534007336, 0.8100080853778868,
+    -0.002687987967274985, -0.028957918325895143, -0.9995770173863135, -0.9212164070487853,
+    -0.388807810715511, 0.013741095689142774, -0.3890412652981874, 0.9208636844250304,
+    -0.02563139875900747, -0.5675845235155104, -0.7636953170254444, 0.3075992058167205,
+    0.01399018761269604, -0.3825028603065345, -0.9238483839396383, 0.8231962605091405,
+    -0.5200586742000616, 0.22778694447452755,
+)).reshape(6, 3, 3)
 # Newton steps that polish each common point of two plane curves.
 _POLISH_STEPS = 2
 
@@ -303,21 +319,25 @@ def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     return coeffs
 
 
+_SUBDIAGONALS = tuple(np.broadcast_to(np.eye(k, k=-1), (k, k)) for k in range(10))  # read-only
+
+
 def _roots(p: np.ndarray) -> np.ndarray:
-    """The roots of a float array p, highest power first, that np.roots
-    gives, bit for bit, without its argument checks: the eigenvalues of the
-    companion matrix of p without its leading and trailing zeros, then a 0
-    for each trailing zero."""
-    nonzero = np.flatnonzero(p)
-    if not nonzero.size:
+    """np.roots of a float array p (highest power first, degree at most 9),
+    bit for bit, without its argument checks: the eigenvalues of the
+    companion matrix (on a copy of _SUBDIAGONALS') of p without its leading
+    and trailing zeros, then a 0 for each trailing zero."""
+    c = p.tolist()
+    nonzero = [k for k, x in enumerate(c) if x != 0.0]
+    if not nonzero:
         return np.array([])
     first, last = nonzero[0], nonzero[-1]
     roots = np.array([])
     if last > first:
-        companion = np.eye(last - first, k=-1)
-        companion[0] = -p[first + 1 : last + 1] / p[first]
+        companion = _SUBDIAGONALS[last - first].copy()
+        companion[0] = [-x / c[first] for x in c[first + 1 : last + 1]]
         roots = np.linalg.eigvals(companion)
-    return np.concatenate((roots, np.zeros(len(p) - 1 - last, roots.dtype)))
+    return roots if last == len(c) - 1 else np.concatenate((roots, np.zeros(len(c) - 1 - last)))
 
 
 def _near_real(roots: np.ndarray) -> list[float]:
@@ -434,6 +454,33 @@ def _grads(f: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (_outer_power(x, f.ndim - 1) @ forms).reshape(len(x), 2, 3)
 
 
+def _bezout_t(f: list[float], g: list[float]) -> float:
+    """t at a common root of two polynomials in t, of coefficient rows f and
+    g (highest power first, degrees up to 3, the shorter padded with zeros),
+    from the kernel v = (1, t, ..., t^(D-1)) of their D x D Bezoutian, D the
+    larger degree: the largest cross product of two rows for D = 3, the
+    larger row turned a quarter for D = 2, and v = (1, t) at the linear
+    rows' least-squares common root for D = 1; t = sum v_k v_(k+1) / sum
+    v_k^2 over k < D - 1 (Cox, Little & O'Shea, *Using Algebraic Geometry*,
+    ch. 3; Nakatsukasa, Noferini & Townsend, Numer. Math. 129, 2015)."""
+    a, b = f[::-1] + [0.0] * (len(g) - len(f)), g[::-1] + [0.0] * (len(f) - len(g))
+    if len(a) == 2:
+        v0, v1 = a[1] * a[1] + b[1] * b[1], -(a[0] * a[1] + b[0] * b[1])
+    elif len(a) == 3:
+        p, q, r = a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[1] * b[2] - a[2] * b[1]
+        v0, v1 = (q, -p) if p * p + q * q >= q * q + r * r else (r, -q)
+    else:  # the Bezoutian ((c01, c02, c03), (c02, c03 + c12, c13), (c03, c13, c23))
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+        c01, c02, c03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        c12, c13, c23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        x0, x1, x2 = (s := c03 + c12) * c23 - c13 * c13, c13 * c03 - c02 * c23, c02 * c13 - s * c03
+        y1, y2, z2 = c01 * c23 - c03 * c03, c03 * c02 - c01 * c13, c01 * s - c02 * c02
+        v0, v1, v2 = max((x0, x1, x2), (x1, y1, y2), (x2, y2, z2), key=lambda w: math.hypot(*w))
+        return (v0 * v1 + v1 * v2) / max(v0 * v0 + v1 * v1, sys.float_info.min)
+    # v0 is 0 only at the chart's centre, which is off both curves
+    return v0 * v1 / max(v0 * v0, sys.float_info.min)
+
+
 def _curve_points(f: np.ndarray, g: np.ndarray) -> list[list[float]]:
     """The real common points, unit 3-vectors as lists, of the plane curves
     f = 0 and g = 0 given as symmetric tensors of orders m and n.
@@ -442,20 +489,18 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[list[float]]:
     coefficients c[p, q] of s^p t^q of each curve, and so the values
     c[0, m] at the chart's centre U e2 and the curve's coefficients in t at
     any s (a Vandermonde product).  In the chart whose centre is farthest
-    from both curves, the resultant in t is interpolated from m n + 1
-    values on the unit circle (_resultant, with the powers of the circle
-    from _CURVE_TABLES); the next chart is taken while it has lower degree,
-    a common point on the chart's line at infinity.  Its real roots s
-    (_roots, the companion eigenvalues of np.roots) each give t from the
-    kernel of the Sylvester matrix at s (the hidden-variable method, Cox,
-    Little & O'Shea, *Using Algebraic Geometry*, ch. 3), and every point is
-    polished by Newton steps on the unit sphere.  Raises IllPosed when the
-    resultant vanishes identically: the curves share a component.
+    from both curves, the Sylvester resultant in t is interpolated from
+    m n + 1 values on the unit circle (_resultant, with the powers of the
+    circle from _CURVE_TABLES); the next chart is taken while it has lower
+    degree, a common point on the chart's line at infinity.  Its real roots
+    s (_roots, the companion eigenvalues of np.roots) each give t from the
+    kernel of the curves' Bezout matrix in t at s (_bezout_t), and each
+    point is polished by Newton steps on the unit sphere.  Raises IllPosed
+    when the resultant vanishes identically: the curves share a component.
 
-    After the kernels' SVD the one to nine real seeds are lifted and
-    polished one at a time in Python floats, where NumPy's per-call cost
-    would outweigh the arithmetic; a polish step makes one product for
-    both gradients at all the points (_grads).
+    The real seeds are lifted and polished one at a time in Python floats,
+    where NumPy's per-call cost outweighs the arithmetic; a polish step
+    makes one product for both gradients at all the points (_grads).
     """
     f, g = f / math.sqrt(np.vdot(f, f)), g / math.sqrt(np.vdot(g, g))
     m, n = f.ndim, g.ndim
@@ -475,16 +520,10 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[list[float]]:
     if not s:
         return []
     vander = np.power.outer(s, powers)
-    syl = _sylvester(vander[:, : m + 1] @ cf[i], vander[:, : n + 1] @ cg[i])
+    rows = (vander[:, : m + 1] @ cf[i]).tolist(), (vander[:, : n + 1] @ cg[i]).tolist()
     (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = _CHARTS[i].tolist()
-    points = []
-    for x, kernel in zip(s, np.linalg.svd(syl)[2][:, -1].tolist()):
-        # the kernel is (t^(D-1), ..., t, 1), so its head is t times its tail;
-        # the tail is 0 only at the chart's centre, which is off both curves
-        tail = kernel[1:]
-        t = sum(a * b for a, b in zip(kernel, tail))
-        t /= max(sum(b * b for b in tail), sys.float_info.min)
-        points.append(_unit3(u0 * x + u1 * t + u2, v0 * x + v1 * t + v2, w0 * x + w1 * t + w2))
+    points = [_unit3(u0 * x + u1 * t + u2, v0 * x + v1 * t + v2, w0 * x + w1 * t + w2)
+              for x, t in zip(s, map(_bezout_t, *rows))]
     for _ in range(_POLISH_STEPS):
         # a form of order m is x . grad / m, and the step is the minimum-norm
         # J^T (J J^T)^-1 r, taken only where the gradients are independent

@@ -846,9 +846,10 @@ def reference_lifted(normals, a: np.ndarray, b: np.ndarray, at_infinity: float) 
 
 
 def reference_curve_points(f: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
-    """operations._curve_points with the lift and the polish batched over
-    the real seeds in NumPy, as the package had it before they moved to
-    Python floats: the same seeds, kernels and Newton steps."""
+    """operations._curve_points with each seed's t from the SVD kernel of
+    its Sylvester matrix and the lift and the polish batched over the real
+    seeds in NumPy, as the package had it before the Bezout kernels and the
+    Python floats: the same seeds and Newton steps."""
     from fold3d.operations import (
         _CHARTS, _CURVE_TABLES, _POLISH_STEPS, _chart_coeffs, _grads, _near_real, _norms,
         _resultant, _roots, _sylvester,
@@ -1180,3 +1181,82 @@ REFERENCE_CONTACTS = {
     "I7": _reference_i7_contact,
     "I7-parallel": lambda a, _, k: (k, 0.0, k * k / (4 * a)),
 }
+
+
+# ---------------------------------------------------------------------------
+# Reference dual loci: the NumPy forms of constraints.dual_locus, which now
+# builds its entries in Python floats, kept to compare bits against
+# ---------------------------------------------------------------------------
+
+_REFERENCE_NORMAL_NORM = np.diag([1.0, 1.0, 1.0, 0.0])
+
+
+def _reference_form(v, w: float = 0.0) -> np.ndarray:
+    return np.concatenate((v, (w,)))
+
+
+def _reference_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    fg = f[:, None] * g
+    return (fg + fg.T) / 2.0
+
+
+def _reference_landing(v: np.ndarray, w: float, nu: np.ndarray, o: float) -> np.ndarray:
+    fg = _reference_form(v, w)[:, None] * _reference_form(nu)
+    return float(nu @ v - o) * _REFERENCE_NORMAL_NORM - (fg + fg.T)
+
+
+def _reference_dual_planes(planes):
+    unit = max(1.0, *(abs(p.offset) for p in planes))
+    h = np.array([(*p.normal, p.offset / unit) for p in planes])
+    forms = list(np.linalg.svd(h)[2][len(h):] * (1.0, 1.0, 1.0, 1.0 / unit))
+    if len(h) == 1:
+        return forms, None
+    (a, b), c = h[:, :3], float(h[0, :3] @ h[1, :3])
+    return forms, _reference_product(_reference_form(b - c * a), _reference_form(a - c * b))
+
+
+def reference_dual_locus(c: Constraint) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """constraints.dual_locus with NumPy arrays throughout."""
+    from fold3d.constraints import solve_I1, solve_I2, solve_I4, solve_I12
+    from fold3d.geometry import LinePlaneRelation, classify_line_plane, perp_unit
+
+    form, K = _reference_form, IncidenceKind
+    planes = {K.I1: solve_I1, K.I2: lambda m, n: solve_I2(m, n, tol=math.inf), K.I4: solve_I4,
+              K.I12: solve_I12}
+    if c.kind in planes:
+        return _reference_dual_planes(planes[c.kind](*c.objects).planes)
+    if c.kind is K.I3:
+        m, n = c.objects
+        b, e, cc, f = m.base.xyz, m.direction, n.base.xyz, n.direction
+        ef = np.cross(e, f)
+        if np.linalg.norm(ef) <= TOL_ANGLE:
+            return [form(np.cross(e, cc - b))], None
+        return [], (float((cc - b) @ ef) * _REFERENCE_NORMAL_NORM
+                    - 2.0 * _reference_product(form(e), form(np.cross(f, cc - b)))
+                    + 2.0 * _reference_product(form(b, -1.0), form(ef)))
+    if c.kind is K.I5:
+        p, m = c.objects
+        b, e = m.base.xyz, m.direction
+        u = p.xyz - b
+        u -= (u @ e) * e
+        u /= np.linalg.norm(u)
+        return [form(np.cross(e, b - p.xyz))], _reference_landing(p.xyz, -1.0, u, float(u @ b))
+    if c.kind is K.I6:
+        p, pi = c.objects
+        return [], _reference_landing(p.xyz, -1.0, pi.normal_vec, pi.offset)
+    if c.kind is K.I7:
+        m, pi = c.objects
+        b, e, nu = m.base.xyz, m.direction, pi.normal_vec
+        if classify_line_plane(m, pi) is LinePlaneRelation.PARALLEL_DISJOINT:
+            return [form(e)], _reference_landing(b, -1.0, nu, pi.offset)
+        cross = b + (pi.offset - float(nu @ b)) / float(nu @ e) * e
+        return [form(cross, -1.0)], _reference_landing(e, 0.0, nu, 0.0)
+    (obj,) = c.objects
+    if c.kind is K.I8:
+        return [form(obj.xyz, -1.0)], None
+    if c.kind is K.I9:
+        u = perp_unit(obj.direction)
+        return [form(u), form(np.cross(obj.direction, u))], None
+    if c.kind is K.I10:
+        return [form(obj.direction), form(obj.base.xyz, -1.0)], None
+    return [form(obj.normal_vec)], None  # I11

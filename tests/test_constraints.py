@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fold3d import (
     Constraint,
@@ -38,6 +40,7 @@ from helpers import (
     random_payload,
     random_plane,
     random_point,
+    reference_dual_locus,
     reference_residual_components_grid,
     reference_residual_grid,
     scaled_constraint,
@@ -534,3 +537,62 @@ class TestFiniteDualLocus:
             N, O = _candidate_normals_offsets(rng, k=20)
             for n, o in zip(N, O):
                 assert _locus_defect(c, np.append(n, o)) > 1e-6
+
+
+def _locus_hex(locus) -> tuple:
+    """The float.hex of every entry of a dual locus's forms and quadric."""
+    forms, quadric = locus
+    return ([[float.hex(x) for x in f.tolist()] for f in forms],
+            None if quadric is None else [[float.hex(x) for x in row] for row in quadric.tolist()])
+
+
+# the branches beside general position: parallel I3 lines, an I7 line
+# parallel to its plane, and an I9 line close to the y axis, where perp_unit
+# crosses with the z axis instead
+_BRANCHES = {
+    "I3-parallel": lambda rng: Constraint.I3(*parallel_lines(rng)),
+    "I7-parallel": lambda rng: Constraint.I7(*line_parallel_to_plane(rng)),
+    "I9-axis": lambda rng: Constraint.I9(
+        Line3(random_point(rng), (1e-8 * rng.normal(), 1.0, 1e-8 * rng.normal()))),
+}
+
+
+class TestDualLocusBitForBit:
+    """dual_locus, whose entries are formed in Python floats, against its
+    NumPy form (helpers.reference_dual_locus): the same bits in every form
+    and quadric, signed zeros included, at scales 1e-6 to 1e6."""
+
+    @given(st.sampled_from(list(IncidenceKind)), st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+    @settings(max_examples=300, deadline=None)
+    def test_every_kind(self, kind, seed, log_scale):
+        c = scaled_constraint(random_payload(np.random.default_rng(seed), kind), 10.0**log_scale)
+        assert _locus_hex(dual_locus(c)) == _locus_hex(reference_dual_locus(c))
+
+    @given(st.sampled_from(list(_BRANCHES)), st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+    @settings(max_examples=100, deadline=None)
+    def test_branches(self, branch, seed, log_scale):
+        c = scaled_constraint(_BRANCHES[branch](np.random.default_rng(seed)), 10.0**log_scale)
+        forms, quadric = dual_locus(c)
+        assert len(forms) == (1 if branch != "I9-axis" else 2)
+        assert (quadric is None) == (branch != "I7-parallel")
+        assert _locus_hex((forms, quadric)) == _locus_hex(reference_dual_locus(c))
+
+    def test_i9_axis_switch_is_reached(self):
+        from fold3d.geometry import perp_unit
+
+        (m,) = _BRANCHES["I9-axis"](np.random.default_rng(0)).objects
+        # crossed with the y axis the direction is too short, so z is used
+        assert np.linalg.norm(np.cross((0.0, 1.0, 0.0), m.direction)) < 1e-6
+        assert abs(perp_unit(m.direction) @ (0.0, 0.0, 1.0)) < 1e-6
+
+    def test_signed_zeros_kept(self):
+        # an axis-aligned payload has zero products, and the entries off
+        # S's diagonal carry the sign of c * 0.0: -0.0 where c < 0
+        negative_zeros = []
+        for c in (Constraint.I6(Point3(0.0, 0.0, 1.0), Plane3((0, 0, 1), -1.0)),
+                  Constraint.I6(Point3(0.0, 0.0, -1.0), Plane3((0, 0, 1), 1.0)),
+                  Constraint.I3(Line3(Point3(0, 0, 1), (1, 0, 0)), Line3(Point3(0, 0, -1), (0, 1, 0)))):
+            got, want = _locus_hex(dual_locus(c)), _locus_hex(reference_dual_locus(c))
+            assert got == want
+            negative_zeros.append(sum(x == "-0x0.0p+0" for row in got[1] for x in row))
+        assert negative_zeros[0] == 0 and negative_zeros[1] > 0

@@ -1,6 +1,9 @@
 """Fold operations: enumeration, dedicated solvers, dispatch, generic search."""
 
 import inspect
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
 from unittest import mock
 
@@ -1017,11 +1020,28 @@ class TestCurveKernels:
 
     def test_roots_random(self):
         rng = np.random.default_rng(2410)
-        for _ in range(200):
-            p = rng.normal(size=rng.integers(1, 9))
+        for _ in range(300):
+            # up to degree 9, that of two cubics' resultant
+            p = rng.normal(size=rng.integers(1, 11))
             p[rng.random(len(p)) < 0.3] = 0.0
             got, want = fold3d.operations._roots(p), reference_roots(p)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_charts_are_the_seeded_rotations(self):
+        charts = fold3d.operations._CHARTS
+        draw = np.linalg.qr(np.random.default_rng(2028).normal(size=(6, 3, 3)))[0]
+        assert charts.shape == (6, 3, 3)
+        for u, q in zip(charts, draw, strict=True):
+            assert np.abs(u @ u.T - np.eye(3)).max() <= 1e-15
+            assert np.abs(u - q).max() <= 1e-15
+
+    def test_import_skips_numpy_random(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import sys, fold3d.cli; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "False"
 
     def test_near_real(self):
         rng = np.random.default_rng(2420)
@@ -1099,6 +1119,12 @@ def _horizontal_3i6(rng) -> list[Constraint]:
     return [Constraint.I6(random_point(rng), Plane3((0, 0, 1), rng.normal())) for _ in range(3)]
 
 
+def _rank_two_3i6(rng) -> list[Constraint]:
+    # I6 onto planes whose normals lie in y = 0: b has rank 2
+    normals = [random_unit(rng) * [1.0, 0.0, 1.0] for _ in range(3)]
+    return [Constraint.I6(random_point(rng), Plane3(tuple(n), rng.normal())) for n in normals]
+
+
 def _defect_e_scene() -> list[Constraint]:
     # the 2I6+I11 scene whose plane z = 0 is a tangential meeting
     s = 1.0 / np.sqrt(6.0)
@@ -1108,8 +1134,9 @@ def _defect_e_scene() -> list[Constraint]:
 
 
 class TestCurveMeeting:
-    """_curve_points, whose lift and polish run in Python floats, against
-    its NumPy-batched form (helpers.reference_curve_points): the same
+    """_curve_points, whose kernels come from Bezout matrices and whose lift
+    and polish run in Python floats, against the batched form with the
+    Sylvester kernels' SVD (helpers.reference_curve_points): the same
     number of points, and every point that the reference meets to within
     1e-14 within 1e-10 of it.  At a tangency a point is only fixed to about
     sqrt(eps), since its residual grows quadratically, so there the
@@ -1157,6 +1184,39 @@ class TestCurveMeeting:
         rng = np.random.default_rng(3130)
         pairs = [_near_tangent_circles(rng, gap) for _ in range(50)]
         assert self._agree(pairs, 1e-10 if gap else 1e-7) > 50
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (3, 3)])
+    def test_random_order_pairs(self, orders):
+        # every Bezoutian size: D = 1 (least squares), 2 and 3, with the
+        # lower-order row padded where the orders differ
+        sym = fold3d.operations._symmetrized
+        rng = np.random.default_rng(3150 + 10 * orders[0] + orders[1])
+        pairs = [tuple(sym(rng.normal(size=(3,) * k)) for k in orders) for _ in range(100)]
+        assert self._agree(pairs) >= 90
+
+    def test_rank_two_b_cubic_and_conic(self):
+        # I6 planes whose normals span a plane: one cubic and a d-free conic
+        rng = np.random.default_rng(3160)
+        pairs = [p for _ in range(60) for p in _spied_curves(_rank_two_3i6(rng))]
+        assert pairs and all((f.ndim, g.ndim) == (3, 2) for f, g in pairs)
+        assert self._agree(pairs) > 60
+
+    def test_divided_scenes(self):
+        # a mirror-symmetric 3I6 (conics, after b'_1 . N is divided out, on
+        # the mirror's plane of planes and off it) and a point landing on
+        # three planes (lines, after N . N is divided out of both cubics)
+        pairs = []
+        for q, n, off in [((0.6, 0.7, -0.65), (0.15, -0.98, 0.14), -0.05),
+                          ((-0.28, 0.7, -0.66), (-0.57, -0.78, -0.23), -0.24)]:
+            q, n = Point3(*q), np.array(n)
+            tau, rho = Plane3(tuple(n), off), Plane3(tuple(n * [1, -1, 1]), off)
+            pairs += _spied_curves([Constraint.I6(Point3(0, 0, 1), Plane3((0, 0, 1), -0.5)),
+                                    Constraint.I6(q, tau), Constraint.I6(Point3(q.x, -q.y, q.z), rho)])
+        planes = [Plane3((0, 0, 1), 0), Plane3((1, 0, 0.5), 0.4), Plane3((0, 1, 0.2), -0.3)]
+        pairs += _spied_curves([Constraint.I6(Point3(0.3, -0.2, 1.5), x) for x in planes])
+        met = [(f, g) for f, g in pairs if (f.ndim, g.ndim) != (3, 3)]  # those that share a factor
+        assert sorted({(f.ndim, g.ndim) for f, g in met}) == [(1, 1), (2, 2)]
+        assert self._agree(met) >= 5
 
     def test_defect_e_scene(self):
         pairs = _spied_curves(_defect_e_scene())

@@ -6,7 +6,7 @@ polynomial.  The package computes those with ``geometry.cross3`` and the
 scalar Horner loop of ``numerics._polish`` instead (bit for bit the same);
 batches of vectors go through ``constraints._cross``.  ``np.append`` and
 ``np.outer`` likewise cost several times the copy or broadcast product
-they make (``constraints._form`` and ``_product``).  ``np.roots`` re-checks
+they make (``constraints._form`` and ``_quadric``).  ``np.roots`` re-checks
 and re-strips its argument before the companion eigenvalues that
 ``operations._roots`` takes directly, and ``np.tensordot`` reshapes and
 transposes around the one matrix product that mixes the quadrics.
@@ -44,7 +44,10 @@ must be read by its handler, directly or through the helpers it passes
 ``args`` to (``_emit``, ``_check_spec``), so an option that shapes nothing
 cannot come back.  The others count calls.  One exact solve each makes a
 budget of LAPACK calls (``np.linalg.svd``, ``det`` and ``eigvals``), so a
-redundant rank test or decomposition cannot come back unseen.  One
+redundant rank test or decomposition cannot come back unseen: a curve
+meeting reads each kernel off a Bezout matrix in Python floats, with no SVD.
+The dual locus of each kind makes no ``np.linalg.norm``, ``np.concatenate``
+or ``np.outer`` call: its entries are formed in Python floats.  One
 ``solve_operation`` of I5+I6 or I5+I9 makes no ``np.linalg.det``,
 ``np.linalg.norm`` or ``np.vstack`` call: the frames, frame maps and family
 planes keep one NumPy call per dot, matrix-vector product or norm and do the
@@ -319,10 +322,10 @@ def test_option_guard_finds_an_unread_option():
     assert unread == ["fold3d solve ['--json']", "fold3d oracle ['--json']"]
 
 
-# LAPACK calls per exact solve, (svd, det, eigvals): 3I6 takes b's SVD and
-# the kernel's; I3+I7 takes the linear forms', _distinct's and the kernel's;
-# I6+I8+I11 takes the linear forms' SVD, and its binary quadratic none
-CALL_BUDGET = {"2I6+I11": (3, 1, 1), "3I6": (2, 1, 1), "I3+I7": (3, 1, 1), "I6+I8+I11": (1, 0, 0)}
+# LAPACK calls per exact solve, (svd, det, eigvals): 3I6 takes b's SVD;
+# 2I6+I11 and I3+I7 take the linear forms' and _distinct's; I6+I8+I11 takes
+# the linear forms' SVD, and its binary quadratic none
+CALL_BUDGET = {"2I6+I11": (2, 1, 1), "3I6": (1, 1, 1), "I3+I7": (2, 1, 1), "I6+I8+I11": (1, 0, 0)}
 
 
 @pytest.mark.parametrize("text", sorted(CALL_BUDGET))
@@ -336,9 +339,25 @@ def test_exact_solve_call_budget(text):
                for name in ("svd", "det", "eigvals")]
     with counted[0] as svd, counted[1] as det, counted[2] as eigvals:
         sol = solve_operation(cons)
-    assert sol.count > 0  # so the kernel's SVD ran
+    assert sol.count > 0  # so a curve meeting's kernels were read
     calls = (svd.call_count, det.call_count, eigvals.call_count)
     assert all(x <= y for x, y in zip(calls, CALL_BUDGET[text])), calls
+
+
+@pytest.mark.parametrize("kind", [f"I{i}" for i in range(1, 13)])
+def test_dual_locus_call_budget(kind):
+    from fold3d import IncidenceKind
+    from fold3d.constraints import dual_locus
+    from helpers import random_payload
+
+    c = random_payload(np.random.default_rng(2460), IncidenceKind(kind))
+    counted = [mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm),
+               mock.patch.object(np, "concatenate", wraps=np.concatenate),
+               mock.patch.object(np, "outer", wraps=np.outer)]
+    with counted[0] as norm, counted[1] as concatenate, counted[2] as outer:
+        forms, quadric = dual_locus(c)
+    assert len(forms) + (quadric is not None) == c.kind.codimension
+    assert (norm.call_count, concatenate.call_count, outer.call_count) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("text, solvable", [("I5+I6", True), ("I5+I9", True), ("I5+I9", False)])
