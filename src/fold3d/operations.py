@@ -17,7 +17,12 @@ I2, I4 or I12) the first quadric is at most a quadratic; on a plane (k = 2:
 10 operations) two quadrics are two conics; on all of P^3 (k = 3: 4
 operations) eliminating d from three quadrics leaves two plane cubics in
 N, meeting in at most 7 planes, or d-free conics where the quadrics' d
-terms are dependent.  Two plane curves are met by a Sylvester resultant.
+terms are dependent.  Every quadric passes through the plane at infinity
+(0, 0, 0, 1).  Where the one linear form of a plane has no d term (I3+I5,
+I5+I6, 2I3+I11, I3+I6+I11 and 2I6+I11: 5 of the 10), the plane holds it
+too, and projecting from it leaves a binary cubic; in the other 5 an I7
+or I8 form keeps it out, and two plane curves are met by a Sylvester
+resultant.
 
 _DEDICATED is a speed table of six closed forms, faster than solve_exact
 and with the same planes: the direct solvers of I1, I2, I4 and I12, and
@@ -56,8 +61,8 @@ from .constraints import (  # MAX_PAYLOAD_RADIUS re-exported
 )
 from .envelopes import family_I5
 from .errors import DegenerateInput, IllPosed, InvalidOperation, ParseError
-from .geometry import TOL_INCIDENCE, Line3, Plane3, Point3
-from .numerics import real_roots_cubic, real_roots_quadratic, search
+from .geometry import TOL_INCIDENCE, Line3, Plane3, Point3, cross3, perp_unit
+from .numerics import RealRoots, real_roots_cubic, real_roots_quadratic, search
 
 _CODIM_1, _CODIM_2, _CODIM_3 = (
     tuple(k for k in IncidenceKind if k.codimension == n) for n in (1, 2, 3)
@@ -279,8 +284,15 @@ _CHARTS = np.array((
     0.01399018761269604, -0.3825028603065345, -0.9238483839396383, 0.8231962605091405,
     -0.5200586742000616, 0.22778694447452755,
 )).reshape(6, 3, 3)
-# Newton steps that polish each common point of two plane curves.
+# Newton steps that polish each common point of two plane curves; a step
+# after the first polishes only the points that the last step moved, as a
+# unit vector, by more than _POLISH_MOVED in the L1 norm.
 _POLISH_STEPS = 2
+_POLISH_MOVED = 1e-12
+# Two real roots of a binary cubic within this of each other, relative to
+# its largest root or 1, are a double root that rounding split (by about
+# sqrt(eps); the split of a tangency measured up to 7e-8).
+_SPLIT_DOUBLE = 2e-7
 
 
 def _norms(x: np.ndarray, axis=1) -> np.ndarray:
@@ -304,7 +316,9 @@ def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     """Coefficients, lowest power first, of the resultant in t of two
     polynomials given by their t-coefficient rows at the n-th roots of unity
     s, n one more than the resultant's degree: the Sylvester determinants,
-    interpolated by FFT.  Coefficients below the rounding noise, 1e-12 of
+    interpolated by one product with the cached inverse-DFT matrix
+    _INVERSE_DFT of that size, cheaper than np.fft.fft on so few values.
+    Coefficients below the rounding noise, 1e-12 of
     Hadamard's bound |f|^dg |g|^df on |det| (the Sylvester rows are dg
     copies of f and df of g, for degrees df and dg), are zeroed, so _roots,
     which drops leading zeros, sees the actual degree.  None when every
@@ -314,7 +328,7 @@ def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     noise = 1e-12 * np.maximum.reduce(bound)
     if np.maximum.reduce(np.abs(dets)) <= noise:
         return None
-    coeffs = np.fft.fft(dets).real / len(dets)
+    coeffs = (_INVERSE_DFT[len(dets)] @ dets).real
     coeffs[np.abs(coeffs) <= noise] = 0.0
     return coeffs
 
@@ -426,6 +440,10 @@ def _curve_table(m: int, n: int) -> tuple[np.ndarray, ...]:
 # _curve_table of every pair of orders _curve_points meets (those of
 # _CHART_MAPS), and of every pair of degrees _sylvester meets.
 _CURVE_TABLES = {(m, n): _curve_table(m, n) for m in range(4) for n in range(4)}
+# The inverse of evaluation at the L-th roots of unity, L = m n + 1 for
+# those orders: the DFT matrix over L, so one product gives np.fft.fft / L.
+_INVERSE_DFT = {size: np.fft.fft(np.eye(size)) / size
+                for size in {m * n + 1 for m, n in _CURVE_TABLES}}
 
 
 def _outer_power(x: np.ndarray, order: int) -> np.ndarray:
@@ -495,12 +513,16 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[list[float]]:
     degree, a common point on the chart's line at infinity.  Its real roots
     s (_roots, the companion eigenvalues of np.roots) each give t from the
     kernel of the curves' Bezout matrix in t at s (_bezout_t), and each
-    point is polished by Newton steps on the unit sphere.  Raises IllPosed
-    when the resultant vanishes identically: the curves share a component.
+    point is polished by Newton steps on the unit sphere: the first on
+    every point, the second only on those the first moved by more than
+    _POLISH_MOVED, since the seeds of simple meetings are already good to
+    about 1e-15 and only tangential ones move (by about 1e-8).  Raises
+    IllPosed when the resultant vanishes identically: the curves share a
+    component.
 
     The real seeds are lifted and polished one at a time in Python floats,
     where NumPy's per-call cost outweighs the arithmetic; a polish step
-    makes one product for both gradients at all the points (_grads).
+    makes one product for both gradients at the points it polishes (_grads).
     """
     f, g = f / math.sqrt(np.vdot(f, f)), g / math.sqrt(np.vdot(g, g))
     m, n = f.ndim, g.ndim
@@ -524,21 +546,27 @@ def _curve_points(f: np.ndarray, g: np.ndarray) -> list[list[float]]:
     (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = _CHARTS[i].tolist()
     points = [_unit3(u0 * x + u1 * t + u2, v0 * x + v1 * t + v2, w0 * x + w1 * t + w2)
               for x, t in zip(s, map(_bezout_t, *rows))]
+    moving = list(range(len(points)))
     for _ in range(_POLISH_STEPS):
         # a form of order m is x . grad / m, and the step is the minimum-norm
         # J^T (J J^T)^-1 r, taken only where the gradients are independent
-        polished = []
-        for (x, y, z), (a, b) in zip(points, _grads(f, g, np.array(points)).tolist()):
+        grads = _grads(f, g, np.array([points[k] for k in moving])).tolist()
+        moved = []
+        for k, (a, b) in zip(moving, grads):
+            x0, y0, z0 = x, y, z = points[k]
             ax, ay, az = m * a[0], m * a[1], m * a[2]
             bx, by, bz = n * b[0], n * b[1], n * b[2]
             r0, r1 = a[0] * x + a[1] * y + a[2] * z, b[0] * x + b[1] * y + b[2] * z
             m00, m11 = ax * ax + ay * ay + az * az, bx * bx + by * by + bz * bz
             m01 = ax * bx + ay * by + az * bz
             if (det := m00 * m11 - m01 * m01) > 1e-30 * m00 * m11:
-                y0, y1 = (m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det
-                x, y, z = x - y0 * ax - y1 * bx, y - y0 * ay - y1 * by, z - y0 * az - y1 * bz
-            polished.append(_unit3(x, y, z))
-        points = polished
+                e0, e1 = (m11 * r0 - m01 * r1) / det, (m00 * r1 - m01 * r0) / det
+                x, y, z = x - e0 * ax - e1 * bx, y - e0 * ay - e1 * by, z - e0 * az - e1 * bz
+            points[k] = x, y, z = _unit3(x, y, z)
+            if abs(x - x0) + abs(y - y0) + abs(z - z0) > _POLISH_MOVED:
+                moved.append(k)
+        if not (moving := moved):
+            break
     return points
 
 
@@ -585,6 +613,72 @@ def _plane_points(plane: np.ndarray, quadrics) -> list[list[float]]:
         if np.count_nonzero(zero) <= 1 and len(set(np.sign(w[~zero]))) == 1:
             return (v[:, zero].T @ plane).tolist()
     raise IllPosed(_DEPENDENT)
+
+
+def _plane_through_infinity(normal: list[float]) -> np.ndarray:
+    """Rows (u1, 0), (u2, 0) and e4 = (0, 0, 0, 1) spanning the plane of P^3
+    of the form (normal, 0): u1 = perp_unit(normal), u2 = normal x u1."""
+    n = _unit3(*normal)
+    u1 = perp_unit(n).tolist()
+    return np.array(((*u1, 0.0), (*cross3(n, u1).tolist(), 0.0), (0.0, 0.0, 0.0, 1.0)))
+
+
+def _rejoined(found: RealRoots, c3: float, c2: float, c1: float) -> list[float]:
+    """The real roots found of a cubic c3 t^3 + c2 t^2 + c1 t + c0, with a
+    double root, a tangency, that rounding split rejoined.  Split roots are
+    only about sqrt(eps) accurate; their mean, -(c2 / c3 + s) / 2 for the
+    third root s (Vieta), is accurate to rounding.  With one real root s,
+    the complex pair m +- i e is joined where e <= 1e-3 max(|m|, 1), the
+    bound of _near_real (e^2 = c1 / c3 - 2 s m - m^2), and re-verification
+    decides; of three, two within _SPLIT_DOUBLE of each other, relative to
+    the largest root or 1, are joined."""
+    roots = list(found.roots)
+    if c3 == 0.0 or found.multiplicities not in ((1,), (1, 1, 1)):
+        return roots  # a quadratic's, or a double root found as such
+    if len(roots) == 1:
+        s = roots[0]
+        m = -(c2 / c3 + s) / 2.0
+        if math.isfinite(m) and c1 / c3 - 2.0 * s * m - m * m <= 1e-6 * max(m * m, 1.0):
+            roots.append(m)
+        return roots
+    a, b, c = roots
+    close = _SPLIT_DOUBLE * max(1.0, abs(a), abs(c))
+    if b - a <= close:
+        return [-(c2 / c3 + c) / 2.0, c]
+    return [a, -(c2 / c3 + a) / 2.0] if c - b <= close else roots
+
+
+def _projected_points(plane: np.ndarray, quadrics: np.ndarray) -> list[list[float]]:
+    """The points h = x plane where the first two quadrics vanish, for the
+    rows (u1, 0), (u2, 0), e4 of _plane_through_infinity.  Both contain e4,
+    the plane at infinity: restricted to the plane they are q_j + 2 w l_j,
+    for a binary quadratic q_j and linear form l_j in N = x1 u1 + x2 u2, and
+    projected from e4 (Richter-Gebert, *Perspectives on Projective
+    Geometry*, ch. 11) their other common points are the roots of the binary
+    cubic q_2 l_1 - q_1 l_2, w eliminated.  Its real roots come from
+    real_roots_cubic in the chart of its larger end coefficient, with the
+    chart's point at infinity where that coefficient is 0.0, as in
+    _line_points; a double root, a tangency, comes once, and one that
+    rounding split is rejoined (_rejoined).  _lifted gives each normal its
+    w.  Falls back to _plane_points where both l_j vanish or the
+    cubic does, so a continuum raises IllPosed there."""
+    (a1, h1, p1), (_, b1, s1), _ = (plane @ quadrics[0] @ plane.T).tolist()
+    (a2, h2, p2), (_, b2, s2), _ = (plane @ quadrics[1] @ plane.T).tolist()
+    cubic = (a2 * p1 - a1 * p2, a2 * s1 + 2.0 * (h2 * p1 - h1 * p2) - a1 * s2,
+             2.0 * (h2 * s1 - h1 * s2) + b2 * p1 - b1 * p2, b2 * s1 - b1 * s2)
+    if (max(math.hypot(p1, s1), math.hypot(p2, s2)) <= EXACT_REL_TOL
+            or max(map(abs, cubic)) <= EXACT_REL_TOL):
+        return _plane_points(plane, quadrics)
+    (c3, c2, c1, c0), (u1, u2) = cubic, plane[:2, :3].tolist()
+    if abs(c3) < abs(c0):
+        (c3, c2, c1, c0), (u1, u2) = (c0, c1, c2, c3), (u2, u1)
+    roots = _rejoined(real_roots_cubic(c3, c2, c1, c0), c3, c2, c1)
+    # N = t u1 + u2, or u1 + u2 / t where t is large
+    normals = [_unit3(*(x + y / t if abs(t) > 1.0 else t * x + y for x, y in zip(u1, u2)))
+               for t in roots]
+    # c3 = 0 leaves c0 = 0 too, and the chart's point at infinity u1 is a root
+    normals += [u1] if c3 == 0.0 else []
+    return _lifted(normals, quadrics[:2, :3, :3], quadrics[:2, :3, 3])
 
 
 def _divided(curves: list[np.ndarray], factor: np.ndarray) -> list[np.ndarray] | None:
@@ -692,9 +786,14 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR)
       rank: one candidate;
     * a line (k = 1): the first quadric that does not vanish on it is a
       binary quadratic (real_roots_quadratic, double roots once);
-    * a plane of planes (k = 2, also when dependent forms of 2I5, I5+I7 or
-      2I7 leave one): the first two distinct quadrics restricted to it are
-      two conics, met by _curve_points (_plane_points);
+    * a plane of planes (k = 2): where the one linear form has no d term
+      (I3+I5, I5+I6, 2I3+I11, I3+I6+I11 and 2I6+I11, and a parallel I7 in
+      I3+I7 or I6+I7), the plane holds the plane at infinity, which both
+      quadrics contain, and projecting from it leaves a binary cubic
+      (_projected_points), with no SVD; otherwise (the other 5, and
+      dependent forms of 2I5, I5+I7 or 2I7 that leave a plane) the first
+      two distinct quadrics restricted to it are two conics, met by
+      _curve_points (_plane_points);
     * all of P^3 (k = 3): three quadrics through the plane at infinity,
       which _three_quadric_points reduces to two plane curves in N: cubics
       after eliminating d, which meet in at most 7 planes, or d-free conics
@@ -756,6 +855,8 @@ def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolu
     spatial = not rows  # no linear forms: all of P^3
     if spatial:
         points = _three_quadric_points(quadrics)
+    elif len(rows) == 1 and rows[0][3] == 0.0:  # I5, I11 or a parallel I7: e4 on the plane
+        points = _projected_points(_plane_through_infinity(rows[0][:3].tolist()), quadrics)
     else:
         _, sv, vt = np.linalg.svd([_unit4(form) for form in (np.array(rows) * scale).tolist()])
         # forms of full rank keep their least-squares plane, so tol decides

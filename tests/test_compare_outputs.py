@@ -1,6 +1,7 @@
 """tools/compare_outputs.py against records it wrote itself: two runs of one
 operation list compare bit-identical, a plane moved in one record is the
-worst plane_gap where it was moved, and a changed count exits 1."""
+worst plane_gap where it was moved, a residual raised in one record is that
+side's largest where it was raised, and a changed count exits 1."""
 
 import json
 import subprocess
@@ -52,6 +53,8 @@ def test_two_runs_are_identical(records):
     assert report["mismatches"] == 0 and report["planes"][0] == report["planes"][1]
     assert report["identical_planes"] == report["planes"][0]
     assert report["worst_plane_gap"] == 0.0 and report["worst_at"] is None
+    first, second = report["residual_max_at"]
+    assert first == second and first is not None
 
 
 def test_moved_plane_is_the_worst_gap(records, tmp_path):
@@ -67,6 +70,20 @@ def test_moved_plane_is_the_worst_gap(records, tmp_path):
     # the normals agree bit for bit, so the gap is the offsets' difference
     assert abs(report["worst_plane_gap"] - 1e-6) < 1e-12
     assert report["worst_at"] == f"{rec['i']} 3I6"
+
+
+def test_raised_residual_is_its_sides_largest(records, tmp_path):
+    def raise_residual(rec):
+        rec["residuals"][0] = float.hex(1e-3)
+
+    raised, rec = _edited(records[1], tmp_path / "raised.jsonl", raise_residual)
+    proc = _run("compare", records[0], raised)
+    assert proc.returncode == 0, proc.stdout
+    report = _report(proc)
+    assert report["residual_max"][1] == 1e-3 and report["residual_max"][0] < 1e-3
+    first, second = report["residual_max_at"]
+    assert second == f"{rec['i']} 3I6" and first != second
+    assert f"max 0.001 at {rec['i']} 3I6" in proc.stdout
 
 
 def test_changed_count_exits_1(records, tmp_path):

@@ -47,6 +47,7 @@ from fold3d import (
     solver_route,
     stacked_residual,
 )
+from fold3d.constraints import dual_locus
 from fold3d.geometry import TOL_PLANE_IDENTITY
 from fold3d.numerics import search
 from helpers import (
@@ -1133,6 +1134,16 @@ def _defect_e_scene() -> list[Constraint]:
             Constraint.I11(Plane3((0, 1, 0), 0.0))]
 
 
+def _tangent_parabola(rng) -> tuple[np.ndarray, np.ndarray]:
+    """The unit circle and the parabola y = 1 - k x^2, k > 1/2, in the chart
+    z = 1 of a random rotation: tangent at (0, 1), crossing at two points."""
+    k = rng.uniform(0.8, 3.0)
+    f = np.diag([1.0, 1.0, -1.0])
+    g = np.array([[k, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, -1.0]])
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return q.T @ f @ q, q.T @ g @ q
+
+
 class TestCurveMeeting:
     """_curve_points, whose kernels come from Bezout matrices and whose lift
     and polish run in Python floats, against the batched form with the
@@ -1219,21 +1230,160 @@ class TestCurveMeeting:
         assert self._agree(met) >= 5
 
     def test_defect_e_scene(self):
-        pairs = _spied_curves(_defect_e_scene())
-        assert len(pairs) == 1 and self._agree(pairs, 1e-7)
-        plane = min(solve_operation(_defect_e_scene()).planes,
-                    key=lambda p: abs(p.normal[0]) + abs(p.offset))
+        # the scene's two conics on its plane of planes y = 0, met directly;
+        # the solver projects them from the plane at infinity instead
+        ops = fold3d.operations
+        plane = ops._plane_through_infinity([0.0, 1.0, 0.0])
+        conics = plane @ np.array([dual_locus(c)[1] for c in _defect_e_scene()[:2]]) @ plane.T
+        assert self._agree([tuple(conics)], 1e-7)
+        points = np.array(ops._curve_points(*conics)) @ plane
         # the tangential plane z = 0, about sqrt(eps) off in its normal
-        assert abs(plane.normal[0]) < 1e-7 and abs(plane.offset) < 1e-12
+        assert np.min(np.abs(np.abs(points) - [0, 0, 1, 0]).max(axis=1)) < 1e-7
 
     def test_one_gradient_product_per_polish_step(self):
+        # one _grads product when the first step leaves every point in place
+        # (3I6 cubics), and a second only on the points it moved: a
+        # parabola's tangency moves, its two crossings do not
         ops = fold3d.operations
         rng = np.random.default_rng(3140)
-        cons = instance_3i6(rng)
-        with mock.patch.object(ops, "_grads", wraps=ops._grads) as grads:
-            sol = solve_operation(cons)
-        assert sol.count > 0
-        assert grads.call_count == ops._POLISH_STEPS
+        pairs = [p for _ in range(10) for p in _spied_curves(instance_3i6(rng))]
+        pairs += [_tangent_parabola(rng) for _ in range(10)]
+        seen = set()
+        for f, g in pairs:
+            with mock.patch.object(ops, "_POLISH_STEPS", 1):
+                first = ops._curve_points(f, g)
+            with mock.patch.object(ops, "_grads", wraps=ops._grads) as grads:
+                assert ops._curve_points(f, g)
+            seeds, *rest = [call.args[2].tolist() for call in grads.call_args_list]
+            moved = [p for p, q in zip(first, seeds)
+                     if sum(abs(x - y) for x, y in zip(p, q)) > ops._POLISH_MOVED]
+            assert rest == ([moved] if moved else [])
+            seen.add((len(moved), len(seeds)))
+        assert any(a == 0 for a, b in seen)  # nothing moved
+        assert any(0 < a < b for a, b in seen)  # some moved, some did not
+
+
+PROJECTED = ("I3+I5", "I5+I6", "2I3+I11", "I3+I6+I11", "2I6+I11")
+
+
+def _moved(c: Constraint, frame) -> Constraint:
+    move = {Point3: frame.apply_point, Line3: frame.apply_line, Plane3: frame.apply_plane}
+    return Constraint(c.kind, tuple(move[type(x)](x) for x in c.objects))
+
+
+def _solved(cons, tol: float):
+    """solve_exact(cons, tol), or the IllPosed it raises."""
+    try:
+        return solve_exact(cons, tol)
+    except IllPosed as exc:
+        return exc
+
+
+def _chart_ends_scene(u1, u2, n) -> list[Constraint]:
+    """I6 pairs that the folds through the origin with normals u1 and u2
+    both satisfy, with I11 perpendicular to n: p = a u1 + b u2 + c n lands,
+    across either, on the plane through the origin with normal b u1 + a u2;
+    the pairs (a, b, c) = (1, -1, 0) and (2, -3, 1) leave a third plane."""
+    u1, u2, n = map(np.array, (u1, u2, n))
+    return [Constraint.I6(Point3(*(a * u1 + b * u2 + c * n)), Plane3(tuple(b * u1 + a * u2), 0.0))
+            for a, b, c in ((1, -1, 0), (2, -3, 1))] + [Constraint.I11(Plane3(tuple(n), 0.0))]
+
+
+class TestProjection:
+    """The five plane-class operations whose null plane holds the plane at
+    infinity (I5, I11 or a parallel I7 form) are solved as a binary cubic
+    (operations._projected_points), not as two conics met by a resultant
+    (_plane_points)."""
+
+    def test_root_at_both_chart_ends(self):
+        # fold normals (1, 0, 0) and (0, 0, -1), both ends of the chart of
+        # the I11 normal (0, 1, 0): both end coefficients of the cubic are 0
+        s2, s13 = np.sqrt(2.0), np.sqrt(13.0)
+        cons = [Constraint.I6(Point3(1, 0, 1), Plane3((1 / s2, 0, 1 / s2), 0.0)),
+                Constraint.I6(Point3(2, 1, 3), Plane3((3 / s13, 0, 2 / s13), 0.0)),
+                Constraint.I11(Plane3((0, 1, 0), 0.0))]
+        got, want = solve_operation(cons), solve_generic(cons)
+        assert got.count == want.count == 3
+        assert all(min(plane_gap(p, q) for q in want.planes) < 1e-9 for p in got.planes)
+        for normal in ((1, 0, 0), (0, 0, 1)):
+            assert min(plane_gap(p, Plane3(normal, 0.0)) for p in got.planes) < 1e-14
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_root_at_both_chart_ends_of_the_basis(self, axis):
+        # the same scene built on whatever basis the projection takes
+        n = [0.0, 0.0, 0.0]
+        n[axis] = 1.0
+        (u1, u2, _) = fold3d.operations._plane_through_infinity(n)[:, :3].tolist()
+        cons = _chart_ends_scene(u1, u2, n)
+        sol = solve_operation(cons)
+        assert sol.count == solve_generic(cons).count == 3
+        for normal in (u1, u2):
+            assert min(plane_gap(p, Plane3(tuple(normal), 0.0)) for p in sol.planes) < 1e-14
+
+    def test_defect_e_scene_exact(self):
+        # the tangential plane z = 0 is a double root of the cubic
+        plane = min(solve_operation(_defect_e_scene()).planes,
+                    key=lambda p: abs(p.normal[0]) + abs(p.offset))
+        assert plane_gap(plane, Plane3((0, 0, 1), 0.0)) < 1e-14
+
+    def test_defect_e_scene_under_motions(self):
+        # rounding splits the double root, about one motion in 45, into a
+        # complex pair or two close real roots; their mean is exact
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            frame, k = random_frame(rng), 10.0 ** rng.uniform(-2, 2)
+            cons = [scaled_constraint(_moved(c, frame), k) for c in _defect_e_scene()]
+            want = frame.apply_plane(Plane3((0, 0, 1), 0.0))
+            errors = [np.linalg.norm(np.cross(p.normal_vec, want.normal_vec))
+                      for p in solve_operation(cons).planes]
+            assert min(errors) < 1e-13
+
+    @given(st.sampled_from(PROJECTED), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_conic_meeting(self, text, seed, log_scale):
+        # on the same null plane, under a rigid motion and a scale k: the
+        # same count, and planes within 1e-10 with offsets in units of the
+        # larger of k and the offset, since a far plane (|d| up to ~3e3 k
+        # here) has its offset fixed only relatively
+        ops, k = fold3d.operations, 10.0**log_scale
+        rng = np.random.default_rng(seed)
+        frame = random_frame(rng)
+        cons = [scaled_constraint(_moved(random_payload(rng, kind), frame), k)
+                for kind in OperationSpec.parse(text).kinds]
+        got = _solved(cons, 1e-8 * k)
+        with mock.patch.object(ops, "_projected_points", ops._plane_points):
+            want = _solved(cons, 1e-8 * k)
+        assert type(got) is type(want)
+        if isinstance(want, IllPosed):
+            return
+        assert got.count == want.count
+        for x, y in ((got, want), (want, got)):
+            for p in x.planes:
+                unit = max(k, abs(p.offset))
+                gaps = [plane_gap(Plane3(p.normal, p.offset / unit), Plane3(q.normal, q.offset / unit))
+                        for q in y.planes]
+                assert min(gaps) <= 1e-10
+
+    def test_continuum_falls_back(self):
+        # criterion 5's I5+I6 scene: the cubic vanishes, and _plane_points
+        # raises IllPosed for the continuum as before
+        ops = fold3d.operations
+        p, m, pi = Point3(0, 0, 1), Line3(Point3(0, 0, -1), (0, 1, 0)), Plane3((0, 0, 1), -1.0)
+        with mock.patch.object(ops, "_plane_points", wraps=ops._plane_points) as spy:
+            with pytest.raises(IllPosed):
+                solve_exact([Constraint.I5(p, m), Constraint.I6(p, pi)])
+        assert spy.call_count == 1
+
+    def test_vanishing_b_rows_fall_back(self):
+        # I6 planes parallel to the I11 plane: the folds perpendicular to it
+        # keep each point's height, so neither lands, as before
+        ops = fold3d.operations
+        cons = [Constraint.I6(Point3(0.3, 0.0, 0.5), Plane3((0, 1, 0), 1.0)),
+                Constraint.I6(Point3(-0.2, 0.4, 1.0), Plane3((0, -1, 0), 0.5)),
+                Constraint.I11(Plane3((0, 1, 0), 0.2))]
+        with mock.patch.object(ops, "_plane_points", wraps=ops._plane_points) as spy:
+            sol = solve_exact(cons)
+        assert spy.call_count == 1 and sol.outcome is Outcome.NO_SOLUTION
 
 
 class TestSolveI1AtCoarseTolerance:

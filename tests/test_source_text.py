@@ -46,6 +46,9 @@ cannot come back.  The others count calls.  One exact solve each makes a
 budget of LAPACK calls (``np.linalg.svd``, ``det`` and ``eigvals``), so a
 redundant rank test or decomposition cannot come back unseen: a curve
 meeting reads each kernel off a Bezout matrix in Python floats, with no SVD.
+The five operations whose null plane holds the plane at infinity (I3+I5,
+I5+I6, 2I3+I11, I3+I6+I11 and 2I6+I11) are projected from it to a binary
+cubic: their exact solves make no LAPACK call and no curve meeting.
 The dual locus of each kind makes no ``np.linalg.norm``, ``np.concatenate``
 or ``np.outer`` call: its entries are formed in Python floats.  One
 ``solve_operation`` of I5+I6 or I5+I9 makes no ``np.linalg.det``,
@@ -323,9 +326,13 @@ def test_option_guard_finds_an_unread_option():
 
 
 # LAPACK calls per exact solve, (svd, det, eigvals): 3I6 takes b's SVD;
-# 2I6+I11 and I3+I7 take the linear forms' and _distinct's; I6+I8+I11 takes
-# the linear forms' SVD, and its binary quadratic none
-CALL_BUDGET = {"2I6+I11": (2, 1, 1), "3I6": (1, 1, 1), "I3+I7": (2, 1, 1), "I6+I8+I11": (1, 0, 0)}
+# I3+I7 takes the linear forms' and _distinct's; I6+I8+I11 takes the linear
+# forms' SVD, and its binary quadratic none; the operations projected from
+# the plane at infinity (I3+I5, 2I3+I11, I3+I6+I11 and 2I6+I11) take none,
+# their null plane read off the one form and their binary cubic solved in
+# Python floats
+CALL_BUDGET = {"2I6+I11": (0, 0, 0), "3I6": (1, 1, 1), "I3+I5": (0, 0, 0), "2I3+I11": (0, 0, 0),
+               "I3+I6+I11": (0, 0, 0), "I3+I7": (2, 1, 1), "I6+I8+I11": (1, 0, 0)}
 
 
 @pytest.mark.parametrize("text", sorted(CALL_BUDGET))
@@ -342,6 +349,26 @@ def test_exact_solve_call_budget(text):
     assert sol.count > 0  # so a curve meeting's kernels were read
     calls = (svd.call_count, det.call_count, eigvals.call_count)
     assert all(x <= y for x, y in zip(calls, CALL_BUDGET[text])), calls
+
+
+@pytest.mark.parametrize("text", ["I3+I5", "I5+I6", "2I3+I11", "I3+I6+I11", "2I6+I11"])
+def test_projected_operations_meet_no_curves(text):
+    import fold3d.operations as ops
+    from fold3d import OperationSpec, solve_exact
+    from helpers import random_payload
+
+    rng = np.random.default_rng(2470)
+    counted = [mock.patch.object(ops, name, wraps=getattr(ops, name))
+               for name in ("_curve_points", "_plane_points")]
+    counted += [mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name))
+                for name in ("svd", "det", "eigvals")]
+    with counted[0] as curves, counted[1] as planes, counted[2] as svd, counted[3] as det, \
+            counted[4] as eigvals:
+        kinds = OperationSpec.parse(text).kinds
+        counts = [solve_exact([random_payload(rng, k) for k in kinds]).count for _ in range(20)]
+    assert sum(counts) > 0
+    calls = [x.call_count for x in (curves, planes, svd, det, eigvals)]
+    assert calls == [0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("kind", [f"I{i}" for i in range(1, 13)])

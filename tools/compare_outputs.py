@@ -18,7 +18,7 @@ instances of each valid operation.
 ``compare`` reports how many records are bit-identical, the records whose
 outcome or count differ, the worst ``plane_gap`` between planes of records
 that agree in count, and the median and largest stacked residual on each
-side.  Its last line is the same report as one JSON object.  It exits 1 when
+side, with the record that holds the largest.  Its last line is the same report as one JSON object.  It exits 1 when
 an outcome or a count differs.
 """
 
@@ -143,6 +143,8 @@ def compare(args) -> int:
                 if gap > worst:
                     worst, where = gap, f"{a['i']} {a['label']}"
     residuals = [sorted(x for r in side for x in _floats(r, "residuals")) for side in recs]
+    largest = [max(((x, f"{r['i']} {r['label']}") for r in side for x in _floats(r, "residuals")),
+                   default=(None, None)) for side in recs]
     planes = [sum(len(r.get("planes", ())) for r in side) for side in recs]
     same_planes = sum(p == q for a, b in zip(*recs) if a["count"] == b["count"]
                       for p, q in zip(a.get("planes", ()), b.get("planes", ())))
@@ -156,6 +158,7 @@ def compare(args) -> int:
         "worst_at": where,
         "residual_median": [statistics.median(r) if r else None for r in residuals],
         "residual_max": [r[-1] if r else None for r in residuals],
+        "residual_max_at": [at for _, at in largest],
     }
     print(f"{identical} of {len(recs[0])} records bit-identical; "
           f"{same_planes} of {planes[0]} / {planes[1]} planes identical")
@@ -164,7 +167,7 @@ def compare(args) -> int:
     print(f"worst plane_gap {worst:.3g}" + (f" at {where}" if where else ""))
     for name, i in ((args.first, 0), (args.second, 1)):
         print(f"{name}: residual median {report['residual_median'][i]}, "
-              f"max {report['residual_max'][i]}")
+              f"max {report['residual_max'][i]} at {report['residual_max_at'][i]}")
     print(json.dumps(report))
     return 1 if mismatches else 0
 
