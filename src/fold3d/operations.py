@@ -290,7 +290,7 @@ _CHARTS = np.array((
 _POLISH_STEPS = 2
 _POLISH_MOVED = 1e-12
 # Two real roots of a binary cubic within this of each other, relative to
-# its largest root or 1, are a double root that rounding split (by about
+# the larger of the two or 1, are a double root that rounding split (by about
 # sqrt(eps); the split of a tangency measured up to 7e-8).
 _SPLIT_DOUBLE = 2e-7
 
@@ -317,7 +317,7 @@ def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     polynomials given by their t-coefficient rows at the n-th roots of unity
     s, n one more than the resultant's degree: the Sylvester determinants,
     interpolated by one product with the cached inverse-DFT matrix
-    _INVERSE_DFT of that size, cheaper than np.fft.fft on so few values.
+    _inverse_dft of that size, cheaper than np.fft.fft on so few values.
     Coefficients below the rounding noise, 1e-12 of
     Hadamard's bound |f|^dg |g|^df on |det| (the Sylvester rows are dg
     copies of f and df of g, for degrees df and dg), are zeroed, so _roots,
@@ -328,7 +328,7 @@ def _resultant(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     noise = 1e-12 * np.maximum.reduce(bound)
     if np.maximum.reduce(np.abs(dets)) <= noise:
         return None
-    coeffs = (_INVERSE_DFT[len(dets)] @ dets).real
+    coeffs = (_inverse_dft(len(dets)) @ dets).real
     coeffs[np.abs(coeffs) <= noise] = 0.0
     return coeffs
 
@@ -440,10 +440,15 @@ def _curve_table(m: int, n: int) -> tuple[np.ndarray, ...]:
 # _curve_table of every pair of orders _curve_points meets (those of
 # _CHART_MAPS), and of every pair of degrees _sylvester meets.
 _CURVE_TABLES = {(m, n): _curve_table(m, n) for m in range(4) for n in range(4)}
-# The inverse of evaluation at the L-th roots of unity, L = m n + 1 for
-# those orders: the DFT matrix over L, so one product gives np.fft.fft / L.
-_INVERSE_DFT = {size: np.fft.fft(np.eye(size)) / size
-                for size in {m * n + 1 for m, n in _CURVE_TABLES}}
+
+
+@lru_cache(maxsize=None)
+def _inverse_dft(size: int) -> np.ndarray:
+    """The inverse of evaluation at the size-th roots of unity, size = m n + 1
+    for the orders of _CURVE_TABLES: the DFT matrix over size, so one
+    product gives np.fft.fft / size.  Built on first use, so a run that
+    meets no curves does not load numpy.fft."""
+    return np.fft.fft(np.eye(size)) / size
 
 
 def _outer_power(x: np.ndarray, order: int) -> np.ndarray:
@@ -630,8 +635,9 @@ def _rejoined(found: RealRoots, c3: float, c2: float, c1: float) -> list[float]:
     third root s (Vieta), is accurate to rounding.  With one real root s,
     the complex pair m +- i e is joined where e <= 1e-3 max(|m|, 1), the
     bound of _near_real (e^2 = c1 / c3 - 2 s m - m^2), and re-verification
-    decides; of three, two within _SPLIT_DOUBLE of each other, relative to
-    the largest root or 1, are joined."""
+    decides; of three, two adjacent ones within _SPLIT_DOUBLE of each other,
+    relative to the larger of the two or 1, are joined.  A third root far
+    out, near the chart's end, does not widen that bound."""
     roots = list(found.roots)
     if c3 == 0.0 or found.multiplicities not in ((1,), (1, 1, 1)):
         return roots  # a quadratic's, or a double root found as such
@@ -642,10 +648,9 @@ def _rejoined(found: RealRoots, c3: float, c2: float, c1: float) -> list[float]:
             roots.append(m)
         return roots
     a, b, c = roots
-    close = _SPLIT_DOUBLE * max(1.0, abs(a), abs(c))
-    if b - a <= close:
+    if b - a <= _SPLIT_DOUBLE * max(1.0, abs(a), abs(b)):
         return [-(c2 / c3 + c) / 2.0, c]
-    return [a, -(c2 / c3 + a) / 2.0] if c - b <= close else roots
+    return [a, -(c2 / c3 + a) / 2.0] if c - b <= _SPLIT_DOUBLE * max(1.0, abs(b), abs(c)) else roots
 
 
 def _projected_points(plane: np.ndarray, quadrics: np.ndarray) -> list[list[float]]:
@@ -787,10 +792,11 @@ def solve_exact(constraints: Sequence[Constraint], tol: float = EXACT_TOL_FLOOR)
     * a line (k = 1): the first quadric that does not vanish on it is a
       binary quadratic (real_roots_quadratic, double roots once);
     * a plane of planes (k = 2): where the one linear form has no d term
-      (I3+I5, I5+I6, 2I3+I11, I3+I6+I11 and 2I6+I11, and a parallel I7 in
-      I3+I7 or I6+I7), the plane holds the plane at infinity, which both
-      quadrics contain, and projecting from it leaves a binary cubic
-      (_projected_points), with no SVD; otherwise (the other 5, and
+      (I3+I5, I5+I6, 2I3+I11, I3+I6+I11 and 2I6+I11; a parallel-disjoint
+      I7 in I3+I7 or I6+I7; and a parallel I3 pair, which has one form and
+      no quadric, in 3I3, 2I3+I6 or I3+2I6), the plane holds the plane at
+      infinity, which both quadrics contain, and projecting from it leaves
+      a binary cubic (_projected_points), with no SVD; otherwise (the other 5, and
       dependent forms of 2I5, I5+I7 or 2I7 that leave a plane) the first
       two distinct quadrics restricted to it are two conics, met by
       _curve_points (_plane_points);
@@ -855,7 +861,7 @@ def _solve_exact(cons: tuple[Constraint, ...], r: float, tol: float) -> FoldSolu
     spatial = not rows  # no linear forms: all of P^3
     if spatial:
         points = _three_quadric_points(quadrics)
-    elif len(rows) == 1 and rows[0][3] == 0.0:  # I5, I11 or a parallel I7: e4 on the plane
+    elif len(rows) == 1 and rows[0][3] == 0.0:  # I5, I11, parallel I7 or I3: e4 on the plane
         points = _projected_points(_plane_through_infinity(rows[0][:3].tolist()), quadrics)
     else:
         _, sv, vt = np.linalg.svd([_unit4(form) for form in (np.array(rows) * scale).tolist()])

@@ -1044,6 +1044,19 @@ class TestCurveKernels:
                              text=True, check=True, timeout=60).stdout
         assert out.strip() == "False"
 
+    def test_import_skips_numpy_fft(self):
+        # the inverse-DFT matrices are built by the first curve meeting
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("import sys, fold3d.cli\n"
+                "from fold3d import Constraint, Point3, Plane3, Line3, solve_operation\n"
+                "p, m = Point3(0.3, 0.1, 1), Line3(Point3(0, 0, -1), (0, 1, 0))\n"
+                "solve_operation([Constraint.I5(p, m), Constraint.I6(p, Plane3((0, 0.6, 0.8), 0.2))])\n"
+                "print('numpy.fft' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "False"
+
     def test_near_real(self):
         rng = np.random.default_rng(2420)
         for trial in range(200):
@@ -1266,6 +1279,26 @@ class TestCurveMeeting:
 PROJECTED = ("I3+I5", "I5+I6", "2I3+I11", "I3+I6+I11", "2I6+I11")
 
 
+def _parallel_i7(rng) -> Constraint:
+    return Constraint.I7(*close_pair(rng, "I7-parallel", rng.uniform(0.3, 2.0)))
+
+
+# Operations whose one linear form has no d term only for some payloads: a
+# parallel I3 pair (one form, no quadric) or a parallel-disjoint I7 (one
+# form and an I6 quadric) alongside two quadrics.
+PROJECTED_PARALLEL = {
+    "3I3-parallel": lambda rng: [Constraint.I3(*parallel_lines(rng))]
+    + [random_payload(rng, IncidenceKind.I3) for _ in range(2)],
+    "2I3+I6-parallel": lambda rng: [Constraint.I3(*parallel_lines(rng)),
+                                    random_payload(rng, IncidenceKind.I3),
+                                    random_payload(rng, IncidenceKind.I6)],
+    "I3+2I6-parallel": lambda rng: [Constraint.I3(*parallel_lines(rng))]
+    + [random_payload(rng, IncidenceKind.I6) for _ in range(2)],
+    "I3+I7-parallel": lambda rng: [random_payload(rng, IncidenceKind.I3), _parallel_i7(rng)],
+    "I6+I7-parallel": lambda rng: [random_payload(rng, IncidenceKind.I6), _parallel_i7(rng)],
+}
+
+
 def _moved(c: Constraint, frame) -> Constraint:
     move = {Point3: frame.apply_point, Line3: frame.apply_line, Plane3: frame.apply_plane}
     return Constraint(c.kind, tuple(move[type(x)](x) for x in c.objects))
@@ -1308,17 +1341,30 @@ class TestProjection:
         for normal in ((1, 0, 0), (0, 0, 1)):
             assert min(plane_gap(p, Plane3(normal, 0.0)) for p in got.planes) < 1e-14
 
-    @pytest.mark.parametrize("axis", range(3))
-    def test_root_at_both_chart_ends_of_the_basis(self, axis):
-        # the same scene built on whatever basis the projection takes
-        n = [0.0, 0.0, 0.0]
-        n[axis] = 1.0
-        (u1, u2, _) = fold3d.operations._plane_through_infinity(n)[:, :3].tolist()
+    @pytest.mark.parametrize("n", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1 / 3, 2 / 3, 2 / 3),
+                                   (2 / 3, -1 / 3, 2 / 3), (0.6, 0.0, -0.8)])
+    def test_root_at_both_chart_ends_of_the_basis(self, n):
+        # the same scene built on whatever basis the projection takes; off
+        # the axes rounding leaves an end coefficient at ~1e-17, not 0.0,
+        # so one root lies near 1e17 and must not merge the other two
+        (u1, u2, _) = fold3d.operations._plane_through_infinity(list(n))[:, :3].tolist()
         cons = _chart_ends_scene(u1, u2, n)
         sol = solve_operation(cons)
         assert sol.count == solve_generic(cons).count == 3
         for normal in (u1, u2):
             assert min(plane_gap(p, Plane3(tuple(normal), 0.0)) for p in sol.planes) < 1e-14
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_root_near_both_chart_ends_of_the_basis(self, seed):
+        # a random basis, and the I11 normal tilted off it by 1e-9, so the
+        # end coefficients are small but not 0.0
+        rng = np.random.default_rng(seed)
+        n = rng.normal(size=3)
+        (u1, u2, _) = fold3d.operations._plane_through_infinity(n.tolist())[:, :3].tolist()
+        for tilt in (0.0, 1e-9):
+            m = n / np.linalg.norm(n) + tilt * rng.normal(size=3)
+            cons = _chart_ends_scene(u1, u2, (m / np.linalg.norm(m)).tolist())
+            assert solve_operation(cons).count == solve_generic(cons).count == 3
 
     def test_defect_e_scene_exact(self):
         # the tangential plane z = 0 is a double root of the cubic
@@ -1338,9 +1384,10 @@ class TestProjection:
                       for p in solve_operation(cons).planes]
             assert min(errors) < 1e-13
 
-    @given(st.sampled_from(PROJECTED), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
-    @settings(max_examples=150, deadline=None)
-    def test_agrees_with_the_conic_meeting(self, text, seed, log_scale):
+    @given(st.sampled_from(PROJECTED + tuple(PROJECTED_PARALLEL)), st.integers(0, 2**32 - 1),
+           st.floats(-3.0, 3.0))
+    @settings(max_examples=250, deadline=None)
+    def test_agrees_with_the_conic_meeting(self, case, seed, log_scale):
         # on the same null plane, under a rigid motion and a scale k: the
         # same count, and planes within 1e-10 with offsets in units of the
         # larger of k and the offset, since a far plane (|d| up to ~3e3 k
@@ -1348,9 +1395,14 @@ class TestProjection:
         ops, k = fold3d.operations, 10.0**log_scale
         rng = np.random.default_rng(seed)
         frame = random_frame(rng)
-        cons = [scaled_constraint(_moved(random_payload(rng, kind), frame), k)
-                for kind in OperationSpec.parse(text).kinds]
-        got = _solved(cons, 1e-8 * k)
+        if case in PROJECTED_PARALLEL:
+            payloads = PROJECTED_PARALLEL[case](rng)
+        else:
+            payloads = [random_payload(rng, kind) for kind in OperationSpec.parse(case).kinds]
+        cons = [scaled_constraint(_moved(c, frame), k) for c in payloads]
+        with mock.patch.object(ops, "_projected_points", wraps=ops._projected_points) as spy:
+            got = _solved(cons, 1e-8 * k)
+        assert spy.call_count == 1
         with mock.patch.object(ops, "_projected_points", ops._plane_points):
             want = _solved(cons, 1e-8 * k)
         assert type(got) is type(want)
